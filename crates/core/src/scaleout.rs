@@ -21,6 +21,9 @@
 //!   computation (e.g. the transfer of `h_t` with the matrix
 //!   multiplications on `x_{t+1}`).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use vfpga_accel::RemoteWindow;
 use vfpga_isa::{Instruction, IsaConfig, Program};
 
@@ -195,46 +198,41 @@ pub fn reorder_for_overlap(program: &Program, window: &RemoteWindow) -> Result<P
     let n = graph.len();
 
     // Position keys on a doubled scale so sends/recvs can slot between
-    // neighboring compute instructions.
-    let mut key: Vec<i64> = (0..n).map(|i| 2 * i as i64).collect();
-    for i in 0..n {
-        match comm_class(&program[i], window) {
-            CommClass::Send => {
-                let after = graph.preds(i).iter().map(|&p| 2 * p as i64).max();
-                if let Some(a) = after {
-                    key[i] = a + 1;
-                }
-            }
-            CommClass::Recv => {
-                let before = graph.succs(i).iter().map(|&s| 2 * s as i64).min();
-                if let Some(b) = before {
-                    key[i] = b - 1;
-                }
-            }
-            CommClass::Compute => {}
-        }
-    }
+    // neighboring compute instructions. Pred and succ lists are sorted, so
+    // the latest producer and the earliest consumer are at their ends.
+    let at = |i: usize| 2 * i as i64;
+    let key: Vec<i64> = (0..n)
+        .map(|i| match comm_class(&program[i], window) {
+            CommClass::Send => graph.preds(i).last().map_or(at(i), |&p| at(p) + 1),
+            CommClass::Recv => graph.succs(i).first().map_or(at(i), |&s| at(s) - 1),
+            CommClass::Compute => at(i),
+        })
+        .collect();
     // Topological schedule with the keys as priorities: dependencies are
     // always honored (a receive feeding a send cannot invert), and within
     // the ready set lower keys — hoisted sends, plain compute, then sunk
-    // receives — go first.
+    // receives — go first. `(key, index)` pairs are unique, so the pop
+    // order is fully determined.
     let mut indegree: Vec<usize> = (0..n).map(|i| graph.preds(i).len()).collect();
-    let mut ready: std::collections::BTreeSet<(i64, usize)> = (0..n)
-        .filter(|&i| indegree[i] == 0)
-        .map(|i| (key[i], i))
-        .collect();
+    let mut ready = BinaryHeap::with_capacity(n);
+    ready.extend(
+        (0..n)
+            .filter(|&i| indegree[i] == 0)
+            .map(|i| Reverse((key[i], i))),
+    );
     let mut order = Vec::with_capacity(n);
-    while let Some(&(k, i)) = ready.iter().next() {
-        ready.remove(&(k, i));
+    while let Some(Reverse((_, i))) = ready.pop() {
         order.push(i);
         for &s in graph.succs(i) {
             indegree[s] -= 1;
             if indegree[s] == 0 {
-                ready.insert((key[s], s));
+                ready.push(Reverse((key[s], s)));
             }
         }
     }
-    program.reordered(&order).map_err(CoreError::Isa)
+    program
+        .reordered_with(&graph, &order)
+        .map_err(CoreError::Isa)
 }
 
 #[cfg(test)]
@@ -426,6 +424,19 @@ mod tests {
             .unwrap();
         let q = reorder_for_overlap(&p, &w).unwrap();
         // No comm instructions: order must be unchanged (stable tie-break).
+        assert_eq!(p, q);
+    }
+
+    #[test]
+    fn reorder_keeps_dead_sends_after_halt() {
+        // Regression: `halt` only ordered the code before it, so the
+        // send-hoisting priority moved this never-executed send above the
+        // halt, where it would transmit.
+        let w = window();
+        let src = format!("vload v0, 0\nhalt\nvstore v0, {}\n", w.send_base);
+        let p = assemble(&src).unwrap();
+        assert!(!p.dep_graph().is_valid_order(&[0, 2, 1]));
+        let q = reorder_for_overlap(&p, &w).unwrap();
         assert_eq!(p, q);
     }
 

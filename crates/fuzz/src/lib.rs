@@ -20,7 +20,9 @@
 //!   pins it exactly.
 //! * **Oracles** ([`registry`]) — cross-layer checks: scaled-out
 //!   co-simulation vs the full accelerator vs the `f32` reference,
-//!   reordering bit-identity, partition conservation/monotonicity/coverage,
+//!   reordering bit-identity, the CSR dependency graph and overlap
+//!   scheduler against their naive golden models (`reference.rs`),
+//!   partition conservation/monotonicity/coverage,
 //!   controller accounting under faults, slot-bitmap vs occupancy agreement
 //!   in the HS abstraction, fault-plan renewal invariants, and byte-exact
 //!   JSON round-trips.
@@ -40,6 +42,7 @@ mod driver;
 mod gen;
 mod input;
 mod oracle;
+mod reference;
 mod shrink;
 
 pub use driver::{

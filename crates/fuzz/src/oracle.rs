@@ -10,11 +10,12 @@
 //! human-readable description of the violated invariant; the driver owns
 //! shrinking and reporting.
 
+use std::collections::{HashMap, VecDeque};
 use std::sync::OnceLock;
 
 use vfpga_accel::{
-    generate_rtl, leaf_resource_estimator, AcceleratorConfig, FuncSim, CONTROL_PATH_MODULE,
-    MOVED_TO_CONTROL, TOP_MODULE,
+    generate_rtl, leaf_resource_estimator, AcceleratorConfig, FuncSim, RemoteWindow,
+    CONTROL_PATH_MODULE, MOVED_TO_CONTROL, TOP_MODULE,
 };
 use vfpga_core::scaleout::{insert_communication, remote_window, reorder_for_overlap};
 use vfpga_core::{
@@ -23,7 +24,7 @@ use vfpga_core::{
 };
 use vfpga_fabric::{Cluster, DeviceId, DeviceType, MemoryKind, ResourceVec};
 use vfpga_hsabs::{HsCompiler, HsError, LowLevelController, VirtualBlockSpec};
-use vfpga_isa::{assemble, BfpFormat, MReg, Program, VReg, F16};
+use vfpga_isa::{assemble, BfpFormat, DepEdge, Instruction, IsaConfig, MReg, Program, VReg, F16};
 use vfpga_runtime::{
     co_simulate_functional, run_cloud_sim_faulted, Policy, RecoveryPolicy, SystemController,
     DEFAULT_TRACE_CAPACITY,
@@ -36,6 +37,7 @@ use vfpga_workload::{
 
 use crate::gen;
 use crate::input::{FuzzInput, SlotOp, TreeSpec};
+use crate::reference::{reference_reorder, ReferenceGraph};
 
 /// One registered oracle: a structure-aware generator plus the invariant
 /// check it feeds.
@@ -57,6 +59,11 @@ pub fn registry() -> Vec<Oracle> {
             name: "controller-accounting",
             generate: |rng| FuzzInput::Cloud(gen::cloud(rng)),
             check: check_controller_accounting,
+        },
+        Oracle {
+            name: "depgraph-reference",
+            generate: |rng| FuzzInput::Prog(gen::prog(rng)),
+            check: check_depgraph_reference,
         },
         Oracle {
             name: "fault-plan",
@@ -281,17 +288,104 @@ fn check_reorder_identity(input: &FuzzInput) -> Result<(), String> {
 /// duplicate instructions left-to-right. Returns `None` if the programs
 /// are not permutations of each other.
 fn recover_permutation(plain: &Program, reordered: &Program) -> Option<Vec<usize>> {
-    let mut used = vec![false; plain.len()];
-    let mut order = Vec::with_capacity(plain.len());
-    for inst in reordered.iter() {
-        let idx = plain
-            .iter()
-            .enumerate()
-            .position(|(i, p)| !used[i] && p == inst)?;
-        used[idx] = true;
-        order.push(idx);
+    let mut unused: HashMap<Instruction, VecDeque<usize>> = HashMap::new();
+    for (i, inst) in plain.iter().enumerate() {
+        unused.entry(*inst).or_default().push_back(i);
     }
-    Some(order)
+    reordered
+        .iter()
+        .map(|inst| unused.get_mut(inst)?.pop_front())
+        .collect()
+}
+
+// ---------------------------------------------------------------------
+// depgraph-reference: the CSR dependency graph and the heap scheduler
+// agree exactly with their hash-map / BTreeSet golden models.
+// ---------------------------------------------------------------------
+
+/// Compares the fast dependency graph and overlap schedule of `program`
+/// with the reference implementations.
+fn agree_with_reference(
+    label: &str,
+    program: &Program,
+    window: &RemoteWindow,
+) -> Result<(), String> {
+    let fast = program.dep_graph();
+    let reference = ReferenceGraph::build(program.instructions());
+    if fast.len() != program.len() {
+        return Err(format!(
+            "{label}: graph covers {} of {} instructions",
+            fast.len(),
+            program.len()
+        ));
+    }
+    let multiset = |edges: &[DepEdge]| {
+        let mut v: Vec<(usize, usize, u8)> =
+            edges.iter().map(|e| (e.from, e.to, e.kind as u8)).collect();
+        v.sort_unstable();
+        v
+    };
+    let (got, want) = (multiset(fast.edges()), multiset(&reference.edges));
+    if got != want {
+        let first = got.iter().zip(&want).position(|(a, b)| a != b);
+        return Err(format!(
+            "{label}: {} edges, reference has {} (first difference at sorted position {:?})",
+            got.len(),
+            want.len(),
+            first
+        ));
+    }
+    for i in 0..program.len() {
+        if fast.preds(i) != reference.preds[i].as_slice() {
+            return Err(format!(
+                "{label}: preds({i}) = {:?}, reference {:?}",
+                fast.preds(i),
+                reference.preds[i]
+            ));
+        }
+        if fast.succs(i) != reference.succs[i].as_slice() {
+            return Err(format!(
+                "{label}: succs({i}) = {:?}, reference {:?}",
+                fast.succs(i),
+                reference.succs[i]
+            ));
+        }
+    }
+    let got = reorder_for_overlap(program, window).map_err(|e| e.to_string());
+    let want = reference_reorder(program, window);
+    if got != want {
+        return Err(format!(
+            "{label}: reorder_for_overlap disagrees with the reference schedule"
+        ));
+    }
+    Ok(())
+}
+
+fn check_depgraph_reference(input: &FuzzInput) -> Result<(), String> {
+    let FuzzInput::Prog(spec) = input else {
+        return Err("expected prog input".into());
+    };
+    let program = assemble(&spec.asm).map_err(|e| format!("generated program: {e}"))?;
+    let window = remote_window(&IsaConfig::default(), 0, 2).map_err(|e| e.to_string())?;
+    // One or two of the stored slots become state slots, so the program
+    // gains sends and receives for the scheduler to move.
+    let mut stored: Vec<u32> = Vec::new();
+    for addr in program.iter().filter_map(Instruction::mem_write) {
+        if !stored.contains(&addr) {
+            stored.push(addr);
+        }
+    }
+    stored.truncate(1 + (spec.order_seed % 2) as usize);
+    let with_comm = insert_communication(&program, &stored, &window)
+        .map_err(|e| format!("insert_communication: {e}"))?;
+    // And a variant with a halt in the middle: dead code follows it.
+    let mut insts = with_comm.instructions().to_vec();
+    insts.insert(insts.len() / 2, Instruction::Halt);
+    let mid_halt = Program::new(insts);
+
+    agree_with_reference("plain", &program, &window)?;
+    agree_with_reference("with communication", &with_comm, &window)?;
+    agree_with_reference("mid-program halt", &mid_halt, &window)
 }
 
 // ---------------------------------------------------------------------

@@ -5,7 +5,14 @@
 //! (Section 2.3). This module computes the dependency graph that constrains
 //! any such reordering: register RAW/WAR/WAW hazards plus exact per-slot
 //! memory ordering (DRAM addresses are static in this ISA, so alias analysis
-//! is exact).
+//! is exact), and a two-sided barrier at every `halt`.
+//!
+//! The graph is built in one left-to-right pass. Every edge found while
+//! visiting instruction `i` ends at `i`, so the edges arrive grouped by
+//! target: predecessors are stored in CSR form (one flat index array plus
+//! offsets) as they are found, and successors are the counting-sort
+//! transpose. Building costs O(n + E) with a constant number of
+//! allocations per register and memory slot touched.
 
 use std::collections::HashMap;
 
@@ -22,7 +29,8 @@ pub enum DepKind {
     Waw,
     /// Ordering through a DRAM slot (load/store on the same address).
     Mem,
-    /// Ordering against a `halt` (everything precedes program end).
+    /// Ordering against a `halt`: everything before it precedes it, and
+    /// everything after it follows it.
     Control,
 }
 
@@ -37,126 +45,139 @@ pub struct DepEdge {
     pub kind: DepKind,
 }
 
+/// The memory ordering state of one DRAM slot.
+#[derive(Debug, Default)]
+struct MemSlot {
+    last_store: Option<usize>,
+    loads_since_store: Vec<usize>,
+}
+
 /// The dependency graph of a program: a DAG over instruction indices in
 /// original program order (edges always point from lower to higher index).
 #[derive(Debug, Clone)]
 pub struct DepGraph {
     len: usize,
     edges: Vec<DepEdge>,
-    preds: Vec<Vec<usize>>,
-    succs: Vec<Vec<usize>>,
+    /// `preds[pred_off[i]..pred_off[i + 1]]` are the predecessors of `i`.
+    pred_off: Vec<usize>,
+    preds: Vec<usize>,
+    /// `succs[succ_off[i]..succ_off[i + 1]]` are the successors of `i`.
+    succ_off: Vec<usize>,
+    succs: Vec<usize>,
 }
 
 impl DepGraph {
     /// Builds the dependency graph of an instruction sequence.
     pub fn build(insts: &[Instruction]) -> Self {
+        let n = insts.len();
         let mut edges = Vec::new();
-        // Register hazards.
-        let mut last_def: HashMap<u8, usize> = HashMap::new();
-        let mut uses_since_def: HashMap<u8, Vec<usize>> = HashMap::new();
+        let mut pred_off = Vec::with_capacity(n + 1);
+        pred_off.push(0);
+        let mut preds = Vec::new();
+        // The edges ending at the instruction being visited.
+        let mut step: Vec<DepEdge> = Vec::new();
+        // Register hazards, indexed by register number.
+        let mut last_def: [Option<usize>; 256] = [None; 256];
+        let mut uses_since_def: Vec<Vec<usize>> = vec![Vec::new(); 256];
         // Memory hazards, exact per slot.
-        let mut last_store: HashMap<u32, usize> = HashMap::new();
-        let mut loads_since_store: HashMap<u32, Vec<usize>> = HashMap::new();
+        let mut mem: HashMap<u32, MemSlot> = HashMap::new();
+        let mut last_halt = None;
 
         for (i, inst) in insts.iter().enumerate() {
+            let mut edge = |from, kind| step.push(DepEdge { from, to: i, kind });
             if matches!(inst, Instruction::Halt) {
                 // A halt is a full barrier: it must stay after everything
-                // before it.
+                // before it ...
                 for j in 0..i {
-                    edges.push(DepEdge {
-                        from: j,
-                        to: i,
-                        kind: DepKind::Control,
-                    });
+                    edge(j, DepKind::Control);
                 }
-                continue;
-            }
-            for r in inst.uses() {
-                if let Some(&d) = last_def.get(&r.0) {
-                    edges.push(DepEdge {
-                        from: d,
-                        to: i,
-                        kind: DepKind::Raw,
-                    });
+                last_halt = Some(i);
+            } else {
+                // ... and before everything after it.
+                if let Some(h) = last_halt {
+                    edge(h, DepKind::Control);
                 }
-            }
-            if let Some(addr) = inst.mem_read() {
-                if let Some(&s) = last_store.get(&addr) {
-                    edges.push(DepEdge {
-                        from: s,
-                        to: i,
-                        kind: DepKind::Mem,
-                    });
-                }
-                loads_since_store.entry(addr).or_default().push(i);
-            }
-            if let Some(addr) = inst.mem_write() {
-                if let Some(loads) = loads_since_store.get(&addr) {
-                    for &l in loads {
-                        edges.push(DepEdge {
-                            from: l,
-                            to: i,
-                            kind: DepKind::Mem,
-                        });
+                for r in inst.uses() {
+                    if let Some(d) = last_def[usize::from(r.0)] {
+                        edge(d, DepKind::Raw);
                     }
                 }
-                if let Some(&s) = last_store.get(&addr) {
-                    edges.push(DepEdge {
-                        from: s,
-                        to: i,
-                        kind: DepKind::Mem,
-                    });
+                if let Some(addr) = inst.mem_read() {
+                    let slot = mem.entry(addr).or_default();
+                    if let Some(s) = slot.last_store {
+                        edge(s, DepKind::Mem);
+                    }
+                    slot.loads_since_store.push(i);
                 }
-                last_store.insert(addr, i);
-                loads_since_store.insert(addr, Vec::new());
-            }
-            if let Some(d) = inst.defs() {
-                if let Some(readers) = uses_since_def.get(&d.0) {
-                    for &r in readers {
+                if let Some(addr) = inst.mem_write() {
+                    let slot = mem.entry(addr).or_default();
+                    for &l in &slot.loads_since_store {
+                        edge(l, DepKind::Mem);
+                    }
+                    if let Some(s) = slot.last_store {
+                        edge(s, DepKind::Mem);
+                    }
+                    slot.last_store = Some(i);
+                    slot.loads_since_store.clear();
+                }
+                if let Some(d) = inst.defs() {
+                    let d = usize::from(d.0);
+                    for &r in &uses_since_def[d] {
                         if r != i {
-                            edges.push(DepEdge {
-                                from: r,
-                                to: i,
-                                kind: DepKind::War,
-                            });
+                            edge(r, DepKind::War);
                         }
                     }
+                    if let Some(prev) = last_def[d] {
+                        edge(prev, DepKind::Waw);
+                    }
+                    last_def[d] = Some(i);
+                    uses_since_def[d].clear();
                 }
-                if let Some(&prev) = last_def.get(&d.0) {
-                    edges.push(DepEdge {
-                        from: prev,
-                        to: i,
-                        kind: DepKind::Waw,
-                    });
+                // Record uses after handling the def so `vadd v1, v1, v2`
+                // does not produce a spurious WAR on itself.
+                for r in inst.uses() {
+                    uses_since_def[usize::from(r.0)].push(i);
                 }
-                last_def.insert(d.0, i);
-                uses_since_def.insert(d.0, Vec::new());
             }
-            // Record uses after handling the def so `vadd v1, v1, v2` does
-            // not produce a spurious WAR on itself.
-            for r in inst.uses() {
-                uses_since_def.entry(r.0).or_default().push(i);
+
+            // Group this step's edges by source, keeping push order within
+            // a source (the sort is stable), and drop repeated kinds.
+            step.sort_by_key(|e| e.from);
+            step.dedup_by_key(|e| (e.from, e.kind));
+            for e in &step {
+                if preds.len() == pred_off[i] || preds.last() != Some(&e.from) {
+                    preds.push(e.from);
+                }
             }
+            pred_off.push(preds.len());
+            edges.extend_from_slice(&step);
+            step.clear();
         }
 
-        edges.sort_by_key(|e| (e.from, e.to));
-        edges.dedup_by_key(|e| (e.from, e.to, e.kind));
-
-        let mut preds = vec![Vec::new(); insts.len()];
-        let mut succs = vec![Vec::new(); insts.len()];
-        for e in &edges {
-            preds[e.to].push(e.from);
-            succs[e.from].push(e.to);
+        // Successors: a counting-sort transpose of the predecessors.
+        // Visiting targets in ascending order keeps every list sorted.
+        let mut succ_off = vec![0; n + 1];
+        for &p in &preds {
+            succ_off[p + 1] += 1;
         }
-        for v in preds.iter_mut().chain(succs.iter_mut()) {
-            v.sort_unstable();
-            v.dedup();
+        for i in 0..n {
+            succ_off[i + 1] += succ_off[i];
+        }
+        let mut cursor = succ_off.clone();
+        let mut succs = vec![0; preds.len()];
+        for to in 0..n {
+            for &from in &preds[pred_off[to]..pred_off[to + 1]] {
+                succs[cursor[from]] = to;
+                cursor[from] += 1;
+            }
         }
 
         DepGraph {
-            len: insts.len(),
+            len: n,
             edges,
+            pred_off,
             preds,
+            succ_off,
             succs,
         }
     }
@@ -171,19 +192,23 @@ impl DepGraph {
         self.len == 0
     }
 
-    /// All dependency edges.
+    /// All dependency edges, ordered by `to`, then `from`. Each `(from,
+    /// to, kind)` triple appears once; a pair ordered for two reasons
+    /// (say RAW and WAR) has one edge per reason.
     pub fn edges(&self) -> &[DepEdge] {
         &self.edges
     }
 
-    /// Indices of instructions that must execute before `i`.
+    /// Indices of instructions that must execute before `i`, ascending
+    /// and without repeats.
     pub fn preds(&self, i: usize) -> &[usize] {
-        &self.preds[i]
+        &self.preds[self.pred_off[i]..self.pred_off[i + 1]]
     }
 
-    /// Indices of instructions that must execute after `i`.
+    /// Indices of instructions that must execute after `i`, ascending and
+    /// without repeats.
     pub fn succs(&self, i: usize) -> &[usize] {
-        &self.succs[i]
+        &self.succs[self.succ_off[i]..self.succ_off[i + 1]]
     }
 
     /// Checks that `order` (a permutation of `0..len`) respects every
@@ -199,7 +224,11 @@ impl DepGraph {
             }
             position[idx] = pos;
         }
-        self.edges.iter().all(|e| position[e.from] < position[e.to])
+        (0..self.len).all(|to| {
+            self.preds(to)
+                .iter()
+                .all(|&from| position[from] < position[to])
+        })
     }
 }
 
@@ -331,5 +360,146 @@ mod tests {
             to: 1,
             kind: DepKind::Raw
         }));
+    }
+
+    #[test]
+    fn operand_read_twice_gives_one_edge() {
+        // Shrunk counterexample from the depgraph-reference fuzz oracle
+        // against a build that skipped the per-instruction dedup: both
+        // operands of the vadd read v0, which must still be one RAW edge.
+        let insts = crate::assemble("vload v0, 1\nvadd v6, v0, v0\nhalt\n")
+            .unwrap()
+            .into_instructions();
+        let g = DepGraph::build(&insts);
+        let raw = DepEdge {
+            from: 0,
+            to: 1,
+            kind: DepKind::Raw,
+        };
+        assert_eq!(g.edges().iter().filter(|&&e| e == raw).count(), 1);
+        assert_eq!(g.preds(1), [0]);
+        assert_eq!(g.succs(0), [1, 2]);
+    }
+
+    #[test]
+    fn halt_is_a_two_sided_barrier() {
+        // Regression: nothing ordered the code after a `halt` against it,
+        // so a valid order could hoist dead code above the program end.
+        let insts = vec![
+            I::VLoad {
+                dst: VReg(0),
+                addr: 0,
+            },
+            I::Halt,
+            I::VStore {
+                src: VReg(0),
+                addr: 7,
+            },
+        ];
+        let g = DepGraph::build(&insts);
+        assert!(g.edges().contains(&DepEdge {
+            from: 1,
+            to: 2,
+            kind: DepKind::Control
+        }));
+        assert!(!g.is_valid_order(&[0, 2, 1]));
+        assert!(g.is_valid_order(&[0, 1, 2]));
+    }
+
+    #[test]
+    fn empty_program_has_an_empty_graph() {
+        let g = DepGraph::build(&[]);
+        assert!(g.is_empty());
+        assert_eq!(g.pred_off, [0]);
+        assert_eq!(g.succ_off, [0]);
+        assert!(g.edges().is_empty());
+        assert!(g.is_valid_order(&[]));
+    }
+
+    #[test]
+    fn halt_only_program() {
+        let g = DepGraph::build(&[I::Halt]);
+        assert_eq!(g.len(), 1);
+        assert!(g.edges().is_empty());
+        assert!(g.preds(0).is_empty() && g.succs(0).is_empty());
+        assert!(g.is_valid_order(&[0]));
+        // Consecutive halts are ordered once each way.
+        let g = DepGraph::build(&[I::Halt, I::Halt]);
+        assert_eq!(
+            g.edges(),
+            [DepEdge {
+                from: 0,
+                to: 1,
+                kind: DepKind::Control
+            }]
+        );
+        assert!(!g.is_valid_order(&[1, 0]));
+    }
+
+    fn gru_program() -> Vec<I> {
+        let src = "vload v0, 0\n\
+                   vload v1, 1\n\
+                   mvmul v2, m0, v0\n\
+                   mvmul v3, m1, v1\n\
+                   vadd v4, v2, v3\n\
+                   sigmoid v5, v4\n\
+                   mvmul v6, m2, v0\n\
+                   mvmul v7, m3, v1\n\
+                   vmul v7, v5, v7\n\
+                   vadd v6, v6, v7\n\
+                   tanh v6, v6\n\
+                   vsub v8, v1, v6\n\
+                   vmul v8, v5, v8\n\
+                   vadd v1, v6, v8\n\
+                   vstore v1, 1\n\
+                   vload v0, 2\n\
+                   vload v1, 1\n\
+                   mvmul v2, m0, v0\n\
+                   mvmul v3, m1, v1\n\
+                   vadd v4, v2, v3\n\
+                   vstore v4, 1\n\
+                   halt\n";
+        crate::assemble(src).unwrap().into_instructions()
+    }
+
+    #[test]
+    fn succs_are_the_exact_transpose_of_preds() {
+        let insts = gru_program();
+        let g = DepGraph::build(&insts);
+        let mut from_preds: Vec<(usize, usize)> = (0..g.len())
+            .flat_map(|to| g.preds(to).iter().map(move |&from| (from, to)))
+            .collect();
+        let mut from_succs: Vec<(usize, usize)> = (0..g.len())
+            .flat_map(|from| g.succs(from).iter().map(move |&to| (from, to)))
+            .collect();
+        assert!(!from_preds.is_empty());
+        from_preds.sort_unstable();
+        from_succs.sort_unstable();
+        assert_eq!(from_preds, from_succs);
+        for i in 0..g.len() {
+            assert!(g.preds(i).windows(2).all(|w| w[0] < w[1]));
+            assert!(g.succs(i).windows(2).all(|w| w[0] < w[1]));
+        }
+    }
+
+    #[test]
+    fn edges_are_unique_and_to_major() {
+        let insts = gru_program();
+        let g = DepGraph::build(&insts);
+        let edges = g.edges();
+        assert!(edges
+            .windows(2)
+            .all(|w| (w[0].to, w[0].from) <= (w[1].to, w[1].from)));
+        let unique: std::collections::HashSet<&DepEdge> = edges.iter().collect();
+        assert_eq!(unique.len(), edges.len(), "duplicate (from, to, kind)");
+        // `vadd v6, v6, v7` reads the v6 that instruction 6 wrote (RAW)
+        // and overwrites it (WAW): one edge per reason.
+        let pair = |from, to| {
+            edges
+                .iter()
+                .filter(|e| e.from == from && e.to == to)
+                .count()
+        };
+        assert_eq!(pair(6, 9), 2);
     }
 }

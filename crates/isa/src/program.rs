@@ -136,8 +136,19 @@ impl Program {
     /// Returns [`IsaError::Validation`] if `order` is not a
     /// dependency-preserving permutation.
     pub fn reordered(&self, order: &[usize]) -> Result<Program, IsaError> {
-        let graph = self.dep_graph();
-        if !graph.is_valid_order(order) {
+        self.reordered_with(&self.dep_graph(), order)
+    }
+
+    /// [`reordered`](Program::reordered) against an already-built
+    /// dependency graph, which must be this program's — for callers that
+    /// built it to compute `order` in the first place.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IsaError::Validation`] if `order` is not a permutation
+    /// that respects `graph`.
+    pub fn reordered_with(&self, graph: &DepGraph, order: &[usize]) -> Result<Program, IsaError> {
+        if graph.len() != self.len() || !graph.is_valid_order(order) {
             return Err(IsaError::Validation {
                 index: 0,
                 message: "reordering violates dependencies".into(),

@@ -136,6 +136,33 @@ fn missing_peer_data_deadlocks_cleanly() {
     assert!(matches!(err, RuntimeError::Deadlock { blocked: 1 }));
 }
 
+/// FNV-1a over a program's assembler text.
+fn program_digest(program: &vfpga::isa::Program) -> u64 {
+    program
+        .to_string()
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+#[test]
+fn reorder_output_matches_pinned_digest() {
+    // Golden schedule: any change to the dependency graph or to the
+    // list scheduler's tie-breaking that alters the reordered Fig. 11
+    // GRU program (machine 0 of 2) shows up here as a digest mismatch.
+    let task = RnnTask::new(RnnKind::Gru, 1024, 64);
+    let rnn = generate_program(task, SliceSpec::new(0, 2));
+    let window = remote_window(&vfpga::isa::IsaConfig::default(), 0, 2).expect("window fits");
+    let program = insert_communication(&rnn.program, &rnn.state_slots, &window).expect("insert");
+    let reordered = reorder_for_overlap(&program, &window).expect("reorder");
+    assert_eq!(reordered.len(), program.len());
+    assert_eq!(
+        format!("{:016x}", program_digest(&reordered)),
+        "c0e29726bc91fa36"
+    );
+}
+
 #[test]
 fn fuzz_counterexample_minimal_two_row_gru() {
     // Checked-in shrunk counterexample from the differential fuzzer's
