@@ -13,9 +13,10 @@
 //! | Fig. 12 | [`fig12::run_all_sets`] | `repro -- fig12` |
 //! | §4.3 overhead | [`overhead::report`] | `repro -- overhead` |
 //!
-//! Wall-clock benches over the framework's tools (decompose, partition,
-//! allocation, reorder) live in `benches/`, built on the dependency-free
-//! [`harness`] module.
+//! Wall-clock timing of the framework's tools (decompose, partition,
+//! insert/reorder, encode, scale-out co-simulation, controller
+//! deploy/release) lives in the separate `vfpga-perf` benchmark under
+//! `perfbench/`.
 
 pub mod ablations;
 pub mod admission;
@@ -25,7 +26,6 @@ pub mod density;
 pub mod elastic;
 pub mod fig11;
 pub mod fig12;
-pub mod harness;
 pub mod isolation;
 pub mod monitor;
 pub mod netchaos;

@@ -91,17 +91,6 @@ impl Decomposition {
     }
 }
 
-/// Decomposes the accelerator rooted at `top` into a soft-block tree.
-///
-/// `leaf_resources` estimates the spatial resources of one basic-module
-/// instance (the accelerator generator provides a calibrated estimator).
-///
-/// # Errors
-///
-/// Returns [`CoreError::MissingControlModule`] if `top` does not instantiate
-/// the marked control module, [`CoreError::EmptyDataPath`] if nothing
-/// remains in the data path, or an [`CoreError::Rtl`] error if the design
-/// is malformed.
 /// [`decompose`] with span tracing: the offline lowering is recorded as a
 /// zero-duration `decompose` span (compilation happens outside sim time)
 /// carrying the top module name and, on success, the
@@ -143,6 +132,17 @@ pub fn decompose_traced(
     result
 }
 
+/// Decomposes the accelerator rooted at `top` into a soft-block tree.
+///
+/// `leaf_resources` estimates the spatial resources of one basic-module
+/// instance (the accelerator generator provides a calibrated estimator).
+///
+/// # Errors
+///
+/// Returns [`CoreError::MissingControlModule`] if `top` does not instantiate
+/// the marked control module, [`CoreError::EmptyDataPath`] if nothing
+/// remains in the data path, or an [`CoreError::Rtl`] error if the design
+/// is malformed.
 pub fn decompose(
     design: &Design,
     top: &str,

@@ -6,8 +6,8 @@ use std::collections::{HashMap, VecDeque};
 
 use vfpga_fabric::DeviceId;
 use vfpga_sim::{
-    CriticalPath, EventQueue, FaultPlan, Json, LinkFaultKind, MetricsRegistry, RetransmitPolicy,
-    Rng, SimTime, SpanCtx, SpanId, SpanTracer, Summary, ThroughputMeter, TimeSeries,
+    CounterId, CriticalPath, EventQueue, FaultPlan, GaugeId, Json, LinkFaultKind, MetricsRegistry,
+    RetransmitPolicy, Rng, SimTime, SpanCtx, SpanId, SpanTracer, Summary, TimeSeries, TimerId,
     TraceEventKind, TraceId, TraceRing, CONTROL_TID,
 };
 use vfpga_workload::{RnnTask, TaskArrival};
@@ -348,6 +348,13 @@ impl CloudReport {
     /// Serializes the report (without raw trace events; those stay
     /// available programmatically via [`CloudReport::trace`]).
     pub fn to_json(&self) -> Json {
+        fn summary(s: &Summary) -> Json {
+            Json::obj()
+                .with("count", s.count())
+                .with("mean", s.mean())
+                .with("min", s.min())
+                .with("max", s.max())
+        }
         let mut attempts = Json::obj();
         let mut tasks = Json::obj();
         for reason in RejectReason::ALL {
@@ -373,22 +380,8 @@ impl CloudReport {
                     .with("min", self.latency.min())
                     .with("max", self.latency.max()),
             )
-            .with(
-                "queue_wait_s",
-                Json::obj()
-                    .with("count", self.queue_wait.count())
-                    .with("mean", self.queue_wait.mean())
-                    .with("min", self.queue_wait.min())
-                    .with("max", self.queue_wait.max()),
-            )
-            .with(
-                "requeue_wait_s",
-                Json::obj()
-                    .with("count", self.requeue_wait.count())
-                    .with("mean", self.requeue_wait.mean())
-                    .with("min", self.requeue_wait.min())
-                    .with("max", self.requeue_wait.max()),
-            )
+            .with("queue_wait_s", summary(&self.queue_wait))
+            .with("requeue_wait_s", summary(&self.requeue_wait))
             .with("occupancy", {
                 let mut occ = Json::obj()
                     .with("mean", self.mean_occupancy)
@@ -452,22 +445,8 @@ impl CloudReport {
                 .with("preemptions", self.preemptions)
                 .with("units_gained", self.units_gained)
                 .with("units_lost", self.units_lost)
-                .with(
-                    "promotion_saved_s",
-                    Json::obj()
-                        .with("count", self.promotion_saved.count())
-                        .with("mean", self.promotion_saved.mean())
-                        .with("min", self.promotion_saved.min())
-                        .with("max", self.promotion_saved.max()),
-                )
-                .with(
-                    "preemption_added_s",
-                    Json::obj()
-                        .with("count", self.preemption_added.count())
-                        .with("mean", self.preemption_added.mean())
-                        .with("min", self.preemption_added.min())
-                        .with("max", self.preemption_added.max()),
-                ),
+                .with("promotion_saved_s", summary(&self.promotion_saved))
+                .with("preemption_added_s", summary(&self.preemption_added)),
         );
         if let Some(monitor) = &self.monitor {
             json = json.with("monitor", monitor.to_json());
@@ -526,27 +505,6 @@ pub fn run_cloud_sim(
     instance_for: &dyn Fn(&RnnTask) -> String,
     service_time: &dyn Fn(&RnnTask, &Deployment) -> SimTime,
 ) -> Result<CloudReport, RuntimeError> {
-    run_cloud_sim_traced(
-        controller,
-        arrivals,
-        instance_for,
-        service_time,
-        DEFAULT_TRACE_CAPACITY,
-    )
-}
-
-/// [`run_cloud_sim`] with an explicit trace-ring capacity.
-///
-/// # Errors
-///
-/// Propagates controller errors ([`RuntimeError::UnknownInstance`] etc.).
-pub fn run_cloud_sim_traced(
-    controller: &mut SystemController,
-    arrivals: &[TaskArrival],
-    instance_for: &dyn Fn(&RnnTask) -> String,
-    service_time: &dyn Fn(&RnnTask, &Deployment) -> SimTime,
-    trace_capacity: usize,
-) -> Result<CloudReport, RuntimeError> {
     run_cloud_sim_faulted(
         controller,
         arrivals,
@@ -554,13 +512,14 @@ pub fn run_cloud_sim_traced(
         service_time,
         &FaultPlan::none(),
         RecoveryPolicy::default(),
-        trace_capacity,
+        DEFAULT_TRACE_CAPACITY,
     )
 }
 
 /// [`run_cloud_sim`] interleaving the workload with a fault plan's device
 /// fail/recover waves — and, when the plan carries them, its ring-segment
-/// link waves — recovering interrupted deployments per `recovery`.
+/// link waves — recovering interrupted deployments per `recovery`, with
+/// an explicit trace-ring capacity.
 ///
 /// Link degradations corrupt in-flight transfers of the multi-device
 /// deployments routed over the segment (retransmitted under the plan's
@@ -572,7 +531,8 @@ pub fn run_cloud_sim_traced(
 /// controller's fault injector for the duration of the run (and left in
 /// place afterwards — rebuild the controller between runs, as the chaos
 /// experiments do). Fault-plan device indices beyond the cluster size are
-/// ignored, as are link indices beyond the ring's segment count. Two runs
+/// ignored, as are link indices beyond the ring's segment count or the
+/// plan's own [`FaultPlan::links`]. Two runs
 /// from identical seeds and inputs produce byte-identical reports.
 ///
 /// # Errors
@@ -631,31 +591,34 @@ pub fn run_cloud_sim_tuned(
     Ok(sim.finish())
 }
 
-/// Metric ids the run updates on its hot path.
+/// Metric ids of the run. The registry is the only store of the run's
+/// counters and timers; `finish` reads the report's totals back from it.
 struct Meters {
-    arrivals: vfpga_sim::CounterId,
-    deploys: vfpga_sim::CounterId,
-    completions: vfpga_sim::CounterId,
-    releases: vfpga_sim::CounterId,
-    rejects: [vfpga_sim::CounterId; 4],
-    device_failures: vfpga_sim::CounterId,
-    device_recoveries: vfpga_sim::CounterId,
-    interrupted: vfpga_sim::CounterId,
-    migrations: vfpga_sim::CounterId,
-    redeployments: vfpga_sim::CounterId,
-    lost: vfpga_sim::CounterId,
-    promotions: vfpga_sim::CounterId,
-    preemptions: vfpga_sim::CounterId,
-    latency: vfpga_sim::TimerId,
-    queue_wait: vfpga_sim::TimerId,
-    requeue_wait: vfpga_sim::TimerId,
-    service: vfpga_sim::TimerId,
-    time_to_recovery: vfpga_sim::TimerId,
-    depth: vfpga_sim::GaugeId,
-    occupancy: vfpga_sim::GaugeId,
-    failed_devices: vfpga_sim::GaugeId,
+    arrivals: CounterId,
+    deploys: CounterId,
+    completions: CounterId,
+    releases: CounterId,
+    rejects: [CounterId; 4],
+    device_failures: CounterId,
+    device_recoveries: CounterId,
+    interrupted: CounterId,
+    migrations: CounterId,
+    redeployments: CounterId,
+    lost: CounterId,
+    promotions: CounterId,
+    preemptions: CounterId,
+    latency: TimerId,
+    queue_wait: TimerId,
+    requeue_wait: TimerId,
+    service: TimerId,
+    time_to_recovery: TimerId,
+    depth: GaugeId,
+    occupancy: GaugeId,
+    failed_devices: GaugeId,
     /// Present only when the run's fault plan covers ring segments, so a
-    /// device-only run's exposition carries no idle link families.
+    /// device-only run's exposition carries no idle link families (and,
+    /// since link events outside the plan are skipped, no link events
+    /// fire without it).
     links: Option<LinkMeters>,
 }
 
@@ -663,14 +626,27 @@ struct Meters {
 /// `vfpga_link_state{segment="i"}` gauge per ring segment (0 healthy,
 /// 1 degraded, 2 failed) — the exposition's label-family example.
 struct LinkMeters {
-    failures: vfpga_sim::CounterId,
-    degradations: vfpga_sim::CounterId,
-    recoveries: vfpga_sim::CounterId,
-    retransmits: vfpga_sim::CounterId,
-    retransmit_bytes: vfpga_sim::CounterId,
-    reroutes: vfpga_sim::CounterId,
-    severed: vfpga_sim::CounterId,
-    state: Vec<vfpga_sim::GaugeId>,
+    failures: CounterId,
+    degradations: CounterId,
+    recoveries: CounterId,
+    retransmits: CounterId,
+    retransmit_bytes: CounterId,
+    reroutes: CounterId,
+    severed: CounterId,
+    state: Vec<GaugeId>,
+}
+
+/// What interrupted a running deployment; decides only the bookkeeping
+/// that differs between the three interruption paths.
+#[derive(Debug, Clone, Copy)]
+enum Interruption {
+    /// The device at this index failed under the deployment.
+    Device(usize),
+    /// Failures on the ring left no path between the deployment's units;
+    /// this segment's failure was the last straw.
+    Link(usize),
+    /// A preemptive scale-down lost every smaller variant mid-commit.
+    Displaced,
 }
 
 /// The simulation state machine: one instance per run.
@@ -705,21 +681,9 @@ struct CloudSim<'a> {
     /// into `rejected_tasks`.
     reject_seen: Vec<u8>,
 
-    meter: ThroughputMeter,
-    latency: Summary,
-    queue_wait: Summary,
-    requeue_wait: Summary,
-    time_to_recovery: Summary,
     last_completion: SimTime,
-    rejections: [u64; 4],
     rejected_tasks: [u64; 4],
-    device_failures: u64,
-    device_recoveries: u64,
-    interrupted: u64,
-    migrated: u64,
-    redeployments: u64,
     requeued: u64,
-    lost: u64,
     scale_down_redeployments: u64,
 
     /// Elastic reprovisioning (from [`AdmissionTuning`]).
@@ -741,8 +705,6 @@ struct CloudSim<'a> {
     /// matches, preemption is skipped so a saturated queue cannot demote
     /// more than one victim per capacity change.
     last_preempt_epoch: Option<u64>,
-    promotions: u64,
-    preemptions: u64,
     units_gained: u64,
     units_lost: u64,
     promotion_saved: Summary,
@@ -771,13 +733,6 @@ struct CloudSim<'a> {
     /// carries a nonzero corruption probability, so quiescent runs never
     /// touch it.
     link_rng: Rng,
-    link_failures: u64,
-    link_degradations: u64,
-    link_recoveries: u64,
-    link_retransmits: u64,
-    link_retransmit_bytes: u64,
-    link_reroutes: u64,
-    link_severed: u64,
     link_degraded_time: SimTime,
 
     metrics: MetricsRegistry,
@@ -912,21 +867,9 @@ impl<'a> CloudSim<'a> {
             requeued_at: vec![None; n],
             traced_reject: vec![false; n],
             reject_seen: vec![0; n],
-            meter: ThroughputMeter::new(),
-            latency: Summary::new(),
-            queue_wait: Summary::new(),
-            requeue_wait: Summary::new(),
-            time_to_recovery: Summary::new(),
             last_completion: SimTime::ZERO,
-            rejections: [0; 4],
             rejected_tasks: [0; 4],
-            device_failures: 0,
-            device_recoveries: 0,
-            interrupted: 0,
-            migrated: 0,
-            redeployments: 0,
             requeued: 0,
-            lost: 0,
             scale_down_redeployments: 0,
             elasticity: tuning.elasticity,
             service_total: vec![SimTime::ZERO; n],
@@ -934,8 +877,6 @@ impl<'a> CloudSim<'a> {
             base_units: vec![0; n],
             last_promo_epoch: None,
             last_preempt_epoch: None,
-            promotions: 0,
-            preemptions: 0,
             units_gained: 0,
             units_lost: 0,
             promotion_saved: Summary::new(),
@@ -948,13 +889,6 @@ impl<'a> CloudSim<'a> {
             link_failed: vec![false; segments],
             link_degraded: vec![false; segments],
             link_rng: Rng::seed_from_u64(faults.seed() ^ 0x4c49_4e4b_434f_5252),
-            link_failures: 0,
-            link_degradations: 0,
-            link_recoveries: 0,
-            link_retransmits: 0,
-            link_retransmit_bytes: 0,
-            link_reroutes: 0,
-            link_severed: 0,
             link_degraded_time: SimTime::ZERO,
             metrics,
             m,
@@ -1032,8 +966,10 @@ impl<'a> CloudSim<'a> {
             self.events.schedule(ev.at, event);
         }
         // Link transitions ride the same event queue; segment indices
-        // beyond the cluster's ring are ignored, mirroring the device rule.
-        let segments = self.link_failed.len();
+        // beyond the cluster's ring are ignored, mirroring the device rule,
+        // and so are segments the plan does not cover (a plan with no
+        // link coverage registers no link metrics to book them into).
+        let segments = self.link_failed.len().min(self.faults.links());
         for ev in self.faults.link_events() {
             if ev.link >= segments {
                 continue;
@@ -1073,7 +1009,6 @@ impl<'a> CloudSim<'a> {
                 }
                 Event::DeviceFailed(device) => self.on_device_failed(now, device)?,
                 Event::DeviceRecovered(device) => {
-                    self.device_recoveries += 1;
                     self.metrics.inc(self.m.device_recoveries);
                     self.controller.handle_device_recovery(DeviceId(device));
                     self.trace.push(
@@ -1150,7 +1085,6 @@ impl<'a> CloudSim<'a> {
     /// always tick; the distinct-task counter ticks once per (task,
     /// reason).
     fn record_rejection(&mut self, task_index: usize, reason: RejectReason) {
-        self.rejections[reason.index()] += 1;
         self.metrics.inc(self.m.rejects[reason.index()]);
         let bit = 1u8 << reason.index();
         if self.reject_seen[task_index] & bit == 0 {
@@ -1181,9 +1115,7 @@ impl<'a> CloudSim<'a> {
             .expect("completion for task not running");
         self.task_of.remove(&deployment.id.0);
         self.controller.release(&deployment)?;
-        self.meter.record_completion();
         let e2e = now.saturating_sub(self.arrivals[task_index].at).as_secs();
-        self.latency.record(e2e);
         if self.monitor.is_some() {
             let tenant = (self.instance_for)(&self.arrivals[task_index].task);
             let device = deployment.placements.first().map(|p| p.device.0 as u64);
@@ -1218,7 +1150,6 @@ impl<'a> CloudSim<'a> {
     }
 
     fn on_device_failed(&mut self, now: SimTime, device: usize) -> Result<(), RuntimeError> {
-        self.device_failures += 1;
         self.metrics.inc(self.m.device_failures);
         self.trace.push(
             now,
@@ -1230,41 +1161,70 @@ impl<'a> CloudSim<'a> {
             self.controller
                 .handle_device_failure_spanned(DeviceId(device), &mut self.spans, now);
         for id in interrupted {
-            let task_index = self
+            let task_index = *self
                 .task_of
-                .remove(&id.0)
+                .get(&id.0)
                 .expect("interrupted deployment maps to a running task");
-            let old = self.running[task_index]
-                .take()
-                .expect("interrupted task was running");
-            self.epoch[task_index] += 1;
-            self.interrupted += 1;
-            self.metrics.inc(self.m.interrupted);
-            self.interrupted_pending[task_index] = Some((now, old.num_units() as u32));
-            if let Some(mon) = self.monitor.as_mut() {
-                mon.on_migration(device as u64, now);
-            }
-            self.trace.push(
-                now,
-                TraceEventKind::MigrationStarted {
-                    task: task_index as u64,
-                    device: device as u64,
-                },
-            );
-            // The compute phase was cut short; the migrate phase starts at
-            // the same instant so the partition stays gapless.
-            if let Some(span) = self.phase_span[task_index] {
-                self.spans.attr(span, "interrupted_by", device);
-            }
-            self.close_phase(task_index, now);
-            let migrate = self.open_phase(task_index, "migrate", now);
-            self.spans.attr(migrate, "device", device);
-            // Immediate migration attempt; failures back off from here.
-            // Migrating tasks get first claim on the capacity their
-            // surviving units just freed, ahead of the admission queue.
-            self.attempt_migration(now, task_index, 0)?;
+            self.interrupt(now, task_index, Interruption::Device(device))?;
         }
         Ok(())
+    }
+
+    /// Interrupts a running task and sends it down the migration path:
+    /// the deployment is torn down, its pending completion goes stale,
+    /// and the compute phase hands over to a `migrate` phase at the same
+    /// instant so the span partition stays gapless. The immediate
+    /// migration attempt follows; failures back off from there.
+    /// Migrating tasks get first claim on the capacity their surviving
+    /// units just freed, ahead of the admission queue.
+    fn interrupt(
+        &mut self,
+        now: SimTime,
+        task_index: usize,
+        cause: Interruption,
+    ) -> Result<(), RuntimeError> {
+        let old = self.running[task_index]
+            .take()
+            .expect("interrupted task was running");
+        self.task_of.remove(&old.id.0);
+        if let Interruption::Link(_) = cause {
+            // The units themselves are healthy but can no longer exchange
+            // state: release the footprint explicitly (no device failure
+            // evicted it).
+            self.controller.release(&old)?;
+            self.metrics.inc(self.m.releases);
+        }
+        self.epoch[task_index] += 1;
+        self.metrics.inc(self.m.interrupted);
+        self.interrupted_pending[task_index] = Some((now, old.num_units() as u32));
+        let device = match cause {
+            Interruption::Device(d) => d as u64,
+            _ => old.placements.first().map_or(0, |p| p.device.0 as u64),
+        };
+        if let Some(mon) = self.monitor.as_mut() {
+            mon.on_migration(device, now);
+        }
+        self.trace.push(
+            now,
+            TraceEventKind::MigrationStarted {
+                task: task_index as u64,
+                device,
+            },
+        );
+        if let Some(phase) = self.phase_span[task_index] {
+            match cause {
+                Interruption::Device(d) => self.spans.attr(phase, "interrupted_by", d),
+                Interruption::Link(seg) => self.spans.attr(phase, "interrupted_by_link", seg),
+                Interruption::Displaced => {}
+            }
+        }
+        self.close_phase(task_index, now);
+        let migrate = self.open_phase(task_index, "migrate", now);
+        match cause {
+            Interruption::Link(seg) => self.spans.attr(migrate, "link", seg),
+            _ => self.spans.attr(migrate, "device", device),
+        }
+        self.attempt_migration(now, task_index, 0)
     }
 
     /// The plan's retransmission model as a [`RetransmitPolicy`]
@@ -1277,11 +1237,36 @@ impl<'a> CloudSim<'a> {
         }
     }
 
-    /// Bytes one inter-unit state exchange of `d` puts on the ring: its
-    /// cut bandwidth in bits per activation rounded up to bytes, floored
-    /// at one byte so the accounting stays visible for tiny cuts.
-    fn ring_bytes(d: &Deployment) -> u64 {
-        d.cut_bandwidth.div_ceil(8).max(1)
+    /// Books `attempts` re-sends of task `task_index`'s inter-unit state
+    /// exchange over segment `seg`. One exchange of `d` puts its cut
+    /// bandwidth in bits per activation on the ring, rounded up to bytes
+    /// and floored at one byte so the accounting stays visible for tiny
+    /// cuts.
+    fn retransmit(
+        &mut self,
+        now: SimTime,
+        task_index: usize,
+        seg: usize,
+        d: &Deployment,
+        attempts: u32,
+    ) {
+        let bytes = d.cut_bandwidth.div_ceil(8).max(1) * attempts as u64;
+        if let Some(lm) = self.m.links.as_ref() {
+            self.metrics.add(lm.retransmits, attempts as u64);
+            self.metrics.add(lm.retransmit_bytes, bytes);
+        }
+        if let Some(mon) = self.monitor.as_mut() {
+            mon.on_retransmit(seg as u64, now, bytes);
+        }
+        self.trace.push(
+            now,
+            TraceEventKind::Retransmit {
+                task: task_index as u64,
+                link: seg as u64,
+                attempts: attempts as u64,
+                bytes,
+            },
+        );
     }
 
     /// Whether a running deployment's minimum-hop ring routes use segment
@@ -1344,7 +1329,6 @@ impl<'a> CloudSim<'a> {
     /// transfers are re-sent under the plan's bounded-backoff budget,
     /// pushing their completions out by the backoff sum.
     fn on_link_degraded(&mut self, now: SimTime, seg: usize) {
-        self.link_degradations += 1;
         self.link_degraded[seg] = true;
         if let Some(lm) = self.m.links.as_ref() {
             self.metrics.inc(lm.degradations);
@@ -1377,25 +1361,7 @@ impl<'a> CloudSim<'a> {
             if attempts == 0 {
                 continue;
             }
-            let bytes = Self::ring_bytes(&d) * attempts as u64;
-            self.link_retransmits += attempts as u64;
-            self.link_retransmit_bytes += bytes;
-            if let Some(lm) = self.m.links.as_ref() {
-                self.metrics.add(lm.retransmits, attempts as u64);
-                self.metrics.add(lm.retransmit_bytes, bytes);
-            }
-            if let Some(mon) = self.monitor.as_mut() {
-                mon.on_retransmit(seg as u64, now, bytes);
-            }
-            self.trace.push(
-                now,
-                TraceEventKind::Retransmit {
-                    task: i as u64,
-                    link: seg as u64,
-                    attempts: attempts as u64,
-                    bytes,
-                },
-            );
+            self.retransmit(now, i, seg, &d, attempts);
             let mut delay = SimTime::ZERO;
             for k in 0..attempts {
                 delay = delay.checked_add(policy.backoff(k)).unwrap_or(SimTime::MAX);
@@ -1412,7 +1378,6 @@ impl<'a> CloudSim<'a> {
     /// through the same migration machinery a device failure uses — which
     /// prefers co-located placements, immune to further ring failures.
     fn on_link_failed(&mut self, now: SimTime, seg: usize) -> Result<(), RuntimeError> {
-        self.link_failures += 1;
         self.link_failed[seg] = true;
         if let Some(lm) = self.m.links.as_ref() {
             self.metrics.inc(lm.failures);
@@ -1436,47 +1401,16 @@ impl<'a> CloudSim<'a> {
             match self.max_hops_avoiding(&d) {
                 None => {
                     severed += 1;
-                    self.link_severed += 1;
                     if let Some(lm) = self.m.links.as_ref() {
                         self.metrics.inc(lm.severed);
                     }
-                    // The units themselves are healthy but can no longer
-                    // exchange state: release the footprint explicitly
-                    // (no device failure evicted it) and ride the
-                    // interruption path.
-                    let old = self.running[i].take().expect("severed task was running");
-                    self.task_of.remove(&old.id.0);
-                    self.controller.release(&old)?;
-                    self.metrics.inc(self.m.releases);
-                    self.epoch[i] += 1;
-                    self.interrupted += 1;
-                    self.metrics.inc(self.m.interrupted);
-                    self.interrupted_pending[i] = Some((now, old.num_units() as u32));
-                    let device = old.placements.first().map_or(0, |p| p.device.0 as u64);
-                    if let Some(mon) = self.monitor.as_mut() {
-                        mon.on_migration(device, now);
-                    }
-                    self.trace.push(
-                        now,
-                        TraceEventKind::MigrationStarted {
-                            task: i as u64,
-                            device,
-                        },
-                    );
-                    if let Some(phase) = self.phase_span[i] {
-                        self.spans.attr(phase, "interrupted_by_link", seg);
-                    }
-                    self.close_phase(i, now);
-                    let migrate = self.open_phase(i, "migrate", now);
-                    self.spans.attr(migrate, "link", seg);
-                    self.attempt_migration(now, i, 0)?;
+                    self.interrupt(now, i, Interruption::Link(seg))?;
                 }
                 Some(hops) => {
                     if hops <= d.max_ring_hops {
                         continue;
                     }
                     rerouted += 1;
-                    self.link_reroutes += 1;
                     if let Some(lm) = self.m.links.as_ref() {
                         self.metrics.inc(lm.reroutes);
                     }
@@ -1492,25 +1426,7 @@ impl<'a> CloudSim<'a> {
                     // The transfer caught on the dead segment is re-sent
                     // along the detour, one backoff per extra hop plus
                     // the re-send itself.
-                    let bytes = Self::ring_bytes(&d);
-                    self.link_retransmits += 1;
-                    self.link_retransmit_bytes += bytes;
-                    if let Some(lm) = self.m.links.as_ref() {
-                        self.metrics.inc(lm.retransmits);
-                        self.metrics.add(lm.retransmit_bytes, bytes);
-                    }
-                    if let Some(mon) = self.monitor.as_mut() {
-                        mon.on_retransmit(seg as u64, now, bytes);
-                    }
-                    self.trace.push(
-                        now,
-                        TraceEventKind::Retransmit {
-                            task: i as u64,
-                            link: seg as u64,
-                            attempts: 1,
-                            bytes,
-                        },
-                    );
+                    self.retransmit(now, i, seg, &d, 1);
                     let delay =
                         SimTime::from_ps(policy.base_backoff.as_ps().saturating_mul(extra + 1));
                     self.delay_completion(i, delay);
@@ -1530,7 +1446,6 @@ impl<'a> CloudSim<'a> {
     /// shorten back: each running multi-device deployment's hop count is
     /// recomputed under the remaining failures.
     fn on_link_recovered(&mut self, now: SimTime, seg: usize) {
-        self.link_recoveries += 1;
         self.link_failed[seg] = false;
         self.link_degraded[seg] = false;
         if let Some(lm) = self.m.links.as_ref() {
@@ -1611,7 +1526,6 @@ impl<'a> CloudSim<'a> {
                         },
                     );
                     if self.recovery.drop_on_exhaustion {
-                        self.lost += 1;
                         self.metrics.inc(self.m.lost);
                         self.interrupted_pending[task_index] = None;
                         if let Some(span) = self.phase_span[task_index] {
@@ -1650,20 +1564,16 @@ impl<'a> CloudSim<'a> {
             // summary covers only the first, so this wait is recorded
             // separately.
             let wait = now.saturating_sub(requeued).as_secs();
-            self.requeue_wait.record(wait);
             self.metrics.record_timer(self.m.requeue_wait, wait);
         }
         let ttr = now.saturating_sub(since).as_secs();
-        self.time_to_recovery.record(ttr);
         self.metrics.record_timer(self.m.time_to_recovery, ttr);
-        self.migrated += 1;
         self.metrics.inc(self.m.migrations);
         // This deployment served a recovery, not a first admission: the
         // `deploys` metric (and its `Deploy` trace event) never ticks for
         // it — on the wave path admission skips straight here — so the
         // deploy-side accounting has its own counter. `deploys +
         // redeployments` equals the controller's lifetime deploy count.
-        self.redeployments += 1;
         self.metrics.inc(self.m.redeployments);
         if (deployment.num_units() as u32) > old_units {
             self.scale_down_redeployments += 1;
@@ -1684,21 +1594,8 @@ impl<'a> CloudSim<'a> {
     fn start_service(&mut self, now: SimTime, task_index: usize, deployment: Deployment) {
         let task = self.arrivals[task_index].task;
         let service = (self.service_time)(&task, &deployment);
-        // Whatever phase led here (queue_wait or migrate) ends now; the
-        // compute phase renders on the first unit's device/vblock lane so
-        // Perfetto shows which FPGA slots the task occupied.
-        self.close_phase(task_index, now);
-        let compute = self.open_phase(task_index, "compute", now);
-        self.spans.attr(compute, "units", deployment.num_units());
-        if let Some(p) = deployment.placements.first() {
-            let slot = self
-                .controller
-                .allocation_slots(p.allocation)
-                .and_then(|s| s.first().copied())
-                .unwrap_or(0);
-            self.spans
-                .set_lane(compute, p.device.0 as u64 + 1, slot as u64);
-        }
+        // Whatever phase led here (queue_wait or migrate) ends now.
+        self.open_compute(now, task_index, &deployment);
         self.deployed_at[task_index] = now;
         self.epoch[task_index] += 1;
         self.task_of.insert(deployment.id.0, task_index);
@@ -1713,6 +1610,24 @@ impl<'a> CloudSim<'a> {
                 epoch: self.epoch[task_index],
             },
         );
+    }
+
+    /// Closes the task's current phase and opens a `compute` phase for
+    /// `deployment`, rendered on its first unit's device/vblock lane so
+    /// Perfetto shows which FPGA slots the task occupied.
+    fn open_compute(&mut self, now: SimTime, task_index: usize, deployment: &Deployment) {
+        self.close_phase(task_index, now);
+        let compute = self.open_phase(task_index, "compute", now);
+        self.spans.attr(compute, "units", deployment.num_units());
+        if let Some(p) = deployment.placements.first() {
+            let slot = self
+                .controller
+                .allocation_slots(p.allocation)
+                .and_then(|s| s.first().copied())
+                .unwrap_or(0);
+            self.spans
+                .set_lane(compute, p.device.0 as u64 + 1, slot as u64);
+        }
     }
 
     /// One elastic-reprovisioning pass, run after the admission wave
@@ -1818,7 +1733,6 @@ impl<'a> CloudSim<'a> {
                 self.spans.attr(span, "from_units", from_units as u64);
                 self.spans.attr(span, "to_units", to_units as u64);
                 self.spans.end(span, now);
-                self.preemptions += 1;
                 self.metrics.inc(self.m.preemptions);
                 self.units_lost += (from_units - to_units) as u64;
                 self.trace.push(
@@ -1846,27 +1760,7 @@ impl<'a> CloudSim<'a> {
                 // into the same accounting).
                 self.spans.attr(span, "outcome", "displaced");
                 self.spans.end(span, now);
-                let old = self.running[victim].take().expect("victim was running");
-                self.task_of.remove(&old.id.0);
-                let device = old.placements.first().map_or(0, |p| p.device.0 as u64);
-                self.epoch[victim] += 1;
-                self.interrupted += 1;
-                self.metrics.inc(self.m.interrupted);
-                self.interrupted_pending[victim] = Some((now, old.num_units() as u32));
-                if let Some(mon) = self.monitor.as_mut() {
-                    mon.on_migration(device, now);
-                }
-                self.trace.push(
-                    now,
-                    TraceEventKind::MigrationStarted {
-                        task: victim as u64,
-                        device,
-                    },
-                );
-                self.close_phase(victim, now);
-                let migrate = self.open_phase(victim, "migrate", now);
-                self.spans.attr(migrate, "device", device);
-                self.attempt_migration(now, victim, 0)?;
+                self.interrupt(now, victim, Interruption::Displaced)?;
                 Ok(true)
             }
         }
@@ -1912,7 +1806,6 @@ impl<'a> CloudSim<'a> {
                     self.spans.attr(span, "from_units", from_units as u64);
                     self.spans.attr(span, "to_units", to_units as u64);
                     self.spans.end(span, now);
-                    self.promotions += 1;
                     self.metrics.inc(self.m.promotions);
                     self.units_gained += (to_units - from_units) as u64;
                     self.trace.push(
@@ -1962,19 +1855,7 @@ impl<'a> CloudSim<'a> {
             0.0
         };
         let new_remaining = SimTime::from_secs(new_total.as_secs() * frac);
-        self.close_phase(task_index, now);
-        let compute = self.open_phase(task_index, "compute", now);
-        self.spans
-            .attr(compute, "units", new_deployment.num_units());
-        if let Some(p) = new_deployment.placements.first() {
-            let slot = self
-                .controller
-                .allocation_slots(p.allocation)
-                .and_then(|s| s.first().copied())
-                .unwrap_or(0);
-            self.spans
-                .set_lane(compute, p.device.0 as u64 + 1, slot as u64);
-        }
+        self.open_compute(now, task_index, &new_deployment);
         self.epoch[task_index] += 1;
         self.task_of.insert(new_deployment.id.0, task_index);
         self.running[task_index] = Some(new_deployment);
@@ -2068,7 +1949,6 @@ impl<'a> CloudSim<'a> {
                 if !self.waited[idx] {
                     self.waited[idx] = true;
                     let wait = now.saturating_sub(self.arrivals[idx].at).as_secs();
-                    self.queue_wait.record(wait);
                     self.metrics.record_timer(self.m.queue_wait, wait);
                     if self.monitor.is_some() {
                         let tenant = (self.instance_for)(&self.arrivals[idx].task);
@@ -2148,34 +2028,44 @@ impl<'a> CloudSim<'a> {
         let occupancy_series = self.metrics.gauge_series(self.m.occupancy).clone();
         let queue_depth_series = self.metrics.gauge_series(self.m.depth).clone();
         let degraded_secs = self.degraded_time.as_secs();
+        let metrics = &self.metrics;
+        let count = |id| metrics.counter_value(id);
+        let link_count =
+            |id: fn(&LinkMeters) -> CounterId| self.m.links.as_ref().map_or(0, |lm| count(id(lm)));
+        let summary = |id| metrics.timer_summary(id).clone();
+        let completed = count(self.m.completions);
         let report = CloudReport {
             arrivals: self.arrivals.len() as u64,
-            completed: self.meter.completed(),
+            completed,
             never_deployed,
-            lost: self.lost,
+            lost: count(self.m.lost),
             elapsed,
-            throughput_per_s: self.meter.per_second(elapsed),
-            latency: self.latency,
-            latency_p50: self.metrics.timer_quantile(self.m.latency, 0.50),
-            latency_p95: self.metrics.timer_quantile(self.m.latency, 0.95),
-            latency_p99: self.metrics.timer_quantile(self.m.latency, 0.99),
-            queue_wait: self.queue_wait,
-            requeue_wait: self.requeue_wait,
+            throughput_per_s: if elapsed == SimTime::ZERO {
+                0.0
+            } else {
+                completed as f64 / elapsed.as_secs()
+            },
+            latency: summary(self.m.latency),
+            latency_p50: metrics.timer_quantile(self.m.latency, 0.50),
+            latency_p95: metrics.timer_quantile(self.m.latency, 0.95),
+            latency_p99: metrics.timer_quantile(self.m.latency, 0.99),
+            queue_wait: summary(self.m.queue_wait),
+            requeue_wait: summary(self.m.requeue_wait),
             mean_occupancy: occupancy_series.mean_until(elapsed).unwrap_or(0.0),
             peak_occupancy: occupancy_series.max().unwrap_or(0.0),
             peak_queue_depth: queue_depth_series.max().unwrap_or(0.0) as u64,
-            rejections: self.rejections,
+            rejections: self.m.rejects.map(count),
             rejected_tasks: self.rejected_tasks,
-            device_failures: self.device_failures,
-            device_recoveries: self.device_recoveries,
-            interrupted: self.interrupted,
-            migrated: self.migrated,
-            redeployments: self.redeployments,
+            device_failures: count(self.m.device_failures),
+            device_recoveries: count(self.m.device_recoveries),
+            interrupted: count(self.m.interrupted),
+            migrated: count(self.m.migrations),
+            redeployments: count(self.m.redeployments),
             requeued: self.requeued,
             scale_down_redeployments: self.scale_down_redeployments,
-            time_to_recovery: self.time_to_recovery,
-            promotions: self.promotions,
-            preemptions: self.preemptions,
+            time_to_recovery: summary(self.m.time_to_recovery),
+            promotions: count(self.m.promotions),
+            preemptions: count(self.m.preemptions),
             units_gained: self.units_gained,
             units_lost: self.units_lost,
             promotion_saved: self.promotion_saved,
@@ -2186,13 +2076,13 @@ impl<'a> CloudSim<'a> {
             } else {
                 0.0
             },
-            link_failures: self.link_failures,
-            link_degradations: self.link_degradations,
-            link_recoveries: self.link_recoveries,
-            link_retransmits: self.link_retransmits,
-            link_retransmit_bytes: self.link_retransmit_bytes,
-            link_reroutes: self.link_reroutes,
-            link_severed: self.link_severed,
+            link_failures: link_count(|lm| lm.failures),
+            link_degradations: link_count(|lm| lm.degradations),
+            link_recoveries: link_count(|lm| lm.recoveries),
+            link_retransmits: link_count(|lm| lm.retransmits),
+            link_retransmit_bytes: link_count(|lm| lm.retransmit_bytes),
+            link_reroutes: link_count(|lm| lm.reroutes),
+            link_severed: link_count(|lm| lm.severed),
             link_degraded_time: self.link_degraded_time,
             link_faults_planned: self.faults.links() > 0,
             monitor,
@@ -3066,6 +2956,24 @@ mod tests {
             .to_json()
             .compact()
             .contains(r#""bytes_retransmitted":0"#));
+    }
+
+    #[test]
+    fn link_events_outside_the_plans_coverage_are_ignored() {
+        let (cluster, db) = small_db();
+        let a = arrivals(40, 1.0);
+        // A schedule on segments the plan says it does not cover: it has
+        // no link metrics and no `links` block to explain interruptions,
+        // so it must not sever or reroute anything.
+        let uncovered = FaultPlan::none().with_link_schedule(
+            link_chaos_params(),
+            0,
+            all_segments(SimTime::from_us(150.0), LinkFaultKind::Failed),
+        );
+        let report = faulted_run(&cluster, &db, &a, "big", &uncovered);
+        let base = faulted_run(&cluster, &db, &a, "big", &FaultPlan::none());
+        assert_eq!(report.link_failures, 0);
+        assert_eq!(report.to_json().pretty(), base.to_json().pretty());
     }
 
     #[test]

@@ -41,8 +41,8 @@ mod scaleout_sim;
 mod testutil;
 
 pub use cloudsim::{
-    run_cloud_sim, run_cloud_sim_faulted, run_cloud_sim_traced, run_cloud_sim_tuned,
-    AdmissionTuning, CloudReport, ElasticityPolicy, RecoveryPolicy, DEFAULT_TRACE_CAPACITY,
+    run_cloud_sim, run_cloud_sim_faulted, run_cloud_sim_tuned, AdmissionTuning, CloudReport,
+    ElasticityPolicy, RecoveryPolicy, DEFAULT_TRACE_CAPACITY,
 };
 pub use controller::{
     ControllerStats, Deployment, DeploymentId, Placement, Policy, RejectReason, ScaleDown,

@@ -57,6 +57,6 @@ pub use rollup::{RollupKey, RollupSet, WindowStats};
 pub use sketch::QuantileSketch;
 pub use slo::{evaluate_slo, Alert, AlertState, SloOutcome, SloSpec};
 pub use span::{CriticalPath, PhaseBuckets, Span, SpanCtx, SpanId, SpanTracer, SpanValue, TraceId};
-pub use stats::{Histogram, Summary, ThroughputMeter};
+pub use stats::{Histogram, Summary};
 pub use time::SimTime;
 pub use trace::{TraceEvent, TraceEventKind, TraceRing};

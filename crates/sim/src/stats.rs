@@ -226,44 +226,9 @@ impl Histogram {
     }
 }
 
-/// Counts completed items over a known span to produce a rate, e.g. the
-/// paper's "tasks per second" aggregated system throughput (Fig. 12).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ThroughputMeter {
-    completed: u64,
-}
-
-impl ThroughputMeter {
-    /// Creates a meter with zero completions.
-    pub fn new() -> Self {
-        ThroughputMeter { completed: 0 }
-    }
-
-    /// Records one completed item.
-    pub fn record_completion(&mut self) {
-        self.completed += 1;
-    }
-
-    /// Number of completions recorded.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Completions per second over `elapsed`; zero if `elapsed` is zero.
-    pub fn per_second(&self, elapsed: crate::SimTime) -> f64 {
-        let secs = elapsed.as_secs();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.completed as f64 / secs
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimTime;
 
     #[test]
     fn summary_basics() {
@@ -370,15 +335,5 @@ mod tests {
         h.record(100.0);
         assert_eq!(h.quantile(0.5), Some(0.0)); // underflow mass
         assert_eq!(h.quantile(1.0), Some(10.0)); // overflow mass
-    }
-
-    #[test]
-    fn throughput_rate() {
-        let mut m = ThroughputMeter::new();
-        for _ in 0..250 {
-            m.record_completion();
-        }
-        assert_eq!(m.per_second(SimTime::from_secs(2.0)), 125.0);
-        assert_eq!(m.per_second(SimTime::ZERO), 0.0);
     }
 }

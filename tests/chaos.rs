@@ -7,16 +7,31 @@
 //! CI runs this suite once per seed via the `CHAOS_SEED` environment
 //! variable; without it, the sweep covers all default seeds.
 
-use vfpga::fabric::DeviceId;
-use vfpga::hsabs::DeviceHealth;
-use vfpga::runtime::{Policy, SystemController};
-use vfpga::sim::Json;
+use vfpga::accel::{
+    generate_rtl, leaf_resource_estimator, AcceleratorConfig, CONTROL_PATH_MODULE,
+    MOVED_TO_CONTROL, TOP_MODULE,
+};
+use vfpga::core::{decompose, partition, DecomposeOptions, MappingDatabase};
+use vfpga::fabric::{Cluster, DeviceId, MemoryKind};
+use vfpga::hsabs::{DeviceHealth, HsCompiler};
+use vfpga::runtime::{
+    run_cloud_sim_tuned, AdmissionTuning, CloudReport, Deployment, ElasticityPolicy, MonitorConfig,
+    Policy, RecoveryPolicy, SystemController, DEFAULT_TRACE_CAPACITY,
+};
+use vfpga::sim::{
+    chrome_trace_events, prometheus_text, FaultPlan, FaultPlanParams, Json, LinkFaultParams,
+    SimTime, SloSpec,
+};
+use vfpga::workload::{RnnKind, RnnTask, TaskArrival};
 use vfpga_bench::chaos::{self, ChaosConfig};
 use vfpga_bench::netchaos::{self, NetChaosConfig};
 use vfpga_bench::Catalog;
 
 /// The fixed seeds CI fans out over.
 const DEFAULT_SEEDS: [u64; 4] = [1, 7, 42, 2024];
+
+/// Fault-plan seed of the pinned kitchen-sink run.
+const GOLDEN_SEED: u64 = 2;
 
 fn sweep_seeds() -> Vec<u64> {
     match std::env::var("CHAOS_SEED") {
@@ -219,4 +234,133 @@ fn no_live_deployment_references_a_failed_device() {
         .expect("known instance")
         .expect("recovered cluster accepts work");
     controller.release(&redeployed).unwrap();
+}
+
+/// The runtime unit tests' two-instance catalog: `"tiny"` (4 tiles) and
+/// `"big"` (16 tiles), compiled against the paper cluster.
+fn small_db() -> (Cluster, MappingDatabase) {
+    let cluster = Cluster::paper_cluster();
+    let types = cluster.device_types();
+    let compiler = HsCompiler::default();
+    let mut db = MappingDatabase::new();
+    for (name, tiles, weight_mb) in [("tiny", 4usize, 20u64), ("big", 16, 180)] {
+        let config = AcceleratorConfig::new(name, tiles)
+            .with_weight_memory_kb(weight_mb * 1024)
+            .with_memory_kind(MemoryKind::Uram);
+        let design = generate_rtl(&config);
+        let mut opts = DecomposeOptions::new(CONTROL_PATH_MODULE);
+        opts.move_to_control = MOVED_TO_CONTROL.iter().map(|s| s.to_string()).collect();
+        let est = leaf_resource_estimator(&config);
+        let d = decompose(&design, TOP_MODULE, &opts, &est).unwrap();
+        let plan = partition(&d.tree, 2);
+        db.register(name, &d, &plan, &types, &compiler, true)
+            .unwrap();
+    }
+    (cluster, db)
+}
+
+/// Every cloud-sim feature at once: device fail/recover waves, ring-segment
+/// faults, flaky partial reconfiguration, promotion and preemption, and the
+/// streaming monitor. Bursts behind lone early tasks make the reprovisioner
+/// promote into idle capacity and then claw it back.
+fn kitchen_sink_run(seed: u64) -> CloudReport {
+    let (cluster, db) = small_db();
+    let mut controller = SystemController::new(cluster, db, Policy::Full);
+    let mut arrivals = Vec::new();
+    for burst in 0..4 {
+        let start = burst as f64 * 200.0;
+        arrivals.push(TaskArrival {
+            at: SimTime::from_us(start),
+            task: RnnTask::new(RnnKind::Lstm, 512, 5),
+        });
+        for i in 0..20 {
+            let hidden = if i % 3 == 0 { 1024 } else { 512 };
+            arrivals.push(TaskArrival {
+                at: SimTime::from_us(start + 10.0 + i as f64),
+                task: RnnTask::new(RnnKind::Lstm, hidden, 5),
+            });
+        }
+    }
+    let plan = FaultPlan::generate(
+        FaultPlanParams {
+            mttf: SimTime::from_us(150.0),
+            mttr: SimTime::from_us(60.0),
+            configure_failure_prob: 0.2,
+            horizon: SimTime::from_us(800.0),
+        },
+        4,
+        seed,
+    )
+    .with_link_faults(
+        LinkFaultParams {
+            mttf: SimTime::from_us(150.0),
+            mttr: SimTime::from_us(60.0),
+            degraded_fraction: 0.5,
+            bandwidth_factor: 0.25,
+            extra_latency: SimTime::from_ns(250.0),
+            corruption_prob: 0.4,
+            max_retransmits: 3,
+            retransmit_backoff: SimTime::from_ns(200.0),
+            horizon: SimTime::from_us(800.0),
+        },
+        4,
+    );
+    let mut slo = SloSpec::latency("p95-latency", 0.95, SimTime::from_us(150.0));
+    slo.fast_windows = 3;
+    slo.slow_windows = 8;
+    let tuning = AdmissionTuning {
+        elasticity: ElasticityPolicy::FULL,
+        monitor: MonitorConfig::enabled(SimTime::from_us(50.0), vec![slo]),
+        ..AdmissionTuning::default()
+    };
+    run_cloud_sim_tuned(
+        &mut controller,
+        &arrivals,
+        &|t: &RnnTask| if t.hidden > 512 { "big" } else { "tiny" }.to_string(),
+        &|_: &RnnTask, d: &Deployment| SimTime::from_us(100.0 / d.num_units() as f64),
+        &plan,
+        RecoveryPolicy::default(),
+        DEFAULT_TRACE_CAPACITY,
+        tuning,
+    )
+    .expect("known instances")
+}
+
+/// FNV-1a over a sequence of texts.
+fn fnv1a(texts: &[&str]) -> u64 {
+    texts
+        .iter()
+        .flat_map(|t| t.bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+#[test]
+fn kitchen_sink_artifacts_match_pinned_digest() {
+    // Golden artifacts: the report JSON, the Prometheus exposition and the
+    // Chrome trace of a run that interrupts deployments all three ways
+    // (device failure, severed ring, displaced preemption victim). Any
+    // change to what the simulator books, or in which order, shows up here
+    // as a digest mismatch.
+    let report = kitchen_sink_run(GOLDEN_SEED);
+    let displaced = report
+        .spans
+        .spans()
+        .iter()
+        .filter(|s| s.name == "reprovision" && s.attr_is("outcome", "displaced"))
+        .count() as u64;
+    assert!(displaced > 0, "a preemption victim must be displaced");
+    assert!(report.link_severed > 0, "a ring failure must sever");
+    assert!(
+        report.interrupted > report.link_severed + displaced,
+        "a device failure must interrupt"
+    );
+    assert!(report.accounts_for_all_arrivals());
+    let digest = fnv1a(&[
+        &report.to_json().pretty(),
+        &prometheus_text(&report.metrics),
+        &chrome_trace_events(&[&report.spans]).compact(),
+    ]);
+    assert_eq!(digest, 0xcd89_c5d7_569b_5c9f, "digest {digest:#018x}");
 }
