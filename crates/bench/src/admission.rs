@@ -22,10 +22,7 @@
 
 use std::time::Instant;
 
-use vfpga_runtime::{
-    run_cloud_sim_tuned, AdmissionTuning, CloudReport, ElasticityPolicy, Policy, RecoveryPolicy,
-    SystemController,
-};
+use vfpga_runtime::{AdmissionTuning, CloudReport, ElasticityPolicy, Policy};
 use vfpga_sim::{FaultPlan, FaultPlanParams, Json, SimTime};
 use vfpga_workload::{generate_workload, Composition};
 
@@ -186,22 +183,6 @@ impl AdmissionBench {
     }
 }
 
-/// A chaos plan sized for the bench horizon: failures keep arriving over
-/// the whole (saturated) workload span.
-fn bench_fault_plan(config: &BenchConfig, devices: usize) -> FaultPlan {
-    let horizon = SimTime::from_us(config.mean_interarrival.as_us() * config.tasks as f64 * 1.5);
-    FaultPlan::generate(
-        FaultPlanParams {
-            mttf: SimTime::from_ms(5.0),
-            mttr: SimTime::from_ms(1.0),
-            configure_failure_prob: 0.0,
-            horizon,
-        },
-        devices,
-        config.seed,
-    )
-}
-
 /// One timed run. `fast` selects the shipped configuration; `false` turns
 /// the feasibility cache *and* wave gating off, reproducing the
 /// pre-optimization admission loop.
@@ -211,8 +192,7 @@ fn timed_run(
     faults: &FaultPlan,
     fast: bool,
 ) -> (RunCost, CloudReport) {
-    let mut controller =
-        SystemController::new(catalog.cluster.clone(), catalog.db.clone(), Policy::Full);
+    let mut controller = catalog.controller(Policy::Full);
     controller.set_feasibility_cache(fast);
     let tuning = AdmissionTuning {
         wave_gating: fast,
@@ -224,18 +204,10 @@ fn timed_run(
         ..AdmissionTuning::default()
     };
     let start = Instant::now();
-    let report = run_cloud_sim_tuned(
-        &mut controller,
-        arrivals,
-        &|task| catalog.instance_for(task),
-        &|task, deployment| catalog.service_time(task, deployment, Policy::Full),
-        faults,
-        RecoveryPolicy::default(),
-        // The ring only keeps a window; a small one avoids measuring it.
-        1024,
-        tuning,
-    )
-    .expect("bench simulation completes");
+    // The ring only keeps a window; a small one avoids measuring it.
+    let report = catalog
+        .simulate(&mut controller, arrivals, faults, 1024, tuning)
+        .expect("bench simulation completes");
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let stats = controller.stats();
     let cost = RunCost {
@@ -292,7 +264,18 @@ fn run_scenario(
 /// the same workload under a chaos plan.
 pub fn run(catalog: &Catalog, config: &BenchConfig) -> AdmissionBench {
     let steady = run_scenario(catalog, config, "steady", &FaultPlan::none());
-    let plan = bench_fault_plan(config, catalog.cluster.len());
+    // Failures keep arriving over the whole (saturated) workload span.
+    let horizon = SimTime::from_us(config.mean_interarrival.as_us() * config.tasks as f64 * 1.5);
+    let plan = FaultPlan::generate(
+        FaultPlanParams {
+            mttf: SimTime::from_ms(5.0),
+            mttr: SimTime::from_ms(1.0),
+            configure_failure_prob: 0.0,
+            horizon,
+        },
+        catalog.cluster.len(),
+        config.seed,
+    );
     let chaos = run_scenario(catalog, config, "chaos", &plan);
     AdmissionBench {
         seed: config.seed,

@@ -1,98 +1,82 @@
 //! Regenerates every table and figure of the paper's evaluation section.
 //!
 //! ```text
-//! cargo run --release -p vfpga-bench --bin repro -- [table2|table3|table4|fig11|fig12|overhead|ablations|density|isolation|chaos|trace|bench|elastic|netchaos|monitor|fuzz|all] [--json PATH] [--seed N] [--cases N] [--oracle NAME] [--replay PATH]
+//! cargo run --release -p vfpga-bench --bin repro -- [EXPERIMENT|all] [--json PATH] [--seed N] [--cases N] [--oracle NAME] [--replay PATH]
 //! ```
 //!
-//! Runs covering Fig. 11, Fig. 12, or the chaos scenario also write a
-//! machine-readable metrics artifact (per-run throughput, latency
-//! percentiles, occupancy time series, rejection-reason counts, recovery
-//! accounting) to `target/repro-metrics.json`, or to the path given with
-//! `--json`. The artifact root carries a `schema_version` so downstream
-//! consumers can detect layout changes; `--seed` re-seeds the chaos fault
-//! plan (default 2024).
+//! Every experiment is one row of the `EXPERIMENTS` table, which also
+//! generates the usage line (an unknown name or option prints it). `all`
+//! runs the rows without an artifact of their own — Tables 2–4, Fig. 11,
+//! Fig. 12, §4.3 overhead, the ablations, code density, §4.4 isolation and
+//! the chaos scenario — and writes the sections of Fig. 11, Fig. 12 and
+//! chaos (throughput, latency percentiles, occupancy series, rejection
+//! reasons, recovery accounting) to `target/repro-metrics.json`.
 //!
-//! `trace` (not part of `all`) runs the span-instrumented chaos scenario
-//! and writes `target/repro-trace.json`: the critical-path latency
-//! decomposition plus a Chrome trace-event array — open the file directly
-//! in Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`. A
-//! Prometheus text exposition of the run's metrics lands next to it as
-//! `.prom`. Both artifacts are byte-identical across same-seed runs.
+//! The other rows are opt-in scenarios with an artifact of their own:
+//! `trace` (a Perfetto-loadable span trace with its critical path, plus a
+//! `.prom` metrics sidecar), `bench` (admission fast path vs. baseline),
+//! `elastic` (elastic reprovisioning on vs. off), `netchaos` (the chaos
+//! scenario with link waves, [`ChaosConfig::with_links`]), `monitor`
+//! (SLO burn-rate alerting, plus a `.prom` rollup sidecar) and `fuzz`
+//! (differential fuzzing; `--cases` per oracle, `--oracle` to pick one,
+//! `--replay` to re-run a shrunk reproducer from `target/fuzz-failures/`).
+//! Each scenario checks itself and exits non-zero when a gate fails
+//! rather than write an artifact that records a broken run as fine.
+//! EXPERIMENTS.md describes every experiment and its gates.
 //!
-//! `bench` (not part of `all` either) runs the saturated-admission
-//! benchmark — the shipped fast path vs. the cache-and-gating-off
-//! baseline over identical 10k-task inputs — writes
-//! `target/BENCH_admission.json`, and exits non-zero if outcomes
-//! diverge, the probe reduction falls under 3x, or
-//! `deploy_attempts_per_admission` exceeds the checked-in ceiling.
-//!
-//! `elastic` (also opt-in) runs the elastic-reprovisioning A/B — the
-//! scheduler with [`vfpga_runtime::ElasticityPolicy::FULL`] vs. the
-//! plain scheduler over an identical bursty 10k-task workload — writes
-//! `target/BENCH_elastic.json`, and exits non-zero unless p95 latency
-//! strictly improves, both levers fire, and every outcome invariant
-//! holds in both modes.
-//!
-//! `netchaos` (also opt-in) runs the network-chaos scenario — the chaos
-//! workload under seeded device *and* ring-segment fault waves — writes
-//! `target/repro-netchaos.json`, and exits non-zero unless every
-//! cross-layer invariant holds (accounting, trace completeness, the
-//! report's retransmitted-byte counter reconciling with the trace's
-//! `retransmit` events) and the run actually failed segments, re-routed
-//! around them, and retransmitted corrupted transfers.
-//!
-//! `fuzz` (also opt-in) runs the deterministic differential-fuzzing
-//! subsystem: `--cases N` structure-aware cases per cross-layer oracle
-//! (default 200), all derived from `--seed`, writing a byte-deterministic
-//! summary to `target/repro-fuzz.json` and shrunk reproducers for any
-//! failures to `target/fuzz-failures/<oracle>-<seed>.json`. `--oracle
-//! NAME` restricts the run to one oracle; `--replay PATH` re-runs a
-//! saved reproducer through its oracle instead of fuzzing and exits
-//! non-zero while the bug it captures still reproduces.
-//!
-//! `monitor` (also opt-in) runs the SLO-monitoring scenario — a
-//! self-calibrating chaos+elastic run with the streaming-telemetry
-//! monitor collecting windowed rollups, mergeable latency sketches, and
-//! multi-window burn-rate alerts — writes `target/repro-monitor.json`
-//! (with a Prometheus rollup exposition next to it as `.prom`), runs the
-//! whole scenario twice, and exits non-zero unless every alert fired
-//! inside a planned fault window, at least one alert resolved after the
-//! waves passed, the sketch quantiles match the exact percentiles within
-//! the configured relative error, and the two runs' artifacts are
-//! byte-identical.
+//! `--json PATH` redirects the artifact; `--seed N` re-seeds the
+//! scenarios (default 2024). Artifacts are byte-identical across
+//! same-seed runs, apart from the wall-clock fields of `bench` and
+//! `elastic`.
 
+use vfpga_bench::chaos::{self, ChaosConfig};
 use vfpga_bench::{
-    ablations, admission, catalog::Catalog, chaos, density, elastic, fig11, fig12, isolation,
-    monitor, netchaos, overhead, tables,
+    ablations, admission, catalog::Catalog, density, elastic, fig11, fig12, isolation, monitor,
+    overhead, tables,
 };
-use vfpga_sim::{chrome_trace_events, prometheus_text, Json, SimTime, SpanTracer};
+use vfpga_sim::{chrome_trace_events, prometheus_text, Json, SpanTracer};
 use vfpga_workload::fig11_tasks;
 
-/// Default location of the metrics artifact.
-const DEFAULT_ARTIFACT: &str = "target/repro-metrics.json";
+/// One `repro` experiment.
+struct Experiment {
+    /// The command-line name.
+    name: &'static str,
+    /// Default path of the experiment's own artifact; `None` for the
+    /// experiments `all` runs, which share the metrics artifact.
+    artifact: Option<&'static str>,
+    /// Prints the experiment and returns its artifact: the whole root for
+    /// an experiment with its own artifact, its section of the metrics
+    /// artifact otherwise (`None` when there is nothing to write).
+    run: fn(&Opts) -> Option<Json>,
+}
 
-/// Default location of the trace artifact (the `trace` experiment).
-const DEFAULT_TRACE_ARTIFACT: &str = "target/repro-trace.json";
+/// Every experiment, in the order `all` runs them.
+#[rustfmt::skip]
+const EXPERIMENTS: &[Experiment] = &[
+    Experiment { name: "table2", artifact: None, run: print_table2 },
+    Experiment { name: "table3", artifact: None, run: print_table3 },
+    Experiment { name: "table4", artifact: None, run: print_table4 },
+    Experiment { name: "fig11", artifact: None, run: print_fig11 },
+    Experiment { name: "fig12", artifact: None, run: print_fig12 },
+    Experiment { name: "overhead", artifact: None, run: print_overhead },
+    Experiment { name: "ablations", artifact: None, run: print_ablations },
+    Experiment { name: "density", artifact: None, run: print_density },
+    Experiment { name: "isolation", artifact: None, run: print_isolation },
+    Experiment { name: "chaos", artifact: None, run: |o| Some(print_chaos(o, ChaosConfig::default())) },
+    Experiment { name: "trace", artifact: Some("target/repro-trace.json"), run: print_trace },
+    Experiment { name: "bench", artifact: Some("target/BENCH_admission.json"), run: print_bench },
+    Experiment { name: "elastic", artifact: Some("target/BENCH_elastic.json"), run: print_elastic },
+    Experiment {
+        name: "netchaos",
+        artifact: Some("target/repro-netchaos.json"),
+        run: |o| Some(envelope(&o.experiment).with(&o.experiment, print_chaos(o, ChaosConfig::with_links()))),
+    },
+    Experiment { name: "monitor", artifact: Some("target/repro-monitor.json"), run: print_monitor },
+    Experiment { name: "fuzz", artifact: Some("target/repro-fuzz.json"), run: print_fuzz },
+];
 
-/// Default location of the admission-bench artifact (the `bench`
-/// experiment).
-const DEFAULT_BENCH_ARTIFACT: &str = "target/BENCH_admission.json";
-
-/// Default location of the elastic-reprovisioning artifact (the
-/// `elastic` experiment).
-const DEFAULT_ELASTIC_ARTIFACT: &str = "target/BENCH_elastic.json";
-
-/// Default location of the network-chaos artifact (the `netchaos`
-/// experiment).
-const DEFAULT_NETCHAOS_ARTIFACT: &str = "target/repro-netchaos.json";
-
-/// Default location of the SLO-monitoring artifact (the `monitor`
-/// experiment).
-const DEFAULT_MONITOR_ARTIFACT: &str = "target/repro-monitor.json";
-
-/// Default location of the fuzzing summary artifact (the `fuzz`
-/// experiment).
-const DEFAULT_FUZZ_ARTIFACT: &str = "target/repro-fuzz.json";
+/// The metrics artifact the experiments without their own artifact share.
+const METRICS_ARTIFACT: &str = "target/repro-metrics.json";
 
 /// Where the `fuzz` experiment writes shrunk reproducers.
 const FUZZ_FAILURE_DIR: &str = "target/fuzz-failures";
@@ -106,211 +90,126 @@ const DEFAULT_FUZZ_CASES: usize = 200;
 /// change pushes the admission hot loop back above it.
 const ATTEMPTS_PER_ADMISSION_CEILING: f64 = 8.0;
 
-/// Version of the metrics-artifact layout. Bump when the artifact's shape
-/// changes incompatibly (v1 was the unversioned PR-1 layout; v2 added this
-/// field and the chaos/recovery sections; v3 added span counts, the
-/// critical-path section, and the `trace` experiment's artifact; v4 split
-/// the report's `rejections` into attempt/distinct-task views, added the
-/// `requeue_wait_s` and recovery `redeployments` fields, and added the
-/// `bench` experiment's `BENCH_admission.json`; v5 added the elasticity
-/// block to the report serialization — `promotions`, `preemptions`,
-/// `units_gained`, `units_lost`, the saved/added service summaries — and
-/// the `elastic` experiment's `BENCH_elastic.json`; v6 added the report's
-/// conditional `links` block — failures/degradations/recoveries,
-/// retransmit and reroute counts, bytes retransmitted, severed paths,
-/// degraded time — the fault plan's `link_*` section, and the `netchaos`
-/// experiment's `repro-netchaos.json`; v7 added the report's optional
-/// `monitor` section — windowed rollups with mergeable quantile
-/// sketches, SLO specs/outcomes, and burn-rate alerts — the
-/// `points_kept`/`points_folded` fields the occupancy and queue-depth
-/// series gain when the time-series cap folds them, and the `monitor`
-/// experiment's `repro-monitor.json`; v8 added the `fuzz` experiment's
-/// `repro-fuzz.json` summary, the `fuzz_reproducer` documents under
-/// `target/fuzz-failures/`, and their shared `fuzz_summary`/
-/// `fuzz_reproducer` layouts).
+/// Version of the artifact layout, shared with the fuzz summary. Bump it
+/// (and CI's schema greps) when an artifact's shape changes
+/// incompatibly; DESIGN.md §5b records what each version added.
 const ARTIFACT_SCHEMA_VERSION: u64 = 8;
 
+const _: () = assert!(
+    vfpga_fuzz::FUZZ_SCHEMA_VERSION == ARTIFACT_SCHEMA_VERSION,
+    "fuzz and repro artifact schemas must move together"
+);
+
+/// The parsed command line an experiment runs with.
+struct Opts {
+    /// The experiment asked for (`all` or one row's name).
+    experiment: String,
+    /// Where the artifact goes.
+    json: String,
+    seed: u64,
+    cases: usize,
+    oracle: Option<String>,
+    replay: Option<String>,
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut which = "all".to_string();
-    let mut json_path: Option<String> = None;
-    let mut seed: u64 = 2024;
-    let mut fuzz_cases: usize = DEFAULT_FUZZ_CASES;
-    let mut fuzz_oracle: Option<String> = None;
-    let mut fuzz_replay: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--cases" {
-            match args.get(i + 1).and_then(|s| s.parse().ok()) {
-                Some(n) => fuzz_cases = n,
-                None => {
-                    eprintln!("--cases requires an integer");
-                    std::process::exit(2);
+    let mut which: Option<String> = None;
+    let mut json: Option<String> = None;
+    let mut opts = Opts {
+        experiment: String::new(),
+        json: String::new(),
+        seed: 2024,
+        cases: DEFAULT_FUZZ_CASES,
+        oracle: None,
+        replay: None,
+    };
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--json" => json = Some(value(&mut args, &arg, "a path")),
+            "--seed" => opts.seed = value(&mut args, &arg, "an integer"),
+            "--cases" => opts.cases = value(&mut args, &arg, "an integer"),
+            "--oracle" => opts.oracle = Some(value(&mut args, &arg, "a name")),
+            "--replay" => opts.replay = Some(value(&mut args, &arg, "a path")),
+            flag if flag.starts_with('-') => usage_error(&format!("unknown option `{flag}`")),
+            name => {
+                if let Some(first) = which.replace(name.to_string()) {
+                    usage_error(&format!("more than one experiment: `{first}` and `{name}`"));
                 }
             }
-            i += 2;
-        } else if args[i] == "--oracle" {
-            match args.get(i + 1) {
-                Some(name) => fuzz_oracle = Some(name.clone()),
-                None => {
-                    eprintln!("--oracle requires a name");
-                    std::process::exit(2);
-                }
-            }
-            i += 2;
-        } else if args[i] == "--replay" {
-            match args.get(i + 1) {
-                Some(p) => fuzz_replay = Some(p.clone()),
-                None => {
-                    eprintln!("--replay requires a path");
-                    std::process::exit(2);
-                }
-            }
-            i += 2;
-        } else if args[i] == "--json" {
-            match args.get(i + 1) {
-                Some(p) => json_path = Some(p.clone()),
-                None => {
-                    eprintln!("--json requires a path");
-                    std::process::exit(2);
-                }
-            }
-            i += 2;
-        } else if args[i] == "--seed" {
-            match args.get(i + 1).and_then(|s| s.parse().ok()) {
-                Some(s) => seed = s,
-                None => {
-                    eprintln!("--seed requires an integer");
-                    std::process::exit(2);
-                }
-            }
-            i += 2;
-        } else {
-            which = args[i].clone();
-            i += 1;
         }
     }
-    let all = which == "all";
-    let mut artifact: Vec<(&str, Json)> = Vec::new();
-    if all || which == "table2" {
-        print_table2();
+    let which = which.unwrap_or_else(|| "all".to_string());
+    let rows: Vec<&Experiment> = EXPERIMENTS
+        .iter()
+        .filter(|e| match which.as_str() {
+            "all" => e.artifact.is_none(),
+            name => e.name == name,
+        })
+        .collect();
+    if rows.is_empty() {
+        usage_error(&format!("unknown experiment `{which}`"));
     }
-    if all || which == "table3" {
-        print_table3();
-    }
-    if all || which == "table4" {
-        print_table4();
-    }
-    if all || which == "fig11" {
-        artifact.push(("fig11", print_fig11()));
-    }
-    if all || which == "fig12" {
-        artifact.push(("fig12", print_fig12()));
-    }
-    if all || which == "overhead" {
-        print_overhead();
-    }
-    if all || which == "ablations" {
-        print_ablations();
-    }
-    if all || which == "density" {
-        print_density();
-    }
-    if all || which == "isolation" {
-        print_isolation();
-    }
-    if all || which == "chaos" {
-        artifact.push(("chaos", print_chaos(seed)));
-    }
-    if which == "trace" {
-        // The trace experiment writes its own artifact (a loadable Chrome
-        // trace, not a metrics document) and is opt-in, not part of `all`.
-        let path = json_path
-            .clone()
-            .unwrap_or_else(|| DEFAULT_TRACE_ARTIFACT.to_string());
-        print_trace(seed, &path);
-    }
-    if which == "bench" {
-        // The admission bench is opt-in (not part of `all`): it runs the
-        // 10k-task saturated scenario four times and its artifact is a
-        // perf document, not a metrics one.
-        let path = json_path
-            .clone()
-            .unwrap_or_else(|| DEFAULT_BENCH_ARTIFACT.to_string());
-        print_bench(seed, &path);
-    }
-    if which == "elastic" {
-        // The elastic A/B is opt-in (not part of `all`): it runs the 10k
-        // bursty scenario twice and its artifact is a perf document.
-        let path = json_path
-            .clone()
-            .unwrap_or_else(|| DEFAULT_ELASTIC_ARTIFACT.to_string());
-        print_elastic(seed, &path);
-    }
-    if which == "netchaos" {
-        // The network-chaos scenario is opt-in (not part of `all`): it
-        // layers link waves on the chaos scenario and its artifact is a
-        // fault-injection document.
-        let path = json_path
-            .clone()
-            .unwrap_or_else(|| DEFAULT_NETCHAOS_ARTIFACT.to_string());
-        print_netchaos(seed, &path);
-    }
-    if which == "monitor" {
-        // The SLO-monitoring scenario is opt-in (not part of `all`): it
-        // runs the monitored chaos scenario twice (the second run is the
-        // byte-determinism gate) and its artifact is a telemetry document.
-        let path = json_path
-            .clone()
-            .unwrap_or_else(|| DEFAULT_MONITOR_ARTIFACT.to_string());
-        print_monitor(seed, &path);
-    }
-    if which == "fuzz" {
-        // The differential fuzzer is opt-in (not part of `all`): its
-        // artifact is a fuzzing summary, not a metrics document.
-        let path = json_path
-            .clone()
-            .unwrap_or_else(|| DEFAULT_FUZZ_ARTIFACT.to_string());
-        match &fuzz_replay {
-            Some(replay_path) => print_fuzz_replay(replay_path),
-            None => print_fuzz(seed, fuzz_cases, fuzz_oracle.clone(), &path),
+    // `all` starts with a row that has no artifact of its own, so it
+    // defaults to the metrics artifact.
+    opts.json = json.unwrap_or_else(|| rows[0].artifact.unwrap_or(METRICS_ARTIFACT).to_string());
+    opts.experiment = which;
+    let mut sections = Vec::new();
+    for row in rows {
+        match ((row.run)(&opts), row.artifact) {
+            (Some(root), Some(_)) => write_checked(&opts.json, &root, row.name),
+            (Some(section), None) => sections.push((row.name, section)),
+            (None, _) => {}
         }
     }
-    if !all
-        && ![
-            "table2",
-            "table3",
-            "table4",
-            "fig11",
-            "fig12",
-            "overhead",
-            "ablations",
-            "density",
-            "isolation",
-            "chaos",
-            "trace",
-            "bench",
-            "elastic",
-            "netchaos",
-            "monitor",
-            "fuzz",
-        ]
-        .contains(&which.as_str())
-    {
-        eprintln!("unknown experiment `{which}`");
-        eprintln!("usage: repro [table2|table3|table4|fig11|fig12|overhead|ablations|density|isolation|chaos|trace|bench|elastic|netchaos|monitor|fuzz|all] [--json PATH] [--seed N] [--cases N] [--oracle NAME] [--replay PATH]");
-        std::process::exit(2);
+    if !sections.is_empty() {
+        let root = sections
+            .into_iter()
+            .fold(envelope(&opts.experiment), |root, (key, section)| {
+                root.with(key, section)
+            });
+        write_checked(&opts.json, &root, "metrics");
     }
-    if !artifact.is_empty() {
-        let json_path = json_path.unwrap_or_else(|| DEFAULT_ARTIFACT.to_string());
-        let mut root = Json::obj()
-            .with("schema_version", ARTIFACT_SCHEMA_VERSION)
-            .with("experiment", which.as_str());
-        for (key, value) in artifact {
-            root = root.with(key, value);
-        }
-        write_artifact(&json_path, &root.pretty(), "metrics");
+}
+
+/// The parsed value following option `flag`; exits with the usage when it
+/// is missing or malformed.
+fn value<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> T {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage_error(&format!("{flag} requires {what}")))
+}
+
+/// Reports a command-line problem with the usage line and exits 2.
+fn usage_error(problem: &str) -> ! {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    eprintln!("{problem}");
+    eprintln!(
+        "usage: repro [{}|all] [--json PATH] [--seed N] [--cases N] [--oracle NAME] [--replay PATH]",
+        names.join("|")
+    );
+    std::process::exit(2);
+}
+
+/// The root every artifact starts from.
+fn envelope(experiment: &str) -> Json {
+    Json::obj()
+        .with("schema_version", ARTIFACT_SCHEMA_VERSION)
+        .with("experiment", experiment)
+}
+
+/// Pretty-prints `root`, checks that the text parses back (CI re-checks
+/// the written file), and writes it; exits 1 on failure.
+fn write_checked(path: &str, root: &Json, what: &str) {
+    let text = root.pretty();
+    if let Err(e) = Json::parse(&text) {
+        fail(&format!("{what} artifact failed self-validation: {e:?}"));
     }
+    write_artifact(path, &text, what);
 }
 
 /// Writes an artifact, creating parent directories; exits on failure.
@@ -320,14 +219,30 @@ fn write_artifact(path: &str, text: &str, what: &str) {
     }
     match std::fs::write(path, text) {
         Ok(()) => eprintln!("wrote {what} artifact to {path}"),
-        Err(e) => {
-            eprintln!("failed to write {what} artifact {path}: {e}");
-            std::process::exit(1);
-        }
+        Err(e) => fail(&format!("failed to write {what} artifact {path}: {e}")),
     }
 }
 
-fn print_ablations() {
+/// The path of a sidecar next to the JSON artifact `path`: its `.json`
+/// suffix, if any, replaced by `.ext`.
+fn sidecar(path: &str, ext: &str) -> String {
+    format!("{}.{ext}", path.trim_end_matches(".json"))
+}
+
+/// Reports a failed gate and exits 1.
+fn fail(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(1);
+}
+
+/// Exits 1 when a scenario's self-check failed.
+fn require(check: Result<(), String>, what: &str) {
+    if let Err(violation) = check {
+        fail(&format!("{what} invariant violated: {violation}"));
+    }
+}
+
+fn print_ablations(_: &Opts) -> Option<Json> {
     println!("== Ablations (DESIGN.md D1/D3/D4) ==");
     let catalog = Catalog::build();
     let d1 = ablations::partitioner(&catalog);
@@ -349,13 +264,14 @@ fn print_ablations() {
         d4.without_buffer.as_ms()
     );
     println!();
+    None
 }
 
 fn pct(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
 }
 
-fn print_table2() {
+fn print_table2(_: &Opts) -> Option<Json> {
     println!("== Table 2: baseline accelerator implementations ==");
     println!(
         "{:<8} {:<9} {:>6} {:>12} {:>12} {:>12} {:>12} {:>10} {:>7} {:>7}",
@@ -383,9 +299,10 @@ fn print_table2() {
         );
     }
     println!();
+    None
 }
 
-fn print_table3() {
+fn print_table3(_: &Opts) -> Option<Json> {
     println!("== Table 3: one virtual block of the decomposed accelerator ==");
     println!(
         "{:<9} {:>8} {:>14} {:>14} {:>14} {:>12} {:>7} {:>7}",
@@ -410,9 +327,10 @@ fn print_table3() {
         );
     }
     println!();
+    None
 }
 
-fn print_table4() {
+fn print_table4(_: &Opts) -> Option<Json> {
     println!("== Table 4: LSTM/GRU inference latency (batch 1) ==");
     let catalog = Catalog::build();
     println!(
@@ -440,9 +358,10 @@ fn print_table4() {
         }
     }
     println!();
+    None
 }
 
-fn print_fig11() -> Json {
+fn print_fig11(_: &Opts) -> Option<Json> {
     println!("== Fig 11: impact of inter-FPGA communication latency (2 FPGAs) ==");
     let added = fig11::default_sweep_points();
     let mut series_json = Vec::new();
@@ -470,13 +389,13 @@ fn print_fig11() -> Json {
         }
     }
     println!();
-    Json::obj().with("series", Json::Arr(series_json))
+    Some(Json::obj().with("series", Json::Arr(series_json)))
 }
 
-fn print_fig12() -> Json {
+fn print_fig12(_: &Opts) -> Option<Json> {
     println!("== Fig 12: aggregated system throughput (tasks/s) ==");
     let catalog = Catalog::build();
-    let reports = fig12::run_all_sets_detailed(&catalog, 120, 2024);
+    let reports = fig12::run_all_sets(&catalog, 120, 2024);
     let rows: Vec<fig12::Fig12Row> = reports.iter().map(fig12::Fig12SetReport::row).collect();
     println!(
         "{:>4} {:>12} {:>12} {:>12} {:>9}",
@@ -506,17 +425,29 @@ fn print_fig12() -> Json {
         100.0 * (restricted_gain - 1.0)
     );
     println!();
-    fig12::to_json(&reports)
+    Some(fig12::to_json(&reports))
 }
 
-fn print_chaos(seed: u64) -> Json {
-    println!("== Chaos: workload set 5 under injected device failures (seed {seed}) ==");
-    let catalog = Catalog::build();
-    let config = chaos::ChaosConfig {
-        seed,
-        ..chaos::ChaosConfig::default()
+/// The chaos scenario under `config` (re-seeded): device faults only, or
+/// device and link waves when `config.links` is set. Prints the run, gates
+/// on its invariants and on the fault machinery it must exercise, and
+/// returns the run's JSON.
+fn print_chaos(o: &Opts, config: ChaosConfig) -> Json {
+    let seed = o.seed;
+    let config = ChaosConfig { seed, ..config };
+    let (name, title) = if config.links.is_some() {
+        (
+            "netchaos",
+            "NetChaos: workload set 5 under device and link fault waves",
+        )
+    } else {
+        (
+            "chaos",
+            "Chaos: workload set 5 under injected device failures",
+        )
     };
-    let run = chaos::run(&catalog, &config);
+    println!("== {title} (seed {seed}) ==");
+    let run = chaos::run(&Catalog::build(), &config);
     let r = &run.report;
     println!(
         "fault plan: {} failures (max {} concurrent), transient configure p={}",
@@ -540,15 +471,38 @@ fn print_chaos(seed: u64) -> Json {
         r.degraded_time.as_ms(),
         100.0 * r.degraded_mean_occupancy
     );
-    if let Err(violation) = run.check_invariants() {
-        eprintln!("chaos invariant violated: {violation}");
-        std::process::exit(1);
+    if let Some(links) = config.links {
+        println!(
+            "link plan: {} link events ({} segment failures), corruption p={}",
+            run.plan.link_events().len(),
+            run.plan.link_failures(),
+            links.corruption_prob
+        );
+        println!(
+            "links: {} failed / {} degraded / {} recovered | degraded {:.3} ms",
+            r.link_failures,
+            r.link_degradations,
+            r.link_recoveries,
+            r.link_degraded_time.as_ms()
+        );
+        println!(
+            "transfers: {} retransmits ({} bytes) | {} reroutes | {} severed -> migration",
+            r.link_retransmits, r.link_retransmit_bytes, r.link_reroutes, r.link_severed
+        );
     }
-    if !run.exercised_recovery() {
-        eprintln!("chaos run did not exercise recovery (seed {seed}): no interruption migrated");
-        std::process::exit(1);
+    require(run.check_invariants(), name);
+    match config.links {
+        Some(_) if !run.exercised_link_faults() => fail(&format!(
+            "{name} run did not exercise the link fault machinery (seed {seed}): \
+             {} failures, {} reroutes, {} retransmits",
+            r.link_failures, r.link_reroutes, r.link_retransmits
+        )),
+        None if !run.exercised_recovery() => fail(&format!(
+            "{name} run did not exercise recovery (seed {seed}): no interruption migrated"
+        )),
+        _ => {}
     }
-    warn_on_dropped_trace_events(&run.report);
+    warn_on_dropped_trace_events(r);
     println!();
     run.to_json()
 }
@@ -566,19 +520,17 @@ fn warn_on_dropped_trace_events(report: &vfpga_runtime::CloudReport) {
     }
 }
 
-fn print_trace(seed: u64, json_path: &str) {
+fn print_trace(o: &Opts) -> Option<Json> {
+    let seed = o.seed;
     println!("== Trace: span-instrumented chaos run (seed {seed}) ==");
     let mut compile_spans = SpanTracer::new();
     let catalog = Catalog::build_traced(&mut compile_spans);
-    let config = chaos::ChaosConfig {
+    let config = ChaosConfig {
         seed,
-        ..chaos::ChaosConfig::default()
+        ..ChaosConfig::default()
     };
     let run = chaos::run(&catalog, &config);
-    if let Err(violation) = run.check_invariants() {
-        eprintln!("chaos invariant violated: {violation}");
-        std::process::exit(1);
-    }
+    require(run.check_invariants(), &o.experiment);
     warn_on_dropped_trace_events(&run.report);
     let r = &run.report;
     let cp = &r.critical_path;
@@ -599,30 +551,26 @@ fn print_trace(seed: u64, json_path: &str) {
             );
         }
     }
-    let events = chrome_trace_events(&[&compile_spans, &r.spans]);
-    let root = Json::obj()
-        .with("schema_version", ARTIFACT_SCHEMA_VERSION)
-        .with("experiment", "trace")
-        .with("seed", seed)
-        .with("trace_dropped", r.trace.dropped())
-        .with("spans", (compile_spans.len() + r.spans.len()) as u64)
-        .with("critical_path", cp.to_json())
-        .with("displayTimeUnit", "ms")
-        .with("traceEvents", events);
-    let text = root.pretty();
-    // Self-validate before writing: the artifact must round-trip through
-    // the parser (CI re-checks this on the written file).
-    if let Err(e) = Json::parse(&text) {
-        eprintln!("trace artifact failed self-validation: {e:?}");
-        std::process::exit(1);
-    }
-    write_artifact(json_path, &text, "trace");
-    let prom_path = format!("{}.prom", json_path.trim_end_matches(".json"));
-    write_artifact(&prom_path, &prometheus_text(&r.metrics), "prometheus");
+    write_artifact(
+        &sidecar(&o.json, "prom"),
+        &prometheus_text(&r.metrics),
+        "prometheus",
+    );
     println!();
+    let events = chrome_trace_events(&[&compile_spans, &r.spans]);
+    Some(
+        envelope(&o.experiment)
+            .with("seed", seed)
+            .with("trace_dropped", r.trace.dropped())
+            .with("spans", (compile_spans.len() + r.spans.len()) as u64)
+            .with("critical_path", cp.to_json())
+            .with("displayTimeUnit", "ms")
+            .with("traceEvents", events),
+    )
 }
 
-fn print_bench(seed: u64, json_path: &str) {
+fn print_bench(o: &Opts) -> Option<Json> {
+    let seed = o.seed;
     println!(
         "== Bench: saturated admission, fast path vs pre-optimization baseline (seed {seed}) =="
     );
@@ -633,22 +581,18 @@ fn print_bench(seed: u64, json_path: &str) {
     };
     let bench = admission::run(&catalog, &config);
     for s in &bench.scenarios {
-        println!(
-            "{:<7} current:  {:>8} probes ({:>9} cache hits), {:>6.2} per admission, {:>9.1} ms wall",
-            s.name,
-            s.current.probes,
-            s.current.cache_hits,
-            s.current.attempts_per_admission(),
-            s.current.wall_ms
-        );
-        println!(
-            "{:<7} baseline: {:>8} probes ({:>9} cache hits), {:>6.2} per admission, {:>9.1} ms wall",
-            "",
-            s.baseline.probes,
-            s.baseline.cache_hits,
-            s.baseline.attempts_per_admission(),
-            s.baseline.wall_ms
-        );
+        for (name, mode, cost) in [
+            (s.name, "current: ", &s.current),
+            ("", "baseline:", &s.baseline),
+        ] {
+            println!(
+                "{name:<7} {mode} {:>8} probes ({:>9} cache hits), {:>6.2} per admission, {:>9.1} ms wall",
+                cost.probes,
+                cost.cache_hits,
+                cost.attempts_per_admission(),
+                cost.wall_ms
+            );
+        }
         println!(
             "{:<7} ratio: {:.1}x fewer probes, {:.1}x wall-clock; outcomes match: {}",
             "",
@@ -657,44 +601,34 @@ fn print_bench(seed: u64, json_path: &str) {
             s.outcomes_match
         );
     }
-    // The bench is also the regression gate: fail loudly rather than
-    // writing an artifact that records a regression as if it were fine.
     if !bench.outcomes_match() {
-        eprintln!("bench FAILED: fast path changed admission outcomes");
-        std::process::exit(1);
+        fail("bench FAILED: fast path changed admission outcomes");
     }
     if bench.min_probe_ratio() < 3.0 {
-        eprintln!(
+        fail(&format!(
             "bench FAILED: probe reduction {:.2}x is below the required 3x",
             bench.min_probe_ratio()
-        );
-        std::process::exit(1);
+        ));
     }
     let per_admission = bench.attempts_per_admission();
     if per_admission > ATTEMPTS_PER_ADMISSION_CEILING {
-        eprintln!(
+        fail(&format!(
             "bench FAILED: {per_admission:.2} deploy attempts per admission exceeds the ceiling {ATTEMPTS_PER_ADMISSION_CEILING}"
-        );
-        std::process::exit(1);
+        ));
     }
-    let root = Json::obj()
-        .with("schema_version", ARTIFACT_SCHEMA_VERSION)
-        .with("experiment", "bench")
-        .with(
-            "attempts_per_admission_ceiling",
-            ATTEMPTS_PER_ADMISSION_CEILING,
-        )
-        .with("bench", bench.to_json());
-    let text = root.pretty();
-    if let Err(e) = Json::parse(&text) {
-        eprintln!("bench artifact failed self-validation: {e:?}");
-        std::process::exit(1);
-    }
-    write_artifact(json_path, &text, "bench");
     println!();
+    Some(
+        envelope(&o.experiment)
+            .with(
+                "attempts_per_admission_ceiling",
+                ATTEMPTS_PER_ADMISSION_CEILING,
+            )
+            .with("bench", bench.to_json()),
+    )
 }
 
-fn print_elastic(seed: u64, json_path: &str) {
+fn print_elastic(o: &Opts) -> Option<Json> {
+    let seed = o.seed;
     println!("== Bench: elastic reprovisioning on vs off, bursty workload (seed {seed}) ==");
     let catalog = Catalog::build();
     let config = elastic::ElasticConfig {
@@ -727,86 +661,15 @@ fn print_elastic(seed: u64, json_path: &str) {
         bench.p95_ratio(),
         bench.p95_delta() * 1e3
     );
-    // The bench is also the regression gate: fail loudly rather than
-    // writing an artifact that records a regression as if it were fine.
     if !bench.passes() {
-        for failure in bench.failures() {
-            eprintln!("elastic FAILED: {failure}");
-        }
-        std::process::exit(1);
+        fail(&format!("elastic FAILED: {}", bench.failures().join("; ")));
     }
-    let root = Json::obj()
-        .with("schema_version", ARTIFACT_SCHEMA_VERSION)
-        .with("experiment", "elastic")
-        .with("bench", bench.to_json());
-    let text = root.pretty();
-    if let Err(e) = Json::parse(&text) {
-        eprintln!("elastic artifact failed self-validation: {e:?}");
-        std::process::exit(1);
-    }
-    write_artifact(json_path, &text, "elastic");
     println!();
+    Some(envelope(&o.experiment).with("bench", bench.to_json()))
 }
 
-fn print_netchaos(seed: u64, json_path: &str) {
-    println!("== NetChaos: workload set 5 under device and link fault waves (seed {seed}) ==");
-    let catalog = Catalog::build();
-    let config = netchaos::NetChaosConfig {
-        seed,
-        ..netchaos::NetChaosConfig::default()
-    };
-    let run = netchaos::run(&catalog, &config);
-    let r = &run.report;
-    println!(
-        "fault plan: {} device failures, {} link events ({} segment failures), corruption p={}",
-        run.plan.failures(),
-        run.plan.link_events().len(),
-        run.plan.link_failures(),
-        config.corruption_prob
-    );
-    println!(
-        "arrivals {} | completed {} | never deployed {} | lost {}",
-        r.arrivals, r.completed, r.never_deployed, r.lost
-    );
-    println!(
-        "links: {} failed / {} degraded / {} recovered | degraded {:.3} ms",
-        r.link_failures,
-        r.link_degradations,
-        r.link_recoveries,
-        r.link_degraded_time.as_ms()
-    );
-    println!(
-        "transfers: {} retransmits ({} bytes) | {} reroutes | {} severed -> migration",
-        r.link_retransmits, r.link_retransmit_bytes, r.link_reroutes, r.link_severed
-    );
-    // The scenario is also the regression gate: fail loudly rather than
-    // writing an artifact that records a broken run as if it were fine.
-    if let Err(violation) = run.check_invariants() {
-        eprintln!("netchaos invariant violated: {violation}");
-        std::process::exit(1);
-    }
-    if !run.exercised_link_faults() {
-        eprintln!(
-            "netchaos run did not exercise the link fault machinery (seed {seed}): \
-             {} failures, {} reroutes, {} retransmits",
-            r.link_failures, r.link_reroutes, r.link_retransmits
-        );
-        std::process::exit(1);
-    }
-    let root = Json::obj()
-        .with("schema_version", ARTIFACT_SCHEMA_VERSION)
-        .with("experiment", "netchaos")
-        .with("netchaos", run.to_json());
-    let text = root.pretty();
-    if let Err(e) = Json::parse(&text) {
-        eprintln!("netchaos artifact failed self-validation: {e:?}");
-        std::process::exit(1);
-    }
-    write_artifact(json_path, &text, "netchaos");
-    println!();
-}
-
-fn print_monitor(seed: u64, json_path: &str) {
+fn print_monitor(o: &Opts) -> Option<Json> {
+    let seed = o.seed;
     println!("== Monitor: SLO burn-rate alerting under chaos+elastic (seed {seed}) ==");
     let catalog = Catalog::build();
     let config = monitor::MonitorBenchConfig {
@@ -843,58 +706,37 @@ fn print_monitor(seed: u64, json_path: &str) {
         m.truncated_windows
     );
     for alert in bench.alerts() {
-        match alert.resolved_at {
-            Some(resolved) => println!(
-                "  alert `{}` on `{}`: fired {:.0} us, resolved {:.0} us (peak burn {:.2})",
-                alert.slo,
-                alert.key,
-                alert.fired_at.as_us(),
-                resolved.as_us(),
-                alert.peak_burn
-            ),
-            None => println!(
-                "  alert `{}` on `{}`: fired {:.0} us, still firing (peak burn {:.2})",
-                alert.slo,
-                alert.key,
-                alert.fired_at.as_us(),
-                alert.peak_burn
-            ),
-        }
+        let state = match alert.resolved_at {
+            Some(resolved) => format!("resolved {:.0} us", resolved.as_us()),
+            None => "still firing".to_string(),
+        };
+        println!(
+            "  alert `{}` on `{}`: fired {:.0} us, {state} (peak burn {:.2})",
+            alert.slo,
+            alert.key,
+            alert.fired_at.as_us(),
+            alert.peak_burn
+        );
     }
-    // The scenario is also the regression gate: fail loudly rather than
-    // writing an artifact that records a broken run as if it were fine.
-    if let Err(violation) = bench.check_invariants() {
-        eprintln!("monitor invariant violated: {violation}");
-        std::process::exit(1);
-    }
-    let root = Json::obj()
-        .with("schema_version", ARTIFACT_SCHEMA_VERSION)
-        .with("experiment", "monitor")
-        .with("monitor", bench.to_json());
-    let text = root.pretty();
-    if let Err(e) = Json::parse(&text) {
-        eprintln!("monitor artifact failed self-validation: {e:?}");
-        std::process::exit(1);
-    }
+    require(bench.check_invariants(), &o.experiment);
     // Determinism gate: the whole scenario again, from scratch — the
     // artifact must come out byte-identical.
-    let rerun = monitor::run(&catalog, &config);
-    let rerun_text = Json::obj()
-        .with("schema_version", ARTIFACT_SCHEMA_VERSION)
-        .with("experiment", "monitor")
-        .with("monitor", rerun.to_json())
-        .pretty();
-    if text != rerun_text {
-        eprintln!("monitor runs diverged: same seed {seed}, different artifact bytes");
-        std::process::exit(1);
+    let section = bench.to_json();
+    if section.pretty() != monitor::run(&catalog, &config).to_json().pretty() {
+        fail(&format!(
+            "monitor runs diverged: same seed {seed}, different artifact bytes"
+        ));
     }
-    write_artifact(json_path, &text, "monitor");
-    let prom_path = json_path.replace(".json", ".prom");
-    write_artifact(&prom_path, &m.prometheus_text(), "monitor exposition");
+    write_artifact(
+        &sidecar(&o.json, "prom"),
+        &m.prometheus_text(),
+        "monitor exposition",
+    );
     println!();
+    Some(envelope(&o.experiment).with(&o.experiment, section))
 }
 
-fn print_overhead() {
+fn print_overhead(_: &Opts) -> Option<Json> {
     println!("== Section 4.3: compilation overhead ==");
     let r = overhead::report();
     println!(
@@ -917,11 +759,11 @@ fn print_overhead() {
         "total overhead (amortized):         {} (paper: 24.6%)",
         pct(r.total_overhead_fraction)
     );
-    let _ = SimTime::ZERO; // keep the sim import for the shared prelude
     println!();
+    None
 }
 
-fn print_density() {
+fn print_density(_: &Opts) -> Option<Json> {
     println!("== Code density: AS ISA vs general-purpose SIMD ==");
     println!(
         "{:<22} {:>14} {:>16} {:>9}",
@@ -937,9 +779,10 @@ fn print_density() {
         );
     }
     println!();
+    None
 }
 
-fn print_isolation() {
+fn print_isolation(_: &Opts) -> Option<Json> {
     println!("== Section 4.4: performance isolation under spatial sharing ==");
     let task = vfpga_workload::RnnTask::new(vfpga_workload::RnnKind::Lstm, 512, 25);
     for r in isolation::measure(task, 3.0) {
@@ -956,12 +799,20 @@ fn print_isolation() {
         );
     }
     println!();
+    None
 }
 
-fn print_fuzz(seed: u64, cases: usize, oracle: Option<String>, path: &str) {
+/// Fuzzes (or, with `--replay`, replays one reproducer). The summary is
+/// not an envelope document, so it is written here rather than returned.
+fn print_fuzz(o: &Opts) -> Option<Json> {
+    if let Some(path) = &o.replay {
+        print_fuzz_replay(path);
+        return None;
+    }
+    let (seed, cases) = (o.seed, o.cases);
     println!("== Differential fuzzing: {cases} cases/oracle, seed {seed} ==");
     let mut config = vfpga_fuzz::FuzzConfig::new(seed, cases);
-    config.oracle = oracle;
+    config.oracle = o.oracle.clone();
     config.failure_dir = Some(std::path::PathBuf::from(FUZZ_FAILURE_DIR));
     let summary = match vfpga_fuzz::run_fuzz(&config) {
         Ok(s) => s,
@@ -970,14 +821,14 @@ fn print_fuzz(seed: u64, cases: usize, oracle: Option<String>, path: &str) {
             std::process::exit(2);
         }
     };
-    for o in &summary.oracles {
-        match &o.first_failure {
-            None => println!("{:<24} {:>6} cases  ok", o.name, o.cases),
+    for oracle in &summary.oracles {
+        match &oracle.first_failure {
+            None => println!("{:<24} {:>6} cases  ok", oracle.name, oracle.cases),
             Some(f) => println!(
                 "{:<24} {:>6} cases  {} FAILED (first at case {}, shrunk {} -> {}, {})",
-                o.name,
-                o.cases,
-                o.failures,
+                oracle.name,
+                oracle.cases,
+                oracle.failures,
                 f.case_index,
                 f.original_size,
                 f.shrunk_size,
@@ -986,48 +837,37 @@ fn print_fuzz(seed: u64, cases: usize, oracle: Option<String>, path: &str) {
         }
     }
     println!();
-    assert_eq!(
-        vfpga_fuzz::FUZZ_SCHEMA_VERSION,
-        ARTIFACT_SCHEMA_VERSION,
-        "fuzz and repro artifact schemas must move together"
-    );
-    write_artifact(path, &(summary.to_json().pretty() + "\n"), "fuzz");
+    write_artifact(&o.json, &(summary.to_json().pretty() + "\n"), &o.experiment);
     if !summary.passed() {
-        eprintln!(
-            "{} of {} cases violated an oracle; reproducers in {}",
+        fail(&format!(
+            "{} of {} cases violated an oracle; reproducers in {FUZZ_FAILURE_DIR}",
             summary.total_failures(),
-            summary.total_cases(),
-            FUZZ_FAILURE_DIR
-        );
-        std::process::exit(1);
+            summary.total_cases()
+        ));
     }
+    None
 }
 
+/// Replays one saved reproducer: exits 1 while its bug still reproduces,
+/// 2 when the file is not a readable reproducer.
 fn print_fuzz_replay(path: &str) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read reproducer {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let doc = match Json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("reproducer {path} is not JSON: {e}");
-            std::process::exit(2);
-        }
-    };
-    match vfpga_fuzz::replay(&doc) {
+    let replayed = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read reproducer {path}: {e}"))
+        .and_then(|text| {
+            Json::parse(&text).map_err(|e| format!("reproducer {path} is not JSON: {e}"))
+        })
+        .and_then(|doc| vfpga_fuzz::replay(&doc).map_err(|e| format!("replay {path}: {e}")));
+    match replayed {
         Ok((oracle, vfpga_fuzz::Verdict::Pass)) => {
             println!("replay {path}: oracle `{oracle}` passes (bug no longer reproduces)");
         }
         Ok((oracle, vfpga_fuzz::Verdict::Fail(error))) => {
-            eprintln!("replay {path}: oracle `{oracle}` still fails: {error}");
-            std::process::exit(1);
+            fail(&format!(
+                "replay {path}: oracle `{oracle}` still fails: {error}"
+            ));
         }
-        Err(e) => {
-            eprintln!("replay {path}: {e}");
+        Err(problem) => {
+            eprintln!("{problem}");
             std::process::exit(2);
         }
     }

@@ -14,9 +14,12 @@ use vfpga_core::{
 };
 use vfpga_fabric::{Cluster, DeviceType, MemoryKind};
 use vfpga_hsabs::{HsCompiler, InterfaceModel};
-use vfpga_runtime::{Deployment, Policy};
-use vfpga_sim::{LinkParams, SimTime, SpanCtx, SpanTracer, TraceId};
-use vfpga_workload::{generate_program, RnnTask, SizeClass, SliceSpec};
+use vfpga_runtime::{
+    run_cloud_sim_tuned, AdmissionTuning, CloudReport, Deployment, Policy, RecoveryPolicy,
+    RuntimeError, SystemController,
+};
+use vfpga_sim::{FaultPlan, LinkParams, SimTime, SpanCtx, SpanTracer, TraceId};
+use vfpga_workload::{generate_program, RnnTask, SizeClass, SliceSpec, TaskArrival};
 
 /// Ring link parameters of the custom-built cluster's secondary
 /// bidirectional ring: 0.5 us hop latency at 25 Gb/s (a modest SelectIO/
@@ -98,7 +101,7 @@ impl Catalog {
     /// S/M/L tasks plus the two per-device Table 2 baselines, decomposed,
     /// partitioned (two iterations), and compiled for both device types.
     pub fn build() -> Self {
-        Self::build_traced(&mut SpanTracer::new())
+        Self::build_traced(&mut SpanTracer::disabled())
     }
 
     /// [`build`](Catalog::build) with span tracing of the offline compile
@@ -136,7 +139,7 @@ impl Catalog {
             let name = config.name.clone();
             let root = spans.begin("compile", TraceId::NONE, None, SimTime::ZERO);
             spans.attr(root, "instance", name.clone());
-            let (decomp, plan) = Self::compile_instance_traced(
+            let (decomp, plan) = Self::compile_instance(
                 &config,
                 2,
                 Some(SpanCtx {
@@ -200,18 +203,9 @@ impl Catalog {
 
     /// Runs the offline mapping flow for one configuration: RTL
     /// generation, decomposition (with the Section 3 modifications), and
-    /// partitioning.
+    /// partitioning. With a compile-flow `ctx`, the decomposition and
+    /// partitioning steps record `decompose` and `partition` spans under it.
     pub fn compile_instance(
-        config: &AcceleratorConfig,
-        iterations: usize,
-    ) -> (Decomposition, PartitionTree) {
-        Self::compile_instance_traced(config, iterations, None)
-    }
-
-    /// [`compile_instance`](Catalog::compile_instance) with span tracing:
-    /// the decomposition and partitioning steps record `decompose` and
-    /// `partition` spans under the caller's compile-flow context.
-    pub fn compile_instance_traced(
         config: &AcceleratorConfig,
         iterations: usize,
         mut ctx: Option<SpanCtx<'_>>,
@@ -232,6 +226,36 @@ impl Catalog {
         .expect("generated design decomposes");
         let plan = partition_traced(&decomp.tree, iterations, ctx);
         (decomp, plan)
+    }
+
+    /// A system controller over the catalog's cluster and database.
+    pub fn controller(&self, policy: Policy) -> SystemController {
+        SystemController::new(self.cluster.clone(), self.db.clone(), policy)
+    }
+
+    /// Runs the cloud simulation of `arrivals` on `controller`: each task
+    /// is served by the catalog's instance class and service-time model
+    /// under the controller's policy, and interrupted deployments recover
+    /// under the default [`RecoveryPolicy`].
+    pub fn simulate(
+        &self,
+        controller: &mut SystemController,
+        arrivals: &[TaskArrival],
+        faults: &FaultPlan,
+        trace_capacity: usize,
+        tuning: AdmissionTuning,
+    ) -> Result<CloudReport, RuntimeError> {
+        let policy = controller.policy();
+        run_cloud_sim_tuned(
+            controller,
+            arrivals,
+            &|task| self.instance_for(task),
+            &|task, deployment| self.service_time(task, deployment, policy),
+            faults,
+            RecoveryPolicy::default(),
+            trace_capacity,
+            tuning,
+        )
     }
 
     /// The instance class serving a task (by the Table 1 size classes).

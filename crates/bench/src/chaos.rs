@@ -1,29 +1,88 @@
 //! Chaos scenario: a Fig. 12-style workload served while a seeded
-//! [`FaultPlan`] fails and recovers devices under it.
+//! [`FaultPlan`] fails and recovers devices — and, with [`LinkChaos`]
+//! waves configured, ring segments — under it.
 //!
 //! The scenario drives the full fault/recovery stack end to end: the
 //! fault plan schedules fail/recover waves and flaky partial
 //! reconfiguration, the low-level controller evicts allocations on failed
 //! devices, and the system controller migrates interrupted deployments to
 //! surviving devices (scaling down to deeper partition variants when the
-//! original footprint no longer fits). Everything is seeded, so a chaos
-//! run is exactly reproducible: same seed, byte-identical report.
+//! original footprint no longer fits).
+//!
+//! Link waves add the interconnect fault model on top: they degrade or
+//! fail ring segments, degraded segments corrupt in-flight transfers
+//! (retransmitted under a bounded backoff budget), and failed segments
+//! force multi-FPGA deployments to re-route the other way around the
+//! bidirectional ring — or, when every path between their units is
+//! severed, into the same migration machinery device failures use.
+//!
+//! Everything is seeded, so a chaos run is exactly reproducible: same
+//! seed, byte-identical report.
 
-use vfpga_runtime::{
-    run_cloud_sim_faulted, CloudReport, Policy, RecoveryPolicy, SystemController,
-    DEFAULT_TRACE_CAPACITY,
-};
-use vfpga_sim::{FaultPlan, FaultPlanParams, Json, SimTime};
+use vfpga_runtime::{AdmissionTuning, CloudReport, Policy, DEFAULT_TRACE_CAPACITY};
+use vfpga_sim::{FaultPlan, FaultPlanParams, Json, LinkFaultParams, SimTime, TraceEventKind};
 use vfpga_workload::{generate_workload, Composition};
 
 use crate::catalog::Catalog;
+
+/// Trace-ring capacity for runs whose gates need every trace event: link
+/// waves add per-transfer `Retransmit` events on top of the scheduler
+/// lifecycle, and the monitor's rollup windows must stay whole. Sized well
+/// past what the default workloads emit.
+pub const COMPLETE_TRACE_CAPACITY: usize = 32_768;
+
+/// Ring-segment fault waves layered on a chaos run.
+#[derive(Debug, Clone, Copy)]
+pub struct LinkChaos {
+    /// Per-link mean time to a fault wave.
+    pub mttf: SimTime,
+    /// Per-link mean time to repair.
+    pub mttr: SimTime,
+    /// Fraction of link waves that degrade (vs fail) the segment.
+    pub degraded_fraction: f64,
+    /// Per-transfer corruption probability while link faults are active.
+    pub corruption_prob: f64,
+    /// Retransmission budget per corrupted transfer.
+    pub max_retransmits: u32,
+}
+
+impl Default for LinkChaos {
+    fn default() -> Self {
+        LinkChaos {
+            mttf: SimTime::from_ms(1.0),
+            mttr: SimTime::from_ms(0.35),
+            degraded_fraction: 0.5,
+            corruption_prob: 0.35,
+            max_retransmits: 3,
+        }
+    }
+}
+
+impl LinkChaos {
+    /// The fault-plan parameters of these waves, generated up to
+    /// `horizon`. A degraded segment runs at a quarter of its bandwidth
+    /// with 250 ns of extra latency; each retransmission backs off 200 ns.
+    pub fn params(&self, horizon: SimTime) -> LinkFaultParams {
+        LinkFaultParams {
+            mttf: self.mttf,
+            mttr: self.mttr,
+            degraded_fraction: self.degraded_fraction,
+            bandwidth_factor: 0.25,
+            extra_latency: SimTime::from_ns(250.0),
+            corruption_prob: self.corruption_prob,
+            max_retransmits: self.max_retransmits,
+            retransmit_backoff: SimTime::from_ns(200.0),
+            horizon,
+        }
+    }
+}
 
 /// Parameters of one chaos run.
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosConfig {
     /// Tasks in the workload set.
     pub tasks: usize,
-    /// Seed for both the workload and the fault plan.
+    /// Seed for the workload and the device (and link) fault plan.
     pub seed: u64,
     /// Per-device mean time to failure.
     pub mttf: SimTime,
@@ -32,14 +91,14 @@ pub struct ChaosConfig {
     /// Probability that an otherwise-valid partial reconfiguration fails
     /// transiently.
     pub configure_failure_prob: f64,
-    /// Migration retry/backoff policy.
-    pub recovery: RecoveryPolicy,
     /// Whether the controller's capacity-epoch feasibility cache is on
     /// (the default). The cache replays capacity rejections, so a run is
     /// byte-identical either way — the A/B determinism suite pins that —
     /// and this knob exists exactly so that suite (and the admission
     /// bench) can measure the uncached path.
     pub feasibility_cache: bool,
+    /// Ring-segment fault waves; `None` runs device faults only.
+    pub links: Option<LinkChaos>,
 }
 
 impl Default for ChaosConfig {
@@ -50,8 +109,22 @@ impl Default for ChaosConfig {
             mttf: SimTime::from_ms(1.5),
             mttr: SimTime::from_ms(0.4),
             configure_failure_prob: 0.05,
-            recovery: RecoveryPolicy::default(),
             feasibility_cache: true,
+            links: None,
+        }
+    }
+}
+
+impl ChaosConfig {
+    /// The network-chaos configuration (`repro netchaos`): default link
+    /// waves, with device faults kept on but milder than the device-only
+    /// scenario, because the interconnect is the protagonist.
+    pub fn with_links() -> Self {
+        ChaosConfig {
+            mttf: SimTime::from_ms(3.0),
+            configure_failure_prob: 0.02,
+            links: Some(LinkChaos::default()),
+            ..ChaosConfig::default()
         }
     }
 }
@@ -67,6 +140,32 @@ pub struct ChaosReport {
     pub report: CloudReport,
 }
 
+/// The accounting invariants every cloud run must satisfy, regardless of
+/// seed: every arrival completed, never deployed, or lost; peak occupancy
+/// a valid fraction; and every migration or loss traced back to an
+/// interruption. Returns the first violation as an error message.
+pub fn check_accounting(report: &CloudReport) -> Result<(), String> {
+    if !report.accounts_for_all_arrivals() {
+        return Err(format!(
+            "accounting broken: {} completed + {} never deployed + {} lost != {}",
+            report.completed, report.never_deployed, report.lost, report.arrivals
+        ));
+    }
+    if !(0.0..=1.0).contains(&report.peak_occupancy) {
+        return Err(format!(
+            "peak occupancy {} outside [0, 1]",
+            report.peak_occupancy
+        ));
+    }
+    if report.migrated + report.lost > report.interrupted {
+        return Err(format!(
+            "{} migrated + {} lost exceed {} interruptions",
+            report.migrated, report.lost, report.interrupted
+        ));
+    }
+    Ok(())
+}
+
 impl ChaosReport {
     /// Whether the run exercised the recovery machinery: at least one
     /// deployment was interrupted and at least one migration completed.
@@ -79,28 +178,51 @@ impl ChaosReport {
                 .any(|e| e.kind.label() == "migration_completed")
     }
 
+    /// Whether the run exercised the interconnect fault machinery end to
+    /// end: segments failed, at least one deployment re-routed around a
+    /// dead segment, and at least one transfer was retransmitted.
+    pub fn exercised_link_faults(&self) -> bool {
+        self.report.link_failures > 0
+            && self.report.link_reroutes > 0
+            && self.report.link_retransmits > 0
+    }
+
     /// Cross-layer invariants every chaos run must satisfy, regardless of
-    /// seed. Returns the first violation as an error message.
+    /// seed: [`check_accounting`], plus — when the plan covers links —
+    /// severed paths bounded by interruptions, a complete trace, and the
+    /// report's retransmitted bytes reconciling with the trace's
+    /// `Retransmit` events. Returns the first violation as an error
+    /// message.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if !self.report.accounts_for_all_arrivals() {
+        let r = &self.report;
+        check_accounting(r)?;
+        if self.plan.links() == 0 {
+            return Ok(());
+        }
+        if r.link_severed > r.interrupted {
             return Err(format!(
-                "accounting broken: {} completed + {} never deployed + {} lost != {}",
-                self.report.completed,
-                self.report.never_deployed,
-                self.report.lost,
-                self.report.arrivals
+                "{} link severs exceed {} interruptions",
+                r.link_severed, r.interrupted
             ));
         }
-        if !(0.0..=1.0).contains(&self.report.peak_occupancy) {
+        if r.trace.dropped() > 0 {
             return Err(format!(
-                "peak occupancy {} outside [0, 1]",
-                self.report.peak_occupancy
+                "trace ring dropped {} events; the byte reconciliation needs all of them",
+                r.trace.dropped()
             ));
         }
-        if self.report.migrated + self.report.lost > self.report.interrupted {
+        let traced: u64 = r
+            .trace
+            .iter()
+            .filter_map(|e| match &e.kind {
+                TraceEventKind::Retransmit { bytes, .. } => Some(*bytes),
+                _ => None,
+            })
+            .sum();
+        if traced != r.link_retransmit_bytes {
             return Err(format!(
-                "{} migrated + {} lost exceed {} interruptions",
-                self.report.migrated, self.report.lost, self.report.interrupted
+                "retransmit bytes disagree: report says {}, trace events sum to {}",
+                r.link_retransmit_bytes, traced
             ));
         }
         Ok(())
@@ -119,17 +241,16 @@ impl ChaosReport {
 /// the full policy on the paper cluster, with the configured fault plan
 /// injected.
 pub fn run(catalog: &Catalog, config: &ChaosConfig) -> ChaosReport {
-    let composition = Composition::TABLE1[4];
     let arrivals = generate_workload(
-        composition,
+        Composition::TABLE1[4],
         config.tasks,
         SimTime::from_us(50.0),
         config.seed,
     );
-    // Failures keep arriving for 1.5x the expected workload span so the
-    // queue-drain tail is exposed to faults too.
+    // Faults keep arriving for 1.5x the expected workload span so the
+    // queue-drain tail is exposed to them too.
     let horizon = SimTime::from_us(50.0 * config.tasks as f64 * 1.5);
-    let plan = FaultPlan::generate(
+    let mut plan = FaultPlan::generate(
         FaultPlanParams {
             mttf: config.mttf,
             mttr: config.mttr,
@@ -139,19 +260,22 @@ pub fn run(catalog: &Catalog, config: &ChaosConfig) -> ChaosReport {
         catalog.cluster.len(),
         config.seed,
     );
-    let mut controller =
-        SystemController::new(catalog.cluster.clone(), catalog.db.clone(), Policy::Full);
+    let mut trace_capacity = DEFAULT_TRACE_CAPACITY;
+    if let Some(links) = config.links {
+        plan = plan.with_link_faults(links.params(horizon), catalog.cluster.ring().segments());
+        trace_capacity = COMPLETE_TRACE_CAPACITY;
+    }
+    let mut controller = catalog.controller(Policy::Full);
     controller.set_feasibility_cache(config.feasibility_cache);
-    let report = run_cloud_sim_faulted(
-        &mut controller,
-        &arrivals,
-        &|task| catalog.instance_for(task),
-        &|task, deployment| catalog.service_time(task, deployment, Policy::Full),
-        &plan,
-        config.recovery,
-        DEFAULT_TRACE_CAPACITY,
-    )
-    .expect("chaos simulation completes");
+    let report = catalog
+        .simulate(
+            &mut controller,
+            &arrivals,
+            &plan,
+            trace_capacity,
+            AdmissionTuning::default(),
+        )
+        .expect("chaos simulation completes");
     ChaosReport {
         seed: config.seed,
         plan,
@@ -184,6 +308,35 @@ mod tests {
             tasks: 60,
             seed: 7,
             ..ChaosConfig::default()
+        };
+        let a = run(&catalog, &cfg).to_json().pretty();
+        let b = run(&catalog, &cfg).to_json().pretty();
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn default_netchaos_run_reroutes_and_retransmits() {
+        let catalog = Catalog::build();
+        let chaos = run(&catalog, &ChaosConfig::with_links());
+        chaos.check_invariants().unwrap();
+        assert!(chaos.plan.link_failures() > 0, "plan must fail segments");
+        assert!(
+            chaos.exercised_link_faults(),
+            "default config must fail, reroute, and retransmit: {} failures, {} reroutes, {} retransmits",
+            chaos.report.link_failures,
+            chaos.report.link_reroutes,
+            chaos.report.link_retransmits
+        );
+        assert!(chaos.report.link_degraded_time > SimTime::ZERO);
+    }
+
+    #[test]
+    fn netchaos_runs_are_reproducible() {
+        let catalog = Catalog::build();
+        let cfg = ChaosConfig {
+            tasks: 60,
+            seed: 7,
+            ..ChaosConfig::with_links()
         };
         let a = run(&catalog, &cfg).to_json().pretty();
         let b = run(&catalog, &cfg).to_json().pretty();

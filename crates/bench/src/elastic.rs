@@ -22,10 +22,7 @@
 
 use std::time::Instant;
 
-use vfpga_runtime::{
-    run_cloud_sim_tuned, AdmissionTuning, CloudReport, ElasticityPolicy, Policy, RecoveryPolicy,
-    SystemController,
-};
+use vfpga_runtime::{AdmissionTuning, CloudReport, ElasticityPolicy, Policy};
 use vfpga_sim::{FaultPlan, Json, Rng, SimTime};
 use vfpga_workload::{deepbench_tasks, RnnTask, SizeClass, TaskArrival};
 
@@ -260,8 +257,6 @@ fn timed_run(
     arrivals: &[TaskArrival],
     elasticity: ElasticityPolicy,
 ) -> ElasticRun {
-    let mut controller =
-        SystemController::new(catalog.cluster.clone(), catalog.db.clone(), Policy::Full);
     let tuning = AdmissionTuning {
         wave_gating: true,
         // Spans off at bench scale (see the admission bench); the span
@@ -270,18 +265,11 @@ fn timed_run(
         elasticity,
         ..AdmissionTuning::default()
     };
+    let mut controller = catalog.controller(Policy::Full);
     let start = Instant::now();
-    let report = run_cloud_sim_tuned(
-        &mut controller,
-        arrivals,
-        &|task| catalog.instance_for(task),
-        &|task, deployment| catalog.service_time(task, deployment, Policy::Full),
-        &FaultPlan::none(),
-        RecoveryPolicy::default(),
-        1024,
-        tuning,
-    )
-    .expect("bench simulation completes");
+    let report = catalog
+        .simulate(&mut controller, arrivals, &FaultPlan::none(), 1024, tuning)
+        .expect("bench simulation completes");
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     ElasticRun::from_report(&report, wall_ms)
 }

@@ -1,8 +1,8 @@
 //! Regeneration of Fig. 12: aggregated system throughput over the ten
 //! synthetic workload sets, under the three runtime systems.
 
-use vfpga_runtime::{run_cloud_sim, CloudReport, Policy, SystemController};
-use vfpga_sim::{Json, SimTime};
+use vfpga_runtime::{AdmissionTuning, CloudReport, Policy, DEFAULT_TRACE_CAPACITY};
+use vfpga_sim::{FaultPlan, Json, SimTime};
 use vfpga_workload::{generate_workload, Composition};
 
 use crate::catalog::Catalog;
@@ -70,7 +70,7 @@ impl Fig12SetReport {
 /// Runs one workload set under one policy, returning the full report
 /// (throughput, latency percentiles, occupancy/queue-depth series,
 /// rejection reasons, scheduler trace).
-pub fn run_set_report(
+pub fn run_set(
     catalog: &Catalog,
     set_index: usize,
     policy: Policy,
@@ -84,48 +84,31 @@ pub fn run_set_report(
         SimTime::from_us(50.0),
         seed + set_index as u64,
     );
-    let mut controller = SystemController::new(catalog.cluster.clone(), catalog.db.clone(), policy);
+    let mut controller = catalog.controller(policy);
     if policy == Policy::Baseline {
         controller = controller.with_provisioning(catalog.baseline_provisioning());
     }
-    run_cloud_sim(
-        &mut controller,
-        &arrivals,
-        &|task| catalog.instance_for(task),
-        &|task, deployment| catalog.service_time(task, deployment, policy),
-    )
-    .expect("cloud simulation completes")
-}
-
-/// Runs one workload set under one policy and returns tasks/second.
-pub fn run_set(
-    catalog: &Catalog,
-    set_index: usize,
-    policy: Policy,
-    tasks: usize,
-    seed: u64,
-) -> f64 {
-    run_set_report(catalog, set_index, policy, tasks, seed).throughput_per_s
+    catalog
+        .simulate(
+            &mut controller,
+            &arrivals,
+            &FaultPlan::none(),
+            DEFAULT_TRACE_CAPACITY,
+            AdmissionTuning::default(),
+        )
+        .expect("cloud simulation completes")
 }
 
 /// Runs all ten workload sets under all three systems, keeping the full
 /// per-policy reports.
-pub fn run_all_sets_detailed(catalog: &Catalog, tasks: usize, seed: u64) -> Vec<Fig12SetReport> {
+pub fn run_all_sets(catalog: &Catalog, tasks: usize, seed: u64) -> Vec<Fig12SetReport> {
     (1..=Composition::TABLE1.len())
         .map(|set| Fig12SetReport {
             set,
-            baseline: run_set_report(catalog, set, Policy::Baseline, tasks, seed),
-            restricted: run_set_report(catalog, set, Policy::Restricted, tasks, seed),
-            full: run_set_report(catalog, set, Policy::Full, tasks, seed),
+            baseline: run_set(catalog, set, Policy::Baseline, tasks, seed),
+            restricted: run_set(catalog, set, Policy::Restricted, tasks, seed),
+            full: run_set(catalog, set, Policy::Full, tasks, seed),
         })
-        .collect()
-}
-
-/// Runs all ten workload sets under all three systems.
-pub fn run_all_sets(catalog: &Catalog, tasks: usize, seed: u64) -> Vec<Fig12Row> {
-    run_all_sets_detailed(catalog, tasks, seed)
-        .iter()
-        .map(Fig12SetReport::row)
         .collect()
 }
 
@@ -154,8 +137,8 @@ mod tests {
     fn full_beats_baseline_on_an_all_small_set() {
         let catalog = Catalog::build();
         // Set 1 (100% small tasks) is where spatial sharing pays the most.
-        let baseline = run_set(&catalog, 1, Policy::Baseline, 80, 42);
-        let full = run_set(&catalog, 1, Policy::Full, 80, 42);
+        let baseline = run_set(&catalog, 1, Policy::Baseline, 80, 42).throughput_per_s;
+        let full = run_set(&catalog, 1, Policy::Full, 80, 42).throughput_per_s;
         assert!(
             full > baseline * 1.2,
             "full {full} should clearly beat baseline {baseline}"
@@ -168,8 +151,8 @@ mod tests {
         // policy cannot span the VU37P/KU115 pair, which is exactly where
         // the full policy's heterogeneous multi-FPGA support pays off.
         let catalog = Catalog::build();
-        let restricted = run_set(&catalog, 3, Policy::Restricted, 60, 7);
-        let full = run_set(&catalog, 3, Policy::Full, 60, 7);
+        let restricted = run_set(&catalog, 3, Policy::Restricted, 60, 7).throughput_per_s;
+        let full = run_set(&catalog, 3, Policy::Full, 60, 7).throughput_per_s;
         assert!(
             full > restricted * 1.1,
             "full {full} should clearly beat restricted {restricted} on all-large sets"

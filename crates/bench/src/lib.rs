@@ -12,6 +12,12 @@
 //! | Fig. 11 | [`fig11::sweep`] | `repro -- fig11` |
 //! | Fig. 12 | [`fig12::run_all_sets`] | `repro -- fig12` |
 //! | §4.3 overhead | [`overhead::report`] | `repro -- overhead` |
+//! | §4.4 isolation | [`isolation::measure`] | `repro -- isolation` |
+//! | chaos / netchaos | [`chaos::run`] ([`chaos::ChaosConfig::with_links`]) | `repro -- chaos`, `repro -- netchaos` |
+//! | SLO monitor | [`monitor::run`] | `repro -- monitor` |
+//!
+//! Every catalog-driven cloud simulation goes through
+//! [`Catalog::simulate`]; `repro` drives every experiment from one table.
 //!
 //! Wall-clock timing of the framework's tools (decompose, partition,
 //! insert/reorder, encode, scale-out co-simulation, controller
@@ -28,7 +34,6 @@ pub mod fig11;
 pub mod fig12;
 pub mod isolation;
 pub mod monitor;
-pub mod netchaos;
 pub mod overhead;
 pub mod tables;
 

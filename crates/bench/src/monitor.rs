@@ -15,19 +15,12 @@
 //! within the sketch's configured relative error. Everything is seeded,
 //! so a run is exactly reproducible: same seed, byte-identical report.
 
-use vfpga_runtime::{
-    run_cloud_sim_tuned, AdmissionTuning, CloudReport, ElasticityPolicy, MonitorConfig, Policy,
-    RecoveryPolicy, SystemController,
-};
-use vfpga_sim::{Alert, FaultPlan, FaultPlanParams, Json, LinkFaultParams, SimTime, SloSpec};
+use vfpga_runtime::{AdmissionTuning, CloudReport, ElasticityPolicy, MonitorConfig, Policy};
+use vfpga_sim::{Alert, FaultPlan, FaultPlanParams, Json, SimTime, SloSpec};
 use vfpga_workload::{generate_workload, Composition};
 
 use crate::catalog::Catalog;
-
-/// Trace-ring capacity for monitored runs: sized so the default workload
-/// never evicts, keeping every rollup window a full measurement
-/// (`truncated_windows == 0` is one of the gates).
-pub const MONITOR_TRACE_CAPACITY: usize = 32_768;
+use crate::chaos::{check_accounting, LinkChaos, COMPLETE_TRACE_CAPACITY};
 
 /// Parameters of one monitored chaos run.
 #[derive(Debug, Clone, Copy)]
@@ -51,8 +44,6 @@ pub struct MonitorBenchConfig {
     pub mttf: SimTime,
     /// Per-device mean time to recovery.
     pub mttr: SimTime,
-    /// Migration retry/backoff policy.
-    pub recovery: RecoveryPolicy,
 }
 
 impl Default for MonitorBenchConfig {
@@ -66,7 +57,6 @@ impl Default for MonitorBenchConfig {
             target_margin: 1.3,
             mttf: SimTime::from_ms(6.0),
             mttr: SimTime::from_ms(0.5),
-            recovery: RecoveryPolicy::default(),
         }
     }
 }
@@ -117,15 +107,7 @@ impl MonitorBenchReport {
     /// regardless of seed. Returns the first violation as an error
     /// message.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if !self.report.accounts_for_all_arrivals() {
-            return Err(format!(
-                "accounting broken: {} completed + {} never deployed + {} lost != {}",
-                self.report.completed,
-                self.report.never_deployed,
-                self.report.lost,
-                self.report.arrivals
-            ));
-        }
+        check_accounting(&self.report)?;
         let monitor = self
             .report
             .monitor
@@ -133,7 +115,7 @@ impl MonitorBenchReport {
             .ok_or("monitor section missing from a monitored run")?;
         if self.report.trace.dropped() > 0 {
             return Err(format!(
-                "trace ring dropped {} events; size MONITOR_TRACE_CAPACITY up",
+                "trace ring dropped {} events; size COMPLETE_TRACE_CAPACITY up",
                 self.report.trace.dropped()
             ));
         }
@@ -307,19 +289,15 @@ pub fn run(catalog: &Catalog, config: &MonitorBenchConfig) -> MonitorBenchReport
         sketch_error: config.sketch_error,
         slos: Vec::new(),
     };
-    let mut controller =
-        SystemController::new(catalog.cluster.clone(), catalog.db.clone(), Policy::Full);
-    let baseline = run_cloud_sim_tuned(
-        &mut controller,
-        &arrivals,
-        &|task| catalog.instance_for(task),
-        &|task, deployment| catalog.service_time(task, deployment, Policy::Full),
-        &FaultPlan::none(),
-        config.recovery,
-        MONITOR_TRACE_CAPACITY,
-        tuning(calibration_monitor),
-    )
-    .expect("calibration run completes");
+    let baseline = catalog
+        .simulate(
+            &mut catalog.controller(Policy::Full),
+            &arrivals,
+            &FaultPlan::none(),
+            COMPLETE_TRACE_CAPACITY,
+            tuning(calibration_monitor),
+        )
+        .expect("calibration run completes");
     let baseline_worst_p95 = worst_window_p95(baseline.monitor.as_ref().expect("monitor on"));
     let target = SimTime::from_secs(baseline_worst_p95 * config.target_margin);
 
@@ -337,17 +315,12 @@ pub fn run(catalog: &Catalog, config: &MonitorBenchConfig) -> MonitorBenchReport
         config.seed,
     )
     .with_link_faults(
-        LinkFaultParams {
+        LinkChaos {
             mttf: SimTime::from_ms(5.0),
             mttr: SimTime::from_ms(0.5),
-            degraded_fraction: 0.5,
-            bandwidth_factor: 0.25,
-            extra_latency: SimTime::from_ns(250.0),
-            corruption_prob: 0.35,
-            max_retransmits: 3,
-            retransmit_backoff: SimTime::from_ns(200.0),
-            horizon,
-        },
+            ..LinkChaos::default()
+        }
+        .params(horizon),
         catalog.cluster.ring().segments(),
     );
 
@@ -357,19 +330,15 @@ pub fn run(catalog: &Catalog, config: &MonitorBenchConfig) -> MonitorBenchReport
         sketch_error: config.sketch_error,
         slos: vec![slo(target)],
     };
-    let mut controller =
-        SystemController::new(catalog.cluster.clone(), catalog.db.clone(), Policy::Full);
-    let report = run_cloud_sim_tuned(
-        &mut controller,
-        &arrivals,
-        &|task| catalog.instance_for(task),
-        &|task, deployment| catalog.service_time(task, deployment, Policy::Full),
-        &plan,
-        config.recovery,
-        MONITOR_TRACE_CAPACITY,
-        tuning(monitor),
-    )
-    .expect("monitored chaos simulation completes");
+    let report = catalog
+        .simulate(
+            &mut catalog.controller(Policy::Full),
+            &arrivals,
+            &plan,
+            COMPLETE_TRACE_CAPACITY,
+            tuning(monitor),
+        )
+        .expect("monitored chaos simulation completes");
 
     let disturbed = disturbed_intervals(&plan, config, &slo(target), target);
     MonitorBenchReport {

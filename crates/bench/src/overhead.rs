@@ -45,7 +45,7 @@ pub fn report() -> OverheadReport {
         .with_memory_kind(MemoryKind::Uram)
         .with_bfp(storage_bfp());
     let start = Instant::now();
-    let (_decomp, _plan) = Catalog::compile_instance(&big, 2);
+    let (_decomp, _plan) = Catalog::compile_instance(&big, 2, None);
     let tool_seconds = start.elapsed().as_secs_f64();
 
     // Baseline: one full compile per instance per device type (the larger

@@ -72,7 +72,7 @@ pub fn table3() -> Vec<Table3Row> {
     baseline_configs()
         .into_iter()
         .map(|(config, device)| {
-            let (decomp, _) = Catalog::compile_instance(&config, 1);
+            let (decomp, _) = Catalog::compile_instance(&config, 1, None);
             let total = decomp.total_resources();
             let image = compiler
                 .compile(&config.name, &total, &device)

@@ -248,8 +248,10 @@ mod tests {
     fn small_isa_window_is_rejected_not_wrapped() {
         // Regression: `dram_slots: 16` (the ISA test config) underflowed
         // the u32 base computation into a window near u32::MAX.
-        let mut isa = IsaConfig::default();
-        isa.dram_slots = 16;
+        let mut isa = IsaConfig {
+            dram_slots: 16,
+            ..IsaConfig::default()
+        };
         let err = remote_window(&isa, 0, 2);
         assert!(err.is_err(), "16-slot DRAM must not fit a 128-slot window");
         // One slot short of the reserved region still fails; exactly the

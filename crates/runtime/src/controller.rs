@@ -1409,22 +1409,14 @@ mod tests {
         );
         // A rejection records the reason label.
         let mut held = vec![d];
-        loop {
-            match c
-                .try_deploy_spanned("big", &mut spans, TraceId(1), None, at)
-                .unwrap()
-            {
-                Ok(d) => held.push(d),
-                Err(_) => break,
-            }
+        while let Ok(d) = c
+            .try_deploy_spanned("big", &mut spans, TraceId(1), None, at)
+            .unwrap()
+        {
+            held.push(d);
             assert!(held.len() < 100);
         }
-        let rejected = spans
-            .spans()
-            .iter()
-            .filter(|s| s.name == "deploy")
-            .last()
-            .unwrap();
+        let rejected = spans.spans().iter().rfind(|s| s.name == "deploy").unwrap();
         assert!(rejected.attr_is("outcome", "rejected"));
         assert!(rejected.attr_is("reason", "insufficient_capacity"));
         // Stats agree with the unspanned path's accounting.

@@ -9,8 +9,7 @@
 
 use vfpga::fabric::DeviceId;
 use vfpga::runtime::{
-    run_cloud_sim_tuned, AdmissionTuning, CloudReport, Policy, RecoveryPolicy, RejectReason,
-    SystemController, DEFAULT_TRACE_CAPACITY,
+    AdmissionTuning, CloudReport, Policy, RejectReason, SystemController, DEFAULT_TRACE_CAPACITY,
 };
 use vfpga::sim::{chrome_trace_events, FaultPlan, Json, SimTime};
 use vfpga::workload::{generate_workload, Composition};
@@ -25,20 +24,17 @@ const AB_SEEDS: [u64; 2] = [7, 2024];
 /// One saturated steady-state run (no faults) with the cache on or off.
 fn steady_run(catalog: &Catalog, seed: u64, cache: bool) -> CloudReport {
     let arrivals = generate_workload(Composition::TABLE1[4], 300, SimTime::from_us(20.0), seed);
-    let mut controller =
-        SystemController::new(catalog.cluster.clone(), catalog.db.clone(), Policy::Full);
+    let mut controller = catalog.controller(Policy::Full);
     controller.set_feasibility_cache(cache);
-    run_cloud_sim_tuned(
-        &mut controller,
-        &arrivals,
-        &|task| catalog.instance_for(task),
-        &|task, deployment| catalog.service_time(task, deployment, Policy::Full),
-        &FaultPlan::none(),
-        RecoveryPolicy::default(),
-        DEFAULT_TRACE_CAPACITY,
-        AdmissionTuning::default(),
-    )
-    .expect("steady simulation completes")
+    catalog
+        .simulate(
+            &mut controller,
+            &arrivals,
+            &FaultPlan::none(),
+            DEFAULT_TRACE_CAPACITY,
+            AdmissionTuning::default(),
+        )
+        .expect("steady simulation completes")
 }
 
 #[test]

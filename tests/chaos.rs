@@ -24,7 +24,6 @@ use vfpga::sim::{
 };
 use vfpga::workload::{RnnKind, RnnTask, TaskArrival};
 use vfpga_bench::chaos::{self, ChaosConfig};
-use vfpga_bench::netchaos::{self, NetChaosConfig};
 use vfpga_bench::Catalog;
 
 /// The fixed seeds CI fans out over.
@@ -108,11 +107,11 @@ fn seeded_link_chaos_sweep_preserves_invariants() {
     // machinery — otherwise the sweep silently tests nothing.
     let catalog = Catalog::build();
     for seed in sweep_seeds() {
-        let run = netchaos::run(
+        let run = chaos::run(
             &catalog,
-            &NetChaosConfig {
+            &ChaosConfig {
                 seed,
-                ..NetChaosConfig::default()
+                ..ChaosConfig::with_links()
             },
         );
         run.check_invariants()
@@ -137,22 +136,40 @@ fn seeded_link_chaos_sweep_preserves_invariants() {
 #[test]
 fn fixed_seed_link_chaos_artifacts_are_byte_identical() {
     let catalog = Catalog::build();
-    let config = NetChaosConfig {
+    let config = ChaosConfig {
         tasks: 60,
         seed: 2024,
-        ..NetChaosConfig::default()
+        ..ChaosConfig::with_links()
     };
-    let first = netchaos::run(&catalog, &config).to_json().pretty();
-    let second = netchaos::run(&catalog, &config).to_json().pretty();
+    let first = chaos::run(&catalog, &config).to_json().pretty();
+    let second = chaos::run(&catalog, &config).to_json().pretty();
     assert_eq!(first, second, "same seed must give byte-identical reports");
 
     // The serialized report parses back and carries the links section a
     // downstream consumer would read.
-    let doc = Json::parse(&first).expect("netchaos report serializes to valid JSON");
+    let doc = Json::parse(&first).expect("link-chaos report serializes to valid JSON");
     let links = doc.expect_field("report").expect_field("links");
     for key in ["failures", "retransmits", "bytes_retransmitted", "reroutes"] {
         assert!(links.field(key).is_some(), "links section missing `{key}`");
     }
+}
+
+#[test]
+fn link_chaos_artifact_matches_pinned_digest() {
+    // Golden artifact of the link-chaos configuration (`repro netchaos`):
+    // any change to what such a run books, or in which order, shows up
+    // here as a digest mismatch.
+    let catalog = Catalog::build();
+    let run = chaos::run(
+        &catalog,
+        &ChaosConfig {
+            tasks: 60,
+            seed: 2024,
+            ..ChaosConfig::with_links()
+        },
+    );
+    let digest = fnv1a(&[&run.to_json().pretty()]);
+    assert_eq!(digest, 0x72fd_7865_f4a3_7115, "digest {digest:#018x}");
 }
 
 #[test]

@@ -11,8 +11,7 @@
 //!   byte-identical to one from the default (pre-elasticity) tuning.
 
 use vfpga::runtime::{
-    run_cloud_sim_tuned, AdmissionTuning, CloudReport, ElasticityPolicy, Policy, RecoveryPolicy,
-    SystemController, DEFAULT_TRACE_CAPACITY,
+    AdmissionTuning, CloudReport, ElasticityPolicy, Policy, DEFAULT_TRACE_CAPACITY,
 };
 use vfpga::sim::{FaultPlan, FaultPlanParams, SimTime, TraceEventKind};
 use vfpga_bench::elastic::{bursty_workload, ElasticConfig};
@@ -38,19 +37,15 @@ fn elastic_run(
     faults: &FaultPlan,
     tuning: AdmissionTuning,
 ) -> CloudReport {
-    let mut controller =
-        SystemController::new(catalog.cluster.clone(), catalog.db.clone(), Policy::Full);
-    run_cloud_sim_tuned(
-        &mut controller,
-        arrivals,
-        &|task| catalog.instance_for(task),
-        &|task, deployment| catalog.service_time(task, deployment, Policy::Full),
-        faults,
-        RecoveryPolicy::default(),
-        DEFAULT_TRACE_CAPACITY,
-        tuning,
-    )
-    .expect("simulation completes")
+    catalog
+        .simulate(
+            &mut catalog.controller(Policy::Full),
+            arrivals,
+            faults,
+            DEFAULT_TRACE_CAPACITY,
+            tuning,
+        )
+        .expect("simulation completes")
 }
 
 /// A fault plan that keeps failing devices across the whole workload

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use vfpga::runtime::{run_cloud_sim_faulted, Policy, RecoveryPolicy, SystemController};
+use vfpga::runtime::{AdmissionTuning, Policy};
 use vfpga::sim::{
     chrome_trace_events, CriticalPath, FaultPlan, FaultPlanParams, Rng, SimTime, SpanId, TraceId,
 };
@@ -33,18 +33,15 @@ fn random_run(catalog: &Catalog, rng: &mut Rng) -> vfpga::runtime::CloudReport {
         catalog.cluster.len(),
         rng.next_u64(),
     );
-    let mut controller =
-        SystemController::new(catalog.cluster.clone(), catalog.db.clone(), Policy::Full);
-    run_cloud_sim_faulted(
-        &mut controller,
-        &arrivals,
-        &|task| catalog.instance_for(task),
-        &|task, deployment| catalog.service_time(task, deployment, Policy::Full),
-        &plan,
-        RecoveryPolicy::default(),
-        4096,
-    )
-    .expect("faulted simulation completes")
+    catalog
+        .simulate(
+            &mut catalog.controller(Policy::Full),
+            &arrivals,
+            &plan,
+            4096,
+            AdmissionTuning::default(),
+        )
+        .expect("faulted simulation completes")
 }
 
 #[test]
