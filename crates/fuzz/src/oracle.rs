@@ -26,8 +26,8 @@ use vfpga_fabric::{Cluster, DeviceId, DeviceType, MemoryKind, ResourceVec};
 use vfpga_hsabs::{HsCompiler, HsError, LowLevelController, VirtualBlockSpec};
 use vfpga_isa::{assemble, BfpFormat, DepEdge, Instruction, IsaConfig, MReg, Program, VReg, F16};
 use vfpga_runtime::{
-    co_simulate_functional, run_cloud_sim_faulted, Policy, RecoveryPolicy, SystemController,
-    DEFAULT_TRACE_CAPACITY,
+    co_simulate_functional, run_cloud_sim_tuned, AdmissionTuning, ElasticityPolicy, Policy,
+    RecoveryPolicy, SystemController, DEFAULT_TRACE_CAPACITY,
 };
 use vfpga_sim::{FaultPlan, FaultPlanParams, Json, LinkFaultKind, LinkFaultParams, Rng, SimTime};
 use vfpga_workload::{
@@ -754,6 +754,7 @@ fn run_cloud_once(
     arrivals: &[TaskArrival],
     faults: &FaultPlan,
     recovery: RecoveryPolicy,
+    elasticity: ElasticityPolicy,
 ) -> Result<vfpga_runtime::CloudReport, String> {
     // Fresh controller per run: faulted runs leave the transient-fault
     // injector installed, so reuse would leak state between runs.
@@ -769,7 +770,7 @@ fn run_cloud_once(
     let service_time = |t: &RnnTask, d: &vfpga_runtime::Deployment| {
         SimTime::from_us(1.0 + t.flops() as f64 / 1e9 / d.num_units() as f64)
     };
-    run_cloud_sim_faulted(
+    let report = run_cloud_sim_tuned(
         &mut controller,
         arrivals,
         &instance_for,
@@ -777,8 +778,23 @@ fn run_cloud_once(
         faults,
         recovery,
         DEFAULT_TRACE_CAPACITY,
+        AdmissionTuning {
+            elasticity,
+            ..AdmissionTuning::default()
+        },
     )
-    .map_err(|e| format!("cloud simulation: {e}"))
+    .map_err(|e| format!("cloud simulation: {e}"))?;
+    // Every task completed, was lost or never deployed: whatever the
+    // admissions, migrations and resizes did, the drained controller
+    // must hold nothing.
+    if controller.live_deployments() != 0 || controller.occupancy() != 0.0 {
+        return Err(format!(
+            "drained controller ({elasticity:?}) holds {} live deployments at occupancy {}",
+            controller.live_deployments(),
+            controller.occupancy()
+        ));
+    }
+    Ok(report)
 }
 
 fn check_controller_accounting(input: &FuzzInput) -> Result<(), String> {
@@ -786,7 +802,9 @@ fn check_controller_accounting(input: &FuzzInput) -> Result<(), String> {
         return Err("expected cloud input".into());
     };
     let (cluster, policy, arrivals, faults, recovery) = cloud_setup(spec)?;
-    let report = run_cloud_once(&cluster, policy, &arrivals, &faults, recovery)?;
+    let run =
+        |elasticity| run_cloud_once(&cluster, policy, &arrivals, &faults, recovery, elasticity);
+    let report = run(ElasticityPolicy::DISABLED)?;
 
     if !report.accounts_for_all_arrivals() {
         return Err(format!(
@@ -826,9 +844,19 @@ fn check_controller_accounting(input: &FuzzInput) -> Result<(), String> {
     Json::parse(&text).map_err(|e| format!("report JSON does not parse: {e}"))?;
 
     // Determinism: an identical fresh run serializes byte-identically.
-    let again = run_cloud_once(&cluster, policy, &arrivals, &faults, recovery)?;
+    let again = run(ElasticityPolicy::DISABLED)?;
     if again.to_json().pretty() != text {
         return Err("two identical runs produced different reports".into());
+    }
+    // Promotion and preemptive scale-down resize running deployments
+    // through the same commit and retire paths; they must conserve
+    // every arrival too.
+    let elastic = run(ElasticityPolicy::FULL)?;
+    if !elastic.accounts_for_all_arrivals() {
+        return Err(format!(
+            "elastic accounting leak: completed {} + never_deployed {} + lost {} != arrivals {}",
+            elastic.completed, elastic.never_deployed, elastic.lost, elastic.arrivals
+        ));
     }
     Ok(())
 }

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use vfpga_fabric::{Cluster, DeviceId};
-use vfpga_sim::{Rng, SpanCtx};
+use vfpga_sim::Rng;
 
 use crate::vblock::VirtualBlockImage;
 use crate::HsError;
@@ -345,50 +345,6 @@ impl LowLevelController {
         Ok(AllocationId(id))
     }
 
-    /// [`configure`](LowLevelController::configure) with span tracing: the
-    /// partial-reconfiguration request is recorded as a zero-duration
-    /// `reconfigure` span (configuration is instantaneous in sim time)
-    /// carrying the device, block count, occupied slots, and outcome. The
-    /// span is pinned to the device's export lane — process `fpga{device}`,
-    /// thread `vblock{first slot}` — so Perfetto shows per-device
-    /// reconfiguration activity.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`configure`](LowLevelController::configure).
-    pub fn configure_spanned(
-        &mut self,
-        device: DeviceId,
-        image: &VirtualBlockImage,
-        ctx: Option<SpanCtx<'_>>,
-    ) -> Result<AllocationId, HsError> {
-        let result = self.configure(device, image);
-        if let Some(ctx) = ctx {
-            let span = ctx
-                .spans
-                .begin("reconfigure", ctx.trace, ctx.parent, ctx.at);
-            ctx.spans.attr(span, "device", device.0);
-            ctx.spans.attr(span, "blocks", image.blocks());
-            match &result {
-                Ok(id) => {
-                    let slots = self.slots_of(*id).expect("just configured");
-                    let first = slots.first().copied().unwrap_or(0);
-                    ctx.spans.attr(span, "slot", first);
-                    ctx.spans.attr(span, "outcome", "configured");
-                    ctx.spans.set_lane(span, device.0 as u64 + 1, first as u64);
-                }
-                Err(e) => {
-                    ctx.spans.attr(span, "outcome", "failed");
-                    ctx.spans.attr(span, "error", e.label());
-                    ctx.spans
-                        .set_lane(span, device.0 as u64 + 1, vfpga_sim::CONTROL_TID);
-                }
-            }
-            ctx.spans.end(span, ctx.at);
-        }
-        result
-    }
-
     /// The concrete slot indexes a live allocation occupies (ascending);
     /// `None` for unknown or released ids.
     pub fn slots_of(&self, id: AllocationId) -> Option<&[usize]> {
@@ -677,52 +633,6 @@ mod tests {
         ctl.recover_device(DeviceId(0));
         let f = ctl.configure(DeviceId(0), &img).unwrap();
         assert_eq!(ctl.slots_of(f), Some(&[0][..]));
-    }
-
-    #[test]
-    fn configure_spanned_records_outcome_and_lane() {
-        use vfpga_sim::{SimTime, SpanTracer, TraceId};
-        let cluster = Cluster::paper_cluster();
-        let mut ctl = LowLevelController::new(&cluster);
-        let img = image_for(&DeviceType::xcvu37p(), 100);
-        let mut spans = SpanTracer::new();
-        let at = SimTime::from_us(3.0);
-        let id = ctl
-            .configure_spanned(
-                DeviceId(0),
-                &img,
-                Some(SpanCtx {
-                    spans: &mut spans,
-                    trace: TraceId(5),
-                    parent: None,
-                    at,
-                }),
-            )
-            .unwrap();
-        let span = spans.span(vfpga_sim::SpanId(0));
-        assert_eq!(span.name, "reconfigure");
-        assert_eq!(span.trace, TraceId(5));
-        assert_eq!((span.begin, span.end), (at, Some(at)), "zero duration");
-        assert!(span.attr_is("outcome", "configured"));
-        let first = ctl.slots_of(id).unwrap()[0] as u64;
-        assert_eq!(span.lane, Some((1, first)), "fpga0 process, vblock thread");
-        // A failing configure records the error label on the control lane.
-        let err_ctx = SpanCtx {
-            spans: &mut spans,
-            trace: TraceId(6),
-            parent: None,
-            at,
-        };
-        assert!(ctl
-            .configure_spanned(DeviceId(3), &img, Some(err_ctx))
-            .is_err());
-        let span = spans.span(vfpga_sim::SpanId(1));
-        assert!(span.attr_is("outcome", "failed"));
-        assert!(span.attr_is("error", "device_type_mismatch"));
-        assert_eq!(span.lane, Some((4, vfpga_sim::CONTROL_TID)));
-        // `None` context traces nothing.
-        assert!(ctl.configure_spanned(DeviceId(0), &img, None).is_ok());
-        assert_eq!(spans.len(), 2);
     }
 
     #[test]

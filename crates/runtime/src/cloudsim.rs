@@ -7,7 +7,7 @@ use std::collections::{HashMap, VecDeque};
 use vfpga_fabric::DeviceId;
 use vfpga_sim::{
     CounterId, CriticalPath, EventQueue, FaultPlan, GaugeId, Json, LinkFaultKind, MetricsRegistry,
-    RetransmitPolicy, Rng, SimTime, SpanCtx, SpanId, SpanTracer, Summary, TimeSeries, TimerId,
+    RetransmitPolicy, Rng, SimTime, SpanId, SpanTracer, Summary, TimeSeries, TimerId,
     TraceEventKind, TraceId, TraceRing, CONTROL_TID,
 };
 use vfpga_workload::{RnnTask, TaskArrival};
@@ -1157,9 +1157,9 @@ impl<'a> CloudSim<'a> {
                 device: device as u64,
             },
         );
-        let interrupted =
-            self.controller
-                .handle_device_failure_spanned(DeviceId(device), &mut self.spans, now);
+        let interrupted = self
+            .controller
+            .handle_device_failure(DeviceId(device), self.spans.ctx(TraceId::NONE, None, now));
         for id in interrupted {
             let task_index = *self
                 .task_of
@@ -1473,6 +1473,25 @@ impl<'a> CloudSim<'a> {
         }
     }
 
+    /// One deployment attempt for a task, from the admission queue or the
+    /// migration path: the task's instance is asked of the controller
+    /// under its current phase span, and a rejection is booked.
+    fn place(
+        &mut self,
+        now: SimTime,
+        task_index: usize,
+    ) -> Result<Result<Deployment, RejectReason>, RuntimeError> {
+        let name = (self.instance_for)(&self.arrivals[task_index].task);
+        let ctx = self
+            .spans
+            .ctx(TraceId(task_index as u64), self.phase_span[task_index], now);
+        let outcome = self.controller.try_deploy(&name, ctx)?;
+        if let Err(reason) = outcome {
+            self.record_rejection(task_index, reason);
+        }
+        Ok(outcome)
+    }
+
     /// One migration attempt for an interrupted task. Attempt 0 is the
     /// immediate one; subsequent attempts arrive via `MigrationRetry`.
     fn attempt_migration(
@@ -1481,21 +1500,11 @@ impl<'a> CloudSim<'a> {
         task_index: usize,
         attempt: u32,
     ) -> Result<(), RuntimeError> {
-        let task = self.arrivals[task_index].task;
-        let name = (self.instance_for)(&task);
-        let outcome = self.controller.try_deploy_spanned(
-            &name,
-            &mut self.spans,
-            TraceId(task_index as u64),
-            self.phase_span[task_index],
-            now,
-        )?;
-        match outcome {
+        match self.place(now, task_index)? {
             Ok(deployment) => {
                 self.complete_recovery(now, task_index, deployment);
             }
-            Err(reason) => {
-                self.record_rejection(task_index, reason);
+            Err(_) => {
                 if attempt < self.recovery.max_retries {
                     let delay = self.recovery.backoff(attempt);
                     // The wait until the retry renders as a `backoff` span
@@ -1717,15 +1726,9 @@ impl<'a> CloudSim<'a> {
             now,
         );
         self.spans.attr(span, "kind", "preempt");
-        let outcome = self.controller.demote_deployment(
-            &d,
-            Some(SpanCtx {
-                spans: &mut self.spans,
-                trace: TraceId(victim as u64),
-                parent: Some(span),
-                at: now,
-            }),
-        )?;
+        let outcome = self
+            .controller
+            .demote_deployment(&d, self.spans.ctx(TraceId(victim as u64), Some(span), now))?;
         match outcome {
             ScaleDown::Demoted(nd) => {
                 let to_units = nd.num_units() as u32;
@@ -1792,12 +1795,7 @@ impl<'a> CloudSim<'a> {
             let promoted = self.controller.promote_deployment(
                 &d,
                 &mut accept,
-                Some(SpanCtx {
-                    spans: &mut self.spans,
-                    trace: TraceId(i as u64),
-                    parent: Some(span),
-                    at: now,
-                }),
+                self.spans.ctx(TraceId(i as u64), Some(span), now),
             )?;
             match promoted {
                 Some(nd) => {
@@ -1889,22 +1887,12 @@ impl<'a> CloudSim<'a> {
             let mut admitted: Vec<(usize, Deployment)> = Vec::new();
             for (pos, admitted_slot) in admitted_in_window.iter_mut().enumerate() {
                 let idx = self.queue[pos];
-                let task = self.arrivals[idx].task;
-                let name = (self.instance_for)(&task);
-                let outcome = self.controller.try_deploy_spanned(
-                    &name,
-                    &mut self.spans,
-                    TraceId(idx as u64),
-                    self.phase_span[idx],
-                    now,
-                )?;
-                match outcome {
+                match self.place(now, idx)? {
                     Ok(deployment) => {
                         *admitted_slot = true;
                         admitted.push((idx, deployment));
                     }
                     Err(reason) => {
-                        self.record_rejection(idx, reason);
                         saw_transient |= reason == RejectReason::TransientFault;
                         // Trace only a task's first rejection: under
                         // saturation every task is re-tried per wave and

@@ -2,12 +2,12 @@
 
 use std::collections::HashMap;
 
-use vfpga_core::MappingDatabase;
+use vfpga_core::{DeploymentOption, MappingDatabase};
 use vfpga_fabric::{Cluster, DeviceId};
 use vfpga_hsabs::{
     AllocationId, DeviceHealth, HsError, LowLevelController, TransientFaultInjector,
 };
-use vfpga_sim::{SimTime, SpanCtx, SpanId, SpanTracer, TraceId, CONTROL_TID};
+use vfpga_sim::{SpanCtx, CONTROL_TID};
 
 use crate::RuntimeError;
 
@@ -361,34 +361,18 @@ impl SystemController {
     /// order so the caller can migrate them. After this call no live
     /// deployment references the failed device.
     ///
-    /// Idempotent: failing an already-failed device interrupts nothing.
-    pub fn handle_device_failure(&mut self, device: DeviceId) -> Vec<DeploymentId> {
-        self.handle_device_failure_inner(device)
-    }
-
-    /// [`handle_device_failure`] with span tracing: the whole eviction is
-    /// recorded as a zero-duration `device_failure` control-plane span
-    /// ([`TraceId::NONE`], the failed device's `control` lane) carrying the
-    /// device id and the number of interrupted deployments — so Perfetto
-    /// shows failure-handling markers on each FPGA row.
+    /// With `Some(ctx)` the eviction is recorded as a zero-duration
+    /// `device_failure` span (trace and parent from `ctx`, on the failed
+    /// device's `control` lane) carrying the device id and the number of
+    /// interrupted deployments — so Perfetto shows failure-handling
+    /// markers on each FPGA row.
     ///
-    /// [`handle_device_failure`]: SystemController::handle_device_failure
-    pub fn handle_device_failure_spanned(
+    /// Idempotent: failing an already-failed device interrupts nothing.
+    pub fn handle_device_failure(
         &mut self,
         device: DeviceId,
-        spans: &mut SpanTracer,
-        at: SimTime,
+        ctx: Option<SpanCtx<'_>>,
     ) -> Vec<DeploymentId> {
-        let span = spans.begin("device_failure", TraceId::NONE, None, at);
-        spans.set_lane(span, device.0 as u64 + 1, CONTROL_TID);
-        spans.attr(span, "device", device.0);
-        let interrupted = self.handle_device_failure_inner(device);
-        spans.attr(span, "interrupted", interrupted.len());
-        spans.end(span, at);
-        interrupted
-    }
-
-    fn handle_device_failure_inner(&mut self, device: DeviceId) -> Vec<DeploymentId> {
         let was_healthy = self.llc.device_health(device) == DeviceHealth::Healthy;
         let evicted = self.llc.evict_device(device);
         if was_healthy {
@@ -416,6 +400,13 @@ impl SystemController {
             }
         }
         self.stats.interrupted += interrupted.len() as u64;
+        if let Some(c) = ctx {
+            let span = c.spans.begin("device_failure", c.trace, c.parent, c.at);
+            c.spans.set_lane(span, device.0 as u64 + 1, CONTROL_TID);
+            c.spans.attr(span, "device", device.0);
+            c.spans.attr(span, "interrupted", interrupted.len());
+            c.spans.end(span, c.at);
+        }
         interrupted
     }
 
@@ -425,47 +416,21 @@ impl SystemController {
         self.llc.recover_device(device);
     }
 
-    /// Attempts to deploy an instance. Returns `Ok(None)` when the cluster
-    /// currently lacks capacity (the caller queues the task).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::UnknownInstance`] for unregistered
-    /// instances.
-    pub fn try_deploy(&mut self, instance: &str) -> Result<Option<Deployment>, RuntimeError> {
-        self.try_deploy_explained(instance).map(|r| r.ok())
-    }
-
-    /// Attempts to deploy an instance, reporting *why* when turned down:
-    /// `Ok(Err(reason))` distinguishes policy exclusion, busy provisioned
-    /// devices, and capacity exhaustion — the rejection-reason breakdown
-    /// the cloud simulator's observability layer aggregates.
+    /// Attempts to deploy an instance. `Ok(Err(reason))` means the
+    /// attempt was turned down — policy exclusion, busy provisioned
+    /// devices, capacity exhaustion or a transient configure fault — and
+    /// the caller queues the task; the reasons feed the cloud simulator's
+    /// rejection breakdown.
     ///
     /// The greedy policy scans the instance's mapping results sorted by
     /// ascending number of soft blocks, taking the first feasible
     /// allocation — minimizing the number of allocated FPGAs and therefore
     /// the inter-FPGA communication overhead (Section 2.3).
     ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::UnknownInstance`] for unregistered
-    /// instances.
-    pub fn try_deploy_explained(
-        &mut self,
-        instance: &str,
-    ) -> Result<Result<Deployment, RejectReason>, RuntimeError> {
-        let outcome = self.deploy_inner(instance, None)?;
-        match &outcome {
-            Ok(_) => self.stats.deploys += 1,
-            Err(reason) => self.stats.rejects[reason.index()] += 1,
-        }
-        Ok(outcome)
-    }
-
-    /// [`try_deploy_explained`] with span tracing: the decision is recorded
-    /// as a zero-duration `deploy` span under `parent` (the task's root
-    /// span in the cloud simulator) carrying the instance name plus the
-    /// outcome — `deployed` with the unit count, or `rejected` with the
+    /// With `Some(ctx)` the decision is recorded as a zero-duration
+    /// `deploy` span under `ctx.parent` (the task's phase span in the
+    /// cloud simulator) carrying the instance name plus the outcome —
+    /// `deployed` with the unit count, or `rejected` with the
     /// [`RejectReason`] label. Each partial-reconfiguration request the
     /// commit issues nests as a `reconfigure` child on the target device's
     /// lane, so one glance at Perfetto shows *which* FPGAs an admission
@@ -473,44 +438,44 @@ impl SystemController {
     ///
     /// # Errors
     ///
-    /// Exactly as [`try_deploy_explained`].
-    ///
-    /// [`try_deploy_explained`]: SystemController::try_deploy_explained
-    pub fn try_deploy_spanned(
+    /// Returns [`RuntimeError::UnknownInstance`] for unregistered
+    /// instances.
+    pub fn try_deploy(
         &mut self,
         instance: &str,
-        spans: &mut SpanTracer,
-        trace: TraceId,
-        parent: Option<SpanId>,
-        at: SimTime,
+        mut ctx: Option<SpanCtx<'_>>,
     ) -> Result<Result<Deployment, RejectReason>, RuntimeError> {
-        let span = spans.begin("deploy", trace, parent, at);
-        spans.attr(span, "instance", instance.to_string());
+        let span = ctx.as_mut().map(|c| {
+            let span = c.spans.begin("deploy", c.trace, c.parent, c.at);
+            c.spans.attr(span, "instance", instance.to_string());
+            span
+        });
         let outcome = self.deploy_inner(
             instance,
-            Some(SpanCtx {
-                spans,
-                trace,
-                parent: Some(span),
-                at,
+            ctx.as_mut().map(|c| SpanCtx {
+                parent: span,
+                ..c.reborrow()
             }),
         );
         match &outcome {
-            Ok(Ok(d)) => {
-                self.stats.deploys += 1;
-                spans.attr(span, "outcome", "deployed");
-                spans.attr(span, "units", d.num_units());
-            }
-            Ok(Err(reason)) => {
-                self.stats.rejects[reason.index()] += 1;
-                spans.attr(span, "outcome", "rejected");
-                spans.attr(span, "reason", reason.as_str());
-            }
-            Err(_) => {
-                spans.attr(span, "outcome", "error");
-            }
+            Ok(Ok(_)) => self.stats.deploys += 1,
+            Ok(Err(reason)) => self.stats.rejects[reason.index()] += 1,
+            Err(_) => {}
         }
-        spans.end(span, at);
+        if let Some((c, span)) = ctx.zip(span) {
+            match &outcome {
+                Ok(Ok(d)) => {
+                    c.spans.attr(span, "outcome", "deployed");
+                    c.spans.attr(span, "units", d.num_units());
+                }
+                Ok(Err(reason)) => {
+                    c.spans.attr(span, "outcome", "rejected");
+                    c.spans.attr(span, "reason", reason.as_str());
+                }
+                Err(_) => c.spans.attr(span, "outcome", "error"),
+            }
+            c.spans.end(span, c.at);
+        }
         outcome
     }
 
@@ -554,7 +519,7 @@ impl SystemController {
     fn probe_inner(
         &mut self,
         instance: &str,
-        mut ctx: Option<SpanCtx<'_>>,
+        ctx: Option<SpanCtx<'_>>,
     ) -> Result<Result<Deployment, RejectReason>, RuntimeError> {
         let entry = self
             .db
@@ -583,65 +548,10 @@ impl SystemController {
             let Some(devices) = self.find_placement(option, &max_free) else {
                 continue;
             };
-            // Commit the placement.
-            let mut allocations: Vec<(DeviceId, AllocationId)> = Vec::new();
-            let mut placements = Vec::new();
-            for (unit, &device) in option.units.iter().zip(&devices) {
-                let type_name = self.cluster.device(device).device_type().name();
-                let image = &unit.images[type_name];
-                let alloc = match self.llc.configure_spanned(
-                    device,
-                    image,
-                    ctx.as_mut().map(|c| c.reborrow()),
-                ) {
-                    Ok(a) => a,
-                    Err(e) => {
-                        // Roll back anything configured so far.
-                        for (_, a) in allocations {
-                            let _ = self.llc.release(a);
-                        }
-                        // A transient (injected) reconfiguration failure is
-                        // a soft outcome: the placement was feasible, the
-                        // commit rolled back cleanly, and the caller may
-                        // simply retry. Everything else is a hard error.
-                        return match e {
-                            HsError::TransientConfigureFailure(_) => {
-                                Ok(Err(RejectReason::TransientFault))
-                            }
-                            e => Err(RuntimeError::Hs(e)),
-                        };
-                    }
-                };
-                allocations.push((device, alloc));
-                placements.push(Placement {
-                    device,
-                    allocation: alloc,
-                    compute_share: unit.compute_share,
-                });
-            }
-            if self.policy == Policy::Baseline {
-                for &d in &devices {
-                    self.device_taken[d.0] = true;
-                }
-            }
-            let mut max_ring_hops = 0;
-            for a in &placements {
-                for b in &placements {
-                    max_ring_hops = max_ring_hops.max(self.cluster.ring_hops(a.device, b.device));
-                }
-            }
-            let id = DeploymentId(self.next_id);
-            self.next_id += 1;
-            self.live.insert(id.0, allocations);
-            return Ok(Ok(Deployment {
-                id,
-                instance: instance.to_string(),
-                installed_instance: None,
-                placements,
-                crossings_per_op: option.crossings_per_op,
-                cut_bandwidth: option.cut_bandwidth,
-                max_ring_hops,
-            }));
+            let Some(allocations) = self.configure_units(option, &devices, ctx)? else {
+                return Ok(Err(RejectReason::TransientFault));
+            };
+            return Ok(Ok(self.install(instance, option, allocations)));
         }
         Ok(Err(if any_policy_eligible {
             RejectReason::InsufficientCapacity
@@ -678,32 +588,145 @@ impl SystemController {
             .iter()
             .find(|o| o.num_units() == 1)
             .expect("validated at provisioning");
-        let dt = self.cluster.device(device).device_type().name();
-        let image = &option.units[0].images[dt];
-        let alloc = match self.llc.configure_spanned(device, image, ctx) {
-            Ok(a) => a,
-            Err(HsError::TransientConfigureFailure(_)) => {
-                return Ok(Err(RejectReason::TransientFault))
-            }
-            Err(e) => return Err(RuntimeError::Hs(e)),
+        let Some(allocations) = self.configure_units(option, &[device], ctx)? else {
+            return Ok(Err(RejectReason::TransientFault));
         };
-        self.device_taken[device.0] = true;
+        // The preinstalled accelerator runs whole on its one device.
+        let mut deployment = self.install(instance, option, allocations);
+        deployment.installed_instance = Some(installed);
+        deployment.placements[0].compute_share = 1.0;
+        deployment.crossings_per_op = 0;
+        deployment.cut_bandwidth = 0;
+        Ok(Ok(deployment))
+    }
+
+    /// Commits a placement: configures each unit's image of `option` on
+    /// the matching device of `devices`. Every partial-reconfiguration
+    /// request is recorded as a zero-duration `reconfigure` span under
+    /// `ctx` (configuration is instantaneous in sim time) carrying the
+    /// device, block count, first occupied slot and outcome, pinned to
+    /// the device's export lane — process `fpga{device}`, thread
+    /// `vblock{first slot}`, or its `control` thread when the request
+    /// failed.
+    ///
+    /// On the first failure everything configured so far is released. A
+    /// transient (injected) fault is a soft outcome — the placement was
+    /// feasible and the caller may retry — and returns `Ok(None)`;
+    /// anything else is a hard error.
+    fn configure_units(
+        &mut self,
+        option: &DeploymentOption,
+        devices: &[DeviceId],
+        mut ctx: Option<SpanCtx<'_>>,
+    ) -> Result<Option<Vec<(DeviceId, AllocationId)>>, RuntimeError> {
+        let mut allocations = Vec::new();
+        for (unit, &device) in option.units.iter().zip(devices) {
+            let image = &unit.images[self.cluster.device(device).device_type().name()];
+            let result = self.llc.configure(device, image);
+            if let Some(c) = ctx.as_mut() {
+                let span = c.spans.begin("reconfigure", c.trace, c.parent, c.at);
+                c.spans.attr(span, "device", device.0);
+                c.spans.attr(span, "blocks", image.blocks());
+                match &result {
+                    Ok(id) => {
+                        let first = self
+                            .llc
+                            .slots_of(*id)
+                            .and_then(|s| s.first())
+                            .map_or(0, |&s| s);
+                        c.spans.attr(span, "slot", first);
+                        c.spans.attr(span, "outcome", "configured");
+                        c.spans.set_lane(span, device.0 as u64 + 1, first as u64);
+                    }
+                    Err(e) => {
+                        c.spans.attr(span, "outcome", "failed");
+                        c.spans.attr(span, "error", e.label());
+                        c.spans.set_lane(span, device.0 as u64 + 1, CONTROL_TID);
+                    }
+                }
+                c.spans.end(span, c.at);
+            }
+            match result {
+                Ok(a) => allocations.push((device, a)),
+                Err(e) => {
+                    for (_, a) in allocations {
+                        let _ = self.llc.release(a);
+                    }
+                    return match e {
+                        HsError::TransientConfigureFailure(_) => Ok(None),
+                        e => Err(RuntimeError::Hs(e)),
+                    };
+                }
+            }
+        }
+        Ok(Some(allocations))
+    }
+
+    /// Books committed allocations as a live deployment of `option`:
+    /// assigns the next id, records the allocations in `live`, marks the
+    /// baseline's whole devices taken, and measures the ring diameter the
+    /// units span.
+    fn install(
+        &mut self,
+        instance: &str,
+        option: &DeploymentOption,
+        allocations: Vec<(DeviceId, AllocationId)>,
+    ) -> Deployment {
+        let devices = allocations.iter().map(|&(d, _)| d);
+        if self.policy == Policy::Baseline {
+            for d in devices.clone() {
+                self.device_taken[d.0] = true;
+            }
+        }
+        let max_ring_hops = self.ring_diameter(devices);
+        let placements = allocations
+            .iter()
+            .zip(&option.units)
+            .map(|(&(device, allocation), unit)| Placement {
+                device,
+                allocation,
+                compute_share: unit.compute_share,
+            })
+            .collect();
         let id = DeploymentId(self.next_id);
         self.next_id += 1;
-        self.live.insert(id.0, vec![(device, alloc)]);
-        Ok(Ok(Deployment {
+        self.live.insert(id.0, allocations);
+        Deployment {
             id,
             instance: instance.to_string(),
-            installed_instance: Some(installed),
-            placements: vec![Placement {
-                device,
-                allocation: alloc,
-                compute_share: 1.0,
-            }],
-            crossings_per_op: 0,
-            cut_bandwidth: 0,
-            max_ring_hops: 0,
-        }))
+            installed_instance: None,
+            placements,
+            crossings_per_op: option.crossings_per_op,
+            cut_bandwidth: option.cut_bandwidth,
+            max_ring_hops,
+        }
+    }
+
+    /// Tears down a live deployment: drops it from `live` and releases
+    /// each allocation (and, under the baseline policy, its whole
+    /// devices).
+    fn retire(&mut self, id: DeploymentId) -> Result<(), RuntimeError> {
+        let allocations = self
+            .live
+            .remove(&id.0)
+            .ok_or(RuntimeError::Hs(HsError::UnknownAllocation(id.0)))?;
+        for (device, a) in allocations {
+            self.llc.release(a)?;
+            if self.policy == Policy::Baseline {
+                self.device_taken[device.0] = false;
+            }
+        }
+        self.stats.releases += 1;
+        Ok(())
+    }
+
+    /// Largest ring distance between any two of `devices`.
+    fn ring_diameter(&self, devices: impl Iterator<Item = DeviceId> + Clone) -> usize {
+        devices
+            .clone()
+            .flat_map(|a| devices.clone().map(move |b| self.cluster.ring_hops(a, b)))
+            .max()
+            .unwrap_or(0)
     }
 
     /// The most free slots any single placeable device of each type
@@ -731,7 +754,7 @@ impl SystemController {
     /// `false` skips it, and under saturation that is the common case.
     fn option_may_fit(
         &self,
-        option: &vfpga_core::DeploymentOption,
+        option: &DeploymentOption,
         restrict: Option<usize>,
         max_free: &[usize],
     ) -> bool {
@@ -752,7 +775,7 @@ impl SystemController {
     /// feasible device first) with ring proximity as tie-break.
     fn find_placement(
         &self,
-        option: &vfpga_core::DeploymentOption,
+        option: &DeploymentOption,
         max_free: &[usize],
     ) -> Option<Vec<DeviceId>> {
         match self.policy {
@@ -772,7 +795,7 @@ impl SystemController {
 
     fn find_placement_with(
         &self,
-        option: &vfpga_core::DeploymentOption,
+        option: &DeploymentOption,
         restrict: Option<usize>,
     ) -> Option<Vec<DeviceId>> {
         let mut free: Vec<usize> = self
@@ -838,19 +861,7 @@ impl SystemController {
     ///
     /// Returns an HS error for unknown deployments.
     pub fn release(&mut self, deployment: &Deployment) -> Result<(), RuntimeError> {
-        let allocations = self.live.remove(&deployment.id.0).ok_or(RuntimeError::Hs(
-            vfpga_hsabs::HsError::UnknownAllocation(deployment.id.0),
-        ))?;
-        for (_, a) in allocations {
-            self.llc.release(a)?;
-        }
-        if self.policy == Policy::Baseline {
-            for p in &deployment.placements {
-                self.device_taken[p.device.0] = false;
-            }
-        }
-        self.stats.releases += 1;
-        Ok(())
+        self.retire(deployment.id)
     }
 
     /// Unit count of the largest mapping option strictly smaller than
@@ -866,7 +877,7 @@ impl SystemController {
         entry
             .options
             .iter()
-            .map(vfpga_core::DeploymentOption::num_units)
+            .map(DeploymentOption::num_units)
             .filter(|&u| u < deployment.num_units())
             .max()
     }
@@ -889,16 +900,23 @@ impl SystemController {
     /// # Errors
     ///
     /// Returns [`RuntimeError::UnknownInstance`] for unregistered
-    /// instances and propagates hard HS errors (after rolling back any
-    /// units configured for the candidate).
+    /// instances, an HS error when the deployment is not live (before
+    /// configuring anything), and propagates hard HS errors (after
+    /// rolling back any units configured for the candidate).
     pub fn promote_deployment(
         &mut self,
         deployment: &Deployment,
         accept: &mut dyn FnMut(&Deployment) -> bool,
-        mut ctx: Option<SpanCtx<'_>>,
+        ctx: Option<SpanCtx<'_>>,
     ) -> Result<Option<Deployment>, RuntimeError> {
         if self.policy == Policy::Baseline || deployment.installed_instance.is_some() {
             return Ok(None);
+        }
+        // A stale handle must fail before anything is configured for it.
+        if !self.live.contains_key(&deployment.id.0) {
+            return Err(RuntimeError::Hs(HsError::UnknownAllocation(
+                deployment.id.0,
+            )));
         }
         let entry = self
             .db
@@ -917,15 +935,10 @@ impl SystemController {
             let Some(devices) = self.find_placement(option, &max_free) else {
                 continue;
             };
-            let mut hops = 0;
             let mut distinct: Vec<DeviceId> = devices.clone();
             distinct.sort_unstable();
             distinct.dedup();
-            for a in &devices {
-                for b in &devices {
-                    hops = hops.max(self.cluster.ring_hops(*a, *b));
-                }
-            }
+            let hops = self.ring_diameter(devices.iter().copied());
             candidates.push((hops, distinct.len(), option.num_units(), option, devices));
         }
         candidates.sort_by_key(|&(hops, distinct, units, _, _)| (hops, distinct, units));
@@ -954,57 +967,19 @@ impl SystemController {
             if !accept(&phantom) {
                 continue;
             }
-            let mut allocations: Vec<(DeviceId, AllocationId)> = Vec::new();
-            let mut placements = Vec::new();
-            for (unit, &device) in option.units.iter().zip(&devices) {
-                let type_name = self.cluster.device(device).device_type().name();
-                let image = &unit.images[type_name];
-                match self
-                    .llc
-                    .configure_spanned(device, image, ctx.as_mut().map(|c| c.reborrow()))
-                {
-                    Ok(alloc) => {
-                        allocations.push((device, alloc));
-                        placements.push(Placement {
-                            device,
-                            allocation: alloc,
-                            compute_share: unit.compute_share,
-                        });
-                    }
-                    Err(e) => {
-                        // Roll back the half-built candidate; the running
-                        // deployment was never touched.
-                        for (_, a) in allocations {
-                            let _ = self.llc.release(a);
-                        }
-                        return match e {
-                            HsError::TransientConfigureFailure(_) => Ok(None),
-                            e => Err(RuntimeError::Hs(e)),
-                        };
-                    }
-                }
-            }
+            // A rolled-back candidate leaves the running deployment
+            // untouched.
+            let Some(allocations) = self.configure_units(option, &devices, ctx)? else {
+                return Ok(None);
+            };
             // The new footprint is in place: swap the old one out.
-            let old = self.live.remove(&deployment.id.0).ok_or(RuntimeError::Hs(
-                vfpga_hsabs::HsError::UnknownAllocation(deployment.id.0),
-            ))?;
-            for (_, a) in old {
-                self.llc.release(a)?;
-            }
-            self.stats.releases += 1;
+            self.retire(deployment.id)?;
             self.stats.deploys += 1;
-            let id = DeploymentId(self.next_id);
-            self.next_id += 1;
-            self.live.insert(id.0, allocations);
-            return Ok(Some(Deployment {
-                id,
-                instance: deployment.instance.clone(),
-                installed_instance: None,
-                placements,
-                crossings_per_op: option.crossings_per_op,
-                cut_bandwidth: option.cut_bandwidth,
-                max_ring_hops: hops,
-            }));
+            return Ok(Some(self.install(
+                &deployment.instance,
+                option,
+                allocations,
+            )));
         }
         Ok(None)
     }
@@ -1045,13 +1020,7 @@ impl SystemController {
             return Ok(ScaleDown::AlreadyMinimal);
         }
         smaller.sort_by_key(|o| std::cmp::Reverse(o.num_units()));
-        let old = self.live.remove(&deployment.id.0).ok_or(RuntimeError::Hs(
-            vfpga_hsabs::HsError::UnknownAllocation(deployment.id.0),
-        ))?;
-        for (_, a) in old {
-            self.llc.release(a)?;
-        }
-        self.stats.releases += 1;
+        self.retire(deployment.id)?;
         for option in smaller {
             // Free state changed at the release (and stays changed after
             // a rolled-back transient), so re-summarize per candidate.
@@ -1059,61 +1028,16 @@ impl SystemController {
             let Some(devices) = self.find_placement(option, &max_free) else {
                 continue;
             };
-            let mut allocations: Vec<(DeviceId, AllocationId)> = Vec::new();
-            let mut placements = Vec::new();
-            let mut transient = false;
-            for (unit, &device) in option.units.iter().zip(&devices) {
-                let type_name = self.cluster.device(device).device_type().name();
-                let image = &unit.images[type_name];
-                match self
-                    .llc
-                    .configure_spanned(device, image, ctx.as_mut().map(|c| c.reborrow()))
-                {
-                    Ok(alloc) => {
-                        allocations.push((device, alloc));
-                        placements.push(Placement {
-                            device,
-                            allocation: alloc,
-                            compute_share: unit.compute_share,
-                        });
-                    }
-                    Err(HsError::TransientConfigureFailure(_)) => {
-                        for (_, a) in allocations.drain(..) {
-                            let _ = self.llc.release(a);
-                        }
-                        transient = true;
-                        break;
-                    }
-                    Err(e) => {
-                        for (_, a) in allocations {
-                            let _ = self.llc.release(a);
-                        }
-                        return Err(RuntimeError::Hs(e));
-                    }
-                }
-            }
-            if transient {
+            let ctx = ctx.as_mut().map(|c| c.reborrow());
+            let Some(allocations) = self.configure_units(option, &devices, ctx)? else {
                 continue;
-            }
-            let mut max_ring_hops = 0;
-            for a in &placements {
-                for b in &placements {
-                    max_ring_hops = max_ring_hops.max(self.cluster.ring_hops(a.device, b.device));
-                }
-            }
+            };
             self.stats.deploys += 1;
-            let id = DeploymentId(self.next_id);
-            self.next_id += 1;
-            self.live.insert(id.0, allocations);
-            return Ok(ScaleDown::Demoted(Deployment {
-                id,
-                instance: deployment.instance.clone(),
-                installed_instance: None,
-                placements,
-                crossings_per_op: option.crossings_per_op,
-                cut_bandwidth: option.cut_bandwidth,
-                max_ring_hops,
-            }));
+            return Ok(ScaleDown::Demoted(self.install(
+                &deployment.instance,
+                option,
+                allocations,
+            )));
         }
         Ok(ScaleDown::Displaced)
     }
@@ -1140,13 +1064,14 @@ impl SystemController {
 mod tests {
     use super::*;
     use crate::testutil::small_db;
+    use vfpga_sim::{SimTime, SpanTracer, SpanValue, TraceId};
 
     #[test]
     fn deploy_release_roundtrip() {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Full);
         assert_eq!(c.live_deployments(), 0);
-        let d = c.try_deploy("tiny").unwrap().unwrap();
+        let d = c.try_deploy("tiny", None).unwrap().unwrap();
         assert_eq!(d.num_units(), 1);
         assert!(c.occupancy() > 0.0);
         assert_eq!(c.live_deployments(), 1);
@@ -1161,7 +1086,7 @@ mod tests {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Full);
         assert!(matches!(
-            c.try_deploy("ghost"),
+            c.try_deploy("ghost", None),
             Err(RuntimeError::UnknownInstance(_))
         ));
     }
@@ -1172,7 +1097,7 @@ mod tests {
         let mut c = SystemController::new(cluster, db, Policy::Full);
         // With a completely free cluster, even the big instance takes the
         // single-FPGA option.
-        let d = c.try_deploy("big").unwrap().unwrap();
+        let d = c.try_deploy("big", None).unwrap().unwrap();
         assert_eq!(d.num_units(), 1);
     }
 
@@ -1182,7 +1107,7 @@ mod tests {
         let n = cluster.len();
         let mut c = SystemController::new(cluster, db, Policy::Baseline);
         let mut held = Vec::new();
-        while let Some(d) = c.try_deploy("tiny").unwrap() {
+        while let Ok(d) = c.try_deploy("tiny", None).unwrap() {
             held.push(d);
             assert!(held.len() <= n, "baseline cannot exceed one per device");
         }
@@ -1190,8 +1115,8 @@ mod tests {
         // Releasing one admits exactly one more.
         let d = held.pop().unwrap();
         c.release(&d).unwrap();
-        assert!(c.try_deploy("tiny").unwrap().is_some());
-        assert!(c.try_deploy("tiny").unwrap().is_none());
+        assert!(c.try_deploy("tiny", None).unwrap().is_ok());
+        assert!(c.try_deploy("tiny", None).unwrap().is_err());
     }
 
     #[test]
@@ -1200,7 +1125,7 @@ mod tests {
         let n = cluster.len();
         let mut c = SystemController::new(cluster, db, Policy::Full);
         let mut held = Vec::new();
-        while let Some(d) = c.try_deploy("tiny").unwrap() {
+        while let Ok(d) = c.try_deploy("tiny", None).unwrap() {
             held.push(d);
             assert!(held.len() < 100);
         }
@@ -1213,7 +1138,7 @@ mod tests {
         let mut c = SystemController::new(cluster, db, Policy::Full);
         let mut held = Vec::new();
         loop {
-            match c.try_deploy_explained("big").unwrap() {
+            match c.try_deploy("big", None).unwrap() {
                 Ok(d) => held.push(d),
                 Err(reason) => {
                     // The full policy never excludes an option and has no
@@ -1232,7 +1157,7 @@ mod tests {
         }
         assert_eq!(c.stats().releases, held.len() as u64);
         // Capacity is back.
-        assert!(c.try_deploy_explained("big").unwrap().is_ok());
+        assert!(c.try_deploy("big", None).unwrap().is_ok());
     }
 
     #[test]
@@ -1242,9 +1167,9 @@ mod tests {
         let prov = vec!["tiny".to_string(); n];
         let mut c = SystemController::new(cluster, db, Policy::Baseline).with_provisioning(prov);
         for _ in 0..n {
-            assert!(c.try_deploy_explained("tiny").unwrap().is_ok());
+            assert!(c.try_deploy("tiny", None).unwrap().is_ok());
         }
-        let rejected = c.try_deploy_explained("tiny").unwrap().unwrap_err();
+        let rejected = c.try_deploy("tiny", None).unwrap().unwrap_err();
         assert_eq!(rejected, RejectReason::NoFreeDevice);
         assert_eq!(c.stats().rejects_for(RejectReason::NoFreeDevice), 1);
     }
@@ -1271,12 +1196,12 @@ mod tests {
         });
         // Baseline filters out every option — even on an idle cluster.
         let mut base = SystemController::new(cluster.clone(), db2.clone(), Policy::Baseline);
-        let rejected = base.try_deploy_explained("huge").unwrap().unwrap_err();
+        let rejected = base.try_deploy("huge", None).unwrap().unwrap_err();
         assert_eq!(rejected, RejectReason::PolicyExcluded);
         assert_eq!(base.stats().rejects_for(RejectReason::PolicyExcluded), 1);
         // The full policy deploys the same entry fine.
         let mut full = SystemController::new(cluster, db2, Policy::Full);
-        let d = full.try_deploy_explained("huge").unwrap().unwrap();
+        let d = full.try_deploy("huge", None).unwrap().unwrap();
         assert!(d.num_units() > 1);
     }
 
@@ -1284,8 +1209,8 @@ mod tests {
     fn double_release_keeps_accounting_intact() {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Full);
-        let d1 = c.try_deploy("tiny").unwrap().unwrap();
-        let d2 = c.try_deploy("tiny").unwrap().unwrap();
+        let d1 = c.try_deploy("tiny", None).unwrap().unwrap();
+        let d2 = c.try_deploy("tiny", None).unwrap().unwrap();
         let occupancy_one = {
             c.release(&d1).unwrap();
             c.occupancy()
@@ -1299,7 +1224,7 @@ mod tests {
         c.release(&d2).unwrap();
         assert_eq!(c.occupancy(), 0.0);
         // The controller still deploys fine afterwards.
-        assert!(c.try_deploy("tiny").unwrap().is_some());
+        assert!(c.try_deploy("tiny", None).unwrap().is_ok());
     }
 
     #[test]
@@ -1309,7 +1234,7 @@ mod tests {
         // Deploy until something lands on device 0.
         let mut held = Vec::new();
         loop {
-            let d = c.try_deploy("tiny").unwrap().expect("capacity");
+            let d = c.try_deploy("tiny", None).unwrap().expect("capacity");
             let on_zero = d.placements.iter().any(|p| p.device == DeviceId(0));
             held.push(d);
             if on_zero {
@@ -1318,7 +1243,7 @@ mod tests {
             assert!(held.len() < 100);
         }
         let live_before = c.live_deployments();
-        let interrupted = c.handle_device_failure(DeviceId(0));
+        let interrupted = c.handle_device_failure(DeviceId(0), None);
         assert!(!interrupted.is_empty());
         assert!(interrupted.windows(2).all(|w| w[0].0 < w[1].0));
         assert_eq!(c.live_deployments(), live_before - interrupted.len());
@@ -1333,9 +1258,12 @@ mod tests {
             .expect("interrupted deployment in held set");
         assert!(c.release(gone).is_err());
         // Idempotent: a second failure of the same device is a no-op.
-        assert!(c.handle_device_failure(DeviceId(0)).is_empty());
+        assert!(c.handle_device_failure(DeviceId(0), None).is_empty());
         // New placements avoid the failed device.
-        let d = c.try_deploy("tiny").unwrap().expect("survivors have room");
+        let d = c
+            .try_deploy("tiny", None)
+            .unwrap()
+            .expect("survivors have room");
         assert!(d.placements.iter().all(|p| p.device != DeviceId(0)));
         c.handle_device_recovery(DeviceId(0));
         assert_eq!(c.failed_devices(), 0);
@@ -1347,10 +1275,10 @@ mod tests {
         let n = cluster.len();
         let mut c = SystemController::new(cluster, db, Policy::Full);
         for i in 0..n {
-            c.handle_device_failure(DeviceId(i));
+            c.handle_device_failure(DeviceId(i), None);
         }
         assert_eq!(c.occupancy(), 0.0);
-        let rejected = c.try_deploy_explained("tiny").unwrap().unwrap_err();
+        let rejected = c.try_deploy("tiny", None).unwrap().unwrap_err();
         assert_eq!(rejected, RejectReason::InsufficientCapacity);
     }
 
@@ -1359,14 +1287,14 @@ mod tests {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Full);
         c.enable_transient_faults(1.0, 7);
-        let rejected = c.try_deploy_explained("tiny").unwrap().unwrap_err();
+        let rejected = c.try_deploy("tiny", None).unwrap().unwrap_err();
         assert_eq!(rejected, RejectReason::TransientFault);
         assert_eq!(c.stats().rejects_for(RejectReason::TransientFault), 1);
         // Nothing leaked: the rolled-back attempt left the cluster empty.
         assert_eq!(c.occupancy(), 0.0);
         assert_eq!(c.live_deployments(), 0);
         c.enable_transient_faults(0.0, 0);
-        assert!(c.try_deploy("tiny").unwrap().is_some());
+        assert!(c.try_deploy("tiny", None).unwrap().is_ok());
     }
 
     #[test]
@@ -1377,7 +1305,7 @@ mod tests {
         let at = SimTime::from_us(10.0);
         let root = spans.begin("task", TraceId(0), None, SimTime::ZERO);
         let d = c
-            .try_deploy_spanned("tiny", &mut spans, TraceId(0), Some(root), at)
+            .try_deploy("tiny", spans.ctx(TraceId(0), Some(root), at))
             .unwrap()
             .unwrap();
         // One deploy span with nested reconfigure children, all closed.
@@ -1410,7 +1338,7 @@ mod tests {
         // A rejection records the reason label.
         let mut held = vec![d];
         while let Ok(d) = c
-            .try_deploy_spanned("big", &mut spans, TraceId(1), None, at)
+            .try_deploy("big", spans.ctx(TraceId(1), None, at))
             .unwrap()
         {
             held.push(d);
@@ -1425,13 +1353,91 @@ mod tests {
     }
 
     #[test]
+    fn reconfigure_spans_record_outcome_and_lane() {
+        let (cluster, db) = small_db();
+        let mut c = SystemController::new(cluster, db, Policy::Full);
+        let mut spans = SpanTracer::new();
+        let at = SimTime::from_us(3.0);
+        let d = c
+            .try_deploy("tiny", spans.ctx(TraceId(5), None, at))
+            .unwrap()
+            .unwrap();
+        let unit = &d.placements[0];
+        let first = c.allocation_slots(unit.allocation).unwrap()[0];
+        let span = spans.span(vfpga_sim::SpanId(1));
+        assert_eq!(span.name, "reconfigure");
+        assert_eq!(span.trace, TraceId(5));
+        assert_eq!(span.parent, Some(vfpga_sim::SpanId(0)), "under the deploy");
+        assert_eq!((span.begin, span.end), (at, Some(at)), "zero duration");
+        assert!(
+            matches!(span.attr("device"), Some(SpanValue::U64(n)) if *n == unit.device.0 as u64)
+        );
+        assert!(matches!(span.attr("blocks"), Some(SpanValue::U64(n)) if *n > 0));
+        assert!(matches!(span.attr("slot"), Some(SpanValue::U64(n)) if *n == first as u64));
+        assert!(span.attr_is("outcome", "configured"));
+        assert_eq!(
+            span.lane,
+            Some((unit.device.0 as u64 + 1, first as u64)),
+            "fpga process, vblock thread"
+        );
+        // A failing configure records the error label on the control lane.
+        c.enable_transient_faults(1.0, 7);
+        let before = spans.len();
+        assert!(c
+            .try_deploy("tiny", spans.ctx(TraceId(6), None, at))
+            .unwrap()
+            .is_err());
+        let span = spans
+            .spans()
+            .iter()
+            .skip(before)
+            .find(|s| s.name == "reconfigure")
+            .expect("rolled-back reconfigure span");
+        assert!(span.attr_is("outcome", "failed"));
+        assert!(span.attr_is("error", "transient_configure_failure"));
+        let device = match span.attr("device") {
+            Some(SpanValue::U64(n)) => *n,
+            other => panic!("device attribute {other:?}"),
+        };
+        assert_eq!(span.lane, Some((device + 1, CONTROL_TID)));
+        // `None` traces nothing.
+        let before = spans.len();
+        let _ = c.try_deploy("tiny", None).unwrap();
+        assert_eq!(spans.len(), before);
+    }
+
+    #[test]
+    fn resizing_a_released_deployment_configures_nothing() {
+        let (cluster, db) = small_db();
+        let mut c = SystemController::new(cluster, db, Policy::Full);
+        // Promoting a released handle fails before configuring anything.
+        let d = c.try_deploy("big", None).unwrap().unwrap();
+        c.release(&d).unwrap();
+        assert!(c.promote_deployment(&d, &mut |_| true, None).is_err());
+        assert_eq!(c.occupancy(), 0.0);
+        assert_eq!(c.live_deployments(), 0);
+        // So does demoting one (a grown, multi-unit deployment here, so a
+        // smaller variant exists).
+        let d = c.try_deploy("big", None).unwrap().unwrap();
+        let grown = c
+            .promote_deployment(&d, &mut |_| true, None)
+            .unwrap()
+            .expect("an idle cluster fits a larger variant");
+        assert!(grown.num_units() > d.num_units());
+        c.release(&grown).unwrap();
+        assert!(c.demote_deployment(&grown, None).is_err());
+        assert_eq!(c.occupancy(), 0.0);
+        assert_eq!(c.live_deployments(), 0);
+    }
+
+    #[test]
     fn spanned_device_failure_records_interrupted_count() {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Full);
         let mut spans = SpanTracer::new();
         let mut held = Vec::new();
         loop {
-            let d = c.try_deploy("tiny").unwrap().expect("capacity");
+            let d = c.try_deploy("tiny", None).unwrap().expect("capacity");
             let on_zero = d.placements.iter().any(|p| p.device == DeviceId(0));
             held.push(d);
             if on_zero {
@@ -1440,19 +1446,16 @@ mod tests {
             assert!(held.len() < 100);
         }
         let at = SimTime::from_us(25.0);
-        let interrupted = c.handle_device_failure_spanned(DeviceId(0), &mut spans, at);
+        let interrupted = c.handle_device_failure(DeviceId(0), spans.ctx(TraceId::NONE, None, at));
         assert!(!interrupted.is_empty());
         let span = spans.span(vfpga_sim::SpanId(0));
         assert_eq!(span.name, "device_failure");
         assert_eq!(span.trace, TraceId::NONE);
         assert_eq!(span.lane, Some((1, CONTROL_TID)));
-        assert!(matches!(
-            span.attr("device"),
-            Some(vfpga_sim::SpanValue::U64(0))
-        ));
+        assert!(matches!(span.attr("device"), Some(SpanValue::U64(0))));
         assert!(matches!(
             span.attr("interrupted"),
-            Some(vfpga_sim::SpanValue::U64(n)) if *n == interrupted.len() as u64
+            Some(SpanValue::U64(n)) if *n == interrupted.len() as u64
         ));
         assert_eq!(spans.open_count(), 0);
     }
@@ -1462,7 +1465,7 @@ mod tests {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Full);
         let mut held = Vec::new();
-        while let Some(d) = c.try_deploy("big").unwrap() {
+        while let Ok(d) = c.try_deploy("big", None).unwrap() {
             held.push(d);
             assert!(held.len() < 100);
         }
@@ -1471,7 +1474,7 @@ mod tests {
         // Saturated: further attempts replay the cached rejection without
         // probing, and the reason is stable.
         for _ in 0..5 {
-            let rejected = c.try_deploy_explained("big").unwrap().unwrap_err();
+            let rejected = c.try_deploy("big", None).unwrap().unwrap_err();
             assert_eq!(rejected, RejectReason::InsufficientCapacity);
         }
         assert_eq!(c.stats().probes, probes_after_fill);
@@ -1485,7 +1488,7 @@ mod tests {
         // A release bumps the epoch: the next attempt probes again and
         // succeeds.
         c.release(&held.pop().unwrap()).unwrap();
-        assert!(c.try_deploy("big").unwrap().is_some());
+        assert!(c.try_deploy("big", None).unwrap().is_ok());
         assert!(c.stats().probes > probes_after_fill);
     }
 
@@ -1498,7 +1501,7 @@ mod tests {
             let mut outcomes = Vec::new();
             let mut held = Vec::new();
             for _ in 0..40 {
-                match c.try_deploy_explained("big").unwrap() {
+                match c.try_deploy("big", None).unwrap() {
                     Ok(d) => {
                         outcomes.push(Ok(d
                             .placements
@@ -1536,7 +1539,7 @@ mod tests {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Full);
         let e0 = c.capacity_epoch();
-        let d = c.try_deploy("tiny").unwrap().unwrap();
+        let d = c.try_deploy("tiny", None).unwrap().unwrap();
         assert_eq!(
             c.capacity_epoch(),
             e0,
@@ -1545,11 +1548,11 @@ mod tests {
         c.release(&d).unwrap();
         let e1 = c.capacity_epoch();
         assert!(e1 > e0, "release opens an epoch");
-        c.handle_device_failure(DeviceId(0));
+        c.handle_device_failure(DeviceId(0), None);
         let e2 = c.capacity_epoch();
         assert!(e2 > e1, "eviction opens an epoch");
         // Idempotent re-failure does not.
-        c.handle_device_failure(DeviceId(0));
+        c.handle_device_failure(DeviceId(0), None);
         assert_eq!(c.capacity_epoch(), e2);
         c.handle_device_recovery(DeviceId(0));
         let e3 = c.capacity_epoch();
@@ -1570,7 +1573,7 @@ mod tests {
         // appears or capacity runs out.
         let mut saw_multi = false;
         let mut held = Vec::new();
-        while let Some(d) = c.try_deploy("big").unwrap() {
+        while let Ok(d) = c.try_deploy("big", None).unwrap() {
             saw_multi |= d.num_units() > 1;
             held.push(d);
             if held.len() > 16 {

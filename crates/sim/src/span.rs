@@ -221,6 +221,26 @@ impl SpanTracer {
         self.enabled
     }
 
+    /// A context for an instrumented layer call, or `None` when this
+    /// tracer is disabled — so an untraced run skips the callee's span
+    /// work, including the attribute values it would build.
+    pub fn ctx(
+        &mut self,
+        trace: TraceId,
+        parent: Option<SpanId>,
+        at: SimTime,
+    ) -> Option<SpanCtx<'_>> {
+        if !self.enabled {
+            return None;
+        }
+        Some(SpanCtx {
+            spans: self,
+            trace,
+            parent,
+            at,
+        })
+    }
+
     /// Opens a span at `at`. `parent` must be an id this tracer issued.
     ///
     /// # Panics

@@ -90,17 +90,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(mid.pattern(), Some(Pattern::Data));
     assert_eq!(mid.children().len(), 4);
 
-    // Partition: the pipeline cut lands on the narrowest link. Inside a
-    // lane that is the 32-bit packer output, not the 256-bit stencil buses.
+    // Partition: each pipeline cut lands on the narrowest remaining link.
+    // The first splits the collector off over its 128-bit link, the
+    // second splits the splitter off the lanes over the 1024-bit bus. The
+    // collector leaf cannot split again, so two bisection rounds give 3
+    // units, not 4.
     let plan = partition(&d.tree, 2);
+    let max = plan.max_units();
     println!(
-        "partitioning: 2 units cut {} bits, 4 units cut {} bits",
+        "partitioning: 2 units cut {} bits, {max} units cut {} bits in total",
         plan.cut_bandwidth_for(2)?,
-        plan.cut_bandwidth_for(4)?
+        plan.cut_bandwidth_for(max)?
     );
-    let units = plan.units_for(3)?;
+    let units = plan.units_for(max)?;
     println!(
-        "a 3-FPGA deployment gets units with {:?} kLUTs",
+        "a {max}-FPGA deployment gets units with {:?} kLUTs",
         units
             .iter()
             .map(|u| u.resources.luts / 1000)

@@ -63,7 +63,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         true,
     )?;
     let mut controller = SystemController::new(cluster, db, Policy::Full);
-    let d = controller.try_deploy("extract")?.expect("cluster has room");
+    let d = controller
+        .try_deploy("extract", None)?
+        .expect("cluster has room");
     println!(
         "deployed onto {:?}",
         d.placements

@@ -93,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 5. Deploy through the system controller (greedy policy).
     let mut controller = SystemController::new(cluster, db, Policy::Full);
     let deployment = controller
-        .try_deploy("quickstart")?
+        .try_deploy("quickstart", None)?
         .expect("empty cluster has capacity");
     println!(
         "\ndeployed onto {} FPGA(s): {:?}",

@@ -115,9 +115,12 @@ fn cache_ab_trace_exports_are_byte_identical() {
 fn fill_with(controller: &mut SystemController, instance: &str) -> Vec<vfpga::runtime::Deployment> {
     let mut live = Vec::new();
     loop {
-        match controller.try_deploy(instance).expect("known instance") {
-            Some(d) => live.push(d),
-            None => return live,
+        match controller
+            .try_deploy(instance, None)
+            .expect("known instance")
+        {
+            Ok(d) => live.push(d),
+            Err(_) => return live,
         }
     }
 }
@@ -134,7 +137,7 @@ fn capacity_epoch_invalidates_on_every_capacity_changing_operation() {
     let probes_before = c.stats().probes;
     let epoch = c.capacity_epoch();
     for _ in 0..3 {
-        let outcome = c.try_deploy_explained("bw-l").unwrap();
+        let outcome = c.try_deploy("bw-l", None).unwrap();
         assert_eq!(outcome.unwrap_err(), RejectReason::InsufficientCapacity);
     }
     assert_eq!(
@@ -155,7 +158,7 @@ fn capacity_epoch_invalidates_on_every_capacity_changing_operation() {
     assert_ne!(c.capacity_epoch(), epoch, "release must invalidate");
     let probes_before = c.stats().probes;
     let redeployed = c
-        .try_deploy("bw-l")
+        .try_deploy("bw-l", None)
         .unwrap()
         .expect("released capacity admits again");
     assert!(
@@ -170,7 +173,7 @@ fn capacity_epoch_invalidates_on_every_capacity_changing_operation() {
     // capacity a scale-down redeploy then claims) — the epoch must move
     // even though the failed device itself left the pool.
     let victim_device = redeployed.placements[0].device;
-    let interrupted = c.handle_device_failure(victim_device);
+    let interrupted = c.handle_device_failure(victim_device, None);
     assert!(!interrupted.is_empty(), "the failed device held units");
     assert_ne!(c.capacity_epoch(), epoch, "evict must invalidate");
     let epoch = c.capacity_epoch();
@@ -178,8 +181,8 @@ fn capacity_epoch_invalidates_on_every_capacity_changing_operation() {
     // Scale-down redeploy: with the original device gone, the interrupted
     // instance redeploys onto the freed sibling capacity. The deploy
     // itself (a configure) must not move the epoch.
-    let scale_down = c.try_deploy("bw-l").unwrap();
-    if let Some(d) = &scale_down {
+    let scale_down = c.try_deploy("bw-l", None).unwrap();
+    if let Ok(d) = &scale_down {
         assert_eq!(c.capacity_epoch(), epoch, "configure must not invalidate");
         c.release(d).unwrap();
         assert_ne!(c.capacity_epoch(), epoch, "release must invalidate");
@@ -201,9 +204,9 @@ fn capacity_epoch_invalidates_on_every_capacity_changing_operation() {
         "no-op recovery must not invalidate"
     );
     let other = DeviceId(victim_device.0);
-    c.handle_device_failure(other);
+    c.handle_device_failure(other, None);
     let failed_epoch = c.capacity_epoch();
-    c.handle_device_failure(other);
+    c.handle_device_failure(other, None);
     assert_eq!(
         c.capacity_epoch(),
         failed_epoch,

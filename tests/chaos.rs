@@ -184,9 +184,9 @@ fn no_live_deployment_references_a_failed_device() {
     let mut live = Vec::new();
     'fill: loop {
         for name in &names {
-            match controller.try_deploy(name).expect("known instance") {
-                Some(d) => live.push(d),
-                None => break 'fill,
+            match controller.try_deploy(name, None).expect("known instance") {
+                Ok(d) => live.push(d),
+                Err(_) => break 'fill,
             }
         }
     }
@@ -195,7 +195,7 @@ fn no_live_deployment_references_a_failed_device() {
     let devices = controller.cluster().len();
     for victim in 0..devices {
         let victim = DeviceId(victim);
-        let interrupted = controller.handle_device_failure(victim);
+        let interrupted = controller.handle_device_failure(victim, None);
         assert_eq!(controller.device_health(victim), DeviceHealth::Failed);
         assert_eq!(
             controller.allocations_on(victim),
@@ -225,7 +225,7 @@ fn no_live_deployment_references_a_failed_device() {
             !touches && !interrupted.contains(&d.id)
         });
         // Failed devices never re-enter placement until recovery.
-        if let Ok(Some(d)) = controller.try_deploy(&names[0]) {
+        if let Ok(Ok(d)) = controller.try_deploy(&names[0], None) {
             assert!(
                 d.placements.iter().all(|p| p.device != victim),
                 "placement landed on failed {victim:?}"
@@ -247,7 +247,7 @@ fn no_live_deployment_references_a_failed_device() {
     assert_eq!(controller.failed_devices(), 0);
     assert_eq!(controller.occupancy(), 0.0);
     let redeployed = controller
-        .try_deploy(&names[0])
+        .try_deploy(&names[0], None)
         .expect("known instance")
         .expect("recovered cluster accepts work");
     controller.release(&redeployed).unwrap();

@@ -41,7 +41,7 @@ fn spatial_sharing_multiple_tenants_per_fpga() {
     // Small instances pack several to a device: deploy until the cluster
     // refuses, then count.
     let mut deployments = Vec::new();
-    while let Some(d) = controller.try_deploy("bw-s").unwrap() {
+    while let Ok(d) = controller.try_deploy("bw-s", None).unwrap() {
         deployments.push(d);
         if deployments.len() > 64 {
             panic!("runaway deployment loop");
@@ -65,7 +65,7 @@ fn spatial_sharing_multiple_tenants_per_fpga() {
         controller.release(&d).unwrap();
     }
     assert_eq!(controller.occupancy(), 0.0);
-    assert!(controller.try_deploy("bw-s").unwrap().is_some());
+    assert!(controller.try_deploy("bw-s", None).unwrap().is_ok());
 }
 
 #[test]
@@ -78,7 +78,7 @@ fn baseline_policy_is_whole_device() {
     );
     // Exactly one tenant per device, so at most 4 deployments.
     let mut count = 0;
-    while controller.try_deploy("bw-s").unwrap().is_some() {
+    while controller.try_deploy("bw-s", None).unwrap().is_ok() {
         count += 1;
         assert!(count <= catalog.cluster.len());
     }
@@ -115,7 +115,7 @@ fn full_policy_spans_heterogeneous_devices_under_pressure() {
         SystemController::new(catalog.cluster.clone(), catalog.db.clone(), Policy::Full);
     // Saturate the three VU37P devices with large tenants.
     let mut held = Vec::new();
-    while let Some(d) = controller.try_deploy("bw-l").unwrap() {
+    while let Ok(d) = controller.try_deploy("bw-l", None).unwrap() {
         let single_vu = d.num_units() == 1
             && catalog
                 .cluster
@@ -150,7 +150,7 @@ fn restricted_policy_cannot_span_types() {
         Policy::Restricted,
     );
     let mut held = Vec::new();
-    while let Some(d) = controller.try_deploy("bw-l").unwrap() {
+    while let Ok(d) = controller.try_deploy("bw-l", None).unwrap() {
         // Every deployment must stay within one device type.
         let types: std::collections::HashSet<&str> = d
             .placements
@@ -174,7 +174,7 @@ fn service_times_are_sane_across_policies() {
         let mut controller =
             SystemController::new(catalog.cluster.clone(), catalog.db.clone(), policy);
         let d = controller
-            .try_deploy(&catalog.instance_for(&task))
+            .try_deploy(&catalog.instance_for(&task), None)
             .unwrap()
             .unwrap();
         let t = catalog.service_time(&task, &d, policy);
