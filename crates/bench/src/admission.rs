@@ -1,30 +1,32 @@
-//! Admission-path benchmark: the saturated scheduler with and without the
-//! fast path (`repro bench`, writes `BENCH_admission.json`).
+//! Admission-path benchmark: the shipped scheduler against the naive
+//! reference scheduler (`repro bench`, writes `BENCH_admission.json`).
 //!
 //! The scenario floods the paper cluster with a 10k-task workload set
 //! arriving far above service capacity, so the admission queue saturates
 //! and the scheduler's cost is dominated by re-probing queued tasks. Each
-//! scenario runs twice over identical inputs:
+//! scenario runs over identical inputs through:
 //!
-//! * **current** — the shipped configuration: `Arc`-shared catalog
-//!   entries, the capacity-epoch feasibility cache, and wave gating.
-//! * **baseline** — cache off, gating off: the pre-optimization admission
-//!   loop that re-ran a full placement probe for every queued task after
-//!   every event (O(events × window)). The counter values recorded in
-//!   this block are what the `probe_ratio` is measured against.
+//! * **current** — the shipped engine: `Arc`-shared catalog entries, the
+//!   capacity-epoch feasibility cache, wave gating and free-slot pruning.
+//! * **baseline** — `vfpga_fuzz::ReferenceScheduler`, the deliberately
+//!   naive scheduler the `scheduler-lockstep` oracle pins the engine to:
+//!   it re-runs a full placement probe for every queued task after every
+//!   event (O(events × window)). The `probe_ratio` is measured against
+//!   its attempt count.
 //!
 //! The headline numbers are `deploy_attempts` (full placement probes, the
 //! expensive operation), `deploy_attempts_per_admission`, and wall-clock.
-//! Outcomes must agree between the two runs — the fast path changes how
-//! much work admission does, never what it admits — and the bench fails
-//! loudly if they diverge (the byte-level version of that guarantee lives
-//! in the A/B determinism suite, `tests/ab_admission.rs`).
+//! Outcomes must agree between the two — the fast path changes how much
+//! work admission does, never what it admits — and the bench fails loudly
+//! if they diverge (the decision-by-decision version of that guarantee is
+//! the `scheduler-lockstep` oracle and `tests/admission_reference.rs`).
 
 use std::time::Instant;
 
-use vfpga_runtime::{AdmissionTuning, CloudReport, ElasticityPolicy, Policy};
+use vfpga_fuzz::{ReferenceReport, ReferenceScheduler};
+use vfpga_runtime::{AdmissionTuning, CloudReport, Policy, RecoveryPolicy};
 use vfpga_sim::{FaultPlan, FaultPlanParams, Json, SimTime};
-use vfpga_workload::{generate_workload, Composition};
+use vfpga_workload::{generate_workload, Composition, TaskArrival};
 
 use crate::catalog::Catalog;
 
@@ -58,7 +60,7 @@ pub struct RunCost {
     /// Full placement probes (database lookup + option scan + device
     /// scan) — the expensive admission operation.
     pub probes: u64,
-    /// Attempts answered by the feasibility cache (0 with the cache off).
+    /// Attempts answered by the feasibility cache (0 for the reference).
     pub cache_hits: u64,
     /// Successful controller deploys (admissions + redeployments).
     pub admissions: u64,
@@ -103,7 +105,7 @@ pub struct ScenarioResult {
     pub name: &'static str,
     /// The shipped fast path.
     pub current: RunCost,
-    /// Cache and gating disabled (pre-optimization behavior).
+    /// The naive reference scheduler.
     pub baseline: RunCost,
     /// Whether both runs admitted/completed identically (they must).
     pub outcomes_match: bool,
@@ -183,24 +185,17 @@ impl AdmissionBench {
     }
 }
 
-/// One timed run. `fast` selects the shipped configuration; `false` turns
-/// the feasibility cache *and* wave gating off, reproducing the
-/// pre-optimization admission loop.
+/// One timed run of the shipped scheduler.
 fn timed_run(
     catalog: &Catalog,
-    arrivals: &[vfpga_workload::TaskArrival],
+    arrivals: &[TaskArrival],
     faults: &FaultPlan,
-    fast: bool,
 ) -> (RunCost, CloudReport) {
     let mut controller = catalog.controller(Policy::Full);
-    controller.set_feasibility_cache(fast);
+    // Spans off: at bench scale the forest would dominate wall-clock and
+    // memory, and the comparison must time the scheduler, not the tracer.
     let tuning = AdmissionTuning {
-        wave_gating: fast,
-        // Spans are off in both modes: at bench scale the forest would
-        // dominate wall-clock and memory, and the comparison must time
-        // the scheduler, not the tracer.
         trace_spans: false,
-        elasticity: ElasticityPolicy::DISABLED,
         ..AdmissionTuning::default()
     };
     let start = Instant::now();
@@ -223,21 +218,39 @@ fn timed_run(
     (cost, report)
 }
 
-/// Outcome agreement between the two modes: identical admissions at
-/// identical sim-times (summarized by the fields that pin them).
-fn outcomes_match(a: &CloudReport, b: &CloudReport) -> bool {
-    a.completed == b.completed
-        && a.never_deployed == b.never_deployed
-        && a.lost == b.lost
-        && a.elapsed == b.elapsed
-        && a.latency_p99 == b.latency_p99
-        && a.rejected_tasks == b.rejected_tasks
-        && a.migrated == b.migrated
-        && a.redeployments == b.redeployments
+/// One timed run of the reference scheduler over the same inputs.
+fn reference_run(
+    catalog: &Catalog,
+    arrivals: &[TaskArrival],
+    faults: &FaultPlan,
+) -> (RunCost, ReferenceReport) {
+    let start = Instant::now();
+    let report = ReferenceScheduler::run(
+        &catalog.cluster,
+        &catalog.db,
+        Policy::Full,
+        arrivals,
+        &|task| catalog.instance_for(task),
+        &|task, deployment| catalog.service_time(task, deployment, Policy::Full),
+        faults,
+        RecoveryPolicy::default(),
+    )
+    .expect("reference simulation completes");
+    let cost = RunCost {
+        wall_ms: start.elapsed().as_secs_f64() * 1e3,
+        probes: report.attempts,
+        cache_hits: 0,
+        admissions: report.deploys,
+        completed: report.completed,
+        never_deployed: report.never_deployed,
+        lost: report.lost,
+        elapsed: report.elapsed,
+    };
+    (cost, report)
 }
 
-/// Runs one scenario (fast path first, then the baseline) over identical
-/// inputs.
+/// Runs one scenario (fast path first, then the reference) over
+/// identical inputs.
 fn run_scenario(
     catalog: &Catalog,
     config: &BenchConfig,
@@ -250,13 +263,13 @@ fn run_scenario(
         config.mean_interarrival,
         config.seed,
     );
-    let (current, current_report) = timed_run(catalog, &arrivals, faults, true);
-    let (baseline, baseline_report) = timed_run(catalog, &arrivals, faults, false);
+    let (current, current_report) = timed_run(catalog, &arrivals, faults);
+    let (baseline, reference) = reference_run(catalog, &arrivals, faults);
     ScenarioResult {
         name,
         current,
         baseline,
-        outcomes_match: outcomes_match(&current_report, &baseline_report),
+        outcomes_match: reference.check_report(&current_report).is_ok(),
     }
 }
 

@@ -571,9 +571,7 @@ fn print_trace(o: &Opts) -> Option<Json> {
 
 fn print_bench(o: &Opts) -> Option<Json> {
     let seed = o.seed;
-    println!(
-        "== Bench: saturated admission, fast path vs pre-optimization baseline (seed {seed}) =="
-    );
+    println!("== Bench: saturated admission, fast path vs reference scheduler (seed {seed}) ==");
     let catalog = Catalog::build();
     let config = admission::BenchConfig {
         seed,
@@ -602,7 +600,7 @@ fn print_bench(o: &Opts) -> Option<Json> {
         );
     }
     if !bench.outcomes_match() {
-        fail("bench FAILED: fast path changed admission outcomes");
+        fail("bench FAILED: fast path disagrees with the reference scheduler");
     }
     if bench.min_probe_ratio() < 3.0 {
         fail(&format!(

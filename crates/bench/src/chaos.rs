@@ -21,7 +21,7 @@
 
 use vfpga_runtime::{AdmissionTuning, CloudReport, Policy, DEFAULT_TRACE_CAPACITY};
 use vfpga_sim::{FaultPlan, FaultPlanParams, Json, LinkFaultParams, SimTime, TraceEventKind};
-use vfpga_workload::{generate_workload, Composition};
+use vfpga_workload::{generate_workload, Composition, TaskArrival};
 
 use crate::catalog::Catalog;
 
@@ -91,12 +91,6 @@ pub struct ChaosConfig {
     /// Probability that an otherwise-valid partial reconfiguration fails
     /// transiently.
     pub configure_failure_prob: f64,
-    /// Whether the controller's capacity-epoch feasibility cache is on
-    /// (the default). The cache replays capacity rejections, so a run is
-    /// byte-identical either way — the A/B determinism suite pins that —
-    /// and this knob exists exactly so that suite (and the admission
-    /// bench) can measure the uncached path.
-    pub feasibility_cache: bool,
     /// Ring-segment fault waves; `None` runs device faults only.
     pub links: Option<LinkChaos>,
 }
@@ -109,7 +103,6 @@ impl Default for ChaosConfig {
             mttf: SimTime::from_ms(1.5),
             mttr: SimTime::from_ms(0.4),
             configure_failure_prob: 0.05,
-            feasibility_cache: true,
             links: None,
         }
     }
@@ -126,6 +119,17 @@ impl ChaosConfig {
             links: Some(LinkChaos::default()),
             ..ChaosConfig::default()
         }
+    }
+
+    /// The run's workload: `tasks` tasks of set 5 arriving every 50 us on
+    /// average.
+    pub fn arrivals(&self) -> Vec<TaskArrival> {
+        generate_workload(
+            Composition::TABLE1[4],
+            self.tasks,
+            SimTime::from_us(50.0),
+            self.seed,
+        )
     }
 }
 
@@ -241,12 +245,7 @@ impl ChaosReport {
 /// the full policy on the paper cluster, with the configured fault plan
 /// injected.
 pub fn run(catalog: &Catalog, config: &ChaosConfig) -> ChaosReport {
-    let arrivals = generate_workload(
-        Composition::TABLE1[4],
-        config.tasks,
-        SimTime::from_us(50.0),
-        config.seed,
-    );
+    let arrivals = config.arrivals();
     // Faults keep arriving for 1.5x the expected workload span so the
     // queue-drain tail is exposed to them too.
     let horizon = SimTime::from_us(50.0 * config.tasks as f64 * 1.5);
@@ -266,7 +265,6 @@ pub fn run(catalog: &Catalog, config: &ChaosConfig) -> ChaosReport {
         trace_capacity = COMPLETE_TRACE_CAPACITY;
     }
     let mut controller = catalog.controller(Policy::Full);
-    controller.set_feasibility_cache(config.feasibility_cache);
     let report = catalog
         .simulate(
             &mut controller,

@@ -258,7 +258,6 @@ fn timed_run(
     elasticity: ElasticityPolicy,
 ) -> ElasticRun {
     let tuning = AdmissionTuning {
-        wave_gating: true,
         // Spans off at bench scale (see the admission bench); the span
         // plumbing of the reprovisioner is covered by the unit suite.
         trace_spans: false,

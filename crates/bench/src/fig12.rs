@@ -86,7 +86,9 @@ pub fn run_set(
     );
     let mut controller = catalog.controller(policy);
     if policy == Policy::Baseline {
-        controller = controller.with_provisioning(catalog.baseline_provisioning());
+        controller = controller
+            .with_provisioning(catalog.baseline_provisioning())
+            .expect("the baseline provisioning fits the paper cluster");
     }
     catalog
         .simulate(

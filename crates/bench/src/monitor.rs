@@ -231,7 +231,6 @@ impl MonitorBenchReport {
 /// monitor, not the span forest, is under test), monitor per `monitor`.
 fn tuning(monitor: MonitorConfig) -> AdmissionTuning {
     AdmissionTuning {
-        wave_gating: true,
         trace_spans: false,
         elasticity: ElasticityPolicy::FULL,
         monitor,

@@ -184,6 +184,58 @@ pub fn cloud(rng: &mut Rng) -> CloudSpec {
     }
 }
 
+/// A saturating cloud scenario for the scheduler lockstep: 2–5 devices
+/// and up to 200 tasks arriving in tight bursts, so the admission queue
+/// runs past the scan window and the feasibility cache and wave gate have
+/// work to skip. Most cases fail and recover devices mid-burst, half of
+/// those with flaky reconfiguration too. No link faults: the reference
+/// scheduler does not model the ring.
+pub fn saturating_cloud(rng: &mut Rng) -> CloudSpec {
+    let num_devices = 2 + rng.below(4);
+    let devices = (0..num_devices)
+        .map(|_| if rng.below(3) == 0 { "ku115" } else { "vu37p" }.to_string())
+        .collect();
+    let policy = ["full", "restricted", "baseline"][rng.below(3)].to_string();
+    let num_tasks = 8 + rng.below(193);
+    let mut at_ns = 0u64;
+    let mut tasks = Vec::with_capacity(num_tasks);
+    while tasks.len() < num_tasks {
+        // A burst of back-to-back arrivals, then a quiet gap.
+        let burst = (1 + rng.below(120)).min(num_tasks - tasks.len());
+        for _ in 0..burst {
+            at_ns += rng.below(200) as u64;
+            tasks.push(CloudTask {
+                at_ns,
+                kind: if rng.below(2) == 0 { "gru" } else { "lstm" }.to_string(),
+                hidden: [128, 512, 1024, 1536, 2048, 2560][rng.below(6)],
+                timesteps: 1 + rng.below(30),
+            });
+        }
+        at_ns += rng.below(20_000) as u64;
+    }
+    let fault = (rng.below(4) > 0).then(|| CloudFault {
+        // Within f64's exact-integer range, so a reproducer's JSON replays
+        // the very same plan.
+        seed: rng.next_u64() >> 11,
+        mttf_ns: 5_000 + rng.below(100_000) as u64,
+        mttr_ns: 1_000 + rng.below(20_000) as u64,
+        configure_pm: if rng.below(2) == 0 {
+            0
+        } else {
+            1 + rng.below(300) as u64
+        },
+        horizon_ns: at_ns + at_ns / 2,
+        link_faults: false,
+    });
+    CloudSpec {
+        devices,
+        policy,
+        tasks,
+        fault,
+        drop_on_exhaustion: rng.below(4) == 0,
+    }
+}
+
 /// A random low-level-controller operation sequence, including oversize
 /// requests (legal rejections), releases of long-gone allocations, and
 /// evict/recover churn.

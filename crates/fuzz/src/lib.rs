@@ -21,7 +21,9 @@
 //! * **Oracles** ([`registry`]) — cross-layer checks: scaled-out
 //!   co-simulation vs the full accelerator vs the `f32` reference,
 //!   reordering bit-identity, the CSR dependency graph and overlap
-//!   scheduler against their naive golden models (`reference.rs`),
+//!   scheduler against their naive golden models (`reference.rs`), the
+//!   cloud scheduler's admission fast paths against a naive
+//!   [`ReferenceScheduler`] decision by decision (`scheduler.rs`),
 //!   partition conservation/monotonicity/coverage,
 //!   controller accounting under faults, slot-bitmap vs occupancy agreement
 //!   in the HS abstraction, fault-plan renewal invariants, and byte-exact
@@ -43,6 +45,7 @@ mod gen;
 mod input;
 mod oracle;
 mod reference;
+mod scheduler;
 mod shrink;
 
 pub use driver::{
@@ -54,4 +57,7 @@ pub use input::{
     TreeSpec,
 };
 pub use oracle::{oracle_names, registry, Oracle};
+pub use scheduler::{
+    PlacementRecord, ReferenceCluster, ReferenceReport, ReferenceScheduler, TaskOutcome,
+};
 pub use shrink::shrink;

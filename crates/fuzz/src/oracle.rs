@@ -10,6 +10,7 @@
 //! human-readable description of the violated invariant; the driver owns
 //! shrinking and reporting.
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::OnceLock;
 
@@ -26,8 +27,8 @@ use vfpga_fabric::{Cluster, DeviceId, DeviceType, MemoryKind, ResourceVec};
 use vfpga_hsabs::{HsCompiler, HsError, LowLevelController, VirtualBlockSpec};
 use vfpga_isa::{assemble, BfpFormat, DepEdge, Instruction, IsaConfig, MReg, Program, VReg, F16};
 use vfpga_runtime::{
-    co_simulate_functional, run_cloud_sim_tuned, AdmissionTuning, ElasticityPolicy, Policy,
-    RecoveryPolicy, SystemController, DEFAULT_TRACE_CAPACITY,
+    co_simulate_functional, run_cloud_sim_tuned, AdmissionTuning, CloudReport, ControllerStats,
+    Deployment, ElasticityPolicy, Policy, RecoveryPolicy, SystemController, DEFAULT_TRACE_CAPACITY,
 };
 use vfpga_sim::{FaultPlan, FaultPlanParams, Json, LinkFaultKind, LinkFaultParams, Rng, SimTime};
 use vfpga_workload::{
@@ -38,6 +39,7 @@ use vfpga_workload::{
 use crate::gen;
 use crate::input::{FuzzInput, SlotOp, TreeSpec};
 use crate::reference::{reference_reorder, ReferenceGraph};
+use crate::scheduler::ReferenceScheduler;
 
 /// One registered oracle: a structure-aware generator plus the invariant
 /// check it feeds.
@@ -99,6 +101,11 @@ pub fn registry() -> Vec<Oracle> {
             name: "scaleout-differential",
             generate: |rng| FuzzInput::Rnn(gen::rnn(rng)),
             check: check_scaleout_differential,
+        },
+        Oracle {
+            name: "scheduler-lockstep",
+            generate: |rng| FuzzInput::Cloud(gen::saturating_cloud(rng)),
+            check: check_scheduler_lockstep,
         },
     ]
 }
@@ -748,33 +755,39 @@ fn cloud_setup(
     Ok((cluster, policy, arrivals, faults, recovery))
 }
 
+/// The instance class serving a fuzz task.
+fn fuzz_instance_for(t: &RnnTask) -> String {
+    match t.size_class() {
+        vfpga_workload::SizeClass::Small => "fz-s",
+        vfpga_workload::SizeClass::Medium => "fz-m",
+        vfpga_workload::SizeClass::Large => "fz-l",
+    }
+    .to_string()
+}
+
+/// A fuzz task's service time: a microsecond of setup plus its work
+/// split evenly over the deployment's units.
+fn fuzz_service_time(t: &RnnTask, d: &Deployment) -> SimTime {
+    SimTime::from_us(1.0 + t.flops() as f64 / 1e9 / d.num_units() as f64)
+}
+
 fn run_cloud_once(
     cluster: &Cluster,
     policy: Policy,
     arrivals: &[TaskArrival],
+    instance_for: &dyn Fn(&RnnTask) -> String,
     faults: &FaultPlan,
     recovery: RecoveryPolicy,
     elasticity: ElasticityPolicy,
-) -> Result<vfpga_runtime::CloudReport, String> {
+) -> Result<(CloudReport, ControllerStats), String> {
     // Fresh controller per run: faulted runs leave the transient-fault
     // injector installed, so reuse would leak state between runs.
     let mut controller = SystemController::new(cluster.clone(), fuzz_db().clone(), policy);
-    let instance_for = |t: &RnnTask| -> String {
-        match t.size_class() {
-            vfpga_workload::SizeClass::Small => "fz-s",
-            vfpga_workload::SizeClass::Medium => "fz-m",
-            vfpga_workload::SizeClass::Large => "fz-l",
-        }
-        .to_string()
-    };
-    let service_time = |t: &RnnTask, d: &vfpga_runtime::Deployment| {
-        SimTime::from_us(1.0 + t.flops() as f64 / 1e9 / d.num_units() as f64)
-    };
     let report = run_cloud_sim_tuned(
         &mut controller,
         arrivals,
-        &instance_for,
-        &service_time,
+        instance_for,
+        &fuzz_service_time,
         faults,
         recovery,
         DEFAULT_TRACE_CAPACITY,
@@ -794,7 +807,7 @@ fn run_cloud_once(
             controller.occupancy()
         ));
     }
-    Ok(report)
+    Ok((report, *controller.stats()))
 }
 
 fn check_controller_accounting(input: &FuzzInput) -> Result<(), String> {
@@ -802,8 +815,18 @@ fn check_controller_accounting(input: &FuzzInput) -> Result<(), String> {
         return Err("expected cloud input".into());
     };
     let (cluster, policy, arrivals, faults, recovery) = cloud_setup(spec)?;
-    let run =
-        |elasticity| run_cloud_once(&cluster, policy, &arrivals, &faults, recovery, elasticity);
+    let run = |elasticity| {
+        run_cloud_once(
+            &cluster,
+            policy,
+            &arrivals,
+            &fuzz_instance_for,
+            &faults,
+            recovery,
+            elasticity,
+        )
+        .map(|(report, _)| report)
+    };
     let report = run(ElasticityPolicy::DISABLED)?;
 
     if !report.accounts_for_all_arrivals() {
@@ -859,6 +882,68 @@ fn check_controller_accounting(input: &FuzzInput) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+// ---------------------------------------------------------------------
+// scheduler-lockstep: the engine's admission fast paths (feasibility
+// cache, wave gating, free-slot pruning) against the naive reference
+// scheduler, decision by decision.
+// ---------------------------------------------------------------------
+
+fn check_scheduler_lockstep(input: &FuzzInput) -> Result<(), String> {
+    let FuzzInput::Cloud(spec) = input else {
+        return Err("expected cloud input".into());
+    };
+    // Link faults are outside the reference's model.
+    let mut spec = spec.clone();
+    if let Some(f) = &mut spec.fault {
+        f.link_faults = false;
+    }
+    let (cluster, policy, arrivals, faults, recovery) = cloud_setup(&spec)?;
+    let reference = ReferenceScheduler::run(
+        &cluster,
+        fuzz_db(),
+        policy,
+        &arrivals,
+        &fuzz_instance_for,
+        &fuzz_service_time,
+        &faults,
+        recovery,
+    )?;
+    // The engine names a task's instance once on arrival and once per
+    // deployment attempt, and its fast paths may only skip attempts. Past
+    // the reference's count it is handed an unknown name, which stops it
+    // with an error instead of letting a livelocked run spin forever.
+    let budget = arrivals.len() as u64 + reference.attempts;
+    let calls = Cell::new(0u64);
+    let instance_for = |t: &RnnTask| {
+        calls.set(calls.get() + 1);
+        if calls.get() > budget {
+            String::new()
+        } else {
+            fuzz_instance_for(t)
+        }
+    };
+    let (fast, _) = run_cloud_once(
+        &cluster,
+        policy,
+        &arrivals,
+        &instance_for,
+        &faults,
+        recovery,
+        ElasticityPolicy::DISABLED,
+    )
+    .map_err(|e| {
+        if calls.get() > budget {
+            format!(
+                "fast run exceeded the reference's {} attempts",
+                reference.attempts
+            )
+        } else {
+            e
+        }
+    })?;
+    reference.check_lockstep(&fast)
 }
 
 // ---------------------------------------------------------------------
@@ -1190,4 +1275,70 @@ fn check_json_roundtrip(input: &FuzzInput) -> Result<(), String> {
         return Err("second compaction is not byte-identical".into());
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::driver::case_rng;
+    use crate::scheduler::SCAN_WINDOW;
+    use vfpga_runtime::RejectReason;
+
+    /// The lockstep only pins the fast paths its cases exercise. Over the
+    /// oracle's first 200 cases at seed 42 (the CI budget), count the
+    /// cases where the feasibility cache answered, the wave gate skipped
+    /// attempts the reference made, the queue outgrew the scan window, a
+    /// deployment was interrupted, and a configure flaked. None may be 0.
+    #[test]
+    fn saturating_cases_fire_every_fast_path() {
+        let labels = [
+            "cache hits",
+            "skipped waves",
+            "queue past the window",
+            "interruptions",
+            "transient faults",
+        ];
+        let mut hits = [0usize; 5];
+        let cases = 200;
+        for i in 0..cases {
+            let mut rng = case_rng(42, "scheduler-lockstep", i);
+            let spec = gen::saturating_cloud(&mut rng);
+            let (cluster, policy, arrivals, faults, recovery) = cloud_setup(&spec).unwrap();
+            let (fast, stats) = run_cloud_once(
+                &cluster,
+                policy,
+                &arrivals,
+                &fuzz_instance_for,
+                &faults,
+                recovery,
+                ElasticityPolicy::DISABLED,
+            )
+            .unwrap();
+            let reference = ReferenceScheduler::run(
+                &cluster,
+                fuzz_db(),
+                policy,
+                &arrivals,
+                &fuzz_instance_for,
+                &fuzz_service_time,
+                &faults,
+                recovery,
+            )
+            .unwrap();
+            let fired = [
+                stats.cache_hits > 0,
+                stats.probes + stats.cache_hits < reference.attempts,
+                fast.peak_queue_depth > SCAN_WINDOW as u64,
+                fast.interrupted > 0,
+                fast.rejected_tasks_for(RejectReason::TransientFault) > 0,
+            ];
+            for (h, f) in hits.iter_mut().zip(fired) {
+                *h += usize::from(f);
+            }
+        }
+        for (label, h) in labels.iter().zip(hits) {
+            println!("{label}: {h}/{cases}");
+            assert!(h > 0, "no case exercised {label}");
+        }
+    }
 }

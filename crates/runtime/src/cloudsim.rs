@@ -69,22 +69,12 @@ impl ElasticityPolicy {
     }
 }
 
-/// Knobs for the admission scheduler. `wave_gating` and `trace_spans`
-/// change how much work a run performs — never *what* it admits — and
-/// default on; [`run_cloud_sim_tuned`] exists so the bench harness can
-/// turn them off and measure the unoptimized path. `elasticity` opts into
-/// the reprovisioner and defaults off (see [`ElasticityPolicy`]).
+/// Knobs for the admission scheduler. `trace_spans` changes how much
+/// work a run records — never *what* it admits — and defaults on.
+/// `elasticity` opts into the reprovisioner and `monitor` into streaming
+/// telemetry; both default off.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdmissionTuning {
-    /// Skip admission waves while the queue head is saturated and the
-    /// controller's capacity epoch is unchanged. A skipped wave is one
-    /// that provably could not admit anything: every task in the scan
-    /// window was just rejected for capacity, capacity can only have
-    /// shrunk since (the epoch tracks every release/evict/recover), and
-    /// no new task entered the window — so gating never changes admission
-    /// decisions or their sim-times, only the number of re-probes (and
-    /// with them the attempt-level rejection counters).
-    pub wave_gating: bool,
     /// Record the causal span forest. Disabling skips span bookkeeping
     /// entirely — the report's `spans` and `critical_path` come out empty
     /// — for benchmark-scale workloads where the forest would dominate
@@ -102,7 +92,6 @@ pub struct AdmissionTuning {
 impl Default for AdmissionTuning {
     fn default() -> Self {
         AdmissionTuning {
-            wave_gating: true,
             trace_spans: true,
             elasticity: ElasticityPolicy::DISABLED,
             monitor: MonitorConfig::default(),
@@ -559,9 +548,8 @@ pub fn run_cloud_sim_faulted(
     )
 }
 
-/// [`run_cloud_sim_faulted`] with explicit [`AdmissionTuning`] — the bench
-/// harness's entry point for measuring the admission fast path against the
-/// unoptimized scheduler.
+/// [`run_cloud_sim_faulted`] with explicit [`AdmissionTuning`]: span
+/// recording, elasticity and streaming telemetry.
 ///
 /// # Errors
 ///
@@ -710,12 +698,10 @@ struct CloudSim<'a> {
     promotion_saved: Summary,
     preemption_added: Summary,
 
-    /// Wave gating (from [`AdmissionTuning`]): `Some(epoch)` after a wave
-    /// rejected every scanned task with the capacity epoch at `epoch`.
-    /// While the epoch is unchanged and nothing new entered the scan
-    /// window, further waves are skipped — they could only replay the
-    /// same rejections.
-    gating: bool,
+    /// Wave gating: `Some(epoch)` after a wave rejected every scanned
+    /// task with the capacity epoch at `epoch`. While the epoch is
+    /// unchanged and nothing new entered the scan window, further waves
+    /// are skipped — they could only replay the same rejections.
     saturated_at: Option<u64>,
 
     /// Degraded-mode integration state.
@@ -881,7 +867,6 @@ impl<'a> CloudSim<'a> {
             units_lost: 0,
             promotion_saved: Summary::new(),
             preemption_added: Summary::new(),
-            gating: tuning.wave_gating,
             saturated_at: None,
             last_event_at: SimTime::ZERO,
             degraded_time: SimTime::ZERO,
@@ -1916,7 +1901,7 @@ impl<'a> CloudSim<'a> {
                 // the very next attempt), arm the gate: until the capacity
                 // epoch changes or a new task enters the scan window,
                 // re-running this wave is provably futile.
-                if self.gating && !saw_transient && !self.queue.is_empty() {
+                if !saw_transient && !self.queue.is_empty() {
                     self.saturated_at = Some(self.controller.capacity_epoch());
                 }
                 return Ok(saw_transient);
@@ -2598,87 +2583,6 @@ mod tests {
         let json = report.to_json().compact();
         assert!(json.contains(r#""rejections":{"attempts":{"#), "{json}");
         assert!(json.contains(r#""tasks":{"#), "{json}");
-    }
-
-    #[test]
-    fn wave_gating_preserves_admission_decisions() {
-        // Deep saturation with the queue well past the scan window: the
-        // gate actually skips waves (fewer attempt-level rejections), yet
-        // every outcome-visible quantity matches the ungated run.
-        let (cluster, db) = small_db();
-        let a = arrivals(200, 0.5);
-        let run = |wave_gating: bool| {
-            let mut c = SystemController::new(cluster.clone(), db.clone(), Policy::Baseline);
-            run_cloud_sim_tuned(
-                &mut c,
-                &a,
-                &|_| "tiny".to_string(),
-                &fixed_service,
-                &FaultPlan::none(),
-                RecoveryPolicy::default(),
-                DEFAULT_TRACE_CAPACITY,
-                AdmissionTuning {
-                    wave_gating,
-                    ..AdmissionTuning::default()
-                },
-            )
-            .unwrap()
-        };
-        let on = run(true);
-        let off = run(false);
-        assert_eq!(on.completed, off.completed);
-        assert_eq!(on.never_deployed, off.never_deployed);
-        assert_eq!(on.lost, off.lost);
-        assert_eq!(on.elapsed, off.elapsed);
-        assert_eq!(on.throughput_per_s, off.throughput_per_s);
-        assert_eq!(on.latency_p50, off.latency_p50);
-        assert_eq!(on.latency_p99, off.latency_p99);
-        assert_eq!(on.rejected_tasks, off.rejected_tasks);
-        assert_eq!(on.queue_wait.count(), off.queue_wait.count());
-        assert_eq!(on.queue_wait.mean(), off.queue_wait.mean());
-        assert!(
-            on.total_rejections() < off.total_rejections(),
-            "gating must skip futile re-probes: {} vs {}",
-            on.total_rejections(),
-            off.total_rejections()
-        );
-    }
-
-    #[test]
-    fn wave_gating_is_transparent_under_chaos() {
-        let (cluster, db) = small_db();
-        let a = arrivals(80, 1.0);
-        let plan = chaos_plan(7);
-        let run = |wave_gating: bool| {
-            let mut c = SystemController::new(cluster.clone(), db.clone(), Policy::Full);
-            run_cloud_sim_tuned(
-                &mut c,
-                &a,
-                &|_| "tiny".to_string(),
-                &fixed_service,
-                &plan,
-                RecoveryPolicy::default(),
-                DEFAULT_TRACE_CAPACITY,
-                AdmissionTuning {
-                    wave_gating,
-                    ..AdmissionTuning::default()
-                },
-            )
-            .unwrap()
-        };
-        let on = run(true);
-        let off = run(false);
-        assert!(on.accounts_for_all_arrivals());
-        assert_eq!(on.completed, off.completed);
-        assert_eq!(on.never_deployed, off.never_deployed);
-        assert_eq!(on.lost, off.lost);
-        assert_eq!(on.elapsed, off.elapsed);
-        assert_eq!(on.migrated, off.migrated);
-        assert_eq!(on.redeployments, off.redeployments);
-        assert_eq!(on.requeued, off.requeued);
-        assert_eq!(on.rejected_tasks, off.rejected_tasks);
-        assert_eq!(on.latency_p99, off.latency_p99);
-        assert!(on.total_rejections() <= off.total_rejections());
     }
 
     #[test]

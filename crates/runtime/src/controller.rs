@@ -216,7 +216,6 @@ pub struct SystemController {
     /// unchanged, free capacity can only have shrunk, so the rejection is
     /// replayed without re-probing. Transient faults are never cached.
     feas_cache: HashMap<String, (u64, RejectReason)>,
-    cache_enabled: bool,
 }
 
 impl SystemController {
@@ -252,24 +251,13 @@ impl SystemController {
             type_names,
             device_type_idx,
             feas_cache: HashMap::new(),
-            cache_enabled: true,
         }
     }
 
-    /// Enables or disables the capacity-epoch feasibility cache (on by
-    /// default). Disabling exists for A/B determinism tests and the bench
-    /// baseline: both modes must admit the same tasks at the same
-    /// sim-times — the cache only short-circuits probes whose outcome is
-    /// already known. Toggling clears any cached rejections.
-    pub fn set_feasibility_cache(&mut self, enabled: bool) {
-        self.cache_enabled = enabled;
-        self.feas_cache.clear();
-    }
-
     /// The low-level controller's capacity epoch: bumped on every
-    /// release, eviction, and recovery. Schedulers use it to skip
-    /// admission work that cannot succeed (see
-    /// [`set_feasibility_cache`](SystemController::set_feasibility_cache)).
+    /// release, eviction, and recovery. The feasibility cache keys its
+    /// replayed rejections on it, and schedulers use it to skip admission
+    /// work that cannot succeed.
     pub fn capacity_epoch(&self) -> u64 {
         self.llc.capacity_epoch()
     }
@@ -278,32 +266,40 @@ impl SystemController {
     /// hosts `instances[i]`, fixed offline. Tasks then run on whichever
     /// provisioned device is free — possibly an ill-fitting accelerator.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `instances.len()` differs from the cluster size or an
-    /// instance is not in the database.
-    pub fn with_provisioning(mut self, instances: Vec<String>) -> Self {
-        assert_eq!(
-            instances.len(),
-            self.cluster.len(),
-            "one provisioned instance per device"
-        );
+    /// Returns [`RuntimeError::ProvisioningSize`] unless there is exactly
+    /// one instance per device, [`RuntimeError::UnknownInstance`] for an
+    /// instance missing from the database, and
+    /// [`RuntimeError::UnplaceableProvision`] when an instance has no
+    /// single-unit option for its device's type.
+    pub fn with_provisioning(mut self, instances: Vec<String>) -> Result<Self, RuntimeError> {
+        if instances.len() != self.cluster.len() {
+            return Err(RuntimeError::ProvisioningSize {
+                devices: self.cluster.len(),
+                instances: instances.len(),
+            });
+        }
         for (i, name) in instances.iter().enumerate() {
             let entry = self
                 .db
                 .entry(name)
-                .unwrap_or_else(|| panic!("provisioned instance `{name}` not in database"));
+                .ok_or_else(|| RuntimeError::UnknownInstance(name.clone()))?;
             let dt = self.cluster.device(DeviceId(i)).device_type().name();
-            assert!(
-                entry
-                    .options
-                    .iter()
-                    .any(|o| o.num_units() == 1 && o.units[0].images.contains_key(dt)),
-                "provisioned instance `{name}` cannot fit device {i} ({dt})"
-            );
+            if !entry
+                .options
+                .iter()
+                .any(|o| o.num_units() == 1 && o.units[0].images.contains_key(dt))
+            {
+                return Err(RuntimeError::UnplaceableProvision {
+                    instance: name.clone(),
+                    device: i,
+                    device_type: dt.to_string(),
+                });
+            }
         }
         self.provisioned = Some(instances);
-        self
+        Ok(self)
     }
 
     /// The active policy.
@@ -489,15 +485,12 @@ impl SystemController {
         // rejected for capacity reasons at this epoch is still rejected.
         // The replayed outcome (and any span the caller records around
         // it) is exactly what a full probe would produce — capacity
-        // rejections touch no device state and emit no reconfigure
-        // spans — which is what keeps cache-on and cache-off runs
-        // byte-identical.
-        if self.cache_enabled {
-            if let Some(&(epoch, reason)) = self.feas_cache.get(instance) {
-                if epoch == self.llc.capacity_epoch() {
-                    self.stats.cache_hits += 1;
-                    return Ok(Err(reason));
-                }
+        // rejections touch no device state, emit no reconfigure spans and
+        // draw no injector randomness — so skipping the probe is invisible.
+        if let Some(&(epoch, reason)) = self.feas_cache.get(instance) {
+            if epoch == self.llc.capacity_epoch() {
+                self.stats.cache_hits += 1;
+                return Ok(Err(reason));
             }
         }
         self.stats.probes += 1;
@@ -505,7 +498,7 @@ impl SystemController {
         if let Err(reason) = outcome {
             // A transient fault says nothing about capacity — an
             // immediate retry may succeed — so it is never cached.
-            if self.cache_enabled && reason != RejectReason::TransientFault {
+            if reason != RejectReason::TransientFault {
                 self.feas_cache
                     .insert(instance.to_string(), (self.llc.capacity_epoch(), reason));
             }
@@ -1165,13 +1158,64 @@ mod tests {
         let (cluster, db) = small_db();
         let n = cluster.len();
         let prov = vec!["tiny".to_string(); n];
-        let mut c = SystemController::new(cluster, db, Policy::Baseline).with_provisioning(prov);
+        let mut c = SystemController::new(cluster, db, Policy::Baseline)
+            .with_provisioning(prov)
+            .unwrap();
         for _ in 0..n {
             assert!(c.try_deploy("tiny", None).unwrap().is_ok());
         }
         let rejected = c.try_deploy("tiny", None).unwrap().unwrap_err();
         assert_eq!(rejected, RejectReason::NoFreeDevice);
         assert_eq!(c.stats().rejects_for(RejectReason::NoFreeDevice), 1);
+    }
+
+    #[test]
+    fn provisioning_with_the_wrong_length_is_an_error() {
+        let (cluster, db) = small_db();
+        let n = cluster.len();
+        let c = SystemController::new(cluster, db, Policy::Baseline);
+        assert!(matches!(
+            c.with_provisioning(vec!["tiny".to_string(); n + 1]),
+            Err(RuntimeError::ProvisioningSize { devices, instances })
+                if devices == n && instances == n + 1
+        ));
+    }
+
+    #[test]
+    fn provisioning_an_unknown_instance_is_an_error() {
+        let (cluster, db) = small_db();
+        let mut prov = vec!["tiny".to_string(); cluster.len()];
+        prov[1] = "ghost".to_string();
+        let c = SystemController::new(cluster, db, Policy::Baseline);
+        assert!(matches!(
+            c.with_provisioning(prov),
+            Err(RuntimeError::UnknownInstance(name)) if name == "ghost"
+        ));
+    }
+
+    #[test]
+    fn provisioning_an_instance_without_a_single_unit_image_is_an_error() {
+        use vfpga_core::MappingEntry;
+
+        let (cluster, mut db) = small_db();
+        let big = db.entry("big").unwrap().clone();
+        db.register_entry(MappingEntry {
+            name: "huge".to_string(),
+            options: big
+                .options
+                .into_iter()
+                .filter(|o| o.num_units() > 1)
+                .collect(),
+            ..big
+        });
+        let mut prov = vec!["tiny".to_string(); cluster.len()];
+        prov[0] = "huge".to_string();
+        let c = SystemController::new(cluster, db, Policy::Baseline);
+        assert!(matches!(
+            c.with_provisioning(prov),
+            Err(RuntimeError::UnplaceableProvision { instance, device: 0, .. })
+                if instance == "huge"
+        ));
     }
 
     #[test]
@@ -1493,45 +1537,60 @@ mod tests {
     }
 
     #[test]
-    fn cache_disabled_probes_every_attempt_with_identical_outcomes() {
+    fn cached_replay_records_the_probed_rejection() {
+        // Two identical saturated controllers with flaky reconfiguration:
+        // one records a probed capacity rejection and its cached replay,
+        // the twin makes neither attempt.
         let (cluster, db) = small_db();
-        let run = |cache: bool| {
+        let saturated = || {
             let mut c = SystemController::new(cluster.clone(), db.clone(), Policy::Full);
-            c.set_feasibility_cache(cache);
-            let mut outcomes = Vec::new();
             let mut held = Vec::new();
-            for _ in 0..40 {
-                match c.try_deploy("big", None).unwrap() {
-                    Ok(d) => {
-                        outcomes.push(Ok(d
-                            .placements
-                            .iter()
-                            .map(|p| p.device)
-                            .collect::<Vec<_>>()));
-                        held.push(d);
-                    }
-                    Err(r) => outcomes.push(Err(r)),
-                }
+            while let Ok(d) = c.try_deploy("big", None).unwrap() {
+                held.push(d);
             }
-            let stats = *c.stats();
-            (outcomes, stats)
+            // A fresh epoch, refilled, so the next rejection probes.
+            c.release(&held.pop().unwrap()).unwrap();
+            held.push(c.try_deploy("big", None).unwrap().unwrap());
+            c.enable_transient_faults(0.5, 7);
+            (c, held)
         };
-        let (on, on_stats) = run(true);
-        let (off, off_stats) = run(false);
+        let (mut c, mut held) = saturated();
+        let (mut twin, mut twin_held) = saturated();
+        let mut spans = SpanTracer::new();
+        let at = SimTime::from_us(5.0);
+        let probes = c.stats().probes;
+        for _ in 0..2 {
+            let rejected = c
+                .try_deploy("big", spans.ctx(TraceId(0), None, at))
+                .unwrap();
+            assert_eq!(rejected.unwrap_err(), RejectReason::InsufficientCapacity);
+        }
+        assert_eq!(c.stats().probes, probes + 1, "the second attempt replays");
+        assert_eq!(c.stats().cache_hits, 1);
+        // The replay records the same deploy span as the probe, and
+        // neither has reconfigure children.
+        let deploys = spans.spans();
+        assert_eq!(deploys.len(), 2, "two deploy spans, no reconfigures");
+        assert!(deploys.iter().all(|s| s.name == "deploy"));
+        assert_eq!(deploys[0].attrs, deploys[1].attrs);
         assert_eq!(
-            format!("{on:?}"),
-            format!("{off:?}"),
-            "cache must not change admission decisions or placements"
+            (deploys[0].begin, deploys[0].end),
+            (deploys[1].begin, deploys[1].end)
         );
-        assert_eq!(off_stats.cache_hits, 0);
-        assert_eq!(off_stats.probes, 40, "cache off probes every attempt");
-        assert!(
-            on_stats.probes < off_stats.probes,
-            "cache on must skip saturated probes ({} vs {})",
-            on_stats.probes,
-            off_stats.probes
-        );
-        assert_eq!(on_stats.probes + on_stats.cache_hits, 40);
+        // Neither drew from the fault injector: from here on both
+        // controllers see the same transient-fault sequence.
+        c.release(&held.pop().unwrap()).unwrap();
+        twin.release(&twin_held.pop().unwrap()).unwrap();
+        for i in 0..8 {
+            let a = c.try_deploy("tiny", None).unwrap();
+            let b = twin.try_deploy("tiny", None).unwrap();
+            assert_eq!(
+                a.as_ref().map(|d| d.placements[0].device),
+                b.as_ref().map(|d| d.placements[0].device),
+                "attempt {i}"
+            );
+        }
+        assert!(c.stats().rejects_for(RejectReason::TransientFault) > 0);
     }
 
     #[test]

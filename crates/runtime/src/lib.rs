@@ -61,6 +61,24 @@ use std::fmt;
 pub enum RuntimeError {
     /// The instance is not in the mapping database.
     UnknownInstance(String),
+    /// Static provisioning named a different number of instances than the
+    /// cluster has devices.
+    ProvisioningSize {
+        /// Devices in the cluster.
+        devices: usize,
+        /// Instances provisioned.
+        instances: usize,
+    },
+    /// A provisioned instance has no single-unit image for its device's
+    /// type.
+    UnplaceableProvision {
+        /// The instance.
+        instance: String,
+        /// Index of the device it was provisioned onto.
+        device: usize,
+        /// That device's type.
+        device_type: String,
+    },
     /// The HS abstraction rejected a configuration request.
     Hs(vfpga_hsabs::HsError),
     /// Communicating machines deadlocked (each waiting on the other).
@@ -85,6 +103,18 @@ impl fmt::Display for RuntimeError {
             RuntimeError::UnknownInstance(name) => {
                 write!(f, "instance `{name}` not in mapping database")
             }
+            RuntimeError::ProvisioningSize { devices, instances } => write!(
+                f,
+                "provisioned {instances} instances for a cluster of {devices} devices"
+            ),
+            RuntimeError::UnplaceableProvision {
+                instance,
+                device,
+                device_type,
+            } => write!(
+                f,
+                "provisioned instance `{instance}` has no single-unit image for device {device} ({device_type})"
+            ),
             RuntimeError::Hs(e) => write!(f, "hs abstraction error: {e}"),
             RuntimeError::Deadlock { blocked } => {
                 write!(f, "scale-out deadlock with {blocked} machines blocked")

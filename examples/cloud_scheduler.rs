@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             SystemController::new(catalog.cluster.clone(), catalog.db.clone(), policy);
         if policy == Policy::Baseline {
             // The AS-ISA baseline is statically provisioned offline.
-            controller = controller.with_provisioning(catalog.baseline_provisioning());
+            controller = controller.with_provisioning(catalog.baseline_provisioning())?;
         }
         let report = run_cloud_sim(
             &mut controller,
