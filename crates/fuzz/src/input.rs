@@ -355,11 +355,20 @@ pub enum FuzzInput {
     Doc(Json),
 }
 
+/// Reads an unsigned field written either as a decimal string (how seeds
+/// are serialized: a JSON number is an `f64` and rounds any value above
+/// 2^53) or as a plain number (every other field, and seeds in
+/// reproducers written before seeds became strings).
 fn get_u64(json: &Json, key: &str) -> Result<u64, String> {
-    json.field(key)
-        .and_then(Json::as_num)
-        .map(|x| x as u64)
-        .ok_or_else(|| format!("missing numeric field `{key}`"))
+    match json.field(key) {
+        Some(Json::Str(s)) => s
+            .parse()
+            .map_err(|_| format!("field `{key}` is not a decimal u64: `{s}`")),
+        other => other
+            .and_then(Json::as_num)
+            .map(|x| x as u64)
+            .ok_or_else(|| format!("missing numeric field `{key}`")),
+    }
 }
 
 fn get_usize(json: &Json, key: &str) -> Result<usize, String> {
@@ -403,15 +412,15 @@ impl FuzzInput {
                     .with("hidden", r.hidden)
                     .with("timesteps", r.timesteps)
                     .with("machines", r.machines)
-                    .with("weight_seed", r.weight_seed),
+                    .with("weight_seed", r.weight_seed.to_string()),
             ),
             FuzzInput::Prog(p) => Json::obj().with(
                 "prog",
                 Json::obj()
                     .with("n", p.n)
                     .with("slots", p.slots)
-                    .with("data_seed", p.data_seed)
-                    .with("order_seed", p.order_seed)
+                    .with("data_seed", p.data_seed.to_string())
+                    .with("order_seed", p.order_seed.to_string())
                     .with("asm", p.asm.as_str()),
             ),
             FuzzInput::Cloud(c) => {
@@ -438,7 +447,7 @@ impl FuzzInput {
                     obj = obj.with(
                         "fault",
                         Json::obj()
-                            .with("seed", f.seed)
+                            .with("seed", f.seed.to_string())
                             .with("mttf_ns", f.mttf_ns)
                             .with("mttr_ns", f.mttr_ns)
                             .with("configure_pm", f.configure_pm)
@@ -481,7 +490,7 @@ impl FuzzInput {
             FuzzInput::Fault(f) => Json::obj().with(
                 "fault_plan",
                 Json::obj()
-                    .with("seed", f.seed)
+                    .with("seed", f.seed.to_string())
                     .with("devices", f.devices)
                     .with("mttf_ns", f.mttf_ns)
                     .with("mttr_ns", f.mttr_ns)
@@ -854,6 +863,71 @@ mod tests {
         let text = c.to_json().pretty();
         let parsed = vfpga_sim::Json::parse(&text).unwrap();
         assert_eq!(c, FuzzInput::from_json(&parsed).unwrap());
+    }
+
+    #[test]
+    fn seeds_above_two_to_the_53_survive_the_text_round_trip() {
+        let big = u64::MAX;
+        let cases = [
+            FuzzInput::Rnn(RnnSpec {
+                kind: "gru".into(),
+                hidden: 7,
+                timesteps: 3,
+                machines: 2,
+                weight_seed: big,
+            }),
+            FuzzInput::Prog(ProgSpec {
+                n: 4,
+                slots: 2,
+                data_seed: big,
+                order_seed: big - 1,
+                asm: "halt".into(),
+            }),
+            FuzzInput::Cloud(CloudSpec {
+                devices: vec!["vu37p".into()],
+                policy: "full".into(),
+                tasks: Vec::new(),
+                fault: Some(CloudFault {
+                    seed: big,
+                    mttf_ns: 1,
+                    mttr_ns: 1,
+                    configure_pm: 0,
+                    horizon_ns: 1,
+                    link_faults: false,
+                }),
+                drop_on_exhaustion: false,
+            }),
+            FuzzInput::Fault(FaultSpec {
+                seed: big,
+                devices: 1,
+                mttf_ns: 1,
+                mttr_ns: 1,
+                horizon_ns: 1,
+                links: 0,
+                degraded_pm: 0,
+            }),
+        ];
+        for case in cases {
+            let text = case.to_json().pretty();
+            assert!(text.contains("\"18446744073709551615\""), "{text}");
+            let parsed = vfpga_sim::Json::parse(&text).unwrap();
+            assert_eq!(FuzzInput::from_json(&parsed).unwrap(), case);
+        }
+    }
+
+    #[test]
+    fn legacy_numeric_seeds_still_load() {
+        let legacy = r#"{"fault_plan": {"seed": 42, "devices": 2, "mttf_ns": 10,
+            "mttr_ns": 5, "horizon_ns": 100, "links": 0, "degraded_pm": 0}}"#;
+        let parsed = vfpga_sim::Json::parse(legacy).unwrap();
+        let FuzzInput::Fault(f) = FuzzInput::from_json(&parsed).unwrap() else {
+            panic!("fault_plan case");
+        };
+        assert_eq!(f.seed, 42);
+        let bad = r#"{"fault_plan": {"seed": "4x2", "devices": 2, "mttf_ns": 10,
+            "mttr_ns": 5, "horizon_ns": 100, "links": 0, "degraded_pm": 0}}"#;
+        let parsed = vfpga_sim::Json::parse(bad).unwrap();
+        assert!(FuzzInput::from_json(&parsed).is_err());
     }
 
     #[test]

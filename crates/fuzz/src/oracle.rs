@@ -10,7 +10,6 @@
 //! human-readable description of the violated invariant; the driver owns
 //! shrinking and reporting.
 
-use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::OnceLock;
 
@@ -910,39 +909,15 @@ fn check_scheduler_lockstep(input: &FuzzInput) -> Result<(), String> {
         &faults,
         recovery,
     )?;
-    // The engine names a task's instance once on arrival and once per
-    // deployment attempt, and its fast paths may only skip attempts. Past
-    // the reference's count it is handed an unknown name, which stops it
-    // with an error instead of letting a livelocked run spin forever.
-    let budget = arrivals.len() as u64 + reference.attempts;
-    let calls = Cell::new(0u64);
-    let instance_for = |t: &RnnTask| {
-        calls.set(calls.get() + 1);
-        if calls.get() > budget {
-            String::new()
-        } else {
-            fuzz_instance_for(t)
-        }
-    };
     let (fast, _) = run_cloud_once(
         &cluster,
         policy,
         &arrivals,
-        &instance_for,
+        &fuzz_instance_for,
         &faults,
         recovery,
         ElasticityPolicy::DISABLED,
-    )
-    .map_err(|e| {
-        if calls.get() > budget {
-            format!(
-                "fast run exceeded the reference's {} attempts",
-                reference.attempts
-            )
-        } else {
-            e
-        }
-    })?;
+    )?;
     reference.check_lockstep(&fast)
 }
 

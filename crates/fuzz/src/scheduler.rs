@@ -25,7 +25,8 @@
 //!   [`SCAN_WINDOW`] queued tasks, admits everything that places, and
 //!   repeats until a wave admits nothing. A wave that saw a transient
 //!   fault with nothing else pending schedules a retry nudge one base
-//!   backoff later.
+//!   backoff later, unless [`MAX_IDLE_NUDGES`] nudges in a row have
+//!   deployed nothing; then the queued tasks end as never deployed.
 //! * **Recovery.** A device failure evicts every deployment with a unit on
 //!   it (in deployment-id order, survivors' sibling units released first);
 //!   each victim retries placement at once, then after exponential
@@ -47,6 +48,10 @@ use vfpga_workload::{RnnTask, TaskArrival};
 
 /// Queued tasks one admission wave scans.
 pub(crate) const SCAN_WINDOW: usize = 64;
+
+/// Consecutive retry nudges that deploy nothing before the nudge stops
+/// re-arming.
+pub(crate) const MAX_IDLE_NUDGES: u32 = 256;
 
 /// Salt separating the transient-fault stream from the plan's schedule.
 const TRANSIENT_SALT: u64 = 0x7452_414e_5349_454e;
@@ -528,8 +533,11 @@ impl<'a> ReferenceScheduler<'a> {
             }
         }
         let mut last = SimTime::ZERO;
+        let mut idle_nudges = 0;
         while let Some((now, event)) = sim.events.pop() {
             last = now;
+            let nudged = matches!(event, Event::RetryNudge);
+            let deploys = sim.cluster.deploys;
             match event {
                 Event::Arrival(i) => sim.queue.push_back(i),
                 Event::Completion { task, epoch } => {
@@ -564,7 +572,16 @@ impl<'a> ReferenceScheduler<'a> {
                 Event::RetryNudge => {}
             }
             let saw_transient = sim.admission_wave(now)?;
-            if saw_transient && sim.events.is_empty() && !sim.queue.is_empty() {
+            idle_nudges = if nudged && sim.cluster.deploys == deploys {
+                idle_nudges + 1
+            } else {
+                0
+            };
+            if saw_transient
+                && sim.events.is_empty()
+                && !sim.queue.is_empty()
+                && idle_nudges < MAX_IDLE_NUDGES
+            {
                 sim.events
                     .schedule_in(sim.recovery.base_backoff, Event::RetryNudge);
             }

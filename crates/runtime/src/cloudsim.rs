@@ -12,7 +12,7 @@ use vfpga_sim::{
 };
 use vfpga_workload::{RnnTask, TaskArrival};
 
-use crate::controller::{Deployment, RejectReason, ScaleDown, SystemController};
+use crate::controller::{Deployment, InstanceId, RejectReason, ScaleDown, SystemController};
 use crate::monitor::{MonitorConfig, MonitorReport, RunMonitor};
 use crate::RuntimeError;
 
@@ -25,6 +25,13 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 8192;
 /// backlog keeps arrival order roughly fair without making every wave
 /// O(queue).
 const SCAN_WINDOW: usize = 64;
+
+/// Consecutive retry-nudge waves that deploy nothing before the nudge
+/// stops re-arming. Each such wave saw only transient faults on the
+/// placements that fit, so at any configure-failure probability short of
+/// certainty a retry admits something long before this; at certainty the
+/// queued work ends as `never_deployed` instead of livelocking the run.
+const MAX_IDLE_NUDGES: u32 = 256;
 
 /// Dynamic-elasticity knobs for the reprovisioner: whether the scheduler
 /// may resize *running* deployments in response to capacity-epoch
@@ -476,7 +483,9 @@ enum Event {
 /// and no injected faults.
 ///
 /// * `instance_for` names the accelerator instance (a mapping-database key)
-///   serving a task — the deployment catalog is sized per model class.
+///   serving a task — the deployment catalog is sized per model class. It
+///   is called once per arrival, where the name is interned; an unknown
+///   name fails the run at that arrival.
 /// * `service_time` gives the task's execution latency on a given
 ///   deployment (built from the cycle-level timing simulations).
 ///
@@ -646,7 +655,19 @@ struct CloudSim<'a> {
     recovery: RecoveryPolicy,
     faults: &'a FaultPlan,
 
+    /// Each task's instance, interned once on arrival and kept as its
+    /// database index ([`InstanceId::index`]); `u32::MAX` until then.
+    instance: Vec<u32>,
     queue: VecDeque<usize>,
+    /// Per-wave scratch reused across admission waves: which window
+    /// positions admitted, the admitted tasks' deployments, and the
+    /// drained window head.
+    wave_admitted_at: Vec<bool>,
+    wave_admitted: Vec<(usize, Deployment)>,
+    wave_head: Vec<usize>,
+    /// Consecutive `RetryNudge` waves that deployed nothing; the nudge
+    /// stops re-arming at [`MAX_IDLE_NUDGES`].
+    idle_nudges: u32,
     events: EventQueue<Event>,
     running: Vec<Option<Deployment>>,
     /// Maps a live deployment id to the task it serves.
@@ -842,7 +863,12 @@ impl<'a> CloudSim<'a> {
             service_time,
             recovery,
             faults,
+            instance: vec![u32::MAX; n],
             queue: VecDeque::new(),
+            wave_admitted_at: Vec::with_capacity(SCAN_WINDOW),
+            wave_admitted: Vec::new(),
+            wave_head: Vec::with_capacity(SCAN_WINDOW),
+            idle_nudges: 0,
             events: EventQueue::new(),
             running: vec![None; n],
             task_of: HashMap::new(),
@@ -969,6 +995,8 @@ impl<'a> CloudSim<'a> {
 
         while let Some((now, event)) = self.events.pop() {
             self.integrate_degraded(now);
+            let nudged = matches!(event, Event::RetryNudge);
+            let deploys = self.controller.stats().deploys;
             match event {
                 Event::Arrival(i) => {
                     self.enqueue(i);
@@ -977,6 +1005,7 @@ impl<'a> CloudSim<'a> {
                         .push(now, TraceEventKind::Arrival { task: i as u64 });
                     let root = self.spans.begin("task", TraceId(i as u64), None, now);
                     let instance = (self.instance_for)(&self.arrivals[i].task);
+                    self.instance[i] = self.controller.instance_id(&instance)?.index();
                     if let Some(mon) = self.monitor.as_mut() {
                         mon.on_arrival(&instance, now);
                     }
@@ -1038,9 +1067,19 @@ impl<'a> CloudSim<'a> {
                 self.reprovision(now)?;
             }
             self.sample_gauges(now);
-            if saw_transient && self.events.is_empty() && !self.queue.is_empty() {
+            self.idle_nudges = if nudged && self.controller.stats().deploys == deploys {
+                self.idle_nudges + 1
+            } else {
+                0
+            };
+            if saw_transient
+                && self.events.is_empty()
+                && !self.queue.is_empty()
+                && self.idle_nudges < MAX_IDLE_NUDGES
+            {
                 // Without a nudge the run would drain here and strand
-                // retryable work; transient faults only ever delay.
+                // retryable work; transient faults only ever delay, up to
+                // the idle-nudge bound.
                 self.events
                     .schedule_in(self.recovery.base_backoff, Event::RetryNudge);
             }
@@ -1102,11 +1141,13 @@ impl<'a> CloudSim<'a> {
         self.controller.release(&deployment)?;
         let e2e = now.saturating_sub(self.arrivals[task_index].at).as_secs();
         if self.monitor.is_some() {
-            let tenant = (self.instance_for)(&self.arrivals[task_index].task);
+            let tenant = self
+                .controller
+                .instance_name(self.instance_of(task_index))?;
             let device = deployment.placements.first().map(|p| p.device.0 as u64);
             let latency = now.saturating_sub(self.arrivals[task_index].at);
             if let Some(mon) = self.monitor.as_mut() {
-                mon.on_completion(&tenant, device, now, latency);
+                mon.on_completion(tenant, device, now, latency);
             }
         }
         self.metrics.inc(self.m.completions);
@@ -1458,6 +1499,11 @@ impl<'a> CloudSim<'a> {
         }
     }
 
+    /// The task's interned instance.
+    fn instance_of(&self, task_index: usize) -> InstanceId {
+        self.controller.instance_at(self.instance[task_index])
+    }
+
     /// One deployment attempt for a task, from the admission queue or the
     /// migration path: the task's instance is asked of the controller
     /// under its current phase span, and a rejection is booked.
@@ -1466,11 +1512,11 @@ impl<'a> CloudSim<'a> {
         now: SimTime,
         task_index: usize,
     ) -> Result<Result<Deployment, RejectReason>, RuntimeError> {
-        let name = (self.instance_for)(&self.arrivals[task_index].task);
+        let instance = self.instance_of(task_index);
         let ctx = self
             .spans
             .ctx(TraceId(task_index as u64), self.phase_span[task_index], now);
-        let outcome = self.controller.try_deploy(&name, ctx)?;
+        let outcome = self.controller.try_deploy(instance, ctx)?;
         if let Err(reason) = outcome {
             self.record_rejection(task_index, reason);
         }
@@ -1857,9 +1903,10 @@ impl<'a> CloudSim<'a> {
     /// Admits as many queued tasks as capacity allows. Tasks request
     /// deployment independently, so a blocked task does not block later
     /// tasks that fit elsewhere; the scan window stays bounded to keep
-    /// arrival order roughly fair. Each wave scans the window once and
-    /// drains every admitted task with a single retain pass (no O(n)
-    /// mid-deque removals), repeating until a wave admits nothing.
+    /// arrival order roughly fair. Each wave scans the window once, then
+    /// drains the window head and pushes its survivors back in order, so
+    /// a wave costs O(window) however deep the backlog behind it is; waves
+    /// repeat until one admits nothing.
     ///
     /// Returns whether any attempt was turned down by a transient
     /// configure fault (retryable; the caller may need to self-schedule a
@@ -1868,15 +1915,14 @@ impl<'a> CloudSim<'a> {
         let mut saw_transient = false;
         loop {
             let window = self.queue.len().min(SCAN_WINDOW);
-            let mut admitted_in_window = vec![false; window];
-            let mut admitted: Vec<(usize, Deployment)> = Vec::new();
-            for (pos, admitted_slot) in admitted_in_window.iter_mut().enumerate() {
+            let mut admitted = std::mem::take(&mut self.wave_admitted);
+            self.wave_admitted_at.clear();
+            for pos in 0..window {
                 let idx = self.queue[pos];
-                match self.place(now, idx)? {
-                    Ok(deployment) => {
-                        *admitted_slot = true;
-                        admitted.push((idx, deployment));
-                    }
+                let outcome = self.place(now, idx)?;
+                self.wave_admitted_at.push(outcome.is_ok());
+                match outcome {
+                    Ok(deployment) => admitted.push((idx, deployment)),
                     Err(reason) => {
                         saw_transient |= reason == RejectReason::TransientFault;
                         // Trace only a task's first rejection: under
@@ -1896,6 +1942,7 @@ impl<'a> CloudSim<'a> {
                 }
             }
             if admitted.is_empty() {
+                self.wave_admitted = admitted;
                 // The wave ends with everything it scanned rejected. If no
                 // rejection was transient (a transient could succeed on
                 // the very next attempt), arm the gate: until the capacity
@@ -1906,13 +1953,14 @@ impl<'a> CloudSim<'a> {
                 }
                 return Ok(saw_transient);
             }
-            let mut pos = 0;
-            self.queue.retain(|_| {
-                let keep = pos >= window || !admitted_in_window[pos];
-                pos += 1;
-                keep
-            });
-            for (idx, deployment) in admitted {
+            self.wave_head.clear();
+            self.wave_head.extend(self.queue.drain(..window));
+            for (&idx, &taken) in self.wave_head.iter().zip(&self.wave_admitted_at).rev() {
+                if !taken {
+                    self.queue.push_front(idx);
+                }
+            }
+            for (idx, deployment) in admitted.drain(..) {
                 if self.interrupted_pending[idx].is_some() {
                     // A task demoted to the queue after exhausting its
                     // migration retries finally found capacity again.
@@ -1921,13 +1969,13 @@ impl<'a> CloudSim<'a> {
                 }
                 if !self.waited[idx] {
                     self.waited[idx] = true;
-                    let wait = now.saturating_sub(self.arrivals[idx].at).as_secs();
-                    self.metrics.record_timer(self.m.queue_wait, wait);
+                    let waited = now.saturating_sub(self.arrivals[idx].at);
+                    self.metrics
+                        .record_timer(self.m.queue_wait, waited.as_secs());
                     if self.monitor.is_some() {
-                        let tenant = (self.instance_for)(&self.arrivals[idx].task);
-                        let waited = now.saturating_sub(self.arrivals[idx].at);
+                        let tenant = self.controller.instance_name(self.instance_of(idx))?;
                         if let Some(mon) = self.monitor.as_mut() {
-                            mon.on_queue_wait(&tenant, now, waited);
+                            mon.on_queue_wait(tenant, now, waited);
                         }
                     }
                 }
@@ -1941,6 +1989,7 @@ impl<'a> CloudSim<'a> {
                 );
                 self.start_service(now, idx, deployment);
             }
+            self.wave_admitted = admitted;
         }
     }
 
@@ -2651,6 +2700,111 @@ mod tests {
         assert!(
             report.rejections_for(RejectReason::TransientFault) > 0,
             "30% flake rate must surface in the breakdown"
+        );
+    }
+
+    #[test]
+    fn certain_transient_faults_strand_tasks_instead_of_livelocking() {
+        let (cluster, db) = small_db();
+        let mut c = SystemController::new(cluster, db, Policy::Full);
+        let a = arrivals(70, 1.0);
+        // Every configure flakes, so no attempt can ever succeed.
+        let plan = FaultPlan::generate(
+            FaultPlanParams {
+                mttf: SimTime::from_secs(1.0),
+                mttr: SimTime::from_us(50.0),
+                configure_failure_prob: 1.0,
+                horizon: SimTime::ZERO,
+            },
+            4,
+            3,
+        );
+        let report = run_cloud_sim_faulted(
+            &mut c,
+            &a,
+            &|_| "tiny".to_string(),
+            &fixed_service,
+            &plan,
+            RecoveryPolicy::default(),
+            DEFAULT_TRACE_CAPACITY,
+        )
+        .unwrap();
+        assert_eq!(report.completed, 0);
+        assert_eq!(report.never_deployed, 70);
+        assert!(report.accounts_for_all_arrivals());
+        // The nudge fired exactly up to its bound past the last arrival.
+        let last_arrival = a.last().unwrap().at;
+        let nudged_until = last_arrival
+            .checked_add(SimTime::from_ps(
+                RecoveryPolicy::default().base_backoff.as_ps() * MAX_IDLE_NUDGES as u64,
+            ))
+            .unwrap();
+        assert_eq!(
+            report.spans.spans().iter().map(|s| s.end).max(),
+            Some(Some(nudged_until))
+        );
+    }
+
+    #[test]
+    fn instance_for_runs_once_per_arrival() {
+        use std::cell::Cell;
+
+        let (cluster, db) = small_db();
+        let mut c = SystemController::new(cluster, db, Policy::Full);
+        let a: Vec<TaskArrival> = (0..300)
+            .map(|i| TaskArrival {
+                at: SimTime::from_us(i as f64 * 0.5),
+                task: RnnTask::new(RnnKind::Lstm, 512 + 256 * (i % 2), 5),
+            })
+            .collect();
+        let calls = Cell::new(0usize);
+        let instance_for = |t: &RnnTask| {
+            calls.set(calls.get() + 1);
+            if t.hidden == 512 { "tiny" } else { "big" }.to_string()
+        };
+        let report = run_cloud_sim_tuned(
+            &mut c,
+            &a,
+            &instance_for,
+            &fixed_service,
+            &FaultPlan::none(),
+            RecoveryPolicy::default(),
+            DEFAULT_TRACE_CAPACITY,
+            monitored_tuning(),
+        )
+        .unwrap();
+        assert_eq!(calls.get(), a.len());
+        // Saturated: the backlog outgrew the scan window and most attempts
+        // were rejections, so per-attempt naming would have shown.
+        assert!(report.peak_queue_depth > SCAN_WINDOW as u64);
+        assert!(report.total_rejections() > a.len() as u64);
+        assert_eq!(report.completed, a.len() as u64);
+        // Spans and the monitor still see each task's name.
+        let named = |name: &str| {
+            report
+                .spans
+                .spans()
+                .iter()
+                .filter(|s| s.name == "task" && s.attr_is("instance", name))
+                .count()
+        };
+        assert_eq!((named("tiny"), named("big")), (150, 150));
+        let monitor = report.monitor.as_ref().expect("monitor section");
+        let tenants = monitor.to_json().pretty();
+        assert!(tenants.contains("tiny") && tenants.contains("big"));
+    }
+
+    #[test]
+    fn unknown_instances_fail_on_arrival() {
+        let (cluster, db) = small_db();
+        let mut c = SystemController::new(cluster, db, Policy::Full);
+        let a = arrivals(3, 10.0);
+        let err = run_cloud_sim(&mut c, &a, &|_| "ghost".to_string(), &fixed_service);
+        assert!(matches!(err, Err(RuntimeError::UnknownInstance(name)) if name == "ghost"));
+        assert_eq!(
+            c.stats().probes + c.stats().cache_hits,
+            0,
+            "no attempt was made"
         );
     }
 

@@ -1,8 +1,10 @@
 //! The system controller and runtime policies.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
-use vfpga_core::{DeploymentOption, MappingDatabase};
+use vfpga_core::{DeploymentOption, MappingDatabase, MappingEntry};
 use vfpga_fabric::{Cluster, DeviceId};
 use vfpga_hsabs::{
     AllocationId, DeviceHealth, HsError, LowLevelController, TransientFaultInjector,
@@ -119,6 +121,28 @@ impl ControllerStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DeploymentId(pub u64);
 
+/// An instance name interned by [`SystemController::instance_id`]: an
+/// index into that controller's mapping database, tagged with the
+/// controller so an id handed to any other controller is a typed error
+/// rather than a silent alias.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct InstanceId {
+    controller: u32,
+    index: u32,
+}
+
+impl InstanceId {
+    /// The id's position in its controller's database; with
+    /// [`SystemController::instance_at`] it lets a per-task table keep
+    /// four bytes per task.
+    pub(crate) fn index(self) -> u32 {
+        self.index
+    }
+}
+
+/// Source of the per-controller tags carried by [`InstanceId`].
+static NEXT_CONTROLLER_TAG: AtomicU32 = AtomicU32::new(0);
+
 /// One deployed unit.
 #[derive(Debug, Clone)]
 pub struct Placement {
@@ -211,11 +235,17 @@ pub struct SystemController {
     type_names: Vec<String>,
     /// Each device's index into `type_names`.
     device_type_idx: Vec<usize>,
-    /// Capacity-epoch feasibility cache: instance name → (epoch, reason)
-    /// of its last capacity rejection. While the LLC's capacity epoch is
-    /// unchanged, free capacity can only have shrunk, so the rejection is
-    /// replayed without re-probing. Transient faults are never cached.
-    feas_cache: HashMap<String, (u64, RejectReason)>,
+    /// This controller's [`InstanceId`] tag.
+    tag: u32,
+    /// The database's entries in name order; an [`InstanceId`]'s index
+    /// points here.
+    instances: Vec<Arc<MappingEntry>>,
+    /// Capacity-epoch feasibility cache, indexed like `instances`: the
+    /// (epoch, reason) of the instance's last capacity rejection. While
+    /// the LLC's capacity epoch is unchanged, free capacity can only have
+    /// shrunk, so the rejection is replayed without re-probing. Transient
+    /// faults are never cached.
+    feas_cache: Vec<Option<(u64, RejectReason)>>,
 }
 
 impl SystemController {
@@ -238,6 +268,9 @@ impl SystemController {
                     .expect("every device's type appears in device_types()")
             })
             .collect();
+        let instances: Vec<Arc<MappingEntry>> =
+            db.iter().filter_map(|e| db.entry_shared(&e.name)).collect();
+        let feas_cache = vec![None; instances.len()];
         SystemController {
             cluster,
             db,
@@ -250,8 +283,62 @@ impl SystemController {
             stats: ControllerStats::default(),
             type_names,
             device_type_idx,
-            feas_cache: HashMap::new(),
+            tag: NEXT_CONTROLLER_TAG.fetch_add(1, Ordering::Relaxed),
+            instances,
+            feas_cache,
         }
+    }
+
+    /// Interns an instance name against the mapping database. Resolve a
+    /// name once and hand the id to [`try_deploy`](Self::try_deploy) on
+    /// every attempt.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::UnknownInstance`] for a name the database
+    /// does not hold.
+    pub fn instance_id(&self, name: &str) -> Result<InstanceId, RuntimeError> {
+        let index = self
+            .instances
+            .binary_search_by(|e| e.name.as_str().cmp(name))
+            .map_err(|_| RuntimeError::UnknownInstance(name.to_string()))?;
+        Ok(InstanceId {
+            controller: self.tag,
+            index: index as u32,
+        })
+    }
+
+    /// This controller's id for database position `index` (the inverse
+    /// of [`InstanceId::index`]); an index past the database yields an id
+    /// every call rejects.
+    pub(crate) fn instance_at(&self, index: u32) -> InstanceId {
+        InstanceId {
+            controller: self.tag,
+            index,
+        }
+    }
+
+    /// The name an [`InstanceId`] was interned from.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::InvalidInstanceId`] for an id this
+    /// controller did not issue.
+    pub fn instance_name(&self, id: InstanceId) -> Result<&str, RuntimeError> {
+        Ok(&self.instances[self.index_of(id)?].name)
+    }
+
+    /// Checks that `id` was issued by this controller and returns its
+    /// index into `instances`.
+    fn index_of(&self, id: InstanceId) -> Result<usize, RuntimeError> {
+        let index = id.index as usize;
+        if id.controller != self.tag || index >= self.instances.len() {
+            return Err(RuntimeError::InvalidInstanceId {
+                index: id.index,
+                instances: self.instances.len(),
+            });
+        }
+        Ok(index)
     }
 
     /// The low-level controller's capacity epoch: bumped on every
@@ -434,20 +521,22 @@ impl SystemController {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::UnknownInstance`] for unregistered
-    /// instances.
+    /// Returns [`RuntimeError::InvalidInstanceId`] for an id this
+    /// controller did not issue.
     pub fn try_deploy(
         &mut self,
-        instance: &str,
+        instance: InstanceId,
         mut ctx: Option<SpanCtx<'_>>,
     ) -> Result<Result<Deployment, RejectReason>, RuntimeError> {
+        let index = self.index_of(instance)?;
         let span = ctx.as_mut().map(|c| {
             let span = c.spans.begin("deploy", c.trace, c.parent, c.at);
-            c.spans.attr(span, "instance", instance.to_string());
+            c.spans
+                .attr(span, "instance", self.instances[index].name.clone());
             span
         });
         let outcome = self.deploy_inner(
-            instance,
+            index,
             ctx.as_mut().map(|c| SpanCtx {
                 parent: span,
                 ..c.reborrow()
@@ -477,7 +566,7 @@ impl SystemController {
 
     fn deploy_inner(
         &mut self,
-        instance: &str,
+        index: usize,
         ctx: Option<SpanCtx<'_>>,
     ) -> Result<Result<Deployment, RejectReason>, RuntimeError> {
         // Feasibility-cache fast path: while the capacity epoch is
@@ -487,37 +576,34 @@ impl SystemController {
         // it) is exactly what a full probe would produce — capacity
         // rejections touch no device state, emit no reconfigure spans and
         // draw no injector randomness — so skipping the probe is invisible.
-        if let Some(&(epoch, reason)) = self.feas_cache.get(instance) {
+        if let Some((epoch, reason)) = self.feas_cache[index] {
             if epoch == self.llc.capacity_epoch() {
                 self.stats.cache_hits += 1;
                 return Ok(Err(reason));
             }
         }
         self.stats.probes += 1;
-        let outcome = self.probe_inner(instance, ctx)?;
+        let outcome = self.probe_inner(index, ctx)?;
         if let Err(reason) = outcome {
             // A transient fault says nothing about capacity — an
             // immediate retry may succeed — so it is never cached.
             if reason != RejectReason::TransientFault {
-                self.feas_cache
-                    .insert(instance.to_string(), (self.llc.capacity_epoch(), reason));
+                self.feas_cache[index] = Some((self.llc.capacity_epoch(), reason));
             }
         }
         Ok(outcome)
     }
 
-    /// One full placement probe: database lookup, option scan, commit.
+    /// One full placement probe: option scan and commit.
     /// [`deploy_inner`](Self::deploy_inner) wraps it with the feasibility
     /// cache.
     fn probe_inner(
         &mut self,
-        instance: &str,
+        index: usize,
         ctx: Option<SpanCtx<'_>>,
     ) -> Result<Result<Deployment, RejectReason>, RuntimeError> {
-        let entry = self
-            .db
-            .entry_shared(instance)
-            .ok_or_else(|| RuntimeError::UnknownInstance(instance.to_string()))?;
+        let entry = Arc::clone(&self.instances[index]);
+        let instance = entry.name.as_str();
 
         // Statically provisioned baseline: the task runs on whatever free
         // device's preinstalled accelerator, preferring a matching install.
@@ -1063,8 +1149,9 @@ mod tests {
     fn deploy_release_roundtrip() {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Full);
+        let tiny = c.instance_id("tiny").unwrap();
         assert_eq!(c.live_deployments(), 0);
-        let d = c.try_deploy("tiny", None).unwrap().unwrap();
+        let d = c.try_deploy(tiny, None).unwrap().unwrap();
         assert_eq!(d.num_units(), 1);
         assert!(c.occupancy() > 0.0);
         assert_eq!(c.live_deployments(), 1);
@@ -1077,20 +1164,58 @@ mod tests {
     #[test]
     fn unknown_instance_is_an_error() {
         let (cluster, db) = small_db();
-        let mut c = SystemController::new(cluster, db, Policy::Full);
+        let c = SystemController::new(cluster, db, Policy::Full);
         assert!(matches!(
-            c.try_deploy("ghost", None),
-            Err(RuntimeError::UnknownInstance(_))
+            c.instance_id("ghost"),
+            Err(RuntimeError::UnknownInstance(name)) if name == "ghost"
         ));
+    }
+
+    #[test]
+    fn foreign_or_out_of_range_instance_ids_are_typed_errors() {
+        let (cluster, db) = small_db();
+        let mut c = SystemController::new(cluster.clone(), db.clone(), Policy::Full);
+        let mut other = SystemController::new(cluster, db, Policy::Full);
+        let tiny = c.instance_id("tiny").unwrap();
+        assert_eq!(c.instance_name(tiny).unwrap(), "tiny");
+        // Same database, same name, different controller: not interchangeable.
+        let foreign = other.instance_id("tiny").unwrap();
+        assert_ne!(tiny, foreign);
+        assert!(matches!(
+            c.try_deploy(foreign, None),
+            Err(RuntimeError::InvalidInstanceId { instances: 2, .. })
+        ));
+        assert!(matches!(
+            other.try_deploy(tiny, None),
+            Err(RuntimeError::InvalidInstanceId { .. })
+        ));
+        assert!(c.instance_name(foreign).is_err());
+        // An index past the database is rejected the same way.
+        let out_of_range = InstanceId { index: 2, ..tiny };
+        assert!(matches!(
+            c.try_deploy(out_of_range, None),
+            Err(RuntimeError::InvalidInstanceId {
+                index: 2,
+                instances: 2
+            })
+        ));
+        assert!(matches!(
+            c.try_deploy(c.instance_at(u32::MAX), None),
+            Err(RuntimeError::InvalidInstanceId { .. })
+        ));
+        // Nothing was attempted, and the controller still deploys.
+        assert_eq!(c.stats().probes + c.stats().cache_hits, 0);
+        assert!(c.try_deploy(tiny, None).unwrap().is_ok());
     }
 
     #[test]
     fn greedy_prefers_fewest_fpgas() {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Full);
+        let big = c.instance_id("big").unwrap();
         // With a completely free cluster, even the big instance takes the
         // single-FPGA option.
-        let d = c.try_deploy("big", None).unwrap().unwrap();
+        let d = c.try_deploy(big, None).unwrap().unwrap();
         assert_eq!(d.num_units(), 1);
     }
 
@@ -1099,8 +1224,9 @@ mod tests {
         let (cluster, db) = small_db();
         let n = cluster.len();
         let mut c = SystemController::new(cluster, db, Policy::Baseline);
+        let tiny = c.instance_id("tiny").unwrap();
         let mut held = Vec::new();
-        while let Ok(d) = c.try_deploy("tiny", None).unwrap() {
+        while let Ok(d) = c.try_deploy(tiny, None).unwrap() {
             held.push(d);
             assert!(held.len() <= n, "baseline cannot exceed one per device");
         }
@@ -1108,8 +1234,8 @@ mod tests {
         // Releasing one admits exactly one more.
         let d = held.pop().unwrap();
         c.release(&d).unwrap();
-        assert!(c.try_deploy("tiny", None).unwrap().is_ok());
-        assert!(c.try_deploy("tiny", None).unwrap().is_err());
+        assert!(c.try_deploy(tiny, None).unwrap().is_ok());
+        assert!(c.try_deploy(tiny, None).unwrap().is_err());
     }
 
     #[test]
@@ -1117,8 +1243,9 @@ mod tests {
         let (cluster, db) = small_db();
         let n = cluster.len();
         let mut c = SystemController::new(cluster, db, Policy::Full);
+        let tiny = c.instance_id("tiny").unwrap();
         let mut held = Vec::new();
-        while let Ok(d) = c.try_deploy("tiny", None).unwrap() {
+        while let Ok(d) = c.try_deploy(tiny, None).unwrap() {
             held.push(d);
             assert!(held.len() < 100);
         }
@@ -1129,9 +1256,10 @@ mod tests {
     fn full_policy_reports_capacity_exhaustion() {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Full);
+        let big = c.instance_id("big").unwrap();
         let mut held = Vec::new();
         loop {
-            match c.try_deploy("big", None).unwrap() {
+            match c.try_deploy(big, None).unwrap() {
                 Ok(d) => held.push(d),
                 Err(reason) => {
                     // The full policy never excludes an option and has no
@@ -1150,7 +1278,7 @@ mod tests {
         }
         assert_eq!(c.stats().releases, held.len() as u64);
         // Capacity is back.
-        assert!(c.try_deploy("big", None).unwrap().is_ok());
+        assert!(c.try_deploy(big, None).unwrap().is_ok());
     }
 
     #[test]
@@ -1161,10 +1289,11 @@ mod tests {
         let mut c = SystemController::new(cluster, db, Policy::Baseline)
             .with_provisioning(prov)
             .unwrap();
+        let tiny = c.instance_id("tiny").unwrap();
         for _ in 0..n {
-            assert!(c.try_deploy("tiny", None).unwrap().is_ok());
+            assert!(c.try_deploy(tiny, None).unwrap().is_ok());
         }
-        let rejected = c.try_deploy("tiny", None).unwrap().unwrap_err();
+        let rejected = c.try_deploy(tiny, None).unwrap().unwrap_err();
         assert_eq!(rejected, RejectReason::NoFreeDevice);
         assert_eq!(c.stats().rejects_for(RejectReason::NoFreeDevice), 1);
     }
@@ -1240,12 +1369,14 @@ mod tests {
         });
         // Baseline filters out every option — even on an idle cluster.
         let mut base = SystemController::new(cluster.clone(), db2.clone(), Policy::Baseline);
-        let rejected = base.try_deploy("huge", None).unwrap().unwrap_err();
+        let huge = base.instance_id("huge").unwrap();
+        let rejected = base.try_deploy(huge, None).unwrap().unwrap_err();
         assert_eq!(rejected, RejectReason::PolicyExcluded);
         assert_eq!(base.stats().rejects_for(RejectReason::PolicyExcluded), 1);
         // The full policy deploys the same entry fine.
         let mut full = SystemController::new(cluster, db2, Policy::Full);
-        let d = full.try_deploy("huge", None).unwrap().unwrap();
+        let huge = full.instance_id("huge").unwrap();
+        let d = full.try_deploy(huge, None).unwrap().unwrap();
         assert!(d.num_units() > 1);
     }
 
@@ -1253,8 +1384,9 @@ mod tests {
     fn double_release_keeps_accounting_intact() {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Full);
-        let d1 = c.try_deploy("tiny", None).unwrap().unwrap();
-        let d2 = c.try_deploy("tiny", None).unwrap().unwrap();
+        let tiny = c.instance_id("tiny").unwrap();
+        let d1 = c.try_deploy(tiny, None).unwrap().unwrap();
+        let d2 = c.try_deploy(tiny, None).unwrap().unwrap();
         let occupancy_one = {
             c.release(&d1).unwrap();
             c.occupancy()
@@ -1268,17 +1400,18 @@ mod tests {
         c.release(&d2).unwrap();
         assert_eq!(c.occupancy(), 0.0);
         // The controller still deploys fine afterwards.
-        assert!(c.try_deploy("tiny", None).unwrap().is_ok());
+        assert!(c.try_deploy(tiny, None).unwrap().is_ok());
     }
 
     #[test]
     fn device_failure_interrupts_and_recovery_readmits() {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Full);
+        let tiny = c.instance_id("tiny").unwrap();
         // Deploy until something lands on device 0.
         let mut held = Vec::new();
         loop {
-            let d = c.try_deploy("tiny", None).unwrap().expect("capacity");
+            let d = c.try_deploy(tiny, None).unwrap().expect("capacity");
             let on_zero = d.placements.iter().any(|p| p.device == DeviceId(0));
             held.push(d);
             if on_zero {
@@ -1305,7 +1438,7 @@ mod tests {
         assert!(c.handle_device_failure(DeviceId(0), None).is_empty());
         // New placements avoid the failed device.
         let d = c
-            .try_deploy("tiny", None)
+            .try_deploy(tiny, None)
             .unwrap()
             .expect("survivors have room");
         assert!(d.placements.iter().all(|p| p.device != DeviceId(0)));
@@ -1318,11 +1451,12 @@ mod tests {
         let (cluster, db) = small_db();
         let n = cluster.len();
         let mut c = SystemController::new(cluster, db, Policy::Full);
+        let tiny = c.instance_id("tiny").unwrap();
         for i in 0..n {
             c.handle_device_failure(DeviceId(i), None);
         }
         assert_eq!(c.occupancy(), 0.0);
-        let rejected = c.try_deploy("tiny", None).unwrap().unwrap_err();
+        let rejected = c.try_deploy(tiny, None).unwrap().unwrap_err();
         assert_eq!(rejected, RejectReason::InsufficientCapacity);
     }
 
@@ -1330,26 +1464,29 @@ mod tests {
     fn transient_faults_surface_as_soft_rejections() {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Full);
+        let tiny = c.instance_id("tiny").unwrap();
         c.enable_transient_faults(1.0, 7);
-        let rejected = c.try_deploy("tiny", None).unwrap().unwrap_err();
+        let rejected = c.try_deploy(tiny, None).unwrap().unwrap_err();
         assert_eq!(rejected, RejectReason::TransientFault);
         assert_eq!(c.stats().rejects_for(RejectReason::TransientFault), 1);
         // Nothing leaked: the rolled-back attempt left the cluster empty.
         assert_eq!(c.occupancy(), 0.0);
         assert_eq!(c.live_deployments(), 0);
         c.enable_transient_faults(0.0, 0);
-        assert!(c.try_deploy("tiny", None).unwrap().is_ok());
+        assert!(c.try_deploy(tiny, None).unwrap().is_ok());
     }
 
     #[test]
     fn spanned_deploy_records_decision_and_reconfigures() {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Full);
+        let tiny = c.instance_id("tiny").unwrap();
+        let big = c.instance_id("big").unwrap();
         let mut spans = SpanTracer::new();
         let at = SimTime::from_us(10.0);
         let root = spans.begin("task", TraceId(0), None, SimTime::ZERO);
         let d = c
-            .try_deploy("tiny", spans.ctx(TraceId(0), Some(root), at))
+            .try_deploy(tiny, spans.ctx(TraceId(0), Some(root), at))
             .unwrap()
             .unwrap();
         // One deploy span with nested reconfigure children, all closed.
@@ -1381,10 +1518,7 @@ mod tests {
         );
         // A rejection records the reason label.
         let mut held = vec![d];
-        while let Ok(d) = c
-            .try_deploy("big", spans.ctx(TraceId(1), None, at))
-            .unwrap()
-        {
+        while let Ok(d) = c.try_deploy(big, spans.ctx(TraceId(1), None, at)).unwrap() {
             held.push(d);
             assert!(held.len() < 100);
         }
@@ -1400,10 +1534,11 @@ mod tests {
     fn reconfigure_spans_record_outcome_and_lane() {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Full);
+        let tiny = c.instance_id("tiny").unwrap();
         let mut spans = SpanTracer::new();
         let at = SimTime::from_us(3.0);
         let d = c
-            .try_deploy("tiny", spans.ctx(TraceId(5), None, at))
+            .try_deploy(tiny, spans.ctx(TraceId(5), None, at))
             .unwrap()
             .unwrap();
         let unit = &d.placements[0];
@@ -1428,7 +1563,7 @@ mod tests {
         c.enable_transient_faults(1.0, 7);
         let before = spans.len();
         assert!(c
-            .try_deploy("tiny", spans.ctx(TraceId(6), None, at))
+            .try_deploy(tiny, spans.ctx(TraceId(6), None, at))
             .unwrap()
             .is_err());
         let span = spans
@@ -1446,7 +1581,7 @@ mod tests {
         assert_eq!(span.lane, Some((device + 1, CONTROL_TID)));
         // `None` traces nothing.
         let before = spans.len();
-        let _ = c.try_deploy("tiny", None).unwrap();
+        let _ = c.try_deploy(tiny, None).unwrap();
         assert_eq!(spans.len(), before);
     }
 
@@ -1454,15 +1589,16 @@ mod tests {
     fn resizing_a_released_deployment_configures_nothing() {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Full);
+        let big = c.instance_id("big").unwrap();
         // Promoting a released handle fails before configuring anything.
-        let d = c.try_deploy("big", None).unwrap().unwrap();
+        let d = c.try_deploy(big, None).unwrap().unwrap();
         c.release(&d).unwrap();
         assert!(c.promote_deployment(&d, &mut |_| true, None).is_err());
         assert_eq!(c.occupancy(), 0.0);
         assert_eq!(c.live_deployments(), 0);
         // So does demoting one (a grown, multi-unit deployment here, so a
         // smaller variant exists).
-        let d = c.try_deploy("big", None).unwrap().unwrap();
+        let d = c.try_deploy(big, None).unwrap().unwrap();
         let grown = c
             .promote_deployment(&d, &mut |_| true, None)
             .unwrap()
@@ -1478,10 +1614,11 @@ mod tests {
     fn spanned_device_failure_records_interrupted_count() {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Full);
+        let tiny = c.instance_id("tiny").unwrap();
         let mut spans = SpanTracer::new();
         let mut held = Vec::new();
         loop {
-            let d = c.try_deploy("tiny", None).unwrap().expect("capacity");
+            let d = c.try_deploy(tiny, None).unwrap().expect("capacity");
             let on_zero = d.placements.iter().any(|p| p.device == DeviceId(0));
             held.push(d);
             if on_zero {
@@ -1508,8 +1645,9 @@ mod tests {
     fn feasibility_cache_replays_rejections_until_epoch_changes() {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Full);
+        let big = c.instance_id("big").unwrap();
         let mut held = Vec::new();
-        while let Ok(d) = c.try_deploy("big", None).unwrap() {
+        while let Ok(d) = c.try_deploy(big, None).unwrap() {
             held.push(d);
             assert!(held.len() < 100);
         }
@@ -1518,7 +1656,7 @@ mod tests {
         // Saturated: further attempts replay the cached rejection without
         // probing, and the reason is stable.
         for _ in 0..5 {
-            let rejected = c.try_deploy("big", None).unwrap().unwrap_err();
+            let rejected = c.try_deploy(big, None).unwrap().unwrap_err();
             assert_eq!(rejected, RejectReason::InsufficientCapacity);
         }
         assert_eq!(c.stats().probes, probes_after_fill);
@@ -1532,7 +1670,7 @@ mod tests {
         // A release bumps the epoch: the next attempt probes again and
         // succeeds.
         c.release(&held.pop().unwrap()).unwrap();
-        assert!(c.try_deploy("big", None).unwrap().is_ok());
+        assert!(c.try_deploy(big, None).unwrap().is_ok());
         assert!(c.stats().probes > probes_after_fill);
     }
 
@@ -1544,25 +1682,29 @@ mod tests {
         let (cluster, db) = small_db();
         let saturated = || {
             let mut c = SystemController::new(cluster.clone(), db.clone(), Policy::Full);
+            let big = c.instance_id("big").unwrap();
             let mut held = Vec::new();
-            while let Ok(d) = c.try_deploy("big", None).unwrap() {
+            while let Ok(d) = c.try_deploy(big, None).unwrap() {
                 held.push(d);
             }
             // A fresh epoch, refilled, so the next rejection probes.
             c.release(&held.pop().unwrap()).unwrap();
-            held.push(c.try_deploy("big", None).unwrap().unwrap());
+            held.push(c.try_deploy(big, None).unwrap().unwrap());
             c.enable_transient_faults(0.5, 7);
             (c, held)
         };
         let (mut c, mut held) = saturated();
         let (mut twin, mut twin_held) = saturated();
+        let (big, tiny) = (
+            c.instance_id("big").unwrap(),
+            c.instance_id("tiny").unwrap(),
+        );
+        let twin_tiny = twin.instance_id("tiny").unwrap();
         let mut spans = SpanTracer::new();
         let at = SimTime::from_us(5.0);
         let probes = c.stats().probes;
         for _ in 0..2 {
-            let rejected = c
-                .try_deploy("big", spans.ctx(TraceId(0), None, at))
-                .unwrap();
+            let rejected = c.try_deploy(big, spans.ctx(TraceId(0), None, at)).unwrap();
             assert_eq!(rejected.unwrap_err(), RejectReason::InsufficientCapacity);
         }
         assert_eq!(c.stats().probes, probes + 1, "the second attempt replays");
@@ -1582,8 +1724,8 @@ mod tests {
         c.release(&held.pop().unwrap()).unwrap();
         twin.release(&twin_held.pop().unwrap()).unwrap();
         for i in 0..8 {
-            let a = c.try_deploy("tiny", None).unwrap();
-            let b = twin.try_deploy("tiny", None).unwrap();
+            let a = c.try_deploy(tiny, None).unwrap();
+            let b = twin.try_deploy(twin_tiny, None).unwrap();
             assert_eq!(
                 a.as_ref().map(|d| d.placements[0].device),
                 b.as_ref().map(|d| d.placements[0].device),
@@ -1597,8 +1739,9 @@ mod tests {
     fn capacity_epoch_bumps_on_every_capacity_changing_operation() {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Full);
+        let tiny = c.instance_id("tiny").unwrap();
         let e0 = c.capacity_epoch();
-        let d = c.try_deploy("tiny", None).unwrap().unwrap();
+        let d = c.try_deploy(tiny, None).unwrap().unwrap();
         assert_eq!(
             c.capacity_epoch(),
             e0,
@@ -1628,11 +1771,12 @@ mod tests {
     fn capacity_pressure_falls_back_to_more_units() {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Full);
+        let big = c.instance_id("big").unwrap();
         // Fill the cluster with big tenants until a multi-unit deployment
         // appears or capacity runs out.
         let mut saw_multi = false;
         let mut held = Vec::new();
-        while let Ok(d) = c.try_deploy("big", None).unwrap() {
+        while let Ok(d) = c.try_deploy(big, None).unwrap() {
             saw_multi |= d.num_units() > 1;
             held.push(d);
             if held.len() > 16 {

@@ -45,8 +45,8 @@ pub use cloudsim::{
     ElasticityPolicy, RecoveryPolicy, DEFAULT_TRACE_CAPACITY,
 };
 pub use controller::{
-    ControllerStats, Deployment, DeploymentId, Placement, Policy, RejectReason, ScaleDown,
-    SystemController,
+    ControllerStats, Deployment, DeploymentId, InstanceId, Placement, Policy, RejectReason,
+    ScaleDown, SystemController,
 };
 pub use monitor::{MonitorConfig, MonitorReport, RunMonitor};
 pub use scaleout_sim::{
@@ -61,6 +61,14 @@ use std::fmt;
 pub enum RuntimeError {
     /// The instance is not in the mapping database.
     UnknownInstance(String),
+    /// An [`InstanceId`] this controller did not issue: interned by
+    /// another controller, or out of range for this one's database.
+    InvalidInstanceId {
+        /// The id's database index.
+        index: u32,
+        /// Instances in this controller's database.
+        instances: usize,
+    },
     /// Static provisioning named a different number of instances than the
     /// cluster has devices.
     ProvisioningSize {
@@ -103,6 +111,10 @@ impl fmt::Display for RuntimeError {
             RuntimeError::UnknownInstance(name) => {
                 write!(f, "instance `{name}` not in mapping database")
             }
+            RuntimeError::InvalidInstanceId { index, instances } => write!(
+                f,
+                "instance id #{index} was not issued by this controller ({instances} instances)"
+            ),
             RuntimeError::ProvisioningSize { devices, instances } => write!(
                 f,
                 "provisioned {instances} instances for a cluster of {devices} devices"

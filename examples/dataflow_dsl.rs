@@ -63,8 +63,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         true,
     )?;
     let mut controller = SystemController::new(cluster, db, Policy::Full);
+    let extract = controller.instance_id("extract")?;
     let d = controller
-        .try_deploy("extract", None)?
+        .try_deploy(extract, None)?
         .expect("cluster has room");
     println!(
         "deployed onto {:?}",

@@ -92,8 +92,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. Deploy through the system controller (greedy policy).
     let mut controller = SystemController::new(cluster, db, Policy::Full);
+    let instance = controller.instance_id("quickstart")?;
     let deployment = controller
-        .try_deploy("quickstart", None)?
+        .try_deploy(instance, None)?
         .expect("empty cluster has capacity");
     println!(
         "\ndeployed onto {} FPGA(s): {:?}",

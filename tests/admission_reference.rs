@@ -17,8 +17,8 @@ use vfpga::fabric::{Cluster, DeviceId, MemoryKind};
 use vfpga::fuzz::{ReferenceCluster, ReferenceReport, ReferenceScheduler};
 use vfpga::hsabs::HsCompiler;
 use vfpga::runtime::{
-    run_cloud_sim_tuned, AdmissionTuning, CloudReport, Deployment, Policy, RecoveryPolicy,
-    RejectReason, SystemController, DEFAULT_TRACE_CAPACITY,
+    run_cloud_sim_tuned, AdmissionTuning, CloudReport, Deployment, InstanceId, Policy,
+    RecoveryPolicy, RejectReason, SystemController, DEFAULT_TRACE_CAPACITY,
 };
 use vfpga::sim::{FaultPlan, FaultPlanParams, SimTime};
 use vfpga::workload::{generate_workload, Composition, RnnKind, RnnTask, TaskArrival};
@@ -137,10 +137,11 @@ fn small_db() -> (Cluster, MappingDatabase) {
 fn cached_rejections_place_like_the_reference() {
     let (cluster, db) = small_db();
     let mut c = SystemController::new(cluster.clone(), db.clone(), Policy::Full);
+    let big = c.instance_id("big").unwrap();
     let mut reference = ReferenceCluster::new(&cluster, &db, Policy::Full);
     let devices = |d: Deployment| d.placements.iter().map(|p| p.device).collect::<Vec<_>>();
     for i in 0..40 {
-        let fast = c.try_deploy("big", None).unwrap().map(devices);
+        let fast = c.try_deploy(big, None).unwrap().map(devices);
         let naive = reference.try_deploy("big").unwrap().map(devices);
         assert_eq!(fast, naive, "attempt {i}: the cache changed a decision");
     }
@@ -244,13 +245,10 @@ fn gated_waves_admit_like_the_reference_under_chaos() {
 
 /// Fills the cluster with deployments of `instance` until the controller
 /// rejects one, returning what was deployed.
-fn fill_with(controller: &mut SystemController, instance: &str) -> Vec<Deployment> {
+fn fill_with(controller: &mut SystemController, instance: InstanceId) -> Vec<Deployment> {
     let mut live = Vec::new();
     loop {
-        match controller
-            .try_deploy(instance, None)
-            .expect("known instance")
-        {
+        match controller.try_deploy(instance, None).unwrap() {
             Ok(d) => live.push(d),
             Err(_) => return live,
         }
@@ -261,7 +259,8 @@ fn fill_with(controller: &mut SystemController, instance: &str) -> Vec<Deploymen
 fn capacity_epoch_invalidates_on_every_capacity_changing_operation() {
     let catalog = Catalog::build();
     let mut c = SystemController::new(catalog.cluster.clone(), catalog.db.clone(), Policy::Full);
-    let live = fill_with(&mut c, "bw-l");
+    let bw_l = c.instance_id("bw-l").unwrap();
+    let live = fill_with(&mut c, bw_l);
     assert!(!live.is_empty(), "cluster must hold at least one bw-l");
 
     // The rejection that ended the fill is now cached: replaying the
@@ -269,7 +268,7 @@ fn capacity_epoch_invalidates_on_every_capacity_changing_operation() {
     let probes_before = c.stats().probes;
     let epoch = c.capacity_epoch();
     for _ in 0..3 {
-        let outcome = c.try_deploy("bw-l", None).unwrap();
+        let outcome = c.try_deploy(bw_l, None).unwrap();
         assert_eq!(outcome.unwrap_err(), RejectReason::InsufficientCapacity);
     }
     assert_eq!(
@@ -290,7 +289,7 @@ fn capacity_epoch_invalidates_on_every_capacity_changing_operation() {
     assert_ne!(c.capacity_epoch(), epoch, "release must invalidate");
     let probes_before = c.stats().probes;
     let redeployed = c
-        .try_deploy("bw-l", None)
+        .try_deploy(bw_l, None)
         .unwrap()
         .expect("released capacity admits again");
     assert!(
@@ -313,7 +312,7 @@ fn capacity_epoch_invalidates_on_every_capacity_changing_operation() {
     // Scale-down redeploy: with the original device gone, the interrupted
     // instance redeploys onto the freed sibling capacity. The deploy
     // itself (a configure) must not move the epoch.
-    let scale_down = c.try_deploy("bw-l", None).unwrap();
+    let scale_down = c.try_deploy(bw_l, None).unwrap();
     if let Ok(d) = &scale_down {
         assert_eq!(c.capacity_epoch(), epoch, "configure must not invalidate");
         c.release(d).unwrap();
@@ -344,4 +343,28 @@ fn capacity_epoch_invalidates_on_every_capacity_changing_operation() {
         failed_epoch,
         "re-failing a failed device must not invalidate"
     );
+}
+
+#[test]
+fn certain_transient_faults_strand_tasks_like_the_reference() {
+    // Every configure flakes and some device waves run underneath: both
+    // schedulers stop nudging after the same idle bound and strand the
+    // same tasks, so the run terminates instead of livelocking.
+    let plan = FaultPlan::generate(
+        FaultPlanParams {
+            mttf: SimTime::from_us(150.0),
+            mttr: SimTime::from_us(60.0),
+            configure_failure_prob: 1.0,
+            horizon: SimTime::from_us(400.0),
+        },
+        4,
+        7,
+    );
+    let (fast, reference) = tiny_runs(Policy::Full, &arrivals(80, 1.0), &plan);
+    if let Err(e) = reference.check_lockstep(&fast) {
+        panic!("certain-fault run diverged from the reference: {e}");
+    }
+    assert_eq!(fast.completed, 0);
+    assert_eq!(fast.never_deployed, 80);
+    assert!(fast.accounts_for_all_arrivals());
 }

@@ -15,8 +15,8 @@ use vfpga::core::{decompose, partition, DecomposeOptions, MappingDatabase};
 use vfpga::fabric::{Cluster, DeviceId, MemoryKind};
 use vfpga::hsabs::{DeviceHealth, HsCompiler};
 use vfpga::runtime::{
-    run_cloud_sim_tuned, AdmissionTuning, CloudReport, Deployment, ElasticityPolicy, MonitorConfig,
-    Policy, RecoveryPolicy, SystemController, DEFAULT_TRACE_CAPACITY,
+    run_cloud_sim_tuned, AdmissionTuning, CloudReport, Deployment, ElasticityPolicy, InstanceId,
+    MonitorConfig, Policy, RecoveryPolicy, SystemController, DEFAULT_TRACE_CAPACITY,
 };
 use vfpga::sim::{
     chrome_trace_events, prometheus_text, FaultPlan, FaultPlanParams, Json, LinkFaultParams,
@@ -180,11 +180,15 @@ fn no_live_deployment_references_a_failed_device() {
     let catalog = Catalog::build();
     let mut controller =
         SystemController::new(catalog.cluster.clone(), catalog.db.clone(), Policy::Full);
-    let names: Vec<String> = catalog.instances.keys().cloned().collect();
+    let names: Vec<InstanceId> = catalog
+        .instances
+        .keys()
+        .map(|name| controller.instance_id(name).expect("known instance"))
+        .collect();
     let mut live = Vec::new();
     'fill: loop {
-        for name in &names {
-            match controller.try_deploy(name, None).expect("known instance") {
+        for &name in &names {
+            match controller.try_deploy(name, None).unwrap() {
                 Ok(d) => live.push(d),
                 Err(_) => break 'fill,
             }
@@ -225,7 +229,7 @@ fn no_live_deployment_references_a_failed_device() {
             !touches && !interrupted.contains(&d.id)
         });
         // Failed devices never re-enter placement until recovery.
-        if let Ok(Ok(d)) = controller.try_deploy(&names[0], None) {
+        if let Ok(Ok(d)) = controller.try_deploy(names[0], None) {
             assert!(
                 d.placements.iter().all(|p| p.device != victim),
                 "placement landed on failed {victim:?}"
@@ -247,8 +251,8 @@ fn no_live_deployment_references_a_failed_device() {
     assert_eq!(controller.failed_devices(), 0);
     assert_eq!(controller.occupancy(), 0.0);
     let redeployed = controller
-        .try_deploy(&names[0], None)
-        .expect("known instance")
+        .try_deploy(names[0], None)
+        .unwrap()
         .expect("recovered cluster accepts work");
     controller.release(&redeployed).unwrap();
 }

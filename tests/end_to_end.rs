@@ -38,10 +38,11 @@ fn spatial_sharing_multiple_tenants_per_fpga() {
     let catalog = Catalog::build();
     let mut controller =
         SystemController::new(catalog.cluster.clone(), catalog.db.clone(), Policy::Full);
+    let bw_s = controller.instance_id("bw-s").unwrap();
     // Small instances pack several to a device: deploy until the cluster
     // refuses, then count.
     let mut deployments = Vec::new();
-    while let Ok(d) = controller.try_deploy("bw-s", None).unwrap() {
+    while let Ok(d) = controller.try_deploy(bw_s, None).unwrap() {
         deployments.push(d);
         if deployments.len() > 64 {
             panic!("runaway deployment loop");
@@ -65,7 +66,7 @@ fn spatial_sharing_multiple_tenants_per_fpga() {
         controller.release(&d).unwrap();
     }
     assert_eq!(controller.occupancy(), 0.0);
-    assert!(controller.try_deploy("bw-s", None).unwrap().is_ok());
+    assert!(controller.try_deploy(bw_s, None).unwrap().is_ok());
 }
 
 #[test]
@@ -76,9 +77,10 @@ fn baseline_policy_is_whole_device() {
         catalog.db.clone(),
         Policy::Baseline,
     );
+    let bw_s = controller.instance_id("bw-s").unwrap();
     // Exactly one tenant per device, so at most 4 deployments.
     let mut count = 0;
-    while controller.try_deploy("bw-s", None).unwrap().is_ok() {
+    while controller.try_deploy(bw_s, None).unwrap().is_ok() {
         count += 1;
         assert!(count <= catalog.cluster.len());
     }
@@ -113,9 +115,10 @@ fn full_policy_spans_heterogeneous_devices_under_pressure() {
     let catalog = Catalog::build();
     let mut controller =
         SystemController::new(catalog.cluster.clone(), catalog.db.clone(), Policy::Full);
+    let bw_l = controller.instance_id("bw-l").unwrap();
     // Saturate the three VU37P devices with large tenants.
     let mut held = Vec::new();
-    while let Ok(d) = controller.try_deploy("bw-l", None).unwrap() {
+    while let Ok(d) = controller.try_deploy(bw_l, None).unwrap() {
         let single_vu = d.num_units() == 1
             && catalog
                 .cluster
@@ -149,8 +152,9 @@ fn restricted_policy_cannot_span_types() {
         catalog.db.clone(),
         Policy::Restricted,
     );
+    let bw_l = controller.instance_id("bw-l").unwrap();
     let mut held = Vec::new();
-    while let Ok(d) = controller.try_deploy("bw-l", None).unwrap() {
+    while let Ok(d) = controller.try_deploy(bw_l, None).unwrap() {
         // Every deployment must stay within one device type.
         let types: std::collections::HashSet<&str> = d
             .placements
@@ -173,10 +177,10 @@ fn service_times_are_sane_across_policies() {
     for policy in [Policy::Baseline, Policy::Full] {
         let mut controller =
             SystemController::new(catalog.cluster.clone(), catalog.db.clone(), policy);
-        let d = controller
-            .try_deploy(&catalog.instance_for(&task), None)
-            .unwrap()
+        let instance = controller
+            .instance_id(&catalog.instance_for(&task))
             .unwrap();
+        let d = controller.try_deploy(instance, None).unwrap().unwrap();
         let t = catalog.service_time(&task, &d, policy);
         // Table 4 scale: tens of microseconds to a few ms.
         assert!(
