@@ -9,8 +9,7 @@ use vfpga_accel::{
     CONTROL_PATH_MODULE, MOVED_TO_CONTROL, TOP_MODULE,
 };
 use vfpga_core::{
-    decompose_traced, partition_traced, DecomposeOptions, Decomposition, MappingDatabase,
-    PartitionTree,
+    decompose, partition, DecomposeOptions, Decomposition, MappingDatabase, PartitionTree,
 };
 use vfpga_fabric::{Cluster, DeviceType, MemoryKind};
 use vfpga_hsabs::{HsCompiler, InterfaceModel};
@@ -203,12 +202,15 @@ impl Catalog {
 
     /// Runs the offline mapping flow for one configuration: RTL
     /// generation, decomposition (with the Section 3 modifications), and
-    /// partitioning. With a compile-flow `ctx`, the decomposition and
-    /// partitioning steps record `decompose` and `partition` spans under it.
+    /// partitioning. With a compile-flow `ctx`, the two steps record
+    /// zero-duration `decompose` and `partition` spans under it (the
+    /// compile happens outside sim time): the top module and the
+    /// decomposition's leaf/group counts and fixpoint rounds, then the
+    /// iteration count and the plan's maximum unit count.
     pub fn compile_instance(
         config: &AcceleratorConfig,
         iterations: usize,
-        mut ctx: Option<SpanCtx<'_>>,
+        ctx: Option<SpanCtx<'_>>,
     ) -> (Decomposition, PartitionTree) {
         let design = generate_rtl(config);
         let mut opts = DecomposeOptions::new(CONTROL_PATH_MODULE);
@@ -216,15 +218,25 @@ impl Catalog {
         opts.intra_parallelism
             .insert("dpu_array".to_string(), config.rows_per_cycle);
         let est = leaf_resource_estimator(config);
-        let decomp = decompose_traced(
-            &design,
-            TOP_MODULE,
-            &opts,
-            &est,
-            ctx.as_mut().map(|c| c.reborrow()),
-        )
-        .expect("generated design decomposes");
-        let plan = partition_traced(&decomp.tree, iterations, ctx);
+        let decomp =
+            decompose(&design, TOP_MODULE, &opts, &est).expect("generated design decomposes");
+        let plan = partition(&decomp.tree, iterations);
+        if let Some(c) = ctx {
+            let stats = &decomp.stats;
+            let span = c.spans.begin("decompose", c.trace, c.parent, c.at);
+            c.spans.attr(span, "top", TOP_MODULE);
+            c.spans.attr(span, "outcome", "ok");
+            c.spans.attr(span, "data_leaves", stats.data_leaves);
+            c.spans.attr(span, "control_leaves", stats.control_leaves);
+            c.spans.attr(span, "data_groups", stats.data_groups);
+            c.spans.attr(span, "pipeline_groups", stats.pipeline_groups);
+            c.spans.attr(span, "rounds", stats.rounds);
+            c.spans.end(span, c.at);
+            let span = c.spans.begin("partition", c.trace, c.parent, c.at);
+            c.spans.attr(span, "iterations", iterations);
+            c.spans.attr(span, "max_units", plan.max_units());
+            c.spans.end(span, c.at);
+        }
         (decomp, plan)
     }
 
@@ -386,6 +398,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vfpga_sim::SpanValue;
 
     #[test]
     fn catalog_builds_with_three_classes() {
@@ -413,9 +426,31 @@ mod tests {
                 .iter()
                 .filter(|s| s.parent == Some(root.id))
                 .collect();
-            assert_eq!(children.len(), 2, "decompose + partition per compile");
-            assert!(children.iter().any(|s| s.name == "decompose"));
-            assert!(children.iter().any(|s| s.name == "partition"));
+            let names: Vec<_> = children.iter().map(|s| s.name).collect();
+            assert_eq!(names, ["decompose", "partition"], "in compile order");
+            let (decompose, partition) = (children[0], children[1]);
+            assert!(decompose.attr_is("top", TOP_MODULE));
+            assert!(decompose.attr_is("outcome", "ok"));
+            for stat in ["data_leaves", "control_leaves", "data_groups", "rounds"] {
+                assert!(matches!(decompose.attr(stat), Some(SpanValue::U64(n)) if *n > 0));
+            }
+            assert!(matches!(
+                decompose.attr("pipeline_groups"),
+                Some(SpanValue::U64(_))
+            ));
+            assert!(matches!(
+                partition.attr("iterations"),
+                Some(SpanValue::U64(2))
+            ));
+            let instance = match root.attr("instance") {
+                Some(SpanValue::Text(name)) => name,
+                other => panic!("compile span without instance: {other:?}"),
+            };
+            let max_units = c.plans[instance].max_units() as u64;
+            assert!(matches!(
+                partition.attr("max_units"),
+                Some(SpanValue::U64(n)) if *n == max_units
+            ));
         }
         assert_eq!(spans.open_count(), 0);
     }

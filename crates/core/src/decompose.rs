@@ -91,47 +91,6 @@ impl Decomposition {
     }
 }
 
-/// [`decompose`] with span tracing: the offline lowering is recorded as a
-/// zero-duration `decompose` span (compilation happens outside sim time)
-/// carrying the top module name and, on success, the
-/// [`DecomposeStats`] — leaf/group counts and fixpoint rounds — so trace
-/// artifacts show what the compile flow produced for each instance.
-///
-/// # Errors
-///
-/// Exactly as [`decompose`].
-pub fn decompose_traced(
-    design: &Design,
-    top: &str,
-    options: &DecomposeOptions,
-    leaf_resources: &dyn Fn(&FlatNode) -> ResourceVec,
-    ctx: Option<vfpga_sim::SpanCtx<'_>>,
-) -> Result<Decomposition, CoreError> {
-    let result = decompose(design, top, options, leaf_resources);
-    if let Some(ctx) = ctx {
-        let span = ctx.spans.begin("decompose", ctx.trace, ctx.parent, ctx.at);
-        ctx.spans.attr(span, "top", top.to_string());
-        match &result {
-            Ok(d) => {
-                ctx.spans.attr(span, "outcome", "ok");
-                ctx.spans.attr(span, "data_leaves", d.stats.data_leaves);
-                ctx.spans
-                    .attr(span, "control_leaves", d.stats.control_leaves);
-                ctx.spans.attr(span, "data_groups", d.stats.data_groups);
-                ctx.spans
-                    .attr(span, "pipeline_groups", d.stats.pipeline_groups);
-                ctx.spans.attr(span, "rounds", d.stats.rounds);
-            }
-            Err(e) => {
-                ctx.spans.attr(span, "outcome", "error");
-                ctx.spans.attr(span, "error", e.to_string());
-            }
-        }
-        ctx.spans.end(span, ctx.at);
-    }
-    result
-}
-
 /// Decomposes the accelerator rooted at `top` into a soft-block tree.
 ///
 /// `leaf_resources` estimates the spatial resources of one basic-module
@@ -805,79 +764,6 @@ mod tests {
           datapath d (.din(din), .ctl(ctl), .dout(dout));
         endmodule
     "#;
-
-    #[test]
-    fn traced_decompose_records_stats_and_matches_untraced() {
-        use vfpga_sim::{SimTime, SpanCtx, SpanTracer, TraceId};
-
-        let design = parse(MINI).unwrap();
-        let opts = DecomposeOptions::new("ctrl");
-        let mut spans = SpanTracer::new();
-        let d = decompose_traced(
-            &design,
-            "top",
-            &opts,
-            &unit_resources,
-            Some(SpanCtx {
-                spans: &mut spans,
-                trace: TraceId::NONE,
-                parent: None,
-                at: SimTime::ZERO,
-            }),
-        )
-        .unwrap();
-        let plain = decompose(&design, "top", &opts, &unit_resources).unwrap();
-        assert_eq!(d.stats, plain.stats, "tracing must not change the result");
-        let span = spans.span(vfpga_sim::SpanId(0));
-        assert_eq!(span.name, "decompose");
-        assert!(span.attr_is("outcome", "ok"));
-        assert!(matches!(
-            span.attr("data_leaves"),
-            Some(vfpga_sim::SpanValue::U64(8))
-        ));
-        // Partition nests under a caller-provided parent.
-        let root = spans.begin("compile", TraceId::NONE, None, SimTime::ZERO);
-        let tree = crate::partition_traced(
-            &d.tree,
-            2,
-            Some(SpanCtx {
-                spans: &mut spans,
-                trace: TraceId::NONE,
-                parent: Some(root),
-                at: SimTime::ZERO,
-            }),
-        );
-        spans.end(root, SimTime::ZERO);
-        assert_eq!(tree.max_units(), crate::partition(&d.tree, 2).max_units());
-        let pspan = spans
-            .spans()
-            .iter()
-            .find(|s| s.name == "partition")
-            .unwrap();
-        assert_eq!(pspan.parent, Some(root));
-        assert!(matches!(
-            pspan.attr("max_units"),
-            Some(vfpga_sim::SpanValue::U64(n)) if *n as usize == tree.max_units()
-        ));
-        // Errors still trace (and still error).
-        let mut spans2 = SpanTracer::new();
-        assert!(decompose_traced(
-            &design,
-            "nope",
-            &opts,
-            &unit_resources,
-            Some(SpanCtx {
-                spans: &mut spans2,
-                trace: TraceId::NONE,
-                parent: None,
-                at: SimTime::ZERO,
-            }),
-        )
-        .is_err());
-        assert!(spans2
-            .span(vfpga_sim::SpanId(0))
-            .attr_is("outcome", "error"));
-    }
 
     #[test]
     fn mini_accelerator_decomposes_to_pipeline_of_data() {

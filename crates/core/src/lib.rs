@@ -42,8 +42,8 @@ pub use database::{
     DeploymentOption, DeploymentUnit, MappingDatabase, MappingEntry, PATTERN_AWARE_CROSSINGS,
     PATTERN_OBLIVIOUS_CROSSINGS,
 };
-pub use decompose::{decompose, decompose_traced, DecomposeOptions, Decomposition};
-pub use partition::{partition, partition_traced, PartitionNode, PartitionTree};
+pub use decompose::{decompose, DecomposeOptions, Decomposition};
+pub use partition::{partition, PartitionNode, PartitionTree};
 pub use patterns::{reduction, TreeBuilder};
 pub use softblock::{Pattern, SoftBlock, SoftBlockId, SoftBlockKind, SoftBlockTree};
 pub use topdown::decompose_top_down;

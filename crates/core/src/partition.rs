@@ -190,25 +190,6 @@ pub fn partition(tree: &SoftBlockTree, iterations: usize) -> PartitionTree {
     PartitionTree { root, iterations }
 }
 
-/// [`partition`] with span tracing: the bisection run is recorded as a
-/// zero-duration `partition` span carrying the iteration count and the
-/// resulting maximum unit count, nested under the caller's compile-flow
-/// span.
-pub fn partition_traced(
-    tree: &SoftBlockTree,
-    iterations: usize,
-    ctx: Option<vfpga_sim::SpanCtx<'_>>,
-) -> PartitionTree {
-    let result = partition(tree, iterations);
-    if let Some(ctx) = ctx {
-        let span = ctx.spans.begin("partition", ctx.trace, ctx.parent, ctx.at);
-        ctx.spans.attr(span, "iterations", iterations);
-        ctx.spans.attr(span, "max_units", result.max_units());
-        ctx.spans.end(span, ctx.at);
-    }
-    result
-}
-
 impl PartitionTree {
     /// The whole-accelerator unit.
     pub fn root(&self) -> &PartitionNode {

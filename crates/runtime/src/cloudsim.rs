@@ -6,14 +6,14 @@ use std::collections::{HashMap, VecDeque};
 
 use vfpga_fabric::DeviceId;
 use vfpga_sim::{
-    CounterId, CriticalPath, EventQueue, FaultPlan, GaugeId, Json, LinkFaultKind, MetricsRegistry,
-    RetransmitPolicy, Rng, SimTime, SpanId, SpanTracer, Summary, TimeSeries, TimerId,
-    TraceEventKind, TraceId, TraceRing, CONTROL_TID,
+    CriticalPath, EventQueue, FaultPlan, Json, LinkFaultKind, MetricsRegistry, RetransmitPolicy,
+    Rng, SimTime, SpanTracer, Summary, TimeSeries, TraceRing,
 };
 use vfpga_workload::{RnnTask, TaskArrival};
 
 use crate::controller::{Deployment, InstanceId, RejectReason, ScaleDown, SystemController};
-use crate::monitor::{MonitorConfig, MonitorReport, RunMonitor};
+use crate::monitor::{MonitorConfig, MonitorReport};
+use crate::record::{Interruption, Lane, Recorder, SimEvent};
 use crate::RuntimeError;
 
 /// Default capacity of the scheduler-event trace ring kept by
@@ -574,79 +574,45 @@ pub fn run_cloud_sim_tuned(
     trace_capacity: usize,
     tuning: AdmissionTuning,
 ) -> Result<CloudReport, RuntimeError> {
-    let mut sim = CloudSim::new(
+    let segments = controller.cluster().ring().segments();
+    let n = arrivals.len();
+    let mut sim = CloudSim {
         controller,
         arrivals,
         instance_for,
         service_time,
-        faults,
         recovery,
-        trace_capacity,
-        tuning,
-    );
+        faults,
+        instance: vec![u32::MAX; n],
+        queue: VecDeque::new(),
+        wave_admitted_at: Vec::with_capacity(SCAN_WINDOW),
+        wave_admitted: Vec::new(),
+        wave_head: Vec::with_capacity(SCAN_WINDOW),
+        idle_nudges: 0,
+        events: EventQueue::new(),
+        running: vec![None; n],
+        task_of: HashMap::new(),
+        epoch: vec![0; n],
+        interrupted_pending: vec![None; n],
+        elasticity: tuning.elasticity,
+        service_total: vec![SimTime::ZERO; n],
+        completion_at: vec![SimTime::ZERO; n],
+        base_units: vec![0; n],
+        last_promo_epoch: None,
+        last_preempt_epoch: None,
+        saturated_at: None,
+        link_failed: vec![false; segments],
+        link_degraded: vec![false; segments],
+        link_rng: Rng::seed_from_u64(faults.seed() ^ 0x4c49_4e4b_434f_5252),
+        rec: Recorder::new(n, segments, faults.links() > 0, trace_capacity, &tuning),
+    };
     sim.run()?;
     Ok(sim.finish())
 }
 
-/// Metric ids of the run. The registry is the only store of the run's
-/// counters and timers; `finish` reads the report's totals back from it.
-struct Meters {
-    arrivals: CounterId,
-    deploys: CounterId,
-    completions: CounterId,
-    releases: CounterId,
-    rejects: [CounterId; 4],
-    device_failures: CounterId,
-    device_recoveries: CounterId,
-    interrupted: CounterId,
-    migrations: CounterId,
-    redeployments: CounterId,
-    lost: CounterId,
-    promotions: CounterId,
-    preemptions: CounterId,
-    latency: TimerId,
-    queue_wait: TimerId,
-    requeue_wait: TimerId,
-    service: TimerId,
-    time_to_recovery: TimerId,
-    depth: GaugeId,
-    occupancy: GaugeId,
-    failed_devices: GaugeId,
-    /// Present only when the run's fault plan covers ring segments, so a
-    /// device-only run's exposition carries no idle link families (and,
-    /// since link events outside the plan are skipped, no link events
-    /// fire without it).
-    links: Option<LinkMeters>,
-}
-
-/// Link metric ids: per-event counters plus one
-/// `vfpga_link_state{segment="i"}` gauge per ring segment (0 healthy,
-/// 1 degraded, 2 failed) — the exposition's label-family example.
-struct LinkMeters {
-    failures: CounterId,
-    degradations: CounterId,
-    recoveries: CounterId,
-    retransmits: CounterId,
-    retransmit_bytes: CounterId,
-    reroutes: CounterId,
-    severed: CounterId,
-    state: Vec<GaugeId>,
-}
-
-/// What interrupted a running deployment; decides only the bookkeeping
-/// that differs between the three interruption paths.
-#[derive(Debug, Clone, Copy)]
-enum Interruption {
-    /// The device at this index failed under the deployment.
-    Device(usize),
-    /// Failures on the ring left no path between the deployment's units;
-    /// this segment's failure was the last straw.
-    Link(usize),
-    /// A preemptive scale-down lost every smaller variant mid-commit.
-    Displaced,
-}
-
-/// The simulation state machine: one instance per run.
+/// The simulation state machine: one instance per run. It decides what
+/// happens; every transition is described once to the [`Recorder`], which
+/// books it.
 struct CloudSim<'a> {
     controller: &'a mut SystemController,
     arrivals: &'a [TaskArrival],
@@ -672,7 +638,6 @@ struct CloudSim<'a> {
     running: Vec<Option<Deployment>>,
     /// Maps a live deployment id to the task it serves.
     task_of: HashMap<u64, usize>,
-    deployed_at: Vec<SimTime>,
     /// Bumped whenever a task's deployment changes or is interrupted;
     /// pending `Completion`/`MigrationRetry` events carrying an older epoch
     /// are stale and ignored.
@@ -680,20 +645,6 @@ struct CloudSim<'a> {
     /// `Some((when, old_units))` while a task's interruption awaits
     /// redeployment.
     interrupted_pending: Vec<Option<(SimTime, u32)>>,
-    /// Whether a task's first-deployment queue wait was recorded.
-    waited: Vec<bool>,
-    /// `Some(when)` while a task demoted after retry exhaustion waits in
-    /// the admission queue (its second queue wait).
-    requeued_at: Vec<Option<SimTime>>,
-    traced_reject: Vec<bool>,
-    /// Per-task bitmask of [`RejectReason::index`] bits already counted
-    /// into `rejected_tasks`.
-    reject_seen: Vec<u8>,
-
-    last_completion: SimTime,
-    rejected_tasks: [u64; 4],
-    requeued: u64,
-    scale_down_redeployments: u64,
 
     /// Elastic reprovisioning (from [`AdmissionTuning`]).
     elasticity: ElasticityPolicy,
@@ -714,21 +665,12 @@ struct CloudSim<'a> {
     /// matches, preemption is skipped so a saturated queue cannot demote
     /// more than one victim per capacity change.
     last_preempt_epoch: Option<u64>,
-    units_gained: u64,
-    units_lost: u64,
-    promotion_saved: Summary,
-    preemption_added: Summary,
 
     /// Wave gating: `Some(epoch)` after a wave rejected every scanned
     /// task with the capacity epoch at `epoch`. While the epoch is
     /// unchanged and nothing new entered the scan window, further waves
     /// are skipped — they could only replay the same rejections.
     saturated_at: Option<u64>,
-
-    /// Degraded-mode integration state.
-    last_event_at: SimTime,
-    degraded_time: SimTime,
-    degraded_occ_weighted: f64,
 
     /// Per-ring-segment hard-failure state (`true` while the segment is
     /// down), sized to the cluster's ring.
@@ -740,219 +682,12 @@ struct CloudSim<'a> {
     /// carries a nonzero corruption probability, so quiescent runs never
     /// touch it.
     link_rng: Rng,
-    link_degraded_time: SimTime,
 
-    metrics: MetricsRegistry,
-    m: Meters,
-    trace: TraceRing,
-
-    /// Streaming telemetry collector; `Some` only when
-    /// [`MonitorConfig::enabled`] was set on the tuning.
-    monitor: Option<RunMonitor>,
-
-    /// The causal span forest. Per task the phase children of its root span
-    /// are kept *contiguous* — at any moment exactly one of `queue_wait`,
-    /// `compute`, or `migrate` is open — so the direct children partition
-    /// `[arrival, end]` and the critical-path buckets sum exactly.
-    spans: SpanTracer,
-    /// Each task's root `task` span; `None` once closed.
-    root_span: Vec<Option<SpanId>>,
-    /// Each task's currently open phase child.
-    phase_span: Vec<Option<SpanId>>,
-    /// An open `backoff` span (nested in `migrate`) awaiting its retry.
-    backoff_span: Vec<Option<SpanId>>,
+    /// Books every transition into the metrics, trace, spans and monitor.
+    rec: Recorder,
 }
 
 impl<'a> CloudSim<'a> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        controller: &'a mut SystemController,
-        arrivals: &'a [TaskArrival],
-        instance_for: &'a dyn Fn(&RnnTask) -> String,
-        service_time: &'a dyn Fn(&RnnTask, &Deployment) -> SimTime,
-        faults: &'a FaultPlan,
-        recovery: RecoveryPolicy,
-        trace_capacity: usize,
-        tuning: AdmissionTuning,
-    ) -> Self {
-        let segments = controller.cluster().ring().segments();
-        let mut metrics = MetricsRegistry::new();
-        metrics.describe("arrivals", "Tasks that arrived.");
-        metrics.describe("deploys", "First admissions deployed.");
-        metrics.describe("completions", "Tasks completed.");
-        metrics.describe("latency_s", "End-to-end latency, arrival to completion.");
-        metrics.describe(
-            "queue_wait_s",
-            "Queueing delay, arrival to first deployment.",
-        );
-        metrics.describe("queue_depth", "Admission queue depth.");
-        metrics.describe("occupancy", "Fraction of cluster units busy.");
-        metrics.describe("failed_devices", "Devices currently failed.");
-        let links = (faults.links() > 0).then(|| {
-            metrics.describe("link.failures", "Ring-segment hard failures injected.");
-            metrics.describe("link.degradations", "Ring-segment degradations injected.");
-            metrics.describe("link.recoveries", "Ring segments returned to service.");
-            metrics.describe("link.retransmits", "Transfers re-sent over the ring.");
-            metrics.describe(
-                "link.retransmit_bytes",
-                "Bytes carried by ring retransmissions.",
-            );
-            metrics.describe(
-                "link.reroutes",
-                "Deployments re-routed around a failed segment.",
-            );
-            metrics.describe(
-                "link.severed",
-                "Deployments left with no surviving ring path.",
-            );
-            metrics.describe(
-                "vfpga_link_state",
-                "Ring segment health: 0 healthy, 1 degraded, 2 failed.",
-            );
-            LinkMeters {
-                failures: metrics.counter("link.failures"),
-                degradations: metrics.counter("link.degradations"),
-                recoveries: metrics.counter("link.recoveries"),
-                retransmits: metrics.counter("link.retransmits"),
-                retransmit_bytes: metrics.counter("link.retransmit_bytes"),
-                reroutes: metrics.counter("link.reroutes"),
-                severed: metrics.counter("link.severed"),
-                state: (0..segments)
-                    .map(|s| metrics.gauge(&format!("vfpga_link_state{{segment=\"{s}\"}}")))
-                    .collect(),
-            }
-        });
-        let m = Meters {
-            arrivals: metrics.counter("arrivals"),
-            deploys: metrics.counter("deploys"),
-            completions: metrics.counter("completions"),
-            releases: metrics.counter("releases"),
-            rejects: [
-                metrics.counter("rejected.policy_excluded"),
-                metrics.counter("rejected.no_free_device"),
-                metrics.counter("rejected.insufficient_capacity"),
-                metrics.counter("rejected.transient_fault"),
-            ],
-            device_failures: metrics.counter("device_failures"),
-            device_recoveries: metrics.counter("device_recoveries"),
-            interrupted: metrics.counter("interrupted"),
-            migrations: metrics.counter("migrations"),
-            redeployments: metrics.counter("redeployments"),
-            lost: metrics.counter("lost"),
-            promotions: metrics.counter("promotions"),
-            preemptions: metrics.counter("preemptions"),
-            latency: metrics.timer("latency_s"),
-            queue_wait: metrics.timer("queue_wait_s"),
-            requeue_wait: metrics.timer("requeue_wait_s"),
-            service: metrics.timer("service_s"),
-            time_to_recovery: metrics.timer("time_to_recovery_s"),
-            depth: metrics.gauge("queue_depth"),
-            occupancy: metrics.gauge("occupancy"),
-            failed_devices: metrics.gauge("failed_devices"),
-            links,
-        };
-        let monitor = tuning
-            .monitor
-            .enabled
-            .then(|| RunMonitor::new(tuning.monitor.clone()));
-        let n = arrivals.len();
-        CloudSim {
-            controller,
-            arrivals,
-            instance_for,
-            service_time,
-            recovery,
-            faults,
-            instance: vec![u32::MAX; n],
-            queue: VecDeque::new(),
-            wave_admitted_at: Vec::with_capacity(SCAN_WINDOW),
-            wave_admitted: Vec::new(),
-            wave_head: Vec::with_capacity(SCAN_WINDOW),
-            idle_nudges: 0,
-            events: EventQueue::new(),
-            running: vec![None; n],
-            task_of: HashMap::new(),
-            deployed_at: vec![SimTime::ZERO; n],
-            epoch: vec![0; n],
-            interrupted_pending: vec![None; n],
-            waited: vec![false; n],
-            requeued_at: vec![None; n],
-            traced_reject: vec![false; n],
-            reject_seen: vec![0; n],
-            last_completion: SimTime::ZERO,
-            rejected_tasks: [0; 4],
-            requeued: 0,
-            scale_down_redeployments: 0,
-            elasticity: tuning.elasticity,
-            service_total: vec![SimTime::ZERO; n],
-            completion_at: vec![SimTime::ZERO; n],
-            base_units: vec![0; n],
-            last_promo_epoch: None,
-            last_preempt_epoch: None,
-            units_gained: 0,
-            units_lost: 0,
-            promotion_saved: Summary::new(),
-            preemption_added: Summary::new(),
-            saturated_at: None,
-            last_event_at: SimTime::ZERO,
-            degraded_time: SimTime::ZERO,
-            degraded_occ_weighted: 0.0,
-            link_failed: vec![false; segments],
-            link_degraded: vec![false; segments],
-            link_rng: Rng::seed_from_u64(faults.seed() ^ 0x4c49_4e4b_434f_5252),
-            link_degraded_time: SimTime::ZERO,
-            metrics,
-            m,
-            trace: TraceRing::new(trace_capacity),
-            monitor,
-            spans: if tuning.trace_spans {
-                SpanTracer::new()
-            } else {
-                SpanTracer::disabled()
-            },
-            root_span: vec![None; n],
-            phase_span: vec![None; n],
-            backoff_span: vec![None; n],
-        }
-    }
-
-    /// Closes the task's open phase child (if any) at `now`, keeping the
-    /// phase partition contiguous.
-    fn close_phase(&mut self, task_index: usize, now: SimTime) {
-        if let Some(span) = self.phase_span[task_index].take() {
-            self.spans.end(span, now);
-        }
-    }
-
-    /// Opens a new phase child under the task's root span.
-    fn open_phase(&mut self, task_index: usize, name: &'static str, now: SimTime) -> SpanId {
-        debug_assert!(self.phase_span[task_index].is_none(), "phase overlap");
-        let span = self.spans.begin(
-            name,
-            TraceId(task_index as u64),
-            self.root_span[task_index],
-            now,
-        );
-        self.phase_span[task_index] = Some(span);
-        span
-    }
-
-    /// Closes an open `backoff` span (the retry it was waiting for is now
-    /// happening, or the task moved on).
-    fn close_backoff(&mut self, task_index: usize, now: SimTime) {
-        if let Some(span) = self.backoff_span[task_index].take() {
-            self.spans.end(span, now);
-        }
-    }
-
-    /// Closes the task's root span with a final `outcome` attribute.
-    fn close_root(&mut self, task_index: usize, outcome: &'static str, now: SimTime) {
-        if let Some(span) = self.root_span[task_index].take() {
-            self.spans.attr(span, "outcome", outcome);
-            self.spans.end(span, now);
-        }
-    }
-
     fn run(&mut self) -> Result<(), RuntimeError> {
         if self.faults.configure_failure_prob() > 0.0 {
             // Distinct stream from the plan's own fail/recover schedule.
@@ -994,24 +729,15 @@ impl<'a> CloudSim<'a> {
         }
 
         while let Some((now, event)) = self.events.pop() {
-            self.integrate_degraded(now);
+            self.rec.emit(now, SimEvent::Tick);
             let nudged = matches!(event, Event::RetryNudge);
             let deploys = self.controller.stats().deploys;
             match event {
                 Event::Arrival(i) => {
                     self.enqueue(i);
-                    self.metrics.inc(self.m.arrivals);
-                    self.trace
-                        .push(now, TraceEventKind::Arrival { task: i as u64 });
-                    let root = self.spans.begin("task", TraceId(i as u64), None, now);
-                    let instance = (self.instance_for)(&self.arrivals[i].task);
-                    self.instance[i] = self.controller.instance_id(&instance)?.index();
-                    if let Some(mon) = self.monitor.as_mut() {
-                        mon.on_arrival(&instance, now);
-                    }
-                    self.spans.attr(root, "instance", instance);
-                    self.root_span[i] = Some(root);
-                    self.open_phase(i, "queue_wait", now);
+                    let tenant = (self.instance_for)(&self.arrivals[i].task);
+                    self.instance[i] = self.controller.instance_id(&tenant)?.index();
+                    self.rec.emit(now, SimEvent::Arrival(i, &tenant));
                 }
                 Event::Completion { task_index, epoch } => {
                     if self.epoch[task_index] != epoch {
@@ -1023,14 +749,8 @@ impl<'a> CloudSim<'a> {
                 }
                 Event::DeviceFailed(device) => self.on_device_failed(now, device)?,
                 Event::DeviceRecovered(device) => {
-                    self.metrics.inc(self.m.device_recoveries);
                     self.controller.handle_device_recovery(DeviceId(device));
-                    self.trace.push(
-                        now,
-                        TraceEventKind::DeviceRecovered {
-                            device: device as u64,
-                        },
-                    );
+                    self.rec.emit(now, SimEvent::DeviceRecovered(device));
                 }
                 Event::LinkDegraded(seg) => self.on_link_degraded(now, seg),
                 Event::LinkFailed(seg) => self.on_link_failed(now, seg)?,
@@ -1040,9 +760,6 @@ impl<'a> CloudSim<'a> {
                     epoch,
                     attempt,
                 } => {
-                    // The backoff this retry slept through is over either
-                    // way (stale retries close it too, so no span leaks).
-                    self.close_backoff(task_index, now);
                     if self.epoch[task_index] != epoch {
                         continue;
                     }
@@ -1066,7 +783,14 @@ impl<'a> CloudSim<'a> {
             if self.elasticity.any() {
                 self.reprovision(now)?;
             }
-            self.sample_gauges(now);
+            let (c, depth) = (&self.controller, self.queue.len());
+            let impaired = self
+                .link_failed
+                .iter()
+                .chain(&self.link_degraded)
+                .any(|&l| l);
+            let sample = SimEvent::Sample(depth, c.occupancy(), c.failed_devices(), impaired);
+            self.rec.emit(now, sample);
             self.idle_nudges = if nudged && self.controller.stats().deploys == deploys {
                 self.idle_nudges + 1
             } else {
@@ -1105,87 +829,26 @@ impl<'a> CloudSim<'a> {
         self.queue.push_back(task_index);
     }
 
-    /// Books one rejected deployment attempt: the per-attempt counters
-    /// always tick; the distinct-task counter ticks once per (task,
-    /// reason).
-    fn record_rejection(&mut self, task_index: usize, reason: RejectReason) {
-        self.metrics.inc(self.m.rejects[reason.index()]);
-        let bit = 1u8 << reason.index();
-        if self.reject_seen[task_index] & bit == 0 {
-            self.reject_seen[task_index] |= bit;
-            self.rejected_tasks[reason.index()] += 1;
-        }
-    }
-
-    /// Accumulates degraded-mode time/occupancy for the interval since the
-    /// previous event (cluster state is constant between events).
-    fn integrate_degraded(&mut self, now: SimTime) {
-        let interval = now.saturating_sub(self.last_event_at);
-        if interval > SimTime::ZERO && self.controller.failed_devices() > 0 {
-            self.degraded_time += interval;
-            self.degraded_occ_weighted += self.controller.occupancy() * interval.as_secs();
-        }
-        if interval > SimTime::ZERO
-            && (self.link_failed.iter().any(|&f| f) || self.link_degraded.iter().any(|&d| d))
-        {
-            self.link_degraded_time += interval;
-        }
-        self.last_event_at = now;
-    }
-
     fn on_completion(&mut self, now: SimTime, task_index: usize) -> Result<(), RuntimeError> {
         let deployment = self.running[task_index]
             .take()
             .expect("completion for task not running");
         self.task_of.remove(&deployment.id.0);
         self.controller.release(&deployment)?;
-        let e2e = now.saturating_sub(self.arrivals[task_index].at).as_secs();
-        if self.monitor.is_some() {
-            let tenant = self
-                .controller
-                .instance_name(self.instance_of(task_index))?;
-            let device = deployment.placements.first().map(|p| p.device.0 as u64);
-            let latency = now.saturating_sub(self.arrivals[task_index].at);
-            if let Some(mon) = self.monitor.as_mut() {
-                mon.on_completion(tenant, device, now, latency);
-            }
-        }
-        self.metrics.inc(self.m.completions);
-        self.metrics.inc(self.m.releases);
-        self.metrics.record_timer(self.m.latency, e2e);
-        self.metrics.record_timer(
-            self.m.service,
-            now.saturating_sub(self.deployed_at[task_index]).as_secs(),
-        );
-        self.trace.push(
-            now,
-            TraceEventKind::Completion {
-                task: task_index as u64,
-            },
-        );
-        self.trace.push(
-            now,
-            TraceEventKind::Release {
-                task: task_index as u64,
-            },
-        );
-        self.close_phase(task_index, now);
-        self.close_root(task_index, "completed", now);
-        self.last_completion = now;
+        let instance = self.instance_of(task_index);
+        let tenant = self.controller.instance_name(instance)?;
+        let device = deployment.placements.first().map(|p| p.device.0 as u64);
+        let latency = now.saturating_sub(self.arrivals[task_index].at);
+        let completed = SimEvent::Completed(task_index, tenant, device, latency);
+        self.rec.emit(now, completed);
         Ok(())
     }
 
     fn on_device_failed(&mut self, now: SimTime, device: usize) -> Result<(), RuntimeError> {
-        self.metrics.inc(self.m.device_failures);
-        self.trace.push(
-            now,
-            TraceEventKind::DeviceFailed {
-                device: device as u64,
-            },
-        );
+        self.rec.emit(now, SimEvent::DeviceFailed(device));
         let interrupted = self
             .controller
-            .handle_device_failure(DeviceId(device), self.spans.ctx(TraceId::NONE, None, now));
+            .handle_device_failure(DeviceId(device), self.rec.ctx(None, now));
         for id in interrupted {
             let task_index = *self
                 .task_of
@@ -1218,38 +881,15 @@ impl<'a> CloudSim<'a> {
             // state: release the footprint explicitly (no device failure
             // evicted it).
             self.controller.release(&old)?;
-            self.metrics.inc(self.m.releases);
         }
         self.epoch[task_index] += 1;
-        self.metrics.inc(self.m.interrupted);
         self.interrupted_pending[task_index] = Some((now, old.num_units() as u32));
         let device = match cause {
             Interruption::Device(d) => d as u64,
             _ => old.placements.first().map_or(0, |p| p.device.0 as u64),
         };
-        if let Some(mon) = self.monitor.as_mut() {
-            mon.on_migration(device, now);
-        }
-        self.trace.push(
-            now,
-            TraceEventKind::MigrationStarted {
-                task: task_index as u64,
-                device,
-            },
-        );
-        if let Some(phase) = self.phase_span[task_index] {
-            match cause {
-                Interruption::Device(d) => self.spans.attr(phase, "interrupted_by", d),
-                Interruption::Link(seg) => self.spans.attr(phase, "interrupted_by_link", seg),
-                Interruption::Displaced => {}
-            }
-        }
-        self.close_phase(task_index, now);
-        let migrate = self.open_phase(task_index, "migrate", now);
-        match cause {
-            Interruption::Link(seg) => self.spans.attr(migrate, "link", seg),
-            _ => self.spans.attr(migrate, "device", device),
-        }
+        let interrupted = SimEvent::Interrupted(task_index, device, cause);
+        self.rec.emit(now, interrupted);
         self.attempt_migration(now, task_index, 0)
     }
 
@@ -1261,38 +901,6 @@ impl<'a> CloudSim<'a> {
             max_retransmits: p.max_retransmits,
             base_backoff: p.retransmit_backoff,
         }
-    }
-
-    /// Books `attempts` re-sends of task `task_index`'s inter-unit state
-    /// exchange over segment `seg`. One exchange of `d` puts its cut
-    /// bandwidth in bits per activation on the ring, rounded up to bytes
-    /// and floored at one byte so the accounting stays visible for tiny
-    /// cuts.
-    fn retransmit(
-        &mut self,
-        now: SimTime,
-        task_index: usize,
-        seg: usize,
-        d: &Deployment,
-        attempts: u32,
-    ) {
-        let bytes = d.cut_bandwidth.div_ceil(8).max(1) * attempts as u64;
-        if let Some(lm) = self.m.links.as_ref() {
-            self.metrics.add(lm.retransmits, attempts as u64);
-            self.metrics.add(lm.retransmit_bytes, bytes);
-        }
-        if let Some(mon) = self.monitor.as_mut() {
-            mon.on_retransmit(seg as u64, now, bytes);
-        }
-        self.trace.push(
-            now,
-            TraceEventKind::Retransmit {
-                task: task_index as u64,
-                link: seg as u64,
-                attempts: attempts as u64,
-                bytes,
-            },
-        );
     }
 
     /// Whether a running deployment's minimum-hop ring routes use segment
@@ -1336,18 +944,18 @@ impl<'a> CloudSim<'a> {
         if delay == SimTime::ZERO {
             return;
         }
-        let at = self.completion_at[task_index]
-            .checked_add(delay)
-            .unwrap_or(SimTime::MAX);
-        self.completion_at[task_index] = at;
+        let at = self.completion_at[task_index].saturating_add(delay);
+        self.schedule_completion(task_index, at);
+    }
+
+    /// Schedules the task's completion at `at`, bumping its epoch so any
+    /// previously scheduled completion goes stale.
+    fn schedule_completion(&mut self, task_index: usize, at: SimTime) {
         self.epoch[task_index] += 1;
-        self.events.schedule(
-            at,
-            Event::Completion {
-                task_index,
-                epoch: self.epoch[task_index],
-            },
-        );
+        self.completion_at[task_index] = at;
+        let epoch = self.epoch[task_index];
+        self.events
+            .schedule(at, Event::Completion { task_index, epoch });
     }
 
     /// A ring segment drops to degraded service. Running multi-device
@@ -1356,16 +964,8 @@ impl<'a> CloudSim<'a> {
     /// pushing their completions out by the backoff sum.
     fn on_link_degraded(&mut self, now: SimTime, seg: usize) {
         self.link_degraded[seg] = true;
-        if let Some(lm) = self.m.links.as_ref() {
-            self.metrics.inc(lm.degradations);
-            self.metrics.set_gauge(lm.state[seg], now, 1.0);
-        }
-        self.trace
-            .push(now, TraceEventKind::LinkDegraded { link: seg as u64 });
-        let span = self.spans.begin("link_degraded", TraceId::NONE, None, now);
-        self.spans.set_lane(span, seg as u64 + 1, CONTROL_TID);
-        self.spans.attr(span, "segment", seg);
-        self.spans.end(span, now);
+        self.rec
+            .emit(now, SimEvent::Link(seg, LinkFaultKind::Degraded));
         let corruption = self.faults.corruption_prob();
         if corruption <= 0.0 {
             return;
@@ -1387,10 +987,10 @@ impl<'a> CloudSim<'a> {
             if attempts == 0 {
                 continue;
             }
-            self.retransmit(now, i, seg, &d, attempts);
+            self.rec.emit(now, resend(i, seg, &d, attempts));
             let mut delay = SimTime::ZERO;
             for k in 0..attempts {
-                delay = delay.checked_add(policy.backoff(k)).unwrap_or(SimTime::MAX);
+                delay = delay.saturating_add(policy.backoff(k));
             }
             self.delay_completion(i, delay);
         }
@@ -1405,15 +1005,8 @@ impl<'a> CloudSim<'a> {
     /// prefers co-located placements, immune to further ring failures.
     fn on_link_failed(&mut self, now: SimTime, seg: usize) -> Result<(), RuntimeError> {
         self.link_failed[seg] = true;
-        if let Some(lm) = self.m.links.as_ref() {
-            self.metrics.inc(lm.failures);
-            self.metrics.set_gauge(lm.state[seg], now, 2.0);
-        }
-        self.trace
-            .push(now, TraceEventKind::LinkFailed { link: seg as u64 });
-        let span = self.spans.begin("link_failure", TraceId::NONE, None, now);
-        self.spans.set_lane(span, seg as u64 + 1, CONTROL_TID);
-        self.spans.attr(span, "segment", seg);
+        self.rec
+            .emit(now, SimEvent::Link(seg, LinkFaultKind::Failed));
         let policy = self.retransmit_policy();
         let mut rerouted = 0u64;
         let mut severed = 0u64;
@@ -1427,9 +1020,6 @@ impl<'a> CloudSim<'a> {
             match self.max_hops_avoiding(&d) {
                 None => {
                     severed += 1;
-                    if let Some(lm) = self.m.links.as_ref() {
-                        self.metrics.inc(lm.severed);
-                    }
                     self.interrupt(now, i, Interruption::Link(seg))?;
                 }
                 Some(hops) => {
@@ -1437,24 +1027,15 @@ impl<'a> CloudSim<'a> {
                         continue;
                     }
                     rerouted += 1;
-                    if let Some(lm) = self.m.links.as_ref() {
-                        self.metrics.inc(lm.reroutes);
-                    }
-                    let extra = (hops - d.max_ring_hops) as u64;
-                    self.trace.push(
-                        now,
-                        TraceEventKind::LinkRerouted {
-                            task: i as u64,
-                            link: seg as u64,
-                            extra_hops: extra,
-                        },
-                    );
+                    let extra_hops = (hops - d.max_ring_hops) as u64;
+                    self.rec.emit(now, SimEvent::Rerouted(i, seg, extra_hops));
                     // The transfer caught on the dead segment is re-sent
                     // along the detour, one backoff per extra hop plus
                     // the re-send itself.
-                    self.retransmit(now, i, seg, &d, 1);
-                    let delay =
-                        SimTime::from_ps(policy.base_backoff.as_ps().saturating_mul(extra + 1));
+                    self.rec.emit(now, resend(i, seg, &d, 1));
+                    let delay = SimTime::from_ps(
+                        policy.base_backoff.as_ps().saturating_mul(extra_hops + 1),
+                    );
                     self.delay_completion(i, delay);
                     if let Some(slot) = self.running[i].as_mut() {
                         slot.max_ring_hops = hops;
@@ -1462,9 +1043,7 @@ impl<'a> CloudSim<'a> {
                 }
             }
         }
-        self.spans.attr(span, "rerouted", rerouted);
-        self.spans.attr(span, "severed", severed);
-        self.spans.end(span, now);
+        self.rec.emit(now, SimEvent::LinkHandled(rerouted, severed));
         Ok(())
     }
 
@@ -1474,16 +1053,8 @@ impl<'a> CloudSim<'a> {
     fn on_link_recovered(&mut self, now: SimTime, seg: usize) {
         self.link_failed[seg] = false;
         self.link_degraded[seg] = false;
-        if let Some(lm) = self.m.links.as_ref() {
-            self.metrics.inc(lm.recoveries);
-            self.metrics.set_gauge(lm.state[seg], now, 0.0);
-        }
-        self.trace
-            .push(now, TraceEventKind::LinkRecovered { link: seg as u64 });
-        let span = self.spans.begin("link_recovery", TraceId::NONE, None, now);
-        self.spans.set_lane(span, seg as u64 + 1, CONTROL_TID);
-        self.spans.attr(span, "segment", seg);
-        self.spans.end(span, now);
+        self.rec
+            .emit(now, SimEvent::Link(seg, LinkFaultKind::Recovered));
         for i in 0..self.running.len() {
             let Some(d) = self.running[i].clone() else {
                 continue;
@@ -1504,21 +1075,31 @@ impl<'a> CloudSim<'a> {
         self.controller.instance_at(self.instance[task_index])
     }
 
-    /// One deployment attempt for a task, from the admission queue or the
-    /// migration path: the task's instance is asked of the controller
-    /// under its current phase span, and a rejection is booked.
+    /// The lane a compute phase on `d` renders on: its first unit's
+    /// device and virtual-block slot.
+    fn lane(&self, d: &Deployment) -> Lane {
+        let p = d.placements.first()?;
+        let slot = self
+            .controller
+            .allocation_slots(p.allocation)
+            .and_then(|s| s.first().copied())
+            .unwrap_or(0);
+        Some((p.device.0 as u64 + 1, slot as u64))
+    }
+
+    /// One deployment attempt for a task, from the admission queue
+    /// (`queued`) or the migration path: the task's instance is asked of
+    /// the controller under its current phase span.
     fn place(
         &mut self,
         now: SimTime,
-        task_index: usize,
+        task: usize,
+        queued: bool,
     ) -> Result<Result<Deployment, RejectReason>, RuntimeError> {
-        let instance = self.instance_of(task_index);
-        let ctx = self
-            .spans
-            .ctx(TraceId(task_index as u64), self.phase_span[task_index], now);
+        let (instance, ctx) = (self.instance_of(task), self.rec.ctx(Some(task), now));
         let outcome = self.controller.try_deploy(instance, ctx)?;
         if let Err(reason) = outcome {
-            self.record_rejection(task_index, reason);
+            self.rec.emit(now, SimEvent::Rejected(task, reason, queued));
         }
         Ok(outcome)
     }
@@ -1528,146 +1109,64 @@ impl<'a> CloudSim<'a> {
     fn attempt_migration(
         &mut self,
         now: SimTime,
-        task_index: usize,
+        task: usize,
         attempt: u32,
     ) -> Result<(), RuntimeError> {
-        match self.place(now, task_index)? {
-            Ok(deployment) => {
-                self.complete_recovery(now, task_index, deployment);
+        match self.place(now, task, false)? {
+            Ok(deployment) => self.start_service(now, task, deployment)?,
+            Err(_) if attempt < self.recovery.max_retries => {
+                let delay = self.recovery.backoff(attempt);
+                self.rec.emit(now, SimEvent::Backoff(task, attempt, delay));
+                self.events.schedule_in(
+                    delay,
+                    Event::MigrationRetry {
+                        task_index: task,
+                        epoch: self.epoch[task],
+                        attempt: attempt + 1,
+                    },
+                );
             }
             Err(_) => {
-                if attempt < self.recovery.max_retries {
-                    let delay = self.recovery.backoff(attempt);
-                    // The wait until the retry renders as a `backoff` span
-                    // nested in the migrate phase; `MigrationRetry` closes
-                    // it when it fires.
-                    let span = self.spans.begin(
-                        "backoff",
-                        TraceId(task_index as u64),
-                        self.phase_span[task_index],
-                        now,
-                    );
-                    self.spans.attr(span, "attempt", attempt);
-                    self.spans.attr(span, "delay_us", delay.as_us());
-                    self.backoff_span[task_index] = Some(span);
-                    self.events.schedule(
-                        now.checked_add(delay).unwrap_or(SimTime::MAX),
-                        Event::MigrationRetry {
-                            task_index,
-                            epoch: self.epoch[task_index],
-                            attempt: attempt + 1,
-                        },
-                    );
-                } else {
-                    self.trace.push(
-                        now,
-                        TraceEventKind::RetryExhausted {
-                            task: task_index as u64,
-                        },
-                    );
-                    if self.recovery.drop_on_exhaustion {
-                        self.metrics.inc(self.m.lost);
-                        self.interrupted_pending[task_index] = None;
-                        if let Some(span) = self.phase_span[task_index] {
-                            self.spans.attr(span, "outcome", "exhausted");
-                        }
-                        self.close_phase(task_index, now);
-                        self.close_root(task_index, "lost", now);
-                    } else {
-                        self.requeued += 1;
-                        self.requeued_at[task_index] = Some(now);
-                        self.enqueue(task_index);
-                        // The task waits like a fresh arrival: the migrate
-                        // phase hands over to a new queue_wait phase.
-                        if let Some(span) = self.phase_span[task_index] {
-                            self.spans.attr(span, "outcome", "requeued");
-                        }
-                        self.close_phase(task_index, now);
-                        self.open_phase(task_index, "queue_wait", now);
-                    }
+                let dropped = self.recovery.drop_on_exhaustion;
+                self.rec.emit(now, SimEvent::RetryExhausted(task, dropped));
+                if !dropped {
+                    self.enqueue(task);
                 }
             }
         }
         Ok(())
     }
 
-    /// Books a successful redeployment of an interrupted task (either via
-    /// the migration retry path or from the admission queue after
-    /// demotion).
-    fn complete_recovery(&mut self, now: SimTime, task_index: usize, deployment: Deployment) {
-        let (since, old_units) = self.interrupted_pending[task_index]
-            .take()
-            .expect("recovery completes a pending interruption");
-        if let Some(requeued) = self.requeued_at[task_index].take() {
-            // The task's second stint in the admission queue (demotion
-            // after retry exhaustion) ends here; the one-shot `queue_wait`
-            // summary covers only the first, so this wait is recorded
-            // separately.
-            let wait = now.saturating_sub(requeued).as_secs();
-            self.metrics.record_timer(self.m.requeue_wait, wait);
-        }
-        let ttr = now.saturating_sub(since).as_secs();
-        self.metrics.record_timer(self.m.time_to_recovery, ttr);
-        self.metrics.inc(self.m.migrations);
-        // This deployment served a recovery, not a first admission: the
-        // `deploys` metric (and its `Deploy` trace event) never ticks for
-        // it — on the wave path admission skips straight here — so the
-        // deploy-side accounting has its own counter. `deploys +
-        // redeployments` equals the controller's lifetime deploy count.
-        self.metrics.inc(self.m.redeployments);
-        if (deployment.num_units() as u32) > old_units {
-            self.scale_down_redeployments += 1;
-        }
-        self.trace.push(
-            now,
-            TraceEventKind::MigrationCompleted {
-                task: task_index as u64,
-                units: deployment.num_units() as u32,
-            },
-        );
-        self.start_service(now, task_index, deployment);
-    }
-
-    /// Installs a deployment for a task and schedules its completion. The
+    /// Installs a deployment for a task — its first, or the recovery of
+    /// an interrupted one (via the migration retry path or from the
+    /// admission queue after demotion) — and schedules its completion. The
     /// service restarts from scratch (work lost at interruption is
     /// re-done), recomputed for the new deployment's shape.
-    fn start_service(&mut self, now: SimTime, task_index: usize, deployment: Deployment) {
+    fn start_service(
+        &mut self,
+        now: SimTime,
+        task_index: usize,
+        deployment: Deployment,
+    ) -> Result<(), RuntimeError> {
+        let (units, lane) = (deployment.num_units() as u32, self.lane(&deployment));
+        let instance = self.instance_of(task_index);
+        let started = match self.interrupted_pending[task_index].take() {
+            Some((since, old)) => SimEvent::Recovered(task_index, since, old, units, lane),
+            None => {
+                let tenant = self.controller.instance_name(instance)?;
+                let waited = now.saturating_sub(self.arrivals[task_index].at);
+                SimEvent::Deployed(task_index, tenant, waited, units, lane)
+            }
+        };
+        self.rec.emit(now, started);
         let task = self.arrivals[task_index].task;
         let service = (self.service_time)(&task, &deployment);
-        // Whatever phase led here (queue_wait or migrate) ends now.
-        self.open_compute(now, task_index, &deployment);
-        self.deployed_at[task_index] = now;
-        self.epoch[task_index] += 1;
         self.task_of.insert(deployment.id.0, task_index);
         self.base_units[task_index] = deployment.num_units() as u32;
         self.running[task_index] = Some(deployment);
         self.service_total[task_index] = service;
-        self.completion_at[task_index] = now.checked_add(service).unwrap_or(SimTime::MAX);
-        self.events.schedule(
-            self.completion_at[task_index],
-            Event::Completion {
-                task_index,
-                epoch: self.epoch[task_index],
-            },
-        );
-    }
-
-    /// Closes the task's current phase and opens a `compute` phase for
-    /// `deployment`, rendered on its first unit's device/vblock lane so
-    /// Perfetto shows which FPGA slots the task occupied.
-    fn open_compute(&mut self, now: SimTime, task_index: usize, deployment: &Deployment) {
-        self.close_phase(task_index, now);
-        let compute = self.open_phase(task_index, "compute", now);
-        self.spans.attr(compute, "units", deployment.num_units());
-        if let Some(p) = deployment.placements.first() {
-            let slot = self
-                .controller
-                .allocation_slots(p.allocation)
-                .and_then(|s| s.first().copied())
-                .unwrap_or(0);
-            self.spans
-                .set_lane(compute, p.device.0 as u64 + 1, slot as u64);
-        }
+        self.schedule_completion(task_index, now.saturating_add(service));
+        Ok(())
     }
 
     /// One elastic-reprovisioning pass, run after the admission wave
@@ -1749,42 +1248,15 @@ impl<'a> CloudSim<'a> {
     /// and the caller should stop preempting.
     fn preempt_victim(&mut self, now: SimTime, victim: usize) -> Result<bool, RuntimeError> {
         let d = self.running[victim].clone().expect("victim is running");
-        let from_units = d.num_units() as u32;
-        let span = self.spans.begin(
-            "reprovision",
-            TraceId(victim as u64),
-            self.phase_span[victim],
-            now,
-        );
-        self.spans.attr(span, "kind", "preempt");
-        let outcome = self
-            .controller
-            .demote_deployment(&d, self.spans.ctx(TraceId(victim as u64), Some(span), now))?;
-        match outcome {
+        self.rec.emit(now, SimEvent::Reprovision(victim, "preempt"));
+        let ctx = self.rec.ctx(Some(victim), now);
+        match self.controller.demote_deployment(&d, ctx)? {
             ScaleDown::Demoted(nd) => {
-                let to_units = nd.num_units() as u32;
-                self.spans.attr(span, "outcome", "demoted");
-                self.spans.attr(span, "from_units", from_units as u64);
-                self.spans.attr(span, "to_units", to_units as u64);
-                self.spans.end(span, now);
-                self.metrics.inc(self.m.preemptions);
-                self.units_lost += (from_units - to_units) as u64;
-                self.trace.push(
-                    now,
-                    TraceEventKind::PreemptiveScaleDown {
-                        task: victim as u64,
-                        from_units,
-                        to_units,
-                    },
-                );
-                let (old_rem, new_rem) = self.resize_running(now, victim, nd);
-                self.preemption_added
-                    .record(new_rem.as_secs() - old_rem.as_secs());
+                self.resize_running(now, victim, nd);
                 Ok(true)
             }
             ScaleDown::AlreadyMinimal => {
-                self.spans.attr(span, "outcome", "kept");
-                self.spans.end(span, now);
+                self.rec.emit(now, SimEvent::ReprovisionEnded("kept"));
                 Ok(false)
             }
             ScaleDown::Displaced => {
@@ -1792,8 +1264,7 @@ impl<'a> CloudSim<'a> {
                 // resources are gone, so it rides the same interruption /
                 // migration machinery a device failure uses (and counts
                 // into the same accounting).
-                self.spans.attr(span, "outcome", "displaced");
-                self.spans.end(span, now);
+                self.rec.emit(now, SimEvent::ReprovisionEnded("displaced"));
                 self.interrupt(now, victim, Interruption::Displaced)?;
                 Ok(true)
             }
@@ -1813,46 +1284,16 @@ impl<'a> CloudSim<'a> {
             if self.completion_at[i].saturating_sub(now) == SimTime::ZERO {
                 continue;
             }
-            let from_units = d.num_units() as u32;
             let task = self.arrivals[i].task;
             let service_time = self.service_time;
             let old_secs = self.service_total[i].as_secs();
             let mut accept =
                 move |cand: &Deployment| service_time(&task, cand).as_secs() < old_secs;
-            let span = self
-                .spans
-                .begin("reprovision", TraceId(i as u64), self.phase_span[i], now);
-            self.spans.attr(span, "kind", "promote");
-            let promoted = self.controller.promote_deployment(
-                &d,
-                &mut accept,
-                self.spans.ctx(TraceId(i as u64), Some(span), now),
-            )?;
-            match promoted {
-                Some(nd) => {
-                    let to_units = nd.num_units() as u32;
-                    self.spans.attr(span, "outcome", "promoted");
-                    self.spans.attr(span, "from_units", from_units as u64);
-                    self.spans.attr(span, "to_units", to_units as u64);
-                    self.spans.end(span, now);
-                    self.metrics.inc(self.m.promotions);
-                    self.units_gained += (to_units - from_units) as u64;
-                    self.trace.push(
-                        now,
-                        TraceEventKind::ScaleUp {
-                            task: i as u64,
-                            from_units,
-                            to_units,
-                        },
-                    );
-                    let (old_rem, new_rem) = self.resize_running(now, i, nd);
-                    self.promotion_saved
-                        .record(old_rem.as_secs() - new_rem.as_secs());
-                }
-                None => {
-                    self.spans.attr(span, "outcome", "kept");
-                    self.spans.end(span, now);
-                }
+            self.rec.emit(now, SimEvent::Reprovision(i, "promote"));
+            let ctx = self.rec.ctx(Some(i), now);
+            match self.controller.promote_deployment(&d, &mut accept, ctx)? {
+                Some(nd) => self.resize_running(now, i, nd),
+                None => self.rec.emit(now, SimEvent::ReprovisionEnded("kept")),
             }
         }
         Ok(())
@@ -1860,16 +1301,8 @@ impl<'a> CloudSim<'a> {
 
     /// Swaps a running task onto `new_deployment` at `now`, carrying its
     /// progress over as a work fraction: the remaining time is rescaled
-    /// by the ratio of the new shape's service time to the old one. The
-    /// compute phase closes and reopens at the same instant so the span
-    /// partition stays gapless (two compute buckets simply sum in the
-    /// critical-path analysis). Returns `(old_remaining, new_remaining)`.
-    fn resize_running(
-        &mut self,
-        now: SimTime,
-        task_index: usize,
-        new_deployment: Deployment,
-    ) -> (SimTime, SimTime) {
+    /// by the ratio of the new shape's service time to the old one.
+    fn resize_running(&mut self, now: SimTime, task_index: usize, new_deployment: Deployment) {
         let old = self.running[task_index]
             .take()
             .expect("resized task was running");
@@ -1884,20 +1317,14 @@ impl<'a> CloudSim<'a> {
             0.0
         };
         let new_remaining = SimTime::from_secs(new_total.as_secs() * frac);
-        self.open_compute(now, task_index, &new_deployment);
-        self.epoch[task_index] += 1;
+        let (from, to) = (old.num_units() as u32, new_deployment.num_units() as u32);
+        let lane = self.lane(&new_deployment);
+        let resized = SimEvent::Resized(task_index, from, to, old_remaining, new_remaining, lane);
+        self.rec.emit(now, resized);
         self.task_of.insert(new_deployment.id.0, task_index);
         self.running[task_index] = Some(new_deployment);
         self.service_total[task_index] = new_total;
-        self.completion_at[task_index] = now.checked_add(new_remaining).unwrap_or(SimTime::MAX);
-        self.events.schedule(
-            self.completion_at[task_index],
-            Event::Completion {
-                task_index,
-                epoch: self.epoch[task_index],
-            },
-        );
-        (old_remaining, new_remaining)
+        self.schedule_completion(task_index, now.saturating_add(new_remaining));
     }
 
     /// Admits as many queued tasks as capacity allows. Tasks request
@@ -1919,26 +1346,11 @@ impl<'a> CloudSim<'a> {
             self.wave_admitted_at.clear();
             for pos in 0..window {
                 let idx = self.queue[pos];
-                let outcome = self.place(now, idx)?;
+                let outcome = self.place(now, idx, true)?;
                 self.wave_admitted_at.push(outcome.is_ok());
                 match outcome {
                     Ok(deployment) => admitted.push((idx, deployment)),
-                    Err(reason) => {
-                        saw_transient |= reason == RejectReason::TransientFault;
-                        // Trace only a task's first rejection: under
-                        // saturation every task is re-tried per wave and
-                        // the ring would otherwise hold nothing else.
-                        if !self.traced_reject[idx] {
-                            self.traced_reject[idx] = true;
-                            self.trace.push(
-                                now,
-                                TraceEventKind::DeployRejected {
-                                    task: idx as u64,
-                                    reason: reason.as_str(),
-                                },
-                            );
-                        }
-                    }
+                    Err(reason) => saw_transient |= reason == RejectReason::TransientFault,
                 }
             }
             if admitted.is_empty() {
@@ -1961,170 +1373,25 @@ impl<'a> CloudSim<'a> {
                 }
             }
             for (idx, deployment) in admitted.drain(..) {
-                if self.interrupted_pending[idx].is_some() {
-                    // A task demoted to the queue after exhausting its
-                    // migration retries finally found capacity again.
-                    self.complete_recovery(now, idx, deployment);
-                    continue;
-                }
-                if !self.waited[idx] {
-                    self.waited[idx] = true;
-                    let waited = now.saturating_sub(self.arrivals[idx].at);
-                    self.metrics
-                        .record_timer(self.m.queue_wait, waited.as_secs());
-                    if self.monitor.is_some() {
-                        let tenant = self.controller.instance_name(self.instance_of(idx))?;
-                        if let Some(mon) = self.monitor.as_mut() {
-                            mon.on_queue_wait(tenant, now, waited);
-                        }
-                    }
-                }
-                self.metrics.inc(self.m.deploys);
-                self.trace.push(
-                    now,
-                    TraceEventKind::Deploy {
-                        task: idx as u64,
-                        units: deployment.num_units() as u32,
-                    },
-                );
-                self.start_service(now, idx, deployment);
+                self.start_service(now, idx, deployment)?;
             }
             self.wave_admitted = admitted;
         }
     }
 
-    /// Samples the cluster state after the admission wave settles; the
-    /// series coalesce repeats, and the trace records changes only.
-    fn sample_gauges(&mut self, now: SimTime) {
-        let depth = self.queue.len() as f64;
-        if self.metrics.gauge_series(self.m.depth).last() != Some(depth) {
-            self.trace.push(
-                now,
-                TraceEventKind::QueueDepth {
-                    depth: self.queue.len() as u64,
-                },
-            );
-        }
-        self.metrics.set_gauge(self.m.depth, now, depth);
-        let occupancy = self.controller.occupancy();
-        if let Some(mon) = self.monitor.as_mut() {
-            mon.on_occupancy(now, occupancy);
-        }
-        if self.metrics.gauge_series(self.m.occupancy).last() != Some(occupancy) {
-            self.trace.push(
-                now,
-                TraceEventKind::Occupancy {
-                    fraction: occupancy,
-                },
-            );
-        }
-        self.metrics.set_gauge(self.m.occupancy, now, occupancy);
-        self.metrics.set_gauge(
-            self.m.failed_devices,
-            now,
-            self.controller.failed_devices() as f64,
-        );
+    /// Tasks stranded in the queue when the run drained never deployed.
+    fn finish(self) -> CloudReport {
+        self.rec.finish(self.queue.iter().copied())
     }
+}
 
-    fn finish(mut self) -> CloudReport {
-        let elapsed = self.last_completion;
-        let never_deployed = self.queue.len() as u64;
-        // Tasks stranded in the queue when the run drained never deployed:
-        // their queue_wait phase and root close at the final event time so
-        // every span in the forest is complete before export.
-        let last = self.last_event_at;
-        let stranded: Vec<usize> = self.queue.iter().copied().collect();
-        for idx in stranded {
-            self.close_phase(idx, last);
-            self.close_root(idx, "never_deployed", last);
-        }
-        debug_assert_eq!(self.spans.open_count(), 0, "span leaked past the run");
-        let monitor = self.monitor.take().map(|mon| {
-            // When the trace ring overflowed, rollup windows that predate
-            // its oldest retained event only saw part of their stream —
-            // mark them so the artifact reports lower bounds as such.
-            let oldest_retained = self.trace.iter().next().map(|e| e.at);
-            mon.finish(last, self.trace.dropped(), oldest_retained)
-        });
-        let critical_path = CriticalPath::analyze(&self.spans);
-        let occupancy_series = self.metrics.gauge_series(self.m.occupancy).clone();
-        let queue_depth_series = self.metrics.gauge_series(self.m.depth).clone();
-        let degraded_secs = self.degraded_time.as_secs();
-        let metrics = &self.metrics;
-        let count = |id| metrics.counter_value(id);
-        let link_count =
-            |id: fn(&LinkMeters) -> CounterId| self.m.links.as_ref().map_or(0, |lm| count(id(lm)));
-        let summary = |id| metrics.timer_summary(id).clone();
-        let completed = count(self.m.completions);
-        let report = CloudReport {
-            arrivals: self.arrivals.len() as u64,
-            completed,
-            never_deployed,
-            lost: count(self.m.lost),
-            elapsed,
-            throughput_per_s: if elapsed == SimTime::ZERO {
-                0.0
-            } else {
-                completed as f64 / elapsed.as_secs()
-            },
-            latency: summary(self.m.latency),
-            latency_p50: metrics.timer_quantile(self.m.latency, 0.50),
-            latency_p95: metrics.timer_quantile(self.m.latency, 0.95),
-            latency_p99: metrics.timer_quantile(self.m.latency, 0.99),
-            queue_wait: summary(self.m.queue_wait),
-            requeue_wait: summary(self.m.requeue_wait),
-            mean_occupancy: occupancy_series.mean_until(elapsed).unwrap_or(0.0),
-            peak_occupancy: occupancy_series.max().unwrap_or(0.0),
-            peak_queue_depth: queue_depth_series.max().unwrap_or(0.0) as u64,
-            rejections: self.m.rejects.map(count),
-            rejected_tasks: self.rejected_tasks,
-            device_failures: count(self.m.device_failures),
-            device_recoveries: count(self.m.device_recoveries),
-            interrupted: count(self.m.interrupted),
-            migrated: count(self.m.migrations),
-            redeployments: count(self.m.redeployments),
-            requeued: self.requeued,
-            scale_down_redeployments: self.scale_down_redeployments,
-            time_to_recovery: summary(self.m.time_to_recovery),
-            promotions: count(self.m.promotions),
-            preemptions: count(self.m.preemptions),
-            units_gained: self.units_gained,
-            units_lost: self.units_lost,
-            promotion_saved: self.promotion_saved,
-            preemption_added: self.preemption_added,
-            degraded_time: self.degraded_time,
-            degraded_mean_occupancy: if degraded_secs > 0.0 {
-                self.degraded_occ_weighted / degraded_secs
-            } else {
-                0.0
-            },
-            link_failures: link_count(|lm| lm.failures),
-            link_degradations: link_count(|lm| lm.degradations),
-            link_recoveries: link_count(|lm| lm.recoveries),
-            link_retransmits: link_count(|lm| lm.retransmits),
-            link_retransmit_bytes: link_count(|lm| lm.retransmit_bytes),
-            link_reroutes: link_count(|lm| lm.reroutes),
-            link_severed: link_count(|lm| lm.severed),
-            link_degraded_time: self.link_degraded_time,
-            link_faults_planned: self.faults.links() > 0,
-            monitor,
-            occupancy_series,
-            queue_depth_series,
-            metrics: self.metrics,
-            trace: self.trace,
-            spans: self.spans,
-            critical_path,
-        };
-        debug_assert!(
-            report.accounts_for_all_arrivals(),
-            "arrivals unaccounted for: {} completed + {} never deployed + {} lost != {}",
-            report.completed,
-            report.never_deployed,
-            report.lost,
-            report.arrivals
-        );
-        report
-    }
+/// `attempts` re-sends of task `task`'s inter-unit state exchange over
+/// segment `link`. One exchange of `d` puts its cut bandwidth in bits per
+/// activation on the ring, rounded up to bytes and floored at one byte
+/// so the accounting stays visible for tiny cuts.
+fn resend(task: usize, link: usize, d: &Deployment, attempts: u32) -> SimEvent<'static> {
+    let bytes = d.cut_bandwidth.div_ceil(8).max(1) * attempts as u64;
+    SimEvent::Retransmit(task, link, attempts, bytes)
 }
 
 #[cfg(test)]
@@ -2133,7 +1400,7 @@ mod tests {
     use crate::controller::Policy;
     use crate::testutil::small_db;
     use vfpga_core::{MappingDatabase, MappingEntry};
-    use vfpga_sim::{FaultPlanParams, LinkFaultEvent, LinkFaultParams};
+    use vfpga_sim::{FaultPlanParams, LinkFaultEvent, LinkFaultParams, TraceEventKind};
     use vfpga_workload::{RnnKind, RnnTask};
 
     fn arrivals(n: usize, gap_us: f64) -> Vec<TaskArrival> {
@@ -2743,6 +2010,40 @@ mod tests {
             report.spans.spans().iter().map(|s| s.end).max(),
             Some(Some(nudged_until))
         );
+    }
+
+    #[test]
+    fn retry_nudge_saturates_at_the_end_of_time() {
+        let (cluster, db) = small_db();
+        let mut c = SystemController::new(cluster, db, Policy::Full);
+        let plan = FaultPlan::generate(
+            FaultPlanParams {
+                mttf: SimTime::from_secs(1.0),
+                mttr: SimTime::from_us(50.0),
+                configure_failure_prob: 1.0,
+                horizon: SimTime::ZERO,
+            },
+            4,
+            3,
+        );
+        // A nudge `SimTime::MAX` after an arrival lies past the end of
+        // time; it must fire at the end of time, not overflow.
+        let recovery = RecoveryPolicy {
+            base_backoff: SimTime::MAX,
+            ..RecoveryPolicy::default()
+        };
+        let report = run_cloud_sim_faulted(
+            &mut c,
+            &arrivals(3, 1.0),
+            &|_| "tiny".to_string(),
+            &fixed_service,
+            &plan,
+            recovery,
+            DEFAULT_TRACE_CAPACITY,
+        )
+        .unwrap();
+        assert_eq!(report.never_deployed, 3);
+        assert!(report.accounts_for_all_arrivals());
     }
 
     #[test]

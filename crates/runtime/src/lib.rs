@@ -36,6 +36,7 @@
 mod cloudsim;
 mod controller;
 mod monitor;
+mod record;
 mod scaleout_sim;
 #[cfg(test)]
 mod testutil;
@@ -48,7 +49,7 @@ pub use controller::{
     ControllerStats, Deployment, DeploymentId, InstanceId, Placement, Policy, RejectReason,
     ScaleDown, SystemController,
 };
-pub use monitor::{MonitorConfig, MonitorReport, RunMonitor};
+pub use monitor::{MonitorConfig, MonitorReport};
 pub use scaleout_sim::{
     co_simulate_functional, co_simulate_timing, co_simulate_timing_faulted, LinkChaos,
     ScaleOutTiming,
@@ -101,6 +102,14 @@ pub enum RuntimeError {
         /// Machines still blocked when progress stopped.
         blocked: usize,
     },
+    /// A functional co-simulation was given a different number of
+    /// programs than machines.
+    MachineCount {
+        /// Machines to co-simulate.
+        machines: usize,
+        /// Programs supplied for them.
+        programs: usize,
+    },
     /// A functional simulation error during co-simulation.
     Sim(Box<dyn std::error::Error>),
 }
@@ -137,6 +146,10 @@ impl fmt::Display for RuntimeError {
                     "scale-out timeout with {blocked} machines starved on undeliverable messages"
                 )
             }
+            RuntimeError::MachineCount { machines, programs } => write!(
+                f,
+                "co-simulation got {programs} programs for {machines} machines"
+            ),
             RuntimeError::Sim(e) => write!(f, "simulation error: {e}"),
         }
     }

@@ -2,8 +2,9 @@
 //!
 //! [`RunMonitor`] rides inside the cloud simulation (opt-in via
 //! [`MonitorConfig`] on [`AdmissionTuning`](crate::AdmissionTuning)) and
-//! folds every scheduler event it is shown — arrivals, queue waits,
-//! completions, migrations, retransmissions, occupancy samples — into a
+//! is one of the run recorder's folds: every [`SimEvent`] the scheduler
+//! emits passes through it, and arrivals, queue waits, completions,
+//! migrations, retransmissions and occupancy samples land in a
 //! [`RollupSet`] of tumbling windows keyed by tenant, device, ring
 //! segment, and the whole cluster. Latencies land in mergeable
 //! [`QuantileSketch`](vfpga_sim::QuantileSketch)es, so the per-window
@@ -21,7 +22,10 @@ use std::collections::BTreeMap;
 
 use vfpga_sim::{
     evaluate_slo, prometheus_rollup_text, Json, RollupKey, RollupSet, SimTime, SloOutcome, SloSpec,
+    TraceRing,
 };
+
+use crate::record::SimEvent;
 
 /// Opt-in configuration for the in-run telemetry monitor.
 ///
@@ -65,93 +69,71 @@ impl MonitorConfig {
 }
 
 /// The in-run collector (see the module docs). Created by the simulator
-/// when [`MonitorConfig::enabled`] is set; every hook is O(log) in the
+/// when [`MonitorConfig::enabled`] is set; each fold is O(log) in the
 /// sketch bucket count.
 #[derive(Debug, Clone)]
-pub struct RunMonitor {
+pub(crate) struct RunMonitor {
     config: MonitorConfig,
     rollups: RollupSet,
 }
 
 impl RunMonitor {
     /// Builds a monitor from an enabled config.
-    pub fn new(config: MonitorConfig) -> Self {
+    pub(crate) fn new(config: MonitorConfig) -> Self {
         let rollups = RollupSet::new(config.window, config.sketch_error);
         RunMonitor { config, rollups }
     }
 
-    /// A task for `tenant` arrived at `at`.
-    pub fn on_arrival(&mut self, tenant: &str, at: SimTime) {
-        self.rollups.record_arrival(RollupKey::Cluster, at);
-        self.rollups
-            .record_arrival(RollupKey::Tenant(tenant.to_string()), at);
-    }
-
-    /// A queued task for `tenant` was admitted at `at` after `wait`.
-    pub fn on_queue_wait(&mut self, tenant: &str, at: SimTime, wait: SimTime) {
-        self.rollups.record_queue_wait(RollupKey::Cluster, at, wait);
-        self.rollups
-            .record_queue_wait(RollupKey::Tenant(tenant.to_string()), at, wait);
-    }
-
-    /// A task for `tenant` completed at `at` with end-to-end `latency`;
-    /// `device` is its primary placement when known.
-    pub fn on_completion(
-        &mut self,
-        tenant: &str,
-        device: Option<u64>,
-        at: SimTime,
-        latency: SimTime,
-    ) {
-        self.rollups
-            .record_completion(RollupKey::Cluster, at, latency);
-        self.rollups
-            .record_completion(RollupKey::Tenant(tenant.to_string()), at, latency);
-        if let Some(d) = device {
-            self.rollups
-                .record_completion(RollupKey::Device(d), at, latency);
+    /// Folds one run event into the rollups: arrivals, first-deploy
+    /// queue waits and completions per tenant (completions per device
+    /// too), migrations per device, retransmissions per ring segment,
+    /// and occupancy samples, each also into the whole-cluster key.
+    pub(crate) fn fold(&mut self, at: SimTime, event: &SimEvent<'_>) {
+        use RollupKey::{Cluster, Device, Segment, Tenant};
+        let r = &mut self.rollups;
+        match *event {
+            SimEvent::Arrival(_, tenant) => {
+                r.record_arrival(Cluster, at);
+                r.record_arrival(Tenant(tenant.to_string()), at);
+            }
+            SimEvent::Deployed(_, tenant, waited, _, _) => {
+                r.record_queue_wait(Cluster, at, waited);
+                r.record_queue_wait(Tenant(tenant.to_string()), at, waited);
+            }
+            SimEvent::Completed(_, tenant, device, latency) => {
+                r.record_completion(Cluster, at, latency);
+                r.record_completion(Tenant(tenant.to_string()), at, latency);
+                if let Some(d) = device {
+                    r.record_completion(Device(d), at, latency);
+                }
+            }
+            SimEvent::Interrupted(_, device, _) => {
+                r.record_migration(Cluster, at);
+                r.record_migration(Device(device), at);
+            }
+            SimEvent::Retransmit(_, link, _, bytes) => {
+                r.record_retransmit(Cluster, at, bytes);
+                r.record_retransmit(Segment(link as u64), at, bytes);
+            }
+            SimEvent::Sample(_, occupancy, ..) => r.record_occupancy(Cluster, at, occupancy),
+            _ => {}
         }
     }
 
-    /// A deployment started migrating off `device` at `at`.
-    pub fn on_migration(&mut self, device: u64, at: SimTime) {
-        self.rollups.record_migration(RollupKey::Cluster, at);
-        self.rollups.record_migration(RollupKey::Device(device), at);
-    }
-
-    /// A transfer over ring `segment` was retransmitted at `at`.
-    pub fn on_retransmit(&mut self, segment: u64, at: SimTime, bytes: u64) {
-        self.rollups
-            .record_retransmit(RollupKey::Cluster, at, bytes);
-        self.rollups
-            .record_retransmit(RollupKey::Segment(segment), at, bytes);
-    }
-
-    /// A cluster-occupancy sample (fraction of units busy) at `at`.
-    pub fn on_occupancy(&mut self, at: SimTime, fraction: f64) {
-        self.rollups
-            .record_occupancy(RollupKey::Cluster, at, fraction);
-    }
-
     /// Closes the run at `end`, evaluates the configured SLOs, and
-    /// returns the report. `trace_dropped`/`oldest_retained` come from
-    /// the run's trace ring: when events were dropped, rollup windows
-    /// that predate the oldest retained event are marked truncated so the
-    /// artifact never presents partial windows as measurements.
-    pub fn finish(
-        self,
-        end: SimTime,
-        trace_dropped: u64,
-        oldest_retained: Option<SimTime>,
-    ) -> MonitorReport {
+    /// returns the report. When the run's trace ring dropped events,
+    /// rollup windows that predate its oldest retained event are marked
+    /// truncated, so the artifact never presents partial windows as
+    /// measurements.
+    pub(crate) fn finish(self, end: SimTime, trace: &TraceRing) -> MonitorReport {
         let RunMonitor {
             config,
             mut rollups,
         } = self;
         let mut truncated_windows = 0;
-        if trace_dropped > 0 {
-            if let Some(oldest) = oldest_retained {
-                truncated_windows = rollups.mark_truncated_before(oldest);
+        if trace.dropped() > 0 {
+            if let Some(oldest) = trace.iter().next() {
+                truncated_windows = rollups.mark_truncated_before(oldest.at);
             }
         }
         let last = rollups.window_index(end);
@@ -266,9 +248,24 @@ impl MonitorReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::Interruption;
 
     fn t(us: f64) -> SimTime {
         SimTime::from_us(us)
+    }
+
+    fn arrival(m: &mut RunMonitor, tenant: &str, at: SimTime) {
+        m.fold(at, &SimEvent::Arrival(0, tenant));
+    }
+
+    fn completion(
+        m: &mut RunMonitor,
+        tenant: &str,
+        device: Option<u64>,
+        at: SimTime,
+        latency: SimTime,
+    ) {
+        m.fold(at, &SimEvent::Completed(0, tenant, device, latency));
     }
 
     fn monitor_with_slo() -> RunMonitor {
@@ -297,10 +294,10 @@ mod tests {
             } else {
                 t(40.0)
             };
-            m.on_arrival("bw-m", at);
-            m.on_completion("bw-m", Some(0), at, latency);
+            arrival(&mut m, "bw-m", at);
+            completion(&mut m, "bw-m", Some(0), at, latency);
         }
-        let report = m.finish(t(4000.0), 0, None);
+        let report = m.finish(t(4000.0), &TraceRing::new(8));
         assert!(report.alerts_fired() >= 1, "{:?}", report.outcomes);
         assert_eq!(report.alerts_fired(), report.alerts_resolved());
         assert!(report.max_burn() >= 2.0);
@@ -311,9 +308,9 @@ mod tests {
     #[test]
     fn segments_collect_but_are_not_slo_evaluated() {
         let mut m = monitor_with_slo();
-        m.on_completion("bw-s", None, t(10.0), t(20.0));
-        m.on_retransmit(3, t(15.0), 4096);
-        let report = m.finish(t(100.0), 0, None);
+        completion(&mut m, "bw-s", None, t(10.0), t(20.0));
+        m.fold(t(15.0), &SimEvent::Retransmit(0, 3, 1, 4096));
+        let report = m.finish(t(100.0), &TraceRing::new(8));
         assert!(report
             .outcomes
             .iter()
@@ -329,9 +326,13 @@ mod tests {
     #[test]
     fn trace_overflow_marks_early_windows() {
         let mut m = monitor_with_slo();
-        m.on_completion("bw-s", None, t(10.0), t(20.0));
-        m.on_completion("bw-s", None, t(510.0), t(20.0));
-        let report = m.finish(t(600.0), 100, Some(t(450.0)));
+        completion(&mut m, "bw-s", None, t(10.0), t(20.0));
+        completion(&mut m, "bw-s", None, t(510.0), t(20.0));
+        // A one-event ring that dropped its first event keeps only 450 us.
+        let mut trace = TraceRing::new(1);
+        trace.push(t(10.0), vfpga_sim::TraceEventKind::QueueDepth { depth: 1 });
+        trace.push(t(450.0), vfpga_sim::TraceEventKind::QueueDepth { depth: 2 });
+        let report = m.finish(t(600.0), &trace);
         assert!(report.truncated_windows > 0);
         let text = report.to_json().compact();
         assert!(text.contains("\"truncated\":true"), "{text}");
@@ -343,13 +344,14 @@ mod tests {
             let mut m = monitor_with_slo();
             for i in 0..25u64 {
                 let at = t(i as f64 * 40.0);
-                m.on_arrival("bw-l", at);
-                m.on_queue_wait("bw-l", at, t(5.0));
-                m.on_completion("bw-l", Some(i % 3), at, t(90.0));
-                m.on_occupancy(at, 0.5);
+                arrival(&mut m, "bw-l", at);
+                m.fold(at, &SimEvent::Deployed(0, "bw-l", t(5.0), 1, None));
+                completion(&mut m, "bw-l", Some(i % 3), at, t(90.0));
+                m.fold(at, &SimEvent::Sample(0, 0.5, 0, false));
             }
-            m.on_migration(1, t(333.0));
-            m.finish(t(1000.0), 0, None).to_json().pretty()
+            let migration = SimEvent::Interrupted(0, 1, Interruption::Device(1));
+            m.fold(t(333.0), &migration);
+            m.finish(t(1000.0), &TraceRing::new(8)).to_json().pretty()
         };
         assert_eq!(build(), build());
     }

@@ -412,13 +412,19 @@ pub fn co_simulate_timing_faulted(
 ///
 /// # Errors
 ///
-/// Returns [`RuntimeError::Sim`] on semantic errors and
+/// Returns [`RuntimeError::MachineCount`] unless there is one program per
+/// machine, [`RuntimeError::Sim`] on semantic errors and
 /// [`RuntimeError::Deadlock`] if no machine can make progress.
 pub fn co_simulate_functional(
     sims: &mut [FuncSim],
     programs: &[Program],
 ) -> Result<(), RuntimeError> {
-    assert_eq!(sims.len(), programs.len(), "one program per machine");
+    if sims.len() != programs.len() {
+        return Err(RuntimeError::MachineCount {
+            machines: sims.len(),
+            programs: programs.len(),
+        });
+    }
     let n = sims.len();
     for (sim, program) in sims.iter_mut().zip(programs) {
         sim.start(program)
@@ -616,6 +622,24 @@ mod tests {
             co_simulate_timing(&mut sims, test_link(), SimTime::ZERO).unwrap()
         };
         assert!(faulted.makespan > healthy.makespan);
+    }
+
+    #[test]
+    fn mismatched_machines_and_programs_are_a_typed_error() {
+        let mut sims = vec![FuncSim::new(&AcceleratorConfig::new("t", 2))];
+        let programs = vec![Program::new(Vec::new()); 2];
+        let err = co_simulate_functional(&mut sims, &programs).unwrap_err();
+        assert!(matches!(
+            err,
+            RuntimeError::MachineCount {
+                machines: 1,
+                programs: 2
+            }
+        ));
+        assert_eq!(
+            err.to_string(),
+            "co-simulation got 2 programs for 1 machines"
+        );
     }
 
     #[test]

@@ -100,9 +100,10 @@ impl<E> EventQueue<E> {
         });
     }
 
-    /// Schedules `event` to fire `delay` after the current simulation time.
+    /// Schedules `event` to fire `delay` after the current simulation
+    /// time, saturating at [`SimTime::MAX`].
     pub fn schedule_in(&mut self, delay: SimTime, event: E) {
-        self.schedule(self.now + delay, event);
+        self.schedule(self.now.saturating_add(delay), event);
     }
 
     /// Removes and returns the next event, advancing the clock to its
@@ -177,6 +178,19 @@ mod tests {
         q.schedule_in(SimTime::from_ns(5.0), "second");
         let (t, _) = q.pop().unwrap();
         assert_eq!(t, SimTime::from_ns(15.0));
+    }
+
+    #[test]
+    fn schedule_in_saturates_at_the_end_of_time() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_ns(10.0), "first");
+        q.pop();
+        q.schedule_in(SimTime::MAX, "last");
+        q.schedule_in(SimTime::MAX, "tie");
+        assert_eq!(q.pop(), Some((SimTime::MAX, "last")));
+        q.schedule_in(SimTime::from_ns(1.0), "after");
+        assert_eq!(q.pop(), Some((SimTime::MAX, "tie")));
+        assert_eq!(q.pop(), Some((SimTime::MAX, "after")));
     }
 
     #[test]

@@ -33,6 +33,7 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::json::Json;
 use crate::time::SimTime;
@@ -62,7 +63,8 @@ impl TraceId {
 }
 
 /// One attribute value. `Str` covers the common static labels without
-/// allocating; `Text` carries dynamic strings.
+/// allocating; `Text` carries dynamic strings, and `Shared` one string
+/// many spans carry (a tenant name) behind a single allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SpanValue {
     /// Unsigned integer attribute.
@@ -73,6 +75,8 @@ pub enum SpanValue {
     Str(&'static str),
     /// Owned string attribute.
     Text(String),
+    /// Shared string attribute; serializes exactly like `Text`.
+    Shared(Arc<str>),
 }
 
 impl From<u64> for SpanValue {
@@ -111,6 +115,12 @@ impl From<String> for SpanValue {
     }
 }
 
+impl From<Arc<str>> for SpanValue {
+    fn from(v: Arc<str>) -> Self {
+        SpanValue::Shared(v)
+    }
+}
+
 impl SpanValue {
     /// Serializes the value.
     pub fn to_json(&self) -> Json {
@@ -119,6 +129,7 @@ impl SpanValue {
             SpanValue::F64(v) => Json::from(*v),
             SpanValue::Str(v) => Json::from(*v),
             SpanValue::Text(v) => Json::from(v.as_str()),
+            SpanValue::Shared(v) => Json::from(&**v),
         }
     }
 }
@@ -160,10 +171,12 @@ impl Span {
 
     /// Whether the span carries `key` = `value` (as a string attribute).
     pub fn attr_is(&self, key: &str, value: &str) -> bool {
-        matches!(
-            self.attr(key),
-            Some(SpanValue::Str(s)) if *s == value
-        ) || matches!(self.attr(key), Some(SpanValue::Text(s)) if s == value)
+        match self.attr(key) {
+            Some(SpanValue::Str(s)) => *s == value,
+            Some(SpanValue::Text(s)) => s == value,
+            Some(SpanValue::Shared(s)) => **s == *value,
+            _ => false,
+        }
     }
 }
 

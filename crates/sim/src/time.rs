@@ -122,6 +122,12 @@ impl SimTime {
         self.0.checked_add(other.0).map(SimTime)
     }
 
+    /// Saturating addition: [`SimTime::MAX`] on overflow (the end of time
+    /// is as late as anything can happen).
+    pub fn saturating_add(self, other: SimTime) -> SimTime {
+        SimTime(self.0.saturating_add(other.0))
+    }
+
     /// The later of two times.
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))

@@ -384,4 +384,10 @@ fn kitchen_sink_artifacts_match_pinned_digest() {
         &chrome_trace_events(&[&report.spans]).compact(),
     ]);
     assert_eq!(digest, 0xcd89_c5d7_569b_5c9f, "digest {digest:#018x}");
+    // The report JSON carries only the trace ring's counts; this pins the
+    // order and content of the retained scheduler events themselves
+    // (956 retained, none dropped).
+    assert_eq!((report.trace.len(), report.trace.dropped()), (956, 0));
+    let ring = fnv1a(&[&report.trace.to_json().compact()]);
+    assert_eq!(ring, 0x1cec_dee3_eb3d_6bcc, "ring digest {ring:#018x}");
 }
