@@ -7,7 +7,8 @@
 //! scenario runs over identical inputs through:
 //!
 //! * **current** — the shipped engine: `Arc`-shared catalog entries, the
-//!   capacity-epoch feasibility cache, wave gating and free-slot pruning.
+//!   capacity-epoch feasibility cache, the known-infeasible skip rule
+//!   and free-slot pruning.
 //! * **baseline** — `vfpga_fuzz::ReferenceScheduler`, the deliberately
 //!   naive scheduler the `scheduler-lockstep` oracle pins the engine to:
 //!   it re-runs a full placement probe for every queued task after every

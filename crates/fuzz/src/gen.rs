@@ -186,8 +186,8 @@ pub fn cloud(rng: &mut Rng) -> CloudSpec {
 
 /// A saturating cloud scenario for the scheduler lockstep: 2–5 devices
 /// and up to 200 tasks arriving in tight bursts, so the admission queue
-/// runs past the scan window and the feasibility cache and wave gate have
-/// work to skip. Most cases fail and recover devices mid-burst, half of
+/// runs past the scan window and the known-infeasible skip rule has work
+/// to skip. Most cases fail and recover devices mid-burst, half of
 /// those with flaky reconfiguration too. No link faults: the reference
 /// scheduler does not model the ring.
 pub fn saturating_cloud(rng: &mut Rng) -> CloudSpec {

@@ -885,8 +885,8 @@ fn check_controller_accounting(input: &FuzzInput) -> Result<(), String> {
 
 // ---------------------------------------------------------------------
 // scheduler-lockstep: the engine's admission fast paths (feasibility
-// cache, wave gating, free-slot pruning) against the naive reference
-// scheduler, decision by decision.
+// cache, known-infeasible skips, free-slot pruning) against the naive
+// reference scheduler, decision by decision.
 // ---------------------------------------------------------------------
 
 fn check_scheduler_lockstep(input: &FuzzInput) -> Result<(), String> {
@@ -1261,14 +1261,15 @@ mod tests {
 
     /// The lockstep only pins the fast paths its cases exercise. Over the
     /// oracle's first 200 cases at seed 42 (the CI budget), count the
-    /// cases where the feasibility cache answered, the wave gate skipped
-    /// attempts the reference made, the queue outgrew the scan window, a
+    /// cases where the feasibility cache answered a migration attempt, the
+    /// engine skipped queued tasks known infeasible (so it made fewer
+    /// attempts than the reference), the queue outgrew the scan window, a
     /// deployment was interrupted, and a configure flaked. None may be 0.
     #[test]
     fn saturating_cases_fire_every_fast_path() {
         let labels = [
             "cache hits",
-            "skipped waves",
+            "known-infeasible skips",
             "queue past the window",
             "interruptions",
             "transient faults",

@@ -5,7 +5,8 @@
 //! the slow, obvious way. It keeps its own per-device free-slot and health
 //! model, scans mapping options and devices linearly on every attempt, and
 //! re-runs the admission wave after every event. It has no feasibility
-//! cache, no wave gating and no per-type free-slot pruning, so every
+//! cache, skips no known-infeasible task and has no per-type free-slot
+//! pruning, so every
 //! attempt it makes is a full probe — which is exactly the unoptimized
 //! loop the engine's fast paths must be indistinguishable from.
 //!
@@ -115,8 +116,8 @@ pub struct ReferenceReport {
 impl ReferenceReport {
     /// Checks a fast-path run's report against the reference: the outcome
     /// fields and the latency summary must be equal, and the fast path may only have made fewer
-    /// rejected attempts (its cache and gate skip re-probes whose answer
-    /// is already known), never more.
+    /// rejected attempts (its cache and skip rule avoid re-probes whose
+    /// answer is already known), never more.
     pub fn check_report(&self, fast: &CloudReport) -> Result<(), String> {
         let fields = [
             ("completed", fast.completed, self.completed),

@@ -196,15 +196,17 @@ pub struct CloudReport {
     pub peak_occupancy: f64,
     /// Deepest the admission queue ever got.
     pub peak_queue_depth: u64,
-    /// Rejected deployment attempts, indexed by
-    /// [`RejectReason::index`]; one task retried many times counts each
-    /// attempt, so under saturation this scales with how often the
-    /// scheduler re-probed, not with the workload. The per-task view is
-    /// [`rejected_tasks`](CloudReport::rejected_tasks).
+    /// Deployment attempts actually made and rejected, indexed by
+    /// [`RejectReason::index`]; one task attempted many times counts each
+    /// attempt. A queued task whose instance is already known to be
+    /// rejected at the current capacity epoch is skipped, not attempted,
+    /// and counts here not at all: skips book only
+    /// [`rejected_tasks`](CloudReport::rejected_tasks), so that per-task
+    /// view can exceed this one.
     pub rejections: [u64; 4],
     /// Distinct tasks rejected at least once per reason, indexed by
-    /// [`RejectReason::index`]; a task counts once per reason no matter
-    /// how many waves re-attempted it.
+    /// [`RejectReason::index`], whether by an attempt or by a skip; a task
+    /// counts once per reason however many waves visited it.
     pub rejected_tasks: [u64; 4],
     /// Device failures injected during the run.
     pub device_failures: u64,
@@ -600,7 +602,7 @@ pub fn run_cloud_sim_tuned(
         base_units: vec![0; n],
         last_promo_epoch: None,
         last_preempt_epoch: None,
-        saturated_at: None,
+        visited: (0, 0),
         link_failed: vec![false; segments],
         link_degraded: vec![false; segments],
         link_rng: Rng::seed_from_u64(faults.seed() ^ 0x4c49_4e4b_434f_5252),
@@ -666,11 +668,11 @@ struct CloudSim<'a> {
     /// more than one victim per capacity change.
     last_preempt_epoch: Option<u64>,
 
-    /// Wave gating: `Some(epoch)` after a wave rejected every scanned
-    /// task with the capacity epoch at `epoch`. While the epoch is
-    /// unchanged and nothing new entered the scan window, further waves
-    /// are skipped — they could only replay the same rejections.
-    saturated_at: Option<u64>,
+    /// `(epoch, n)`: the scan window's first `n` tasks were visited at
+    /// capacity epoch `epoch`, and each is known infeasible at it. While
+    /// the epoch holds they stay infeasible and booked, so a wave visits
+    /// only the window entrants queued behind them since.
+    visited: (u64, usize),
 
     /// Per-ring-segment hard-failure state (`true` while the segment is
     /// down), sized to the cluster's ring.
@@ -734,7 +736,7 @@ impl<'a> CloudSim<'a> {
             let deploys = self.controller.stats().deploys;
             match event {
                 Event::Arrival(i) => {
-                    self.enqueue(i);
+                    self.queue.push_back(i);
                     let tenant = (self.instance_for)(&self.arrivals[i].task);
                     self.instance[i] = self.controller.instance_id(&tenant)?.index();
                     self.rec.emit(now, SimEvent::Arrival(i, &tenant));
@@ -767,19 +769,7 @@ impl<'a> CloudSim<'a> {
                 }
                 Event::RetryNudge => {}
             }
-            // Admission gating: while the gate epoch matches, capacity can
-            // only have shrunk since the last all-rejected wave and
-            // nothing new entered the scan window, so the wave is skipped
-            // — it would replay the identical rejections. A gate-setting
-            // wave saw no transient fault, so a skipped wave also cannot
-            // strand retryable work (no feasible placement means no
-            // configure attempt and no injector draw).
-            let gated = self.saturated_at == Some(self.controller.capacity_epoch());
-            let saw_transient = if gated {
-                false
-            } else {
-                self.admission_wave(now)?
-            };
+            let saw_transient = self.admission_wave(now)?;
             if self.elasticity.any() {
                 self.reprovision(now)?;
             }
@@ -815,24 +805,8 @@ impl<'a> CloudSim<'a> {
         Ok(())
     }
 
-    /// Appends a task to the admission queue, clearing the saturation
-    /// gate when the task lands inside the scan window: a wave that
-    /// rejected everything it scanned says nothing about an instance it
-    /// never probed, so the next wave must run. A task queued beyond the
-    /// window cannot be scanned until the queue drains past it — which
-    /// itself requires an admission, i.e. a capacity-epoch change — so
-    /// the gate may stand.
-    fn enqueue(&mut self, task_index: usize) {
-        if self.queue.len() < SCAN_WINDOW {
-            self.saturated_at = None;
-        }
-        self.queue.push_back(task_index);
-    }
-
     fn on_completion(&mut self, now: SimTime, task_index: usize) -> Result<(), RuntimeError> {
-        let deployment = self.running[task_index]
-            .take()
-            .expect("completion for task not running");
+        let deployment = self.take_running(task_index)?;
         self.task_of.remove(&deployment.id.0);
         self.controller.release(&deployment)?;
         let instance = self.instance_of(task_index);
@@ -853,7 +827,7 @@ impl<'a> CloudSim<'a> {
             let task_index = *self
                 .task_of
                 .get(&id.0)
-                .expect("interrupted deployment maps to a running task");
+                .ok_or(RuntimeError::UntrackedDeployment { deployment: id.0 })?;
             self.interrupt(now, task_index, Interruption::Device(device))?;
         }
         Ok(())
@@ -872,9 +846,7 @@ impl<'a> CloudSim<'a> {
         task_index: usize,
         cause: Interruption,
     ) -> Result<(), RuntimeError> {
-        let old = self.running[task_index]
-            .take()
-            .expect("interrupted task was running");
+        let old = self.take_running(task_index)?;
         self.task_of.remove(&old.id.0);
         if let Interruption::Link(_) = cause {
             // The units themselves are healthy but can no longer exchange
@@ -1070,6 +1042,13 @@ impl<'a> CloudSim<'a> {
         }
     }
 
+    /// Takes a running task's deployment.
+    fn take_running(&mut self, task_index: usize) -> Result<Deployment, RuntimeError> {
+        self.running[task_index]
+            .take()
+            .ok_or(RuntimeError::TaskNotRunning { task: task_index })
+    }
+
     /// The task's interned instance.
     fn instance_of(&self, task_index: usize) -> InstanceId {
         self.controller.instance_at(self.instance[task_index])
@@ -1130,7 +1109,7 @@ impl<'a> CloudSim<'a> {
                 let dropped = self.recovery.drop_on_exhaustion;
                 self.rec.emit(now, SimEvent::RetryExhausted(task, dropped));
                 if !dropped {
-                    self.enqueue(task);
+                    self.queue.push_back(task);
                 }
             }
         }
@@ -1247,12 +1226,14 @@ impl<'a> CloudSim<'a> {
     /// displacement); `false` means the victim turned out unshrinkable
     /// and the caller should stop preempting.
     fn preempt_victim(&mut self, now: SimTime, victim: usize) -> Result<bool, RuntimeError> {
-        let d = self.running[victim].clone().expect("victim is running");
+        let d = self.running[victim]
+            .clone()
+            .ok_or(RuntimeError::TaskNotRunning { task: victim })?;
         self.rec.emit(now, SimEvent::Reprovision(victim, "preempt"));
         let ctx = self.rec.ctx(Some(victim), now);
         match self.controller.demote_deployment(&d, ctx)? {
             ScaleDown::Demoted(nd) => {
-                self.resize_running(now, victim, nd);
+                self.resize_running(now, victim, nd)?;
                 Ok(true)
             }
             ScaleDown::AlreadyMinimal => {
@@ -1292,7 +1273,7 @@ impl<'a> CloudSim<'a> {
             self.rec.emit(now, SimEvent::Reprovision(i, "promote"));
             let ctx = self.rec.ctx(Some(i), now);
             match self.controller.promote_deployment(&d, &mut accept, ctx)? {
-                Some(nd) => self.resize_running(now, i, nd),
+                Some(nd) => self.resize_running(now, i, nd)?,
                 None => self.rec.emit(now, SimEvent::ReprovisionEnded("kept")),
             }
         }
@@ -1302,10 +1283,13 @@ impl<'a> CloudSim<'a> {
     /// Swaps a running task onto `new_deployment` at `now`, carrying its
     /// progress over as a work fraction: the remaining time is rescaled
     /// by the ratio of the new shape's service time to the old one.
-    fn resize_running(&mut self, now: SimTime, task_index: usize, new_deployment: Deployment) {
-        let old = self.running[task_index]
-            .take()
-            .expect("resized task was running");
+    fn resize_running(
+        &mut self,
+        now: SimTime,
+        task_index: usize,
+        new_deployment: Deployment,
+    ) -> Result<(), RuntimeError> {
+        let old = self.take_running(task_index)?;
         self.task_of.remove(&old.id.0);
         let old_remaining = self.completion_at[task_index].saturating_sub(now);
         let old_total = self.service_total[task_index];
@@ -1325,15 +1309,27 @@ impl<'a> CloudSim<'a> {
         self.running[task_index] = Some(new_deployment);
         self.service_total[task_index] = new_total;
         self.schedule_completion(task_index, now.saturating_add(new_remaining));
+        Ok(())
     }
 
     /// Admits as many queued tasks as capacity allows. Tasks request
     /// deployment independently, so a blocked task does not block later
     /// tasks that fit elsewhere; the scan window stays bounded to keep
-    /// arrival order roughly fair. Each wave scans the window once, then
+    /// arrival order roughly fair. Each wave visits the window once, then
     /// drains the window head and pushes its survivors back in order, so
     /// a wave costs O(window) however deep the backlog behind it is; waves
     /// repeat until one admits nothing.
+    ///
+    /// A visit attempts a task only when its instance has no rejection
+    /// known at the current capacity epoch; otherwise the known rejection
+    /// is booked and nothing is attempted. That is exact: admissions never
+    /// bump the epoch, so free capacity only shrinks until the next
+    /// release, eviction or recovery, and transient faults are never
+    /// known, so they are re-attempted. A wave that admits nothing and
+    /// sees no transient fault leaves its whole window known infeasible at
+    /// the epoch; until the epoch moves, later waves visit only the
+    /// entrants queued behind it, and a wave with nothing to visit does
+    /// not run.
     ///
     /// Returns whether any attempt was turned down by a transient
     /// configure fault (retryable; the caller may need to self-schedule a
@@ -1342,27 +1338,42 @@ impl<'a> CloudSim<'a> {
         let mut saw_transient = false;
         loop {
             let window = self.queue.len().min(SCAN_WINDOW);
+            let epoch = self.controller.capacity_epoch();
+            let from = match self.visited {
+                (e, n) if e == epoch => n.min(window),
+                _ => 0,
+            };
+            if from == window {
+                return Ok(saw_transient);
+            }
             let mut admitted = std::mem::take(&mut self.wave_admitted);
             self.wave_admitted_at.clear();
-            for pos in 0..window {
+            self.wave_admitted_at.resize(from, false);
+            let mut transient = false;
+            for pos in from..window {
                 let idx = self.queue[pos];
-                let outcome = self.place(now, idx, true)?;
+                let outcome = match self.controller.known_rejection(self.instance_of(idx)) {
+                    Some(reason) => {
+                        self.rec.emit(now, SimEvent::Blocked(idx, reason));
+                        Err(reason)
+                    }
+                    None => self.place(now, idx, true)?,
+                };
                 self.wave_admitted_at.push(outcome.is_ok());
                 match outcome {
                     Ok(deployment) => admitted.push((idx, deployment)),
-                    Err(reason) => saw_transient |= reason == RejectReason::TransientFault,
+                    Err(reason) => transient |= reason == RejectReason::TransientFault,
                 }
             }
+            saw_transient |= transient;
+            // Without a fault the wave changed no capacity epoch (an
+            // admission does not bump it), so every task it leaves queued
+            // is known infeasible at `epoch`. They stay at the window's
+            // head, in order.
+            let survivors = window - admitted.len();
+            self.visited = (epoch, if transient { 0 } else { survivors });
             if admitted.is_empty() {
                 self.wave_admitted = admitted;
-                // The wave ends with everything it scanned rejected. If no
-                // rejection was transient (a transient could succeed on
-                // the very next attempt), arm the gate: until the capacity
-                // epoch changes or a new task enters the scan window,
-                // re-running this wave is provably futile.
-                if !saw_transient && !self.queue.is_empty() {
-                    self.saturated_at = Some(self.controller.capacity_epoch());
-                }
                 return Ok(saw_transient);
             }
             self.wave_head.clear();
@@ -1881,20 +1892,17 @@ mod tests {
         let report = run_cloud_sim(&mut c, &a, &|_| "tiny".to_string(), &fixed_service).unwrap();
         let reason = RejectReason::InsufficientCapacity;
         // The per-task view is bounded by the workload no matter how many
-        // waves re-attempted the same queued tasks; before the fix only
+        // waves found the same queued tasks blocked; before the fix only
         // the per-attempt counters existed, scaling with event count.
         let tasks = report.rejected_tasks_for(reason);
         assert!(tasks > 0);
         assert!(tasks <= report.arrivals);
-        assert!(
-            report.rejections_for(reason) > tasks,
-            "saturation re-attempts: {} attempts vs {} tasks",
-            report.rejections_for(reason),
-            tasks
-        );
-        for r in RejectReason::ALL {
-            assert!(report.rejections_for(r) >= report.rejected_tasks_for(r));
-        }
+        // With no faults a queued task of an instance known infeasible is
+        // booked, not attempted: nothing replays the feasibility cache,
+        // and every rejected attempt is a real probe.
+        let stats = c.stats();
+        assert_eq!(stats.cache_hits, 0);
+        assert_eq!(report.total_rejections(), stats.probes - stats.deploys);
         // The artifact names both views.
         let json = report.to_json().compact();
         assert!(json.contains(r#""rejections":{"attempts":{"#), "{json}");

@@ -101,7 +101,10 @@ pub struct ControllerStats {
     /// count; the bench artifact reports `probes` as `deploy_attempts`.
     pub probes: u64,
     /// Deployment attempts answered by the capacity-epoch feasibility
-    /// cache without probing.
+    /// cache without probing. The cloud simulator never attempts a queued
+    /// task whose instance the cache already rejects, so in a simulation
+    /// these are migration attempts only; direct callers of
+    /// [`SystemController::try_deploy`] see every repeat here.
     pub cache_hits: u64,
 }
 
@@ -347,6 +350,18 @@ impl SystemController {
     /// work that cannot succeed.
     pub fn capacity_epoch(&self) -> u64 {
         self.llc.capacity_epoch()
+    }
+
+    /// The rejection a [`try_deploy`](Self::try_deploy) of `instance`
+    /// would return right now, when the feasibility cache already holds
+    /// it at the current capacity epoch. Exact for the same reasons the
+    /// cache is; transient faults are never cached, so they never show
+    /// here. `None` also for an id past the database.
+    pub(crate) fn known_rejection(&self, instance: InstanceId) -> Option<RejectReason> {
+        match self.feas_cache.get(instance.index as usize)? {
+            Some((epoch, reason)) if *epoch == self.llc.capacity_epoch() => Some(*reason),
+            _ => None,
+        }
     }
 
     /// Statically provisions the cluster (baseline policy): device `i`

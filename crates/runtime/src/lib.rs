@@ -112,6 +112,18 @@ pub enum RuntimeError {
     },
     /// A functional simulation error during co-simulation.
     Sim(Box<dyn std::error::Error>),
+    /// The cloud simulator's books say a task runs that holds no
+    /// deployment: a completion, interruption or resize found it idle.
+    TaskNotRunning {
+        /// The task's arrival index.
+        task: usize,
+    },
+    /// The controller interrupted a live deployment that serves no task
+    /// the cloud simulator is running.
+    UntrackedDeployment {
+        /// The deployment's id.
+        deployment: u64,
+    },
 }
 
 impl fmt::Display for RuntimeError {
@@ -151,6 +163,12 @@ impl fmt::Display for RuntimeError {
                 "co-simulation got {programs} programs for {machines} machines"
             ),
             RuntimeError::Sim(e) => write!(f, "simulation error: {e}"),
+            RuntimeError::TaskNotRunning { task } => {
+                write!(f, "task {task} holds no deployment")
+            }
+            RuntimeError::UntrackedDeployment { deployment } => {
+                write!(f, "deployment {deployment} serves no running task")
+            }
         }
     }
 }

@@ -45,6 +45,11 @@ pub(crate) enum SimEvent<'a> {
     /// `(task, reason, queued)`: a deployment attempt, from the admission
     /// queue when `queued` (else from migration), was turned down.
     Rejected(usize, RejectReason, bool),
+    /// `(task, reason)`: a queued task was not attempted because its
+    /// instance is known to be rejected for `reason` at this capacity
+    /// epoch. It books what a rejected queued attempt books per task, but
+    /// counts no attempt.
+    Blocked(usize, RejectReason),
     /// `(task, tenant, waited, units, lane)`: a first deployment.
     Deployed(usize, &'a str, SimTime, u32, Lane),
     /// `(task, since, old_units, units, lane)`: the redeployment of a task
@@ -335,21 +340,9 @@ impl Recorder {
             }
             SimEvent::Rejected(task, reason, queued) => {
                 self.metrics.inc(self.m.rejects[reason.index()]);
-                let marks = &mut self.tasks[task];
-                let bit = 1u8 << reason.index();
-                if marks.rejected & bit == 0 {
-                    marks.rejected |= bit;
-                    self.t.rejected_tasks[reason.index()] += 1;
-                }
-                // Trace only a task's first queued rejection: under
-                // saturation every task is re-tried per wave and the ring
-                // would otherwise hold nothing else.
-                if queued && !marks.traced_reject {
-                    marks.traced_reject = true;
-                    let (task, reason) = (task as u64, reason.as_str());
-                    self.trace.push(now, Trace::DeployRejected { task, reason });
-                }
+                self.book_rejection(now, task, reason, queued);
             }
+            SimEvent::Blocked(task, reason) => self.book_rejection(now, task, reason, true),
             SimEvent::Deployed(i, _, waited, units, lane) => {
                 self.time(self.m.queue_wait, waited);
                 self.metrics.inc(self.m.deploys);
@@ -564,6 +557,25 @@ impl Recorder {
                 }
                 self.t.last_tick = now;
             }
+        }
+    }
+
+    /// Books a rejection into the task's per-task view: its reason counts
+    /// into `rejected_tasks` once per task, and its first queued rejection
+    /// is traced. Only the first is: under saturation a queued task is
+    /// turned down at every wave and the ring would otherwise hold
+    /// nothing else.
+    fn book_rejection(&mut self, now: SimTime, task: usize, reason: RejectReason, queued: bool) {
+        let marks = &mut self.tasks[task];
+        let bit = 1u8 << reason.index();
+        if marks.rejected & bit == 0 {
+            marks.rejected |= bit;
+            self.t.rejected_tasks[reason.index()] += 1;
+        }
+        if queued && !marks.traced_reject {
+            marks.traced_reject = true;
+            let (task, reason) = (task as u64, reason.as_str());
+            self.trace.push(now, Trace::DeployRejected { task, reason });
         }
     }
 

@@ -169,7 +169,7 @@ fn link_chaos_artifact_matches_pinned_digest() {
         },
     );
     let digest = fnv1a(&[&run.to_json().pretty()]);
-    assert_eq!(digest, 0x72fd_7865_f4a3_7115, "digest {digest:#018x}");
+    assert_eq!(digest, 0x055f_684b_f0d0_abcb, "digest {digest:#018x}");
 }
 
 #[test]
@@ -383,7 +383,7 @@ fn kitchen_sink_artifacts_match_pinned_digest() {
         &prometheus_text(&report.metrics),
         &chrome_trace_events(&[&report.spans]).compact(),
     ]);
-    assert_eq!(digest, 0xcd89_c5d7_569b_5c9f, "digest {digest:#018x}");
+    assert_eq!(digest, 0x24bd_375f_aa50_e64c, "digest {digest:#018x}");
     // The report JSON carries only the trace ring's counts; this pins the
     // order and content of the retained scheduler events themselves
     // (956 retained, none dropped).
