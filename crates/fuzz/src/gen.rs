@@ -11,7 +11,8 @@
 use vfpga_sim::{Json, Rng};
 
 use crate::input::{
-    CloudFault, CloudSpec, CloudTask, FaultSpec, ProgSpec, RnnSpec, SlotOp, SlotsSpec, TreeSpec,
+    CloudFault, CloudSpec, CloudTask, FaultSpec, ProgSpec, RnnSpec, RollupRecord, RollupSpec,
+    SlotOp, SlotsSpec, TreeSpec,
 };
 
 fn tree_node(rng: &mut Rng, depth: usize) -> TreeSpec {
@@ -328,7 +329,77 @@ fn doc_string(rng: &mut Rng) -> String {
 
 /// A random JSON document: escapes, non-ASCII, control characters, deep
 /// nesting, empty containers, and numbers on both sides of the
-/// integer-printing cutoff.
+/// integer-printing cutoff. One document in eight is wrapped in 30–60
+/// levels of single-entry arrays and objects, so pretty lines indent past
+/// any fixed run of spaces.
 pub fn doc(rng: &mut Rng) -> Json {
-    doc_value(rng, 4)
+    let inner = doc_value(rng, 4);
+    if rng.below(8) > 0 {
+        return inner;
+    }
+    (0..30 + rng.below(31)).fold(inner, |v, _| {
+        if rng.below(2) == 0 {
+            Json::Arr(vec![v])
+        } else {
+            Json::obj().with("deep", v)
+        }
+    })
+}
+
+/// A random rollup record stream: all six record kinds over the cluster,
+/// three tenants, four devices and four segments. Time mostly moves
+/// forward, but one record in eight is stamped up to four windows in the
+/// past. The cut lands anywhere in the stream (or at 0) and the merge
+/// factor is 1–6.
+pub fn rollup(rng: &mut Rng) -> RollupSpec {
+    const KINDS: [&str; 6] = [
+        "arrival",
+        "completion",
+        "queue_wait",
+        "migration",
+        "retransmit",
+        "occupancy",
+    ];
+    const TENANTS: [&str; 3] = ["bw-s", "bw-m", "gru-x"];
+    let window_ns = 50 + rng.below(500) as u64;
+    let mut now = 0u64;
+    let records = (0..rng.below(150))
+        .map(|_| {
+            now += rng.below(window_ns as usize * 2 / 3) as u64;
+            let at_ns = if rng.below(8) == 0 {
+                now.saturating_sub(rng.below(4 * window_ns as usize) as u64)
+            } else {
+                now
+            };
+            let kind = KINDS[rng.below(KINDS.len())];
+            let key = match rng.below(4) {
+                0 => "cluster".to_string(),
+                1 => format!("tenant:{}", TENANTS[rng.below(TENANTS.len())]),
+                2 => format!("device:{}", rng.below(4)),
+                _ => format!("segment:{}", rng.below(4)),
+            };
+            let value = match kind {
+                "occupancy" => rng.below(1_001) as u64,
+                "retransmit" => rng.below(1 << 20) as u64,
+                _ => rng.below(2_000_000) as u64,
+            };
+            RollupRecord {
+                kind: kind.to_string(),
+                key,
+                at_ns,
+                value,
+            }
+        })
+        .collect();
+    RollupSpec {
+        window_ns,
+        alpha_pm: [5, 10, 20, 50][rng.below(4)],
+        records,
+        cut_ns: if rng.below(4) == 0 {
+            0
+        } else {
+            rng.below(now as usize + window_ns as usize) as u64
+        },
+        factor: 1 + rng.below(6) as u64,
+    }
 }

@@ -336,6 +336,40 @@ pub struct FaultSpec {
     pub degraded_pm: u64,
 }
 
+/// One telemetry record of a rollup case.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RollupRecord {
+    /// `"arrival"`, `"completion"`, `"queue_wait"`, `"migration"`,
+    /// `"retransmit"` or `"occupancy"`.
+    pub kind: String,
+    /// The key's artifact label: `"cluster"`, `"tenant:<name>"`,
+    /// `"device:<n>"` or `"segment:<n>"`.
+    pub key: String,
+    /// Record time, nanoseconds.
+    pub at_ns: u64,
+    /// Latency or wait in nanoseconds, retransmitted bytes, or occupancy
+    /// per mille; arrivals and migrations ignore it.
+    pub value: u64,
+}
+
+/// A rollup case: a record stream (mostly in time order, with some
+/// records stamped in earlier windows), then a truncation cut and a
+/// merge factor applied to the result.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RollupSpec {
+    /// Window length, nanoseconds (≥ 1).
+    pub window_ns: u64,
+    /// Sketch relative error, per mille.
+    pub alpha_pm: u64,
+    /// The records, in recording order.
+    pub records: Vec<RollupRecord>,
+    /// Oldest retained trace time for `mark_truncated_before`,
+    /// nanoseconds.
+    pub cut_ns: u64,
+    /// Window merge factor (≥ 1).
+    pub factor: u64,
+}
+
 /// One generated case for one oracle.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FuzzInput {
@@ -353,6 +387,8 @@ pub enum FuzzInput {
     Fault(FaultSpec),
     /// A raw JSON document.
     Doc(Json),
+    /// A telemetry record stream for the rollups.
+    Rollup(RollupSpec),
 }
 
 /// Reads an unsigned field written either as a decimal string (how seeds
@@ -397,6 +433,7 @@ impl FuzzInput {
             FuzzInput::Slots(s) => (s.ops.len() + s.devices.len()) as u64,
             FuzzInput::Fault(f) => (f.devices + f.links) as u64 + f.horizon_ns / 100_000,
             FuzzInput::Doc(d) => json_size(d),
+            FuzzInput::Rollup(r) => 4 * r.records.len() as u64 + r.factor + u64::from(r.cut_ns > 0),
         }
     }
 
@@ -499,6 +536,28 @@ impl FuzzInput {
                     .with("degraded_pm", f.degraded_pm),
             ),
             FuzzInput::Doc(d) => Json::obj().with("doc", d.clone()),
+            FuzzInput::Rollup(r) => {
+                let records = r
+                    .records
+                    .iter()
+                    .map(|rec| {
+                        Json::obj()
+                            .with("kind", rec.kind.as_str())
+                            .with("key", rec.key.as_str())
+                            .with("at_ns", rec.at_ns)
+                            .with("value", rec.value)
+                    })
+                    .collect();
+                Json::obj().with(
+                    "rollup",
+                    Json::obj()
+                        .with("window_ns", r.window_ns)
+                        .with("alpha_pm", r.alpha_pm)
+                        .with("cut_ns", r.cut_ns)
+                        .with("factor", r.factor)
+                        .with("records", Json::Arr(records)),
+                )
+            }
         }
     }
 
@@ -615,6 +674,29 @@ impl FuzzInput {
         }
         if let Some(d) = json.field("doc") {
             return Ok(FuzzInput::Doc(d.clone()));
+        }
+        if let Some(r) = json.field("rollup") {
+            let Some(Json::Arr(items)) = r.field("records") else {
+                return Err("rollup case without records".into());
+            };
+            let records = items
+                .iter()
+                .map(|rec| {
+                    Ok(RollupRecord {
+                        kind: get_str(rec, "kind")?,
+                        key: get_str(rec, "key")?,
+                        at_ns: get_u64(rec, "at_ns")?,
+                        value: get_u64(rec, "value")?,
+                    })
+                })
+                .collect::<Result<Vec<_>, String>>()?;
+            return Ok(FuzzInput::Rollup(RollupSpec {
+                window_ns: get_u64(r, "window_ns")?,
+                alpha_pm: get_u64(r, "alpha_pm")?,
+                records,
+                cut_ns: get_u64(r, "cut_ns")?,
+                factor: get_u64(r, "factor")?,
+            }));
         }
         Err("unrecognized fuzz input".into())
     }
@@ -756,6 +838,30 @@ impl FuzzInput {
                 out
             }
             FuzzInput::Doc(d) => shrink_json(d).into_iter().map(FuzzInput::Doc).collect(),
+            FuzzInput::Rollup(r) => {
+                let mut out = Vec::new();
+                if r.records.len() > 1 {
+                    let mut s = r.clone();
+                    s.records.truncate(r.records.len() / 2);
+                    out.push(FuzzInput::Rollup(s));
+                }
+                for i in 0..r.records.len() {
+                    let mut s = r.clone();
+                    s.records.remove(i);
+                    out.push(FuzzInput::Rollup(s));
+                }
+                if r.factor > 1 {
+                    let mut s = r.clone();
+                    s.factor = 1;
+                    out.push(FuzzInput::Rollup(s));
+                }
+                if r.cut_ns > 0 {
+                    let mut s = r.clone();
+                    s.cut_ns = 0;
+                    out.push(FuzzInput::Rollup(s));
+                }
+                out
+            }
         }
     }
 }

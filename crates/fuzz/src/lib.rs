@@ -15,9 +15,9 @@
 //!   nesting and adversarial link widths, random GRU/LSTM tasks with
 //!   non-power-of-two hidden dims and degenerate 1-step sequences, random
 //!   assembleable ISA programs, random heterogeneous clusters and fault
-//!   plans, and random JSON documents. Every case derives from
-//!   [`Rng::stream`](vfpga_sim::Rng::stream), so `(oracle, seed, index)`
-//!   pins it exactly.
+//!   plans, random JSON documents, and telemetry record streams. Every
+//!   case derives from [`Rng::stream`](vfpga_sim::Rng::stream), so
+//!   `(oracle, seed, index)` pins it exactly.
 //! * **Oracles** ([`registry`]) — cross-layer checks: scaled-out
 //!   co-simulation vs the full accelerator vs the `f32` reference,
 //!   reordering bit-identity, the CSR dependency graph and overlap
@@ -26,8 +26,9 @@
 //!   [`ReferenceScheduler`] decision by decision (`scheduler.rs`),
 //!   partition conservation/monotonicity/coverage,
 //!   controller accounting under faults, slot-bitmap vs occupancy agreement
-//!   in the HS abstraction, fault-plan renewal invariants, and byte-exact
-//!   JSON round-trips.
+//!   in the HS abstraction, fault-plan renewal invariants, byte-exact
+//!   JSON round-trips against the original writer, and the window-series
+//!   rollups against the original per-cell map (`reference.rs`).
 //! * **Shrinker** ([`shrink`]) — greedy delta debugging over each
 //!   generator's structure (drop tree children, halve dims, truncate
 //!   programs and fault waves) that minimizes a failing case while
@@ -53,8 +54,8 @@ pub use driver::{
     OracleReport, Verdict, DEFAULT_SHRINK_BUDGET, FUZZ_SCHEMA_VERSION,
 };
 pub use input::{
-    CloudFault, CloudSpec, CloudTask, FaultSpec, FuzzInput, ProgSpec, RnnSpec, SlotOp, SlotsSpec,
-    TreeSpec,
+    CloudFault, CloudSpec, CloudTask, FaultSpec, FuzzInput, ProgSpec, RnnSpec, RollupRecord,
+    RollupSpec, SlotOp, SlotsSpec, TreeSpec,
 };
 pub use oracle::{oracle_names, registry, Oracle};
 pub use scheduler::{

@@ -29,15 +29,21 @@ use vfpga_runtime::{
     co_simulate_functional, run_cloud_sim_tuned, AdmissionTuning, CloudReport, ControllerStats,
     Deployment, ElasticityPolicy, Policy, RecoveryPolicy, SystemController, DEFAULT_TRACE_CAPACITY,
 };
-use vfpga_sim::{FaultPlan, FaultPlanParams, Json, LinkFaultKind, LinkFaultParams, Rng, SimTime};
+use vfpga_sim::{
+    FaultPlan, FaultPlanParams, Json, LinkFaultKind, LinkFaultParams, Rng, RollupKey, RollupSet,
+    SimTime, WindowStats,
+};
 use vfpga_workload::{
     generate_program, reference_run, RnnKind, RnnTask, RnnWeights, SliceSpec, TaskArrival,
     H_LOCAL_SLOT,
 };
 
 use crate::gen;
-use crate::input::{FuzzInput, SlotOp, TreeSpec};
-use crate::reference::{reference_reorder, ReferenceGraph};
+use crate::input::{FuzzInput, RollupSpec, SlotOp, TreeSpec};
+use crate::reference::{
+    reference_compact, reference_pretty, reference_reorder, rollup_row, ReferenceGraph,
+    ReferenceRollupSet,
+};
 use crate::scheduler::ReferenceScheduler;
 
 /// One registered oracle: a structure-aware generator plus the invariant
@@ -95,6 +101,11 @@ pub fn registry() -> Vec<Oracle> {
             name: "reorder-identity",
             generate: |rng| FuzzInput::Rnn(gen::rnn(rng)),
             check: check_reorder_identity,
+        },
+        Oracle {
+            name: "rollup-reference",
+            generate: |rng| FuzzInput::Rollup(gen::rollup(rng)),
+            check: check_rollup_reference,
         },
         Oracle {
             name: "scaleout-differential",
@@ -1225,7 +1236,8 @@ fn check_fault_plan(input: &FuzzInput) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------
-// json-roundtrip: serialize → parse → serialize is byte-identical.
+// json-roundtrip: serialize → parse → serialize is byte-identical, and
+// the writer's bytes equal the original writer's.
 // ---------------------------------------------------------------------
 
 fn check_json_roundtrip(input: &FuzzInput) -> Result<(), String> {
@@ -1233,6 +1245,12 @@ fn check_json_roundtrip(input: &FuzzInput) -> Result<(), String> {
         return Err("expected doc input".into());
     };
     let pretty = doc.pretty();
+    if pretty != reference_pretty(doc) {
+        return Err("pretty output differs from the reference writer".into());
+    }
+    if doc.compact() != reference_compact(doc) {
+        return Err("compact output differs from the reference writer".into());
+    }
     let parsed = Json::parse(&pretty).map_err(|e| format!("pretty output does not parse: {e}"))?;
     if &parsed != doc {
         return Err("pretty round-trip changed the document".into());
@@ -1252,12 +1270,197 @@ fn check_json_roundtrip(input: &FuzzInput) -> Result<(), String> {
     Ok(())
 }
 
+// ---------------------------------------------------------------------
+// rollup-reference: window-series rollups vs the per-cell map.
+// ---------------------------------------------------------------------
+
+fn rollup_key(label: &str) -> Result<RollupKey, String> {
+    let index = |n: &str| {
+        n.parse::<u64>()
+            .map_err(|_| format!("bad rollup key `{label}`"))
+    };
+    match label.split_once(':') {
+        None if label == "cluster" => Ok(RollupKey::Cluster),
+        Some(("tenant", name)) => Ok(RollupKey::Tenant(name.to_string())),
+        Some(("device", n)) => index(n).map(RollupKey::Device),
+        Some(("segment", n)) => index(n).map(RollupKey::Segment),
+        _ => Err(format!("bad rollup key `{label}`")),
+    }
+}
+
+/// Replays a case's records into both rollup implementations.
+fn build_rollups(spec: &RollupSpec) -> Result<(RollupSet, ReferenceRollupSet), String> {
+    if spec.window_ns == 0 || spec.factor == 0 {
+        return Err("degenerate rollup case".into());
+    }
+    let window = SimTime::from_ns(spec.window_ns as f64);
+    let alpha = spec.alpha_pm as f64 / 1000.0;
+    let mut fast = RollupSet::new(window, alpha);
+    let mut reference = ReferenceRollupSet::new(window, alpha);
+    for rec in &spec.records {
+        let key = rollup_key(&rec.key)?;
+        let at = SimTime::from_ns(rec.at_ns as f64);
+        let d = SimTime::from_ns(rec.value as f64);
+        match rec.kind.as_str() {
+            "arrival" => {
+                fast.record_arrival(&key, at);
+                reference.record_arrival(key, at);
+            }
+            "completion" => {
+                fast.record_completion(&key, at, d);
+                reference.record_completion(key, at, d);
+            }
+            "queue_wait" => {
+                fast.record_queue_wait(&key, at, d);
+                reference.record_queue_wait(key, at, d);
+            }
+            "migration" => {
+                fast.record_migration(&key, at);
+                reference.record_migration(key, at);
+            }
+            "retransmit" => {
+                fast.record_retransmit(&key, at, rec.value);
+                reference.record_retransmit(key, at, rec.value);
+            }
+            "occupancy" => {
+                let fraction = rec.value as f64 / 1000.0;
+                fast.record_occupancy(&key, at, fraction);
+                reference.record_occupancy(key, at, fraction);
+            }
+            other => return Err(format!("unknown rollup record kind `{other}`")),
+        }
+    }
+    Ok((fast, reference))
+}
+
+fn series_text(key: &RollupKey, window_s: f64, series: &[(u64, &WindowStats)]) -> String {
+    let rows = series
+        .iter()
+        .map(|&(idx, stats)| rollup_row(key, idx, window_s, stats))
+        .collect();
+    Json::Arr(rows).compact()
+}
+
+/// Every query the artifact and the SLO evaluator make agrees with the
+/// reference: the serialized table, the cell count, the key list and each
+/// key's series (plus one key never recorded).
+fn agree_rollups(
+    label: &str,
+    fast: &RollupSet,
+    reference: &ReferenceRollupSet,
+) -> Result<(), String> {
+    let (text, want) = (fast.to_json().compact(), reference.to_json().compact());
+    if text != want {
+        return Err(format!(
+            "{label}: to_json differs\n  got  {text}\n  want {want}"
+        ));
+    }
+    if fast.len() != reference.len() {
+        return Err(format!(
+            "{label}: len {} != reference {}",
+            fast.len(),
+            reference.len()
+        ));
+    }
+    let keys = reference.keys();
+    if fast.keys() != keys {
+        return Err(format!(
+            "{label}: keys {:?} != reference {keys:?}",
+            fast.keys()
+        ));
+    }
+    let window_s = fast.window().as_secs();
+    for key in keys.iter().chain([&RollupKey::Segment(99)]) {
+        let got = series_text(key, window_s, &fast.series_for(key));
+        let want = series_text(key, window_s, &reference.series_for(key));
+        if got != want {
+            return Err(format!("{label}: series_for({key:?}) differs"));
+        }
+    }
+    Ok(())
+}
+
+fn check_rollup_reference(input: &FuzzInput) -> Result<(), String> {
+    let FuzzInput::Rollup(spec) = input else {
+        return Err("expected rollup input".into());
+    };
+    let (mut fast, mut reference) = build_rollups(spec)?;
+    agree_rollups("recorded", &fast, &reference)?;
+    agree_rollups(
+        &format!("merged x{}", spec.factor),
+        &fast.merged(spec.factor),
+        &reference.merged(spec.factor),
+    )?;
+    let cut = SimTime::from_ns(spec.cut_ns as f64);
+    let (marked, want) = (
+        fast.mark_truncated_before(cut),
+        reference.mark_truncated_before(cut),
+    );
+    if marked != want {
+        return Err(format!(
+            "mark_truncated_before marked {marked} cells, reference {want}"
+        ));
+    }
+    agree_rollups("truncated", &fast, &reference)?;
+    agree_rollups(
+        &format!("truncated, merged x{}", spec.factor),
+        &fast.merged(spec.factor),
+        &reference.merged(spec.factor),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::case_rng;
     use crate::scheduler::SCAN_WINDOW;
     use vfpga_runtime::RejectReason;
+
+    /// The rollup oracle only pins the paths its cases reach. Over the
+    /// first 200 cases at seed 42, count the cases where a record lands in
+    /// an older window its key has not seen yet (the series insert), in an
+    /// older window it has seen, where merging folds windows together, and
+    /// where the cut marks some windows but not all. None may be 0.
+    #[test]
+    fn rollup_cases_reach_every_path() {
+        let labels = [
+            "out-of-order inserts",
+            "out-of-order hits",
+            "folding merges",
+            "partial truncation",
+        ];
+        let mut hits = [0usize; 4];
+        let cases = 200;
+        for i in 0..cases {
+            let spec = gen::rollup(&mut case_rng(42, "rollup-reference", i));
+            let mut seen: HashMap<&str, Vec<u64>> = HashMap::new();
+            let (mut inserts, mut older_hits) = (false, false);
+            for rec in &spec.records {
+                let idx = rec.at_ns / spec.window_ns;
+                let windows = seen.entry(rec.key.as_str()).or_default();
+                if windows.iter().any(|&w| w > idx) {
+                    if windows.contains(&idx) {
+                        older_hits = true;
+                    } else {
+                        inserts = true;
+                    }
+                }
+                windows.push(idx);
+            }
+            let (_, mut reference) = build_rollups(&spec).unwrap();
+            let cells = reference.len();
+            let folds = reference.merged(spec.factor).len() < cells;
+            let marked = reference.mark_truncated_before(SimTime::from_ns(spec.cut_ns as f64));
+            let fired = [inserts, older_hits, folds, marked > 0 && marked < cells];
+            for (h, f) in hits.iter_mut().zip(fired) {
+                *h += usize::from(f);
+            }
+        }
+        for (label, h) in labels.iter().zip(hits) {
+            println!("{label}: {h}/{cases}");
+            assert!(h > 0, "no case exercised {label}");
+        }
+    }
 
     /// The lockstep only pins the fast paths its cases exercise. Over the
     /// oracle's first 200 cases at seed 42 (the CI budget), count the

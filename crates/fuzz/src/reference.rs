@@ -1,18 +1,25 @@
-//! Golden models of the dependency graph and the overlap scheduler.
+//! Golden models of the dependency graph, the overlap scheduler, the
+//! telemetry rollups and the JSON writer.
 //!
 //! [`ReferenceGraph::build`] is the original hash-map construction of
 //! `vfpga_isa::DepGraph`: one map per hazard table, every edge collected
 //! into one list, then a global `(from, to)` sort and dedup. The fast
 //! graph builds the same facts in one CSR pass. [`reference_reorder`] is
 //! the original `BTreeSet` list scheduler behind
-//! `vfpga_core::scaleout::reorder_for_overlap`. Both are deliberately
-//! kept naive and slow so they can serve as the oracle the optimized
-//! versions are checked against.
+//! `vfpga_core::scaleout::reorder_for_overlap`. [`ReferenceRollupSet`] is
+//! the original `vfpga_sim::RollupSet`: one `BTreeMap` entry per
+//! `(key, window)` cell, with an owned key per record. [`reference_pretty`]
+//! and [`reference_compact`] are the original `Json` writer, which
+//! allocated each pretty line's indentation and escaped strings one char
+//! at a time. All are deliberately kept naive and slow so they can serve
+//! as the oracle the optimized versions are checked against.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt::Write as _;
 
 use vfpga_accel::{RemoteAccess, RemoteWindow};
 use vfpga_isa::{DepEdge, DepKind, Instruction, Program};
+use vfpga_sim::{Json, QuantileSketch, RollupKey, SimTime, WindowStats};
 
 /// A dependency graph built the straightforward way.
 pub struct ReferenceGraph {
@@ -220,4 +227,283 @@ pub fn reference_reorder(program: &Program, window: &RemoteWindow) -> Result<Pro
         return Err("reordering violates dependencies".into());
     }
     Ok(order.iter().map(|&i| program[i]).collect())
+}
+
+fn empty_stats(alpha: f64) -> WindowStats {
+    WindowStats {
+        arrivals: 0,
+        completions: 0,
+        migrations: 0,
+        retransmits: 0,
+        retransmit_bytes: 0,
+        latency: QuantileSketch::new(alpha),
+        queue_wait: QuantileSketch::new(alpha),
+        occupancy_sum: 0.0,
+        occupancy_samples: 0,
+        truncated: false,
+    }
+}
+
+fn merge_stats(into: &mut WindowStats, other: &WindowStats) {
+    into.arrivals += other.arrivals;
+    into.completions += other.completions;
+    into.migrations += other.migrations;
+    into.retransmits += other.retransmits;
+    into.retransmit_bytes += other.retransmit_bytes;
+    into.latency.merge(&other.latency);
+    into.queue_wait.merge(&other.queue_wait);
+    into.occupancy_sum += other.occupancy_sum;
+    into.occupancy_samples += other.occupancy_samples;
+    into.truncated |= other.truncated;
+}
+
+/// One window's row of the rollup artifact, exactly as `RollupSet`
+/// serializes it.
+pub fn rollup_row(key: &RollupKey, idx: u64, window_s: f64, stats: &WindowStats) -> Json {
+    let mut row = Json::obj()
+        .with("key", key.label())
+        .with("window", idx)
+        .with("start_s", idx as f64 * window_s)
+        .with("arrivals", stats.arrivals)
+        .with("completions", stats.completions)
+        .with("migrations", stats.migrations)
+        .with("retransmits", stats.retransmits)
+        .with("retransmit_bytes", stats.retransmit_bytes)
+        .with("latency", stats.latency.digest_json())
+        .with("queue_wait", stats.queue_wait.digest_json())
+        .with("occupancy_mean", stats.occupancy_mean());
+    if stats.truncated {
+        row = row.with("truncated", true);
+    }
+    row
+}
+
+/// Tumbling-window rollups stored one map entry per `(key, window)` cell.
+pub struct ReferenceRollupSet {
+    window: SimTime,
+    alpha: f64,
+    cells: BTreeMap<(RollupKey, u64), WindowStats>,
+}
+
+impl ReferenceRollupSet {
+    /// An empty set with the given window length and sketch error.
+    pub fn new(window: SimTime, alpha: f64) -> Self {
+        ReferenceRollupSet {
+            window,
+            alpha,
+            cells: BTreeMap::new(),
+        }
+    }
+
+    fn cell(&mut self, key: RollupKey, at: SimTime) -> &mut WindowStats {
+        let idx = at.as_ps() / self.window.as_ps();
+        let alpha = self.alpha;
+        self.cells
+            .entry((key, idx))
+            .or_insert_with(|| empty_stats(alpha))
+    }
+
+    /// Records a task arrival.
+    pub fn record_arrival(&mut self, key: RollupKey, at: SimTime) {
+        self.cell(key, at).arrivals += 1;
+    }
+
+    /// Records a completion with its end-to-end latency.
+    pub fn record_completion(&mut self, key: RollupKey, at: SimTime, latency: SimTime) {
+        let cell = self.cell(key, at);
+        cell.completions += 1;
+        cell.latency.record(latency);
+    }
+
+    /// Records a queue wait that ended at `at`.
+    pub fn record_queue_wait(&mut self, key: RollupKey, at: SimTime, wait: SimTime) {
+        self.cell(key, at).queue_wait.record(wait);
+    }
+
+    /// Records a migration.
+    pub fn record_migration(&mut self, key: RollupKey, at: SimTime) {
+        self.cell(key, at).migrations += 1;
+    }
+
+    /// Records one retransmitted transfer of `bytes`.
+    pub fn record_retransmit(&mut self, key: RollupKey, at: SimTime, bytes: u64) {
+        let cell = self.cell(key, at);
+        cell.retransmits += 1;
+        cell.retransmit_bytes += bytes;
+    }
+
+    /// Records an occupancy observation.
+    pub fn record_occupancy(&mut self, key: RollupKey, at: SimTime, fraction: f64) {
+        let cell = self.cell(key, at);
+        cell.occupancy_sum += fraction;
+        cell.occupancy_samples += 1;
+    }
+
+    /// Marks every cell whose window starts before `oldest_retained`;
+    /// returns how many were newly marked.
+    pub fn mark_truncated_before(&mut self, oldest_retained: SimTime) -> usize {
+        let mut marked = 0;
+        for ((_, idx), cell) in self.cells.iter_mut() {
+            if *idx * self.window.as_ps() < oldest_retained.as_ps() && !cell.truncated {
+                cell.truncated = true;
+                marked += 1;
+            }
+        }
+        marked
+    }
+
+    /// Number of populated cells.
+    pub fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// The windows of `key` in window order.
+    pub fn series_for(&self, key: &RollupKey) -> Vec<(u64, &WindowStats)> {
+        self.cells
+            .iter()
+            .filter(|((k, _), _)| k == key)
+            .map(|((_, i), s)| (*i, s))
+            .collect()
+    }
+
+    /// The distinct keys present, in order.
+    pub fn keys(&self) -> Vec<RollupKey> {
+        let mut keys: Vec<RollupKey> = Vec::new();
+        for (k, _) in self.cells.keys() {
+            if keys.last() != Some(k) {
+                keys.push(k.clone());
+            }
+        }
+        keys
+    }
+
+    /// Folds every `factor` consecutive windows into one.
+    pub fn merged(&self, factor: u64) -> ReferenceRollupSet {
+        let mut out =
+            ReferenceRollupSet::new(SimTime::from_ps(self.window.as_ps() * factor), self.alpha);
+        for ((key, idx), stats) in &self.cells {
+            let cell = out
+                .cells
+                .entry((key.clone(), idx / factor))
+                .or_insert_with(|| empty_stats(self.alpha));
+            merge_stats(cell, stats);
+        }
+        out
+    }
+
+    /// The rollup artifact section.
+    pub fn to_json(&self) -> Json {
+        let window_s = self.window.as_secs();
+        let rows = self
+            .cells
+            .iter()
+            .map(|((key, idx), stats)| rollup_row(key, *idx, window_s, stats))
+            .collect();
+        Json::obj()
+            .with("window_s", window_s)
+            .with("alpha", self.alpha)
+            .with("windows", Json::Arr(rows))
+    }
+}
+
+/// `doc` serialized with two-space indentation and a trailing newline.
+pub fn reference_pretty(doc: &Json) -> String {
+    let mut out = String::new();
+    reference_write(doc, &mut out, 0);
+    out.push('\n');
+    out
+}
+
+/// `doc` serialized compactly.
+pub fn reference_compact(doc: &Json) -> String {
+    let mut out = String::new();
+    reference_write(doc, &mut out, usize::MAX);
+    out
+}
+
+fn reference_write(doc: &Json, out: &mut String, indent: usize) {
+    let compact = indent == usize::MAX;
+    match doc {
+        Json::Null => out.push_str("null"),
+        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Json::Num(x) => {
+            if x.is_finite() {
+                if *x == x.trunc() && x.abs() < 1e15 {
+                    let _ = write!(out, "{}", *x as i64);
+                } else {
+                    let _ = write!(out, "{x}");
+                }
+            } else {
+                out.push_str("null");
+            }
+        }
+        Json::Str(s) => reference_escape(s, out),
+        Json::Arr(items) => {
+            if items.is_empty() {
+                out.push_str("[]");
+                return;
+            }
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                if !compact {
+                    out.push('\n');
+                    out.push_str(&"  ".repeat(indent + 1));
+                }
+                reference_write(item, out, if compact { indent } else { indent + 1 });
+            }
+            if !compact {
+                out.push('\n');
+                out.push_str(&"  ".repeat(indent));
+            }
+            out.push(']');
+        }
+        Json::Obj(pairs) => {
+            if pairs.is_empty() {
+                out.push_str("{}");
+                return;
+            }
+            out.push('{');
+            for (i, (k, v)) in pairs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                if !compact {
+                    out.push('\n');
+                    out.push_str(&"  ".repeat(indent + 1));
+                }
+                reference_escape(k, out);
+                out.push(':');
+                if !compact {
+                    out.push(' ');
+                }
+                reference_write(v, out, if compact { indent } else { indent + 1 });
+            }
+            if !compact {
+                out.push('\n');
+                out.push_str(&"  ".repeat(indent));
+            }
+            out.push('}');
+        }
+    }
+}
+
+fn reference_escape(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }

@@ -213,6 +213,16 @@ pub enum ScaleDown {
     Displaced,
 }
 
+/// One statically provisioned device (baseline): the instance compiled
+/// onto it offline, resolved against the database, and the index of that
+/// instance's first single-unit option, which the device runs.
+#[derive(Debug, Clone)]
+struct Provision {
+    instance: String,
+    entry: Arc<MappingEntry>,
+    option: usize,
+}
+
 /// The system controller (Fig. 7): searches the mapping database for
 /// deployable mapping results under the active policy and drives the HS
 /// abstraction's low-level controller.
@@ -228,7 +238,7 @@ pub struct SystemController {
     /// each device at offline time. The paper's baseline fixes resource
     /// allocation "at the offline compilation time, resulting in a low
     /// elasticity" — tasks run on whatever accelerator their device hosts.
-    provisioned: Option<Vec<String>>,
+    provisioned: Option<Vec<Provision>>,
     live: HashMap<u64, Vec<(DeviceId, AllocationId)>>,
     next_id: u64,
     stats: ControllerStats,
@@ -257,18 +267,20 @@ impl SystemController {
     pub fn new(cluster: Cluster, db: MappingDatabase, policy: Policy) -> Self {
         let llc = LowLevelController::new(&cluster);
         let device_taken = vec![false; cluster.len()];
-        let type_names: Vec<String> = cluster
-            .device_types()
-            .iter()
-            .map(|t| t.name().to_string())
-            .collect();
+        // Type names in first-appearance order, as `device_types()` lists
+        // them, and each device's index into them, in one pass.
+        let mut type_names: Vec<String> = Vec::new();
         let device_type_idx: Vec<usize> = cluster
             .iter()
             .map(|d| {
+                let name = d.device_type().name();
                 type_names
                     .iter()
-                    .position(|n| n == d.device_type().name())
-                    .expect("every device's type appears in device_types()")
+                    .position(|n| n == name)
+                    .unwrap_or_else(|| {
+                        type_names.push(name.to_string());
+                        type_names.len() - 1
+                    })
             })
             .collect();
         let instances: Vec<Arc<MappingEntry>> =
@@ -382,25 +394,32 @@ impl SystemController {
                 instances: instances.len(),
             });
         }
-        for (i, name) in instances.iter().enumerate() {
+        let mut provisioned = Vec::with_capacity(instances.len());
+        for (i, instance) in instances.into_iter().enumerate() {
             let entry = self
                 .db
-                .entry(name)
-                .ok_or_else(|| RuntimeError::UnknownInstance(name.clone()))?;
+                .entry_shared(&instance)
+                .ok_or_else(|| RuntimeError::UnknownInstance(instance.clone()))?;
             let dt = self.cluster.device(DeviceId(i)).device_type().name();
-            if !entry
+            let option = entry.options.iter().position(|o| o.num_units() == 1);
+            let placeable = entry
                 .options
                 .iter()
-                .any(|o| o.num_units() == 1 && o.units[0].images.contains_key(dt))
-            {
+                .any(|o| o.num_units() == 1 && o.units[0].images.contains_key(dt));
+            let (Some(option), true) = (option, placeable) else {
                 return Err(RuntimeError::UnplaceableProvision {
-                    instance: name.clone(),
+                    instance,
                     device: i,
                     device_type: dt.to_string(),
                 });
-            }
+            };
+            provisioned.push(Provision {
+                instance,
+                entry,
+                option,
+            });
         }
-        self.provisioned = Some(instances);
+        self.provisioned = Some(provisioned);
         Ok(self)
     }
 
@@ -477,16 +496,17 @@ impl SystemController {
             self.stats.device_failures += 1;
         }
         let evicted: std::collections::HashSet<AllocationId> = evicted.into_iter().collect();
-        let mut interrupted: Vec<DeploymentId> = self
-            .live
-            .iter()
-            .filter(|(_, placements)| placements.iter().any(|(_, a)| evicted.contains(a)))
-            .map(|(id, _)| DeploymentId(*id))
-            .collect();
-        interrupted.sort_by_key(|d| d.0);
-        for id in &interrupted {
-            let placements = self.live.remove(&id.0).expect("collected from live");
-            for (d, a) in placements {
+        let mut hit: Vec<(u64, Vec<(DeviceId, AllocationId)>)> = Vec::new();
+        self.live.retain(|&id, placements| {
+            let keep = !placements.iter().any(|(_, a)| evicted.contains(a));
+            if !keep {
+                hit.push((id, std::mem::take(placements)));
+            }
+            keep
+        });
+        hit.sort_by_key(|&(id, _)| id);
+        for (_, placements) in &hit {
+            for &(d, a) in placements {
                 if !evicted.contains(&a) {
                     // Surviving units release normally; their slots free up
                     // for the migration the caller will attempt.
@@ -497,6 +517,9 @@ impl SystemController {
                 }
             }
         }
+        // Collected in place: the ids reuse `hit`'s buffer.
+        let interrupted: Vec<DeploymentId> =
+            hit.into_iter().map(|(id, _)| DeploymentId(id)).collect();
         self.stats.interrupted += interrupted.len() as u64;
         if let Some(c) = ctx {
             let span = c.spans.begin("device_failure", c.trace, c.parent, c.at);
@@ -622,8 +645,17 @@ impl SystemController {
 
         // Statically provisioned baseline: the task runs on whatever free
         // device's preinstalled accelerator, preferring a matching install.
-        if self.policy == Policy::Baseline && self.provisioned.is_some() {
-            return self.deploy_provisioned(instance, ctx);
+        if let (Policy::Baseline, Some(provisioned)) = (self.policy, &self.provisioned) {
+            let device = self
+                .cluster
+                .device_ids()
+                .filter(|d| !self.device_taken[d.0] && self.llc.is_healthy(*d))
+                .min_by_key(|d| (provisioned[d.0].instance != instance, d.0));
+            let Some(device) = device else {
+                return Ok(Err(RejectReason::NoFreeDevice));
+            };
+            let provision = provisioned[device.0].clone();
+            return self.deploy_provisioned(instance, device, provision, ctx);
         }
 
         // Per-type free-slot summary, computed once per probe: the most
@@ -654,40 +686,23 @@ impl SystemController {
         }))
     }
 
-    /// Deploys a task onto a statically provisioned device (baseline): the
-    /// device keeps the accelerator that was compiled onto it offline.
+    /// Deploys a task onto the statically provisioned `device`
+    /// (baseline): the device keeps the accelerator that was compiled onto
+    /// it offline.
     fn deploy_provisioned(
         &mut self,
         instance: &str,
+        device: DeviceId,
+        provision: Provision,
         ctx: Option<SpanCtx<'_>>,
     ) -> Result<Result<Deployment, RejectReason>, RuntimeError> {
-        let prov = self.provisioned.as_ref().expect("checked by caller");
-        let mut candidates: Vec<DeviceId> = self
-            .cluster
-            .device_ids()
-            .filter(|d| !self.device_taken[d.0] && self.llc.is_healthy(*d))
-            .collect();
-        // Prefer a device whose installed instance matches the request.
-        candidates.sort_by_key(|d| (prov[d.0] != instance, d.0));
-        let Some(&device) = candidates.first() else {
-            return Ok(Err(RejectReason::NoFreeDevice));
-        };
-        let installed = prov[device.0].clone();
-        let entry = self
-            .db
-            .entry_shared(&installed)
-            .expect("validated at provisioning");
-        let option = entry
-            .options
-            .iter()
-            .find(|o| o.num_units() == 1)
-            .expect("validated at provisioning");
+        let option = &provision.entry.options[provision.option];
         let Some(allocations) = self.configure_units(option, &[device], ctx)? else {
             return Ok(Err(RejectReason::TransientFault));
         };
         // The preinstalled accelerator runs whole on its one device.
         let mut deployment = self.install(instance, option, allocations);
-        deployment.installed_instance = Some(installed);
+        deployment.installed_instance = Some(provision.instance);
         deployment.placements[0].compute_share = 1.0;
         deployment.crossings_per_op = 0;
         deployment.cut_bandwidth = 0;
@@ -911,7 +926,8 @@ impl SystemController {
             .collect();
         let mut chosen: Vec<DeviceId> = Vec::new();
         for blocks_of in &blocks_by_type {
-            let mut best: Option<(usize, usize, DeviceId)> = None; // (free_after, hops, dev)
+            // ((free_after, hops, dev), blocks)
+            let mut best: Option<((usize, usize, DeviceId), usize)> = None;
             for device in self.cluster.device_ids() {
                 let t = self.device_type_idx[device.0];
                 if restrict.is_some_and(|r| r != t) {
@@ -936,13 +952,12 @@ impl SystemController {
                     .map(|&f| self.cluster.ring_hops(f, device))
                     .unwrap_or(0);
                 let key = (free_after, hops, device);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
+                if best.is_none_or(|(b, _)| key < b) {
+                    best = Some((key, blocks));
                 }
             }
-            let (_, _, device) = best?;
-            free[device.0] -= blocks_of[self.device_type_idx[device.0]]
-                .expect("chosen device's type has an image");
+            let ((_, _, device), blocks) = best?;
+            free[device.0] -= blocks;
             chosen.push(device);
         }
         Some(chosen)

@@ -70,18 +70,32 @@ impl MonitorConfig {
 
 /// The in-run collector (see the module docs). Created by the simulator
 /// when [`MonitorConfig::enabled`] is set; each fold is O(log) in the
-/// sketch bucket count.
+/// sketch bucket count and allocates nothing once a key is known.
 #[derive(Debug, Clone)]
 pub(crate) struct RunMonitor {
     config: MonitorConfig,
     rollups: RollupSet,
+    /// One [`RollupKey::Tenant`] per tenant seen, built on first sight.
+    tenants: BTreeMap<String, RollupKey>,
+}
+
+/// The rollup key of `tenant`, built the first time the tenant is seen.
+fn tenant_key<'a>(tenants: &'a mut BTreeMap<String, RollupKey>, tenant: &str) -> &'a RollupKey {
+    if !tenants.contains_key(tenant) {
+        tenants.insert(tenant.to_string(), RollupKey::Tenant(tenant.to_string()));
+    }
+    &tenants[tenant]
 }
 
 impl RunMonitor {
     /// Builds a monitor from an enabled config.
     pub(crate) fn new(config: MonitorConfig) -> Self {
         let rollups = RollupSet::new(config.window, config.sketch_error);
-        RunMonitor { config, rollups }
+        RunMonitor {
+            config,
+            rollups,
+            tenants: BTreeMap::new(),
+        }
     }
 
     /// Folds one run event into the rollups: arrivals, first-deploy
@@ -89,33 +103,33 @@ impl RunMonitor {
     /// too), migrations per device, retransmissions per ring segment,
     /// and occupancy samples, each also into the whole-cluster key.
     pub(crate) fn fold(&mut self, at: SimTime, event: &SimEvent<'_>) {
-        use RollupKey::{Cluster, Device, Segment, Tenant};
+        use RollupKey::{Cluster, Device, Segment};
         let r = &mut self.rollups;
         match *event {
             SimEvent::Arrival(_, tenant) => {
-                r.record_arrival(Cluster, at);
-                r.record_arrival(Tenant(tenant.to_string()), at);
+                r.record_arrival(&Cluster, at);
+                r.record_arrival(tenant_key(&mut self.tenants, tenant), at);
             }
             SimEvent::Deployed(_, tenant, waited, _, _) => {
-                r.record_queue_wait(Cluster, at, waited);
-                r.record_queue_wait(Tenant(tenant.to_string()), at, waited);
+                r.record_queue_wait(&Cluster, at, waited);
+                r.record_queue_wait(tenant_key(&mut self.tenants, tenant), at, waited);
             }
             SimEvent::Completed(_, tenant, device, latency) => {
-                r.record_completion(Cluster, at, latency);
-                r.record_completion(Tenant(tenant.to_string()), at, latency);
+                r.record_completion(&Cluster, at, latency);
+                r.record_completion(tenant_key(&mut self.tenants, tenant), at, latency);
                 if let Some(d) = device {
-                    r.record_completion(Device(d), at, latency);
+                    r.record_completion(&Device(d), at, latency);
                 }
             }
             SimEvent::Interrupted(_, device, _) => {
-                r.record_migration(Cluster, at);
-                r.record_migration(Device(device), at);
+                r.record_migration(&Cluster, at);
+                r.record_migration(&Device(device), at);
             }
             SimEvent::Retransmit(_, link, _, bytes) => {
-                r.record_retransmit(Cluster, at, bytes);
-                r.record_retransmit(Segment(link as u64), at, bytes);
+                r.record_retransmit(&Cluster, at, bytes);
+                r.record_retransmit(&Segment(link as u64), at, bytes);
             }
-            SimEvent::Sample(_, occupancy, ..) => r.record_occupancy(Cluster, at, occupancy),
+            SimEvent::Sample(_, occupancy, ..) => r.record_occupancy(&Cluster, at, occupancy),
             _ => {}
         }
     }
@@ -129,7 +143,9 @@ impl RunMonitor {
         let RunMonitor {
             config,
             mut rollups,
+            ..
         } = self;
+        rollups.shrink_to_fit();
         let mut truncated_windows = 0;
         if trace.dropped() > 0 {
             if let Some(oldest) = trace.iter().next() {

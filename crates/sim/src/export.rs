@@ -465,7 +465,7 @@ mod tests {
         let tenant = RollupKey::Tenant("bw-m".into());
         for i in 0..20 {
             r.record_completion(
-                tenant.clone(),
+                &tenant,
                 SimTime::from_us(i as f64 * 40.0),
                 SimTime::from_us(55.0),
             );

@@ -142,14 +142,12 @@ impl Json {
                         out.push(',');
                     }
                     if !compact {
-                        out.push('\n');
-                        out.push_str(&"  ".repeat(indent + 1));
+                        push_line(out, indent + 1);
                     }
                     item.write(out, if compact { indent } else { indent + 1 });
                 }
                 if !compact {
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent));
+                    push_line(out, indent);
                 }
                 out.push(']');
             }
@@ -164,8 +162,7 @@ impl Json {
                         out.push(',');
                     }
                     if !compact {
-                        out.push('\n');
-                        out.push_str(&"  ".repeat(indent + 1));
+                        push_line(out, indent + 1);
                     }
                     escape_into(k, out);
                     out.push(':');
@@ -175,8 +172,7 @@ impl Json {
                     v.write(out, if compact { indent } else { indent + 1 });
                 }
                 if !compact {
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent));
+                    push_line(out, indent);
                 }
                 out.push('}');
             }
@@ -339,21 +335,44 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
+/// Starts a new pretty-printed line at nesting depth `depth` (two spaces
+/// per level), without allocating.
+fn push_line(out: &mut String, depth: usize) {
+    const SPACES: &str = "                                                                ";
+    out.push('\n');
+    let mut width = 2 * depth;
+    while width > 0 {
+        let n = width.min(SPACES.len());
+        out.push_str(&SPACES[..n]);
+        width -= n;
+    }
+}
+
+/// Writes `s` as a quoted JSON string. The runs between escapes are
+/// copied whole, so a string that needs no escaping is one `push_str`.
 fn escape_into(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut rest = s;
+    // Every byte that needs escaping is ASCII, so `i + 1` stays on a char
+    // boundary.
+    while let Some(i) = rest
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+    {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        rest = &rest[i + 1..];
     }
+    out.push_str(rest);
     out.push('"');
 }
 
@@ -485,6 +504,51 @@ mod tests {
         let text = j.pretty();
         assert!(text.contains("\n  \"k\": [\n    1\n  ]\n"), "{text}");
         assert!(text.ends_with("}\n"));
+    }
+
+    #[test]
+    fn deep_indentation_is_two_spaces_per_level() {
+        // Depth 45 needs 90 spaces on the innermost line: more than one
+        // copy of the writer's space run.
+        let mut j = Json::from(7u64);
+        for _ in 0..45 {
+            j = Json::Arr(vec![j]);
+        }
+        let text = j.pretty();
+        let mut expected = String::new();
+        for depth in 0..45 {
+            expected.push_str(&" ".repeat(2 * depth));
+            expected.push_str("[\n");
+        }
+        expected.push_str(&" ".repeat(90));
+        expected.push_str("7\n");
+        for depth in (0..45).rev() {
+            expected.push_str(&" ".repeat(2 * depth));
+            expected.push_str("]\n");
+        }
+        assert_eq!(text, expected);
+        let deep_obj = (0..40).fold(Json::Null, |v, _| Json::obj().with("k", v));
+        let text = deep_obj.pretty();
+        assert!(text.contains(&format!("\n{}\"k\": null\n", " ".repeat(80))));
+        assert_eq!(Json::parse(&text).unwrap(), deep_obj);
+    }
+
+    #[test]
+    fn strings_with_and_without_escapes() {
+        // Nothing to escape: copied as is, non-ASCII and DEL included.
+        assert_eq!(
+            Json::from("plain é λ 🦀 \u{7f}").compact(),
+            "\"plain é λ 🦀 \u{7f}\""
+        );
+        assert_eq!(Json::from("").compact(), "\"\"");
+        // Escapes at the start, in the middle, at the end and back to back.
+        assert_eq!(
+            Json::from("\"a\\b\n\r\tc\u{1f}\u{0}").compact(),
+            r#""\"a\\b\n\r\tc\u001f\u0000""#
+        );
+        assert_eq!(Json::from("é\"λ").compact(), "\"é\\\"λ\"");
+        // Keys take the same path.
+        assert_eq!(Json::obj().with("k\"ey", 1u64).compact(), r#"{"k\"ey":1}"#);
     }
 
     #[test]

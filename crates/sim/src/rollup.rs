@@ -112,11 +112,37 @@ impl WindowStats {
 }
 
 /// Tumbling-window rollups keyed by [`RollupKey`] (see the module docs).
+///
+/// Each key holds one window series in ascending window order. The
+/// simulator records at nondecreasing sim time, so a record either lands
+/// in its key's last window or appends the next one: amortized O(1) per
+/// record after the key lookup. An older window falls back to a
+/// binary-search insert, so any record order is still correct.
 #[derive(Debug, Clone)]
 pub struct RollupSet {
     window: SimTime,
     alpha: f64,
-    cells: BTreeMap<(RollupKey, u64), WindowStats>,
+    cells: BTreeMap<RollupKey, Vec<(u64, WindowStats)>>,
+}
+
+/// The stats of window `idx` in `series` (ascending window order),
+/// created empty if absent.
+fn window_in(series: &mut Vec<(u64, WindowStats)>, idx: u64, alpha: f64) -> &mut WindowStats {
+    let pos = match series.last() {
+        Some(&(last, _)) if last == idx => series.len() - 1,
+        Some(&(last, _)) if last > idx => match series.binary_search_by_key(&idx, |&(i, _)| i) {
+            Ok(pos) => pos,
+            Err(pos) => {
+                series.insert(pos, (idx, WindowStats::new(alpha)));
+                pos
+            }
+        },
+        _ => {
+            series.push((idx, WindowStats::new(alpha)));
+            series.len() - 1
+        }
+    };
+    &mut series[pos].1
 }
 
 impl RollupSet {
@@ -152,48 +178,58 @@ impl RollupSet {
         at.as_ps() / self.window.as_ps()
     }
 
-    fn cell(&mut self, key: RollupKey, at: SimTime) -> &mut WindowStats {
+    /// Applies `update` to the `(key, window of at)` cell, cloning `key`
+    /// only the first time it is seen.
+    fn update(&mut self, key: &RollupKey, at: SimTime, update: impl FnOnce(&mut WindowStats)) {
         let idx = self.window_index(at);
         let alpha = self.alpha;
-        self.cells
-            .entry((key, idx))
-            .or_insert_with(|| WindowStats::new(alpha))
+        match self.cells.get_mut(key) {
+            Some(series) => update(window_in(series, idx, alpha)),
+            None => {
+                let mut stats = WindowStats::new(alpha);
+                update(&mut stats);
+                self.cells.insert(key.clone(), vec![(idx, stats)]);
+            }
+        }
     }
 
     /// Records a task arrival for `key` at `at`.
-    pub fn record_arrival(&mut self, key: RollupKey, at: SimTime) {
-        self.cell(key, at).arrivals += 1;
+    pub fn record_arrival(&mut self, key: &RollupKey, at: SimTime) {
+        self.update(key, at, |cell| cell.arrivals += 1);
     }
 
     /// Records a completion at `at` with its end-to-end latency.
-    pub fn record_completion(&mut self, key: RollupKey, at: SimTime, latency: SimTime) {
-        let cell = self.cell(key, at);
-        cell.completions += 1;
-        cell.latency.record(latency);
+    pub fn record_completion(&mut self, key: &RollupKey, at: SimTime, latency: SimTime) {
+        self.update(key, at, |cell| {
+            cell.completions += 1;
+            cell.latency.record(latency);
+        });
     }
 
     /// Records a queue wait that ended at `at`.
-    pub fn record_queue_wait(&mut self, key: RollupKey, at: SimTime, wait: SimTime) {
-        self.cell(key, at).queue_wait.record(wait);
+    pub fn record_queue_wait(&mut self, key: &RollupKey, at: SimTime, wait: SimTime) {
+        self.update(key, at, |cell| cell.queue_wait.record(wait));
     }
 
     /// Records a migration started at `at`.
-    pub fn record_migration(&mut self, key: RollupKey, at: SimTime) {
-        self.cell(key, at).migrations += 1;
+    pub fn record_migration(&mut self, key: &RollupKey, at: SimTime) {
+        self.update(key, at, |cell| cell.migrations += 1);
     }
 
     /// Records one retransmitted transfer of `bytes` at `at`.
-    pub fn record_retransmit(&mut self, key: RollupKey, at: SimTime, bytes: u64) {
-        let cell = self.cell(key, at);
-        cell.retransmits += 1;
-        cell.retransmit_bytes += bytes;
+    pub fn record_retransmit(&mut self, key: &RollupKey, at: SimTime, bytes: u64) {
+        self.update(key, at, |cell| {
+            cell.retransmits += 1;
+            cell.retransmit_bytes += bytes;
+        });
     }
 
     /// Records an occupancy observation (a fraction in `[0, 1]`) at `at`.
-    pub fn record_occupancy(&mut self, key: RollupKey, at: SimTime, fraction: f64) {
-        let cell = self.cell(key, at);
-        cell.occupancy_sum += fraction;
-        cell.occupancy_samples += 1;
+    pub fn record_occupancy(&mut self, key: &RollupKey, at: SimTime, fraction: f64) {
+        self.update(key, at, |cell| {
+            cell.occupancy_sum += fraction;
+            cell.occupancy_samples += 1;
+        });
     }
 
     /// Marks every cell in a window that starts before `oldest_retained`
@@ -201,24 +237,41 @@ impl RollupSet {
     /// windows saw only part of their stream. Returns how many cells were
     /// marked.
     pub fn mark_truncated_before(&mut self, oldest_retained: SimTime) -> usize {
+        let window = self.window.as_ps();
         let mut marked = 0;
-        for ((_, idx), cell) in self.cells.iter_mut() {
-            if *idx * self.window.as_ps() < oldest_retained.as_ps() && !cell.truncated {
-                cell.truncated = true;
-                marked += 1;
+        for series in self.cells.values_mut() {
+            for (idx, cell) in series {
+                if *idx * window >= oldest_retained.as_ps() {
+                    break;
+                }
+                if !cell.truncated {
+                    cell.truncated = true;
+                    marked += 1;
+                }
             }
         }
         marked
     }
 
+    /// Releases the spare capacity each series grew while recording.
+    /// Call it once recording is over, so a finished set holds no
+    /// growth slack.
+    pub fn shrink_to_fit(&mut self) {
+        for series in self.cells.values_mut() {
+            series.shrink_to_fit();
+        }
+    }
+
     /// Iterates cells in deterministic `(key, window)` order.
     pub fn cells(&self) -> impl Iterator<Item = (&RollupKey, u64, &WindowStats)> {
-        self.cells.iter().map(|((k, i), s)| (k, *i, s))
+        self.cells
+            .iter()
+            .flat_map(|(k, series)| series.iter().map(move |(i, s)| (k, *i, s)))
     }
 
     /// Number of populated `(key, window)` cells.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.cells.values().map(Vec::len).sum()
     }
 
     /// Whether no cell has been populated.
@@ -230,22 +283,14 @@ impl RollupSet {
     /// `(window_index, stats)` pairs in window order — the input the SLO
     /// evaluator consumes.
     pub fn series_for(&self, key: &RollupKey) -> Vec<(u64, &WindowStats)> {
-        self.cells
-            .iter()
-            .filter(|((k, _), _)| k == key)
-            .map(|((_, i), s)| (*i, s))
-            .collect()
+        self.cells.get(key).map_or_else(Vec::new, |series| {
+            series.iter().map(|(i, s)| (*i, s)).collect()
+        })
     }
 
     /// The distinct keys present, in deterministic order.
     pub fn keys(&self) -> Vec<RollupKey> {
-        let mut keys: Vec<RollupKey> = Vec::new();
-        for (k, _) in self.cells.keys() {
-            if keys.last() != Some(k) {
-                keys.push(k.clone());
-            }
-        }
-        keys
+        self.cells.keys().cloned().collect()
     }
 
     /// Folds every `factor` consecutive windows into one, producing a
@@ -258,12 +303,12 @@ impl RollupSet {
     pub fn merged(&self, factor: u64) -> RollupSet {
         assert!(factor > 0, "merge factor must be positive");
         let mut out = RollupSet::new(SimTime::from_ps(self.window.as_ps() * factor), self.alpha);
-        for ((key, idx), stats) in &self.cells {
-            let cell = out
-                .cells
-                .entry((key.clone(), idx / factor))
-                .or_insert_with(|| WindowStats::new(self.alpha));
-            cell.merge(stats);
+        for (key, series) in &self.cells {
+            let mut folded = Vec::new();
+            for (idx, stats) in series {
+                window_in(&mut folded, idx / factor, self.alpha).merge(stats);
+            }
+            out.cells.insert(key.clone(), folded);
         }
         out
     }
@@ -274,12 +319,12 @@ impl RollupSet {
     /// serialize identically with or without the ring-overflow pass.
     pub fn to_json(&self) -> Json {
         let window_s = self.window.as_secs();
-        let mut rows = Vec::with_capacity(self.cells.len());
-        for ((key, idx), stats) in &self.cells {
+        let mut rows = Vec::with_capacity(self.len());
+        for (key, idx, stats) in self.cells() {
             let mut row = Json::obj()
                 .with("key", key.label())
-                .with("window", *idx)
-                .with("start_s", *idx as f64 * window_s)
+                .with("window", idx)
+                .with("start_s", idx as f64 * window_s)
                 .with("arrivals", stats.arrivals)
                 .with("completions", stats.completions)
                 .with("migrations", stats.migrations)
@@ -321,10 +366,10 @@ mod tests {
     fn per_key_cells_accumulate() {
         let mut r = RollupSet::new(t(100.0), 0.01);
         let tenant = RollupKey::Tenant("bw-m".into());
-        r.record_arrival(tenant.clone(), t(10.0));
-        r.record_arrival(tenant.clone(), t(20.0));
-        r.record_completion(tenant.clone(), t(150.0), t(130.0));
-        r.record_arrival(RollupKey::Cluster, t(10.0));
+        r.record_arrival(&tenant, t(10.0));
+        r.record_arrival(&tenant, t(20.0));
+        r.record_completion(&tenant, t(150.0), t(130.0));
+        r.record_arrival(&RollupKey::Cluster, t(10.0));
         let series = r.series_for(&tenant);
         assert_eq!(series.len(), 2);
         assert_eq!(series[0].1.arrivals, 2);
@@ -337,7 +382,7 @@ mod tests {
     fn merged_windows_fold_counts_and_sketches() {
         let mut r = RollupSet::new(t(100.0), 0.01);
         for i in 0..10 {
-            r.record_completion(RollupKey::Cluster, t(i as f64 * 100.0 + 1.0), t(50.0));
+            r.record_completion(&RollupKey::Cluster, t(i as f64 * 100.0 + 1.0), t(50.0));
         }
         let coarse = r.merged(5);
         assert_eq!(coarse.window(), t(500.0));
@@ -354,9 +399,9 @@ mod tests {
     #[test]
     fn truncation_marks_only_early_windows() {
         let mut r = RollupSet::new(t(100.0), 0.01);
-        r.record_arrival(RollupKey::Cluster, t(10.0));
-        r.record_arrival(RollupKey::Cluster, t(110.0));
-        r.record_arrival(RollupKey::Cluster, t(210.0));
+        r.record_arrival(&RollupKey::Cluster, t(10.0));
+        r.record_arrival(&RollupKey::Cluster, t(110.0));
+        r.record_arrival(&RollupKey::Cluster, t(210.0));
         // Oldest retained trace event at 150us: windows 0 and 1 started
         // before it, window 2 did not.
         let marked = r.mark_truncated_before(t(150.0));
@@ -372,8 +417,8 @@ mod tests {
     #[test]
     fn json_is_deterministic_and_gates_truncated_field() {
         let mut r = RollupSet::new(t(100.0), 0.01);
-        r.record_occupancy(RollupKey::Device(3), t(5.0), 0.5);
-        r.record_occupancy(RollupKey::Device(3), t(6.0), 1.0);
+        r.record_occupancy(&RollupKey::Device(3), t(5.0), 0.5);
+        r.record_occupancy(&RollupKey::Device(3), t(6.0), 1.0);
         let text = r.to_json().compact();
         assert!(text.contains("\"key\":\"device:3\""), "{text}");
         assert!(text.contains("\"occupancy_mean\":0.75"), "{text}");

@@ -441,10 +441,38 @@ pub struct CriticalPath {
 }
 
 impl CriticalPath {
-    /// Builds the profile from a tracer's span forest.
+    /// Builds the profile from a tracer's span forest in O(spans).
+    ///
+    /// The parent → children index is a flat CSR built in one pass over
+    /// the forest: `offsets[p]..offsets[p + 1]` slices `children` for span
+    /// `p`. Spans are pushed in id order, so each slice lists a parent's
+    /// children in ascending id order.
     pub fn analyze(spans: &SpanTracer) -> CriticalPath {
+        let all = spans.spans();
+        let n = all.len();
+        let parent_of = |span: &Span| span.parent.map(|p| p.0 as usize).filter(|&p| p < n);
+        // Count each parent's children two slots ahead, so the prefix sum
+        // leaves `offsets[p + 1]` at the start of `p`'s slice; filling then
+        // advances it to the slice's end, which is where `p + 1` starts.
+        let mut offsets = vec![0usize; n + 2];
+        for span in all {
+            if let Some(p) = parent_of(span) {
+                offsets[p + 2] += 1;
+            }
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        let mut children = vec![0usize; offsets[n + 1]];
+        for (id, span) in all.iter().enumerate() {
+            if let Some(p) = parent_of(span) {
+                children[offsets[p + 1]] = id;
+                offsets[p + 1] += 1;
+            }
+        }
+
         let mut tasks = Vec::new();
-        for root in spans.spans() {
+        for (id, root) in all.iter().enumerate() {
             if root.parent.is_some() || root.name != "task" {
                 continue;
             }
@@ -453,10 +481,8 @@ impl CriticalPath {
                 continue;
             }
             let mut buckets: BTreeMap<&'static str, SimTime> = BTreeMap::new();
-            for child in spans.spans() {
-                if child.parent != Some(root.id) {
-                    continue;
-                }
+            for &c in &children[offsets[id]..offsets[id + 1]] {
+                let child = &all[c];
                 let d = child.duration().unwrap_or(SimTime::ZERO);
                 *buckets.entry(child.name).or_insert(SimTime::ZERO) += d;
             }
@@ -704,5 +730,136 @@ mod tests {
             ],
         };
         assert_eq!(b.dominant().0, "compute");
+    }
+
+    type Profile = Vec<(TraceId, SimTime, Vec<(&'static str, SimTime)>)>;
+
+    fn profile(cp: &CriticalPath) -> Profile {
+        cp.tasks
+            .iter()
+            .map(|t| (t.trace, t.total, t.phases.clone()))
+            .collect()
+    }
+
+    /// The analyzer before the child index: for every completed root
+    /// task, scan every span for its children. O(roots × spans).
+    fn naive_profile(spans: &SpanTracer) -> Profile {
+        let mut tasks = Vec::new();
+        for root in spans.spans() {
+            if root.parent.is_some() || root.name != "task" {
+                continue;
+            }
+            let Some(end) = root.end else { continue };
+            if !root.attr_is("outcome", "completed") {
+                continue;
+            }
+            let mut buckets: BTreeMap<&'static str, SimTime> = BTreeMap::new();
+            for child in spans.spans() {
+                if child.parent == Some(root.id) {
+                    let d = child.duration().unwrap_or(SimTime::ZERO);
+                    *buckets.entry(child.name).or_insert(SimTime::ZERO) += d;
+                }
+            }
+            tasks.push((
+                root.trace,
+                end.saturating_sub(root.begin),
+                buckets.into_iter().collect(),
+            ));
+        }
+        tasks.sort_by_key(|t| t.0);
+        tasks
+    }
+
+    /// A random forest of `n` spans: roots named `task` and not, deep
+    /// chains and grandchildren, repeated trace ids, `completed` as a
+    /// static, owned and shared string next to other outcomes and none,
+    /// and spans (roots and children) left open.
+    fn random_forest(rng: &mut crate::Rng, n: usize) -> SpanTracer {
+        const NAMES: [&str; 5] = ["task", "queue_wait", "compute", "migrate", "deploy"];
+        let mut s = SpanTracer::new();
+        let mut open: Vec<SpanId> = Vec::new();
+        let mut now = 0u64;
+        for _ in 0..n {
+            now += rng.below(1_000) as u64;
+            let at = SimTime::from_ps(now);
+            while !open.is_empty() && rng.below(3) == 0 {
+                let id = open.swap_remove(rng.below(open.len()));
+                s.end(id, at);
+            }
+            let len = s.len();
+            let parent = match rng.below(4) {
+                _ if len == 0 => None,
+                0 => None,
+                // Recent spans: deep chains and grandchildren.
+                1 => Some(SpanId((len - 1 - rng.below(len.min(4))) as u64)),
+                _ => Some(SpanId(rng.below(len) as u64)),
+            };
+            let name = if parent.is_none() && rng.below(4) > 0 {
+                "task"
+            } else {
+                NAMES[rng.below(NAMES.len())]
+            };
+            let id = s.begin(name, TraceId(rng.below(n / 4 + 1) as u64), parent, at);
+            match rng.below(6) {
+                0 => s.attr(id, "outcome", "completed"),
+                1 => s.attr(id, "outcome", "completed".to_string()),
+                2 => s.attr(id, "outcome", Arc::<str>::from("completed")),
+                3 => s.attr(id, "outcome", "lost"),
+                4 => s.attr(id, "units", 3u64),
+                _ => {}
+            }
+            open.push(id);
+        }
+        s
+    }
+
+    #[test]
+    fn indexed_analysis_matches_the_naive_scan_on_random_forests() {
+        let mut rng = crate::Rng::seed_from_u64(0xC5_2024);
+        let mut completed = 0;
+        for case in 0..200 {
+            let n = 1 + rng.below(120);
+            let spans = random_forest(&mut rng, n);
+            let cp = CriticalPath::analyze(&spans);
+            assert_eq!(
+                profile(&cp),
+                naive_profile(&spans),
+                "case {case}, {n} spans"
+            );
+            completed += cp.tasks.len();
+        }
+        assert!(completed > 200, "forests too sparse: {completed} tasks");
+    }
+
+    #[test]
+    fn two_hundred_thousand_spans_analyze_in_well_under_a_second() {
+        // 40k completed tasks of one root and four phases each: the old
+        // O(roots × spans) scan would visit 8e9 spans here.
+        let tasks = 40_000u64;
+        let mut s = SpanTracer::new();
+        for trace in 0..tasks {
+            let t0 = trace * 1_000;
+            let root = s.begin("task", TraceId(trace), None, SimTime::from_ps(t0));
+            for (i, name) in ["queue_wait", "deploy", "compute", "compute"]
+                .into_iter()
+                .enumerate()
+            {
+                let begin = SimTime::from_ps(t0 + 100 * i as u64);
+                let phase = s.begin(name, TraceId(trace), Some(root), begin);
+                s.end(phase, begin + SimTime::from_ps(100));
+            }
+            s.attr(root, "outcome", "completed");
+            s.end(root, SimTime::from_ps(t0 + 400));
+        }
+        assert_eq!(s.len(), 200_000);
+        let started = std::time::Instant::now();
+        let cp = CriticalPath::analyze(&s);
+        let took = started.elapsed();
+        assert!(took.as_secs_f64() < 1.0, "analysis took {took:?}");
+        assert_eq!(cp.tasks.len(), tasks as usize);
+        for t in &cp.tasks {
+            assert_eq!(t.phase_sum(), t.total);
+            assert_eq!(t.dominant(), ("compute", SimTime::from_ps(200)));
+        }
     }
 }
