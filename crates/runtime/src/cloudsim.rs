@@ -141,8 +141,7 @@ impl RecoveryPolicy {
     /// Delay before retry number `attempt` (0-based): `base * 2^attempt`,
     /// saturating.
     pub fn backoff(&self, attempt: u32) -> SimTime {
-        let shift = attempt.min(32);
-        SimTime::from_ps(self.base_backoff.as_ps().saturating_mul(1u64 << shift))
+        self.base_backoff.doubled(attempt)
     }
 }
 
@@ -505,7 +504,7 @@ pub fn run_cloud_sim(
     instance_for: &dyn Fn(&RnnTask) -> String,
     service_time: &dyn Fn(&RnnTask, &Deployment) -> SimTime,
 ) -> Result<CloudReport, RuntimeError> {
-    run_cloud_sim_faulted(
+    run_cloud_sim_tuned(
         controller,
         arrivals,
         instance_for,
@@ -513,13 +512,16 @@ pub fn run_cloud_sim(
         &FaultPlan::none(),
         RecoveryPolicy::default(),
         DEFAULT_TRACE_CAPACITY,
+        AdmissionTuning::default(),
     )
 }
 
 /// [`run_cloud_sim`] interleaving the workload with a fault plan's device
 /// fail/recover waves — and, when the plan carries them, its ring-segment
 /// link waves — recovering interrupted deployments per `recovery`, with
-/// an explicit trace-ring capacity.
+/// an explicit trace-ring capacity and [`AdmissionTuning`] (span
+/// recording, elasticity and streaming telemetry). A zero trace capacity
+/// keeps no events and counts every one as dropped.
 ///
 /// Link degradations corrupt in-flight transfers of the multi-device
 /// deployments routed over the segment (retransmitted under the plan's
@@ -534,33 +536,6 @@ pub fn run_cloud_sim(
 /// ignored, as are link indices beyond the ring's segment count or the
 /// plan's own [`FaultPlan::links`]. Two runs
 /// from identical seeds and inputs produce byte-identical reports.
-///
-/// # Errors
-///
-/// Propagates controller errors ([`RuntimeError::UnknownInstance`] etc.).
-pub fn run_cloud_sim_faulted(
-    controller: &mut SystemController,
-    arrivals: &[TaskArrival],
-    instance_for: &dyn Fn(&RnnTask) -> String,
-    service_time: &dyn Fn(&RnnTask, &Deployment) -> SimTime,
-    faults: &FaultPlan,
-    recovery: RecoveryPolicy,
-    trace_capacity: usize,
-) -> Result<CloudReport, RuntimeError> {
-    run_cloud_sim_tuned(
-        controller,
-        arrivals,
-        instance_for,
-        service_time,
-        faults,
-        recovery,
-        trace_capacity,
-        AdmissionTuning::default(),
-    )
-}
-
-/// [`run_cloud_sim_faulted`] with explicit [`AdmissionTuning`]: span
-/// recording, elasticity and streaming telemetry.
 ///
 /// # Errors
 ///
@@ -1616,27 +1591,13 @@ mod tests {
     }
 
     #[test]
-    fn backoff_doubles_and_saturates() {
-        let p = RecoveryPolicy {
-            max_retries: 5,
-            base_backoff: SimTime::from_us(10.0),
-            drop_on_exhaustion: false,
-        };
-        assert_eq!(p.backoff(0), SimTime::from_us(10.0));
-        assert_eq!(p.backoff(1), SimTime::from_us(20.0));
-        assert_eq!(p.backoff(3), SimTime::from_us(80.0));
-        // Huge attempt numbers saturate instead of overflowing.
-        assert_eq!(p.backoff(u32::MAX), p.backoff(32));
-    }
-
-    #[test]
     fn chaos_run_recovers_interrupted_tasks() {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Full);
         let a = arrivals(60, 10.0);
         let plan = chaos_plan(2024);
         assert!(plan.failures() > 0, "plan must actually inject failures");
-        let report = run_cloud_sim_faulted(
+        let report = run_cloud_sim_tuned(
             &mut c,
             &a,
             &|_| "tiny".to_string(),
@@ -1644,6 +1605,7 @@ mod tests {
             &plan,
             RecoveryPolicy::default(),
             DEFAULT_TRACE_CAPACITY,
+            AdmissionTuning::default(),
         )
         .unwrap();
         assert!(report.accounts_for_all_arrivals());
@@ -1669,7 +1631,7 @@ mod tests {
         let plan = chaos_plan(7);
         let run = || {
             let mut c = SystemController::new(cluster.clone(), db.clone(), Policy::Full);
-            run_cloud_sim_faulted(
+            run_cloud_sim_tuned(
                 &mut c,
                 &a,
                 &|_| "tiny".to_string(),
@@ -1677,12 +1639,49 @@ mod tests {
                 &plan,
                 RecoveryPolicy::default(),
                 DEFAULT_TRACE_CAPACITY,
+                AdmissionTuning::default(),
             )
             .unwrap()
             .to_json()
             .pretty()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn zero_trace_capacity_keeps_nothing_and_changes_no_outcome() {
+        let (cluster, db) = small_db();
+        let a = arrivals(60, 10.0);
+        let plan = chaos_plan(7);
+        let run = |trace_capacity| {
+            let mut c = SystemController::new(cluster.clone(), db.clone(), Policy::Full);
+            run_cloud_sim_tuned(
+                &mut c,
+                &a,
+                &|_| "tiny".to_string(),
+                &fixed_service,
+                &plan,
+                RecoveryPolicy::default(),
+                trace_capacity,
+                AdmissionTuning::default(),
+            )
+            .unwrap()
+        };
+        let none = run(0);
+        let full = run(DEFAULT_TRACE_CAPACITY);
+        assert_eq!(none.trace.len(), 0);
+        assert!(none.trace.dropped() > 0);
+        assert_eq!(
+            none.trace.dropped(),
+            full.trace.len() as u64 + full.trace.dropped()
+        );
+        let without_trace = |r: &CloudReport| match r.to_json() {
+            Json::Obj(fields) => {
+                Json::Obj(fields.into_iter().filter(|(k, _)| k != "trace").collect()).compact()
+            }
+            other => panic!("report is not an object: {}", other.compact()),
+        };
+        assert_eq!(without_trace(&none), without_trace(&full));
     }
 
     #[test]
@@ -1703,7 +1702,7 @@ mod tests {
             3,
         );
         assert!(plan.failures() > 0);
-        let report = run_cloud_sim_faulted(
+        let report = run_cloud_sim_tuned(
             &mut c,
             &a,
             &|_| "tiny".to_string(),
@@ -1715,6 +1714,7 @@ mod tests {
                 drop_on_exhaustion: true,
             },
             DEFAULT_TRACE_CAPACITY,
+            AdmissionTuning::default(),
         )
         .unwrap();
         assert!(report.accounts_for_all_arrivals());
@@ -1737,7 +1737,7 @@ mod tests {
         let mut c = SystemController::new(cluster, db, Policy::Full);
         let a = arrivals(60, 10.0);
         let plan = chaos_plan(2024);
-        let report = run_cloud_sim_faulted(
+        let report = run_cloud_sim_tuned(
             &mut c,
             &a,
             &|_| "tiny".to_string(),
@@ -1745,6 +1745,7 @@ mod tests {
             &plan,
             RecoveryPolicy::default(),
             DEFAULT_TRACE_CAPACITY,
+            AdmissionTuning::default(),
         )
         .unwrap();
         // Every span closed; roots cover every arrival.
@@ -1844,7 +1845,7 @@ mod tests {
             5,
         );
         assert!(plan.failures() >= 4, "all devices must go down");
-        let report = run_cloud_sim_faulted(
+        let report = run_cloud_sim_tuned(
             &mut c,
             &a,
             &|_| "tiny".to_string(),
@@ -1856,6 +1857,7 @@ mod tests {
                 drop_on_exhaustion: false,
             },
             DEFAULT_TRACE_CAPACITY,
+            AdmissionTuning::default(),
         )
         .unwrap();
         assert!(report.accounts_for_all_arrivals());
@@ -1960,7 +1962,7 @@ mod tests {
             11,
         );
         assert!(plan.failures() == 0);
-        let report = run_cloud_sim_faulted(
+        let report = run_cloud_sim_tuned(
             &mut c,
             &a,
             &|_| "tiny".to_string(),
@@ -1968,6 +1970,7 @@ mod tests {
             &plan,
             RecoveryPolicy::default(),
             DEFAULT_TRACE_CAPACITY,
+            AdmissionTuning::default(),
         )
         .unwrap();
         assert_eq!(report.completed, 40, "transients only delay");
@@ -1994,7 +1997,7 @@ mod tests {
             4,
             3,
         );
-        let report = run_cloud_sim_faulted(
+        let report = run_cloud_sim_tuned(
             &mut c,
             &a,
             &|_| "tiny".to_string(),
@@ -2002,6 +2005,7 @@ mod tests {
             &plan,
             RecoveryPolicy::default(),
             DEFAULT_TRACE_CAPACITY,
+            AdmissionTuning::default(),
         )
         .unwrap();
         assert_eq!(report.completed, 0);
@@ -2040,7 +2044,7 @@ mod tests {
             base_backoff: SimTime::MAX,
             ..RecoveryPolicy::default()
         };
-        let report = run_cloud_sim_faulted(
+        let report = run_cloud_sim_tuned(
             &mut c,
             &arrivals(3, 1.0),
             &|_| "tiny".to_string(),
@@ -2048,6 +2052,7 @@ mod tests {
             &plan,
             recovery,
             DEFAULT_TRACE_CAPACITY,
+            AdmissionTuning::default(),
         )
         .unwrap();
         assert_eq!(report.never_deployed, 3);
@@ -2257,7 +2262,7 @@ mod tests {
     ) -> CloudReport {
         let mut c = SystemController::new(cluster.clone(), db.clone(), Policy::Full);
         let name = instance.to_string();
-        let report = run_cloud_sim_faulted(
+        let report = run_cloud_sim_tuned(
             &mut c,
             a,
             &move |_| name.clone(),
@@ -2265,6 +2270,7 @@ mod tests {
             plan,
             RecoveryPolicy::default(),
             DEFAULT_TRACE_CAPACITY,
+            AdmissionTuning::default(),
         )
         .unwrap();
         assert_eq!(c.live_deployments(), 0, "everything released at the end");

@@ -21,13 +21,14 @@
 //!   [`RejectReason`]), a metrics registry, and a scheduler-event trace —
 //!   with the accounting invariant `completed + never_deployed + lost ==
 //!   arrivals` (queued tasks are never silently dropped).
-//! * [`run_cloud_sim_faulted`] — the same simulation interleaved with a
+//! * [`run_cloud_sim_tuned`] — the same simulation interleaved with a
 //!   [`vfpga_sim::FaultPlan`]'s device fail/recover waves: interrupted
 //!   deployments migrate to surviving devices with bounded exponential
 //!   backoff (see [`RecoveryPolicy`]), falling back to deeper partition
 //!   variants when the original footprint no longer fits, and the report
 //!   gains recovery accounting (interruptions, migrations, mean
-//!   time-to-recovery, degraded-mode occupancy).
+//!   time-to-recovery, degraded-mode occupancy); its [`AdmissionTuning`]
+//!   switches span recording, elasticity and streaming telemetry.
 //! * [`co_simulate_timing`]/[`co_simulate_functional`] — coupled simulation
 //!   of scaled-down accelerators exchanging state over the inter-FPGA ring,
 //!   with a configurable added link latency (the paper's programmable
@@ -42,8 +43,8 @@ mod scaleout_sim;
 mod testutil;
 
 pub use cloudsim::{
-    run_cloud_sim, run_cloud_sim_faulted, run_cloud_sim_tuned, AdmissionTuning, CloudReport,
-    ElasticityPolicy, RecoveryPolicy, DEFAULT_TRACE_CAPACITY,
+    run_cloud_sim, run_cloud_sim_tuned, AdmissionTuning, CloudReport, ElasticityPolicy,
+    RecoveryPolicy, DEFAULT_TRACE_CAPACITY,
 };
 pub use controller::{
     ControllerStats, Deployment, DeploymentId, InstanceId, Placement, Policy, RejectReason,

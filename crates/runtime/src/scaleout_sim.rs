@@ -5,9 +5,7 @@
 
 use vfpga_accel::{CycleSim, FuncSim, Poll, StepOutcome};
 use vfpga_isa::Program;
-use vfpga_sim::{
-    DegradedMode, Json, Link, LinkFaultKind, LinkParams, RetransmitPolicy, Rng, SimTime,
-};
+use vfpga_sim::{DegradedMode, Json, LinkFaultKind, LinkParams, RetransmitPolicy, Rng, SimTime};
 
 use crate::RuntimeError;
 
@@ -122,31 +120,37 @@ impl ScaleOutTiming {
 /// (at the moment the send is first observed), applying link health waves,
 /// corruption with bounded exponential-backoff retransmission, and the
 /// delivery deadline. Accumulates the fault accounting for the report.
+///
+/// Each sender also has a transmitter that serializes its messages one at
+/// a time at the nominal rate. The wait behind it is reported as a queue
+/// wait but not fed back into arrival times: the wire is pipelined.
 struct Wire {
     link: LinkParams,
     added: SimTime,
     chaos: LinkChaos,
     rng: Rng,
+    busy_until: Vec<SimTime>,
     retransmits: u64,
     bytes_retransmitted: u64,
-    stall_waits: u64,
-    stall_total: SimTime,
-    stall_max: SimTime,
+    waits: u64,
+    wait_total: SimTime,
+    wait_max: SimTime,
 }
 
 impl Wire {
-    fn new(link: LinkParams, added: SimTime, chaos: LinkChaos) -> Self {
+    fn new(senders: usize, link: LinkParams, added: SimTime, chaos: LinkChaos) -> Self {
         let rng = Rng::seed_from_u64(chaos.seed ^ 0x5749_5245_5749_5245);
         Wire {
             link,
             added,
             chaos,
             rng,
+            busy_until: vec![SimTime::ZERO; senders],
             retransmits: 0,
             bytes_retransmitted: 0,
-            stall_waits: 0,
-            stall_total: SimTime::ZERO,
-            stall_max: SimTime::ZERO,
+            waits: 0,
+            wait_total: SimTime::ZERO,
+            wait_max: SimTime::ZERO,
         }
     }
 
@@ -171,21 +175,27 @@ impl Wire {
             .map(|&(at, _)| at)
     }
 
-    fn record_stall(&mut self, wait: SimTime) {
+    /// Counts a wait behind the transmitter or a down link.
+    fn record_wait(&mut self, wait: SimTime) {
         if wait > SimTime::ZERO {
-            self.stall_waits += 1;
-            self.stall_total += wait;
-            self.stall_max = self.stall_max.max(wait);
+            self.waits += 1;
+            self.wait_total += wait;
+            self.wait_max = self.wait_max.max(wait);
         }
     }
 
-    /// Arrival of a message of `bytes` sent at `at`; `None` when the link
-    /// never recovers, the retransmit budget runs out, or the deadline
-    /// passes.
-    fn deliver(&mut self, at: SimTime, bytes: u64) -> Option<SimTime> {
+    /// Arrival of a message of `bytes` that `sender` sent at `at`; `None`
+    /// when the link never recovers, the retransmit budget runs out, or the
+    /// deadline passes.
+    fn deliver(&mut self, sender: usize, at: SimTime, bytes: u64) -> Option<SimTime> {
+        let nominal = self.link.serialization_time(bytes);
+        let busy = &mut self.busy_until[sender];
+        let start = at.max(*busy);
+        *busy = start + nominal;
+        self.record_wait(start.saturating_sub(at));
         if self.chaos.is_quiescent() {
             // The ideal pipelined wire of Fig. 11 — kept bit-identical.
-            return Some(at + self.link.serialization_time(bytes) + self.link.latency + self.added);
+            return Some(at + nominal + self.link.latency + self.added);
         }
         let mut start = at;
         let mut retransmits = 0u32;
@@ -197,16 +207,12 @@ impl Wire {
                     let Some(up) = self.next_recovery_after(start) else {
                         break;
                     };
-                    self.record_stall(up.saturating_sub(start));
+                    self.record_wait(up.saturating_sub(start));
                     start = up;
                 }
                 state => {
                     let eff = if state == LinkFaultKind::Degraded {
-                        LinkParams {
-                            latency: self.link.latency + self.chaos.degraded.extra_latency,
-                            bandwidth_gbps: self.link.bandwidth_gbps
-                                * self.chaos.degraded.bandwidth_factor,
-                        }
+                        self.chaos.degraded.apply(self.link)
                     } else {
                         self.link
                     };
@@ -240,15 +246,12 @@ impl Wire {
 type MsgArrival = (u32, u64, Option<SimTime>);
 
 /// Folds machine `m`'s new sends (past `entry.len()`) into its arrival
-/// snapshot, pushing each through the faulted wire once and through the
-/// machine's shadow transmitter (which measures the serialization-pressure
-/// queue waits the ideal pipelined-wire arrival model hides).
-fn sync_sends(machine: &CycleSim, entry: &mut Vec<MsgArrival>, shadow: &mut Link, wire: &mut Wire) {
+/// snapshot, pushing each through the faulted wire once.
+fn sync_sends(machine: &CycleSim, m: usize, entry: &mut Vec<MsgArrival>, wire: &mut Wire) {
     let sends = machine.sends();
     for s in &sends[entry.len()..] {
         let bytes = s.len as u64 * 2; // f16 payload
-        shadow.transfer(s.at, bytes);
-        entry.push((s.chan, s.seq, wire.deliver(s.at, bytes)));
+        entry.push((s.chan, s.seq, wire.deliver(m, s.at, bytes)));
     }
 }
 
@@ -300,16 +303,13 @@ pub fn co_simulate_timing_faulted(
     let n = machines.len();
     let mut finish: Vec<Option<SimTime>> = vec![None; n];
     let mut poll_rounds = 0u64;
-    let mut wire = Wire::new(link, added_latency, chaos.clone());
-    // One shadow transmitter per sender: measures transmitter back-pressure
-    // without feeding it back into arrival times (the wire is pipelined).
-    let mut shadow: Vec<Link> = (0..n).map(|_| Link::new(link)).collect();
+    let mut wire = Wire::new(n, link, added_latency, chaos.clone());
     // Arrival snapshot, maintained incrementally: entry [p][i] is the
     // delivery of machine p's i-th send. Rebuilt only when a machine
     // actually produced new sends (not per machine per round).
     let mut arrivals: Vec<Vec<MsgArrival>> = vec![Vec::new(); n];
     for m in 0..n {
-        sync_sends(&machines[m], &mut arrivals[m], &mut shadow[m], &mut wire);
+        sync_sends(&machines[m], m, &mut arrivals[m], &mut wire);
     }
 
     loop {
@@ -360,7 +360,7 @@ pub fn co_simulate_timing_faulted(
                 }
             }
             if machines[m].sends().len() > sends_before {
-                sync_sends(&machines[m], &mut arrivals[m], &mut shadow[m], &mut wire);
+                sync_sends(&machines[m], m, &mut arrivals[m], &mut wire);
             }
         }
         if finish.iter().all(Option::is_some) {
@@ -383,23 +383,15 @@ pub fn co_simulate_timing_faulted(
         messages += m.sends().len() as u64;
         bytes_on_wire += m.sends().iter().map(|s| s.len as u64 * 2).sum::<u64>();
     }
-    let mut queue_waits = wire.stall_waits;
-    let mut queue_wait_total = wire.stall_total;
-    let mut queue_wait_max = wire.stall_max;
-    for s in &shadow {
-        queue_waits += s.queue_wait_count();
-        queue_wait_total += s.queue_wait_total();
-        queue_wait_max = queue_wait_max.max(s.queue_wait_max());
-    }
     Ok(ScaleOutTiming {
         finish,
         makespan,
         messages,
         bytes_on_wire,
         poll_rounds,
-        queue_waits,
-        queue_wait_total,
-        queue_wait_max,
+        queue_waits: wire.waits,
+        queue_wait_total: wire.wait_total,
+        queue_wait_max: wire.wait_max,
         retransmits: wire.retransmits,
         bytes_retransmitted: wire.bytes_retransmitted,
     })
@@ -622,6 +614,75 @@ mod tests {
             co_simulate_timing(&mut sims, test_link(), SimTime::ZERO).unwrap()
         };
         assert!(faulted.makespan > healthy.makespan);
+    }
+
+    /// Pins the whole timing report, queue-wait and retransmit counters
+    /// included, on a quiescent ring and on one that degrades, fails,
+    /// recovers and corrupts half of its transmissions (a budget of 64
+    /// retransmissions is never exhausted at seed 7).
+    #[test]
+    fn golden_cosim_reports_are_pinned() {
+        let run = |chaos: &LinkChaos| {
+            let mut sims = two_machines(false);
+            co_simulate_timing_faulted(&mut sims, test_link(), SimTime::ZERO, chaos)
+                .unwrap()
+                .to_json()
+                .compact()
+        };
+        let faulted = LinkChaos {
+            events: vec![
+                (SimTime::from_us(2.0), LinkFaultKind::Degraded),
+                (SimTime::from_us(6.0), LinkFaultKind::Failed),
+                (SimTime::from_us(9.0), LinkFaultKind::Recovered),
+            ],
+            degraded: DegradedMode::new(0.5, SimTime::from_ns(250.0)),
+            corruption_prob: 0.5,
+            retransmit: RetransmitPolicy {
+                max_retransmits: 64,
+                base_backoff: SimTime::from_ns(50.0),
+            },
+            seed: 7,
+            ..LinkChaos::quiescent()
+        };
+        assert_eq!(
+            run(&LinkChaos::quiescent()),
+            concat!(
+                r#"{"makespan_s":0.0000137275,"imbalance_s":0,"#,
+                r#""finish_s":[0.0000137275,0.0000137275],"messages":8,"#,
+                r#""bytes_on_wire":4096,"poll_rounds":3,"queue_waits":0,"#,
+                r#""queue_wait_total_s":0,"queue_wait_max_s":0,"retransmits":0,"#,
+                r#""bytes_retransmitted":0}"#
+            )
+        );
+        assert_eq!(
+            run(&faulted),
+            concat!(
+                r#"{"makespan_s":0.0000169425,"imbalance_s":0.000000215,"#,
+                r#""finish_s":[0.0000169425,0.0000167275],"messages":8,"#,
+                r#""bytes_on_wire":4096,"poll_rounds":3,"queue_waits":2,"#,
+                r#""queue_wait_total_s":0.000006,"queue_wait_max_s":0.000003,"#,
+                r#""retransmits":2,"bytes_retransmitted":1024}"#
+            )
+        );
+    }
+
+    #[test]
+    fn sender_transmitter_backpressure_is_a_queue_wait() {
+        // 125 bytes = 1000 bits = 10ns at 100 Gb/s, then 50ns latency.
+        let link = LinkParams::new(SimTime::from_ns(50.0), 100.0);
+        let mut wire = Wire::new(2, link, SimTime::ZERO, LinkChaos::quiescent());
+        let ns = SimTime::from_ns;
+        assert_eq!(wire.deliver(0, SimTime::ZERO, 125), Some(ns(60.0)));
+        // Waits 10ns and then 20ns behind sender 0's transmitter, but the
+        // pipelined wire does not delay the arrivals.
+        assert_eq!(wire.deliver(0, SimTime::ZERO, 125), Some(ns(60.0)));
+        assert_eq!(wire.deliver(0, SimTime::ZERO, 125), Some(ns(60.0)));
+        // Sender 1 has its own transmitter, and an idle one waits for nothing.
+        assert_eq!(wire.deliver(1, SimTime::ZERO, 125), Some(ns(60.0)));
+        assert_eq!(wire.deliver(0, ns(1000.0), 125), Some(ns(1060.0)));
+        assert_eq!(wire.waits, 2);
+        assert_eq!(wire.wait_total, ns(30.0));
+        assert_eq!(wire.wait_max, ns(20.0));
     }
 
     #[test]

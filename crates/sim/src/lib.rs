@@ -48,15 +48,13 @@ pub use fault::{
     FaultEvent, FaultPlan, FaultPlanParams, LinkFaultEvent, LinkFaultKind, LinkFaultParams,
 };
 pub use json::Json;
-pub use link::{
-    DegradedMode, Link, LinkHealth, LinkParamError, LinkParams, RetransmitPolicy, TransferOutcome,
-};
+pub use link::{DegradedMode, LinkParamError, LinkParams, RetransmitPolicy};
 pub use metrics::{CounterId, GaugeId, MetricsRegistry, TimeSeries, TimerId, TIMESERIES_POINT_CAP};
 pub use rng::Rng;
 pub use rollup::{RollupKey, RollupSet, WindowStats};
 pub use sketch::QuantileSketch;
 pub use slo::{evaluate_slo, Alert, AlertState, SloOutcome, SloSpec};
 pub use span::{CriticalPath, PhaseBuckets, Span, SpanCtx, SpanId, SpanTracer, SpanValue, TraceId};
-pub use stats::{Histogram, Summary};
+pub use stats::Summary;
 pub use time::SimTime;
 pub use trace::{TraceEvent, TraceEventKind, TraceRing};

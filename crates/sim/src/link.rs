@@ -1,4 +1,5 @@
-//! A serialized communication link with latency, bandwidth, and health.
+//! Parameters of a serialized communication link and of its faults:
+//! latency and bandwidth, degraded service, and the retransmission budget.
 
 use crate::SimTime;
 
@@ -72,17 +73,6 @@ impl LinkParams {
     }
 }
 
-/// Health of a [`Link`]: a degradable, failable state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkHealth {
-    /// Nominal bandwidth and latency.
-    Healthy,
-    /// Up, but serving reduced bandwidth with extra latency.
-    Degraded,
-    /// Down: transfers cannot be delivered until recovery.
-    Failed,
-}
-
 /// What a degraded link serves: a bandwidth multiplier plus extra latency.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradedMode {
@@ -106,6 +96,15 @@ impl DegradedMode {
         DegradedMode {
             bandwidth_factor,
             extra_latency,
+        }
+    }
+
+    /// The parameters a link with `nominal` parameters serves while
+    /// degraded: scaled bandwidth plus extra latency.
+    pub fn apply(&self, nominal: LinkParams) -> LinkParams {
+        LinkParams {
+            latency: nominal.latency + self.extra_latency,
+            bandwidth_gbps: nominal.bandwidth_gbps * self.bandwidth_factor,
         }
     }
 }
@@ -133,8 +132,7 @@ impl RetransmitPolicy {
     /// Backoff waited before retransmission number `retransmit` (0-based):
     /// `base_backoff * 2^retransmit`, saturating.
     pub fn backoff(&self, retransmit: u32) -> SimTime {
-        let factor = 1u64 << retransmit.min(32);
-        SimTime::from_ps(self.base_backoff.as_ps().saturating_mul(factor))
+        self.base_backoff.doubled(retransmit)
     }
 }
 
@@ -148,293 +146,16 @@ impl Default for RetransmitPolicy {
     }
 }
 
-/// Result of a fault-aware [`Link::try_transfer`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TransferOutcome {
-    /// Arrival time of the last byte, or `None` if the link was down or the
-    /// retransmit budget was exhausted by corruption.
-    pub arrival: Option<SimTime>,
-    /// Retransmissions performed (0 for a clean first transmission).
-    pub retransmits: u32,
-    /// Payload bytes re-serialized by those retransmissions.
-    pub bytes_retransmitted: u64,
-    /// Time the transfer waited behind earlier transfers before its first
-    /// serialization started.
-    pub queue_wait: SimTime,
-}
-
-/// A stateful link that serializes transfers one at a time.
-///
-/// Each transfer occupies the transmitter for its serialization time; the
-/// payload then arrives one propagation latency after serialization finishes.
-/// Back-to-back transfers queue behind one another, which is what makes the
-/// limited inter-FPGA bandwidth of the paper's ring visible to the scale-out
-/// experiments (Fig. 11).
-///
-/// The link is also a health machine: [`Link::degrade`] reduces bandwidth and
-/// adds latency, [`Link::fail`] takes it down, [`Link::recover`] restores it.
-/// [`Link::try_transfer`] is the fault-aware submission path (corruption,
-/// bounded retransmission with exponential backoff); [`Link::transfer`]
-/// assumes the link is up.
-///
-/// ```
-/// use vfpga_sim::{Link, LinkParams, SimTime};
-///
-/// // 100ns latency, 100 Gb/s ring link.
-/// let mut link = Link::new(LinkParams::new(SimTime::from_ns(100.0), 100.0));
-/// // 1250 bytes = 10000 bits = 100ns serialization.
-/// let first = link.transfer(SimTime::ZERO, 1250);
-/// assert_eq!(first, SimTime::from_ns(200.0));
-/// // A second transfer issued at t=0 queues behind the first.
-/// let second = link.transfer(SimTime::ZERO, 1250);
-/// assert_eq!(second, SimTime::from_ns(300.0));
-/// ```
-#[derive(Debug, Clone)]
-pub struct Link {
-    params: LinkParams,
-    busy_until: SimTime,
-    transfers: u64,
-    bytes: u64,
-    health: LinkHealth,
-    degraded: DegradedMode,
-    queue_waits: u64,
-    queue_wait_total: SimTime,
-    queue_wait_max: SimTime,
-    retransmits: u64,
-    bytes_retransmitted: u64,
-}
-
-impl Link {
-    /// Creates an idle, healthy link.
-    pub fn new(params: LinkParams) -> Self {
-        Link {
-            params,
-            busy_until: SimTime::ZERO,
-            transfers: 0,
-            bytes: 0,
-            health: LinkHealth::Healthy,
-            degraded: DegradedMode::default(),
-            queue_waits: 0,
-            queue_wait_total: SimTime::ZERO,
-            queue_wait_max: SimTime::ZERO,
-            retransmits: 0,
-            bytes_retransmitted: 0,
-        }
-    }
-
-    /// The link's static (nominal) parameters.
-    pub fn params(&self) -> LinkParams {
-        self.params
-    }
-
-    /// Current health state.
-    pub fn health(&self) -> LinkHealth {
-        self.health
-    }
-
-    /// The parameters the link currently serves: nominal when healthy (or
-    /// failed — a failed link serves nothing, but its wire is unchanged),
-    /// reduced bandwidth plus extra latency when degraded.
-    pub fn effective_params(&self) -> LinkParams {
-        match self.health {
-            LinkHealth::Degraded => LinkParams {
-                latency: self.params.latency + self.degraded.extra_latency,
-                bandwidth_gbps: self.params.bandwidth_gbps * self.degraded.bandwidth_factor,
-            },
-            _ => self.params,
-        }
-    }
-
-    /// Degrades the link to `mode` (idempotent; overrides a prior mode).
-    pub fn degrade(&mut self, mode: DegradedMode) {
-        self.health = LinkHealth::Degraded;
-        self.degraded = mode;
-    }
-
-    /// Takes the link down.
-    pub fn fail(&mut self) {
-        self.health = LinkHealth::Failed;
-    }
-
-    /// Restores the link to full health.
-    pub fn recover(&mut self) {
-        self.health = LinkHealth::Healthy;
-        self.degraded = DegradedMode::default();
-    }
-
-    fn record_queue_wait(&mut self, wait: SimTime) {
-        if wait > SimTime::ZERO {
-            self.queue_waits += 1;
-            self.queue_wait_total += wait;
-            self.queue_wait_max = self.queue_wait_max.max(wait);
-        }
-    }
-
-    /// Submits a transfer of `bytes` at time `now`; returns the arrival time
-    /// of the last byte at the far end. Degraded links serve their reduced
-    /// effective parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the link has failed; use [`Self::try_transfer`] on links
-    /// under fault injection.
-    pub fn transfer(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        assert!(
-            self.health != LinkHealth::Failed,
-            "transfer on a failed link"
-        );
-        let eff = self.effective_params();
-        let start = now.max(self.busy_until);
-        self.record_queue_wait(start.saturating_sub(now));
-        let done_serializing = start + eff.serialization_time(bytes);
-        self.busy_until = done_serializing;
-        self.transfers += 1;
-        self.bytes += bytes;
-        done_serializing + eff.latency
-    }
-
-    /// Fault-aware transfer: each (re)transmission asks `corrupt` whether it
-    /// was corrupted in flight; corrupted copies are retransmitted after an
-    /// exponential backoff until `policy.max_retransmits` is exhausted.
-    /// Returns `arrival: None` when the link is down or the budget runs out.
-    ///
-    /// `corrupt` is called once per transmission, in order, so a seeded
-    /// caller-side RNG makes the outcome deterministic.
-    pub fn try_transfer(
-        &mut self,
-        now: SimTime,
-        bytes: u64,
-        policy: RetransmitPolicy,
-        corrupt: &mut dyn FnMut() -> bool,
-    ) -> TransferOutcome {
-        if self.health == LinkHealth::Failed {
-            return TransferOutcome {
-                arrival: None,
-                retransmits: 0,
-                bytes_retransmitted: 0,
-                queue_wait: SimTime::ZERO,
-            };
-        }
-        let mut start = now.max(self.busy_until);
-        let queue_wait = start.saturating_sub(now);
-        self.record_queue_wait(queue_wait);
-        let mut retransmits = 0u32;
-        let mut bytes_retransmitted = 0u64;
-        loop {
-            let eff = self.effective_params();
-            let done_serializing = start + eff.serialization_time(bytes);
-            self.busy_until = done_serializing;
-            self.transfers += 1;
-            self.bytes += bytes;
-            if !corrupt() {
-                self.retransmits += retransmits as u64;
-                self.bytes_retransmitted += bytes_retransmitted;
-                return TransferOutcome {
-                    arrival: Some(done_serializing + eff.latency),
-                    retransmits,
-                    bytes_retransmitted,
-                    queue_wait,
-                };
-            }
-            if retransmits >= policy.max_retransmits {
-                self.retransmits += retransmits as u64;
-                self.bytes_retransmitted += bytes_retransmitted;
-                return TransferOutcome {
-                    arrival: None,
-                    retransmits,
-                    bytes_retransmitted,
-                    queue_wait,
-                };
-            }
-            start = done_serializing + policy.backoff(retransmits);
-            retransmits += 1;
-            bytes_retransmitted += bytes;
-        }
-    }
-
-    /// Time at which the transmitter becomes free.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
-    }
-
-    /// Total number of transmissions (including retransmissions).
-    pub fn transfer_count(&self) -> u64 {
-        self.transfers
-    }
-
-    /// Total bytes serialized (including retransmitted copies).
-    pub fn bytes_transferred(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Number of transfers that waited behind an earlier transfer.
-    pub fn queue_wait_count(&self) -> u64 {
-        self.queue_waits
-    }
-
-    /// Total time transfers spent waiting for the transmitter.
-    pub fn queue_wait_total(&self) -> SimTime {
-        self.queue_wait_total
-    }
-
-    /// Longest single queue wait.
-    pub fn queue_wait_max(&self) -> SimTime {
-        self.queue_wait_max
-    }
-
-    /// Total retransmissions performed by [`Self::try_transfer`].
-    pub fn retransmit_count(&self) -> u64 {
-        self.retransmits
-    }
-
-    /// Total payload bytes re-serialized by retransmissions.
-    pub fn bytes_retransmitted(&self) -> u64 {
-        self.bytes_retransmitted
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn test_link() -> Link {
-        Link::new(LinkParams::new(SimTime::from_ns(50.0), 100.0))
-    }
-
     #[test]
-    fn single_transfer_latency_plus_serialization() {
-        let mut link = test_link();
+    fn serialization_time_follows_bandwidth() {
+        let link = LinkParams::new(SimTime::from_ns(50.0), 100.0);
         // 125 bytes = 1000 bits = 10ns at 100 Gb/s.
-        let arrival = link.transfer(SimTime::ZERO, 125);
-        assert_eq!(arrival, SimTime::from_ns(60.0));
-    }
-
-    #[test]
-    fn transfers_serialize() {
-        let mut link = test_link();
-        let a = link.transfer(SimTime::ZERO, 125);
-        let b = link.transfer(SimTime::ZERO, 125);
-        // Second waits for the first's serialization (10ns), then 10ns + 50ns.
-        assert_eq!(a, SimTime::from_ns(60.0));
-        assert_eq!(b, SimTime::from_ns(70.0));
-        assert_eq!(link.transfer_count(), 2);
-        assert_eq!(link.bytes_transferred(), 250);
-    }
-
-    #[test]
-    fn idle_gap_resets_queueing() {
-        let mut link = test_link();
-        link.transfer(SimTime::ZERO, 125);
-        // Issued long after the link went idle: no queueing delay.
-        let late = link.transfer(SimTime::from_us(1.0), 125);
-        assert_eq!(late, SimTime::from_us(1.0) + SimTime::from_ns(60.0));
-    }
-
-    #[test]
-    fn zero_byte_transfer_costs_only_latency() {
-        let mut link = test_link();
-        let arrival = link.transfer(SimTime::ZERO, 0);
-        assert_eq!(arrival, SimTime::from_ns(50.0));
+        assert_eq!(link.serialization_time(125), SimTime::from_ns(10.0));
+        assert_eq!(link.serialization_time(0), SimTime::ZERO);
     }
 
     #[test]
@@ -461,79 +182,14 @@ mod tests {
     }
 
     #[test]
-    fn queue_wait_statistics_track_backpressure() {
-        let mut link = test_link();
-        link.transfer(SimTime::ZERO, 125); // serializes for 10ns
-        link.transfer(SimTime::ZERO, 125); // waits 10ns
-        link.transfer(SimTime::ZERO, 125); // waits 20ns
-        link.transfer(SimTime::from_us(1.0), 125); // idle again: no wait
-        assert_eq!(link.queue_wait_count(), 2);
-        assert_eq!(link.queue_wait_total(), SimTime::from_ns(30.0));
-        assert_eq!(link.queue_wait_max(), SimTime::from_ns(20.0));
-    }
-
-    #[test]
-    fn degraded_link_serves_reduced_bandwidth_with_extra_latency() {
-        let mut link = test_link();
-        link.degrade(DegradedMode::new(0.5, SimTime::from_ns(25.0)));
-        assert_eq!(link.health(), LinkHealth::Degraded);
-        // 125 bytes at 50 Gb/s = 20ns serialization, 75ns latency.
-        let arrival = link.transfer(SimTime::ZERO, 125);
-        assert_eq!(arrival, SimTime::from_ns(95.0));
-        link.recover();
-        assert_eq!(link.health(), LinkHealth::Healthy);
-        let healthy = link.transfer(SimTime::from_us(1.0), 125);
-        assert_eq!(healthy, SimTime::from_us(1.0) + SimTime::from_ns(60.0));
-    }
-
-    #[test]
-    fn failed_link_delivers_nothing() {
-        let mut link = test_link();
-        link.fail();
-        let out = link.try_transfer(SimTime::ZERO, 125, RetransmitPolicy::default(), &mut || {
-            false
-        });
-        assert_eq!(out.arrival, None);
-        assert_eq!(out.retransmits, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "transfer on a failed link")]
-    fn plain_transfer_on_failed_link_panics() {
-        let mut link = test_link();
-        link.fail();
-        let _ = link.transfer(SimTime::ZERO, 125);
-    }
-
-    #[test]
-    fn corrupted_transfer_is_retransmitted_with_backoff() {
-        let mut link = test_link();
-        let policy = RetransmitPolicy {
-            max_retransmits: 3,
-            base_backoff: SimTime::from_ns(100.0),
-        };
-        // First copy corrupted, retransmission clean.
-        let mut flips = vec![true, false].into_iter();
-        let out = link.try_transfer(SimTime::ZERO, 125, policy, &mut || flips.next().unwrap());
-        // 10ns serialize + 100ns backoff + 10ns serialize + 50ns latency.
-        assert_eq!(out.arrival, Some(SimTime::from_ns(170.0)));
-        assert_eq!(out.retransmits, 1);
-        assert_eq!(out.bytes_retransmitted, 125);
-        assert_eq!(link.retransmit_count(), 1);
-        assert_eq!(link.bytes_retransmitted(), 125);
-    }
-
-    #[test]
-    fn retransmit_budget_exhaustion_drops_the_transfer() {
-        let mut link = test_link();
-        let policy = RetransmitPolicy {
-            max_retransmits: 2,
-            base_backoff: SimTime::from_ns(100.0),
-        };
-        let out = link.try_transfer(SimTime::ZERO, 125, policy, &mut || true);
-        assert_eq!(out.arrival, None);
-        assert_eq!(out.retransmits, 2);
-        assert_eq!(out.bytes_retransmitted, 250);
+    fn degraded_mode_scales_bandwidth_and_adds_latency() {
+        let nominal = LinkParams::new(SimTime::from_ns(50.0), 100.0);
+        let degraded = DegradedMode::new(0.5, SimTime::from_ns(25.0)).apply(nominal);
+        assert_eq!(degraded.bandwidth_gbps, 50.0);
+        assert_eq!(degraded.latency, SimTime::from_ns(75.0));
+        // 125 bytes at 50 Gb/s = 20ns serialization.
+        assert_eq!(degraded.serialization_time(125), SimTime::from_ns(20.0));
+        assert_eq!(DegradedMode::default().apply(nominal), nominal);
     }
 
     #[test]
@@ -545,6 +201,8 @@ mod tests {
         assert_eq!(policy.backoff(0), SimTime::from_ns(100.0));
         assert_eq!(policy.backoff(1), SimTime::from_ns(200.0));
         assert_eq!(policy.backoff(3), SimTime::from_ns(800.0));
-        assert!(policy.backoff(63) > policy.backoff(3));
+        // Huge attempt numbers saturate instead of overflowing.
+        assert_eq!(policy.backoff(u32::MAX), policy.backoff(32));
+        assert_eq!(SimTime::MAX.doubled(1), SimTime::MAX);
     }
 }

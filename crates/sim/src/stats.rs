@@ -135,97 +135,6 @@ impl fmt::Display for Summary {
     }
 }
 
-/// A fixed-width bucket histogram over `[lo, hi)` with overflow/underflow
-/// buckets.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` equal-width buckets over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or `buckets == 0`.
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(lo < hi, "invalid histogram range [{lo}, {hi})");
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; buckets],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let frac = (x - self.lo) / (self.hi - self.lo);
-            let idx = ((frac * self.buckets.len() as f64) as usize).min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Per-bucket counts.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Observations below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the range's upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations recorded, including out-of-range ones.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Approximate `q`-quantile (0..=1) from the bucket midpoints.
-    /// Underflow counts as the range minimum, overflow as the maximum.
-    /// Returns `None` if nothing was recorded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `0.0..=1.0`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        let total = self.total();
-        if total == 0 {
-            return None;
-        }
-        let target = (q * total as f64).ceil().max(1.0) as u64;
-        let mut seen = self.underflow;
-        if seen >= target {
-            return Some(self.lo);
-        }
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        for (i, &count) in self.buckets.iter().enumerate() {
-            seen += count;
-            if seen >= target {
-                return Some(self.lo + (i as f64 + 0.5) * width);
-            }
-        }
-        Some(self.hi)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,47 +202,5 @@ mod tests {
         c.merge(&a);
         assert_eq!(c.count(), 1);
         assert_eq!(c.min(), Some(1.0));
-    }
-
-    #[test]
-    fn histogram_buckets_and_edges() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record(-0.1);
-        h.record(0.0);
-        h.record(9.999);
-        h.record(10.0);
-        h.record(5.0);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.buckets()[0], 1);
-        assert_eq!(h.buckets()[9], 1);
-        assert_eq!(h.buckets()[5], 1);
-        assert_eq!(h.total(), 5);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new(0.0, 100.0, 10);
-        for x in 0..100 {
-            h.record(x as f64);
-        }
-        // Median lands in the middle bucket.
-        let median = h.quantile(0.5).unwrap();
-        assert!((40.0..60.0).contains(&median), "median {median}");
-        assert!(h.quantile(0.0).unwrap() <= h.quantile(1.0).unwrap());
-        let p99 = h.quantile(0.99).unwrap();
-        assert!(p99 >= 90.0, "p99 {p99}");
-        assert_eq!(Histogram::new(0.0, 1.0, 2).quantile(0.5), None);
-    }
-
-    #[test]
-    fn quantile_with_out_of_range_mass() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for _ in 0..10 {
-            h.record(-1.0);
-        }
-        h.record(100.0);
-        assert_eq!(h.quantile(0.5), Some(0.0)); // underflow mass
-        assert_eq!(h.quantile(1.0), Some(10.0)); // overflow mass
     }
 }

@@ -128,6 +128,12 @@ impl SimTime {
         SimTime(self.0.saturating_add(other.0))
     }
 
+    /// Exponential backoff from a base of `self`: `self * 2^min(times, 32)`,
+    /// saturating at [`SimTime::MAX`].
+    pub fn doubled(self, times: u32) -> SimTime {
+        SimTime(self.0.saturating_mul(1u64 << times.min(32)))
+    }
+
     /// The later of two times.
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))

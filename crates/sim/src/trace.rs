@@ -116,14 +116,6 @@ pub enum TraceEventKind {
         /// Payload bytes re-serialized by the burst.
         bytes: u64,
     },
-    /// The retransmit budget ran out (or the path was severed); the
-    /// deployment is interrupted and routed through migration.
-    RetransmitExhausted {
-        /// Workload task index.
-        task: u64,
-        /// The segment that exhausted the budget.
-        link: u64,
-    },
     /// A deployment's ring traffic was routed the other way around the
     /// ring after a segment failure.
     LinkRerouted {
@@ -166,7 +158,6 @@ impl TraceEventKind {
             TraceEventKind::LinkFailed { .. } => "link_failed",
             TraceEventKind::LinkRecovered { .. } => "link_recovered",
             TraceEventKind::Retransmit { .. } => "retransmit",
-            TraceEventKind::RetransmitExhausted { .. } => "retransmit_exhausted",
             TraceEventKind::LinkRerouted { .. } => "link_rerouted",
             TraceEventKind::QueueDepth { .. } => "queue_depth",
             TraceEventKind::Occupancy { .. } => "occupancy",
@@ -184,7 +175,8 @@ pub struct TraceEvent {
 }
 
 /// Fixed-capacity event ring: pushing past capacity overwrites the oldest
-/// event and counts it as dropped.
+/// event and counts it as dropped. A zero-capacity ring keeps nothing and
+/// counts every push as dropped.
 #[derive(Debug, Clone)]
 pub struct TraceRing {
     buf: Vec<TraceEvent>,
@@ -195,12 +187,7 @@ pub struct TraceRing {
 
 impl TraceRing {
     /// Creates a ring holding at most `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "trace ring needs capacity");
         TraceRing {
             buf: Vec::with_capacity(capacity),
             head: 0,
@@ -214,6 +201,8 @@ impl TraceRing {
         let ev = TraceEvent { at, kind };
         if self.buf.len() < self.capacity {
             self.buf.push(ev);
+        } else if self.capacity == 0 {
+            self.dropped += 1;
         } else {
             self.buf[self.head] = ev;
             self.head = (self.head + 1) % self.capacity;
@@ -294,9 +283,6 @@ impl TraceRing {
                         .with("link", link)
                         .with("attempts", attempts)
                         .with("bytes", bytes),
-                    TraceEventKind::RetransmitExhausted { task, link } => {
-                        base.with("task", task).with("link", link)
-                    }
                     TraceEventKind::LinkRerouted {
                         task,
                         link,
@@ -342,6 +328,18 @@ mod tests {
     }
 
     #[test]
+    fn zero_capacity_drops_every_push() {
+        let mut r = TraceRing::new(0);
+        for i in 0..3u64 {
+            r.push(SimTime::ZERO, TraceEventKind::Arrival { task: i });
+        }
+        assert!(r.is_empty());
+        assert_eq!(r.dropped(), 3);
+        assert_eq!(r.iter().count(), 0);
+        assert_eq!(r.to_json().compact(), r#"{"dropped":3,"events":[]}"#);
+    }
+
+    #[test]
     fn under_capacity_keeps_everything() {
         let mut r = TraceRing::new(8);
         r.push(SimTime::ZERO, TraceEventKind::QueueDepth { depth: 1 });
@@ -376,10 +374,6 @@ mod tests {
             },
         );
         r.push(
-            SimTime::from_us(3.0),
-            TraceEventKind::RetransmitExhausted { task: 5, link: 2 },
-        );
-        r.push(
             SimTime::from_us(4.0),
             TraceEventKind::LinkRecovered { link: 2 },
         );
@@ -387,7 +381,6 @@ mod tests {
         assert!(text.contains(r#""event":"link_failed""#), "{text}");
         assert!(text.contains(r#""bytes":1920"#), "{text}");
         assert!(text.contains(r#""extra_hops":2"#), "{text}");
-        assert!(text.contains(r#""event":"retransmit_exhausted""#), "{text}");
         assert!(text.contains(r#""event":"link_recovered""#), "{text}");
     }
 
