@@ -48,8 +48,14 @@ pub struct Catalog {
     pub decompositions: BTreeMap<String, Decomposition>,
     /// Partition plans kept for inspection/benches.
     pub plans: BTreeMap<String, PartitionTree>,
-    latency_cache: RefCell<HashMap<(RnnTask, String, u64, usize), SimTime>>,
+    /// [`task_latency`](Catalog::task_latency) memos per instance name, so
+    /// a lookup borrows the name instead of building an owned key.
+    latency_cache: RefCell<HashMap<String, LatencyMemo>>,
 }
+
+/// One instance's task latencies, keyed by task, clock bits and
+/// boundary crossings.
+type LatencyMemo = HashMap<(RnnTask, u64, usize), SimTime>;
 
 /// The weight-storage BFP format of the deployed instances: 6-bit
 /// mantissas over blocks of 16 (between BrainWave's ms-fp8 and ms-fp9),
@@ -194,10 +200,7 @@ impl Catalog {
 
     /// The Table 2 baseline instance for a device type name.
     pub fn baseline_instance_name(&self, device_type: &str) -> String {
-        match device_type {
-            "XCVU37P" => "bw-v37".to_string(),
-            _ => "bw-k115".to_string(),
-        }
+        baseline_instance(device_type).to_string()
     }
 
     /// Runs the offline mapping flow for one configuration: RTL
@@ -272,12 +275,7 @@ impl Catalog {
 
     /// The instance class serving a task (by the Table 1 size classes).
     pub fn instance_for(&self, task: &RnnTask) -> String {
-        match task.size_class() {
-            SizeClass::Small => "bw-s",
-            SizeClass::Medium => "bw-m",
-            SizeClass::Large => "bw-l",
-        }
-        .to_string()
+        class_instance(task).to_string()
     }
 
     /// Single-FPGA inference latency of `task` on `instance`, clocked at
@@ -290,8 +288,13 @@ impl Catalog {
         freq_mhz: f64,
         crossings: usize,
     ) -> SimTime {
-        let key = (*task, instance.to_string(), freq_mhz.to_bits(), crossings);
-        if let Some(&t) = self.latency_cache.borrow().get(&key) {
+        let key = (*task, freq_mhz.to_bits(), crossings);
+        let cached = self
+            .latency_cache
+            .borrow()
+            .get(instance)
+            .and_then(|memo| memo.get(&key).copied());
+        if let Some(t) = cached {
             return t;
         }
         let spec = &self.instances[instance];
@@ -301,17 +304,20 @@ impl Catalog {
         let mut sim = CycleSim::new(model, &rnn.program, rnn.mat_shapes, rnn.dram_lens);
         sim.set_scratch_slots(scratch_slots());
         let t = sim.run_local();
-        self.latency_cache.borrow_mut().insert(key, t);
+        self.latency_cache
+            .borrow_mut()
+            .entry(instance.to_string())
+            .or_default()
+            .insert(key, t);
         t
     }
 
-    /// On-chip weight storage a task needs on an instance, in kilobits.
+    /// On-chip weight storage a task needs on an instance, in kilobits:
+    /// its `2 × gates` matrices ([`RnnTask::matrix_shapes`]) are all
+    /// `hidden × hidden`.
     pub fn task_weight_kb(&self, task: &RnnTask, instance: &str) -> u64 {
         let cfg = &self.instances[instance].config;
-        task.matrix_shapes()
-            .iter()
-            .map(|&(r, c)| cfg.matrix_storage_kb(r, c))
-            .sum()
+        2 * task.kind.gates() as u64 * cfg.matrix_storage_kb(task.hidden, task.hidden)
     }
 
     /// The service-time model used by the cloud simulation (Fig. 12): the
@@ -330,20 +336,20 @@ impl Catalog {
         // The baseline system runs every task on the accelerator that was
         // statically compiled onto its device offline (the paper's "low
         // elasticity"); the framework runs the demand-sized instance.
-        let instance = if policy == Policy::Baseline {
-            deployment.installed_instance.clone().unwrap_or_else(|| {
-                let dt = self
-                    .cluster
-                    .device(deployment.placements[0].device)
-                    .device_type()
-                    .name()
-                    .to_string();
-                self.baseline_instance_name(&dt)
-            })
+        let instance: &str = if policy == Policy::Baseline {
+            match &deployment.installed_instance {
+                Some(name) => name,
+                None => baseline_instance(
+                    self.cluster
+                        .device(deployment.placements[0].device)
+                        .device_type()
+                        .name(),
+                ),
+            }
         } else {
-            self.instance_for(task)
+            class_instance(task)
         };
-        let spec = &self.instances[instance.as_str()];
+        let spec = &self.instances[instance];
         // Effective clock: units on slower devices only slow their own
         // share of the computation.
         let share_total: f64 = deployment.placements.iter().map(|p| p.compute_share).sum();
@@ -366,10 +372,10 @@ impl Catalog {
             deployment.crossings_per_op
         };
         let freq = (freq * 10.0).round() / 10.0;
-        let base = self.task_latency(task, &instance, freq, crossings);
+        let base = self.task_latency(task, instance, freq, crossings);
 
         // Weight-streaming penalty on capacity deficit.
-        let needed = self.task_weight_kb(task, &instance) as f64;
+        let needed = self.task_weight_kb(task, instance) as f64;
         let capacity = (spec.config.weight_memory_kb * deployment.num_units() as u64) as f64;
         let stream_factor = if needed <= capacity {
             1.0
@@ -395,10 +401,49 @@ impl Catalog {
     }
 }
 
+/// The instance class serving a task (by the Table 1 size classes).
+fn class_instance(task: &RnnTask) -> &'static str {
+    match task.size_class() {
+        SizeClass::Small => "bw-s",
+        SizeClass::Medium => "bw-m",
+        SizeClass::Large => "bw-l",
+    }
+}
+
+/// The Table 2 baseline instance statically compiled onto a device type.
+fn baseline_instance(device_type: &str) -> &'static str {
+    match device_type {
+        "XCVU37P" => "bw-v37",
+        _ => "bw-k115",
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use vfpga_sim::SpanValue;
+
+    #[test]
+    fn task_weight_closed_form_matches_the_matrix_sum() {
+        use vfpga_workload::{deepbench_tasks, RnnKind};
+        let c = Catalog::build();
+        let mut hiddens: Vec<usize> = deepbench_tasks().iter().map(|t| t.hidden).collect();
+        hiddens.sort_unstable();
+        hiddens.dedup();
+        for kind in [RnnKind::Gru, RnnKind::Lstm] {
+            for &hidden in &hiddens {
+                let task = RnnTask::new(kind, hidden, 1);
+                for (name, spec) in &c.instances {
+                    let summed: u64 = task
+                        .matrix_shapes()
+                        .iter()
+                        .map(|&(r, cols)| spec.config.matrix_storage_kb(r, cols))
+                        .sum();
+                    assert_eq!(c.task_weight_kb(&task, name), summed, "{task} on {name}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn catalog_builds_with_three_classes() {

@@ -1,6 +1,6 @@
 //! The low-level controller: runtime slot accounting and configuration.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use vfpga_fabric::{Cluster, DeviceId};
 use vfpga_sim::Rng;
@@ -111,7 +111,8 @@ pub struct LowLevelController {
     /// its one-thread-per-vblock lanes).
     occupied: Vec<Vec<bool>>,
     health: Vec<DeviceHealth>,
-    allocations: HashMap<u64, Allocation>,
+    /// Live allocations by id, in ascending id order.
+    allocations: BTreeMap<u64, Allocation>,
     device_type_names: Vec<String>,
     next_id: u64,
     stats: LlcStats,
@@ -141,7 +142,7 @@ impl LowLevelController {
             occupied: total_slots.iter().map(|&n| vec![false; n]).collect(),
             health: vec![DeviceHealth::Healthy; total_slots.len()],
             total_slots,
-            allocations: HashMap::new(),
+            allocations: BTreeMap::new(),
             device_type_names,
             next_id: 0,
             stats: LlcStats::default(),
@@ -223,9 +224,8 @@ impl LowLevelController {
         // pool (the device simply is not placeable while failed).
         self.free_slots[device.0] = self.total_slots[device.0];
         self.occupied[device.0].fill(false);
-        // HashMap iteration order is unspecified; sort so chaos runs are
-        // reproducible event-for-event.
-        evicted.sort_by_key(|a| a.0);
+        // `retain` walks the ordered map, so `evicted` is already in
+        // ascending id order and chaos runs reproduce event-for-event.
         self.stats.evicted += evicted.len() as u64;
         evicted
     }

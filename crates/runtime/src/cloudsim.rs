@@ -2,7 +2,7 @@
 //! optionally under an injected fault plan (device fail/recover waves and
 //! flaky partial reconfiguration).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use vfpga_fabric::DeviceId;
 use vfpga_sim::{
@@ -568,7 +568,8 @@ pub fn run_cloud_sim_tuned(
         idle_nudges: 0,
         events: EventQueue::new(),
         running: vec![None; n],
-        task_of: HashMap::new(),
+        live: BTreeSet::new(),
+        live_snapshot: Vec::new(),
         epoch: vec![0; n],
         interrupted_pending: vec![None; n],
         elasticity: tuning.elasticity,
@@ -613,8 +614,14 @@ struct CloudSim<'a> {
     idle_nudges: u32,
     events: EventQueue<Event>,
     running: Vec<Option<Deployment>>,
-    /// Maps a live deployment id to the task it serves.
-    task_of: HashMap<u64, usize>,
+    /// The indices of the tasks holding a deployment in `running`, in
+    /// ascending order; passes over the running tasks walk this, not every
+    /// arrival. Changed only where `running` is: `start_service` and
+    /// `resize_running` insert, `take_running` removes.
+    live: BTreeSet<usize>,
+    /// Reused buffer for a pass that may change the live set while it
+    /// walks it.
+    live_snapshot: Vec<usize>,
     /// Bumped whenever a task's deployment changes or is interrupted;
     /// pending `Completion`/`MigrationRetry` events carrying an older epoch
     /// are stale and ignored.
@@ -773,16 +780,17 @@ impl<'a> CloudSim<'a> {
                     .schedule_in(self.recovery.base_backoff, Event::RetryNudge);
             }
         }
-        debug_assert!(
-            self.running.iter().all(Option::is_none),
-            "tasks still running after the event queue drained"
-        );
-        Ok(())
+        match self.live.first() {
+            Some(&task) => Err(RuntimeError::RunningAfterDrain {
+                task,
+                running: self.live.len(),
+            }),
+            None => Ok(()),
+        }
     }
 
     fn on_completion(&mut self, now: SimTime, task_index: usize) -> Result<(), RuntimeError> {
         let deployment = self.take_running(task_index)?;
-        self.task_of.remove(&deployment.id.0);
         self.controller.release(&deployment)?;
         let instance = self.instance_of(task_index);
         let tenant = self.controller.instance_name(instance)?;
@@ -799,9 +807,11 @@ impl<'a> CloudSim<'a> {
             .controller
             .handle_device_failure(DeviceId(device), self.rec.ctx(None, now));
         for id in interrupted {
-            let task_index = *self
-                .task_of
-                .get(&id.0)
+            let task_index = self
+                .live
+                .iter()
+                .copied()
+                .find(|&i| self.running[i].as_ref().is_some_and(|d| d.id == id))
                 .ok_or(RuntimeError::UntrackedDeployment { deployment: id.0 })?;
             self.interrupt(now, task_index, Interruption::Device(device))?;
         }
@@ -822,7 +832,6 @@ impl<'a> CloudSim<'a> {
         cause: Interruption,
     ) -> Result<(), RuntimeError> {
         let old = self.take_running(task_index)?;
-        self.task_of.remove(&old.id.0);
         if let Interruption::Link(_) = cause {
             // The units themselves are healthy but can no longer exchange
             // state: release the footprint explicitly (no device failure
@@ -857,13 +866,13 @@ impl<'a> CloudSim<'a> {
         if d.num_devices() < 2 {
             return false;
         }
-        let mut only = vec![false; self.link_failed.len()];
-        only[seg] = true;
         let cluster = self.controller.cluster();
+        let ring = cluster.ring();
+        let only = |s: usize| s == seg;
         for a in &d.placements {
             for b in &d.placements {
                 let base = cluster.ring_hops(a.device, b.device);
-                if cluster.ring_hops_avoiding(a.device, b.device, &only) != Some(base) {
+                if ring.hops_avoiding(a.device.0, b.device.0, &only) != Some(base) {
                     return true;
                 }
             }
@@ -918,11 +927,12 @@ impl<'a> CloudSim<'a> {
             return;
         }
         let policy = self.retransmit_policy();
-        for i in 0..self.running.len() {
-            let Some(d) = self.running[i].clone() else {
+        let tasks = self.snapshot_live();
+        for &i in &tasks {
+            let Some(d) = &self.running[i] else {
                 continue;
             };
-            if !self.crosses_segment(&d, seg) {
+            if !self.crosses_segment(d, seg) {
                 continue;
             }
             // Geometric burst, capped by the retransmission budget: each
@@ -934,13 +944,14 @@ impl<'a> CloudSim<'a> {
             if attempts == 0 {
                 continue;
             }
-            self.rec.emit(now, resend(i, seg, &d, attempts));
+            self.rec.emit(now, resend(i, seg, d, attempts));
             let mut delay = SimTime::ZERO;
             for k in 0..attempts {
                 delay = delay.saturating_add(policy.backoff(k));
             }
             self.delay_completion(i, delay);
         }
+        self.live_snapshot = tasks;
     }
 
     /// A ring segment fails outright. Every running multi-device
@@ -957,14 +968,15 @@ impl<'a> CloudSim<'a> {
         let policy = self.retransmit_policy();
         let mut rerouted = 0u64;
         let mut severed = 0u64;
-        for i in 0..self.running.len() {
-            let Some(d) = self.running[i].clone() else {
+        let tasks = self.snapshot_live();
+        for &i in &tasks {
+            let Some(d) = &self.running[i] else {
                 continue;
             };
             if d.num_devices() < 2 {
                 continue;
             }
-            match self.max_hops_avoiding(&d) {
+            match self.max_hops_avoiding(d) {
                 None => {
                     severed += 1;
                     self.interrupt(now, i, Interruption::Link(seg))?;
@@ -979,7 +991,7 @@ impl<'a> CloudSim<'a> {
                     // The transfer caught on the dead segment is re-sent
                     // along the detour, one backoff per extra hop plus
                     // the re-send itself.
-                    self.rec.emit(now, resend(i, seg, &d, 1));
+                    self.rec.emit(now, resend(i, seg, d, 1));
                     let delay = SimTime::from_ps(
                         policy.base_backoff.as_ps().saturating_mul(extra_hops + 1),
                     );
@@ -990,6 +1002,7 @@ impl<'a> CloudSim<'a> {
                 }
             }
         }
+        self.live_snapshot = tasks;
         self.rec.emit(now, SimEvent::LinkHandled(rerouted, severed));
         Ok(())
     }
@@ -1002,14 +1015,14 @@ impl<'a> CloudSim<'a> {
         self.link_degraded[seg] = false;
         self.rec
             .emit(now, SimEvent::Link(seg, LinkFaultKind::Recovered));
-        for i in 0..self.running.len() {
-            let Some(d) = self.running[i].clone() else {
+        for &i in &self.live {
+            let Some(d) = &self.running[i] else {
                 continue;
             };
             if d.num_devices() < 2 {
                 continue;
             }
-            if let Some(hops) = self.max_hops_avoiding(&d) {
+            if let Some(hops) = self.max_hops_avoiding(d) {
                 if let Some(slot) = self.running[i].as_mut() {
                     slot.max_ring_hops = hops;
                 }
@@ -1017,11 +1030,30 @@ impl<'a> CloudSim<'a> {
         }
     }
 
-    /// Takes a running task's deployment.
+    /// The live set copied into the reused snapshot buffer, for a pass
+    /// whose visits may take or restart tasks. Hand the buffer back to
+    /// `live_snapshot` when the pass ends.
+    fn snapshot_live(&mut self) -> Vec<usize> {
+        let mut tasks = std::mem::take(&mut self.live_snapshot);
+        tasks.clear();
+        tasks.extend(&self.live);
+        tasks
+    }
+
+    /// Installs a task's deployment and adds the task to the live set.
+    fn put_running(&mut self, task_index: usize, deployment: Deployment) {
+        self.running[task_index] = Some(deployment);
+        self.live.insert(task_index);
+    }
+
+    /// Takes a running task's deployment and drops the task from the live
+    /// set.
     fn take_running(&mut self, task_index: usize) -> Result<Deployment, RuntimeError> {
-        self.running[task_index]
+        let deployment = self.running[task_index]
             .take()
-            .ok_or(RuntimeError::TaskNotRunning { task: task_index })
+            .ok_or(RuntimeError::TaskNotRunning { task: task_index })?;
+        self.live.remove(&task_index);
+        Ok(deployment)
     }
 
     /// The task's interned instance.
@@ -1115,9 +1147,8 @@ impl<'a> CloudSim<'a> {
         self.rec.emit(now, started);
         let task = self.arrivals[task_index].task;
         let service = (self.service_time)(&task, &deployment);
-        self.task_of.insert(deployment.id.0, task_index);
         self.base_units[task_index] = deployment.num_units() as u32;
-        self.running[task_index] = Some(deployment);
+        self.put_running(task_index, deployment);
         self.service_total[task_index] = service;
         self.schedule_completion(task_index, now.saturating_add(service));
         Ok(())
@@ -1177,11 +1208,10 @@ impl<'a> CloudSim<'a> {
     /// placed tenant trades its (possibly streaming-inflated) slowdown
     /// for a stranger's queue wait, which measurably inflates the tail.
     fn cheapest_victim(&self, now: SimTime) -> Option<usize> {
-        self.running
+        self.live
             .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| {
-                let d = slot.as_ref()?;
+            .filter_map(|&i| {
+                let d = self.running[i].as_ref()?;
                 if (d.num_units() as u32) <= self.base_units[i] {
                     return None;
                 }
@@ -1202,11 +1232,11 @@ impl<'a> CloudSim<'a> {
     /// and the caller should stop preempting.
     fn preempt_victim(&mut self, now: SimTime, victim: usize) -> Result<bool, RuntimeError> {
         let d = self.running[victim]
-            .clone()
+            .as_ref()
             .ok_or(RuntimeError::TaskNotRunning { task: victim })?;
         self.rec.emit(now, SimEvent::Reprovision(victim, "preempt"));
         let ctx = self.rec.ctx(Some(victim), now);
-        match self.controller.demote_deployment(&d, ctx)? {
+        match self.controller.demote_deployment(d, ctx)? {
             ScaleDown::Demoted(nd) => {
                 self.resize_running(now, victim, nd)?;
                 Ok(true)
@@ -1233,8 +1263,9 @@ impl<'a> CloudSim<'a> {
     /// the remaining work scales with the total, so a strictly better
     /// service time strictly shortens what is left.
     fn promote_pass(&mut self, now: SimTime) -> Result<(), RuntimeError> {
-        for i in 0..self.running.len() {
-            let Some(d) = self.running[i].clone() else {
+        let tasks = self.snapshot_live();
+        for &i in &tasks {
+            let Some(d) = &self.running[i] else {
                 continue;
             };
             if self.completion_at[i].saturating_sub(now) == SimTime::ZERO {
@@ -1247,11 +1278,12 @@ impl<'a> CloudSim<'a> {
                 move |cand: &Deployment| service_time(&task, cand).as_secs() < old_secs;
             self.rec.emit(now, SimEvent::Reprovision(i, "promote"));
             let ctx = self.rec.ctx(Some(i), now);
-            match self.controller.promote_deployment(&d, &mut accept, ctx)? {
+            match self.controller.promote_deployment(d, &mut accept, ctx)? {
                 Some(nd) => self.resize_running(now, i, nd)?,
                 None => self.rec.emit(now, SimEvent::ReprovisionEnded("kept")),
             }
         }
+        self.live_snapshot = tasks;
         Ok(())
     }
 
@@ -1265,7 +1297,6 @@ impl<'a> CloudSim<'a> {
         new_deployment: Deployment,
     ) -> Result<(), RuntimeError> {
         let old = self.take_running(task_index)?;
-        self.task_of.remove(&old.id.0);
         let old_remaining = self.completion_at[task_index].saturating_sub(now);
         let old_total = self.service_total[task_index];
         let task = self.arrivals[task_index].task;
@@ -1280,8 +1311,7 @@ impl<'a> CloudSim<'a> {
         let lane = self.lane(&new_deployment);
         let resized = SimEvent::Resized(task_index, from, to, old_remaining, new_remaining, lane);
         self.rec.emit(now, resized);
-        self.task_of.insert(new_deployment.id.0, task_index);
-        self.running[task_index] = Some(new_deployment);
+        self.put_running(task_index, new_deployment);
         self.service_total[task_index] = new_total;
         self.schedule_completion(task_index, now.saturating_add(new_remaining));
         Ok(())

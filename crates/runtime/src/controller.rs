@@ -1,6 +1,6 @@
 //! The system controller and runtime policies.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -189,10 +189,12 @@ impl Deployment {
     /// Co-located units (several units on one FPGA) exchange state through
     /// local DRAM and never touch the ring.
     pub fn num_devices(&self) -> usize {
-        let mut devices: Vec<_> = self.placements.iter().map(|p| p.device).collect();
-        devices.sort_unstable();
-        devices.dedup();
-        devices.len()
+        // Each device counts at its first placement: quadratic in the
+        // handful of units a deployment has, and allocation-free.
+        let units = &self.placements;
+        (0..units.len())
+            .filter(|&k| units[..k].iter().all(|p| p.device != units[k].device))
+            .count()
     }
 }
 
@@ -239,7 +241,9 @@ pub struct SystemController {
     /// allocation "at the offline compilation time, resulting in a low
     /// elasticity" — tasks run on whatever accelerator their device hosts.
     provisioned: Option<Vec<Provision>>,
-    live: HashMap<u64, Vec<(DeviceId, AllocationId)>>,
+    /// Live deployments' allocations by deployment id, in ascending id
+    /// order.
+    live: BTreeMap<u64, Vec<(DeviceId, AllocationId)>>,
     next_id: u64,
     stats: ControllerStats,
     /// Device-type names in `cluster.device_types()` order; the indexed
@@ -293,7 +297,7 @@ impl SystemController {
             policy,
             device_taken,
             provisioned: None,
-            live: HashMap::new(),
+            live: BTreeMap::new(),
             next_id: 0,
             stats: ControllerStats::default(),
             type_names,
@@ -495,19 +499,20 @@ impl SystemController {
         if was_healthy {
             self.stats.device_failures += 1;
         }
-        let evicted: std::collections::HashSet<AllocationId> = evicted.into_iter().collect();
+        // Both walks run in ascending id order: `evicted` comes sorted and
+        // `live` is ordered, so `hit` needs no sort.
+        let was_evicted = |a: &AllocationId| evicted.binary_search_by_key(&a.0, |e| e.0).is_ok();
         let mut hit: Vec<(u64, Vec<(DeviceId, AllocationId)>)> = Vec::new();
         self.live.retain(|&id, placements| {
-            let keep = !placements.iter().any(|(_, a)| evicted.contains(a));
+            let keep = !placements.iter().any(|(_, a)| was_evicted(a));
             if !keep {
                 hit.push((id, std::mem::take(placements)));
             }
             keep
         });
-        hit.sort_by_key(|&(id, _)| id);
         for (_, placements) in &hit {
             for &(d, a) in placements {
-                if !evicted.contains(&a) {
+                if !was_evicted(&a) {
                     // Surviving units release normally; their slots free up
                     // for the migration the caller will attempt.
                     let _ = self.llc.release(a);

@@ -125,6 +125,14 @@ pub enum RuntimeError {
         /// The deployment's id.
         deployment: u64,
     },
+    /// The cloud simulator's event queue drained while tasks still held
+    /// deployments: their completions were never scheduled.
+    RunningAfterDrain {
+        /// The lowest arrival index among the tasks still running.
+        task: usize,
+        /// Tasks still running.
+        running: usize,
+    },
 }
 
 impl fmt::Display for RuntimeError {
@@ -170,6 +178,10 @@ impl fmt::Display for RuntimeError {
             RuntimeError::UntrackedDeployment { deployment } => {
                 write!(f, "deployment {deployment} serves no running task")
             }
+            RuntimeError::RunningAfterDrain { task, running } => write!(
+                f,
+                "{running} tasks (first: task {task}) still running after the event queue drained"
+            ),
         }
     }
 }

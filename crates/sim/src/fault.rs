@@ -57,8 +57,15 @@ pub struct LinkFaultParams {
     /// `0.0..=1.0`.
     pub degraded_fraction: f64,
     /// Bandwidth multiplier a degraded link serves, `(0.0, 1.0]`.
+    ///
+    /// Validated and carried, but the cloud simulator does not read it: a
+    /// degraded `CloudSim` segment only draws corruption bursts, so this
+    /// factor slows no cloud transfer or service time.
     pub bandwidth_factor: f64,
     /// Extra one-way latency of a degraded link.
+    ///
+    /// Like [`bandwidth_factor`](LinkFaultParams::bandwidth_factor), not
+    /// read by the cloud simulator.
     pub extra_latency: SimTime,
     /// Per-transfer corruption probability while link faults are active,
     /// `0.0..=1.0`.

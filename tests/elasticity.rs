@@ -9,11 +9,14 @@
 //!   unit count in the direction its name claims.
 //! * With elasticity off, the engine is provably absent: the report is
 //!   byte-identical to one from the default (pre-elasticity) tuning.
+//! * Under device and ring-link chaos, the engine's decisions are pinned:
+//!   a golden digest and per-decision counts catch any change in which
+//!   tasks it promotes, preempts, migrates or re-routes, or in what order.
 
 use vfpga::runtime::{
     AdmissionTuning, CloudReport, ElasticityPolicy, Policy, DEFAULT_TRACE_CAPACITY,
 };
-use vfpga::sim::{FaultPlan, FaultPlanParams, SimTime, TraceEventKind};
+use vfpga::sim::{FaultPlan, FaultPlanParams, LinkFaultParams, SimTime, TraceEventKind};
 use vfpga_bench::elastic::{bursty_workload, ElasticConfig};
 use vfpga_bench::Catalog;
 
@@ -186,5 +189,77 @@ fn elasticity_off_reports_are_byte_identical_to_default_tuning() {
             off, default,
             "seed {seed}: disabled elasticity left a footprint in the report"
         );
+    }
+}
+
+/// A `chaos_elastic`-shaped run: a bursty workload under device faults
+/// with transient configure faults and ring-link faults (half of them
+/// degradations, corrupting transfers), with promotion and preemption on.
+fn chaos_elastic_run(catalog: &Catalog, seed: u64) -> CloudReport {
+    let arrivals = workload(seed, 2_000);
+    let last = arrivals.last().expect("non-empty workload").at;
+    let horizon = SimTime::from_secs(last.as_secs() * 1.5);
+    let faults = FaultPlan::generate(
+        FaultPlanParams {
+            mttf: SimTime::from_ms(20.0),
+            mttr: SimTime::from_ms(2.0),
+            configure_failure_prob: 0.01,
+            horizon,
+        },
+        catalog.cluster.len(),
+        seed,
+    )
+    .with_link_faults(
+        LinkFaultParams {
+            mttf: SimTime::from_ms(10.0),
+            mttr: SimTime::from_ms(1.0),
+            degraded_fraction: 0.5,
+            bandwidth_factor: 0.25,
+            extra_latency: SimTime::from_ns(250.0),
+            corruption_prob: 0.2,
+            max_retransmits: 3,
+            retransmit_backoff: SimTime::from_ns(200.0),
+            horizon,
+        },
+        catalog.cluster.ring().segments(),
+    );
+    let tuning = AdmissionTuning {
+        elasticity: ElasticityPolicy::FULL,
+        ..AdmissionTuning::default()
+    };
+    elastic_run(catalog, &arrivals, &faults, tuning)
+}
+
+/// FNV-1a over a text.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn chaos_elastic_decisions_are_pinned() {
+    // (seed, report digest, [promotions, preemptions, migrated,
+    // link_retransmits, link_reroutes, link_severed]).
+    const GOLDEN: [(u64, u64, [u64; 6]); 2] = [
+        (7, 0x2daf_ba4d_499c_9017, [70, 18, 172, 19, 15, 2]),
+        (2024, 0xa30f_422b_59a5_9250, [134, 47, 115, 27, 19, 10]),
+    ];
+    let catalog = Catalog::build();
+    for (seed, digest, counts) in GOLDEN {
+        let report = chaos_elastic_run(&catalog, seed);
+        assert!(report.accounts_for_all_arrivals(), "seed {seed}");
+        let got = [
+            report.promotions,
+            report.preemptions,
+            report.migrated,
+            report.link_retransmits,
+            report.link_reroutes,
+            report.link_severed,
+        ];
+        let json = fnv1a(&report.to_json().pretty());
+        assert!(got.iter().all(|&n| n > 0), "seed {seed}: {got:?}");
+        assert_eq!(got, counts, "seed {seed}");
+        assert_eq!(json, digest, "seed {seed}: digest {json:#018x}");
     }
 }
