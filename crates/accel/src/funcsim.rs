@@ -198,11 +198,6 @@ impl FuncSim {
             .load(reg, QuantizedMatrix::quantize(self.bfp, rows, cols, data));
     }
 
-    /// The matrix memory (for capacity accounting).
-    pub fn matrix_memory(&self) -> &MatrixMemory {
-        &self.matmem
-    }
-
     /// Writes a vector into a DRAM slot.
     pub fn write_dram(&mut self, slot: u32, data: &[F16]) {
         self.dram.insert(slot, data.to_vec());

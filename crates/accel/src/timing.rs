@@ -92,16 +92,6 @@ impl TimingModel {
         tile_ops.div_ceil(self.tiles as u64) * cycles_per_tile
     }
 
-    /// Total latency of a matrix-vector multiply (busy + pipeline depth).
-    pub fn mvm_latency(&self, rows: usize, cols: usize) -> u64 {
-        self.mvm_busy_cycles(rows, cols) + self.mvm_pipeline_depth
-    }
-
-    /// Latency of an element-wise MFU operation over `len` elements.
-    pub fn mfu_latency_cycles(&self, len: usize) -> u64 {
-        (len.div_ceil(self.native_dim)) as u64 + self.mfu_latency
-    }
-
     /// Latency of moving `len` f16 elements to/from DRAM, including
     /// queueing behind co-tenants on the shared interface.
     pub fn dram_latency_cycles(&self, len: usize) -> u64 {

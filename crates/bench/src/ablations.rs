@@ -1,8 +1,12 @@
 //! Ablations of the design decisions DESIGN.md calls out.
+//!
+//! D2 (allocation policy) is measured by the Fig. 12 policies themselves
+//! (see [`crate::fig12`]); D5 (RTL-level decomposition reuse: the
+//! decomposition is computed once and compiled per device type) by
+//! [`crate::overhead`].
 
 use vfpga_accel::{AcceleratorConfig, CycleSim, TimingModel};
 use vfpga_core::{PATTERN_AWARE_CROSSINGS, PATTERN_OBLIVIOUS_CROSSINGS};
-use vfpga_hsabs::InterfaceModel;
 use vfpga_sim::SimTime;
 use vfpga_workload::{generate_program, RnnKind, RnnTask, SliceSpec};
 
@@ -88,15 +92,6 @@ pub fn instruction_buffer() -> BufferAblation {
         with_buffer: run(&with),
         without_buffer: run(&without),
     }
-}
-
-/// D2 — allocation policy: measured by the Fig. 12 policies themselves
-/// (see [`crate::fig12`]); D5 — RTL-level decomposition reuse: the
-/// decomposition is computed once and compiled per device type (see
-/// [`crate::overhead`]). This module re-exports the interface overhead
-/// model for the benches.
-pub fn interface_cycles(crossings: usize) -> u64 {
-    InterfaceModel::default().overhead_cycles(crossings)
 }
 
 #[cfg(test)]

@@ -27,8 +27,10 @@ use crate::catalog::Catalog;
 
 /// Trace-ring capacity for runs whose gates need every trace event: link
 /// waves add per-transfer `Retransmit` events on top of the scheduler
-/// lifecycle, and the monitor's rollup windows must stay whole. Sized well
-/// past what the default workloads emit.
+/// lifecycle, and the monitor scenario requires a run with no trace drops
+/// (so its report carries no truncation marks; the monitor's rollups fold
+/// every event and are whole at any capacity). Sized well past what the
+/// default workloads emit.
 pub const COMPLETE_TRACE_CAPACITY: usize = 32_768;
 
 /// Ring-segment fault waves layered on a chaos run.

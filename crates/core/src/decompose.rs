@@ -26,9 +26,9 @@
 use std::collections::{BTreeMap, HashMap};
 
 use vfpga_fabric::ResourceVec;
-use vfpga_rtl::{Design, FlatNode, NodeId};
+use vfpga_rtl::{Design, FlatNode};
 
-use crate::softblock::{Pattern, SoftBlock, SoftBlockId, SoftBlockKind, SoftBlockTree};
+use crate::softblock::{push_block, Pattern, SoftBlock, SoftBlockId, SoftBlockKind, SoftBlockTree};
 use crate::CoreError;
 
 /// Options controlling the decomposition.
@@ -120,117 +120,81 @@ pub fn decompose(
         .name
         .clone();
 
-    // Step 1: build the block graph.
+    // Step 1: build the block graph over the data path; step 2 splits
+    // leaves on the way.
     let graph = design.flatten(top)?;
     let mut control_resources = ResourceVec::ZERO;
-    let mut control_leaves = 0usize;
-    let mut data_nodes: Vec<NodeId> = Vec::new();
-    for (id, node) in graph.nodes() {
+    let mut stats = DecomposeStats::default();
+    let mut g = WorkGraph::default();
+    let mut index_of: Vec<Option<usize>> = vec![None; graph.node_count()];
+    for (node_id, node) in graph.nodes() {
+        let res = leaf_resources(node);
         let in_ctrl =
             node.path == ctrl_instance || node.path.starts_with(&format!("{ctrl_instance}/"));
-        let moved = options.move_to_control.iter().any(|m| m == &node.module);
-        if in_ctrl || moved {
-            control_resources += leaf_resources(node);
-            control_leaves += 1;
-        } else {
-            data_nodes.push(id);
+        if in_ctrl || options.move_to_control.iter().any(|m| m == &node.module) {
+            control_resources += res;
+            stats.control_leaves += 1;
+            continue;
         }
-    }
-    if data_nodes.is_empty() {
-        return Err(CoreError::EmptyDataPath);
-    }
-
-    let mut arena: Vec<SoftBlock> = Vec::new();
-    let mut stats = DecomposeStats {
-        control_leaves,
-        ..DecomposeStats::default()
-    };
-
-    // Working graph nodes: (soft block id, content hash, resources).
-    let mut work: Vec<WorkNode> = Vec::new();
-    let index_of: HashMap<NodeId, usize> = data_nodes
-        .iter()
-        .enumerate()
-        .map(|(i, &n)| (n, i))
-        .collect();
-
-    for &node_id in &data_nodes {
-        let node = graph.node(node_id).expect("node from iteration");
-        let res = leaf_resources(node);
-        let leaf_hash = hash_leaf(node);
         let lanes = node
             .behavior
             .as_deref()
             .and_then(|b| options.intra_parallelism.get(b).copied())
             .unwrap_or(1);
-        let block_id = if lanes > 1 {
+        let (block, hash) = if lanes > 1 {
             // Step 2: split the leaf into `lanes` identical lane blocks
-            // under a data-parallel parent.
+            // under a data-parallel parent. The parent keeps the leaf's
+            // estimate rather than the sum of the rounded-up lanes.
             let lane_res = res.div_ceil(lanes as u64);
-            let mut lane_hash_src = String::new();
-            if let Some(b) = &node.behavior {
-                lane_hash_src.push_str(b);
-            }
-            lane_hash_src.push_str("/lane");
-            let lane_hash = hash_str(&lane_hash_src);
             let children: Vec<SoftBlockId> = (0..lanes)
                 .map(|l| {
-                    let id = SoftBlockId(arena.len());
-                    arena.push(SoftBlock {
-                        id,
-                        kind: SoftBlockKind::Leaf {
+                    push_block(
+                        &mut g.arena,
+                        SoftBlockKind::Leaf {
                             path: format!("{}/lane{l}", node.path),
                             module: node.module.clone(),
                             behavior: node.behavior.as_ref().map(|b| format!("{b}_lane")),
                         },
-                        resources: lane_res,
-                        content_hash: lane_hash,
-                    });
-                    id
+                        lane_res,
+                    )
                 })
                 .collect();
             stats.data_leaves += lanes;
             stats.data_groups += 1;
-            let id = SoftBlockId(arena.len());
-            arena.push(SoftBlock {
-                id,
-                kind: SoftBlockKind::Composite {
-                    pattern: Pattern::Data,
-                    children,
-                    link_widths: vec![],
-                },
-                resources: res,
-                content_hash: hash_composite("data", &[lane_hash; 1], lanes as u64),
-            });
-            id
+            let behavior = node.behavior.as_deref().unwrap_or_default();
+            let lane_hash = hash_str(&format!("{behavior}/lane"));
+            let kind = SoftBlockKind::Composite {
+                pattern: Pattern::Data,
+                children,
+                link_widths: vec![],
+            };
+            let hash = hash_composite("data", [lane_hash], lanes as u64);
+            (push_block(&mut g.arena, kind, res), hash)
         } else {
             stats.data_leaves += 1;
-            let id = SoftBlockId(arena.len());
-            arena.push(SoftBlock {
-                id,
-                kind: SoftBlockKind::Leaf {
-                    path: node.path.clone(),
-                    module: node.module.clone(),
-                    behavior: node.behavior.clone(),
-                },
-                resources: res,
-                content_hash: leaf_hash,
-            });
-            id
+            let kind = SoftBlockKind::Leaf {
+                path: node.path.clone(),
+                module: node.module.clone(),
+                behavior: node.behavior.clone(),
+            };
+            (push_block(&mut g.arena, kind, res), hash_leaf(node))
         };
-        work.push(WorkNode {
-            block: block_id,
-            hash: arena[block_id.0].content_hash,
+        index_of[node_id.0] = Some(g.nodes.len());
+        g.nodes.push(WorkNode {
+            block,
+            hash,
             alive: true,
+            out: BTreeMap::new(),
+            inc: BTreeMap::new(),
         });
     }
-
-    // Directed edges between work nodes (by work index), keyed
-    // `(driver, reader)`, weights = connecting bits.
-    let mut edges: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+    if g.nodes.is_empty() {
+        return Err(CoreError::EmptyDataPath);
+    }
     for e in graph.edges() {
-        if let (Some(&a), Some(&b)) = (index_of.get(&e.from), index_of.get(&e.to)) {
-            *edges.entry((a, b)).or_insert(0) += e.width;
+        if let (Some(a), Some(b)) = (index_of[e.from.0], index_of[e.to.0]) {
+            *g.nodes[a].out.entry(b).or_insert(0) += e.width;
+            *g.nodes[b].inc.entry(a).or_insert(0) += e.width;
         }
     }
 
@@ -240,105 +204,157 @@ pub fn decompose(
     // two-lane farm whose block graph is one big cycle.
     loop {
         stats.rounds += 1;
-        let merged_data = group_data_parallel(&mut work, &mut edges, &mut arena, &mut stats);
-        let merged_pipe = group_pipelines(&mut work, &mut edges, &mut arena, &mut stats);
-        if !merged_data && !merged_pipe {
-            let merged_relaxed =
-                group_data_parallel_relaxed(&mut work, &mut edges, &mut arena, &mut stats);
-            if !merged_relaxed {
-                break;
-            }
+        let merged_data = group_data_parallel(&mut g, &mut stats);
+        let merged_pipe = group_pipelines(&mut g, &mut stats);
+        if !merged_data && !merged_pipe && !group_data_parallel_relaxed(&mut g, &mut stats) {
+            break;
         }
     }
 
-    // Collapse to a single root.
-    let alive: Vec<usize> = (0..work.len()).filter(|&i| work[i].alive).collect();
-    let root = if alive.len() == 1 {
-        work[alive[0]].block
-    } else {
-        // Irregular residue: wrap the remaining blocks as a pipeline in
-        // work order, using the actual inter-block widths where present.
-        let children: Vec<SoftBlockId> = alive.iter().map(|&i| work[i].block).collect();
-        let link_widths: Vec<u64> = alive
-            .windows(2)
-            .map(|w| {
-                edges.get(&(w[0], w[1])).copied().unwrap_or(0)
-                    + edges.get(&(w[1], w[0])).copied().unwrap_or(0)
-            })
-            .collect();
-        let resources = children.iter().map(|c| arena[c.0].resources).sum();
-        let hashes: Vec<u64> = children.iter().map(|c| arena[c.0].content_hash).collect();
-        let id = SoftBlockId(arena.len());
-        arena.push(SoftBlock {
-            id,
-            kind: SoftBlockKind::Composite {
-                pattern: Pattern::Pipeline,
-                children,
-                link_widths,
-            },
-            resources,
-            content_hash: hash_composite("pipe", &hashes, 0),
-        });
-        id
+    // Collapse to a single root. An irregular residue is wrapped as a
+    // pipeline in work order, using the actual inter-block widths where
+    // present.
+    let alive: Vec<usize> = (0..g.nodes.len()).filter(|&i| g.nodes[i].alive).collect();
+    let root = match alive[..] {
+        [only] => only,
+        _ => g.merge(&alive, Pattern::Pipeline),
     };
+    let root = g.nodes[root].block;
 
     Ok(Decomposition {
-        tree: SoftBlockTree::new(arena, root),
+        tree: SoftBlockTree::new(g.arena, root),
         control_resources,
         stats,
     })
 }
 
+/// The decomposer's working graph for steps 3-5: the soft-block arena
+/// under construction plus one node per not-yet-grouped block.
+///
+/// Every node carries its own directed adjacency (neighbor index to
+/// connecting bits), and only [`WorkGraph::merge`] rewires it. Edges only
+/// ever join two live nodes: a merge kills its members, drops the edges
+/// among them and moves every outside edge onto the new node. There are
+/// no self edges (the block graph has none and a merge drops intra-group
+/// edges).
+#[derive(Default)]
+struct WorkGraph {
+    arena: Vec<SoftBlock>,
+    nodes: Vec<WorkNode>,
+}
+
 struct WorkNode {
     block: SoftBlockId,
+    /// Structural content hash: equal hashes mean interchangeable blocks
+    /// (the equivalence the data-parallel pattern requires).
     hash: u64,
     alive: bool,
+    /// Readers of this node's outputs: neighbor to bits.
+    out: BTreeMap<usize, u64>,
+    /// Drivers of this node's inputs: neighbor to bits.
+    inc: BTreeMap<usize, u64>,
 }
 
-/// Neighbors of `i` as `(neighbor, width, outgoing)` triples; parallel
-/// in/out edges to the same neighbor appear as separate entries.
-fn neighbors_of(edges: &BTreeMap<(usize, usize), u64>, i: usize) -> Vec<(usize, u64, bool)> {
-    edges
-        .iter()
-        .filter_map(|(&(a, b), &w)| {
-            if a == i {
-                Some((b, w, true))
-            } else if b == i {
-                Some((a, w, false))
-            } else {
-                None
+impl WorkNode {
+    /// Neighbors as `(neighbor, bits, outgoing)` triples; a neighbor that
+    /// both drives and reads this node appears once per direction.
+    fn neighbors(&self) -> impl Iterator<Item = (usize, u64, bool)> + '_ {
+        let out = self.out.iter().map(|(&n, &w)| (n, w, true));
+        out.chain(self.inc.iter().map(|(&n, &w)| (n, w, false)))
+    }
+
+    /// Bits exchanged with `other` in either direction.
+    fn bits_with(&self, other: usize) -> u64 {
+        self.out.get(&other).copied().unwrap_or(0) + self.inc.get(&other).copied().unwrap_or(0)
+    }
+}
+
+impl WorkGraph {
+    /// Live node indices grouped by content hash, ascending within a group.
+    fn live_by_hash(&self) -> BTreeMap<u64, Vec<usize>> {
+        let mut by_hash: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        for (i, n) in self.nodes.iter().enumerate() {
+            if n.alive {
+                by_hash.entry(n.hash).or_default().push(i);
             }
-        })
-        .collect()
-}
+        }
+        by_hash
+    }
 
-/// Undirected neighbor set of `i`.
-fn undirected_neighbors(edges: &BTreeMap<(usize, usize), u64>, i: usize) -> Vec<usize> {
-    let mut out: Vec<usize> = neighbors_of(edges, i)
-        .into_iter()
-        .map(|(n, _, _)| n)
-        .collect();
-    out.sort_unstable();
-    out.dedup();
-    out
+    /// Groups the live nodes `members` (in child order) under one new
+    /// composite block and rewires the graph: the members die, edges among
+    /// them vanish (artifacts of shared broadcast nets) and each outside
+    /// neighbor's edges are summed onto the new node. Pipeline link widths
+    /// are the bits between consecutive members in both directions.
+    /// Returns the new node's index.
+    fn merge(&mut self, members: &[usize], pattern: Pattern) -> usize {
+        let nodes = &self.nodes;
+        let children: Vec<SoftBlockId> = members.iter().map(|&m| nodes[m].block).collect();
+        let resources = children.iter().map(|c| self.arena[c.0].resources).sum();
+        let (link_widths, hash) = match pattern {
+            Pattern::Data => {
+                let child_hash = nodes[members[0]].hash;
+                let count = members.len() as u64;
+                (vec![], hash_composite("data", [child_hash], count))
+            }
+            Pattern::Pipeline => (
+                members
+                    .windows(2)
+                    .map(|w| nodes[w[0]].bits_with(w[1]))
+                    .collect(),
+                hash_composite("pipe", members.iter().map(|&m| nodes[m].hash), 0),
+            ),
+        };
+        let block = push_block(
+            &mut self.arena,
+            SoftBlockKind::Composite {
+                pattern,
+                children,
+                link_widths,
+            },
+            resources,
+        );
+        for &m in members {
+            self.nodes[m].alive = false;
+        }
+        // Edges join live nodes only, so a dead neighbor is a member.
+        let new = self.nodes.len();
+        let (mut out, mut inc) = (BTreeMap::new(), BTreeMap::new());
+        for &m in members {
+            for (n, w) in std::mem::take(&mut self.nodes[m].out) {
+                if self.nodes[n].alive {
+                    self.nodes[n].inc.remove(&m);
+                    *out.entry(n).or_insert(0) += w;
+                }
+            }
+            for (n, w) in std::mem::take(&mut self.nodes[m].inc) {
+                if self.nodes[n].alive {
+                    self.nodes[n].out.remove(&m);
+                    *inc.entry(n).or_insert(0) += w;
+                }
+            }
+        }
+        for (&n, &w) in &out {
+            self.nodes[n].inc.insert(new, w);
+        }
+        for (&n, &w) in &inc {
+            self.nodes[n].out.insert(new, w);
+        }
+        self.nodes.push(WorkNode {
+            block,
+            hash,
+            alive: true,
+            out,
+            inc,
+        });
+        new
+    }
 }
 
 /// Step 3: merge interchangeable siblings under data-parallel parents.
-fn group_data_parallel(
-    work: &mut Vec<WorkNode>,
-    edges: &mut BTreeMap<(usize, usize), u64>,
-    arena: &mut Vec<SoftBlock>,
-    stats: &mut DecomposeStats,
-) -> bool {
-    // Group alive nodes by content hash.
-    let mut by_hash: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-    for (i, n) in work.iter().enumerate() {
-        if n.alive {
-            by_hash.entry(n.hash).or_default().push(i);
-        }
-    }
+fn group_data_parallel(g: &mut WorkGraph, stats: &mut DecomposeStats) -> bool {
     let mut merged_any = false;
-    for (_, members) in by_hash {
+    for (_, members) in g.live_by_hash() {
         if members.len() < 2 {
             continue;
         }
@@ -346,12 +362,11 @@ fn group_data_parallel(
         // of (neighbor, width, direction) triples over neighbors outside
         // the hash group. Direction matters: an identical block feeding a
         // consumer is not interchangeable with one reading from it.
-        let member_set: std::collections::HashSet<usize> = members.iter().copied().collect();
         let mut by_sig: BTreeMap<Vec<(usize, u64, bool)>, Vec<usize>> = BTreeMap::new();
         for &m in &members {
-            let mut sig: Vec<(usize, u64, bool)> = neighbors_of(edges, m)
-                .into_iter()
-                .filter(|(n, _, _)| !member_set.contains(n))
+            let mut sig: Vec<(usize, u64, bool)> = g.nodes[m]
+                .neighbors()
+                .filter(|(n, _, _)| members.binary_search(n).is_err())
                 .collect();
             sig.sort_unstable();
             by_sig.entry(sig).or_default().push(m);
@@ -362,56 +377,7 @@ fn group_data_parallel(
             }
             merged_any = true;
             stats.data_groups += 1;
-            let children: Vec<SoftBlockId> = group.iter().map(|&i| work[i].block).collect();
-            let resources: ResourceVec = children.iter().map(|c| arena[c.0].resources).sum();
-            let child_hash = arena[children[0].0].content_hash;
-            let id = SoftBlockId(arena.len());
-            arena.push(SoftBlock {
-                id,
-                kind: SoftBlockKind::Composite {
-                    pattern: Pattern::Data,
-                    children,
-                    link_widths: vec![],
-                },
-                resources,
-                content_hash: hash_composite("data", &[child_hash], group.len() as u64),
-            });
-            // Replace the group with one new work node.
-            let new_idx = work.len();
-            work.push(WorkNode {
-                block: id,
-                hash: arena[id.0].content_hash,
-                alive: true,
-            });
-            for &g in &group {
-                work[g].alive = false;
-            }
-            // Rewire: external neighbors get summed widths; intra-group
-            // edges vanish (artifacts of shared broadcast nets).
-            let group_set: std::collections::HashSet<usize> = group.iter().copied().collect();
-            let mut new_out: HashMap<usize, u64> = HashMap::new();
-            let mut new_in: HashMap<usize, u64> = HashMap::new();
-            edges.retain(|&(a, b), w| {
-                let a_in = group_set.contains(&a);
-                let b_in = group_set.contains(&b);
-                if a_in && b_in {
-                    false
-                } else if a_in {
-                    *new_out.entry(b).or_insert(0) += *w;
-                    false
-                } else if b_in {
-                    *new_in.entry(a).or_insert(0) += *w;
-                    false
-                } else {
-                    true
-                }
-            });
-            for (n, w) in new_out {
-                *edges.entry((new_idx, n)).or_insert(0) += w;
-            }
-            for (n, w) in new_in {
-                *edges.entry((n, new_idx)).or_insert(0) += w;
-            }
+            g.merge(&group, Pattern::Data);
         }
     }
     merged_any
@@ -424,142 +390,77 @@ fn group_data_parallel(
 /// counts (each member owns its private downstream node, a matched lane).
 /// This is what resolves farms whose block graph is one large cycle, where
 /// neither strict grouping nor chain detection can start.
-fn group_data_parallel_relaxed(
-    work: &mut Vec<WorkNode>,
-    edges: &mut BTreeMap<(usize, usize), u64>,
-    arena: &mut Vec<SoftBlock>,
-    stats: &mut DecomposeStats,
-) -> bool {
-    let mut by_hash: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-    for (i, n) in work.iter().enumerate() {
-        if n.alive {
-            by_hash.entry(n.hash).or_default().push(i);
-        }
-    }
-    for (_, members) in by_hash {
+fn group_data_parallel_relaxed(g: &mut WorkGraph, stats: &mut DecomposeStats) -> bool {
+    for (_, members) in g.live_by_hash() {
         if members.len() < 2 {
             continue;
         }
-        let member_set: std::collections::HashSet<usize> = members.iter().copied().collect();
         // Per member: neighbors outside the group, keyed by
-        // (neighbor hash, direction), with the concrete neighbor indices.
-        type NeighborClasses = BTreeMap<(u64, bool), Vec<(usize, u64)>>;
-        let mut per_member: Vec<NeighborClasses> = Vec::new();
-        for &m in &members {
-            let mut classes: NeighborClasses = BTreeMap::new();
-            for (n, w, out) in neighbors_of(edges, m) {
-                if !member_set.contains(&n) {
-                    classes.entry((work[n].hash, out)).or_default().push((n, w));
+        // (neighbor hash, direction).
+        type NeighborClasses = BTreeMap<(u64, bool), Vec<usize>>;
+        let per_member: Vec<NeighborClasses> = members
+            .iter()
+            .map(|&m| {
+                let mut classes: NeighborClasses = BTreeMap::new();
+                for (n, _, out) in g.nodes[m].neighbors() {
+                    if members.binary_search(&n).is_err() {
+                        classes.entry((g.nodes[n].hash, out)).or_default().push(n);
+                    }
                 }
-            }
-            per_member.push(classes);
-        }
-        // All members must see the same classes with the same multiplicity
-        // and widths.
-        let keys: Vec<(u64, bool)> = per_member[0].keys().copied().collect();
+                classes
+            })
+            .collect();
+        // All members must see the same classes with the same multiplicity.
+        let first = &per_member[0];
         let consistent = per_member.iter().all(|c| {
-            c.keys().copied().collect::<Vec<_>>() == keys
-                && keys.iter().all(|k| c[k].len() == per_member[0][k].len())
+            c.len() == first.len()
+                && c.iter()
+                    .zip(first)
+                    .all(|((k, v), (k0, v0))| k == k0 && v.len() == v0.len())
         });
-        if !consistent {
-            continue;
-        }
         // Each class must be fully shared or fully disjoint.
-        let mut eligible = true;
-        for k in &keys {
-            let mut all: Vec<usize> = Vec::new();
-            for c in &per_member {
-                all.extend(c[k].iter().map(|&(n, _)| n));
-            }
-            let mut distinct = all.clone();
-            distinct.sort_unstable();
-            distinct.dedup();
-            let per = per_member[0][k].len();
-            let shared = distinct.len() == per;
-            let disjoint = distinct.len() == per * members.len();
-            if !(shared || disjoint) {
-                eligible = false;
-                break;
-            }
+        let eligible = consistent
+            && first.iter().all(|(k, v)| {
+                let mut distinct: Vec<usize> = per_member
+                    .iter()
+                    .flat_map(|c| c[k].iter().copied())
+                    .collect();
+                distinct.sort_unstable();
+                distinct.dedup();
+                distinct.len() == v.len() || distinct.len() == v.len() * members.len()
+            });
+        if eligible {
+            stats.data_groups += 1;
+            g.merge(&members, Pattern::Data);
+            // One merge per call: the strict steps re-run first.
+            return true;
         }
-        if !eligible {
-            continue;
-        }
-        // Merge exactly like the strict step.
-        stats.data_groups += 1;
-        let children: Vec<SoftBlockId> = members.iter().map(|&i| work[i].block).collect();
-        let resources: ResourceVec = children.iter().map(|c| arena[c.0].resources).sum();
-        let child_hash = arena[children[0].0].content_hash;
-        let id = SoftBlockId(arena.len());
-        arena.push(SoftBlock {
-            id,
-            kind: SoftBlockKind::Composite {
-                pattern: Pattern::Data,
-                children,
-                link_widths: vec![],
-            },
-            resources,
-            content_hash: hash_composite("data", &[child_hash], members.len() as u64),
-        });
-        let new_idx = work.len();
-        work.push(WorkNode {
-            block: id,
-            hash: arena[id.0].content_hash,
-            alive: true,
-        });
-        for &g in &members {
-            work[g].alive = false;
-        }
-        let mut new_out: HashMap<usize, u64> = HashMap::new();
-        let mut new_in: HashMap<usize, u64> = HashMap::new();
-        edges.retain(|&(a, b), w| {
-            let a_in = member_set.contains(&a);
-            let b_in = member_set.contains(&b);
-            if a_in && b_in {
-                false
-            } else if a_in {
-                *new_out.entry(b).or_insert(0) += *w;
-                false
-            } else if b_in {
-                *new_in.entry(a).or_insert(0) += *w;
-                false
-            } else {
-                true
-            }
-        });
-        for (n, w) in new_out {
-            *edges.entry((new_idx, n)).or_insert(0) += w;
-        }
-        for (n, w) in new_in {
-            *edges.entry((n, new_idx)).or_insert(0) += w;
-        }
-        // One merge per call: the strict steps re-run first.
-        return true;
     }
     false
 }
 
 /// Step 4: merge chains under pipeline parents.
-fn group_pipelines(
-    work: &mut Vec<WorkNode>,
-    edges: &mut BTreeMap<(usize, usize), u64>,
-    arena: &mut Vec<SoftBlock>,
-    stats: &mut DecomposeStats,
-) -> bool {
-    let n = work.len();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for i in 0..n {
-        if work[i].alive {
-            adj[i] = undirected_neighbors(edges, i);
-        }
-    }
-    let degree: Vec<usize> = adj.iter().map(Vec::len).collect();
+fn group_pipelines(g: &mut WorkGraph, stats: &mut DecomposeStats) -> bool {
+    let n = g.nodes.len();
+    let adj: Vec<Vec<usize>> = g
+        .nodes
+        .iter()
+        .map(|node| {
+            if !node.alive {
+                return Vec::new();
+            }
+            let mut a: Vec<usize> = node.neighbors().map(|(m, _, _)| m).collect();
+            a.sort_unstable();
+            a.dedup();
+            a
+        })
+        .collect();
 
     // A node can sit inside a chain iff it has one or two neighbors; branch
     // nodes (degree >= 3, e.g. a broadcast source feeding every lane) stay
     // outside so identical lanes remain identical.
     let pathable: Vec<bool> = (0..n)
-        .map(|i| work[i].alive && (1..=2).contains(&degree[i]))
+        .map(|i| g.nodes[i].alive && (1..=2).contains(&adj[i].len()))
         .collect();
     let path_adj: Vec<Vec<usize>> = (0..n)
         .map(|i| {
@@ -610,77 +511,18 @@ fn group_pipelines(
         }
     }
 
-    let mut merged_any = false;
+    let merged_any = !chains.is_empty();
     for mut chain in chains {
-        merged_any = true;
         stats.pipeline_groups += 1;
         // Orient the chain along the dataflow direction: count forward vs
         // backward directed edges and flip if the flow runs the other way.
-        let forward: usize = chain
-            .windows(2)
-            .filter(|w| edges.contains_key(&(w[0], w[1])))
-            .count();
-        let backward: usize = chain
-            .windows(2)
-            .filter(|w| edges.contains_key(&(w[1], w[0])))
-            .count();
+        let drives = |a: usize, b: usize| g.nodes[a].out.contains_key(&b);
+        let forward = chain.windows(2).filter(|w| drives(w[0], w[1])).count();
+        let backward = chain.windows(2).filter(|w| drives(w[1], w[0])).count();
         if backward > forward {
             chain.reverse();
         }
-        let children: Vec<SoftBlockId> = chain.iter().map(|&i| work[i].block).collect();
-        let link_widths: Vec<u64> = chain
-            .windows(2)
-            .map(|w| {
-                edges.get(&(w[0], w[1])).copied().unwrap_or(0)
-                    + edges.get(&(w[1], w[0])).copied().unwrap_or(0)
-            })
-            .collect();
-        let resources: ResourceVec = children.iter().map(|c| arena[c.0].resources).sum();
-        let hashes: Vec<u64> = children.iter().map(|c| arena[c.0].content_hash).collect();
-        let id = SoftBlockId(arena.len());
-        arena.push(SoftBlock {
-            id,
-            kind: SoftBlockKind::Composite {
-                pattern: Pattern::Pipeline,
-                children,
-                link_widths,
-            },
-            resources,
-            content_hash: hash_composite("pipe", &hashes, 0),
-        });
-        let new_idx = work.len();
-        work.push(WorkNode {
-            block: id,
-            hash: arena[id.0].content_hash,
-            alive: true,
-        });
-        let chain_set: std::collections::HashSet<usize> = chain.iter().copied().collect();
-        let mut new_out: HashMap<usize, u64> = HashMap::new();
-        let mut new_in: HashMap<usize, u64> = HashMap::new();
-        edges.retain(|&(a, b), w| {
-            let a_in = chain_set.contains(&a);
-            let b_in = chain_set.contains(&b);
-            if a_in && b_in {
-                false
-            } else if a_in {
-                *new_out.entry(b).or_insert(0) += *w;
-                false
-            } else if b_in {
-                *new_in.entry(a).or_insert(0) += *w;
-                false
-            } else {
-                true
-            }
-        });
-        for &c in &chain {
-            work[c].alive = false;
-        }
-        for (n2, w) in new_out {
-            *edges.entry((new_idx, n2)).or_insert(0) += w;
-        }
-        for (n2, w) in new_in {
-            *edges.entry((n2, new_idx)).or_insert(0) += w;
-        }
+        g.merge(&chain, Pattern::Pipeline);
     }
     merged_any
 }
@@ -701,9 +543,9 @@ fn hash_leaf(node: &FlatNode) -> u64 {
     }
 }
 
-fn hash_composite(kind: &str, child_hashes: &[u64], count: u64) -> u64 {
+fn hash_composite(kind: &str, child_hashes: impl IntoIterator<Item = u64>, count: u64) -> u64 {
     let mut h = hash_str(kind);
-    for &c in child_hashes {
+    for c in child_hashes {
         h ^= c;
         h = h.wrapping_mul(0x100_0000_01b3);
     }

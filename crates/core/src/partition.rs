@@ -247,8 +247,8 @@ impl PartitionTree {
     /// # Errors
     ///
     /// Returns [`CoreError::NoSuchVariant`] for unit counts outside
-    /// `1..=max_units()`, exactly mirroring [`units_for`]
-    /// (`PartitionTree::units_for`); previously `cut_bandwidth_for(0)`
+    /// `1..=max_units()`, exactly mirroring
+    /// [`units_for`](PartitionTree::units_for); previously `cut_bandwidth_for(0)`
     /// answered `Ok(0)` for a deployment that cannot exist.
     pub fn cut_bandwidth_for(&self, units: usize) -> Result<u64, CoreError> {
         if units == 0 || units > self.max_units() {
@@ -306,7 +306,6 @@ mod tests {
                 uram_kb: 0,
                 dsps: 0,
             },
-            content_hash: 1,
         }
     }
 
@@ -327,7 +326,6 @@ mod tests {
                 uram_kb: 0,
                 dsps: 0,
             },
-            content_hash: 2,
         });
         SoftBlockTree::new(blocks, SoftBlockId(4))
     }
@@ -349,7 +347,6 @@ mod tests {
                 uram_kb: 0,
                 dsps: 0,
             },
-            content_hash: 3,
         });
         SoftBlockTree::new(blocks, SoftBlockId(8))
     }

@@ -10,7 +10,7 @@
 
 use vfpga_fabric::ResourceVec;
 
-use crate::softblock::{Pattern, SoftBlock, SoftBlockId, SoftBlockKind, SoftBlockTree};
+use crate::softblock::{push_block, Pattern, SoftBlock, SoftBlockId, SoftBlockKind, SoftBlockTree};
 
 /// An incremental soft-block tree builder.
 ///
@@ -46,19 +46,15 @@ impl TreeBuilder {
         resources: ResourceVec,
     ) -> SoftBlockId {
         let behavior = behavior.into();
-        let id = SoftBlockId(self.blocks.len());
-        let content_hash = fnv(&format!("leaf:{behavior}"));
-        self.blocks.push(SoftBlock {
-            id,
-            kind: SoftBlockKind::Leaf {
+        push_block(
+            &mut self.blocks,
+            SoftBlockKind::Leaf {
                 path: path.into(),
                 module: behavior.clone(),
                 behavior: Some(behavior),
             },
             resources,
-            content_hash,
-        });
-        id
+        )
     }
 
     /// Adds a data-parallel block over `children`.
@@ -68,20 +64,7 @@ impl TreeBuilder {
     /// Panics if `children` is empty or a child id is unknown.
     pub fn data(&mut self, children: Vec<SoftBlockId>) -> SoftBlockId {
         assert!(!children.is_empty(), "data block needs children");
-        let resources = self.sum(&children);
-        let hash = self.mix("data", &children);
-        let id = SoftBlockId(self.blocks.len());
-        self.blocks.push(SoftBlock {
-            id,
-            kind: SoftBlockKind::Composite {
-                pattern: Pattern::Data,
-                children,
-                link_widths: vec![],
-            },
-            resources,
-            content_hash: hash,
-        });
-        id
+        self.composite(Pattern::Data, children, vec![])
     }
 
     /// Adds a pipeline block over `children` with the given inter-stage
@@ -98,20 +81,7 @@ impl TreeBuilder {
             children.len() - 1,
             "one link width per adjacent pair"
         );
-        let resources = self.sum(&children);
-        let hash = self.mix("pipe", &children);
-        let id = SoftBlockId(self.blocks.len());
-        self.blocks.push(SoftBlock {
-            id,
-            kind: SoftBlockKind::Composite {
-                pattern: Pattern::Pipeline,
-                children,
-                link_widths,
-            },
-            resources,
-            content_hash: hash,
-        });
-        id
+        self.composite(Pattern::Pipeline, children, link_widths)
     }
 
     /// Finishes the tree with `root` as its root.
@@ -124,27 +94,23 @@ impl TreeBuilder {
         SoftBlockTree::new(self.blocks, root)
     }
 
-    fn sum(&self, children: &[SoftBlockId]) -> ResourceVec {
-        children.iter().map(|c| self.blocks[c.0].resources).sum()
+    fn composite(
+        &mut self,
+        pattern: Pattern,
+        children: Vec<SoftBlockId>,
+        link_widths: Vec<u64>,
+    ) -> SoftBlockId {
+        let resources = children.iter().map(|c| self.blocks[c.0].resources).sum();
+        push_block(
+            &mut self.blocks,
+            SoftBlockKind::Composite {
+                pattern,
+                children,
+                link_widths,
+            },
+            resources,
+        )
     }
-
-    fn mix(&self, kind: &str, children: &[SoftBlockId]) -> u64 {
-        let mut h = fnv(kind);
-        for c in children {
-            h ^= self.blocks[c.0].content_hash;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h
-    }
-}
-
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// Builds the Fig. 2c **reduction pattern** from the two primitives: a

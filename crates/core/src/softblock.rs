@@ -69,9 +69,21 @@ pub struct SoftBlock {
     pub kind: SoftBlockKind,
     /// Estimated spatial resources of the subtree.
     pub resources: ResourceVec,
-    /// Structural content hash: equal hashes mean interchangeable blocks
-    /// (the equivalence the data-parallel pattern requires).
-    pub content_hash: u64,
+}
+
+/// Appends a block to an arena under construction, with the next id.
+pub(crate) fn push_block(
+    arena: &mut Vec<SoftBlock>,
+    kind: SoftBlockKind,
+    resources: ResourceVec,
+) -> SoftBlockId {
+    let id = SoftBlockId(arena.len());
+    arena.push(SoftBlock {
+        id,
+        kind,
+        resources,
+    });
+    id
 }
 
 impl SoftBlock {
@@ -322,7 +334,6 @@ mod tests {
                 uram_kb: 0,
                 dsps: 1,
             },
-            content_hash: 42,
         }
     }
 
@@ -338,7 +349,6 @@ mod tests {
                     link_widths: vec![],
                 },
                 resources: ResourceVec::ZERO,
-                content_hash: 7,
             },
             leaf(2, "tile"),
             leaf(3, "tile"),
@@ -350,7 +360,6 @@ mod tests {
                     link_widths: vec![64],
                 },
                 resources: ResourceVec::ZERO,
-                content_hash: 8,
             },
         ];
         SoftBlockTree::new(blocks, SoftBlockId(4))
@@ -401,7 +410,6 @@ mod tests {
                     link_widths: vec![],
                 },
                 resources: ResourceVec::ZERO,
-                content_hash: 0,
             },
         ];
         SoftBlockTree::new(blocks, SoftBlockId(1));
@@ -428,7 +436,6 @@ mod tests {
                     link_widths: vec![],
                 },
                 resources: ResourceVec::ZERO,
-                content_hash: 0,
             },
         ];
         SoftBlockTree::new(blocks, SoftBlockId(2));

@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use vfpga_fabric::ResourceVec;
 use vfpga_rtl::{Design, FlatNode, ModuleDecl, PortDir};
 
-use crate::softblock::{Pattern, SoftBlock, SoftBlockId, SoftBlockKind, SoftBlockTree};
+use crate::softblock::{push_block, Pattern, SoftBlock, SoftBlockId, SoftBlockKind, SoftBlockTree};
 use crate::CoreError;
 
 /// Decomposes the module `top` top-down into a soft-block tree.
@@ -69,18 +69,13 @@ fn lower(
             module: module.name.clone(),
             behavior: module.behavior.clone(),
         };
-        let id = SoftBlockId(arena.len());
-        arena.push(SoftBlock {
-            id,
-            kind: SoftBlockKind::Leaf {
-                path: node.path.clone(),
-                module: node.module.clone(),
-                behavior: node.behavior.clone(),
-            },
-            resources: leaf_resources(&node),
-            content_hash: design.canonical_hash(module_name)?,
-        });
-        return Ok(id);
+        let resources = leaf_resources(&node);
+        let kind = SoftBlockKind::Leaf {
+            path: node.path,
+            module: node.module,
+            behavior: node.behavior,
+        };
+        return Ok(push_block(arena, kind, resources));
     }
 
     // Recursively lower children first.
@@ -125,37 +120,23 @@ fn lower(
         users.values().all(|&n| n < 2)
     };
 
-    let id = SoftBlockId(arena.len());
-    if all_equivalent && independent {
-        let child_hash = arena[children[0].0].content_hash;
-        arena.push(SoftBlock {
-            id,
-            kind: SoftBlockKind::Composite {
-                pattern: Pattern::Data,
-                children,
-                link_widths: vec![],
-            },
-            resources,
-            content_hash: mix("data", &[child_hash], hashes.len() as u64),
-        });
-        return Ok(id);
-    }
-
-    // Chain detection over instance connections: order instances along
-    // driver->reader edges if they form a linear chain.
-    let (ordered, link_widths) = chain_order(module, &children);
-    let child_hashes: Vec<u64> = ordered.iter().map(|&c| arena[c.0].content_hash).collect();
-    arena.push(SoftBlock {
-        id,
-        kind: SoftBlockKind::Composite {
+    let kind = if all_equivalent && independent {
+        SoftBlockKind::Composite {
+            pattern: Pattern::Data,
+            children,
+            link_widths: vec![],
+        }
+    } else {
+        // Chain detection over instance connections: order instances along
+        // driver->reader edges if they form a linear chain.
+        let (ordered, link_widths) = chain_order(module, &children);
+        SoftBlockKind::Composite {
             pattern: Pattern::Pipeline,
             children: ordered,
             link_widths,
-        },
-        resources,
-        content_hash: mix("pipe", &child_hashes, 0),
-    });
-    Ok(id)
+        }
+    };
+    Ok(push_block(arena, kind, resources))
 }
 
 /// Orders a module's children along the dataflow if they form a chain;
@@ -236,19 +217,6 @@ fn chain_order(module: &ModuleDecl, children: &[SoftBlockId]) -> (Vec<SoftBlockI
         })
         .collect();
     (order.iter().map(|&i| children[i]).collect(), widths)
-}
-
-fn mix(kind: &str, child_hashes: &[u64], count: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in kind.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    for &c in child_hashes {
-        h ^= c;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h ^ count
 }
 
 #[cfg(test)]

@@ -131,11 +131,6 @@ impl ResourceVec {
     pub fn uram_mb(&self) -> f64 {
         self.uram_kb as f64 / 1024.0
     }
-
-    /// Whether every component is zero.
-    pub fn is_zero(&self) -> bool {
-        *self == ResourceVec::ZERO
-    }
 }
 
 impl Add for ResourceVec {

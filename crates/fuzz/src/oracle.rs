@@ -533,7 +533,6 @@ fn build_soft_tree(spec: &TreeSpec) -> SoftBlockTree {
                         uram_kb: 0,
                         dsps: *dsps,
                     },
-                    content_hash: id.0 as u64,
                 });
                 id
             }
@@ -554,7 +553,6 @@ fn build_soft_tree(spec: &TreeSpec) -> SoftBlockTree {
                         link_widths,
                     },
                     resources,
-                    content_hash: id.0 as u64,
                 });
                 id
             }

@@ -131,11 +131,6 @@ impl F16 {
         (self.0 & 0x7C00) != 0x7C00
     }
 
-    /// Whether this value is subnormal.
-    pub fn is_subnormal(self) -> bool {
-        (self.0 & 0x7C00) == 0 && (self.0 & 0x03FF) != 0
-    }
-
     /// The negation of this value (sign-bit flip, exact).
     #[allow(clippy::should_implement_trait)] // std::ops::Neg is also implemented
     pub fn neg(self) -> F16 {

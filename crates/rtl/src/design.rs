@@ -119,11 +119,6 @@ impl Design {
         self.modules.is_empty()
     }
 
-    /// Names of all basic (leaf) modules.
-    pub fn basic_modules(&self) -> impl Iterator<Item = &ModuleDecl> {
-        self.modules.values().filter(|m| m.is_basic())
-    }
-
     /// Counts the basic-module instances in the fully elaborated hierarchy
     /// under `top`.
     ///

@@ -1,6 +1,6 @@
 //! The flattened block graph of basic-module instances.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use crate::module::PortDir;
 
@@ -39,7 +39,6 @@ pub struct FlatGraph {
     nodes: Vec<FlatNode>,
     /// Directed edges keyed `(from, to)`.
     edges: BTreeMap<(usize, usize), u64>,
-    adjacency: Vec<Vec<usize>>,
     ext_in: Vec<u64>,
     ext_out: Vec<u64>,
 }
@@ -50,8 +49,9 @@ impl FlatGraph {
         pins: Vec<(usize, String, usize, u32, PortDir)>,
         externals: Vec<(usize, String, PortDir, u32)>,
     ) -> Self {
-        // Group pins by net root.
-        let mut by_net: HashMap<usize, Vec<(usize, u32, PortDir)>> = HashMap::new();
+        // Group pins by net root. The map is ordered so the edge map below
+        // is filled in the same order on every run.
+        let mut by_net: BTreeMap<usize, Vec<(usize, u32, PortDir)>> = BTreeMap::new();
         for (node, _port, net, width, dir) in &pins {
             by_net.entry(*net).or_default().push((*node, *width, *dir));
         }
@@ -94,19 +94,9 @@ impl FlatGraph {
                 }
             }
         }
-        let mut adjacency = vec![Vec::new(); nodes.len()];
-        for &(a, b) in edges.keys() {
-            if !adjacency[a].contains(&b) {
-                adjacency[a].push(b);
-            }
-            if !adjacency[b].contains(&a) {
-                adjacency[b].push(a);
-            }
-        }
         FlatGraph {
             nodes,
             edges,
-            adjacency,
             ext_in,
             ext_out,
         }
@@ -148,9 +138,21 @@ impl FlatGraph {
         self.edges.get(&(a.0, b.0)).copied().unwrap_or(0)
     }
 
-    /// Ids of nodes sharing at least one net with `id` (either direction).
-    pub fn neighbors(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.adjacency[id.0].iter().map(|&n| NodeId(n))
+    /// Ids of nodes sharing at least one net with `id` (either
+    /// direction), ascending. Scans every edge.
+    pub fn neighbors(&self, id: NodeId) -> impl Iterator<Item = NodeId> {
+        let mut out: Vec<usize> = self
+            .edges
+            .keys()
+            .filter_map(|&(a, b)| match (a == id.0, b == id.0) {
+                (true, _) => Some(b),
+                (_, true) => Some(a),
+                _ => None,
+            })
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out.into_iter().map(NodeId)
     }
 
     /// Total bit width of `id`'s reads from the top module's input ports.

@@ -137,8 +137,9 @@ impl RunMonitor {
     /// Closes the run at `end`, evaluates the configured SLOs, and
     /// returns the report. When the run's trace ring dropped events,
     /// rollup windows that predate its oldest retained event are marked
-    /// truncated, so the artifact never presents partial windows as
-    /// measurements.
+    /// truncated. The mark records that the ring no longer covers those
+    /// windows; their counts are whole, since [`RunMonitor::fold`] saw
+    /// every event as it happened.
     pub(crate) fn finish(self, end: SimTime, trace: &TraceRing) -> MonitorReport {
         let RunMonitor {
             config,
@@ -199,7 +200,9 @@ impl RunMonitor {
 pub struct MonitorReport {
     /// The SLO specs that were evaluated.
     pub specs: Vec<SloSpec>,
-    /// Rollup cells marked truncated because the trace ring overflowed.
+    /// Rollup cells marked truncated because the trace ring overflowed
+    /// before their windows. Their counts are still whole: the monitor
+    /// folds every event, not the ring's retained ones.
     pub truncated_windows: usize,
     /// The per-key tumbling-window rollups.
     pub rollups: RollupSet,

@@ -10,11 +10,12 @@
 //! horizons ([`RollupSet::merged`]) and per-window quantiles stay within
 //! the configured relative error.
 //!
-//! When the trace ring the stream was read from has dropped events,
-//! windows that predate the oldest retained event are marked
-//! [`truncated`](WindowStats::truncated): their counts are a lower bound,
-//! not a measurement, and the artifact says so instead of reporting
-//! silently-low numbers.
+//! When the run's trace ring has dropped events, windows that predate the
+//! oldest retained event can be marked
+//! [`truncated`](WindowStats::truncated). The mark says the retained trace
+//! no longer covers those windows; it does not make their counts short
+//! when the rollups were folded from the live event stream, as the run
+//! monitor folds them.
 
 use std::collections::BTreeMap;
 
@@ -71,8 +72,9 @@ pub struct WindowStats {
     pub occupancy_sum: f64,
     /// Number of occupancy observations.
     pub occupancy_samples: u64,
-    /// The window predates the oldest retained trace event: counts are a
-    /// lower bound, not a measurement.
+    /// The window predates the oldest event the run's trace ring retained:
+    /// the ring alone no longer covers it. Counts folded from the live
+    /// event stream (the run monitor's) are still complete.
     pub truncated: bool,
 }
 
@@ -233,9 +235,9 @@ impl RollupSet {
     }
 
     /// Marks every cell in a window that starts before `oldest_retained`
-    /// as truncated: the trace ring dropped events from the head, so those
-    /// windows saw only part of their stream. Returns how many cells were
-    /// marked.
+    /// as truncated: the trace ring dropped events from the head, so the
+    /// retained trace covers those windows only in part. The cells' counts
+    /// are left as recorded. Returns how many cells were marked.
     pub fn mark_truncated_before(&mut self, oldest_retained: SimTime) -> usize {
         let window = self.window.as_ps();
         let mut marked = 0;

@@ -428,7 +428,6 @@ fn fuzz_counterexample_two_leaf_data_split_conserves_resources() {
             ffs,
             ..ResourceVec::default()
         },
-        content_hash: id as u64,
     };
     let root_resources = ResourceVec {
         luts: 3,
@@ -447,7 +446,6 @@ fn fuzz_counterexample_two_leaf_data_split_conserves_resources() {
                     link_widths: vec![],
                 },
                 resources: root_resources,
-                content_hash: 2,
             },
         ],
         SoftBlockId(2),
