@@ -139,19 +139,34 @@ pub enum Poll {
 }
 
 /// A resumable cycle-level simulation of one program on one accelerator.
+///
+/// The tables consulted per instruction are dense: each matrix register's
+/// output length and tile-engine busy cycles are computed once, in a
+/// `Vec` indexed by matrix register (ids are `u16`; the table is as long
+/// as the largest id given), and the per-channel send length and send and
+/// receive sequence numbers are one `Vec` indexed by channel, grown to
+/// the largest channel used ([`RemoteWindow::classify`] only yields
+/// channels below `window.channels`). Only the DRAM slot lengths stay a
+/// map: the sync window sits at the top of DRAM, so slot addresses are
+/// sparse.
 pub struct CycleSim {
     model: TimingModel,
     insts: Vec<Instruction>,
-    mat_shapes: HashMap<u16, (usize, usize)>,
+    /// Per matrix register; ids not given to [`CycleSim::new`] (including
+    /// those past the end) are `native_dim` square, as is `square`.
+    mat_ops: Vec<MatOp>,
+    square: MatOp,
     dram_len: HashMap<u32, usize>,
-    vreg_len: Vec<usize>,
-    reg_ready: Vec<u64>,
+    /// Per vector register: the length of its value and the cycle it is
+    /// ready at (register ids are `u8`, so the files are fixed arrays).
+    vreg_len: [usize; 256],
+    reg_ready: [u64; 256],
     window: Option<RemoteWindow>,
     scratch_slots: Vec<u32>,
-    sent_len: HashMap<u32, usize>,
-    send_seq: HashMap<u32, u64>,
-    recv_seq: HashMap<u32, u64>,
+    channels: Vec<Channel>,
     sends: Vec<SendEvent>,
+    /// [`TimingModel::effective_fetch_stall`], paid by every instruction.
+    fetch_stall: u64,
     pc: usize,
     cycle: u64,
     /// Cycle at which the (shared) MVM tile engines become free: matrix
@@ -177,19 +192,29 @@ impl CycleSim {
         dram_len: HashMap<u32, usize>,
     ) -> Self {
         let overhead = model.invocation_overhead;
+        let op = |(rows, cols)| MatOp {
+            rows,
+            busy: model.mvm_busy_cycles(rows, cols),
+        };
+        let square = op((model.native_dim, model.native_dim));
+        let len = mat_shapes.keys().max().map_or(0, |&m| usize::from(m) + 1);
+        let mut mat_ops = vec![square; len];
+        for (m, shape) in mat_shapes {
+            mat_ops[usize::from(m)] = op(shape);
+        }
         CycleSim {
             model,
             insts: program.instructions().to_vec(),
-            mat_shapes,
+            mat_ops,
+            square,
             dram_len,
-            vreg_len: vec![0; 256],
-            reg_ready: vec![0; 256],
+            vreg_len: [0; 256],
+            reg_ready: [0; 256],
             window: None,
             scratch_slots: Vec::new(),
-            sent_len: HashMap::new(),
-            send_seq: HashMap::new(),
-            recv_seq: HashMap::new(),
+            channels: Vec::new(),
             sends: Vec::new(),
+            fetch_stall: model.effective_fetch_stall(),
             pc: 0,
             cycle: overhead,
             mvm_free: overhead,
@@ -244,8 +269,7 @@ impl CycleSim {
                 self.done = true;
                 break;
             };
-            let mut issue =
-                self.operands_ready(&inst).max(self.cycle) + self.model.effective_fetch_stall();
+            let mut issue = self.operands_ready(&inst).max(self.cycle) + self.fetch_stall;
             let completion = match inst {
                 Halt => {
                     self.done = true;
@@ -256,11 +280,11 @@ impl CycleSim {
                 VLoad { dst, addr } => {
                     match self.window.and_then(|w| w.classify(addr)) {
                         Some(RemoteAccess::Recv(chan)) => {
-                            let seq = *self.recv_seq.get(&chan).unwrap_or(&0);
+                            let seq = self.channel(chan).recv_seq;
                             let Some(arrival) = recv_ready(chan, seq) else {
                                 return Poll::Blocked { chan, seq };
                             };
-                            self.recv_seq.insert(chan, seq + 1);
+                            self.channel(chan).recv_seq = seq + 1;
                             let arrival_cycle = self.model.time_to_cycles(arrival);
                             let len = self.recv_len(chan);
                             self.vreg_len[usize::from(dst.0)] = len;
@@ -289,9 +313,10 @@ impl CycleSim {
                     match self.window.and_then(|w| w.classify(addr)) {
                         Some(RemoteAccess::Send(chan)) => {
                             let at_cycle = issue + self.model.send_handoff;
-                            let seq = *self.send_seq.get(&chan).unwrap_or(&0);
-                            self.send_seq.insert(chan, seq + 1);
-                            self.sent_len.insert(chan, len);
+                            let channel = self.channel(chan);
+                            let seq = channel.send_seq;
+                            channel.send_seq = seq + 1;
+                            channel.sent_len = Some(len);
                             self.sends.push(SendEvent {
                                 chan,
                                 seq,
@@ -307,17 +332,17 @@ impl CycleSim {
                     }
                 }
                 MvMul { dst, mat, src } => {
-                    let (rows, cols) = *self
-                        .mat_shapes
-                        .get(&mat.0)
-                        .unwrap_or(&(self.model.native_dim, self.model.native_dim));
+                    let MatOp { rows, busy } = self
+                        .mat_ops
+                        .get(usize::from(mat.0))
+                        .copied()
+                        .unwrap_or(self.square);
                     let _ = src;
                     self.vreg_len[usize::from(dst.0)] = rows;
                     // The tile engines are a shared resource: this op
                     // occupies them for its busy time; the pipeline depth
                     // is latency on top.
                     let start = issue.max(self.mvm_free);
-                    let busy = self.model.mvm_busy_cycles(rows, cols);
                     self.mvm_free = start + busy;
                     let done = start + busy + self.model.mvm_pipeline_depth;
                     self.reg_ready[usize::from(dst.0)] = done;
@@ -349,12 +374,6 @@ impl CycleSim {
                 }
             };
             self.finish = self.finish.max(completion);
-            if std::env::var_os("VFPGA_TRACE").is_some() {
-                eprintln!(
-                    "pc={:4} cycle={:8} issue={:8} done={:8} mvmfree={:8} {inst}",
-                    self.pc, self.cycle, issue, completion, self.mvm_free
-                );
-            }
             // Pipelined issue: the next instruction can issue one cycle
             // after this one entered its unit.
             self.cycle = issue + 1;
@@ -397,12 +416,42 @@ impl CycleSim {
     fn recv_len(&self, chan: u32) -> usize {
         let window = self.window.expect("recv requires a window");
         let own = self
-            .sent_len
-            .get(&chan)
-            .copied()
+            .channels
+            .get(chan as usize)
+            .and_then(|c| c.sent_len)
             .unwrap_or(self.model.native_dim);
         own * window.num_machines
     }
+
+    /// The state of `chan`, growing the table to reach it.
+    fn channel(&mut self, chan: u32) -> &mut Channel {
+        let i = chan as usize;
+        if i >= self.channels.len() {
+            self.channels.resize(i + 1, Channel::default());
+        }
+        &mut self.channels[i]
+    }
+}
+
+/// A matrix register as the tile engines see it: the length of the
+/// vector a multiply produces (the matrix's rows) and the cycles the
+/// multiply occupies the engines ([`TimingModel::mvm_busy_cycles`]).
+#[derive(Debug, Clone, Copy)]
+struct MatOp {
+    rows: usize,
+    busy: u64,
+}
+
+/// The cycle model's state of one remote-window channel.
+#[derive(Debug, Clone, Copy, Default)]
+struct Channel {
+    /// Length of this machine's last send (its slice of the exchanged
+    /// vector); `None` before the first send.
+    sent_len: Option<usize>,
+    /// Sequence number of the next send.
+    send_seq: u64,
+    /// Sequence number of the next receive.
+    recv_seq: u64,
 }
 
 impl std::fmt::Debug for CycleSim {

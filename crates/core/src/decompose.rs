@@ -118,7 +118,7 @@ pub fn decompose(
         .find(|i| i.module == options.control_module)
         .ok_or_else(|| CoreError::MissingControlModule(options.control_module.clone()))?
         .name
-        .clone();
+        .as_str();
 
     // Step 1: build the block graph over the data path; step 2 splits
     // leaves on the way.
@@ -129,8 +129,11 @@ pub fn decompose(
     let mut index_of: Vec<Option<usize>> = vec![None; graph.node_count()];
     for (node_id, node) in graph.nodes() {
         let res = leaf_resources(node);
-        let in_ctrl =
-            node.path == ctrl_instance || node.path.starts_with(&format!("{ctrl_instance}/"));
+        // The control instance itself or anything under `{ctrl_instance}/`.
+        let in_ctrl = node
+            .path
+            .strip_prefix(ctrl_instance)
+            .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'));
         if in_ctrl || options.move_to_control.iter().any(|m| m == &node.module) {
             control_resources += res;
             stats.control_leaves += 1;
@@ -162,7 +165,7 @@ pub fn decompose(
             stats.data_leaves += lanes;
             stats.data_groups += 1;
             let behavior = node.behavior.as_deref().unwrap_or_default();
-            let lane_hash = hash_str(&format!("{behavior}/lane"));
+            let lane_hash = fnv(hash_str(behavior), b"/lane");
             let kind = SoftBlockKind::Composite {
                 pattern: Pattern::Data,
                 children,
@@ -527,19 +530,26 @@ fn group_pipelines(g: &mut WorkGraph, stats: &mut DecomposeStats) -> bool {
     merged_any
 }
 
-fn hash_str(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
+/// Continues an FNV-1a hash `h` over `bytes`: hashing a string in pieces
+/// gives the hash of their concatenation.
+fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
 }
 
+fn hash_str(s: &str) -> u64 {
+    fnv(0xcbf2_9ce4_8422_2325, s.as_bytes())
+}
+
+/// The hash of `leaf:{behavior}`, or of `leaf-module:{module}` for an
+/// untagged leaf.
 fn hash_leaf(node: &FlatNode) -> u64 {
     match &node.behavior {
-        Some(b) => hash_str(&format!("leaf:{b}")),
-        None => hash_str(&format!("leaf-module:{}", node.module)),
+        Some(b) => fnv(hash_str("leaf:"), b.as_bytes()),
+        None => fnv(hash_str("leaf-module:"), node.module.as_bytes()),
     }
 }
 

@@ -342,7 +342,7 @@ fn agree_with_reference(
         v.sort_unstable();
         v
     };
-    let (got, want) = (multiset(fast.edges()), multiset(&reference.edges));
+    let (got, want) = (multiset(&fast.edges()), multiset(&reference.edges));
     if got != want {
         let first = got.iter().zip(&want).position(|(a, b)| a != b);
         return Err(format!(

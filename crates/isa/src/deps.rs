@@ -10,9 +10,12 @@
 //! The graph is built in one left-to-right pass. Every edge found while
 //! visiting instruction `i` ends at `i`, so the edges arrive grouped by
 //! target: predecessors are stored in CSR form (one flat index array plus
-//! offsets) as they are found, and successors are the counting-sort
-//! transpose. Building costs O(n + E) with a constant number of
-//! allocations per register and memory slot touched.
+//! offsets) as they are found, with a parallel one-byte set of the reasons
+//! ([`DepKind`]s) for each, and successors are the counting-sort transpose.
+//! Building costs O(n + E) with a constant number of allocations per
+//! register and memory slot touched. The reorder reads only the
+//! predecessor and successor lists; [`DepGraph::edges`] expands the kind
+//! sets into one [`DepEdge`] per reason on demand.
 
 use std::collections::HashMap;
 
@@ -32,6 +35,23 @@ pub enum DepKind {
     /// Ordering against a `halt`: everything before it precedes it, and
     /// everything after it follows it.
     Control,
+}
+
+impl DepKind {
+    /// The order in which [`DepGraph::edges`] lists the reasons for one
+    /// `(from, to)` pair (the order the builder finds them in).
+    const LISTED: [DepKind; 5] = [
+        DepKind::Control,
+        DepKind::Raw,
+        DepKind::Mem,
+        DepKind::War,
+        DepKind::Waw,
+    ];
+
+    /// This kind's bit in a kind set.
+    const fn bit(self) -> u8 {
+        1 << self as u8
+    }
 }
 
 /// One dependency edge: instruction `from` must execute before `to`.
@@ -57,10 +77,12 @@ struct MemSlot {
 #[derive(Debug, Clone)]
 pub struct DepGraph {
     len: usize,
-    edges: Vec<DepEdge>,
     /// `preds[pred_off[i]..pred_off[i + 1]]` are the predecessors of `i`.
     pred_off: Vec<usize>,
     preds: Vec<usize>,
+    /// `kinds[k]` is the set of reasons for the edge `preds[k]` → `i`, one
+    /// [`DepKind::bit`] each.
+    kinds: Vec<u8>,
     /// `succs[succ_off[i]..succ_off[i + 1]]` are the successors of `i`.
     succ_off: Vec<usize>,
     succs: Vec<usize>,
@@ -70,12 +92,12 @@ impl DepGraph {
     /// Builds the dependency graph of an instruction sequence.
     pub fn build(insts: &[Instruction]) -> Self {
         let n = insts.len();
-        let mut edges = Vec::new();
         let mut pred_off = Vec::with_capacity(n + 1);
         pred_off.push(0);
         let mut preds = Vec::new();
-        // The edges ending at the instruction being visited.
-        let mut step: Vec<DepEdge> = Vec::new();
+        let mut kinds = Vec::new();
+        // The `(from, kind)` edges ending at the instruction being visited.
+        let mut step: Vec<(usize, DepKind)> = Vec::new();
         // Register hazards, indexed by register number.
         let mut last_def: [Option<usize>; 256] = [None; 256];
         let mut uses_since_def: Vec<Vec<usize>> = vec![Vec::new(); 256];
@@ -84,73 +106,75 @@ impl DepGraph {
         let mut last_halt = None;
 
         for (i, inst) in insts.iter().enumerate() {
-            let mut edge = |from, kind| step.push(DepEdge { from, to: i, kind });
             if matches!(inst, Instruction::Halt) {
                 // A halt is a full barrier: it must stay after everything
-                // before it ...
-                for j in 0..i {
-                    edge(j, DepKind::Control);
-                }
+                // before it, for control only ...
+                preds.extend(0..i);
+                kinds.resize(preds.len(), DepKind::Control.bit());
+                pred_off.push(preds.len());
                 last_halt = Some(i);
-            } else {
-                // ... and before everything after it.
-                if let Some(h) = last_halt {
-                    edge(h, DepKind::Control);
-                }
-                for r in inst.uses() {
-                    if let Some(d) = last_def[usize::from(r.0)] {
-                        edge(d, DepKind::Raw);
-                    }
-                }
-                if let Some(addr) = inst.mem_read() {
-                    let slot = mem.entry(addr).or_default();
-                    if let Some(s) = slot.last_store {
-                        edge(s, DepKind::Mem);
-                    }
-                    slot.loads_since_store.push(i);
-                }
-                if let Some(addr) = inst.mem_write() {
-                    let slot = mem.entry(addr).or_default();
-                    for &l in &slot.loads_since_store {
-                        edge(l, DepKind::Mem);
-                    }
-                    if let Some(s) = slot.last_store {
-                        edge(s, DepKind::Mem);
-                    }
-                    slot.last_store = Some(i);
-                    slot.loads_since_store.clear();
-                }
-                if let Some(d) = inst.defs() {
-                    let d = usize::from(d.0);
-                    for &r in &uses_since_def[d] {
-                        if r != i {
-                            edge(r, DepKind::War);
-                        }
-                    }
-                    if let Some(prev) = last_def[d] {
-                        edge(prev, DepKind::Waw);
-                    }
-                    last_def[d] = Some(i);
-                    uses_since_def[d].clear();
-                }
-                // Record uses after handling the def so `vadd v1, v1, v2`
-                // does not produce a spurious WAR on itself.
-                for r in inst.uses() {
-                    uses_since_def[usize::from(r.0)].push(i);
+                continue;
+            }
+            let mut edge = |from, kind| step.push((from, kind));
+            // ... and before everything after it.
+            if let Some(h) = last_halt {
+                edge(h, DepKind::Control);
+            }
+            for r in inst.uses() {
+                if let Some(d) = last_def[usize::from(r.0)] {
+                    edge(d, DepKind::Raw);
                 }
             }
+            if let Some(addr) = inst.mem_read() {
+                let slot = mem.entry(addr).or_default();
+                if let Some(s) = slot.last_store {
+                    edge(s, DepKind::Mem);
+                }
+                slot.loads_since_store.push(i);
+            }
+            if let Some(addr) = inst.mem_write() {
+                let slot = mem.entry(addr).or_default();
+                for &l in &slot.loads_since_store {
+                    edge(l, DepKind::Mem);
+                }
+                if let Some(s) = slot.last_store {
+                    edge(s, DepKind::Mem);
+                }
+                slot.last_store = Some(i);
+                slot.loads_since_store.clear();
+            }
+            if let Some(d) = inst.defs() {
+                let d = usize::from(d.0);
+                for &r in &uses_since_def[d] {
+                    if r != i {
+                        edge(r, DepKind::War);
+                    }
+                }
+                if let Some(prev) = last_def[d] {
+                    edge(prev, DepKind::Waw);
+                }
+                last_def[d] = Some(i);
+                uses_since_def[d].clear();
+            }
+            // Record uses after handling the def so `vadd v1, v1, v2`
+            // does not produce a spurious WAR on itself.
+            for r in inst.uses() {
+                uses_since_def[usize::from(r.0)].push(i);
+            }
 
-            // Group this step's edges by source, keeping push order within
-            // a source (the sort is stable), and drop repeated kinds.
-            step.sort_by_key(|e| e.from);
-            step.dedup_by_key(|e| (e.from, e.kind));
-            for e in &step {
-                if preds.len() == pred_off[i] || preds.last() != Some(&e.from) {
-                    preds.push(e.from);
+            // Group this step's edges by source; the reasons for one
+            // source fold into its kind set.
+            step.sort_unstable_by_key(|&(from, _)| from);
+            for &(from, kind) in &step {
+                if preds.len() == pred_off[i] || preds.last() != Some(&from) {
+                    preds.push(from);
+                    kinds.push(0);
+                }
+                if let Some(set) = kinds.last_mut() {
+                    *set |= kind.bit();
                 }
             }
             pred_off.push(preds.len());
-            edges.extend_from_slice(&step);
             step.clear();
         }
 
@@ -174,9 +198,9 @@ impl DepGraph {
 
         DepGraph {
             len: n,
-            edges,
             pred_off,
             preds,
+            kinds,
             succ_off,
             succs,
         }
@@ -194,9 +218,22 @@ impl DepGraph {
 
     /// All dependency edges, ordered by `to`, then `from`. Each `(from,
     /// to, kind)` triple appears once; a pair ordered for two reasons
-    /// (say RAW and WAR) has one edge per reason.
-    pub fn edges(&self) -> &[DepEdge] {
-        &self.edges
+    /// (say RAW and WAR) has one edge per reason. Built on each call from
+    /// the predecessor lists and their kind sets.
+    pub fn edges(&self) -> Vec<DepEdge> {
+        let mut edges = Vec::with_capacity(self.preds.len());
+        for to in 0..self.len {
+            let range = self.pred_off[to]..self.pred_off[to + 1];
+            for (&from, &set) in self.preds[range.clone()].iter().zip(&self.kinds[range]) {
+                edges.extend(
+                    DepKind::LISTED
+                        .into_iter()
+                        .filter(|kind| set & kind.bit() != 0)
+                        .map(|kind| DepEdge { from, to, kind }),
+                );
+            }
+        }
+        edges
     }
 
     /// Indices of instructions that must execute before `i`, ascending

@@ -1,6 +1,7 @@
 //! A design: a set of modules, validation, and hierarchy flattening.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Range;
 
 use crate::graph::{FlatGraph, FlatNode};
 use crate::module::{ModuleDecl, PortDir};
@@ -193,102 +194,184 @@ impl Design {
             .get(top)
             .ok_or_else(|| RtlError::UnknownModule(top.to_string()))?;
 
+        let mut plans = Plans::default();
+        let top_plan = plans.plan(self, top_module)?;
         let mut fl = Flattener {
-            design: self,
+            plans: &plans,
             nodes: Vec::new(),
             nets: UnionFind::new(),
-            net_ids: HashMap::new(),
-            // (node, port, net-root) triples, resolved after traversal.
             pins: Vec::new(),
-            stack: Vec::new(),
         };
-
-        // Top-level ports are external nets.
-        let mut externals = Vec::new();
-        for p in &top_module.ports {
-            let id = fl.net_id("", &p.name);
-            externals.push((id, p.name.clone(), p.dir, p.width));
-        }
-        fl.visit(top_module, "")?;
+        // Top-level ports are the first nets of the top context.
+        let base = fl.nets.fresh_block(plans.plans[top_plan].nets);
+        fl.visit(top_plan, base, "");
 
         let Flattener {
             nodes,
             mut nets,
-            pins,
+            mut pins,
             ..
         } = fl;
-        let externals: Vec<(usize, String, PortDir, u32)> = externals
-            .into_iter()
-            .map(|(id, name, dir, w)| (nets.find(id), name, dir, w))
+        let externals: Vec<(usize, PortDir, u32)> = top_module
+            .ports
+            .iter()
+            .enumerate()
+            .map(|(j, p)| (nets.find(base + j), p.dir, p.width))
             .collect();
-        let pins: Vec<(usize, String, usize, u32, PortDir)> = pins
-            .into_iter()
-            .map(|(node, port, net, w, dir)| (node, port, nets.find(net), w, dir))
-            .collect();
+        for pin in &mut pins {
+            pin.1 = nets.find(pin.1);
+        }
         Ok(FlatGraph::build(nodes, pins, externals))
     }
 }
 
-struct Flattener<'a> {
-    design: &'a Design,
-    nodes: Vec<FlatNode>,
-    nets: UnionFind,
-    net_ids: HashMap<(String, String), usize>,
-    pins: Vec<(usize, String, usize, u32, PortDir)>,
-    stack: Vec<String>,
+/// How one module flattens, resolved once per module rather than once per
+/// instance: its nets are numbered locally (ports in declaration order,
+/// then wires in name order), and each instance's connections are pairs
+/// of (child port index, local net index).
+struct ModulePlan<'a> {
+    module: &'a ModuleDecl,
+    /// Local nets: ports plus wires.
+    nets: usize,
+    /// This module's instances in [`Plans::instances`].
+    instances: Range<usize>,
 }
 
-impl<'a> Flattener<'a> {
-    fn net_id(&mut self, ctx: &str, net: &str) -> usize {
-        let key = (ctx.to_string(), net.to_string());
-        if let Some(&id) = self.net_ids.get(&key) {
-            return id;
-        }
-        let id = self.nets.fresh();
-        self.net_ids.insert(key, id);
-        id
-    }
+struct InstancePlan<'a> {
+    name: &'a str,
+    /// Index of the instantiated module's plan.
+    child: usize,
+    /// This instance's connections in [`Plans::connections`].
+    connections: Range<usize>,
+}
 
-    fn visit(&mut self, module: &'a ModuleDecl, ctx: &str) -> Result<(), RtlError> {
-        if self.stack.iter().any(|m| m == &module.name) {
+/// The plans of every module reachable from the flattened top, in flat
+/// arrays.
+#[derive(Default)]
+struct Plans<'a> {
+    plans: Vec<ModulePlan<'a>>,
+    instances: Vec<InstancePlan<'a>>,
+    /// `(child port, local net)` per connection.
+    connections: Vec<(usize, usize)>,
+    index: HashMap<&'a str, usize>,
+    /// Modules being planned, to reject recursive hierarchies.
+    stack: Vec<&'a str>,
+    /// Reused per module: the local net index of each of its names.
+    local: HashMap<&'a str, usize>,
+}
+
+impl<'a> Plans<'a> {
+    /// Plans `module` and everything under it; returns its plan's index.
+    fn plan(&mut self, design: &'a Design, module: &'a ModuleDecl) -> Result<usize, RtlError> {
+        if let Some(&i) = self.index.get(module.name.as_str()) {
+            return Ok(i);
+        }
+        if self.stack.contains(&module.name.as_str()) {
             return Err(RtlError::RecursiveHierarchy(module.name.clone()));
         }
-        self.stack.push(module.name.clone());
+        // Children first, so this module's instances are contiguous.
+        self.stack.push(&module.name);
         for inst in &module.instances {
-            let child = self
-                .design
+            let child = design
                 .modules
                 .get(&inst.module)
                 .ok_or_else(|| RtlError::UnknownModule(inst.module.clone()))?;
-            let child_ctx = if ctx.is_empty() {
-                inst.name.clone()
-            } else {
-                format!("{ctx}/{}", inst.name)
-            };
-            // Union each connected child port with the enclosing net.
-            for (port, net) in &inst.connections {
-                let outer = self.net_id(ctx, net);
-                let inner = self.net_id(&child_ctx, port);
-                self.nets.union(outer, inner);
-            }
-            if child.is_basic() {
-                let node_id = self.nodes.len();
-                self.nodes.push(FlatNode {
-                    path: child_ctx.clone(),
-                    module: child.name.clone(),
-                    behavior: child.behavior.clone(),
-                });
-                for p in &child.ports {
-                    let net = self.net_id(&child_ctx, &p.name);
-                    self.pins
-                        .push((node_id, p.name.clone(), net, p.width, p.dir));
-                }
-            } else {
-                self.visit(child, &child_ctx)?;
-            }
+            self.plan(design, child)?;
         }
         self.stack.pop();
-        Ok(())
+
+        self.local.clear();
+        let names = module.ports.iter().map(|p| p.name.as_str());
+        let names = names.chain(module.wires.keys().map(String::as_str));
+        for (i, name) in names.enumerate() {
+            self.local.insert(name, i);
+        }
+        let first_instance = self.instances.len();
+        for inst in &module.instances {
+            let child = self
+                .index
+                .get(inst.module.as_str())
+                .copied()
+                .ok_or_else(|| RtlError::UnknownModule(inst.module.clone()))?;
+            let child_module = self.plans[child].module;
+            let first = self.connections.len();
+            for (port, net) in &inst.connections {
+                let p = child_module
+                    .ports
+                    .iter()
+                    .position(|p| &p.name == port)
+                    .ok_or_else(|| RtlError::UnknownPort {
+                        module: child_module.name.clone(),
+                        port: port.clone(),
+                    })?;
+                let n = *self
+                    .local
+                    .get(net.as_str())
+                    .ok_or_else(|| RtlError::UnknownNet {
+                        module: module.name.clone(),
+                        net: net.clone(),
+                    })?;
+                self.connections.push((p, n));
+            }
+            self.instances.push(InstancePlan {
+                name: &inst.name,
+                child,
+                connections: first..self.connections.len(),
+            });
+        }
+        let i = self.plans.len();
+        self.plans.push(ModulePlan {
+            module,
+            nets: module.ports.len() + module.wires.len(),
+            instances: first_instance..self.instances.len(),
+        });
+        self.index.insert(&module.name, i);
+        Ok(i)
+    }
+}
+
+/// Walks the planned hierarchy once, numbering every net and recording
+/// every basic-module pin. Each visited instance takes a fresh block of
+/// net ids, one per local net of its module, so a net's id is its
+/// context's base plus its local index.
+struct Flattener<'p, 'a> {
+    plans: &'p Plans<'a>,
+    nodes: Vec<FlatNode>,
+    nets: UnionFind,
+    /// `(node, net, width, direction)` per basic-module port.
+    pins: Vec<(usize, usize, u32, PortDir)>,
+}
+
+impl Flattener<'_, '_> {
+    fn visit(&mut self, plan: usize, base: usize, path: &str) {
+        let plans = self.plans;
+        for inst in &plans.instances[plans.plans[plan].instances.clone()] {
+            let child = &plans.plans[inst.child];
+            let child_base = self.nets.fresh_block(child.nets);
+            let child_path = if path.is_empty() {
+                inst.name.to_string()
+            } else {
+                format!("{path}/{}", inst.name)
+            };
+            // Union each connected child port with the enclosing net.
+            for &(port, net) in &plans.connections[inst.connections.clone()] {
+                self.nets.union(base + net, child_base + port);
+            }
+            let module = child.module;
+            if module.is_basic() {
+                let node_id = self.nodes.len();
+                for (j, p) in module.ports.iter().enumerate() {
+                    self.pins.push((node_id, child_base + j, p.width, p.dir));
+                }
+                self.nodes.push(FlatNode {
+                    path: child_path,
+                    module: module.name.clone(),
+                    behavior: module.behavior.clone(),
+                });
+            } else {
+                self.visit(inst.child, child_base, &child_path);
+            }
+        }
     }
 }
 
@@ -302,10 +385,11 @@ impl UnionFind {
         UnionFind { parent: Vec::new() }
     }
 
-    fn fresh(&mut self) -> usize {
-        let id = self.parent.len();
-        self.parent.push(id);
-        id
+    /// Adds `count` singleton sets; returns the first one's id.
+    fn fresh_block(&mut self, count: usize) -> usize {
+        let first = self.parent.len();
+        self.parent.extend(first..first + count);
+        first
     }
 
     fn find(&mut self, x: usize) -> usize {

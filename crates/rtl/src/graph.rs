@@ -1,7 +1,5 @@
 //! The flattened block graph of basic-module instances.
 
-use std::collections::BTreeMap;
-
 use crate::module::PortDir;
 
 /// Identifies a node (one basic-module instance) in a [`FlatGraph`].
@@ -37,47 +35,51 @@ pub struct EdgeRef {
 #[derive(Debug, Clone, Default)]
 pub struct FlatGraph {
     nodes: Vec<FlatNode>,
-    /// Directed edges keyed `(from, to)`.
-    edges: BTreeMap<(usize, usize), u64>,
+    /// Directed edges `((from, to), width)`, sorted by `(from, to)`.
+    edges: Vec<((usize, usize), u64)>,
     ext_in: Vec<u64>,
     ext_out: Vec<u64>,
 }
 
 impl FlatGraph {
+    /// Builds the graph from `(node, net, width, direction)` pins and
+    /// `(net, direction, width)` top-level ports.
     pub(crate) fn build(
         nodes: Vec<FlatNode>,
-        pins: Vec<(usize, String, usize, u32, PortDir)>,
-        externals: Vec<(usize, String, PortDir, u32)>,
+        mut pins: Vec<(usize, usize, u32, PortDir)>,
+        externals: Vec<(usize, PortDir, u32)>,
     ) -> Self {
-        // Group pins by net root. The map is ordered so the edge map below
-        // is filled in the same order on every run.
-        let mut by_net: BTreeMap<usize, Vec<(usize, u32, PortDir)>> = BTreeMap::new();
-        for (node, _port, net, width, dir) in &pins {
-            by_net.entry(*net).or_default().push((*node, *width, *dir));
-        }
+        // Group pins by net; the sort is stable, so each net keeps its
+        // pins in visit order.
+        pins.sort_by_key(|&(_, net, _, _)| net);
+        let members_of = |net: usize| {
+            let lo = pins.partition_point(|p| p.1 < net);
+            let hi = pins.partition_point(|p| p.1 <= net);
+            &pins[lo..hi]
+        };
         let mut ext_in = vec![0u64; nodes.len()];
         let mut ext_out = vec![0u64; nodes.len()];
-        for (net, _name, dir, width) in &externals {
-            if let Some(members) = by_net.get(net) {
-                for &(node, _, pin_dir) in members {
-                    match (dir, pin_dir) {
-                        // A top-level input feeds nodes that read the net.
-                        (PortDir::Input, PortDir::Input) => ext_in[node] += u64::from(*width),
-                        // A top-level output is driven by nodes that drive it.
-                        (PortDir::Output, PortDir::Output) => ext_out[node] += u64::from(*width),
-                        _ => {}
-                    }
+        for &(net, dir, width) in &externals {
+            for &(node, _, _, pin_dir) in members_of(net) {
+                match (dir, pin_dir) {
+                    // A top-level input feeds nodes that read the net.
+                    (PortDir::Input, PortDir::Input) => ext_in[node] += u64::from(width),
+                    // A top-level output is driven by nodes that drive it.
+                    (PortDir::Output, PortDir::Output) => ext_out[node] += u64::from(width),
+                    _ => {}
                 }
             }
         }
-        let mut edges: BTreeMap<(usize, usize), u64> = BTreeMap::new();
-        for members in by_net.values() {
+        let mut edges: Vec<((usize, usize), u64)> = Vec::new();
+        let mut drivers: Vec<(usize, u32)> = Vec::new();
+        let mut readers: Vec<(usize, u32)> = Vec::new();
+        for members in pins.chunk_by(|a, b| a.1 == b.1) {
             // Each distinct driver-reader node pair sees the net's width
             // once: a node reading one net through two ports still only
             // needs the net's wires routed to it.
-            let mut drivers: Vec<(usize, u32)> = Vec::new();
-            let mut readers: Vec<(usize, u32)> = Vec::new();
-            for &(node, width, dir) in members {
+            drivers.clear();
+            readers.clear();
+            for &(node, _, width, dir) in members {
                 let list = match dir {
                     PortDir::Output => &mut drivers,
                     PortDir::Input => &mut readers,
@@ -89,17 +91,33 @@ impl FlatGraph {
             for &(driver, dw) in &drivers {
                 for &(reader, rw) in &readers {
                     if reader != driver {
-                        *edges.entry((driver, reader)).or_insert(0) += u64::from(dw.min(rw));
+                        edges.push(((driver, reader), u64::from(dw.min(rw))));
                     }
                 }
             }
         }
+        // Sum the contributions of every net joining the same pair.
+        edges.sort_by_key(|&(pair, _)| pair);
+        edges.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
         FlatGraph {
             nodes,
             edges,
             ext_in,
             ext_out,
         }
+    }
+
+    /// Directed width from node index `a` to `b` (zero if unconnected).
+    fn width(&self, a: usize, b: usize) -> u64 {
+        self.edges
+            .binary_search_by_key(&(a, b), |&(pair, _)| pair)
+            .map_or(0, |i| self.edges[i].1)
     }
 
     /// Number of nodes (basic-module instances).
@@ -119,7 +137,7 @@ impl FlatGraph {
 
     /// Iterates over all directed edges.
     pub fn edges(&self) -> impl Iterator<Item = EdgeRef> + '_ {
-        self.edges.iter().map(|(&(a, b), &width)| EdgeRef {
+        self.edges.iter().map(|&((a, b), width)| EdgeRef {
             from: NodeId(a),
             to: NodeId(b),
             width,
@@ -129,13 +147,12 @@ impl FlatGraph {
     /// Total connecting bit width between two nodes in either direction
     /// (zero if unconnected).
     pub fn edges_between(&self, a: NodeId, b: NodeId) -> u64 {
-        self.edges.get(&(a.0, b.0)).copied().unwrap_or(0)
-            + self.edges.get(&(b.0, a.0)).copied().unwrap_or(0)
+        self.width(a.0, b.0) + self.width(b.0, a.0)
     }
 
     /// Directed width from `a` to `b` only.
     pub fn edge_from_to(&self, a: NodeId, b: NodeId) -> u64 {
-        self.edges.get(&(a.0, b.0)).copied().unwrap_or(0)
+        self.width(a.0, b.0)
     }
 
     /// Ids of nodes sharing at least one net with `id` (either
@@ -143,8 +160,8 @@ impl FlatGraph {
     pub fn neighbors(&self, id: NodeId) -> impl Iterator<Item = NodeId> {
         let mut out: Vec<usize> = self
             .edges
-            .keys()
-            .filter_map(|&(a, b)| match (a == id.0, b == id.0) {
+            .iter()
+            .filter_map(|&((a, b), _)| match (a == id.0, b == id.0) {
                 (true, _) => Some(b),
                 (_, true) => Some(a),
                 _ => None,
@@ -167,7 +184,7 @@ impl FlatGraph {
 
     /// Sum of all edge weights.
     pub fn total_edge_weight(&self) -> u64 {
-        self.edges.values().sum()
+        self.edges.iter().map(|&(_, w)| w).sum()
     }
 }
 
@@ -195,13 +212,13 @@ mod tests {
             },
         ];
         let pins = vec![
-            (0, "y".to_string(), 10, 8, PortDir::Output),
-            (1, "a".to_string(), 10, 8, PortDir::Input),
-            (1, "y".to_string(), 11, 16, PortDir::Output),
-            (2, "a".to_string(), 11, 16, PortDir::Input),
-            (0, "x".to_string(), 12, 4, PortDir::Input),
+            (0, 10, 8, PortDir::Output),
+            (1, 10, 8, PortDir::Input),
+            (1, 11, 16, PortDir::Output),
+            (2, 11, 16, PortDir::Input),
+            (0, 12, 4, PortDir::Input),
         ];
-        let externals = vec![(12, "x".to_string(), PortDir::Input, 4)];
+        let externals = vec![(12, PortDir::Input, 4)];
         FlatGraph::build(nodes, pins, externals)
     }
 
@@ -245,9 +262,9 @@ mod tests {
             })
             .collect();
         let pins = vec![
-            (0, "y".to_string(), 7, 8, PortDir::Output),
-            (1, "a".to_string(), 7, 8, PortDir::Input),
-            (2, "a".to_string(), 7, 8, PortDir::Input),
+            (0, 7, 8, PortDir::Output),
+            (1, 7, 8, PortDir::Input),
+            (2, 7, 8, PortDir::Input),
         ];
         let g = FlatGraph::build(nodes, pins, vec![]);
         assert_eq!(g.edge_from_to(NodeId(0), NodeId(1)), 8);
@@ -267,9 +284,9 @@ mod tests {
             })
             .collect();
         let pins = vec![
-            (0, "y".to_string(), 7, 8, PortDir::Output),
-            (1, "y".to_string(), 7, 8, PortDir::Output),
-            (2, "a".to_string(), 7, 8, PortDir::Input),
+            (0, 7, 8, PortDir::Output),
+            (1, 7, 8, PortDir::Output),
+            (2, 7, 8, PortDir::Input),
         ];
         let g = FlatGraph::build(nodes, pins, vec![]);
         assert_eq!(g.edge_from_to(NodeId(0), NodeId(2)), 8);

@@ -17,6 +17,8 @@
 //! The `#(behavior="...")` attribute tags a basic module's combinational
 //! function for equivalence checking (see [`crate::Design::canonical_hash`]).
 
+use std::collections::BTreeMap;
+
 use crate::module::{Instance, ModuleDecl, Port, PortDir};
 use crate::{Design, RtlError};
 
@@ -38,43 +40,42 @@ pub fn parse(source: &str) -> Result<Design, RtlError> {
         modules.push(p.module()?);
     }
 
-    // Insert bottom-up: Design::add_module requires children first.
+    // Insert bottom-up: Design::add_module requires children first. Each
+    // round inserts every module whose children are all present, in source
+    // order; if any insertion fails on a semantic error, the round's last
+    // failure is returned.
     let mut design = Design::new();
     let mut remaining = modules;
     while !remaining.is_empty() {
         let before = remaining.len();
-        remaining.retain(|m| {
+        let mut waiting = Vec::new();
+        let mut error = None;
+        for m in remaining {
             let ready = m
                 .instances
                 .iter()
                 .all(|i| design.module(&i.module).is_some());
-            if ready {
-                // add_module can still fail on semantic errors; surface them
-                // by stashing the error. (Handled below via re-validation.)
-                if let Err(e) = design.add_module(m.clone()) {
-                    // Propagate by smuggling through panic-free path: store
-                    // in thread-local? Simpler: validate eagerly here.
-                    ERROR.with(|slot| *slot.borrow_mut() = Some(e));
-                }
-                false
-            } else {
-                true
+            if !ready {
+                waiting.push(m);
+            } else if let Err(e) = design.add_module(m) {
+                error = Some(e);
             }
-        });
-        if let Some(e) = ERROR.with(|slot| slot.borrow_mut().take()) {
+        }
+        if let Some(e) = error {
             return Err(e);
         }
+        remaining = waiting;
         if remaining.len() == before {
             // No progress: an instantiated module is missing (or circular).
             let missing = remaining
                 .iter()
                 .flat_map(|m| m.instances.iter())
-                .map(|i| i.module.clone())
+                .map(|i| &i.module)
                 .find(|name| {
-                    design.module(name).is_none() && !remaining.iter().any(|m| &m.name == name)
+                    design.module(name).is_none() && !remaining.iter().any(|m| &m.name == *name)
                 });
             return Err(match missing {
-                Some(name) => RtlError::UnknownModule(name),
+                Some(name) => RtlError::UnknownModule(name.clone()),
                 None => RtlError::RecursiveHierarchy(remaining[0].name.clone()),
             });
         }
@@ -82,87 +83,79 @@ pub fn parse(source: &str) -> Result<Design, RtlError> {
     Ok(design)
 }
 
-thread_local! {
-    static ERROR: std::cell::RefCell<Option<RtlError>> = const { std::cell::RefCell::new(None) };
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
+/// A token; identifiers and string contents borrow from the source.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'a> {
+    Ident(&'a str),
     Int(u32),
-    Str(String),
+    Str(&'a str),
     Punct(char),
 }
 
-#[derive(Debug, Clone)]
-struct Token {
-    tok: Tok,
+#[derive(Debug, Clone, Copy)]
+struct Token<'a> {
+    tok: Tok<'a>,
     line: usize,
 }
 
-fn lex(source: &str) -> Result<Vec<Token>, RtlError> {
+fn lex(source: &str) -> Result<Vec<Token<'_>>, RtlError> {
+    let bytes = source.as_bytes();
+    // The character starting at byte `i`; ASCII needs no decoding.
+    let char_at = |i: usize| match bytes.get(i) {
+        Some(&b) if b.is_ascii() => Some(char::from(b)),
+        Some(_) => source[i..].chars().next(),
+        None => None,
+    };
     let mut tokens = Vec::new();
     let mut line = 1usize;
-    let mut chars = source.chars().peekable();
-    while let Some(&c) = chars.peek() {
+    let mut i = 0;
+    while let Some(c) = char_at(i) {
+        let start = i;
+        i += c.len_utf8();
         match c {
-            '\n' => {
-                line += 1;
-                chars.next();
-            }
-            c if c.is_whitespace() => {
-                chars.next();
-            }
+            '\n' => line += 1,
+            c if c.is_whitespace() => {}
             '/' => {
-                chars.next();
-                if chars.peek() == Some(&'/') {
-                    for c in chars.by_ref() {
-                        if c == '\n' {
-                            line += 1;
-                            break;
-                        }
-                    }
-                } else {
+                if bytes.get(i) != Some(&b'/') {
                     return Err(RtlError::Parse {
                         line,
                         message: "unexpected `/` (only `//` comments supported)".into(),
                     });
                 }
-            }
-            '"' => {
-                chars.next();
-                let mut s = String::new();
-                loop {
-                    match chars.next() {
-                        Some('"') => break,
-                        Some('\n') | None => {
-                            return Err(RtlError::Parse {
-                                line,
-                                message: "unterminated string".into(),
-                            })
-                        }
-                        Some(c) => s.push(c),
+                match bytes[i..].iter().position(|&b| b == b'\n') {
+                    Some(n) => {
+                        i += n + 1;
+                        line += 1;
                     }
+                    None => i = bytes.len(),
                 }
-                tokens.push(Token {
-                    tok: Tok::Str(s),
-                    line,
-                });
             }
+            '"' => match bytes[i..].iter().position(|&b| b == b'"' || b == b'\n') {
+                Some(n) if bytes[i + n] == b'"' => {
+                    tokens.push(Token {
+                        tok: Tok::Str(&source[i..i + n]),
+                        line,
+                    });
+                    i += n + 1;
+                }
+                _ => {
+                    return Err(RtlError::Parse {
+                        line,
+                        message: "unterminated string".into(),
+                    })
+                }
+            },
             c if c.is_ascii_digit() => {
-                let mut v: u32 = 0;
-                while let Some(&d) = chars.peek() {
-                    if let Some(digit) = d.to_digit(10) {
-                        v = v.checked_mul(10).and_then(|v| v.checked_add(digit)).ok_or(
-                            RtlError::Parse {
-                                line,
-                                message: "integer literal overflow".into(),
-                            },
-                        )?;
-                        chars.next();
-                    } else {
-                        break;
-                    }
+                let mut v = u32::from(c as u8 - b'0');
+                while let Some(digit) = bytes.get(i).and_then(|&b| char::from(b).to_digit(10)) {
+                    v = v
+                        .checked_mul(10)
+                        .and_then(|v| v.checked_add(digit))
+                        .ok_or_else(|| RtlError::Parse {
+                            line,
+                            message: "integer literal overflow".into(),
+                        })?;
+                    i += 1;
                 }
                 tokens.push(Token {
                     tok: Tok::Int(v),
@@ -170,27 +163,20 @@ fn lex(source: &str) -> Result<Vec<Token>, RtlError> {
                 });
             }
             c if c.is_alphabetic() || c == '_' => {
-                let mut s = String::new();
-                while let Some(&d) = chars.peek() {
-                    if d.is_alphanumeric() || d == '_' || d == '$' {
-                        s.push(d);
-                        chars.next();
-                    } else {
-                        break;
-                    }
+                while let Some(d) =
+                    char_at(i).filter(|&d| d.is_alphanumeric() || d == '_' || d == '$')
+                {
+                    i += d.len_utf8();
                 }
                 tokens.push(Token {
-                    tok: Tok::Ident(s),
+                    tok: Tok::Ident(&source[start..i]),
                     line,
                 });
             }
-            '(' | ')' | '[' | ']' | ':' | ';' | ',' | '.' | '#' | '=' => {
-                chars.next();
-                tokens.push(Token {
-                    tok: Tok::Punct(c),
-                    line,
-                });
-            }
+            '(' | ')' | '[' | ']' | ':' | ';' | ',' | '.' | '#' | '=' => tokens.push(Token {
+                tok: Tok::Punct(c),
+                line,
+            }),
             other => {
                 return Err(RtlError::Parse {
                     line,
@@ -202,12 +188,12 @@ fn lex(source: &str) -> Result<Vec<Token>, RtlError> {
     Ok(tokens)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     fn at_end(&self) -> bool {
         self.pos >= self.tokens.len()
     }
@@ -226,12 +212,12 @@ impl Parser {
         }
     }
 
-    fn peek(&self) -> Option<&Tok> {
-        self.tokens.get(self.pos).map(|t| &t.tok)
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.tokens.get(self.pos).map(|t| t.tok)
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.tokens.get(self.pos).map(|t| t.tok.clone());
+    fn next(&mut self) -> Option<Tok<'a>> {
+        let t = self.peek();
         self.pos += 1;
         t
     }
@@ -243,7 +229,7 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, RtlError> {
+    fn expect_ident(&mut self) -> Result<&'a str, RtlError> {
         match self.next() {
             Some(Tok::Ident(s)) => Ok(s),
             other => Err(self.err(format!("expected identifier, found {other:?}"))),
@@ -258,7 +244,7 @@ impl Parser {
     }
 
     fn eat_punct(&mut self, c: char) -> bool {
-        if self.peek() == Some(&Tok::Punct(c)) {
+        if self.peek() == Some(Tok::Punct(c)) {
             self.pos += 1;
             true
         } else {
@@ -305,7 +291,7 @@ impl Parser {
                     }
                 };
                 if key == "behavior" {
-                    behavior = Some(value);
+                    behavior = Some(value.to_string());
                 } else {
                     return Err(self.err(format!("unknown attribute `{key}`")));
                 }
@@ -321,7 +307,7 @@ impl Parser {
         let mut ports = Vec::new();
         if !self.eat_punct(')') {
             loop {
-                let dir = match self.expect_ident()?.as_str() {
+                let dir = match self.expect_ident()? {
                     "input" => PortDir::Input,
                     "output" => PortDir::Output,
                     other => {
@@ -331,7 +317,7 @@ impl Parser {
                 let width = self.range()?;
                 let pname = self.expect_ident()?;
                 ports.push(Port {
-                    name: pname,
+                    name: pname.to_string(),
                     dir,
                     width,
                 });
@@ -349,11 +335,11 @@ impl Parser {
         // Body: wires and instances until `endmodule`.
         loop {
             match self.peek() {
-                Some(Tok::Ident(kw)) if kw == "endmodule" => {
+                Some(Tok::Ident("endmodule")) => {
                     self.pos += 1;
                     break;
                 }
-                Some(Tok::Ident(kw)) if kw == "wire" => {
+                Some(Tok::Ident("wire")) => {
                     self.pos += 1;
                     let width = self.range()?;
                     loop {
@@ -369,7 +355,7 @@ impl Parser {
                     let mod_name = self.expect_ident()?;
                     let inst_name = self.expect_ident()?;
                     self.expect_punct('(')?;
-                    let mut conns: Vec<(String, String)> = Vec::new();
+                    let mut connections = BTreeMap::new();
                     if !self.eat_punct(')') {
                         loop {
                             self.expect_punct('.')?;
@@ -377,7 +363,7 @@ impl Parser {
                             self.expect_punct('(')?;
                             let net = self.expect_ident()?;
                             self.expect_punct(')')?;
-                            conns.push((port, net));
+                            connections.insert(port.to_string(), net.to_string());
                             if !self.eat_punct(',') {
                                 break;
                             }
@@ -385,7 +371,11 @@ impl Parser {
                         self.expect_punct(')')?;
                     }
                     self.expect_punct(';')?;
-                    module.add_instance(Instance::new(inst_name, mod_name, conns));
+                    module.add_instance(Instance {
+                        name: inst_name.to_string(),
+                        module: mod_name.to_string(),
+                        connections,
+                    });
                 }
                 other => {
                     return Err(self.err(format!("expected module body item, found {other:?}")))
@@ -493,6 +483,97 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, RtlError::WidthMismatch { .. }));
+    }
+
+    #[test]
+    fn forward_referenced_width_mismatch_is_reported() {
+        // `top` is declared first, so it is validated in a later round of
+        // the bottom-up insertion, after `pe` is known.
+        let err = parse(
+            r#"
+            module top (input [7:0] x, output [15:0] y);
+              pe u (.a(x), .y(y));
+            endmodule
+            module pe #(behavior="mac") (input [15:0] a, output [15:0] y);
+            endmodule
+            "#,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            RtlError::WidthMismatch {
+                module: "top".into(),
+                detail: "net `x` (8 bits) connected to pe.a (16 bits)".into(),
+            }
+        );
+    }
+
+    #[test]
+    fn forward_referenced_duplicate_instance_is_reported() {
+        let err = parse(
+            r#"
+            module top (input x, output y);
+              wire t;
+              pe u (.a(x), .y(t));
+              pe u (.a(t), .y(y));
+            endmodule
+            module pe #(behavior="buf") (input a, output y);
+            endmodule
+            "#,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            RtlError::DuplicateName {
+                module: "top".into(),
+                name: "u".into(),
+            }
+        );
+    }
+
+    #[test]
+    fn last_error_of_an_insertion_round_is_reported() {
+        // `a` and `b` both become insertable in the same round and both
+        // fail; the later one in source order is the error returned.
+        let err = parse(
+            r#"
+            module a (input [7:0] x);
+              pe u (.a(x));
+            endmodule
+            module b (input x, output y);
+              pe v (.a(x), .y(y));
+              pe v (.a(x), .y(y));
+            endmodule
+            module pe #(behavior="buf") (input [15:0] a, output [15:0] y);
+            endmodule
+            "#,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            RtlError::WidthMismatch {
+                module: "b".into(),
+                detail: "net `x` (1 bits) connected to pe.a (16 bits)".into(),
+            }
+        );
+    }
+
+    #[test]
+    fn non_ascii_source_lexes_by_character() {
+        let d =
+            parse("module pé #(behavior=\"mäc\") (input ä, output ÿ$);\nendmodule\n// ünïcode\n")
+                .unwrap();
+        let m = d.module("pé").unwrap();
+        assert_eq!(m.behavior.as_deref(), Some("mäc"));
+        assert!(m.port("ä").is_some() && m.port("ÿ$").is_some());
+        let err = parse("module m (input a);\n€ndmodule").unwrap_err();
+        assert_eq!(
+            err,
+            RtlError::Parse {
+                line: 2,
+                message: "unexpected character `€`".into(),
+            }
+        );
     }
 
     #[test]
