@@ -19,8 +19,8 @@
 //! Everything is seeded, so a chaos run is exactly reproducible: same
 //! seed, byte-identical report.
 
-use vfpga_runtime::{AdmissionTuning, CloudReport, Policy, DEFAULT_TRACE_CAPACITY};
-use vfpga_sim::{FaultPlan, FaultPlanParams, Json, LinkFaultParams, SimTime, TraceEventKind};
+use vfpga_runtime::{AdmissionTuning, CloudReport, Policy, SimEvent, DEFAULT_TRACE_CAPACITY};
+use vfpga_sim::{FaultPlan, FaultPlanParams, Json, LinkFaultParams, SimTime};
 use vfpga_workload::{generate_workload, Composition, TaskArrival};
 
 use crate::catalog::Catalog;
@@ -176,12 +176,7 @@ impl ChaosReport {
     /// Whether the run exercised the recovery machinery: at least one
     /// deployment was interrupted and at least one migration completed.
     pub fn exercised_recovery(&self) -> bool {
-        self.report.interrupted > 0
-            && self
-                .report
-                .trace
-                .iter()
-                .any(|e| e.kind.label() == "migration_completed")
+        self.report.interrupted > 0 && self.report.migrated > 0
     }
 
     /// Whether the run exercised the interconnect fault machinery end to
@@ -220,8 +215,8 @@ impl ChaosReport {
         let traced: u64 = r
             .trace
             .iter()
-            .filter_map(|e| match &e.kind {
-                TraceEventKind::Retransmit { bytes, .. } => Some(*bytes),
+            .filter_map(|e| match e.event {
+                SimEvent::Retransmit(.., bytes) => Some(bytes),
                 _ => None,
             })
             .sum();

@@ -42,7 +42,7 @@ fn read_leb128(bytes: &[u8], offset: &mut usize) -> Result<u32, IsaError> {
     let mut result: u32 = 0;
     let mut shift = 0u32;
     loop {
-        let byte = *bytes.get(*offset).ok_or(IsaError::Decode {
+        let byte = *bytes.get(*offset).ok_or_else(|| IsaError::Decode {
             offset: *offset,
             message: "truncated LEB128 value".into(),
         })?;
@@ -171,7 +171,7 @@ pub fn decode(bytes: &[u8]) -> Result<Program, IsaError> {
 }
 
 fn take(bytes: &[u8], offset: &mut usize) -> Result<u8, IsaError> {
-    let b = *bytes.get(*offset).ok_or(IsaError::Decode {
+    let b = *bytes.get(*offset).ok_or_else(|| IsaError::Decode {
         offset: *offset,
         message: "truncated instruction".into(),
     })?;

@@ -42,27 +42,23 @@ pub fn parse(source: &str) -> Result<Design, RtlError> {
 
     // Insert bottom-up: Design::add_module requires children first. Each
     // round inserts every module whose children are all present, in source
-    // order; if any insertion fails on a semantic error, the round's last
-    // failure is returned.
+    // order; the first insertion that fails on a semantic error is
+    // returned.
     let mut design = Design::new();
     let mut remaining = modules;
     while !remaining.is_empty() {
         let before = remaining.len();
         let mut waiting = Vec::new();
-        let mut error = None;
         for m in remaining {
             let ready = m
                 .instances
                 .iter()
                 .all(|i| design.module(&i.module).is_some());
-            if !ready {
+            if ready {
+                design.add_module(m)?;
+            } else {
                 waiting.push(m);
-            } else if let Err(e) = design.add_module(m) {
-                error = Some(e);
             }
-        }
-        if let Some(e) = error {
-            return Err(e);
         }
         remaining = waiting;
         if remaining.len() == before {
@@ -532,9 +528,9 @@ mod tests {
     }
 
     #[test]
-    fn last_error_of_an_insertion_round_is_reported() {
+    fn first_error_of_an_insertion_round_is_reported() {
         // `a` and `b` both become insertable in the same round and both
-        // fail; the later one in source order is the error returned.
+        // fail; the first one in source order is the error returned.
         let err = parse(
             r#"
             module a (input [7:0] x);
@@ -552,8 +548,8 @@ mod tests {
         assert_eq!(
             err,
             RtlError::WidthMismatch {
-                module: "b".into(),
-                detail: "net `x` (1 bits) connected to pe.a (16 bits)".into(),
+                module: "a".into(),
+                detail: "net `x` (8 bits) connected to pe.a (16 bits)".into(),
             }
         );
     }

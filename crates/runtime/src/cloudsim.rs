@@ -295,8 +295,12 @@ pub struct CloudReport {
     /// Every metric the run recorded, exportable via
     /// [`MetricsRegistry::to_json`].
     pub metrics: MetricsRegistry,
-    /// The most recent scheduler events (ring buffer).
-    pub trace: TraceRing,
+    /// The most recent scheduler events (ring buffer): every emitted
+    /// [`SimEvent`] except `Tick`, `Backoff`, `LinkHandled`, `Reprovision`
+    /// and `ReprovisionEnded`, a migration's rejections, a queued task's
+    /// rejections after its first, and samples that left their gauge
+    /// unchanged. Export with `trace.to_json(SimEvent::render)`.
+    pub trace: TraceRing<SimEvent>,
     /// The causal span forest of the run: one `task` root per arrival with
     /// contiguous phase children (`queue_wait`, `compute`, `migrate`) plus
     /// nested control-plane markers (`deploy`, `reconfigure`, `backoff`,
@@ -553,6 +557,7 @@ pub fn run_cloud_sim_tuned(
 ) -> Result<CloudReport, RuntimeError> {
     let segments = controller.cluster().ring().segments();
     let n = arrivals.len();
+    let rec = Recorder::new(controller, n, faults.links() > 0, trace_capacity, &tuning);
     let mut sim = CloudSim {
         controller,
         arrivals,
@@ -582,7 +587,7 @@ pub fn run_cloud_sim_tuned(
         link_failed: vec![false; segments],
         link_degraded: vec![false; segments],
         link_rng: Rng::seed_from_u64(faults.seed() ^ 0x4c49_4e4b_434f_5252),
-        rec: Recorder::new(n, segments, faults.links() > 0, trace_capacity, &tuning),
+        rec,
     };
     sim.run()?;
     Ok(sim.finish())
@@ -720,8 +725,9 @@ impl<'a> CloudSim<'a> {
                 Event::Arrival(i) => {
                     self.queue.push_back(i);
                     let tenant = (self.instance_for)(&self.arrivals[i].task);
-                    self.instance[i] = self.controller.instance_id(&tenant)?.index();
-                    self.rec.emit(now, SimEvent::Arrival(i, &tenant));
+                    let instance = self.controller.instance_id(&tenant)?;
+                    self.instance[i] = instance.index();
+                    self.rec.emit(now, SimEvent::Arrival(i, instance));
                 }
                 Event::Completion { task_index, epoch } => {
                     if self.epoch[task_index] != epoch {
@@ -761,8 +767,9 @@ impl<'a> CloudSim<'a> {
                 .iter()
                 .chain(&self.link_degraded)
                 .any(|&l| l);
-            let sample = SimEvent::Sample(depth, c.occupancy(), c.failed_devices(), impaired);
-            self.rec.emit(now, sample);
+            let occupancy = SimEvent::Occupancy(c.occupancy(), c.failed_devices(), impaired);
+            self.rec.emit(now, SimEvent::QueueDepth(depth));
+            self.rec.emit(now, occupancy);
             self.idle_nudges = if nudged && self.controller.stats().deploys == deploys {
                 self.idle_nudges + 1
             } else {
@@ -793,11 +800,11 @@ impl<'a> CloudSim<'a> {
         let deployment = self.take_running(task_index)?;
         self.controller.release(&deployment)?;
         let instance = self.instance_of(task_index);
-        let tenant = self.controller.instance_name(instance)?;
         let device = deployment.placements.first().map(|p| p.device.0 as u64);
         let latency = now.saturating_sub(self.arrivals[task_index].at);
-        let completed = SimEvent::Completed(task_index, tenant, device, latency);
+        let completed = SimEvent::Completed(task_index, instance, device, latency);
         self.rec.emit(now, completed);
+        self.rec.emit(now, SimEvent::Released(task_index));
         Ok(())
     }
 
@@ -1139,9 +1146,8 @@ impl<'a> CloudSim<'a> {
         let started = match self.interrupted_pending[task_index].take() {
             Some((since, old)) => SimEvent::Recovered(task_index, since, old, units, lane),
             None => {
-                let tenant = self.controller.instance_name(instance)?;
                 let waited = now.saturating_sub(self.arrivals[task_index].at);
-                SimEvent::Deployed(task_index, tenant, waited, units, lane)
+                SimEvent::Deployed(task_index, instance, waited, units, lane)
             }
         };
         self.rec.emit(now, started);
@@ -1405,7 +1411,7 @@ impl<'a> CloudSim<'a> {
 /// segment `link`. One exchange of `d` puts its cut bandwidth in bits per
 /// activation on the ring, rounded up to bytes and floored at one byte
 /// so the accounting stays visible for tiny cuts.
-fn resend(task: usize, link: usize, d: &Deployment, attempts: u32) -> SimEvent<'static> {
+fn resend(task: usize, link: usize, d: &Deployment, attempts: u32) -> SimEvent {
     let bytes = d.cut_bandwidth.div_ceil(8).max(1) * attempts as u64;
     SimEvent::Retransmit(task, link, attempts, bytes)
 }
@@ -1416,7 +1422,7 @@ mod tests {
     use crate::controller::Policy;
     use crate::testutil::small_db;
     use vfpga_core::{MappingDatabase, MappingEntry};
-    use vfpga_sim::{FaultPlanParams, LinkFaultEvent, LinkFaultParams, TraceEventKind};
+    use vfpga_sim::{FaultPlanParams, LinkFaultEvent, LinkFaultParams};
     use vfpga_workload::{RnnKind, RnnTask};
 
     fn arrivals(n: usize, gap_us: f64) -> Vec<TaskArrival> {
@@ -1607,7 +1613,7 @@ mod tests {
         assert!(report.mean_occupancy > 0.0);
         // The trace saw every lifecycle event kind.
         let labels: std::collections::BTreeSet<&str> =
-            report.trace.iter().map(|e| e.kind.label()).collect();
+            report.trace.iter().map(|e| e.event.label()).collect();
         for expect in ["arrival", "deploy", "completion", "release", "occupancy"] {
             assert!(labels.contains(expect), "missing {expect} in {labels:?}");
         }
@@ -1644,7 +1650,7 @@ mod tests {
         assert!(report.migrated > 0, "some interruption should recover");
         assert!(report.degraded_time > SimTime::ZERO);
         let labels: std::collections::BTreeSet<&str> =
-            report.trace.iter().map(|e| e.kind.label()).collect();
+            report.trace.iter().map(|e| e.event.label()).collect();
         for expect in ["device_failed", "migration_started", "migration_completed"] {
             assert!(labels.contains(expect), "missing {expect} in {labels:?}");
         }
@@ -1755,7 +1761,7 @@ mod tests {
             );
             if report.lost > 0 {
                 let labels: std::collections::BTreeSet<&str> =
-                    report.trace.iter().map(|e| e.kind.label()).collect();
+                    report.trace.iter().map(|e| e.event.label()).collect();
                 assert!(labels.contains("retry_exhausted"), "{labels:?}");
             }
         }
@@ -2398,7 +2404,7 @@ mod tests {
         assert!(report.migrated > 0);
         assert!(report.link_degraded_time > SimTime::ZERO);
         let labels: std::collections::BTreeSet<&str> =
-            report.trace.iter().map(|e| e.kind.label()).collect();
+            report.trace.iter().map(|e| e.event.label()).collect();
         for expect in ["link_failed", "link_recovered", "migration_started"] {
             assert!(labels.contains(expect), "missing {expect} in {labels:?}");
         }
@@ -2435,7 +2441,7 @@ mod tests {
         // Degraded from 150us to 400us exactly.
         assert!(report.link_degraded_time >= SimTime::from_us(249.0));
         let labels: std::collections::BTreeSet<&str> =
-            report.trace.iter().map(|e| e.kind.label()).collect();
+            report.trace.iter().map(|e| e.event.label()).collect();
         for expect in ["link_degraded", "retransmit"] {
             assert!(labels.contains(expect), "missing {expect} in {labels:?}");
         }
@@ -2457,8 +2463,8 @@ mod tests {
         let traced: u64 = r1
             .trace
             .iter()
-            .filter_map(|e| match &e.kind {
-                TraceEventKind::Retransmit { bytes, .. } => Some(*bytes),
+            .filter_map(|e| match e.event {
+                SimEvent::Retransmit(.., bytes) => Some(bytes),
                 _ => None,
             })
             .sum();

@@ -51,6 +51,7 @@ pub use controller::{
     ScaleDown, SystemController,
 };
 pub use monitor::{MonitorConfig, MonitorReport};
+pub use record::{Interruption, Lane, SimEvent};
 pub use scaleout_sim::{
     co_simulate_functional, co_simulate_timing, co_simulate_timing_faulted, LinkChaos,
     ScaleOutTiming,

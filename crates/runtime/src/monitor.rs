@@ -75,26 +75,22 @@ impl MonitorConfig {
 pub(crate) struct RunMonitor {
     config: MonitorConfig,
     rollups: RollupSet,
-    /// One [`RollupKey::Tenant`] per tenant seen, built on first sight.
-    tenants: BTreeMap<String, RollupKey>,
-}
-
-/// The rollup key of `tenant`, built the first time the tenant is seen.
-fn tenant_key<'a>(tenants: &'a mut BTreeMap<String, RollupKey>, tenant: &str) -> &'a RollupKey {
-    if !tenants.contains_key(tenant) {
-        tenants.insert(tenant.to_string(), RollupKey::Tenant(tenant.to_string()));
-    }
-    &tenants[tenant]
+    /// The [`RollupKey::Tenant`] of each instance, by
+    /// [`InstanceId`](crate::InstanceId) index.
+    tenants: Vec<RollupKey>,
 }
 
 impl RunMonitor {
-    /// Builds a monitor from an enabled config.
-    pub(crate) fn new(config: MonitorConfig) -> Self {
+    /// Builds a monitor from an enabled config for the instances named
+    /// by `instances`, in database order.
+    pub(crate) fn new<'a>(config: MonitorConfig, instances: impl Iterator<Item = &'a str>) -> Self {
         let rollups = RollupSet::new(config.window, config.sketch_error);
         RunMonitor {
             config,
             rollups,
-            tenants: BTreeMap::new(),
+            tenants: instances
+                .map(|name| RollupKey::Tenant(name.into()))
+                .collect(),
         }
     }
 
@@ -102,21 +98,21 @@ impl RunMonitor {
     /// queue waits and completions per tenant (completions per device
     /// too), migrations per device, retransmissions per ring segment,
     /// and occupancy samples, each also into the whole-cluster key.
-    pub(crate) fn fold(&mut self, at: SimTime, event: &SimEvent<'_>) {
+    pub(crate) fn fold(&mut self, at: SimTime, event: &SimEvent) {
         use RollupKey::{Cluster, Device, Segment};
-        let r = &mut self.rollups;
+        let (r, tenants) = (&mut self.rollups, &self.tenants);
         match *event {
-            SimEvent::Arrival(_, tenant) => {
+            SimEvent::Arrival(_, instance) => {
                 r.record_arrival(&Cluster, at);
-                r.record_arrival(tenant_key(&mut self.tenants, tenant), at);
+                r.record_arrival(&tenants[instance.index() as usize], at);
             }
-            SimEvent::Deployed(_, tenant, waited, _, _) => {
+            SimEvent::Deployed(_, instance, waited, _, _) => {
                 r.record_queue_wait(&Cluster, at, waited);
-                r.record_queue_wait(tenant_key(&mut self.tenants, tenant), at, waited);
+                r.record_queue_wait(&tenants[instance.index() as usize], at, waited);
             }
-            SimEvent::Completed(_, tenant, device, latency) => {
+            SimEvent::Completed(_, instance, device, latency) => {
                 r.record_completion(&Cluster, at, latency);
-                r.record_completion(tenant_key(&mut self.tenants, tenant), at, latency);
+                r.record_completion(&tenants[instance.index() as usize], at, latency);
                 if let Some(d) = device {
                     r.record_completion(&Device(d), at, latency);
                 }
@@ -129,7 +125,7 @@ impl RunMonitor {
                 r.record_retransmit(&Cluster, at, bytes);
                 r.record_retransmit(&Segment(link as u64), at, bytes);
             }
-            SimEvent::Sample(_, occupancy, ..) => r.record_occupancy(&Cluster, at, occupancy),
+            SimEvent::Occupancy(occupancy, ..) => r.record_occupancy(&Cluster, at, occupancy),
             _ => {}
         }
     }
@@ -140,7 +136,7 @@ impl RunMonitor {
     /// truncated. The mark records that the ring no longer covers those
     /// windows; their counts are whole, since [`RunMonitor::fold`] saw
     /// every event as it happened.
-    pub(crate) fn finish(self, end: SimTime, trace: &TraceRing) -> MonitorReport {
+    pub(crate) fn finish(self, end: SimTime, trace: &TraceRing<SimEvent>) -> MonitorReport {
         let RunMonitor {
             config,
             mut rollups,
@@ -267,32 +263,36 @@ impl MonitorReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::{InstanceId, Policy, SystemController};
     use crate::record::Interruption;
+    use vfpga_core::MappingDatabase;
+    use vfpga_fabric::Cluster;
 
     fn t(us: f64) -> SimTime {
         SimTime::from_us(us)
     }
 
-    fn arrival(m: &mut RunMonitor, tenant: &str, at: SimTime) {
-        m.fold(at, &SimEvent::Arrival(0, tenant));
+    /// The id at index 0: the monitor's only tenant.
+    fn tenant() -> InstanceId {
+        let db = MappingDatabase::new();
+        SystemController::new(Cluster::paper_cluster(), db, Policy::Full).instance_at(0)
     }
 
-    fn completion(
-        m: &mut RunMonitor,
-        tenant: &str,
-        device: Option<u64>,
-        at: SimTime,
-        latency: SimTime,
-    ) {
-        m.fold(at, &SimEvent::Completed(0, tenant, device, latency));
+    fn arrival(m: &mut RunMonitor, at: SimTime) {
+        m.fold(at, &SimEvent::Arrival(0, tenant()));
     }
 
-    fn monitor_with_slo() -> RunMonitor {
+    fn completion(m: &mut RunMonitor, device: Option<u64>, at: SimTime, latency: SimTime) {
+        m.fold(at, &SimEvent::Completed(0, tenant(), device, latency));
+    }
+
+    fn monitor_with_slo(tenant: &str) -> RunMonitor {
         let mut spec = SloSpec::latency("p95-latency", 0.95, t(80.0));
         spec.fast_windows = 2;
         spec.slow_windows = 4;
         spec.error_budget = 0.1;
-        RunMonitor::new(MonitorConfig::enabled(t(100.0), vec![spec]))
+        let config = MonitorConfig::enabled(t(100.0), vec![spec]);
+        RunMonitor::new(config, [tenant].into_iter())
     }
 
     #[test]
@@ -304,7 +304,7 @@ mod tests {
 
     #[test]
     fn burst_of_slow_completions_fires_and_resolves() {
-        let mut m = monitor_with_slo();
+        let mut m = monitor_with_slo("bw-m");
         // Healthy traffic, then a sustained slow burst, then recovery.
         for i in 0..40u64 {
             let at = t(i as f64 * 100.0 + 50.0);
@@ -313,8 +313,8 @@ mod tests {
             } else {
                 t(40.0)
             };
-            arrival(&mut m, "bw-m", at);
-            completion(&mut m, "bw-m", Some(0), at, latency);
+            arrival(&mut m, at);
+            completion(&mut m, Some(0), at, latency);
         }
         let report = m.finish(t(4000.0), &TraceRing::new(8));
         assert!(report.alerts_fired() >= 1, "{:?}", report.outcomes);
@@ -326,8 +326,8 @@ mod tests {
 
     #[test]
     fn segments_collect_but_are_not_slo_evaluated() {
-        let mut m = monitor_with_slo();
-        completion(&mut m, "bw-s", None, t(10.0), t(20.0));
+        let mut m = monitor_with_slo("bw-s");
+        completion(&mut m, None, t(10.0), t(20.0));
         m.fold(t(15.0), &SimEvent::Retransmit(0, 3, 1, 4096));
         let report = m.finish(t(100.0), &TraceRing::new(8));
         assert!(report
@@ -344,13 +344,13 @@ mod tests {
 
     #[test]
     fn trace_overflow_marks_early_windows() {
-        let mut m = monitor_with_slo();
-        completion(&mut m, "bw-s", None, t(10.0), t(20.0));
-        completion(&mut m, "bw-s", None, t(510.0), t(20.0));
+        let mut m = monitor_with_slo("bw-s");
+        completion(&mut m, None, t(10.0), t(20.0));
+        completion(&mut m, None, t(510.0), t(20.0));
         // A one-event ring that dropped its first event keeps only 450 us.
         let mut trace = TraceRing::new(1);
-        trace.push(t(10.0), vfpga_sim::TraceEventKind::QueueDepth { depth: 1 });
-        trace.push(t(450.0), vfpga_sim::TraceEventKind::QueueDepth { depth: 2 });
+        trace.push(t(10.0), SimEvent::QueueDepth(1));
+        trace.push(t(450.0), SimEvent::QueueDepth(2));
         let report = m.finish(t(600.0), &trace);
         assert!(report.truncated_windows > 0);
         let text = report.to_json().compact();
@@ -360,13 +360,13 @@ mod tests {
     #[test]
     fn report_is_byte_deterministic() {
         let build = || {
-            let mut m = monitor_with_slo();
+            let mut m = monitor_with_slo("bw-l");
             for i in 0..25u64 {
                 let at = t(i as f64 * 40.0);
-                arrival(&mut m, "bw-l", at);
-                m.fold(at, &SimEvent::Deployed(0, "bw-l", t(5.0), 1, None));
-                completion(&mut m, "bw-l", Some(i % 3), at, t(90.0));
-                m.fold(at, &SimEvent::Sample(0, 0.5, 0, false));
+                arrival(&mut m, at);
+                m.fold(at, &SimEvent::Deployed(0, tenant(), t(5.0), 1, None));
+                completion(&mut m, Some(i % 3), at, t(90.0));
+                m.fold(at, &SimEvent::Occupancy(0.5, 0, false));
             }
             let migration = SimEvent::Interrupted(0, 1, Interruption::Device(1));
             m.fold(t(333.0), &migration);

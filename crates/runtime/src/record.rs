@@ -1,26 +1,28 @@
 //! The run recorder: the one place a cloud simulation books what happened.
 //!
 //! The scheduler describes each state transition once, as a [`SimEvent`].
-//! [`Recorder::emit`] folds that event into every sink: the metrics
+//! `Recorder::emit` folds that event into every sink: the metrics
 //! registry, the trace ring, the span forest, the streaming monitor and
 //! the report-only tallies. The sinks agree by construction, and
-//! [`Recorder::finish`] assembles the [`CloudReport`] from them.
+//! `Recorder::finish` assembles the [`CloudReport`] from them. The trace
+//! ring stores the emitted events themselves, minus the ones listed on
+//! [`CloudReport::trace`].
 
 use std::sync::Arc;
 
 use vfpga_sim::{
-    CounterId, CriticalPath, GaugeId, LinkFaultKind, MetricsRegistry, SimTime, SpanCtx, SpanId,
-    SpanTracer, Summary, TimerId, TraceEventKind as Trace, TraceId, TraceRing, CONTROL_TID,
+    CounterId, CriticalPath, GaugeId, Json, LinkFaultKind, MetricsRegistry, SimTime, SpanCtx,
+    SpanId, SpanTracer, Summary, TimerId, TraceId, TraceRing, CONTROL_TID,
 };
 
 use crate::cloudsim::{AdmissionTuning, CloudReport};
-use crate::controller::RejectReason;
+use crate::controller::{InstanceId, RejectReason, SystemController};
 use crate::monitor::RunMonitor;
 
 /// What interrupted a running deployment; decides only the bookkeeping
 /// that differs between the three interruption paths.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Interruption {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Interruption {
     /// The device at this index failed under the deployment.
     Device(usize),
     /// Failures on the ring left no path between the deployment's units;
@@ -32,51 +34,60 @@ pub(crate) enum Interruption {
 
 /// The Chrome-trace `(pid, tid)` a compute phase renders on: its first
 /// unit's device (plus one) and virtual-block slot.
-pub(crate) type Lane = Option<(u64, u64)>;
+pub type Lane = Option<(u64, u64)>;
 
 /// One state transition of a cloud simulation, at the instant it is
-/// emitted with; each variant's doc names its fields. Events carry task
-/// indices, counts and borrowed tenant names only, so emitting one
-/// allocates nothing.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum SimEvent<'a> {
-    /// `(task, tenant)`: a task arrived and joined the admission queue.
-    Arrival(usize, &'a str),
+/// emitted with; each variant's doc names its fields and, for the events
+/// the trace ring keeps, its export label. Events carry task indices,
+/// instance ids and counts only, so emitting or storing one allocates
+/// nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SimEvent {
+    /// `(task, instance)`: a task arrived and joined the admission queue
+    /// (`arrival`).
+    Arrival(usize, InstanceId),
     /// `(task, reason, queued)`: a deployment attempt, from the admission
-    /// queue when `queued` (else from migration), was turned down.
+    /// queue when `queued` (else from migration), was turned down
+    /// (`deploy_rejected`).
     Rejected(usize, RejectReason, bool),
     /// `(task, reason)`: a queued task was not attempted because its
     /// instance is known to be rejected for `reason` at this capacity
     /// epoch. It books what a rejected queued attempt books per task, but
-    /// counts no attempt.
+    /// counts no attempt (`deploy_rejected`).
     Blocked(usize, RejectReason),
-    /// `(task, tenant, waited, units, lane)`: a first deployment.
-    Deployed(usize, &'a str, SimTime, u32, Lane),
+    /// `(task, instance, waited, units, lane)`: a first deployment
+    /// (`deploy`).
+    Deployed(usize, InstanceId, SimTime, u32, Lane),
     /// `(task, since, old_units, units, lane)`: the redeployment of a task
-    /// interrupted at `since` while holding `old_units`.
+    /// interrupted at `since` while holding `old_units`
+    /// (`migration_completed`).
     Recovered(usize, SimTime, u32, u32, Lane),
-    /// `(task, tenant, device, latency)`: a task finished; `device` is its
-    /// first unit's.
-    Completed(usize, &'a str, Option<u64>, SimTime),
+    /// `(task, instance, device, latency)`: a task finished; `device` is
+    /// its first unit's (`completion`).
+    Completed(usize, InstanceId, Option<u64>, SimTime),
+    /// `(task)`: a finished task's deployment was released (`release`).
+    Released(usize),
     /// `(task, device, cause)`: a running task lost its deployment on (or
-    /// first placed on) `device`.
+    /// first placed on) `device` (`migration_started`).
     Interrupted(usize, u64, Interruption),
     /// `(task, attempt, delay)`: a migration attempt failed; the next
     /// follows `delay` later.
     Backoff(usize, u32, SimTime),
     /// `(task, dropped)`: migration retries ran out; the task is lost or
-    /// requeued.
+    /// requeued (`retry_exhausted`).
     RetryExhausted(usize, bool),
     /// `(task, link, attempts, bytes)`: re-sends of a task's state over a
-    /// ring segment.
+    /// ring segment (`retransmit`).
     Retransmit(usize, usize, u32, u64),
-    /// `(task, link, extra_hops)`: a route detoured around a failed segment.
+    /// `(task, link, extra_hops)`: a route detoured around a failed segment
+    /// (`link_rerouted`).
     Rerouted(usize, usize, u64),
-    /// `(device)`: a device failed.
+    /// `(device)`: a device failed (`device_failed`).
     DeviceFailed(usize),
-    /// `(device)`: a failed device came back.
+    /// `(device)`: a failed device came back (`device_recovered`).
     DeviceRecovered(usize),
-    /// `(link, kind)`: a ring segment changed state.
+    /// `(link, kind)`: a ring segment changed state (`link_degraded`,
+    /// `link_failed` or `link_recovered`).
     Link(usize, LinkFaultKind),
     /// `(rerouted, severed)`: what the last segment failure did to the
     /// deployments crossing it.
@@ -85,15 +96,98 @@ pub(crate) enum SimEvent<'a> {
     /// `"promote"` resize; `Resized` or `ReprovisionEnded` follows.
     Reprovision(usize, &'static str),
     /// `(task, from_units, to_units, old_remaining, new_remaining, lane)`:
-    /// a running task was resized (a promotion when it grew).
+    /// a running task was resized, a promotion (`scale_up`) when it grew,
+    /// else a preemption (`preemptive_scale_down`).
     Resized(usize, u32, u32, SimTime, SimTime, Lane),
     /// `(outcome)`: the open reprovision kept or displaced its task.
     ReprovisionEnded(&'static str),
-    /// `(depth, occupancy, failed_devices, links_impaired)`: the cluster
-    /// once an event settled, held until the next.
-    Sample(usize, f64, usize, bool),
+    /// `(depth)`: the admission queue once an event settled
+    /// (`queue_depth`).
+    QueueDepth(usize),
+    /// `(occupancy, failed_devices, links_impaired)`: the cluster once an
+    /// event settled, held until the next (`occupancy`).
+    Occupancy(f64, usize, bool),
     /// The clock reached the next scheduled event.
     Tick,
+}
+
+impl SimEvent {
+    /// The event's stable export label: the one its variant's doc names,
+    /// or the variant's name for events the trace ring never keeps.
+    pub fn label(&self) -> &'static str {
+        match self {
+            SimEvent::Arrival(..) => "arrival",
+            SimEvent::Rejected(..) | SimEvent::Blocked(..) => "deploy_rejected",
+            SimEvent::Deployed(..) => "deploy",
+            SimEvent::Recovered(..) => "migration_completed",
+            SimEvent::Completed(..) => "completion",
+            SimEvent::Released(_) => "release",
+            SimEvent::Interrupted(..) => "migration_started",
+            SimEvent::Backoff(..) => "backoff",
+            SimEvent::RetryExhausted(..) => "retry_exhausted",
+            SimEvent::Retransmit(..) => "retransmit",
+            SimEvent::Rerouted(..) => "link_rerouted",
+            SimEvent::DeviceFailed(_) => "device_failed",
+            SimEvent::DeviceRecovered(_) => "device_recovered",
+            SimEvent::Link(_, LinkFaultKind::Degraded) => "link_degraded",
+            SimEvent::Link(_, LinkFaultKind::Failed) => "link_failed",
+            SimEvent::Link(_, LinkFaultKind::Recovered) => "link_recovered",
+            SimEvent::LinkHandled(..) => "link_handled",
+            SimEvent::Reprovision(..) => "reprovision",
+            SimEvent::Resized(_, from, to, ..) if to > from => "scale_up",
+            SimEvent::Resized(..) => "preemptive_scale_down",
+            SimEvent::ReprovisionEnded(_) => "reprovision_ended",
+            SimEvent::QueueDepth(_) => "queue_depth",
+            SimEvent::Occupancy(..) => "occupancy",
+            SimEvent::Tick => "tick",
+        }
+    }
+
+    /// Appends the event's label and exported fields to `entry`; the
+    /// renderer [`TraceRing::to_json`] takes for [`CloudReport::trace`].
+    pub fn render(&self, entry: Json) -> Json {
+        let entry = entry.with("event", self.label());
+        match *self {
+            SimEvent::Arrival(task, _)
+            | SimEvent::Completed(task, ..)
+            | SimEvent::Released(task)
+            | SimEvent::RetryExhausted(task, _) => entry.with("task", task),
+            SimEvent::Deployed(task, _, _, units, _)
+            | SimEvent::Recovered(task, _, _, units, _) => {
+                entry.with("task", task).with("units", u64::from(units))
+            }
+            SimEvent::Rejected(task, reason, _) | SimEvent::Blocked(task, reason) => {
+                entry.with("task", task).with("reason", reason.as_str())
+            }
+            SimEvent::Interrupted(task, device, _) => {
+                entry.with("task", task).with("device", device)
+            }
+            SimEvent::DeviceFailed(device) | SimEvent::DeviceRecovered(device) => {
+                entry.with("device", device)
+            }
+            SimEvent::Link(link, _) => entry.with("link", link),
+            SimEvent::Retransmit(task, link, attempts, bytes) => entry
+                .with("task", task)
+                .with("link", link)
+                .with("attempts", u64::from(attempts))
+                .with("bytes", bytes),
+            SimEvent::Rerouted(task, link, extra_hops) => entry
+                .with("task", task)
+                .with("link", link)
+                .with("extra_hops", extra_hops),
+            SimEvent::Resized(task, from, to, ..) => entry
+                .with("task", task)
+                .with("from_units", u64::from(from))
+                .with("to_units", u64::from(to)),
+            SimEvent::QueueDepth(depth) => entry.with("depth", depth),
+            SimEvent::Occupancy(fraction, ..) => entry.with("fraction", fraction),
+            SimEvent::Backoff(..)
+            | SimEvent::LinkHandled(..)
+            | SimEvent::Reprovision(..)
+            | SimEvent::ReprovisionEnded(_)
+            | SimEvent::Tick => entry,
+        }
+    }
 }
 
 /// Metric ids of the run. The registry is the only store of the run's
@@ -195,7 +289,7 @@ struct Tally {
     never_deployed: u64,
     last_completion: SimTime,
     /// The last event's time, and the `(occupancy, failed_devices,
-    /// links_impaired)` the cluster held since the last `Sample`.
+    /// links_impaired)` the cluster held since the last `Occupancy`.
     last_tick: SimTime,
     held: (f64, usize, bool),
     /// Sim time with a device failed and occupancy integrated over it.
@@ -209,7 +303,7 @@ struct Tally {
 pub(crate) struct Recorder {
     metrics: MetricsRegistry,
     m: Meters,
-    trace: TraceRing,
+    trace: TraceRing<SimEvent>,
     /// The causal span forest. Per task the phase children of its root
     /// span are kept *contiguous* — at any moment exactly one of
     /// `queue_wait`, `compute`, or `migrate` is open — so the direct
@@ -223,23 +317,26 @@ pub(crate) struct Recorder {
     reprovision: Option<(usize, SpanId)>,
     /// The open `link_failure` span.
     link_failure: Option<SpanId>,
-    /// Tenant names, one shared allocation per instance for every `task`
-    /// span that carries it.
+    /// Instance names by [`InstanceId`] index, one shared allocation per
+    /// instance for every `task` span that carries it; empty when spans
+    /// are off.
     names: Vec<Arc<str>>,
     /// Report-only tallies the registry does not carry.
     t: Tally,
 }
 
 impl Recorder {
-    /// A recorder for `tasks` arrivals on a ring of `segments` segments;
-    /// link metrics register only when the fault plan covers links.
+    /// A recorder for `tasks` arrivals served by `controller`; link
+    /// metrics register only when the fault plan covers links.
     pub(crate) fn new(
+        controller: &SystemController,
         tasks: usize,
-        segments: usize,
         link_faults: bool,
         trace_capacity: usize,
         tuning: &AdmissionTuning,
     ) -> Self {
+        let segments = controller.cluster().ring().segments();
+        let instances = || controller.database().iter().map(|e| e.name.as_str());
         let mut metrics = MetricsRegistry::new();
         let help = if link_faults { &HELP[..] } else { &HELP[..8] };
         for (name, text) in help {
@@ -296,11 +393,17 @@ impl Recorder {
             } else {
                 SpanTracer::disabled()
             },
-            monitor: monitor.enabled.then(|| RunMonitor::new(monitor.clone())),
+            monitor: monitor
+                .enabled
+                .then(|| RunMonitor::new(monitor.clone(), instances())),
             tasks: vec![TaskMarks::default(); tasks],
             reprovision: None,
             link_failure: None,
-            names: Vec::new(),
+            names: if tuning.trace_spans {
+                instances().map(Arc::from).collect()
+            } else {
+                Vec::new()
+            },
             t: Tally::default(),
         }
     }
@@ -322,17 +425,32 @@ impl Recorder {
 
     /// Folds one transition into every sink.
     #[inline]
-    pub(crate) fn emit(&mut self, now: SimTime, event: SimEvent<'_>) {
+    pub(crate) fn emit(&mut self, now: SimTime, event: SimEvent) {
         if let Some(monitor) = self.monitor.as_mut() {
             monitor.fold(now, &event);
         }
+        // The ring keeps every event but these; rejections and samples
+        // decide in their own arms.
+        if !matches!(
+            event,
+            SimEvent::Tick
+                | SimEvent::Backoff(..)
+                | SimEvent::LinkHandled(..)
+                | SimEvent::Reprovision(..)
+                | SimEvent::ReprovisionEnded(_)
+                | SimEvent::Rejected(..)
+                | SimEvent::Blocked(..)
+                | SimEvent::QueueDepth(_)
+                | SimEvent::Occupancy(..)
+        ) {
+            self.trace.push(now, event);
+        }
         match event {
-            SimEvent::Arrival(task, tenant) => {
+            SimEvent::Arrival(task, instance) => {
                 self.metrics.inc(self.m.arrivals);
-                self.trace.push(now, Trace::Arrival { task: task as u64 });
                 let root = self.spans.begin("task", TraceId(task as u64), None, now);
                 if self.spans.is_enabled() {
-                    let name = self.name(tenant);
+                    let name = Arc::clone(&self.names[instance.index() as usize]);
                     self.spans.attr(root, "instance", name);
                 }
                 self.tasks[task].root = Some(root);
@@ -340,14 +458,18 @@ impl Recorder {
             }
             SimEvent::Rejected(task, reason, queued) => {
                 self.metrics.inc(self.m.rejects[reason.index()]);
-                self.book_rejection(now, task, reason, queued);
+                if self.book_rejection(task, reason, queued) {
+                    self.trace.push(now, event);
+                }
             }
-            SimEvent::Blocked(task, reason) => self.book_rejection(now, task, reason, true),
+            SimEvent::Blocked(task, reason) => {
+                if self.book_rejection(task, reason, true) {
+                    self.trace.push(now, event);
+                }
+            }
             SimEvent::Deployed(i, _, waited, units, lane) => {
                 self.time(self.m.queue_wait, waited);
                 self.metrics.inc(self.m.deploys);
-                let task = i as u64;
-                self.trace.push(now, Trace::Deploy { task, units });
                 self.compute(i, units, lane, now);
                 self.tasks[i].deployed_at = now;
             }
@@ -365,37 +487,29 @@ impl Recorder {
                 // controller's lifetime deploy count.
                 self.metrics.inc(self.m.redeployments);
                 self.t.scale_down_redeployments += u64::from(units > old_units);
-                let task = i as u64;
-                self.trace
-                    .push(now, Trace::MigrationCompleted { task, units });
                 self.compute(i, units, lane, now);
                 self.tasks[i].deployed_at = now;
             }
             SimEvent::Completed(i, _, _, latency) => {
                 self.metrics.inc(self.m.completions);
-                self.metrics.inc(self.m.releases);
                 self.time(self.m.latency, latency);
                 self.time(
                     self.m.service,
                     now.saturating_sub(self.tasks[i].deployed_at),
                 );
-                let task = i as u64;
-                self.trace.push(now, Trace::Completion { task });
-                self.trace.push(now, Trace::Release { task });
                 self.end_task(i, "completed", now);
                 self.t.last_completion = now;
             }
+            SimEvent::Released(_) => self.metrics.inc(self.m.releases),
             SimEvent::Interrupted(i, device, cause) => {
                 if let Interruption::Link(_) = cause {
                     // The units are healthy but cut off from each other;
-                    // the scheduler released the footprint itself.
+                    // the scheduler released the footprint itself, and the
+                    // ring keeps no `release` entry for it.
                     self.link_add(|lm| lm.severed, 1);
                     self.metrics.inc(self.m.releases);
                 }
                 self.metrics.inc(self.m.interrupted);
-                let task = i as u64;
-                self.trace
-                    .push(now, Trace::MigrationStarted { task, device });
                 if let Some(phase) = self.tasks[i].phase {
                     match cause {
                         Interruption::Device(d) => self.spans.attr(phase, "interrupted_by", d),
@@ -421,8 +535,6 @@ impl Recorder {
                 self.spans.end(span, now.saturating_add(delay));
             }
             SimEvent::RetryExhausted(task, dropped) => {
-                let t = task as u64;
-                self.trace.push(now, Trace::RetryExhausted { task: t });
                 if let Some(span) = self.tasks[task].phase {
                     let outcome = if dropped { "exhausted" } else { "requeued" };
                     self.spans.attr(span, "outcome", outcome);
@@ -438,38 +550,13 @@ impl Recorder {
                     self.next_phase(task, "queue_wait", now);
                 }
             }
-            SimEvent::Retransmit(task, link, attempts, bytes) => {
-                self.link_add(|lm| lm.retransmits, attempts as u64);
+            SimEvent::Retransmit(_, _, attempts, bytes) => {
+                self.link_add(|lm| lm.retransmits, u64::from(attempts));
                 self.link_add(|lm| lm.retransmit_bytes, bytes);
-                let (task, link, attempts) = (task as u64, link as u64, attempts as u64);
-                let kind = Trace::Retransmit {
-                    task,
-                    link,
-                    attempts,
-                    bytes,
-                };
-                self.trace.push(now, kind);
             }
-            SimEvent::Rerouted(task, link, extra_hops) => {
-                self.link_add(|lm| lm.reroutes, 1);
-                let (task, link) = (task as u64, link as u64);
-                let kind = Trace::LinkRerouted {
-                    task,
-                    link,
-                    extra_hops,
-                };
-                self.trace.push(now, kind);
-            }
-            SimEvent::DeviceFailed(device) => {
-                self.metrics.inc(self.m.device_failures);
-                let device = device as u64;
-                self.trace.push(now, Trace::DeviceFailed { device });
-            }
-            SimEvent::DeviceRecovered(device) => {
-                self.metrics.inc(self.m.device_recoveries);
-                let device = device as u64;
-                self.trace.push(now, Trace::DeviceRecovered { device });
-            }
+            SimEvent::Rerouted(..) => self.link_add(|lm| lm.reroutes, 1),
+            SimEvent::DeviceFailed(_) => self.metrics.inc(self.m.device_failures),
+            SimEvent::DeviceRecovered(_) => self.metrics.inc(self.m.device_recoveries),
             SimEvent::Link(link, kind) => self.link(link, kind, now),
             SimEvent::LinkHandled(rerouted, severed) => {
                 if let Some(span) = self.link_failure.take() {
@@ -488,7 +575,7 @@ impl Recorder {
             }
             SimEvent::Resized(task, from_units, to_units, old_rem, new_rem, lane) => {
                 let grew = to_units > from_units;
-                let (task64, old, new) = (task as u64, old_rem.as_secs(), new_rem.as_secs());
+                let (old, new) = (old_rem.as_secs(), new_rem.as_secs());
                 if let Some((_, span)) = self.reprovision.take() {
                     let outcome = if grew { "promoted" } else { "demoted" };
                     self.spans.attr(span, "outcome", outcome);
@@ -499,22 +586,10 @@ impl Recorder {
                 if grew {
                     self.metrics.inc(self.m.promotions);
                     self.t.units_gained += (to_units - from_units) as u64;
-                    let kind = Trace::ScaleUp {
-                        task: task64,
-                        from_units,
-                        to_units,
-                    };
-                    self.trace.push(now, kind);
                     self.t.promotion_saved.record(old - new);
                 } else {
                     self.metrics.inc(self.m.preemptions);
                     self.t.units_lost += (from_units - to_units) as u64;
-                    let kind = Trace::PreemptiveScaleDown {
-                        task: task64,
-                        from_units,
-                        to_units,
-                    };
-                    self.trace.push(now, kind);
                     self.t.preemption_added.record(new - old);
                 }
                 // The compute phase closes and reopens at the same instant
@@ -527,17 +602,18 @@ impl Recorder {
                     self.spans.end(span, now);
                 }
             }
-            SimEvent::Sample(depth, fraction, failed, impaired) => {
-                self.t.held = (fraction, failed, impaired);
-                // The series coalesce repeats; the trace records changes
-                // only.
-                if self.metrics.gauge_series(self.m.depth).last() != Some(depth as f64) {
-                    let depth = depth as u64;
-                    self.trace.push(now, Trace::QueueDepth { depth });
+            // The series coalesce repeats; the ring keeps changes only.
+            SimEvent::QueueDepth(depth) => {
+                let depth = depth as f64;
+                if self.metrics.gauge_series(self.m.depth).last() != Some(depth) {
+                    self.trace.push(now, event);
                 }
-                self.metrics.set_gauge(self.m.depth, now, depth as f64);
+                self.metrics.set_gauge(self.m.depth, now, depth);
+            }
+            SimEvent::Occupancy(fraction, failed, impaired) => {
+                self.t.held = (fraction, failed, impaired);
                 if self.metrics.gauge_series(self.m.occupancy).last() != Some(fraction) {
-                    self.trace.push(now, Trace::Occupancy { fraction });
+                    self.trace.push(now, event);
                 }
                 self.metrics.set_gauge(self.m.occupancy, now, fraction);
                 let failed = failed as f64;
@@ -561,37 +637,25 @@ impl Recorder {
     }
 
     /// Books a rejection into the task's per-task view: its reason counts
-    /// into `rejected_tasks` once per task, and its first queued rejection
-    /// is traced. Only the first is: under saturation a queued task is
-    /// turned down at every wave and the ring would otherwise hold
-    /// nothing else.
-    fn book_rejection(&mut self, now: SimTime, task: usize, reason: RejectReason, queued: bool) {
+    /// into `rejected_tasks` once per task. Returns whether to trace it:
+    /// only a task's first queued rejection is, since under saturation a
+    /// queued task is turned down at every wave and the ring would
+    /// otherwise hold nothing else.
+    fn book_rejection(&mut self, task: usize, reason: RejectReason, queued: bool) -> bool {
         let marks = &mut self.tasks[task];
         let bit = 1u8 << reason.index();
         if marks.rejected & bit == 0 {
             marks.rejected |= bit;
             self.t.rejected_tasks[reason.index()] += 1;
         }
-        if queued && !marks.traced_reject {
-            marks.traced_reject = true;
-            let (task, reason) = (task as u64, reason.as_str());
-            self.trace.push(now, Trace::DeployRejected { task, reason });
-        }
+        let first = queued && !marks.traced_reject;
+        marks.traced_reject |= queued;
+        first
     }
 
     /// Records one duration sample into a timer, in seconds.
     fn time(&mut self, timer: TimerId, duration: SimTime) {
         self.metrics.record_timer(timer, duration.as_secs());
-    }
-
-    /// The shared name for `tenant`, allocated on its first use.
-    fn name(&mut self, tenant: &str) -> Arc<str> {
-        if let Some(name) = self.names.iter().find(|n| ***n == *tenant) {
-            return Arc::clone(name);
-        }
-        let name: Arc<str> = Arc::from(tenant);
-        self.names.push(Arc::clone(&name));
-        name
     }
 
     /// Adds `n` to a link counter (link events fire only when the plan
@@ -602,15 +666,14 @@ impl Recorder {
         }
     }
 
-    /// A ring segment's transition: its counter and health gauge, trace
-    /// event, and a marker span on the segment's control lane. A failure's
-    /// span stays open until `LinkHandled` reports what it did.
+    /// A ring segment's transition: its counter and health gauge, and a
+    /// marker span on the segment's control lane. A failure's span stays
+    /// open until `LinkHandled` reports what it did.
     fn link(&mut self, link: usize, kind: LinkFaultKind, now: SimTime) {
-        let l = link as u64;
-        let (state, name, trace) = match kind {
-            LinkFaultKind::Degraded => (1.0, "link_degraded", Trace::LinkDegraded { link: l }),
-            LinkFaultKind::Failed => (2.0, "link_failure", Trace::LinkFailed { link: l }),
-            LinkFaultKind::Recovered => (0.0, "link_recovery", Trace::LinkRecovered { link: l }),
+        let (state, name) = match kind {
+            LinkFaultKind::Degraded => (1.0, "link_degraded"),
+            LinkFaultKind::Failed => (2.0, "link_failure"),
+            LinkFaultKind::Recovered => (0.0, "link_recovery"),
         };
         if let Some(lm) = self.m.links.as_ref() {
             let counter = match kind {
@@ -621,9 +684,8 @@ impl Recorder {
             self.metrics.inc(counter);
             self.metrics.set_gauge(lm.state[link], now, state);
         }
-        self.trace.push(now, trace);
         let span = self.spans.begin(name, TraceId::NONE, None, now);
-        self.spans.set_lane(span, l + 1, CONTROL_TID);
+        self.spans.set_lane(span, link as u64 + 1, CONTROL_TID);
         self.spans.attr(span, "segment", link);
         if kind == LinkFaultKind::Failed {
             self.link_failure = Some(span);
@@ -755,5 +817,55 @@ impl Recorder {
             report.arrivals
         );
         report
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::controller::Policy;
+    use vfpga_core::MappingDatabase;
+    use vfpga_fabric::Cluster;
+
+    /// The compact JSON of one ring entry of each of the 19 exported kinds
+    /// (plus `Blocked`, which exports as `Rejected` does), at `t` = 2.5 us.
+    #[test]
+    fn every_ring_kind_renders_its_pinned_fields() {
+        let db = MappingDatabase::new();
+        let instance =
+            SystemController::new(Cluster::paper_cluster(), db, Policy::Full).instance_at(0);
+        let (us, lane) = (SimTime::from_us, Some((2, 1)));
+        let no_free = RejectReason::NoFreeDevice;
+        #[rustfmt::skip]
+        let table = [
+            (SimEvent::Arrival(3, instance), r#""event":"arrival","task":3"#),
+            (SimEvent::Deployed(3, instance, us(1.0), 2, lane), r#""event":"deploy","task":3,"units":2"#),
+            (SimEvent::Rejected(4, no_free, true), r#""event":"deploy_rejected","task":4,"reason":"no_free_device""#),
+            (SimEvent::Blocked(4, no_free), r#""event":"deploy_rejected","task":4,"reason":"no_free_device""#),
+            (SimEvent::Completed(3, instance, Some(1), us(2.0)), r#""event":"completion","task":3"#),
+            (SimEvent::Released(3), r#""event":"release","task":3"#),
+            (SimEvent::DeviceFailed(1), r#""event":"device_failed","device":1"#),
+            (SimEvent::DeviceRecovered(1), r#""event":"device_recovered","device":1"#),
+            (SimEvent::Interrupted(5, 1, Interruption::Device(1)), r#""event":"migration_started","task":5,"device":1"#),
+            (SimEvent::Recovered(5, us(1.0), 2, 4, None), r#""event":"migration_completed","task":5,"units":4"#),
+            (SimEvent::RetryExhausted(6, true), r#""event":"retry_exhausted","task":6"#),
+            (SimEvent::Resized(7, 1, 2, us(3.0), us(2.0), lane), r#""event":"scale_up","task":7,"from_units":1,"to_units":2"#),
+            (SimEvent::Resized(8, 4, 2, us(1.0), us(2.0), lane), r#""event":"preemptive_scale_down","task":8,"from_units":4,"to_units":2"#),
+            (SimEvent::Link(2, LinkFaultKind::Degraded), r#""event":"link_degraded","link":2"#),
+            (SimEvent::Link(2, LinkFaultKind::Failed), r#""event":"link_failed","link":2"#),
+            (SimEvent::Link(2, LinkFaultKind::Recovered), r#""event":"link_recovered","link":2"#),
+            (SimEvent::Retransmit(9, 2, 3, 1920), r#""event":"retransmit","task":9,"link":2,"attempts":3,"bytes":1920"#),
+            (SimEvent::Rerouted(9, 2, 4), r#""event":"link_rerouted","task":9,"link":2,"extra_hops":4"#),
+            (SimEvent::QueueDepth(12), r#""event":"queue_depth","depth":12"#),
+            (SimEvent::Occupancy(0.625, 1, true), r#""event":"occupancy","fraction":0.625"#),
+        ];
+        for (event, fields) in table {
+            let mut ring = TraceRing::new(1);
+            ring.push(us(2.5), event);
+            assert_eq!(
+                ring.to_json(SimEvent::render).compact(),
+                format!(r#"{{"dropped":0,"events":[{{"t":0.0000025,{fields}}}]}}"#),
+            );
+        }
     }
 }

@@ -57,4 +57,4 @@ pub use slo::{evaluate_slo, Alert, AlertState, SloOutcome, SloSpec};
 pub use span::{CriticalPath, PhaseBuckets, Span, SpanCtx, SpanId, SpanTracer, SpanValue, TraceId};
 pub use stats::Summary;
 pub use time::SimTime;
-pub use trace::{TraceEvent, TraceEventKind, TraceRing};
+pub use trace::{TraceEvent, TraceRing};

@@ -16,7 +16,7 @@ use vfpga::fabric::{Cluster, DeviceId, MemoryKind};
 use vfpga::hsabs::{DeviceHealth, HsCompiler};
 use vfpga::runtime::{
     run_cloud_sim_tuned, AdmissionTuning, CloudReport, Deployment, ElasticityPolicy, InstanceId,
-    MonitorConfig, Policy, RecoveryPolicy, SystemController, DEFAULT_TRACE_CAPACITY,
+    MonitorConfig, Policy, RecoveryPolicy, SimEvent, SystemController, DEFAULT_TRACE_CAPACITY,
 };
 use vfpga::sim::{
     chrome_trace_events, prometheus_text, FaultPlan, FaultPlanParams, Json, LinkFaultParams,
@@ -388,6 +388,6 @@ fn kitchen_sink_artifacts_match_pinned_digest() {
     // order and content of the retained scheduler events themselves
     // (956 retained, none dropped).
     assert_eq!((report.trace.len(), report.trace.dropped()), (956, 0));
-    let ring = fnv1a(&[&report.trace.to_json().compact()]);
+    let ring = fnv1a(&[&report.trace.to_json(SimEvent::render).compact()]);
     assert_eq!(ring, 0x1cec_dee3_eb3d_6bcc, "ring digest {ring:#018x}");
 }

@@ -14,9 +14,9 @@
 //!   tasks it promotes, preempts, migrates or re-routes, or in what order.
 
 use vfpga::runtime::{
-    AdmissionTuning, CloudReport, ElasticityPolicy, Policy, DEFAULT_TRACE_CAPACITY,
+    AdmissionTuning, CloudReport, ElasticityPolicy, Policy, SimEvent, DEFAULT_TRACE_CAPACITY,
 };
-use vfpga::sim::{FaultPlan, FaultPlanParams, LinkFaultParams, SimTime, TraceEventKind};
+use vfpga::sim::{FaultPlan, FaultPlanParams, LinkFaultParams, SimTime};
 use vfpga_bench::elastic::{bursty_workload, ElasticConfig};
 use vfpga_bench::Catalog;
 
@@ -133,12 +133,11 @@ fn promotions_never_exceed_the_largest_catalog_variant() {
     assert_eq!(report.trace.dropped(), 0, "ring too small for this sweep");
     let (mut promotions, mut preemptions) = (0u64, 0u64);
     for event in report.trace.iter() {
-        match event.kind {
-            TraceEventKind::ScaleUp {
-                task,
-                from_units,
-                to_units,
-            } => {
+        let SimEvent::Resized(task, from_units, to_units, ..) = event.event else {
+            continue;
+        };
+        match event.event.label() {
+            "scale_up" => {
                 promotions += 1;
                 assert!(
                     to_units > from_units,
@@ -149,18 +148,13 @@ fn promotions_never_exceed_the_largest_catalog_variant() {
                     "task {task}: promoted to {to_units} units, catalog max is {max_units}"
                 );
             }
-            TraceEventKind::PreemptiveScaleDown {
-                task,
-                from_units,
-                to_units,
-            } => {
+            _ => {
                 preemptions += 1;
                 assert!(
                     to_units < from_units,
                     "task {task}: preemption {from_units} -> {to_units} did not shrink"
                 );
             }
-            _ => {}
         }
     }
     assert_eq!(report.promotions, promotions, "counter/trace disagree");
