@@ -23,10 +23,12 @@
 //! FP16-to-BFP converter and vector register file into the control soft
 //! block so the data-path root exposes pure data parallelism (Section 3).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::ops::Range;
 
 use vfpga_fabric::ResourceVec;
-use vfpga_rtl::{Design, FlatNode};
+use vfpga_rtl::{BlockEdge, BlockGraph, Design, FlatNode};
 
 use crate::softblock::{push_block, Pattern, SoftBlock, SoftBlockId, SoftBlockKind, SoftBlockTree};
 use crate::CoreError;
@@ -122,94 +124,22 @@ pub fn decompose(
 
     // Step 1: build the block graph over the data path; step 2 splits
     // leaves on the way.
-    let graph = design.flatten(top)?;
-    let mut control_resources = ResourceVec::ZERO;
+    let graph = design.block_graph(top)?;
     let mut stats = DecomposeStats::default();
-    let mut g = WorkGraph::default();
-    let mut index_of: Vec<Option<usize>> = vec![None; graph.node_count()];
-    for (node_id, node) in graph.nodes() {
-        let res = leaf_resources(node);
-        // The control instance itself or anything under `{ctrl_instance}/`.
-        let in_ctrl = node
-            .path
-            .strip_prefix(ctrl_instance)
-            .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'));
-        if in_ctrl || options.move_to_control.iter().any(|m| m == &node.module) {
-            control_resources += res;
-            stats.control_leaves += 1;
-            continue;
-        }
-        let lanes = node
-            .behavior
-            .as_deref()
-            .and_then(|b| options.intra_parallelism.get(b).copied())
-            .unwrap_or(1);
-        let (block, hash) = if lanes > 1 {
-            // Step 2: split the leaf into `lanes` identical lane blocks
-            // under a data-parallel parent. The parent keeps the leaf's
-            // estimate rather than the sum of the rounded-up lanes.
-            let lane_res = res.div_ceil(lanes as u64);
-            let children: Vec<SoftBlockId> = (0..lanes)
-                .map(|l| {
-                    push_block(
-                        &mut g.arena,
-                        SoftBlockKind::Leaf {
-                            path: format!("{}/lane{l}", node.path),
-                            module: node.module.clone(),
-                            behavior: node.behavior.as_ref().map(|b| format!("{b}_lane")),
-                        },
-                        lane_res,
-                    )
-                })
-                .collect();
-            stats.data_leaves += lanes;
-            stats.data_groups += 1;
-            let behavior = node.behavior.as_deref().unwrap_or_default();
-            let lane_hash = fnv(hash_str(behavior), b"/lane");
-            let kind = SoftBlockKind::Composite {
-                pattern: Pattern::Data,
-                children,
-                link_widths: vec![],
-            };
-            let hash = hash_composite("data", [lane_hash], lanes as u64);
-            (push_block(&mut g.arena, kind, res), hash)
-        } else {
-            stats.data_leaves += 1;
-            let kind = SoftBlockKind::Leaf {
-                path: node.path.clone(),
-                module: node.module.clone(),
-                behavior: node.behavior.clone(),
-            };
-            (push_block(&mut g.arena, kind, res), hash_leaf(node))
-        };
-        index_of[node_id.0] = Some(g.nodes.len());
-        g.nodes.push(WorkNode {
-            block,
-            hash,
-            alive: true,
-            out: BTreeMap::new(),
-            inc: BTreeMap::new(),
-        });
-    }
-    if g.nodes.is_empty() {
-        return Err(CoreError::EmptyDataPath);
-    }
-    for e in graph.edges() {
-        if let (Some(a), Some(b)) = (index_of[e.from.0], index_of[e.to.0]) {
-            *g.nodes[a].out.entry(b).or_insert(0) += e.width;
-            *g.nodes[b].inc.entry(a).or_insert(0) += e.width;
-        }
-    }
+    let (mut g, control_resources) =
+        WorkGraph::build(&graph, ctrl_instance, options, leaf_resources, &mut stats)?;
 
     // Steps 3-5: iterate grouping until fixpoint. When neither strict
     // data-parallel grouping nor pipeline grouping makes progress, fall
     // back to relaxed (matched-lane) grouping, which resolves e.g. the
     // two-lane farm whose block graph is one big cycle.
+    let mut s = GroupBuffers::new(&g);
     loop {
         stats.rounds += 1;
-        let merged_data = group_data_parallel(&mut g, &mut stats);
-        let merged_pipe = group_pipelines(&mut g, &mut stats);
-        if !merged_data && !merged_pipe && !group_data_parallel_relaxed(&mut g, &mut stats) {
+        let merged_data = group_data_parallel(&mut g, &mut s, &mut stats);
+        let merged_pipe = group_pipelines(&mut g, &mut s, &mut stats);
+        if !merged_data && !merged_pipe && !group_data_parallel_relaxed(&mut g, &mut s, &mut stats)
+        {
             break;
         }
     }
@@ -217,12 +147,13 @@ pub fn decompose(
     // Collapse to a single root. An irregular residue is wrapped as a
     // pipeline in work order, using the actual inter-block widths where
     // present.
-    let alive: Vec<usize> = (0..g.nodes.len()).filter(|&i| g.nodes[i].alive).collect();
-    let root = match alive[..] {
+    s.members.clear();
+    s.members.extend(g.live());
+    let root = match s.members[..] {
         [only] => only,
-        _ => g.merge(&alive, Pattern::Pipeline),
+        _ => g.merge(&s.members, Pattern::Pipeline),
     };
-    let root = g.nodes[root].block;
+    let root = SoftBlockId(g.nodes[root as usize].block as usize);
 
     Ok(Decomposition {
         tree: SoftBlockTree::new(g.arena, root),
@@ -232,56 +163,267 @@ pub fn decompose(
 }
 
 /// The decomposer's working graph for steps 3-5: the soft-block arena
-/// under construction plus one node per not-yet-grouped block.
+/// under construction plus one node per block-graph node (same ids; the
+/// control path's are dead from the start) and one per merge.
 ///
-/// Every node carries its own directed adjacency (neighbor index to
-/// connecting bits), and only [`WorkGraph::merge`] rewires it. Edges only
-/// ever join two live nodes: a merge kills its members, drops the edges
-/// among them and moves every outside edge onto the new node. There are
-/// no self edges (the block graph has none and a merge drops intra-group
-/// edges).
-#[derive(Default)]
+/// Adjacency lives in one pool of [`Link`]s: each node owns a sorted run
+/// for its readers and one for the nodes feeding it, filled once from the block
+/// graph's edges. Only [`WorkGraph::merge`] rewires it: the members die,
+/// the new node's runs are appended to the pool, and each outside
+/// neighbor's run is compacted in place (its links to the members become
+/// one link to the new node, which has the largest id, so runs stay
+/// sorted and never grow). Edges only ever join two live nodes, and there
+/// are no self edges (the block graph has none and a merge drops
+/// intra-group edges).
 struct WorkGraph {
     arena: Vec<SoftBlock>,
     nodes: Vec<WorkNode>,
+    pool: Vec<Link>,
+    /// Links in the pool when it was filled: a bound on the live links.
+    links: usize,
+    /// Last group stamp handed out by [`WorkGraph::stamp`].
+    stamp: u32,
 }
 
+#[derive(Debug, Clone, Copy, Default)]
 struct WorkNode {
-    block: SoftBlockId,
+    /// Arena index of this node's block.
+    block: u32,
     /// Structural content hash: equal hashes mean interchangeable blocks
     /// (the equivalence the data-parallel pattern requires).
     hash: u64,
+    /// Readers of this node's outputs, by ascending id.
+    out: Span,
+    /// Nodes feeding this node's inputs, by ascending id.
+    inc: Span,
     alive: bool,
-    /// Readers of this node's outputs: neighbor to bits.
-    out: BTreeMap<usize, u64>,
-    /// Drivers of this node's inputs: neighbor to bits.
-    inc: BTreeMap<usize, u64>,
+    /// Step 2's lane count of a block-graph node.
+    lanes: u32,
+    /// The stamp of the hash group being examined, if this is a member.
+    mark: u32,
 }
 
-impl WorkNode {
-    /// Neighbors as `(neighbor, bits, outgoing)` triples; a neighbor that
-    /// both drives and reads this node appears once per direction.
-    fn neighbors(&self) -> impl Iterator<Item = (usize, u64, bool)> + '_ {
-        let out = self.out.iter().map(|(&n, &w)| (n, w, true));
-        out.chain(self.inc.iter().map(|(&n, &w)| (n, w, false)))
-    }
+/// A neighbor and the bits exchanged with it in one direction.
+#[derive(Debug, Clone, Copy, Default)]
+struct Link {
+    node: u32,
+    bits: u64,
+}
 
-    /// Bits exchanged with `other` in either direction.
-    fn bits_with(&self, other: usize) -> u64 {
-        self.out.get(&other).copied().unwrap_or(0) + self.inc.get(&other).copied().unwrap_or(0)
+/// A run of the link pool.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn range(self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
     }
 }
 
 impl WorkGraph {
-    /// Live node indices grouped by content hash, ascending within a group.
-    fn live_by_hash(&self) -> BTreeMap<u64, Vec<usize>> {
-        let mut by_hash: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        for (i, n) in self.nodes.iter().enumerate() {
-            if n.alive {
-                by_hash.entry(n.hash).or_default().push(i);
+    /// Splits the block graph into control resources and the data path's
+    /// working graph (steps 1 and 2), with every buffer sized up front.
+    fn build(
+        graph: &BlockGraph<'_>,
+        ctrl_instance: &str,
+        options: &DecomposeOptions,
+        leaf_resources: &dyn Fn(&FlatNode) -> ResourceVec,
+        stats: &mut DecomposeStats,
+    ) -> Result<(WorkGraph, ResourceVec), CoreError> {
+        let n = graph.node_count();
+        // Every merge kills at least two nodes and adds one.
+        let mut nodes = Vec::with_capacity(2 * n);
+        // Classify first, to size the arena and the control estimator's
+        // node.
+        let mut blocks = 0;
+        let mut ctrl_len = (0, 0, 0);
+        for id in 0..n as u32 {
+            let node = graph.node(id);
+            let path = graph.path(id);
+            // The control instance itself or anything under `{ctrl_instance}/`.
+            let in_ctrl = path
+                .strip_prefix(ctrl_instance)
+                .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'));
+            if in_ctrl || options.move_to_control.iter().any(|m| m == node.module) {
+                let behavior = node.behavior.map_or(0, str::len);
+                ctrl_len.0 = ctrl_len.0.max(path.len());
+                ctrl_len.1 = ctrl_len.1.max(node.module.len());
+                ctrl_len.2 = ctrl_len.2.max(behavior);
+                nodes.push(WorkNode::default());
+                continue;
+            }
+            let lanes = node
+                .behavior
+                .and_then(|b| options.intra_parallelism.get(b).copied())
+                .unwrap_or(1);
+            blocks += if lanes > 1 { lanes + 1 } else { 1 };
+            nodes.push(WorkNode {
+                alive: true,
+                lanes: u32::try_from(lanes).expect("no design splits a leaf into 2^32 lanes"),
+                ..WorkNode::default()
+            });
+        }
+        let data = nodes.iter().filter(|w| w.alive).count();
+        if data == 0 {
+            return Err(CoreError::EmptyDataPath);
+        }
+
+        // Step 1's leaves and step 2's lane splits; strings are built only
+        // for the leaves of the output tree.
+        let mut arena = Vec::with_capacity(blocks + data - 1);
+        let mut control_resources = ResourceVec::ZERO;
+        let mut ctrl_node: Option<FlatNode> = None;
+        for (id, w) in nodes.iter_mut().enumerate() {
+            let node = graph.node(id as u32);
+            let path = graph.path(id as u32);
+            if !w.alive {
+                let flat = ctrl_node.get_or_insert_with(|| FlatNode {
+                    path: String::with_capacity(ctrl_len.0),
+                    module: String::with_capacity(ctrl_len.1),
+                    behavior: None,
+                });
+                refill(&mut flat.path, path);
+                refill(&mut flat.module, node.module);
+                let spare = flat.behavior.take();
+                flat.behavior = node.behavior.map(|b| {
+                    let mut s = spare.unwrap_or_else(|| String::with_capacity(ctrl_len.2));
+                    refill(&mut s, b);
+                    s
+                });
+                control_resources += leaf_resources(flat);
+                stats.control_leaves += 1;
+                continue;
+            }
+            let lanes = w.lanes as usize;
+            if lanes > 1 {
+                // Step 2: split the leaf into `lanes` identical lane blocks
+                // under a data-parallel parent. The parent keeps the leaf's
+                // estimate rather than the sum of the rounded-up lanes.
+                // Lane 0 extends the estimated node's strings.
+                let mut flat = FlatNode {
+                    path: with_room(path, "/lane0".len()),
+                    module: node.module.to_owned(),
+                    behavior: node.behavior.map(|b| with_room(b, "_lane".len())),
+                };
+                let res = leaf_resources(&flat);
+                let lane_res = res.div_ceil(lanes as u64);
+                flat.path.push_str("/lane0");
+                if let Some(b) = &mut flat.behavior {
+                    b.push_str("_lane");
+                }
+                let first = arena.len();
+                let lane0 = SoftBlockKind::Leaf {
+                    path: flat.path,
+                    module: flat.module,
+                    behavior: flat.behavior,
+                };
+                push_block(&mut arena, lane0, lane_res);
+                for l in 1..lanes {
+                    let mut lane_path = with_room(path, "/lane".len() + decimal_digits(l));
+                    write!(lane_path, "/lane{l}").expect("writing to a String cannot fail");
+                    let leaf = SoftBlockKind::Leaf {
+                        path: lane_path,
+                        module: node.module.to_owned(),
+                        behavior: node.behavior.map(|b| {
+                            let mut s = with_room(b, "_lane".len());
+                            s.push_str("_lane");
+                            s
+                        }),
+                    };
+                    push_block(&mut arena, leaf, lane_res);
+                }
+                stats.data_leaves += lanes;
+                stats.data_groups += 1;
+                let behavior = node.behavior.unwrap_or_default();
+                let lane_hash = fnv(hash_str(behavior), b"/lane");
+                let kind = SoftBlockKind::Composite {
+                    pattern: Pattern::Data,
+                    children: (first..first + lanes).map(SoftBlockId).collect(),
+                    link_widths: vec![],
+                };
+                w.hash = hash_composite("data", [lane_hash], lanes as u64);
+                w.block = push_block(&mut arena, kind, res).0 as u32;
+            } else {
+                let flat = FlatNode {
+                    path: path.to_owned(),
+                    module: node.module.to_owned(),
+                    behavior: node.behavior.map(str::to_owned),
+                };
+                let res = leaf_resources(&flat);
+                stats.data_leaves += 1;
+                w.hash = hash_leaf(node.module, node.behavior);
+                let kind = SoftBlockKind::Leaf {
+                    path: flat.path,
+                    module: flat.module,
+                    behavior: flat.behavior,
+                };
+                w.block = push_block(&mut arena, kind, res).0 as u32;
             }
         }
-        by_hash
+
+        let (pool, links) = link_runs(graph, &mut nodes);
+        let g = WorkGraph {
+            arena,
+            nodes,
+            pool,
+            links,
+            stamp: 0,
+        };
+        Ok((g, control_resources))
+    }
+
+    fn out(&self, i: u32) -> &[Link] {
+        &self.pool[self.nodes[i as usize].out.range()]
+    }
+
+    fn inc(&self, i: u32) -> &[Link] {
+        &self.pool[self.nodes[i as usize].inc.range()]
+    }
+
+    fn alive(&self, i: u32) -> bool {
+        self.nodes[i as usize].alive
+    }
+
+    fn hash(&self, i: u32) -> u64 {
+        self.nodes[i as usize].hash
+    }
+
+    /// Live node ids, ascending.
+    fn live(&self) -> impl Iterator<Item = u32> + '_ {
+        (0..self.nodes.len() as u32).filter(|&i| self.alive(i))
+    }
+
+    /// Neighbors as `(neighbor, bits, outgoing)` triples; a neighbor that
+    /// both drives and reads this node appears once per direction.
+    fn neighbors(&self, i: u32) -> impl Iterator<Item = (u32, u64, bool)> + '_ {
+        let out = self.out(i).iter().map(|l| (l.node, l.bits, true));
+        out.chain(self.inc(i).iter().map(|l| (l.node, l.bits, false)))
+    }
+
+    /// Whether `a` drives `b`.
+    fn drives(&self, a: u32, b: u32) -> bool {
+        self.out(a).binary_search_by_key(&b, |l| l.node).is_ok()
+    }
+
+    /// Bits exchanged between `a` and `b` in either direction.
+    fn bits_with(&self, a: u32, b: u32) -> u64 {
+        let bits = |run: &[Link]| {
+            run.binary_search_by_key(&b, |l| l.node)
+                .map_or(0, |k| run[k].bits)
+        };
+        bits(self.out(a)) + bits(self.inc(a))
+    }
+
+    /// Marks `members` as one group under a fresh stamp; returns it.
+    fn stamp(&mut self, members: impl Iterator<Item = u32>) -> u32 {
+        self.stamp += 1;
+        for m in members {
+            self.nodes[m as usize].mark = self.stamp;
+        }
+        self.stamp
     }
 
     /// Groups the live nodes `members` (in child order) under one new
@@ -289,23 +431,27 @@ impl WorkGraph {
     /// them vanish (artifacts of shared broadcast nets) and each outside
     /// neighbor's edges are summed onto the new node. Pipeline link widths
     /// are the bits between consecutive members in both directions.
-    /// Returns the new node's index.
-    fn merge(&mut self, members: &[usize], pattern: Pattern) -> usize {
-        let nodes = &self.nodes;
-        let children: Vec<SoftBlockId> = members.iter().map(|&m| nodes[m].block).collect();
+    /// Returns the new node's id.
+    fn merge(&mut self, members: &[u32], pattern: Pattern) -> u32 {
+        let children: Vec<SoftBlockId> = members
+            .iter()
+            .map(|&m| SoftBlockId(self.nodes[m as usize].block as usize))
+            .collect();
         let resources = children.iter().map(|c| self.arena[c.0].resources).sum();
         let (link_widths, hash) = match pattern {
             Pattern::Data => {
-                let child_hash = nodes[members[0]].hash;
                 let count = members.len() as u64;
-                (vec![], hash_composite("data", [child_hash], count))
+                (
+                    vec![],
+                    hash_composite("data", [self.hash(members[0])], count),
+                )
             }
             Pattern::Pipeline => (
                 members
                     .windows(2)
-                    .map(|w| nodes[w[0]].bits_with(w[1]))
+                    .map(|w| self.bits_with(w[0], w[1]))
                     .collect(),
-                hash_composite("pipe", members.iter().map(|&m| nodes[m].hash), 0),
+                hash_composite("pipe", members.iter().map(|&m| self.hash(m)), 0),
             ),
         };
         let block = push_block(
@@ -318,69 +464,221 @@ impl WorkGraph {
             resources,
         );
         for &m in members {
-            self.nodes[m].alive = false;
+            self.nodes[m as usize].alive = false;
         }
-        // Edges join live nodes only, so a dead neighbor is a member.
-        let new = self.nodes.len();
-        let (mut out, mut inc) = (BTreeMap::new(), BTreeMap::new());
-        for &m in members {
-            for (n, w) in std::mem::take(&mut self.nodes[m].out) {
-                if self.nodes[n].alive {
-                    self.nodes[n].inc.remove(&m);
-                    *out.entry(n).or_insert(0) += w;
-                }
-            }
-            for (n, w) in std::mem::take(&mut self.nodes[m].inc) {
-                if self.nodes[n].alive {
-                    self.nodes[n].out.remove(&m);
-                    *inc.entry(n).or_insert(0) += w;
-                }
-            }
-        }
-        for (&n, &w) in &out {
-            self.nodes[n].inc.insert(new, w);
-        }
-        for (&n, &w) in &inc {
-            self.nodes[n].out.insert(new, w);
-        }
+        let new = self.nodes.len() as u32;
+        let out = self.gather(members, true, new);
+        let inc = self.gather(members, false, new);
         self.nodes.push(WorkNode {
-            block,
+            block: block.0 as u32,
             hash,
-            alive: true,
             out,
             inc,
+            alive: true,
+            ..WorkNode::default()
         });
         new
+    }
+
+    /// Sums the dead `members`' links in one direction to live nodes into
+    /// a new run at the end of the pool, and replaces each such neighbor's
+    /// links back to the members by one link to `new`.
+    fn gather(&mut self, members: &[u32], outgoing: bool, new: u32) -> Span {
+        let start = self.pool.len();
+        for &m in members {
+            let w = self.nodes[m as usize];
+            let run = if outgoing { w.out } else { w.inc };
+            for k in run.range() {
+                // Edges join live nodes only, so a dead neighbor is a member.
+                let link = self.pool[k];
+                if self.alive(link.node) {
+                    self.pool.push(link);
+                }
+            }
+        }
+        let run = &mut self.pool[start..];
+        run.sort_unstable_by_key(|l| l.node);
+        let mut len = 0;
+        for k in 0..run.len() {
+            if len > 0 && run[len - 1].node == run[k].node {
+                run[len - 1].bits += run[k].bits;
+            } else {
+                run[len] = run[k];
+                len += 1;
+            }
+        }
+        self.pool.truncate(start + len);
+        for k in start..start + len {
+            let Link { node, bits } = self.pool[k];
+            let w = self.nodes[node as usize];
+            let back = if outgoing { w.inc } else { w.out };
+            let mut kept = back.start as usize;
+            for j in back.range() {
+                let link = self.pool[j];
+                if self.alive(link.node) {
+                    self.pool[kept] = link;
+                    kept += 1;
+                }
+            }
+            self.pool[kept] = Link { node: new, bits };
+            let len = (kept + 1) as u32 - back.start;
+            let w = &mut self.nodes[node as usize];
+            if outgoing {
+                w.inc.len = len;
+            } else {
+                w.out.len = len;
+            }
+        }
+        Span {
+            start: start as u32,
+            len: len as u32,
+        }
+    }
+}
+
+/// The data path's adjacency, built once: counts each live node's links
+/// from the block graph's edges, lays the runs out in one pool, then
+/// fills them. The edges come sorted by `(from, to)`, so every run is
+/// sorted too. Returns the pool and its link count.
+fn link_runs(graph: &BlockGraph<'_>, nodes: &mut [WorkNode]) -> (Vec<Link>, usize) {
+    let is_data = |nodes: &[WorkNode], e: &BlockEdge| {
+        nodes[e.from as usize].alive && nodes[e.to as usize].alive
+    };
+    for e in graph.edges() {
+        if is_data(nodes, e) {
+            nodes[e.from as usize].out.len += 1;
+            nodes[e.to as usize].inc.len += 1;
+        }
+    }
+    let mut links = 0;
+    for w in nodes.iter_mut() {
+        w.out.start = links;
+        w.inc.start = links + w.out.len;
+        links = w.inc.start + w.inc.len;
+        w.out.len = 0;
+        w.inc.len = 0;
+    }
+    // Merges append the new nodes' runs. Twice the block graph's links is a
+    // capacity hint, not a bound: nested merges copy a link once per level,
+    // and a design that goes past it costs one reallocation.
+    let mut pool = Vec::with_capacity(2 * links as usize);
+    pool.resize(links as usize, Link::default());
+    for e in graph.edges() {
+        if is_data(nodes, e) {
+            let out = &mut nodes[e.from as usize].out;
+            pool[(out.start + out.len) as usize] = Link {
+                node: e.to,
+                bits: e.width,
+            };
+            out.len += 1;
+            let inc = &mut nodes[e.to as usize].inc;
+            pool[(inc.start + inc.len) as usize] = Link {
+                node: e.from,
+                bits: e.width,
+            };
+            inc.len += 1;
+        }
+    }
+    (pool, links as usize)
+}
+
+/// Buffers the grouping steps reuse across rounds, each allocated once.
+struct GroupBuffers {
+    /// The live nodes of one pass, grouped by hash.
+    live: Vec<Live>,
+    /// Step 3's external connection signatures, one run per member.
+    sigs: Vec<(u32, u64, bool)>,
+    /// The relaxed step's neighbor classes, one run per member.
+    classes: Vec<(u64, bool, u32)>,
+    /// Step 4's per-node chain view.
+    path: Vec<PathNode>,
+    /// The nodes about to merge (also a BFS queue and a distinct-neighbor
+    /// list).
+    members: Vec<u32>,
+}
+
+/// A live node in a pass's snapshot, with its run in a reused buffer.
+#[derive(Debug, Clone, Copy)]
+struct Live {
+    hash: u64,
+    node: u32,
+    lo: u32,
+    hi: u32,
+}
+
+impl Live {
+    fn run(&self) -> Range<usize> {
+        self.lo as usize..self.hi as usize
+    }
+}
+
+impl GroupBuffers {
+    /// Room for every node `g` can reach and for its live links, which
+    /// merges never add to.
+    fn new(g: &WorkGraph) -> Self {
+        let nodes = g.nodes.capacity();
+        GroupBuffers {
+            live: Vec::with_capacity(nodes),
+            sigs: Vec::with_capacity(g.links),
+            classes: Vec::new(),
+            path: Vec::with_capacity(nodes),
+            members: Vec::with_capacity(nodes),
+        }
+    }
+
+    /// Snapshots `g`'s live nodes, grouped by hash (ascending), each group
+    /// in ascending id order.
+    fn snapshot(&mut self, g: &WorkGraph) {
+        self.live.clear();
+        self.live.extend(g.live().map(|node| Live {
+            hash: g.hash(node),
+            node,
+            lo: 0,
+            hi: 0,
+        }));
+        self.live.sort_unstable_by_key(|l| (l.hash, l.node));
     }
 }
 
 /// Step 3: merge interchangeable siblings under data-parallel parents.
-fn group_data_parallel(g: &mut WorkGraph, stats: &mut DecomposeStats) -> bool {
+fn group_data_parallel(
+    g: &mut WorkGraph,
+    s: &mut GroupBuffers,
+    stats: &mut DecomposeStats,
+) -> bool {
     let mut merged_any = false;
-    for (_, members) in g.live_by_hash() {
-        if members.len() < 2 {
+    s.snapshot(g);
+    for group in s.live.chunk_by_mut(|a, b| a.hash == b.hash) {
+        if group.len() < 2 {
             continue;
         }
         // Sub-partition by external connection signature: the sorted list
         // of (neighbor, width, direction) triples over neighbors outside
         // the hash group. Direction matters: an identical block feeding a
         // consumer is not interchangeable with one reading from it.
-        let mut by_sig: BTreeMap<Vec<(usize, u64, bool)>, Vec<usize>> = BTreeMap::new();
-        for &m in &members {
-            let mut sig: Vec<(usize, u64, bool)> = g.nodes[m]
-                .neighbors()
-                .filter(|(n, _, _)| members.binary_search(n).is_err())
-                .collect();
-            sig.sort_unstable();
-            by_sig.entry(sig).or_default().push(m);
+        let stamp = g.stamp(group.iter().map(|l| l.node));
+        s.sigs.clear();
+        for member in group.iter_mut() {
+            let lo = s.sigs.len();
+            let outside = g
+                .neighbors(member.node)
+                .filter(|&(n, _, _)| g.nodes[n as usize].mark != stamp);
+            s.sigs.extend(outside);
+            s.sigs[lo..].sort_unstable();
+            member.lo = lo as u32;
+            member.hi = s.sigs.len() as u32;
         }
-        for (_, group) in by_sig {
-            if group.len() < 2 {
+        let sigs = &s.sigs;
+        group.sort_unstable_by(|a, b| sigs[a.run()].cmp(&sigs[b.run()]).then(a.node.cmp(&b.node)));
+        for same in group.chunk_by(|a, b| sigs[a.run()] == sigs[b.run()]) {
+            if same.len() < 2 {
                 continue;
             }
             merged_any = true;
             stats.data_groups += 1;
-            g.merge(&group, Pattern::Data);
+            s.members.clear();
+            s.members.extend(same.iter().map(|l| l.node));
+            g.merge(&s.members, Pattern::Data);
         }
     }
     merged_any
@@ -393,48 +691,62 @@ fn group_data_parallel(g: &mut WorkGraph, stats: &mut DecomposeStats) -> bool {
 /// counts (each member owns its private downstream node, a matched lane).
 /// This is what resolves farms whose block graph is one large cycle, where
 /// neither strict grouping nor chain detection can start.
-fn group_data_parallel_relaxed(g: &mut WorkGraph, stats: &mut DecomposeStats) -> bool {
-    for (_, members) in g.live_by_hash() {
-        if members.len() < 2 {
+fn group_data_parallel_relaxed(
+    g: &mut WorkGraph,
+    s: &mut GroupBuffers,
+    stats: &mut DecomposeStats,
+) -> bool {
+    s.snapshot(g);
+    for group in s.live.chunk_by_mut(|a, b| a.hash == b.hash) {
+        if group.len() < 2 {
             continue;
         }
-        // Per member: neighbors outside the group, keyed by
-        // (neighbor hash, direction).
-        type NeighborClasses = BTreeMap<(u64, bool), Vec<usize>>;
-        let per_member: Vec<NeighborClasses> = members
-            .iter()
-            .map(|&m| {
-                let mut classes: NeighborClasses = BTreeMap::new();
-                for (n, _, out) in g.nodes[m].neighbors() {
-                    if members.binary_search(&n).is_err() {
-                        classes.entry((g.nodes[n].hash, out)).or_default().push(n);
-                    }
-                }
-                classes
-            })
-            .collect();
-        // All members must see the same classes with the same multiplicity.
-        let first = &per_member[0];
-        let consistent = per_member.iter().all(|c| {
-            c.len() == first.len()
-                && c.iter()
-                    .zip(first)
-                    .all(|((k, v), (k0, v0))| k == k0 && v.len() == v0.len())
+        // Per member: neighbors outside the group, keyed by (neighbor
+        // hash, direction), each class's neighbors ascending.
+        let stamp = g.stamp(group.iter().map(|l| l.node));
+        s.classes.clear();
+        s.classes.reserve(g.links);
+        for member in group.iter_mut() {
+            let lo = s.classes.len();
+            let outside = g
+                .neighbors(member.node)
+                .filter(|&(n, _, _)| g.nodes[n as usize].mark != stamp)
+                .map(|(n, _, out)| (g.hash(n), out, n));
+            s.classes.extend(outside);
+            s.classes[lo..].sort_unstable();
+            member.lo = lo as u32;
+            member.hi = s.classes.len() as u32;
+        }
+        // All members must see the same classes with the same
+        // multiplicity, so every member's class runs line up.
+        let classes = &s.classes;
+        let key = |c: &(u64, bool, u32)| (c.0, c.1);
+        let first = &classes[group[0].run()];
+        let consistent = group.iter().all(|m| {
+            let run = &classes[m.run()];
+            run.len() == first.len() && run.iter().map(key).eq(first.iter().map(key))
         });
         // Each class must be fully shared or fully disjoint.
+        let mut at = 0;
         let eligible = consistent
-            && first.iter().all(|(k, v)| {
-                let mut distinct: Vec<usize> = per_member
-                    .iter()
-                    .flat_map(|c| c[k].iter().copied())
-                    .collect();
-                distinct.sort_unstable();
-                distinct.dedup();
-                distinct.len() == v.len() || distinct.len() == v.len() * members.len()
+            && first.chunk_by(|a, b| key(a) == key(b)).all(|class| {
+                s.members.clear();
+                for m in group.iter() {
+                    let lo = m.lo as usize + at;
+                    s.members
+                        .extend(classes[lo..lo + class.len()].iter().map(|c| c.2));
+                }
+                at += class.len();
+                s.members.sort_unstable();
+                s.members.dedup();
+                let distinct = s.members.len();
+                distinct == class.len() || distinct == class.len() * group.len()
             });
         if eligible {
             stats.data_groups += 1;
-            g.merge(&members, Pattern::Data);
+            s.members.clear();
+            s.members.extend(group.iter().map(|l| l.node));
+            g.merge(&s.members, Pattern::Data);
             // One merge per call: the strict steps re-run first.
             return true;
         }
@@ -442,92 +754,163 @@ fn group_data_parallel_relaxed(g: &mut WorkGraph, stats: &mut DecomposeStats) ->
     false
 }
 
-/// Step 4: merge chains under pipeline parents.
-fn group_pipelines(g: &mut WorkGraph, stats: &mut DecomposeStats) -> bool {
-    let n = g.nodes.len();
-    let adj: Vec<Vec<usize>> = g
-        .nodes
-        .iter()
-        .map(|node| {
-            if !node.alive {
-                return Vec::new();
-            }
-            let mut a: Vec<usize> = node.neighbors().map(|(m, _, _)| m).collect();
-            a.sort_unstable();
-            a.dedup();
-            a
-        })
-        .collect();
+/// Step 4's view of one node: whether it can sit inside a chain and its
+/// chain neighbors.
+#[derive(Debug, Clone, Copy, Default)]
+struct PathNode {
+    pathable: bool,
+    visited: bool,
+    /// Neighbors in `adj[..len]`, ascending.
+    len: u8,
+    adj: [u32; 2],
+}
 
+impl PathNode {
+    fn adj(&self) -> &[u32] {
+        &self.adj[..self.len as usize]
+    }
+}
+
+/// Step 4: merge chains under pipeline parents.
+fn group_pipelines(g: &mut WorkGraph, s: &mut GroupBuffers, stats: &mut DecomposeStats) -> bool {
+    let n = g.nodes.len();
     // A node can sit inside a chain iff it has one or two neighbors; branch
     // nodes (degree >= 3, e.g. a broadcast source feeding every lane) stay
     // outside so identical lanes remain identical.
-    let pathable: Vec<bool> = (0..n)
-        .map(|i| g.nodes[i].alive && (1..=2).contains(&adj[i].len()))
-        .collect();
-    let path_adj: Vec<Vec<usize>> = (0..n)
-        .map(|i| {
-            if pathable[i] {
-                adj[i].iter().copied().filter(|&j| pathable[j]).collect()
-            } else {
-                Vec::new()
+    s.path.clear();
+    s.path.resize(n, PathNode::default());
+    for i in g.live() {
+        let p = &mut s.path[i as usize];
+        let mut degree = 0;
+        for m in distinct_neighbors(g.out(i), g.inc(i)) {
+            if degree < 2 {
+                p.adj[degree] = m;
             }
-        })
-        .collect();
+            degree += 1;
+            if degree > 2 {
+                break;
+            }
+        }
+        p.pathable = (1..=2).contains(&degree);
+        p.len = degree.min(2) as u8;
+    }
+    // Keep only pathable neighbors of pathable nodes.
+    for i in 0..n {
+        let p = s.path[i];
+        let mut kept = PathNode {
+            pathable: p.pathable,
+            ..PathNode::default()
+        };
+        if p.pathable {
+            for &j in p.adj() {
+                if s.path[j as usize].pathable {
+                    kept.adj[kept.len as usize] = j;
+                    kept.len += 1;
+                }
+            }
+        }
+        s.path[i] = kept;
+    }
 
-    let mut visited = vec![false; n];
-    let mut chains: Vec<Vec<usize>> = Vec::new();
+    // Chains are disjoint and found from the view above, which merges do
+    // not touch, so each merges as soon as it is found.
+    let mut merged_any = false;
     for start in 0..n {
-        if !pathable[start] || visited[start] {
+        if !s.path[start].pathable || s.path[start].visited {
             continue;
         }
         // Collect the connected component of pathable nodes.
-        let mut component = vec![start];
-        visited[start] = true;
+        s.members.clear();
+        s.members.push(start as u32);
+        s.path[start].visited = true;
         let mut head = 0;
-        while head < component.len() {
-            let cur = component[head];
+        while head < s.members.len() {
+            let cur = s.path[s.members[head] as usize];
             head += 1;
-            for &next in &path_adj[cur] {
-                if !visited[next] {
-                    visited[next] = true;
-                    component.push(next);
+            for &next in cur.adj() {
+                if !s.path[next as usize].visited {
+                    s.path[next as usize].visited = true;
+                    s.members.push(next);
                 }
             }
         }
         // A component where every node has two pathable neighbors is a
         // cycle; skip it (no linear pipeline exists).
-        let Some(&endpoint) = component.iter().find(|&&i| path_adj[i].len() <= 1) else {
+        let Some(&endpoint) = s.members.iter().find(|&&i| s.path[i as usize].len <= 1) else {
             continue;
         };
         // Walk the path from the endpoint.
-        let mut chain = vec![endpoint];
-        let mut prev = usize::MAX;
+        s.members.clear();
+        s.members.push(endpoint);
+        let mut prev = u32::MAX;
         let mut cur = endpoint;
-        while let Some(&next) = path_adj[cur].iter().find(|&&x| x != prev) {
+        while let Some(&next) = s.path[cur as usize].adj().iter().find(|&&x| x != prev) {
             prev = cur;
             cur = next;
-            chain.push(cur);
+            s.members.push(cur);
         }
-        if chain.len() >= 2 {
-            chains.push(chain);
+        if s.members.len() < 2 {
+            continue;
         }
-    }
-
-    let merged_any = !chains.is_empty();
-    for mut chain in chains {
+        merged_any = true;
         stats.pipeline_groups += 1;
         // Orient the chain along the dataflow direction: count forward vs
         // backward directed edges and flip if the flow runs the other way.
-        let drives = |a: usize, b: usize| g.nodes[a].out.contains_key(&b);
-        let forward = chain.windows(2).filter(|w| drives(w[0], w[1])).count();
-        let backward = chain.windows(2).filter(|w| drives(w[1], w[0])).count();
+        let chain = &mut s.members;
+        let forward = chain.windows(2).filter(|w| g.drives(w[0], w[1])).count();
+        let backward = chain.windows(2).filter(|w| g.drives(w[1], w[0])).count();
         if backward > forward {
             chain.reverse();
         }
-        g.merge(&chain, Pattern::Pipeline);
+        g.merge(chain, Pattern::Pipeline);
     }
     merged_any
+}
+
+/// The union of two ascending runs' neighbors, ascending and without
+/// repeats.
+fn distinct_neighbors<'r>(a: &'r [Link], b: &'r [Link]) -> impl Iterator<Item = u32> + 'r {
+    let (mut i, mut j) = (0, 0);
+    std::iter::from_fn(move || {
+        let next = match (a.get(i), b.get(j)) {
+            (Some(x), Some(y)) if x.node == y.node => {
+                i += 1;
+                j += 1;
+                x.node
+            }
+            (Some(x), Some(y)) if x.node < y.node => {
+                i += 1;
+                x.node
+            }
+            (_, Some(y)) => {
+                j += 1;
+                y.node
+            }
+            (Some(x), None) => {
+                i += 1;
+                x.node
+            }
+            (None, None) => return None,
+        };
+        Some(next)
+    })
+}
+
+/// Replaces `s`'s contents with `with`, keeping its buffer.
+fn refill(s: &mut String, with: &str) {
+    s.clear();
+    s.push_str(with);
+}
+
+/// `s` in a buffer with `extra` spare bytes.
+fn with_room(s: &str, extra: usize) -> String {
+    let mut out = String::with_capacity(s.len() + extra);
+    out.push_str(s);
+    out
+}
+
+fn decimal_digits(n: usize) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
 /// Continues an FNV-1a hash `h` over `bytes`: hashing a string in pieces
@@ -546,10 +929,10 @@ fn hash_str(s: &str) -> u64 {
 
 /// The hash of `leaf:{behavior}`, or of `leaf-module:{module}` for an
 /// untagged leaf.
-fn hash_leaf(node: &FlatNode) -> u64 {
-    match &node.behavior {
+fn hash_leaf(module: &str, behavior: Option<&str>) -> u64 {
+    match behavior {
         Some(b) => fnv(hash_str("leaf:"), b.as_bytes()),
-        None => fnv(hash_str("leaf-module:"), node.module.as_bytes()),
+        None => fnv(hash_str("leaf-module:"), module.as_bytes()),
     }
 }
 

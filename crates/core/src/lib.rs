@@ -42,7 +42,7 @@ pub use database::{
     DeploymentOption, DeploymentUnit, MappingDatabase, MappingEntry, PATTERN_AWARE_CROSSINGS,
     PATTERN_OBLIVIOUS_CROSSINGS,
 };
-pub use decompose::{decompose, DecomposeOptions, Decomposition};
+pub use decompose::{decompose, DecomposeOptions, DecomposeStats, Decomposition};
 pub use partition::{partition, PartitionNode, PartitionTree};
 pub use patterns::{reduction, TreeBuilder};
 pub use softblock::{Pattern, SoftBlock, SoftBlockId, SoftBlockKind, SoftBlockTree};

@@ -122,7 +122,12 @@ pub fn insert_communication(
     }
     let chan_of = |addr: u32| state_slots.iter().position(|&s| s == addr);
     let mut sent = vec![false; state_slots.len()];
-    let mut out = Program::default();
+    // Every state store gains a send.
+    let sends = program
+        .iter()
+        .filter(|inst| matches!(inst, Instruction::VStore { addr, .. } if chan_of(*addr).is_some()))
+        .count();
+    let mut out = Program::new(Vec::with_capacity(program.len() + sends));
     for inst in program {
         match *inst {
             Instruction::VStore { src, addr } => {
@@ -198,35 +203,38 @@ pub fn reorder_for_overlap(program: &Program, window: &RemoteWindow) -> Result<P
     let n = graph.len();
 
     // Position keys on a doubled scale so sends/recvs can slot between
-    // neighboring compute instructions. Pred and succ lists are sorted, so
-    // the latest producer and the earliest consumer are at their ends.
-    let at = |i: usize| 2 * i as i64;
-    let key: Vec<i64> = (0..n)
-        .map(|i| match comm_class(&program[i], window) {
-            CommClass::Send => graph.preds(i).last().map_or(at(i), |&p| at(p) + 1),
-            CommClass::Recv => graph.succs(i).first().map_or(at(i), |&s| at(s) - 1),
-            CommClass::Compute => at(i),
-        })
-        .collect();
+    // neighboring compute instructions, shifted up by one so a receive
+    // sunk above instruction 0 stays non-negative. Pred and succ lists are
+    // sorted, so the latest producer and the earliest consumer are at
+    // their ends. Ready-set entries pack `key << 32 | index`; they are
+    // unique, so the pop order is fully determined.
+    let at = |i: u32| 2 * i + 1;
+    let entry = |i: usize| {
+        let key = match comm_class(&program[i], window) {
+            CommClass::Send => graph.preds(i).last().map_or(at(i as u32), |&p| at(p) + 1),
+            CommClass::Recv => graph.succs(i).first().map_or(at(i as u32), |&s| at(s) - 1),
+            CommClass::Compute => at(i as u32),
+        };
+        u64::from(key) << 32 | i as u64
+    };
     // Topological schedule with the keys as priorities: dependencies are
     // always honored (a receive feeding a send cannot invert), and within
     // the ready set lower keys — hoisted sends, plain compute, then sunk
-    // receives — go first. `(key, index)` pairs are unique, so the pop
-    // order is fully determined.
-    let mut indegree: Vec<usize> = (0..n).map(|i| graph.preds(i).len()).collect();
+    // receives — go first.
+    let mut waiting: Vec<u32> = (0..n).map(|i| graph.preds(i).len() as u32).collect();
     let mut ready = BinaryHeap::with_capacity(n);
-    ready.extend(
-        (0..n)
-            .filter(|&i| indegree[i] == 0)
-            .map(|i| Reverse((key[i], i))),
-    );
+    for (i, _) in waiting.iter().enumerate().filter(|(_, &w)| w == 0) {
+        ready.push(Reverse(entry(i)));
+    }
     let mut order = Vec::with_capacity(n);
-    while let Some(Reverse((_, i))) = ready.pop() {
+    while let Some(Reverse(packed)) = ready.pop() {
+        let i = packed as u32 as usize;
         order.push(i);
         for &s in graph.succs(i) {
-            indegree[s] -= 1;
-            if indegree[s] == 0 {
-                ready.push(Reverse((key[s], s)));
+            let s = s as usize;
+            waiting[s] -= 1;
+            if waiting[s] == 0 {
+                ready.push(Reverse(entry(s)));
             }
         }
     }

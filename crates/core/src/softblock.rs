@@ -128,7 +128,9 @@ impl SoftBlockTree {
     pub fn new(blocks: Vec<SoftBlock>, root: SoftBlockId) -> Self {
         assert!(root.0 < blocks.len(), "root id out of range");
         let mut seen = vec![false; blocks.len()];
-        let mut stack = vec![root];
+        // Each block is pushed at most once before a repeat panics.
+        let mut stack = Vec::with_capacity(blocks.len());
+        stack.push(root);
         while let Some(id) = stack.pop() {
             assert!(!seen[id.0], "block {} has two parents or a cycle", id.0);
             seen[id.0] = true;

@@ -11,8 +11,8 @@
 use vfpga_sim::{Json, Rng};
 
 use crate::input::{
-    CloudFault, CloudSpec, CloudTask, FaultSpec, ProgSpec, RnnSpec, RollupRecord, RollupSpec,
-    SlotOp, SlotsSpec, TreeSpec,
+    CloudFault, CloudSpec, CloudTask, DataflowOp, DecompSpec, DesignSpec, FaultSpec, ProgSpec,
+    RnnSpec, RollupRecord, RollupSpec, SlotOp, SlotsSpec, TreeSpec,
 };
 
 fn tree_node(rng: &mut Rng, depth: usize) -> TreeSpec {
@@ -52,6 +52,66 @@ pub fn tree(rng: &mut Rng) -> TreeSpec {
             links: (0..n - 1).map(|_| 1 + rng.below(512) as u64).collect(),
             children,
         }
+    }
+}
+
+/// Kernel names of generated dataflow graphs.
+const DATAFLOW_KERNELS: [&str; 5] = ["fa", "fb", "fc", "mix", "acc"];
+
+/// A random decomposer case, drawn like the golden decomposition test's
+/// cases: a third are generated accelerators (1 to 21 tiles, URAM or BRAM
+/// weight memory, scaled down by 1, 2 or 4, catalog or bare options), the
+/// rest dataflow graphs of stages, maps and reduces that mostly chain from
+/// the latest wire but sometimes branch from an earlier one, some with a
+/// kernel registered as intra-block parallel. Half are decomposed after a
+/// source round trip.
+pub fn decomp(rng: &mut Rng) -> DecompSpec {
+    const WIDTHS: [u32; 4] = [16, 32, 64, 128];
+    let design = if rng.below(3) == 0 {
+        DesignSpec::Accelerator {
+            tiles: 1 + rng.below(21),
+            bram: rng.below(2) == 0,
+            parts: [1, 2, 4][rng.below(3)],
+            catalog: rng.below(2) == 0,
+        }
+    } else {
+        let input_width = WIDTHS[rng.below(WIDTHS.len())];
+        let ops = (0..1 + rng.below(8))
+            .map(|k| {
+                let from = if rng.below(4) == 0 {
+                    rng.below(k + 1)
+                } else {
+                    k
+                };
+                let kernel = DATAFLOW_KERNELS[rng.below(DATAFLOW_KERNELS.len())].to_string();
+                let width = WIDTHS[rng.below(WIDTHS.len())];
+                let (op, workers) = match rng.below(3) {
+                    0 => ("stage", 1),
+                    1 => ("map", 1 + rng.below(5)),
+                    _ => ("reduce", 1),
+                };
+                DataflowOp {
+                    op: op.to_string(),
+                    kernel,
+                    from,
+                    width,
+                    workers,
+                }
+            })
+            .collect();
+        let lanes = (rng.below(3) == 0).then(|| {
+            let kernel = DATAFLOW_KERNELS[rng.below(DATAFLOW_KERNELS.len())];
+            (kernel.to_string(), 2 + rng.below(3))
+        });
+        DesignSpec::Dataflow {
+            input_width,
+            ops,
+            lanes,
+        }
+    };
+    DecompSpec {
+        design,
+        reparse: rng.below(2) == 0,
     }
 }
 

@@ -233,6 +233,253 @@ pub struct ProgSpec {
     pub asm: String,
 }
 
+/// One operator of a generated dataflow graph: wire `k + 1` is the output
+/// of operator `k`, and wire 0 is the graph's input.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DataflowOp {
+    /// `"stage"`, `"map"` or `"reduce"`.
+    pub op: String,
+    /// Kernel (behavior) name.
+    pub kernel: String,
+    /// Index of the wire this operator reads (an earlier wire).
+    pub from: usize,
+    /// Output width in bits.
+    pub width: u32,
+    /// Parallel workers of a `"map"` (ignored otherwise).
+    pub workers: usize,
+}
+
+/// The design of a decomposer case.
+#[derive(Debug, Clone, PartialEq)]
+pub enum DesignSpec {
+    /// A generated AS ISA accelerator.
+    Accelerator {
+        /// Tiles before scaling down (≥ 1).
+        tiles: usize,
+        /// BRAM rather than URAM weight memory.
+        bram: bool,
+        /// Scale-down factor (≥ 1).
+        parts: usize,
+        /// The catalog's options (moved modules and the `dpu_array` lane
+        /// count) rather than bare ones.
+        catalog: bool,
+    },
+    /// A `vfpga_hls::Dataflow` graph.
+    Dataflow {
+        /// Width of the graph's input wire.
+        input_width: u32,
+        /// The operators, in order; the last one's wire is the output.
+        ops: Vec<DataflowOp>,
+        /// A kernel registered as intra-block parallel, with its lane
+        /// count.
+        lanes: Option<(String, usize)>,
+    },
+}
+
+/// A decomposer case: one design, decomposed as built or after a
+/// `to_source` → `parse` round trip.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DecompSpec {
+    /// The design.
+    pub design: DesignSpec,
+    /// Decompose the re-parsed source rather than the built design.
+    pub reparse: bool,
+}
+
+impl DecompSpec {
+    fn size(&self) -> u64 {
+        let design = match &self.design {
+            DesignSpec::Accelerator {
+                tiles,
+                bram,
+                parts,
+                catalog,
+            } => tiles + parts + usize::from(*bram) + usize::from(*catalog),
+            DesignSpec::Dataflow { ops, lanes, .. } => {
+                ops.iter().map(|o| 2 + o.workers).sum::<usize>() + usize::from(lanes.is_some())
+            }
+        };
+        design as u64 + u64::from(self.reparse)
+    }
+
+    fn to_json(&self) -> Json {
+        let design = match &self.design {
+            DesignSpec::Accelerator {
+                tiles,
+                bram,
+                parts,
+                catalog,
+            } => Json::obj().with(
+                "accelerator",
+                Json::obj()
+                    .with("tiles", *tiles)
+                    .with("bram", *bram)
+                    .with("parts", *parts)
+                    .with("catalog", *catalog),
+            ),
+            DesignSpec::Dataflow {
+                input_width,
+                ops,
+                lanes,
+            } => {
+                let ops = ops
+                    .iter()
+                    .map(|o| {
+                        Json::obj()
+                            .with("op", o.op.as_str())
+                            .with("kernel", o.kernel.as_str())
+                            .with("from", o.from)
+                            .with("width", u64::from(o.width))
+                            .with("workers", o.workers)
+                    })
+                    .collect();
+                let mut obj = Json::obj()
+                    .with("input_width", u64::from(*input_width))
+                    .with("ops", Json::Arr(ops));
+                if let Some((kernel, count)) = lanes {
+                    obj = obj
+                        .with("lane_kernel", kernel.as_str())
+                        .with("lane_count", *count);
+                }
+                Json::obj().with("dataflow", obj)
+            }
+        };
+        Json::obj()
+            .with("design", design)
+            .with("reparse", self.reparse)
+    }
+
+    fn from_json(json: &Json) -> Result<DecompSpec, String> {
+        let design = json
+            .field("design")
+            .ok_or("decompose case without design")?;
+        let flag = |obj: &Json, key: &str| matches!(obj.field(key), Some(Json::Bool(true)));
+        let design = if let Some(a) = design.field("accelerator") {
+            DesignSpec::Accelerator {
+                tiles: get_usize(a, "tiles")?,
+                bram: flag(a, "bram"),
+                parts: get_usize(a, "parts")?,
+                catalog: flag(a, "catalog"),
+            }
+        } else if let Some(d) = design.field("dataflow") {
+            let Some(Json::Arr(items)) = d.field("ops") else {
+                return Err("dataflow case without ops".into());
+            };
+            let ops = items
+                .iter()
+                .map(|o| {
+                    Ok(DataflowOp {
+                        op: get_str(o, "op")?,
+                        kernel: get_str(o, "kernel")?,
+                        from: get_usize(o, "from")?,
+                        width: get_u64(o, "width")? as u32,
+                        workers: get_usize(o, "workers")?,
+                    })
+                })
+                .collect::<Result<Vec<_>, String>>()?;
+            let lanes = match d.field("lane_kernel") {
+                Some(_) => Some((get_str(d, "lane_kernel")?, get_usize(d, "lane_count")?)),
+                None => None,
+            };
+            DesignSpec::Dataflow {
+                input_width: get_u64(d, "input_width")? as u32,
+                ops,
+                lanes,
+            }
+        } else {
+            return Err(format!("unrecognized design: {}", design.compact()));
+        };
+        Ok(DecompSpec {
+            design,
+            reparse: flag(json, "reparse"),
+        })
+    }
+
+    /// Fewer tiles, no scale-down, bare options; fewer dataflow operators
+    /// (an operator's readers are re-pointed at its input) and workers, no
+    /// registered lanes; no round trip.
+    fn shrink(&self) -> Vec<DecompSpec> {
+        let mut out = Vec::new();
+        let with = |design: DesignSpec| DecompSpec {
+            design,
+            reparse: self.reparse,
+        };
+        match &self.design {
+            DesignSpec::Accelerator {
+                tiles,
+                bram,
+                parts,
+                catalog,
+            } => {
+                let accel = |tiles, bram, parts, catalog| DesignSpec::Accelerator {
+                    tiles,
+                    bram,
+                    parts,
+                    catalog,
+                };
+                if *tiles > 1 {
+                    out.push(with(accel(tiles / 2, *bram, *parts, *catalog)));
+                    out.push(with(accel(tiles - 1, *bram, *parts, *catalog)));
+                }
+                if *parts > 1 {
+                    // The same scaled-down tile count, built directly.
+                    out.push(with(accel((tiles / parts).max(1), *bram, 1, *catalog)));
+                    out.push(with(accel(*tiles, *bram, 1, *catalog)));
+                }
+                if *bram {
+                    out.push(with(accel(*tiles, false, *parts, *catalog)));
+                }
+                if *catalog {
+                    out.push(with(accel(*tiles, *bram, *parts, false)));
+                }
+            }
+            DesignSpec::Dataflow {
+                input_width,
+                ops,
+                lanes,
+            } => {
+                let flow =
+                    |ops: Vec<DataflowOp>, lanes: Option<(String, usize)>| DesignSpec::Dataflow {
+                        input_width: *input_width,
+                        ops,
+                        lanes,
+                    };
+                if ops.len() > 1 {
+                    for i in 0..ops.len() {
+                        let mut rest = ops.clone();
+                        let gone = rest.remove(i);
+                        for o in &mut rest[i..] {
+                            if o.from == i + 1 {
+                                o.from = gone.from;
+                            } else if o.from > i + 1 {
+                                o.from -= 1;
+                            }
+                        }
+                        out.push(with(flow(rest, lanes.clone())));
+                    }
+                }
+                for (i, o) in ops.iter().enumerate() {
+                    if o.workers > 1 {
+                        let mut fewer = ops.clone();
+                        fewer[i].workers -= 1;
+                        out.push(with(flow(fewer, lanes.clone())));
+                    }
+                }
+                if lanes.is_some() {
+                    out.push(with(flow(ops.clone(), None)));
+                }
+            }
+        }
+        if self.reparse {
+            out.push(DecompSpec {
+                design: self.design.clone(),
+                reparse: false,
+            });
+        }
+        out
+    }
+}
+
 /// One arriving task of a cloud-simulation case.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CloudTask {
@@ -389,6 +636,8 @@ pub enum FuzzInput {
     Doc(Json),
     /// A telemetry record stream for the rollups.
     Rollup(RollupSpec),
+    /// A design for the decomposer.
+    Decomp(DecompSpec),
 }
 
 /// Reads an unsigned field written either as a decimal string (how seeds
@@ -434,6 +683,7 @@ impl FuzzInput {
             FuzzInput::Fault(f) => (f.devices + f.links) as u64 + f.horizon_ns / 100_000,
             FuzzInput::Doc(d) => json_size(d),
             FuzzInput::Rollup(r) => 4 * r.records.len() as u64 + r.factor + u64::from(r.cut_ns > 0),
+            FuzzInput::Decomp(d) => d.size(),
         }
     }
 
@@ -558,6 +808,7 @@ impl FuzzInput {
                         .with("records", Json::Arr(records)),
                 )
             }
+            FuzzInput::Decomp(d) => Json::obj().with("decompose", d.to_json()),
         }
     }
 
@@ -697,6 +948,9 @@ impl FuzzInput {
                 cut_ns: get_u64(r, "cut_ns")?,
                 factor: get_u64(r, "factor")?,
             }));
+        }
+        if let Some(d) = json.field("decompose") {
+            return Ok(FuzzInput::Decomp(DecompSpec::from_json(d)?));
         }
         Err("unrecognized fuzz input".into())
     }
@@ -862,6 +1116,7 @@ impl FuzzInput {
                 }
                 out
             }
+            FuzzInput::Decomp(d) => d.shrink().into_iter().map(FuzzInput::Decomp).collect(),
         }
     }
 }

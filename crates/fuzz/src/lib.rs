@@ -12,7 +12,8 @@
 //!
 //! * **Generators** ([`FuzzInput`] + [`Oracle::generate`]) — seeded random
 //!   [`SoftBlockTree`](vfpga_core::SoftBlockTree)s with mixed data/pipeline
-//!   nesting and adversarial link widths, random GRU/LSTM tasks with
+//!   nesting and adversarial link widths, generated accelerators and
+//!   dataflow graphs for the decomposer, random GRU/LSTM tasks with
 //!   non-power-of-two hidden dims and degenerate 1-step sequences, random
 //!   assembleable ISA programs, random heterogeneous clusters and fault
 //!   plans, random JSON documents, and telemetry record streams. Every
@@ -20,8 +21,9 @@
 //!   `(oracle, seed, index)` pins it exactly.
 //! * **Oracles** ([`registry`]) — cross-layer checks: scaled-out
 //!   co-simulation vs the full accelerator vs the `f32` reference,
-//!   reordering bit-identity, the CSR dependency graph and overlap
-//!   scheduler against their naive golden models (`reference.rs`), the
+//!   reordering bit-identity, the CSR dependency graph, overlap
+//!   scheduler and bottom-up decomposer against their naive golden models
+//!   (`reference.rs`), the
 //!   cloud scheduler's admission fast paths against a naive
 //!   [`ReferenceScheduler`] decision by decision (`scheduler.rs`),
 //!   partition conservation/monotonicity/coverage,
@@ -54,8 +56,8 @@ pub use driver::{
     OracleReport, Verdict, DEFAULT_SHRINK_BUDGET, FUZZ_SCHEMA_VERSION,
 };
 pub use input::{
-    CloudFault, CloudSpec, CloudTask, FaultSpec, FuzzInput, ProgSpec, RnnSpec, RollupRecord,
-    RollupSpec, SlotOp, SlotsSpec, TreeSpec,
+    CloudFault, CloudSpec, CloudTask, DataflowOp, DecompSpec, DesignSpec, FaultSpec, FuzzInput,
+    ProgSpec, RnnSpec, RollupRecord, RollupSpec, SlotOp, SlotsSpec, TreeSpec,
 };
 pub use oracle::{oracle_names, registry, Oracle};
 pub use scheduler::{

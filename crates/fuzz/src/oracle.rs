@@ -19,12 +19,14 @@ use vfpga_accel::{
 };
 use vfpga_core::scaleout::{insert_communication, remote_window, reorder_for_overlap};
 use vfpga_core::{
-    decompose, partition, DecomposeOptions, MappingDatabase, Pattern, SoftBlock, SoftBlockId,
-    SoftBlockKind, SoftBlockTree,
+    decompose, partition, DecomposeOptions, Decomposition, MappingDatabase, Pattern, SoftBlock,
+    SoftBlockId, SoftBlockKind, SoftBlockTree,
 };
 use vfpga_fabric::{Cluster, DeviceId, DeviceType, MemoryKind, ResourceVec};
+use vfpga_hls::Dataflow;
 use vfpga_hsabs::{HsCompiler, HsError, LowLevelController, VirtualBlockSpec};
 use vfpga_isa::{assemble, BfpFormat, DepEdge, Instruction, IsaConfig, MReg, Program, VReg, F16};
+use vfpga_rtl::{Design, FlatNode};
 use vfpga_runtime::{
     co_simulate_functional, run_cloud_sim_tuned, AdmissionTuning, CloudReport, ControllerStats,
     Deployment, ElasticityPolicy, Policy, RecoveryPolicy, SystemController, DEFAULT_TRACE_CAPACITY,
@@ -39,10 +41,10 @@ use vfpga_workload::{
 };
 
 use crate::gen;
-use crate::input::{FuzzInput, RollupSpec, SlotOp, TreeSpec};
+use crate::input::{DecompSpec, DesignSpec, FuzzInput, RollupSpec, SlotOp, TreeSpec};
 use crate::reference::{
-    reference_compact, reference_pretty, reference_reorder, rollup_row, ReferenceGraph,
-    ReferenceRollupSet,
+    reference_compact, reference_decompose, reference_pretty, reference_reorder, rollup_row,
+    ReferenceGraph, ReferenceRollupSet,
 };
 use crate::scheduler::ReferenceScheduler;
 
@@ -66,6 +68,11 @@ pub fn registry() -> Vec<Oracle> {
             name: "controller-accounting",
             generate: |rng| FuzzInput::Cloud(gen::cloud(rng)),
             check: check_controller_accounting,
+        },
+        Oracle {
+            name: "decompose-reference",
+            generate: |rng| FuzzInput::Decomp(gen::decomp(rng)),
+            check: check_decompose_reference,
         },
         Oracle {
             name: "depgraph-reference",
@@ -352,15 +359,17 @@ fn agree_with_reference(
             first
         ));
     }
+    let same =
+        |got: &[u32], want: &[usize]| got.iter().map(|&x| x as usize).eq(want.iter().copied());
     for i in 0..program.len() {
-        if fast.preds(i) != reference.preds[i].as_slice() {
+        if !same(fast.preds(i), &reference.preds[i]) {
             return Err(format!(
                 "{label}: preds({i}) = {:?}, reference {:?}",
                 fast.preds(i),
                 reference.preds[i]
             ));
         }
-        if fast.succs(i) != reference.succs[i].as_slice() {
+        if !same(fast.succs(i), &reference.succs[i]) {
             return Err(format!(
                 "{label}: succs({i}) = {:?}, reference {:?}",
                 fast.succs(i),
@@ -406,6 +415,176 @@ fn check_depgraph_reference(input: &FuzzInput) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------
+// decompose-reference: the dense-id decomposer against the frozen
+// BTreeMap one, on generated accelerators and dataflow graphs.
+// ---------------------------------------------------------------------
+
+/// A resource estimate that depends on the leaf's behavior, so blocks of
+/// different kernels carry different numbers.
+fn kernel_resources(node: &FlatNode) -> ResourceVec {
+    let k: u64 = node
+        .behavior
+        .as_deref()
+        .unwrap_or(&node.module)
+        .bytes()
+        .map(u64::from)
+        .sum();
+    ResourceVec {
+        luts: 100 + k,
+        ffs: 50 + 2 * k,
+        bram_kb: k % 7,
+        uram_kb: k % 3,
+        dsps: k % 5,
+    }
+}
+
+/// Builds the case's design with its top module, decompose options and
+/// leaf estimator.
+type DecompCase = (
+    Design,
+    String,
+    DecomposeOptions,
+    Box<dyn Fn(&FlatNode) -> ResourceVec>,
+);
+
+fn build_decomp_case(spec: &DecompSpec) -> Result<DecompCase, String> {
+    let (design, top, options, estimator): DecompCase = match &spec.design {
+        DesignSpec::Accelerator {
+            tiles,
+            bram,
+            parts,
+            catalog,
+        } => {
+            if *tiles == 0 || *parts == 0 {
+                return Err("degenerate accelerator shape".into());
+            }
+            let kind = if *bram {
+                MemoryKind::Bram
+            } else {
+                MemoryKind::Uram
+            };
+            let cfg = AcceleratorConfig::new(format!("g{tiles}"), *tiles)
+                .with_memory_kind(kind)
+                .scaled_down(*parts);
+            let mut options = DecomposeOptions::new(CONTROL_PATH_MODULE);
+            if *catalog {
+                options.move_to_control = MOVED_TO_CONTROL.iter().map(|s| s.to_string()).collect();
+                options
+                    .intra_parallelism
+                    .insert("dpu_array".to_string(), cfg.rows_per_cycle);
+            }
+            let design = generate_rtl(&cfg);
+            let estimator = Box::new(leaf_resource_estimator(&cfg));
+            (design, TOP_MODULE.to_string(), options, estimator)
+        }
+        DesignSpec::Dataflow {
+            input_width,
+            ops,
+            lanes,
+        } => {
+            let mut g = Dataflow::new("fz");
+            let mut wires = vec![g.input(*input_width)];
+            for (k, op) in ops.iter().enumerate() {
+                let from = *wires
+                    .get(op.from)
+                    .filter(|_| op.from <= k)
+                    .ok_or_else(|| format!("operator {k} reads wire {}", op.from))?;
+                let kernel = op.kernel.as_str();
+                let wire = match op.op.as_str() {
+                    "stage" => g.stage(kernel, from, op.width),
+                    "map" if op.workers > 0 => g.map(kernel, from, op.workers, op.width),
+                    "reduce" => g.reduce(kernel, from, op.width),
+                    other => return Err(format!("bad dataflow operator `{other}`")),
+                };
+                wires.push(wire);
+            }
+            let out = *wires.last().ok_or("dataflow without wires")?;
+            g.output(out);
+            let design = g.lower().map_err(|e| format!("dataflow lowers: {e}"))?;
+            let (top, ctrl) = g.module_names();
+            let mut options = DecomposeOptions::new(ctrl);
+            if let Some((kernel, count)) = lanes {
+                options.intra_parallelism.insert(kernel.clone(), *count);
+            }
+            (design, top, options, Box::new(kernel_resources))
+        }
+    };
+    let design = if spec.reparse {
+        vfpga_rtl::parse(&design.to_source()).map_err(|e| format!("emitted source: {e}"))?
+    } else {
+        design
+    };
+    Ok((design, top, options, estimator))
+}
+
+/// The first difference between two decompositions, if any.
+fn decomposition_difference(got: &Decomposition, want: &Decomposition) -> Option<String> {
+    let (render, want_render) = (got.tree.render(), want.tree.render());
+    if render != want_render {
+        let line = render
+            .lines()
+            .zip(want_render.lines())
+            .position(|(a, b)| a != b)
+            .unwrap_or(render.lines().count().min(want_render.lines().count()));
+        return Some(format!(
+            "rendered trees differ at line {line}: {:?} vs reference {:?}",
+            render.lines().nth(line),
+            want_render.lines().nth(line)
+        ));
+    }
+    if got.tree.root() != want.tree.root() {
+        return Some(format!(
+            "root {:?}, reference {:?}",
+            got.tree.root(),
+            want.tree.root()
+        ));
+    }
+    let (blocks, want_blocks): (Vec<_>, Vec<_>) =
+        (got.tree.iter().collect(), want.tree.iter().collect());
+    if blocks.len() != want_blocks.len() {
+        return Some(format!(
+            "{} blocks, reference {}",
+            blocks.len(),
+            want_blocks.len()
+        ));
+    }
+    if let Some((a, b)) = blocks.iter().zip(&want_blocks).find(|(a, b)| a != b) {
+        return Some(format!("block {a:?}, reference {b:?}"));
+    }
+    if got.control_resources != want.control_resources {
+        return Some(format!(
+            "control resources {:?}, reference {:?}",
+            got.control_resources, want.control_resources
+        ));
+    }
+    if got.stats != want.stats {
+        return Some(format!("stats {:?}, reference {:?}", got.stats, want.stats));
+    }
+    None
+}
+
+fn check_decompose_reference(input: &FuzzInput) -> Result<(), String> {
+    let FuzzInput::Decomp(spec) = input else {
+        return Err("expected decompose input".into());
+    };
+    let (design, top, options, estimator) = build_decomp_case(spec)?;
+    let got = decompose(&design, &top, &options, &estimator);
+    let want = reference_decompose(&design, &top, &options, &estimator);
+    match (got, want) {
+        (Ok(got), Ok(want)) => match decomposition_difference(&got, &want) {
+            Some(diff) => Err(diff),
+            None => Ok(()),
+        },
+        (Err(got), Err(want)) if got == want => Ok(()),
+        (got, want) => Err(format!(
+            "decompose returned {:?}, reference {:?}",
+            got.map(|d| d.stats),
+            want.map(|d| d.stats)
+        )),
+    }
+}
+
+// ---------------------------------------------------------------------
 // program-reorder: a random dependency-preserving schedule of a random
 // program leaves the entire architectural state bit-identical.
 // ---------------------------------------------------------------------
@@ -442,6 +621,7 @@ fn random_topo_order(program: &Program, seed: u64) -> Vec<usize> {
         let i = ready.remove(pick);
         order.push(i);
         for &s in graph.succs(i) {
+            let s = s as usize;
             indegree[s] -= 1;
             if indegree[s] == 0 {
                 ready.push(s);

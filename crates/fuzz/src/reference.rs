@@ -1,12 +1,15 @@
 //! Golden models of the dependency graph, the overlap scheduler, the
-//! telemetry rollups and the JSON writer.
+//! decomposer, the telemetry rollups and the JSON writer.
 //!
 //! [`ReferenceGraph::build`] is the original hash-map construction of
 //! `vfpga_isa::DepGraph`: one map per hazard table, every edge collected
 //! into one list, then a global `(from, to)` sort and dedup. The fast
 //! graph builds the same facts in one CSR pass. [`reference_reorder`] is
 //! the original `BTreeSet` list scheduler behind
-//! `vfpga_core::scaleout::reorder_for_overlap`. [`ReferenceRollupSet`] is
+//! `vfpga_core::scaleout::reorder_for_overlap`. [`reference_decompose`] is
+//! the bottom-up decomposer on owned strings and per-node `BTreeMap`
+//! adjacency, as it stood before `vfpga_core::decompose` moved to dense
+//! ids and CSR adjacency. [`ReferenceRollupSet`] is
 //! the original `vfpga_sim::RollupSet`: one `BTreeMap` entry per
 //! `(key, window)` cell, with an owned key per record. [`reference_pretty`]
 //! and [`reference_compact`] are the original `Json` writer, which
@@ -18,7 +21,13 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 
 use vfpga_accel::{RemoteAccess, RemoteWindow};
+use vfpga_core::{
+    CoreError, DecomposeOptions, DecomposeStats, Decomposition, Pattern, SoftBlock, SoftBlockId,
+    SoftBlockKind, SoftBlockTree,
+};
+use vfpga_fabric::ResourceVec;
 use vfpga_isa::{DepEdge, DepKind, Instruction, Program};
+use vfpga_rtl::{Design, FlatNode};
 use vfpga_sim::{Json, QuantileSketch, RollupKey, SimTime, WindowStats};
 
 /// A dependency graph built the straightforward way.
@@ -506,4 +515,411 @@ fn reference_escape(s: &str, out: &mut String) {
         }
     }
     out.push('"');
+}
+
+/// The bottom-up decomposer as it stood before its working graph moved to
+/// dense ids: [`vfpga_rtl::Design::flatten`] with owned strings per node,
+/// one `BTreeMap` of neighbor to bits per node and direction, a
+/// `live_by_hash` map rebuilt per grouping pass, and the pipeline step's
+/// per-node neighbor `Vec`s. `vfpga_core::decompose` must produce the same
+/// tree, arena ids, resources, leaves, link widths and statistics.
+pub fn reference_decompose(
+    design: &Design,
+    top: &str,
+    options: &DecomposeOptions,
+    leaf_resources: &dyn Fn(&FlatNode) -> ResourceVec,
+) -> Result<Decomposition, CoreError> {
+    let top_module = design
+        .module(top)
+        .ok_or_else(|| CoreError::Rtl(vfpga_rtl::RtlError::UnknownModule(top.to_string())))?;
+    let ctrl_instance = top_module
+        .instances
+        .iter()
+        .find(|i| i.module == options.control_module)
+        .ok_or_else(|| CoreError::MissingControlModule(options.control_module.clone()))?
+        .name
+        .as_str();
+
+    let graph = design.flatten(top)?;
+    let mut control_resources = ResourceVec::ZERO;
+    let mut stats = DecomposeStats::default();
+    let mut g = RefGraph::default();
+    let mut index_of: Vec<Option<usize>> = vec![None; graph.node_count()];
+    for (node_id, node) in graph.nodes() {
+        let res = leaf_resources(node);
+        let in_ctrl = node
+            .path
+            .strip_prefix(ctrl_instance)
+            .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'));
+        if in_ctrl || options.move_to_control.iter().any(|m| m == &node.module) {
+            control_resources += res;
+            stats.control_leaves += 1;
+            continue;
+        }
+        let lanes = node
+            .behavior
+            .as_deref()
+            .and_then(|b| options.intra_parallelism.get(b).copied())
+            .unwrap_or(1);
+        let (block, hash) = if lanes > 1 {
+            let lane_res = res.div_ceil(lanes as u64);
+            let children: Vec<SoftBlockId> = (0..lanes)
+                .map(|l| {
+                    ref_push(
+                        &mut g.arena,
+                        SoftBlockKind::Leaf {
+                            path: format!("{}/lane{l}", node.path),
+                            module: node.module.clone(),
+                            behavior: node.behavior.as_ref().map(|b| format!("{b}_lane")),
+                        },
+                        lane_res,
+                    )
+                })
+                .collect();
+            stats.data_leaves += lanes;
+            stats.data_groups += 1;
+            let behavior = node.behavior.as_deref().unwrap_or_default();
+            let lane_hash = ref_fnv(ref_hash_str(behavior), b"/lane");
+            let kind = SoftBlockKind::Composite {
+                pattern: Pattern::Data,
+                children,
+                link_widths: vec![],
+            };
+            let hash = ref_hash_composite("data", [lane_hash], lanes as u64);
+            (ref_push(&mut g.arena, kind, res), hash)
+        } else {
+            stats.data_leaves += 1;
+            let kind = SoftBlockKind::Leaf {
+                path: node.path.clone(),
+                module: node.module.clone(),
+                behavior: node.behavior.clone(),
+            };
+            let hash = match &node.behavior {
+                Some(b) => ref_fnv(ref_hash_str("leaf:"), b.as_bytes()),
+                None => ref_fnv(ref_hash_str("leaf-module:"), node.module.as_bytes()),
+            };
+            (ref_push(&mut g.arena, kind, res), hash)
+        };
+        index_of[node_id.0] = Some(g.nodes.len());
+        g.nodes.push(RefNode {
+            block,
+            hash,
+            alive: true,
+            out: BTreeMap::new(),
+            inc: BTreeMap::new(),
+        });
+    }
+    if g.nodes.is_empty() {
+        return Err(CoreError::EmptyDataPath);
+    }
+    for e in graph.edges() {
+        if let (Some(a), Some(b)) = (index_of[e.from.0], index_of[e.to.0]) {
+            *g.nodes[a].out.entry(b).or_insert(0) += e.width;
+            *g.nodes[b].inc.entry(a).or_insert(0) += e.width;
+        }
+    }
+
+    loop {
+        stats.rounds += 1;
+        let merged_data = ref_group_data_parallel(&mut g, &mut stats);
+        let merged_pipe = ref_group_pipelines(&mut g, &mut stats);
+        if !merged_data && !merged_pipe && !ref_group_data_parallel_relaxed(&mut g, &mut stats) {
+            break;
+        }
+    }
+
+    let alive: Vec<usize> = (0..g.nodes.len()).filter(|&i| g.nodes[i].alive).collect();
+    let root = match alive[..] {
+        [only] => only,
+        _ => g.merge(&alive, Pattern::Pipeline),
+    };
+    let root = g.nodes[root].block;
+    Ok(Decomposition {
+        tree: SoftBlockTree::new(g.arena, root),
+        control_resources,
+        stats,
+    })
+}
+
+fn ref_push(
+    arena: &mut Vec<SoftBlock>,
+    kind: SoftBlockKind,
+    resources: ResourceVec,
+) -> SoftBlockId {
+    let id = SoftBlockId(arena.len());
+    arena.push(SoftBlock {
+        id,
+        kind,
+        resources,
+    });
+    id
+}
+
+#[derive(Default)]
+struct RefGraph {
+    arena: Vec<SoftBlock>,
+    nodes: Vec<RefNode>,
+}
+
+struct RefNode {
+    block: SoftBlockId,
+    hash: u64,
+    alive: bool,
+    out: BTreeMap<usize, u64>,
+    inc: BTreeMap<usize, u64>,
+}
+
+impl RefNode {
+    fn neighbors(&self) -> impl Iterator<Item = (usize, u64, bool)> + '_ {
+        let out = self.out.iter().map(|(&n, &w)| (n, w, true));
+        out.chain(self.inc.iter().map(|(&n, &w)| (n, w, false)))
+    }
+
+    fn bits_with(&self, other: usize) -> u64 {
+        self.out.get(&other).copied().unwrap_or(0) + self.inc.get(&other).copied().unwrap_or(0)
+    }
+}
+
+impl RefGraph {
+    fn live_by_hash(&self) -> BTreeMap<u64, Vec<usize>> {
+        let mut by_hash: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        for (i, n) in self.nodes.iter().enumerate() {
+            if n.alive {
+                by_hash.entry(n.hash).or_default().push(i);
+            }
+        }
+        by_hash
+    }
+
+    fn merge(&mut self, members: &[usize], pattern: Pattern) -> usize {
+        let nodes = &self.nodes;
+        let children: Vec<SoftBlockId> = members.iter().map(|&m| nodes[m].block).collect();
+        let resources = children.iter().map(|c| self.arena[c.0].resources).sum();
+        let (link_widths, hash) = match pattern {
+            Pattern::Data => {
+                let child_hash = nodes[members[0]].hash;
+                let count = members.len() as u64;
+                (vec![], ref_hash_composite("data", [child_hash], count))
+            }
+            Pattern::Pipeline => (
+                members
+                    .windows(2)
+                    .map(|w| nodes[w[0]].bits_with(w[1]))
+                    .collect(),
+                ref_hash_composite("pipe", members.iter().map(|&m| nodes[m].hash), 0),
+            ),
+        };
+        let block = ref_push(
+            &mut self.arena,
+            SoftBlockKind::Composite {
+                pattern,
+                children,
+                link_widths,
+            },
+            resources,
+        );
+        for &m in members {
+            self.nodes[m].alive = false;
+        }
+        let new = self.nodes.len();
+        let (mut out, mut inc) = (BTreeMap::new(), BTreeMap::new());
+        for &m in members {
+            for (n, w) in std::mem::take(&mut self.nodes[m].out) {
+                if self.nodes[n].alive {
+                    self.nodes[n].inc.remove(&m);
+                    *out.entry(n).or_insert(0) += w;
+                }
+            }
+            for (n, w) in std::mem::take(&mut self.nodes[m].inc) {
+                if self.nodes[n].alive {
+                    self.nodes[n].out.remove(&m);
+                    *inc.entry(n).or_insert(0) += w;
+                }
+            }
+        }
+        for (&n, &w) in &out {
+            self.nodes[n].inc.insert(new, w);
+        }
+        for (&n, &w) in &inc {
+            self.nodes[n].out.insert(new, w);
+        }
+        self.nodes.push(RefNode {
+            block,
+            hash,
+            alive: true,
+            out,
+            inc,
+        });
+        new
+    }
+}
+
+fn ref_group_data_parallel(g: &mut RefGraph, stats: &mut DecomposeStats) -> bool {
+    let mut merged_any = false;
+    for (_, members) in g.live_by_hash() {
+        if members.len() < 2 {
+            continue;
+        }
+        let mut by_sig: BTreeMap<Vec<(usize, u64, bool)>, Vec<usize>> = BTreeMap::new();
+        for &m in &members {
+            let mut sig: Vec<(usize, u64, bool)> = g.nodes[m]
+                .neighbors()
+                .filter(|(n, _, _)| members.binary_search(n).is_err())
+                .collect();
+            sig.sort_unstable();
+            by_sig.entry(sig).or_default().push(m);
+        }
+        for (_, group) in by_sig {
+            if group.len() < 2 {
+                continue;
+            }
+            merged_any = true;
+            stats.data_groups += 1;
+            g.merge(&group, Pattern::Data);
+        }
+    }
+    merged_any
+}
+
+fn ref_group_data_parallel_relaxed(g: &mut RefGraph, stats: &mut DecomposeStats) -> bool {
+    for (_, members) in g.live_by_hash() {
+        if members.len() < 2 {
+            continue;
+        }
+        type NeighborClasses = BTreeMap<(u64, bool), Vec<usize>>;
+        let per_member: Vec<NeighborClasses> = members
+            .iter()
+            .map(|&m| {
+                let mut classes: NeighborClasses = BTreeMap::new();
+                for (n, _, out) in g.nodes[m].neighbors() {
+                    if members.binary_search(&n).is_err() {
+                        classes.entry((g.nodes[n].hash, out)).or_default().push(n);
+                    }
+                }
+                classes
+            })
+            .collect();
+        let first = &per_member[0];
+        let consistent = per_member.iter().all(|c| {
+            c.len() == first.len()
+                && c.iter()
+                    .zip(first)
+                    .all(|((k, v), (k0, v0))| k == k0 && v.len() == v0.len())
+        });
+        let eligible = consistent
+            && first.iter().all(|(k, v)| {
+                let mut distinct: Vec<usize> = per_member
+                    .iter()
+                    .flat_map(|c| c[k].iter().copied())
+                    .collect();
+                distinct.sort_unstable();
+                distinct.dedup();
+                distinct.len() == v.len() || distinct.len() == v.len() * members.len()
+            });
+        if eligible {
+            stats.data_groups += 1;
+            g.merge(&members, Pattern::Data);
+            return true;
+        }
+    }
+    false
+}
+
+fn ref_group_pipelines(g: &mut RefGraph, stats: &mut DecomposeStats) -> bool {
+    let n = g.nodes.len();
+    let adj: Vec<Vec<usize>> = g
+        .nodes
+        .iter()
+        .map(|node| {
+            if !node.alive {
+                return Vec::new();
+            }
+            let mut a: Vec<usize> = node.neighbors().map(|(m, _, _)| m).collect();
+            a.sort_unstable();
+            a.dedup();
+            a
+        })
+        .collect();
+    let pathable: Vec<bool> = (0..n)
+        .map(|i| g.nodes[i].alive && (1..=2).contains(&adj[i].len()))
+        .collect();
+    let path_adj: Vec<Vec<usize>> = (0..n)
+        .map(|i| {
+            if pathable[i] {
+                adj[i].iter().copied().filter(|&j| pathable[j]).collect()
+            } else {
+                Vec::new()
+            }
+        })
+        .collect();
+
+    let mut visited = vec![false; n];
+    let mut chains: Vec<Vec<usize>> = Vec::new();
+    for start in 0..n {
+        if !pathable[start] || visited[start] {
+            continue;
+        }
+        let mut component = vec![start];
+        visited[start] = true;
+        let mut head = 0;
+        while head < component.len() {
+            let cur = component[head];
+            head += 1;
+            for &next in &path_adj[cur] {
+                if !visited[next] {
+                    visited[next] = true;
+                    component.push(next);
+                }
+            }
+        }
+        let Some(&endpoint) = component.iter().find(|&&i| path_adj[i].len() <= 1) else {
+            continue;
+        };
+        let mut chain = vec![endpoint];
+        let mut prev = usize::MAX;
+        let mut cur = endpoint;
+        while let Some(&next) = path_adj[cur].iter().find(|&&x| x != prev) {
+            prev = cur;
+            cur = next;
+            chain.push(cur);
+        }
+        if chain.len() >= 2 {
+            chains.push(chain);
+        }
+    }
+
+    let merged_any = !chains.is_empty();
+    for mut chain in chains {
+        stats.pipeline_groups += 1;
+        let drives = |a: usize, b: usize| g.nodes[a].out.contains_key(&b);
+        let forward = chain.windows(2).filter(|w| drives(w[0], w[1])).count();
+        let backward = chain.windows(2).filter(|w| drives(w[1], w[0])).count();
+        if backward > forward {
+            chain.reverse();
+        }
+        g.merge(&chain, Pattern::Pipeline);
+    }
+    merged_any
+}
+
+fn ref_fnv(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+fn ref_hash_str(s: &str) -> u64 {
+    ref_fnv(0xcbf2_9ce4_8422_2325, s.as_bytes())
+}
+
+fn ref_hash_composite(kind: &str, child_hashes: impl IntoIterator<Item = u64>, count: u64) -> u64 {
+    let mut h = ref_hash_str(kind);
+    for c in child_hashes {
+        h ^= c;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h ^= count;
+    h.wrapping_mul(0x100_0000_01b3)
 }

@@ -146,11 +146,23 @@ impl Program {
     /// # Errors
     ///
     /// Returns [`IsaError::Validation`] if `order` is not a permutation
-    /// that respects `graph`.
+    /// that respects `graph`, with the index of the first offending
+    /// position of `order` (see [`DepGraph::first_violation`]), or at
+    /// index 0 if `graph` covers a different number of instructions.
     pub fn reordered_with(&self, graph: &DepGraph, order: &[usize]) -> Result<Program, IsaError> {
-        if graph.len() != self.len() || !graph.is_valid_order(order) {
+        if graph.len() != self.len() {
             return Err(IsaError::Validation {
                 index: 0,
+                message: format!(
+                    "dependency graph covers {} of {} instructions",
+                    graph.len(),
+                    self.len()
+                ),
+            });
+        }
+        if let Some(index) = graph.first_violation(order) {
+            return Err(IsaError::Validation {
+                index,
                 message: "reordering violates dependencies".into(),
             });
         }
@@ -240,6 +252,27 @@ mod tests {
             },
             I::Halt,
         ])
+    }
+
+    #[test]
+    fn reordering_names_the_first_offending_position() {
+        let p = small();
+        let err = |order: &[usize]| match p.reordered(order) {
+            Err(IsaError::Validation { index, .. }) => Some(index),
+            _ => None,
+        };
+        let identity: Vec<usize> = (0..p.len()).collect();
+        assert_eq!(p.reordered(&identity), Ok(p.clone()));
+        // The halt may not move above the instruction before it.
+        let mut swapped = identity.clone();
+        let last = swapped.len() - 1;
+        swapped.swap(last - 1, last);
+        assert_eq!(err(&swapped), Some(last - 1));
+        // A repeated index, and a short order.
+        let mut repeated = identity.clone();
+        repeated[1] = 0;
+        assert_eq!(err(&repeated), Some(1));
+        assert_eq!(err(&identity[..1]), Some(1));
     }
 
     #[test]

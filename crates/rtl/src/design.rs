@@ -3,7 +3,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Range;
 
-use crate::graph::{FlatGraph, FlatNode};
+use crate::graph::{BlockGraph, BlockNode, FlatGraph, Pin};
 use crate::module::{ModuleDecl, PortDir};
 use crate::{eqhash, RtlError};
 
@@ -188,40 +188,77 @@ impl Design {
     ///
     /// Returns an error if `top` or any referenced module is unknown, or if
     /// the hierarchy is recursive.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the hierarchy elaborates to more than `u32::MAX` nets,
+    /// basic-module instances, pins or path bytes.
     pub fn flatten(&self, top: &str) -> Result<FlatGraph, RtlError> {
+        let (graph, pins, mut nets) = self.flatten_pins(top)?;
+        let top_module = self.modules.get(top).expect("flattened top exists");
+        // Top-level ports are the first nets of the top context.
+        let externals: Vec<(u32, PortDir, u32)> = top_module
+            .ports
+            .iter()
+            .enumerate()
+            .map(|(j, p)| (nets.find(j as u32), p.dir, p.width))
+            .collect();
+        Ok(FlatGraph::new(&graph, &pins, &externals))
+    }
+
+    /// The block graph of [`flatten`](Design::flatten) on dense `u32` ids,
+    /// with module and behavior names borrowed from this design and all
+    /// paths in one string: the same nodes in the same order and the same
+    /// edges, without the top module's port widths. Every buffer is sized
+    /// from a first pass over the module hierarchy, so flattening makes a
+    /// fixed number of allocations however many instances it elaborates.
+    ///
+    /// # Errors and panics
+    ///
+    /// As for [`flatten`](Design::flatten).
+    pub fn block_graph(&self, top: &str) -> Result<BlockGraph<'_>, RtlError> {
+        self.flatten_pins(top).map(|(graph, _, _)| graph)
+    }
+
+    /// Flattens `top`; returns the block graph, its pins grouped by net,
+    /// and the net union-find (whose first nets are `top`'s ports).
+    fn flatten_pins(&self, top: &str) -> Result<(BlockGraph<'_>, Vec<Pin>, UnionFind), RtlError> {
         let top_module = self
             .modules
             .get(top)
             .ok_or_else(|| RtlError::UnknownModule(top.to_string()))?;
 
-        let mut plans = Plans::default();
+        let mut plans = Plans::new(self);
         let top_plan = plans.plan(self, top_module)?;
+        let size = plans.plans[top_plan].size;
+        assert!(
+            [size.nets, size.leaves, size.pins, size.path_bytes]
+                .iter()
+                .all(|&n| u32::try_from(n).is_ok()),
+            "`{top}` elaborates to more nets, instances, pins or path bytes than u32 ids cover"
+        );
         let mut fl = Flattener {
             plans: &plans,
-            nodes: Vec::new(),
-            nets: UnionFind::new(),
-            pins: Vec::new(),
+            nodes: Vec::with_capacity(size.leaves),
+            paths: String::with_capacity(size.path_bytes),
+            nets: UnionFind::with_capacity(size.nets),
+            pins: Vec::with_capacity(size.pins),
         };
-        // Top-level ports are the first nets of the top context.
         let base = fl.nets.fresh_block(plans.plans[top_plan].nets);
-        fl.visit(top_plan, base, "");
+        fl.visit(top_plan, base, None);
 
         let Flattener {
             nodes,
+            paths,
             mut nets,
             mut pins,
             ..
         } = fl;
-        let externals: Vec<(usize, PortDir, u32)> = top_module
-            .ports
-            .iter()
-            .enumerate()
-            .map(|(j, p)| (nets.find(base + j), p.dir, p.width))
-            .collect();
         for pin in &mut pins {
-            pin.1 = nets.find(pin.1);
+            pin.net = nets.find(pin.net);
         }
-        Ok(FlatGraph::build(nodes, pins, externals))
+        let (graph, by_net) = BlockGraph::build(nodes, paths, &pins, size.nets);
+        Ok((graph, by_net, nets))
     }
 }
 
@@ -235,6 +272,21 @@ struct ModulePlan<'a> {
     nets: usize,
     /// This module's instances in [`Plans::instances`].
     instances: Range<usize>,
+    /// Totals over the hierarchy elaborated under this module.
+    size: FlatSize,
+}
+
+/// What flattening a module produces, for sizing the flattener's buffers.
+#[derive(Debug, Clone, Copy, Default)]
+struct FlatSize {
+    /// Nets numbered: the module's own plus every instance's below it.
+    nets: usize,
+    /// Basic-module instances.
+    leaves: usize,
+    /// Ports of those instances.
+    pins: usize,
+    /// Bytes of their paths relative to the module.
+    path_bytes: usize,
 }
 
 struct InstancePlan<'a> {
@@ -247,30 +299,49 @@ struct InstancePlan<'a> {
 
 /// The plans of every module reachable from the flattened top, in flat
 /// arrays.
-#[derive(Default)]
 struct Plans<'a> {
     plans: Vec<ModulePlan<'a>>,
     instances: Vec<InstancePlan<'a>>,
     /// `(child port, local net)` per connection.
     connections: Vec<(usize, usize)>,
+    /// Plan index per planned module; [`Plans::PLANNING`] while its
+    /// children are being planned, to reject recursive hierarchies.
     index: HashMap<&'a str, usize>,
-    /// Modules being planned, to reject recursive hierarchies.
-    stack: Vec<&'a str>,
     /// Reused per module: the local net index of each of its names.
     local: HashMap<&'a str, usize>,
 }
 
 impl<'a> Plans<'a> {
+    const PLANNING: usize = usize::MAX;
+
+    /// Empty plans with room for every module of `design`.
+    fn new(design: &Design) -> Self {
+        let modules = design.modules.values();
+        let instances = modules.clone().map(|m| m.instances.len()).sum();
+        let connections = modules
+            .clone()
+            .flat_map(|m| &m.instances)
+            .map(|i| i.connections.len())
+            .sum();
+        let nets = modules.map(|m| m.ports.len() + m.wires.len()).max();
+        Plans {
+            plans: Vec::with_capacity(design.len()),
+            instances: Vec::with_capacity(instances),
+            connections: Vec::with_capacity(connections),
+            index: HashMap::with_capacity(design.len()),
+            local: HashMap::with_capacity(nets.unwrap_or(0)),
+        }
+    }
+
     /// Plans `module` and everything under it; returns its plan's index.
     fn plan(&mut self, design: &'a Design, module: &'a ModuleDecl) -> Result<usize, RtlError> {
-        if let Some(&i) = self.index.get(module.name.as_str()) {
-            return Ok(i);
-        }
-        if self.stack.contains(&module.name.as_str()) {
-            return Err(RtlError::RecursiveHierarchy(module.name.clone()));
+        match self.index.get(module.name.as_str()) {
+            Some(&Self::PLANNING) => return Err(RtlError::RecursiveHierarchy(module.name.clone())),
+            Some(&i) => return Ok(i),
+            None => {}
         }
         // Children first, so this module's instances are contiguous.
-        self.stack.push(&module.name);
+        self.index.insert(&module.name, Self::PLANNING);
         for inst in &module.instances {
             let child = design
                 .modules
@@ -278,7 +349,6 @@ impl<'a> Plans<'a> {
                 .ok_or_else(|| RtlError::UnknownModule(inst.module.clone()))?;
             self.plan(design, child)?;
         }
-        self.stack.pop();
 
         self.local.clear();
         let names = module.ports.iter().map(|p| p.name.as_str());
@@ -286,14 +356,16 @@ impl<'a> Plans<'a> {
         for (i, name) in names.enumerate() {
             self.local.insert(name, i);
         }
+        let nets = module.ports.len() + module.wires.len();
+        let mut size = FlatSize {
+            nets,
+            ..FlatSize::default()
+        };
         let first_instance = self.instances.len();
         for inst in &module.instances {
-            let child = self
-                .index
-                .get(inst.module.as_str())
-                .copied()
-                .ok_or_else(|| RtlError::UnknownModule(inst.module.clone()))?;
-            let child_module = self.plans[child].module;
+            let child = self.index[inst.module.as_str()];
+            let child_plan = &self.plans[child];
+            let child_module = child_plan.module;
             let first = self.connections.len();
             for (port, net) in &inst.connections {
                 let p = child_module
@@ -313,6 +385,23 @@ impl<'a> Plans<'a> {
                     })?;
                 self.connections.push((p, n));
             }
+            // Saturating: a deep enough hierarchy elaborates to more than
+            // memory holds, which the flattener rejects before allocating.
+            let below = child_plan.size;
+            let (leaves, pins, path_bytes) = if child_module.is_basic() {
+                (1, child_module.ports.len(), inst.name.len())
+            } else {
+                let prefixes = below.leaves.saturating_mul(inst.name.len() + 1);
+                (
+                    below.leaves,
+                    below.pins,
+                    prefixes.saturating_add(below.path_bytes),
+                )
+            };
+            size.nets = size.nets.saturating_add(below.nets);
+            size.leaves = size.leaves.saturating_add(leaves);
+            size.pins = size.pins.saturating_add(pins);
+            size.path_bytes = size.path_bytes.saturating_add(path_bytes);
             self.instances.push(InstancePlan {
                 name: &inst.name,
                 child,
@@ -322,11 +411,30 @@ impl<'a> Plans<'a> {
         let i = self.plans.len();
         self.plans.push(ModulePlan {
             module,
-            nets: module.ports.len() + module.wires.len(),
+            nets,
             instances: first_instance..self.instances.len(),
+            size,
         });
         self.index.insert(&module.name, i);
         Ok(i)
+    }
+}
+
+/// The chain of instance names from the flattened top down to the module
+/// being visited; each link lives on the stack of the visit that made it.
+struct Scope<'s> {
+    name: &'s str,
+    parent: Option<&'s Scope<'s>>,
+}
+
+impl Scope<'_> {
+    /// Appends `a/b/.../name/` for this scope.
+    fn write(&self, out: &mut String) {
+        if let Some(parent) = self.parent {
+            parent.write(out);
+        }
+        out.push_str(self.name);
+        out.push('/');
     }
 }
 
@@ -336,40 +444,48 @@ impl<'a> Plans<'a> {
 /// context's base plus its local index.
 struct Flattener<'p, 'a> {
     plans: &'p Plans<'a>,
-    nodes: Vec<FlatNode>,
+    nodes: Vec<BlockNode<'a>>,
+    paths: String,
     nets: UnionFind,
-    /// `(node, net, width, direction)` per basic-module port.
-    pins: Vec<(usize, usize, u32, PortDir)>,
+    pins: Vec<Pin>,
 }
 
-impl Flattener<'_, '_> {
-    fn visit(&mut self, plan: usize, base: usize, path: &str) {
+impl<'a> Flattener<'_, 'a> {
+    fn visit(&mut self, plan: usize, base: u32, scope: Option<&Scope<'_>>) {
         let plans = self.plans;
         for inst in &plans.instances[plans.plans[plan].instances.clone()] {
             let child = &plans.plans[inst.child];
             let child_base = self.nets.fresh_block(child.nets);
-            let child_path = if path.is_empty() {
-                inst.name.to_string()
-            } else {
-                format!("{path}/{}", inst.name)
-            };
             // Union each connected child port with the enclosing net.
             for &(port, net) in &plans.connections[inst.connections.clone()] {
-                self.nets.union(base + net, child_base + port);
+                self.nets.union(base + net as u32, child_base + port as u32);
             }
-            let module = child.module;
+            let module: &'a ModuleDecl = child.module;
             if module.is_basic() {
-                let node_id = self.nodes.len();
+                let node = self.nodes.len() as u32;
                 for (j, p) in module.ports.iter().enumerate() {
-                    self.pins.push((node_id, child_base + j, p.width, p.dir));
+                    self.pins.push(Pin {
+                        net: child_base + j as u32,
+                        dir: p.dir,
+                        node,
+                        width: p.width,
+                    });
                 }
-                self.nodes.push(FlatNode {
-                    path: child_path,
-                    module: module.name.clone(),
-                    behavior: module.behavior.clone(),
-                });
+                if let Some(scope) = scope {
+                    scope.write(&mut self.paths);
+                }
+                self.paths.push_str(inst.name);
+                self.nodes.push(BlockNode::new(
+                    &module.name,
+                    module.behavior.as_deref(),
+                    self.paths.len(),
+                ));
             } else {
-                self.visit(inst.child, child_base, &child_path);
+                let inner = Scope {
+                    name: inst.name,
+                    parent: scope,
+                };
+                self.visit(inst.child, child_base, Some(&inner));
             }
         }
     }
@@ -377,33 +493,36 @@ impl Flattener<'_, '_> {
 
 /// Minimal union-find for net aliasing across the hierarchy.
 struct UnionFind {
-    parent: Vec<usize>,
+    parent: Vec<u32>,
 }
 
 impl UnionFind {
-    fn new() -> Self {
-        UnionFind { parent: Vec::new() }
+    fn with_capacity(nets: usize) -> Self {
+        UnionFind {
+            parent: Vec::with_capacity(nets),
+        }
     }
 
     /// Adds `count` singleton sets; returns the first one's id.
-    fn fresh_block(&mut self, count: usize) -> usize {
-        let first = self.parent.len();
-        self.parent.extend(first..first + count);
+    fn fresh_block(&mut self, count: usize) -> u32 {
+        let first = self.parent.len() as u32;
+        self.parent.extend(first..first + count as u32);
         first
     }
 
-    fn find(&mut self, x: usize) -> usize {
-        if self.parent[x] != x {
-            let root = self.find(self.parent[x]);
-            self.parent[x] = root;
+    fn find(&mut self, x: u32) -> u32 {
+        let parent = self.parent[x as usize];
+        if parent != x {
+            let root = self.find(parent);
+            self.parent[x as usize] = root;
         }
-        self.parent[x]
+        self.parent[x as usize]
     }
 
-    fn union(&mut self, a: usize, b: usize) {
+    fn union(&mut self, a: u32, b: u32) {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra != rb {
-            self.parent[rb] = ra;
+            self.parent[rb as usize] = ra;
         }
     }
 }
@@ -508,6 +627,26 @@ mod tests {
         assert!(g.external_inputs_of(crate::NodeId(0)) > 0);
         assert_eq!(g.external_inputs_of(crate::NodeId(1)), 0);
         assert!(g.external_outputs_of(crate::NodeId(1)) > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "than u32 ids cover")]
+    fn exponential_hierarchy_is_rejected_before_allocating() {
+        // Each level instantiates the one below twice: 2^64 leaves.
+        let mut d = Design::new();
+        d.add_module(pe()).unwrap();
+        for level in 1..=64 {
+            let below = if level == 1 {
+                "pe".to_string()
+            } else {
+                format!("l{}", level - 1)
+            };
+            let mut m = ModuleDecl::new(format!("l{level}"), vec![]);
+            m.add_instance(Instance::new("a", below.as_str(), [] as [(&str, &str); 0]));
+            m.add_instance(Instance::new("b", below.as_str(), [] as [(&str, &str); 0]));
+            d.add_module(m).unwrap();
+        }
+        let _ = d.block_graph("l64");
     }
 
     #[test]

@@ -42,7 +42,7 @@ mod parser;
 mod writer;
 
 pub use design::Design;
-pub use graph::{EdgeRef, FlatGraph, FlatNode, NodeId};
+pub use graph::{BlockEdge, BlockGraph, BlockNode, EdgeRef, FlatGraph, FlatNode, NodeId};
 pub use module::{Instance, ModuleDecl, Port, PortDir};
 pub use parser::parse;
 
