@@ -48,9 +48,10 @@ pub struct Catalog {
     pub decompositions: BTreeMap<String, Decomposition>,
     /// Partition plans kept for inspection/benches.
     pub plans: BTreeMap<String, PartitionTree>,
-    /// [`task_latency`](Catalog::task_latency) memos per instance name, so
-    /// a lookup borrows the name instead of building an owned key.
-    latency_cache: RefCell<HashMap<String, LatencyMemo>>,
+    /// [`task_latency`](Catalog::task_latency) memos, one per instance,
+    /// indexed by the instance's position in `instances` (which `build`
+    /// fills once), so a lookup hashes no name.
+    latency_cache: RefCell<Vec<LatencyMemo>>,
 }
 
 /// One instance's task latencies, keyed by task, clock bits and
@@ -168,13 +169,14 @@ impl Catalog {
             plans.insert(name, plan);
         }
 
+        let latency_cache = RefCell::new(instances.keys().map(|_| LatencyMemo::new()).collect());
         Catalog {
             cluster,
             db,
             instances,
             decompositions,
             plans,
-            latency_cache: RefCell::new(HashMap::new()),
+            latency_cache,
         }
     }
 
@@ -288,27 +290,43 @@ impl Catalog {
         freq_mhz: f64,
         crossings: usize,
     ) -> SimTime {
+        let (slot, spec) = self.resolve(instance);
+        self.latency_of(task, slot, spec, freq_mhz, crossings)
+    }
+
+    /// The position of `instance` in `instances` and its spec.
+    ///
+    /// # Panics
+    ///
+    /// Panics for an instance the catalog does not hold.
+    fn resolve(&self, instance: &str) -> (usize, &InstanceSpec) {
+        self.instances
+            .iter()
+            .enumerate()
+            .find_map(|(slot, (name, spec))| (name == instance).then_some((slot, spec)))
+            .unwrap_or_else(|| panic!("unknown catalog instance {instance:?}"))
+    }
+
+    /// [`task_latency`](Catalog::task_latency) of the instance at `slot`.
+    fn latency_of(
+        &self,
+        task: &RnnTask,
+        slot: usize,
+        spec: &InstanceSpec,
+        freq_mhz: f64,
+        crossings: usize,
+    ) -> SimTime {
         let key = (*task, freq_mhz.to_bits(), crossings);
-        let cached = self
-            .latency_cache
-            .borrow()
-            .get(instance)
-            .and_then(|memo| memo.get(&key).copied());
-        if let Some(t) = cached {
+        if let Some(&t) = self.latency_cache.borrow()[slot].get(&key) {
             return t;
         }
-        let spec = &self.instances[instance];
         let rnn = generate_program(*task, SliceSpec::FULL);
         let mut model = TimingModel::for_config(&spec.config, freq_mhz);
         model.mvm_pipeline_depth += InterfaceModel::default().overhead_cycles(crossings);
         let mut sim = CycleSim::new(model, &rnn.program, rnn.mat_shapes, rnn.dram_lens);
         sim.set_scratch_slots(scratch_slots());
         let t = sim.run_local();
-        self.latency_cache
-            .borrow_mut()
-            .entry(instance.to_string())
-            .or_default()
-            .insert(key, t);
+        self.latency_cache.borrow_mut()[slot].insert(key, t);
         t
     }
 
@@ -316,8 +334,7 @@ impl Catalog {
     /// its `2 × gates` matrices ([`RnnTask::matrix_shapes`]) are all
     /// `hidden × hidden`.
     pub fn task_weight_kb(&self, task: &RnnTask, instance: &str) -> u64 {
-        let cfg = &self.instances[instance].config;
-        2 * task.kind.gates() as u64 * cfg.matrix_storage_kb(task.hidden, task.hidden)
+        weight_kb(task, self.resolve(instance).1)
     }
 
     /// The service-time model used by the cloud simulation (Fig. 12): the
@@ -349,7 +366,7 @@ impl Catalog {
         } else {
             class_instance(task)
         };
-        let spec = &self.instances[instance];
+        let (slot, spec) = self.resolve(instance);
         // Effective clock: units on slower devices only slow their own
         // share of the computation.
         let share_total: f64 = deployment.placements.iter().map(|p| p.compute_share).sum();
@@ -372,10 +389,10 @@ impl Catalog {
             deployment.crossings_per_op
         };
         let freq = (freq * 10.0).round() / 10.0;
-        let base = self.task_latency(task, instance, freq, crossings);
+        let base = self.latency_of(task, slot, spec, freq, crossings);
 
         // Weight-streaming penalty on capacity deficit.
-        let needed = self.task_weight_kb(task, instance) as f64;
+        let needed = weight_kb(task, spec) as f64;
         let capacity = (spec.config.weight_memory_kb * deployment.num_units() as u64) as f64;
         let stream_factor = if needed <= capacity {
             1.0
@@ -399,6 +416,11 @@ impl Catalog {
         }
         total
     }
+}
+
+/// [`Catalog::task_weight_kb`] on a resolved instance.
+fn weight_kb(task: &RnnTask, spec: &InstanceSpec) -> u64 {
+    2 * task.kind.gates() as u64 * spec.config.matrix_storage_kb(task.hidden, task.hidden)
 }
 
 /// The instance class serving a task (by the Table 1 size classes).

@@ -263,6 +263,125 @@ pub struct SystemController {
     /// shrunk, so the rejection is replayed without re-probing. Transient
     /// faults are never cached.
     feas_cache: Vec<Option<(u64, RejectReason)>>,
+    /// Every option's per-unit block counts by device type, resolved once.
+    blocks: BlockTable,
+    /// Buffers the placement search writes into instead of allocating.
+    search: SearchScratch,
+    /// Buffers promotion ranks its candidates in; taken out of the
+    /// controller for the length of one [`promote_deployment`] call.
+    ///
+    /// [`promote_deployment`]: Self::promote_deployment
+    promotion: PromotionScratch,
+}
+
+/// The block count of every unit of every mapping option on every device
+/// type, in one dense table built when the controller is: placement
+/// searches read it instead of looking each unit's image up by type name.
+#[derive(Debug)]
+struct BlockTable {
+    /// Device types, the width of one unit's row.
+    types: usize,
+    /// Instance `i`'s options are table options
+    /// `first_option[i]..first_option[i + 1]`, in entry order.
+    first_option: Vec<usize>,
+    /// Table option `g`'s units are rows `first_unit[g]..first_unit[g + 1]`.
+    first_unit: Vec<usize>,
+    /// Row-major: a unit's blocks on each type in `type_names` order,
+    /// `None` where the unit has no image for the type.
+    blocks: Vec<Option<usize>>,
+}
+
+impl BlockTable {
+    fn new(instances: &[Arc<MappingEntry>], type_names: &[String]) -> Self {
+        let mut first_option = vec![0];
+        let mut first_unit = vec![0];
+        let mut blocks = Vec::new();
+        for entry in instances {
+            for option in &entry.options {
+                for unit in &option.units {
+                    blocks.extend(
+                        type_names
+                            .iter()
+                            .map(|name| unit.images.get(name).map(|img| img.blocks())),
+                    );
+                }
+                first_unit.push(first_unit[first_unit.len() - 1] + option.units.len());
+            }
+            first_option.push(first_unit.len() - 1);
+        }
+        BlockTable {
+            types: type_names.len(),
+            first_option,
+            first_unit,
+            blocks,
+        }
+    }
+
+    /// The rows of instance `index`'s option `option`, one per unit in
+    /// unit order.
+    fn units(&self, index: usize, option: usize) -> impl Iterator<Item = &[Option<usize>]> {
+        let g = self.first_option[index] + option;
+        (self.first_unit[g]..self.first_unit[g + 1])
+            .map(move |u| &self.blocks[u * self.types..(u + 1) * self.types])
+    }
+}
+
+/// Buffers one placement search works in, kept by the controller so a
+/// probe allocates nothing.
+#[derive(Debug, Default)]
+struct SearchScratch {
+    /// The most free slots one placeable device of each type offers,
+    /// indexed like `type_names` (see
+    /// [`type_max_free`](SystemController::type_max_free)).
+    max_free: Vec<usize>,
+    /// Free slots per device, debited as units are assigned.
+    free: Vec<usize>,
+    /// The devices found for each unit of the last option searched.
+    chosen: Vec<DeviceId>,
+}
+
+/// One placeable larger variant a promotion ranks.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    /// Ring diameter of the placement.
+    hops: usize,
+    /// Distinct devices it spans.
+    distinct: usize,
+    /// Its unit count.
+    units: usize,
+    /// Its index among the instance's options.
+    option: usize,
+    /// Where its devices start in [`PromotionScratch::pool`].
+    first: usize,
+}
+
+/// Buffers [`SystemController::promote_deployment`] reuses across calls.
+#[derive(Debug)]
+struct PromotionScratch {
+    /// The candidates of one call, ranked before any is offered.
+    candidates: Vec<Candidate>,
+    /// Every candidate's devices, one run of `units` each.
+    pool: Vec<DeviceId>,
+    /// The placed but uncommitted candidate offered to `accept`.
+    phantom: Deployment,
+}
+
+impl Default for PromotionScratch {
+    fn default() -> Self {
+        PromotionScratch {
+            candidates: Vec::new(),
+            pool: Vec::new(),
+            phantom: Deployment {
+                id: DeploymentId(0),
+                instance: String::new(),
+                installed_instance: None,
+                placements: Vec::new(),
+                crossings_per_op: 0,
+                cut_bandwidth: 0,
+                max_ring_hops: 0,
+            },
+        }
+    }
 }
 
 impl SystemController {
@@ -290,6 +409,7 @@ impl SystemController {
         let instances: Vec<Arc<MappingEntry>> =
             db.iter().filter_map(|e| db.entry_shared(&e.name)).collect();
         let feas_cache = vec![None; instances.len()];
+        let blocks = BlockTable::new(&instances, &type_names);
         SystemController {
             cluster,
             db,
@@ -305,6 +425,9 @@ impl SystemController {
             tag: NEXT_CONTROLLER_TAG.fetch_add(1, Ordering::Relaxed),
             instances,
             feas_cache,
+            blocks,
+            search: SearchScratch::default(),
+            promotion: PromotionScratch::default(),
         }
     }
 
@@ -318,13 +441,19 @@ impl SystemController {
     /// does not hold.
     pub fn instance_id(&self, name: &str) -> Result<InstanceId, RuntimeError> {
         let index = self
-            .instances
-            .binary_search_by(|e| e.name.as_str().cmp(name))
-            .map_err(|_| RuntimeError::UnknownInstance(name.to_string()))?;
+            .index_by_name(name)
+            .ok_or_else(|| RuntimeError::UnknownInstance(name.to_string()))?;
         Ok(InstanceId {
             controller: self.tag,
             index: index as u32,
         })
+    }
+
+    /// The interned index of instance `name`, if the database holds it.
+    fn index_by_name(&self, name: &str) -> Option<usize> {
+        self.instances
+            .binary_search_by(|e| e.name.as_str().cmp(name))
+            .ok()
     }
 
     /// This controller's id for database position `index` (the inverse
@@ -668,18 +797,18 @@ impl SystemController {
         // cannot fit the *best* device of any eligible type cannot fit at
         // all, so whole options are rejected below without scanning
         // devices.
-        let max_free = self.type_max_free();
+        self.type_max_free();
 
         let mut any_policy_eligible = false;
-        for option in &entry.options {
+        for (o, option) in entry.options.iter().enumerate() {
             if self.policy == Policy::Baseline && option.num_units() > 1 {
                 continue;
             }
             any_policy_eligible = true;
-            let Some(devices) = self.find_placement(option, &max_free) else {
+            if !self.find_placement(index, o) {
                 continue;
-            };
-            let Some(allocations) = self.configure_units(option, &devices, ctx)? else {
+            }
+            let Some(allocations) = self.configure_chosen(option, ctx)? else {
                 return Ok(Err(RejectReason::TransientFault));
             };
             return Ok(Ok(self.install(instance, option, allocations)));
@@ -733,7 +862,7 @@ impl SystemController {
         devices: &[DeviceId],
         mut ctx: Option<SpanCtx<'_>>,
     ) -> Result<Option<Vec<(DeviceId, AllocationId)>>, RuntimeError> {
-        let mut allocations = Vec::new();
+        let mut allocations = Vec::with_capacity(devices.len());
         for (unit, &device) in option.units.iter().zip(devices) {
             let image = &unit.images[self.cluster.device(device).device_type().name()];
             let result = self.llc.configure(device, image);
@@ -774,6 +903,19 @@ impl SystemController {
             }
         }
         Ok(Some(allocations))
+    }
+
+    /// [`configure_units`](Self::configure_units) on the devices the last
+    /// [`find_placement`](Self::find_placement) chose.
+    fn configure_chosen(
+        &mut self,
+        option: &DeploymentOption,
+        ctx: Option<SpanCtx<'_>>,
+    ) -> Result<Option<Vec<(DeviceId, AllocationId)>>, RuntimeError> {
+        let devices = std::mem::take(&mut self.search.chosen);
+        let configured = self.configure_units(option, &devices, ctx);
+        self.search.chosen = devices;
+        configured
     }
 
     /// Books committed allocations as a live deployment of `option`:
@@ -843,13 +985,15 @@ impl SystemController {
             .unwrap_or(0)
     }
 
-    /// The most free slots any single placeable device of each type
-    /// offers right now (indexed like `type_names`). Computed once per
-    /// probe; [`option_may_fit`](Self::option_may_fit) compares unit
-    /// block counts against it to reject whole options without the
-    /// per-device scan.
-    fn type_max_free(&self) -> Vec<usize> {
-        let mut max_free = vec![0usize; self.type_names.len()];
+    /// Writes into `search.max_free` the most free slots any single
+    /// placeable device of each type offers right now (indexed like
+    /// `type_names`). Computed once per probe;
+    /// [`option_may_fit`](Self::option_may_fit) compares unit block counts
+    /// against it to reject whole options without the per-device scan.
+    fn type_max_free(&mut self) {
+        let max_free = &mut self.search.max_free;
+        max_free.clear();
+        max_free.resize(self.type_names.len(), 0);
         for device in self.cluster.device_ids() {
             // Whole-device granularity: a taken baseline device offers
             // nothing, matching the scan's filter below.
@@ -859,78 +1003,57 @@ impl SystemController {
             let t = self.device_type_idx[device.0];
             max_free[t] = max_free[t].max(self.llc.slots_free(device));
         }
-        max_free
     }
 
-    /// Necessary condition for an option to place: every unit fits the
-    /// best device of at least one eligible type. Ignores units competing
-    /// for the same slots, so `true` still needs the full scan — but a
-    /// `false` skips it, and under saturation that is the common case.
-    fn option_may_fit(
-        &self,
-        option: &DeploymentOption,
-        restrict: Option<usize>,
-        max_free: &[usize],
-    ) -> bool {
-        option.units.iter().all(|unit| {
-            self.type_names.iter().enumerate().any(|(t, name)| {
-                if restrict.is_some_and(|r| r != t) {
-                    return false;
-                }
-                unit.images
-                    .get(name)
-                    .is_some_and(|img| img.blocks() <= max_free[t])
-            })
+    /// Necessary condition for instance `index`'s option `option` to
+    /// place: every unit fits the best device of at least one eligible
+    /// type. Ignores units competing for the same slots, so `true` still
+    /// needs the full scan — but a `false` skips it, and under saturation
+    /// that is the common case.
+    fn option_may_fit(&self, index: usize, option: usize, restrict: Option<usize>) -> bool {
+        let max_free = &self.search.max_free;
+        self.blocks.units(index, option).all(|row| {
+            row.iter()
+                .zip(max_free)
+                .enumerate()
+                .any(|(t, (blocks, &free))| {
+                    restrict.is_none_or(|r| r == t) && blocks.is_some_and(|b| b <= free)
+                })
         })
     }
 
-    /// Finds devices for each unit of an option under the active policy,
-    /// without committing. Units are assigned best-fit (most-loaded
-    /// feasible device first) with ring proximity as tie-break.
-    fn find_placement(
-        &self,
-        option: &DeploymentOption,
-        max_free: &[usize],
-    ) -> Option<Vec<DeviceId>> {
+    /// Finds devices for each unit of instance `index`'s option `option`
+    /// under the active policy, without committing, against the summary
+    /// of the last [`type_max_free`](Self::type_max_free). Units are
+    /// assigned best-fit (most-loaded feasible device first) with ring
+    /// proximity as tie-break. On `true` the devices are in
+    /// `search.chosen`, in unit order.
+    fn find_placement(&mut self, index: usize, option: usize) -> bool {
         match self.policy {
             // Restricted: try each device type exclusively, in
             // `device_types()` order.
-            Policy::Restricted => (0..self.type_names.len()).find_map(|t| {
-                self.option_may_fit(option, Some(t), max_free)
-                    .then(|| self.find_placement_with(option, Some(t)))
-                    .flatten()
+            Policy::Restricted => (0..self.type_names.len()).any(|t| {
+                self.option_may_fit(index, option, Some(t))
+                    && self.find_placement_with(index, option, Some(t))
             }),
-            _ => self
-                .option_may_fit(option, None, max_free)
-                .then(|| self.find_placement_with(option, None))
-                .flatten(),
+            _ => {
+                self.option_may_fit(index, option, None)
+                    && self.find_placement_with(index, option, None)
+            }
         }
     }
 
     fn find_placement_with(
-        &self,
-        option: &DeploymentOption,
+        &mut self,
+        index: usize,
+        option: usize,
         restrict: Option<usize>,
-    ) -> Option<Vec<DeviceId>> {
-        let mut free: Vec<usize> = self
-            .cluster
-            .device_ids()
-            .map(|d| self.llc.slots_free(d))
-            .collect();
-        // Per-unit block counts by type index, resolved once instead of a
-        // string-keyed map lookup per (unit, device) pair.
-        let blocks_by_type: Vec<Vec<Option<usize>>> = option
-            .units
-            .iter()
-            .map(|unit| {
-                self.type_names
-                    .iter()
-                    .map(|name| unit.images.get(name).map(|img| img.blocks()))
-                    .collect()
-            })
-            .collect();
-        let mut chosen: Vec<DeviceId> = Vec::new();
-        for blocks_of in &blocks_by_type {
+    ) -> bool {
+        let SearchScratch { free, chosen, .. } = &mut self.search;
+        free.clear();
+        free.extend(self.cluster.device_ids().map(|d| self.llc.slots_free(d)));
+        chosen.clear();
+        for blocks_of in self.blocks.units(index, option) {
             // ((free_after, hops, dev), blocks)
             let mut best: Option<((usize, usize, DeviceId), usize)> = None;
             for device in self.cluster.device_ids() {
@@ -961,11 +1084,13 @@ impl SystemController {
                     best = Some((key, blocks));
                 }
             }
-            let ((_, _, device), blocks) = best?;
+            let Some(((_, _, device), blocks)) = best else {
+                return false;
+            };
             free[device.0] -= blocks;
             chosen.push(device);
         }
-        Some(chosen)
+        true
     }
 
     /// Releases a deployment, freeing its virtual blocks (and, under the
@@ -987,8 +1112,8 @@ impl SystemController {
         if self.policy == Policy::Baseline {
             return None;
         }
-        let entry = self.db.entry_shared(&deployment.instance)?;
-        entry
+        let index = self.index_by_name(&deployment.instance)?;
+        self.instances[index]
             .options
             .iter()
             .map(DeploymentOption::num_units)
@@ -1032,58 +1157,88 @@ impl SystemController {
                 deployment.id.0,
             )));
         }
-        let entry = self
-            .db
-            .entry_shared(&deployment.instance)
+        let index = self
+            .index_by_name(&deployment.instance)
             .ok_or_else(|| RuntimeError::UnknownInstance(deployment.instance.clone()))?;
-        let max_free = self.type_max_free();
+        let mut promotion = std::mem::take(&mut self.promotion);
+        let promoted = self.promote_with(&mut promotion, deployment, index, accept, ctx);
+        self.promotion = promotion;
+        promoted
+    }
+
+    /// [`promote_deployment`](Self::promote_deployment) of a live
+    /// deployment of instance `index`, ranking in `promotion`'s buffers.
+    fn promote_with(
+        &mut self,
+        promotion: &mut PromotionScratch,
+        deployment: &Deployment,
+        index: usize,
+        accept: &mut dyn FnMut(&Deployment) -> bool,
+        ctx: Option<SpanCtx<'_>>,
+    ) -> Result<Option<Deployment>, RuntimeError> {
+        let PromotionScratch {
+            candidates,
+            pool,
+            phantom,
+        } = promotion;
+        let entry = Arc::clone(&self.instances[index]);
+        self.type_max_free();
         // Rank every placeable larger variant before committing anything:
         // all placements are computed against the same free state, and a
         // rolled-back transient leaves that state unchanged, so the
         // ranking stays valid across commit attempts.
-        let mut candidates = Vec::new();
-        for option in &entry.options {
+        candidates.clear();
+        pool.clear();
+        for (o, option) in entry.options.iter().enumerate() {
             if option.num_units() <= deployment.num_units() {
                 continue;
             }
-            let Some(devices) = self.find_placement(option, &max_free) else {
+            if !self.find_placement(index, o) {
                 continue;
-            };
-            let mut distinct: Vec<DeviceId> = devices.clone();
-            distinct.sort_unstable();
-            distinct.dedup();
-            let hops = self.ring_diameter(devices.iter().copied());
-            candidates.push((hops, distinct.len(), option.num_units(), option, devices));
+            }
+            let devices = &self.search.chosen;
+            candidates.push(Candidate {
+                hops: self.ring_diameter(devices.iter().copied()),
+                // Each device counts at its first unit.
+                distinct: (0..devices.len())
+                    .filter(|&k| !devices[..k].contains(&devices[k]))
+                    .count(),
+                units: option.num_units(),
+                option: o,
+                first: pool.len(),
+            });
+            pool.extend_from_slice(devices);
         }
-        candidates.sort_by_key(|&(hops, distinct, units, _, _)| (hops, distinct, units));
-        for (hops, _, _, option, devices) in candidates {
-            // The candidate is offered with placeholder allocation ids:
-            // service-time models read devices, shares, and link shape,
-            // never the HS handles, and nothing is configured until the
-            // caller accepts.
-            let phantom = Deployment {
-                id: deployment.id,
-                instance: deployment.instance.clone(),
-                installed_instance: None,
-                placements: devices
-                    .iter()
-                    .zip(&option.units)
-                    .map(|(&device, unit)| Placement {
-                        device,
-                        allocation: AllocationId(u64::MAX),
-                        compute_share: unit.compute_share,
-                    })
-                    .collect(),
-                crossings_per_op: option.crossings_per_op,
-                cut_bandwidth: option.cut_bandwidth,
-                max_ring_hops: hops,
-            };
-            if !accept(&phantom) {
+        candidates.sort_by_key(|c| (c.hops, c.distinct, c.units));
+        // Candidates are offered as one reused phantom with placeholder
+        // allocation ids: service-time models read devices, shares, and
+        // link shape, never the HS handles, and nothing is configured
+        // until the caller accepts.
+        phantom.id = deployment.id;
+        phantom.instance.clear();
+        phantom.instance.push_str(&deployment.instance);
+        for c in candidates.iter() {
+            let option = &entry.options[c.option];
+            let devices = &pool[c.first..c.first + c.units];
+            let placements = devices
+                .iter()
+                .zip(&option.units)
+                .map(|(&device, unit)| Placement {
+                    device,
+                    allocation: AllocationId(u64::MAX),
+                    compute_share: unit.compute_share,
+                });
+            phantom.placements.clear();
+            phantom.placements.extend(placements);
+            phantom.crossings_per_op = option.crossings_per_op;
+            phantom.cut_bandwidth = option.cut_bandwidth;
+            phantom.max_ring_hops = c.hops;
+            if !accept(phantom) {
                 continue;
             }
             // A rolled-back candidate leaves the running deployment
             // untouched.
-            let Some(allocations) = self.configure_units(option, &devices, ctx)? else {
+            let Some(allocations) = self.configure_units(option, devices, ctx)? else {
                 return Ok(None);
             };
             // The new footprint is in place: swap the old one out.
@@ -1121,29 +1276,28 @@ impl SystemController {
         if self.policy == Policy::Baseline || deployment.installed_instance.is_some() {
             return Ok(ScaleDown::AlreadyMinimal);
         }
-        let entry = self
-            .db
-            .entry_shared(&deployment.instance)
+        let index = self
+            .index_by_name(&deployment.instance)
             .ok_or_else(|| RuntimeError::UnknownInstance(deployment.instance.clone()))?;
-        let mut smaller: Vec<_> = entry
-            .options
-            .iter()
-            .filter(|o| o.num_units() < deployment.num_units())
+        let entry = Arc::clone(&self.instances[index]);
+        let mut smaller: Vec<usize> = (0..entry.options.len())
+            .filter(|&o| entry.options[o].num_units() < deployment.num_units())
             .collect();
         if smaller.is_empty() {
             return Ok(ScaleDown::AlreadyMinimal);
         }
-        smaller.sort_by_key(|o| std::cmp::Reverse(o.num_units()));
+        smaller.sort_by_key(|&o| std::cmp::Reverse(entry.options[o].num_units()));
         self.retire(deployment.id)?;
-        for option in smaller {
+        for o in smaller {
             // Free state changed at the release (and stays changed after
             // a rolled-back transient), so re-summarize per candidate.
-            let max_free = self.type_max_free();
-            let Some(devices) = self.find_placement(option, &max_free) else {
+            self.type_max_free();
+            if !self.find_placement(index, o) {
                 continue;
-            };
+            }
+            let option = &entry.options[o];
             let ctx = ctx.as_mut().map(|c| c.reborrow());
-            let Some(allocations) = self.configure_units(option, &devices, ctx)? else {
+            let Some(allocations) = self.configure_chosen(option, ctx)? else {
                 continue;
             };
             self.stats.deploys += 1;

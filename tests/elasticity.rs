@@ -14,7 +14,8 @@
 //!   tasks it promotes, preempts, migrates or re-routes, or in what order.
 
 use vfpga::runtime::{
-    AdmissionTuning, CloudReport, ElasticityPolicy, Policy, SimEvent, DEFAULT_TRACE_CAPACITY,
+    AdmissionTuning, CloudReport, ControllerStats, ElasticityPolicy, Policy, SimEvent,
+    DEFAULT_TRACE_CAPACITY,
 };
 use vfpga::sim::{FaultPlan, FaultPlanParams, LinkFaultParams, SimTime};
 use vfpga_bench::elastic::{bursty_workload, ElasticConfig};
@@ -188,8 +189,9 @@ fn elasticity_off_reports_are_byte_identical_to_default_tuning() {
 
 /// A `chaos_elastic`-shaped run: a bursty workload under device faults
 /// with transient configure faults and ring-link faults (half of them
-/// degradations, corrupting transfers), with promotion and preemption on.
-fn chaos_elastic_run(catalog: &Catalog, seed: u64) -> CloudReport {
+/// degradations, corrupting transfers), with promotion and preemption on;
+/// returns the report and the controller's lifetime counters.
+fn chaos_elastic_run(catalog: &Catalog, seed: u64) -> (CloudReport, ControllerStats) {
     let arrivals = workload(seed, 2_000);
     let last = arrivals.last().expect("non-empty workload").at;
     let horizon = SimTime::from_secs(last.as_secs() * 1.5);
@@ -221,7 +223,17 @@ fn chaos_elastic_run(catalog: &Catalog, seed: u64) -> CloudReport {
         elasticity: ElasticityPolicy::FULL,
         ..AdmissionTuning::default()
     };
-    elastic_run(catalog, &arrivals, &faults, tuning)
+    let mut controller = catalog.controller(Policy::Full);
+    let report = catalog
+        .simulate(
+            &mut controller,
+            &arrivals,
+            &faults,
+            DEFAULT_TRACE_CAPACITY,
+            tuning,
+        )
+        .expect("simulation completes");
+    (report, *controller.stats())
 }
 
 /// FNV-1a over a text.
@@ -234,14 +246,28 @@ fn fnv1a(text: &str) -> u64 {
 #[test]
 fn chaos_elastic_decisions_are_pinned() {
     // (seed, report digest, [promotions, preemptions, migrated,
-    // link_retransmits, link_reroutes, link_severed]).
-    const GOLDEN: [(u64, u64, [u64; 6]); 2] = [
-        (7, 0x2daf_ba4d_499c_9017, [70, 18, 172, 19, 15, 2]),
-        (2024, 0xa30f_422b_59a5_9250, [134, 47, 115, 27, 19, 10]),
+    // link_retransmits, link_reroutes, link_severed], controller [probes,
+    // cache_hits, deploys, releases, rejects]). The controller counters
+    // also see the promotion candidates `accept` refused, which leave no
+    // trace in the report.
+    type Golden = (u64, u64, [u64; 6], [u64; 5]);
+    const GOLDEN: [Golden; 2] = [
+        (
+            7,
+            0x2daf_ba4d_499c_9017,
+            [70, 18, 172, 19, 15, 2],
+            [7286, 586, 2260, 2092, 5700],
+        ),
+        (
+            2024,
+            0xa30f_422b_59a5_9250,
+            [134, 47, 115, 27, 19, 10],
+            [6642, 185, 2296, 2196, 4712],
+        ),
     ];
     let catalog = Catalog::build();
-    for (seed, digest, counts) in GOLDEN {
-        let report = chaos_elastic_run(&catalog, seed);
+    for (seed, digest, counts, controller) in GOLDEN {
+        let (report, stats) = chaos_elastic_run(&catalog, seed);
         assert!(report.accounts_for_all_arrivals(), "seed {seed}");
         let got = [
             report.promotions,
@@ -255,5 +281,13 @@ fn chaos_elastic_decisions_are_pinned() {
         assert!(got.iter().all(|&n| n > 0), "seed {seed}: {got:?}");
         assert_eq!(got, counts, "seed {seed}");
         assert_eq!(json, digest, "seed {seed}: digest {json:#018x}");
+        let decisions = [
+            stats.probes,
+            stats.cache_hits,
+            stats.deploys,
+            stats.releases,
+            stats.total_rejects(),
+        ];
+        assert_eq!(decisions, controller, "seed {seed}: controller stats");
     }
 }
