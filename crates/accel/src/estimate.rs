@@ -154,14 +154,7 @@ pub fn leaf_resource_estimator(
             uram_kb,
             dsps,
         };
-        let behavior = node.behavior.as_deref().unwrap_or("");
-        // Strip the `_lane` suffix the decomposer's intra-block split adds
-        // and divide by the lane count afterwards.
-        let (base, lanes) = match behavior.strip_suffix("_lane") {
-            Some(b) => (b, 16u64),
-            None => (behavior, 1u64),
-        };
-        let full = match base {
+        match node.behavior.unwrap_or("") {
             "instruction_buffer" => rv(6_000, 8_000, 1536, 0, 0),
             "instruction_fetch" => rv(10_000, 14_000, 0, 0, 8),
             "instruction_decode" => rv(14_000, 18_000, 0, 0, 8),
@@ -182,8 +175,7 @@ pub fn leaf_resource_estimator(
             "f16_mul" => rv(1_500, 1_500, 0, 0, 60),
             "activation" => rv(1_500, 1_500, 0, 0, 12),
             _ => rv(1_000, 1_000, 0, 0, 0),
-        };
-        full.div_ceil(lanes)
+        }
     }
 }
 

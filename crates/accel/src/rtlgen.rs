@@ -327,6 +327,22 @@ pub fn generate_rtl(config: &AcceleratorConfig) -> Design {
 mod tests {
     use super::*;
 
+    /// Number of nodes sharing at least one net with `id`.
+    fn neighbors(g: &vfpga_rtl::BlockGraph<'_>, id: u32) -> usize {
+        let mut out: Vec<u32> = g
+            .edges()
+            .iter()
+            .filter_map(|e| match (e.from == id, e.to == id) {
+                (true, _) => Some(e.to),
+                (_, true) => Some(e.from),
+                _ => None,
+            })
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out.len()
+    }
+
     #[test]
     fn generates_valid_design_with_expected_structure() {
         let cfg = AcceleratorConfig::new("t", 4);
@@ -354,13 +370,10 @@ mod tests {
     #[test]
     fn tile_is_a_strict_chain() {
         let d = generate_rtl(&AcceleratorConfig::new("t", 1));
-        let g = d.flatten("bw_tile").unwrap();
+        let g = d.block_graph("bw_tile").unwrap();
         assert_eq!(g.node_count(), 7);
         // Interior nodes have exactly two neighbors.
-        let interior = g
-            .nodes()
-            .filter(|(id, _)| g.neighbors(*id).count() == 2)
-            .count();
+        let interior = (0..7).filter(|&id| neighbors(&g, id) == 2).count();
         assert_eq!(interior, 5);
     }
 
@@ -379,15 +392,13 @@ mod tests {
     #[test]
     fn datapath_flattens_with_tiles_bridging_converter_and_vrf() {
         let d = generate_rtl(&AcceleratorConfig::new("t", 3));
-        let g = d.flatten(DATA_PATH_MODULE).unwrap();
+        let g = d.block_graph(DATA_PATH_MODULE).unwrap();
         // conv_in + 3*7 + vrf = 23.
         assert_eq!(g.node_count(), 23);
         // conv_in fans out to all three weight banks.
-        let conv = g
-            .nodes()
-            .find(|(_, n)| n.module == "bw_fp16_to_bfp")
-            .map(|(id, _)| id)
+        let conv = (0..23)
+            .find(|&id| g.node(id).module == "bw_fp16_to_bfp")
             .unwrap();
-        assert_eq!(g.neighbors(conv).count(), 3);
+        assert_eq!(neighbors(&g, conv), 3);
     }
 }

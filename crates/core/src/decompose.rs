@@ -97,13 +97,17 @@ impl Decomposition {
 ///
 /// `leaf_resources` estimates the spatial resources of one basic-module
 /// instance (the accelerator generator provides a calibrated estimator).
+/// It is called once per block-graph node, control and data path alike,
+/// with the node as [`BlockGraph::node`] gives it: the instance's own path
+/// and names, before step 2 splits it into lanes.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::MissingControlModule`] if `top` does not instantiate
 /// the marked control module, [`CoreError::EmptyDataPath`] if nothing
 /// remains in the data path, or an [`CoreError::Rtl`] error if the design
-/// is malformed.
+/// is malformed or elaborates to more instances than the block graph's
+/// `u32` ids cover.
 pub fn decompose(
     design: &Design,
     top: &str,
@@ -236,22 +240,16 @@ impl WorkGraph {
         let n = graph.node_count();
         // Every merge kills at least two nodes and adds one.
         let mut nodes = Vec::with_capacity(2 * n);
-        // Classify first, to size the arena and the control estimator's
-        // node.
+        // Classify first, to size the arena.
         let mut blocks = 0;
-        let mut ctrl_len = (0, 0, 0);
         for id in 0..n as u32 {
             let node = graph.node(id);
-            let path = graph.path(id);
             // The control instance itself or anything under `{ctrl_instance}/`.
-            let in_ctrl = path
+            let in_ctrl = node
+                .path
                 .strip_prefix(ctrl_instance)
                 .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'));
             if in_ctrl || options.move_to_control.iter().any(|m| m == node.module) {
-                let behavior = node.behavior.map_or(0, str::len);
-                ctrl_len.0 = ctrl_len.0.max(path.len());
-                ctrl_len.1 = ctrl_len.1.max(node.module.len());
-                ctrl_len.2 = ctrl_len.2.max(behavior);
                 nodes.push(WorkNode::default());
                 continue;
             }
@@ -272,28 +270,14 @@ impl WorkGraph {
         }
 
         // Step 1's leaves and step 2's lane splits; strings are built only
-        // for the leaves of the output tree.
+        // for the leaves of the output tree, each at its exact length.
         let mut arena = Vec::with_capacity(blocks + data - 1);
         let mut control_resources = ResourceVec::ZERO;
-        let mut ctrl_node: Option<FlatNode> = None;
         for (id, w) in nodes.iter_mut().enumerate() {
             let node = graph.node(id as u32);
-            let path = graph.path(id as u32);
+            let res = leaf_resources(&node);
             if !w.alive {
-                let flat = ctrl_node.get_or_insert_with(|| FlatNode {
-                    path: String::with_capacity(ctrl_len.0),
-                    module: String::with_capacity(ctrl_len.1),
-                    behavior: None,
-                });
-                refill(&mut flat.path, path);
-                refill(&mut flat.module, node.module);
-                let spare = flat.behavior.take();
-                flat.behavior = node.behavior.map(|b| {
-                    let mut s = spare.unwrap_or_else(|| String::with_capacity(ctrl_len.2));
-                    refill(&mut s, b);
-                    s
-                });
-                control_resources += leaf_resources(flat);
+                control_resources += res;
                 stats.control_leaves += 1;
                 continue;
             }
@@ -302,36 +286,13 @@ impl WorkGraph {
                 // Step 2: split the leaf into `lanes` identical lane blocks
                 // under a data-parallel parent. The parent keeps the leaf's
                 // estimate rather than the sum of the rounded-up lanes.
-                // Lane 0 extends the estimated node's strings.
-                let mut flat = FlatNode {
-                    path: with_room(path, "/lane0".len()),
-                    module: node.module.to_owned(),
-                    behavior: node.behavior.map(|b| with_room(b, "_lane".len())),
-                };
-                let res = leaf_resources(&flat);
                 let lane_res = res.div_ceil(lanes as u64);
-                flat.path.push_str("/lane0");
-                if let Some(b) = &mut flat.behavior {
-                    b.push_str("_lane");
-                }
                 let first = arena.len();
-                let lane0 = SoftBlockKind::Leaf {
-                    path: flat.path,
-                    module: flat.module,
-                    behavior: flat.behavior,
-                };
-                push_block(&mut arena, lane0, lane_res);
-                for l in 1..lanes {
-                    let mut lane_path = with_room(path, "/lane".len() + decimal_digits(l));
-                    write!(lane_path, "/lane{l}").expect("writing to a String cannot fail");
+                for l in 0..lanes {
                     let leaf = SoftBlockKind::Leaf {
-                        path: lane_path,
+                        path: lane_path(node.path, l),
                         module: node.module.to_owned(),
-                        behavior: node.behavior.map(|b| {
-                            let mut s = with_room(b, "_lane".len());
-                            s.push_str("_lane");
-                            s
-                        }),
+                        behavior: node.behavior.map(|b| [b, "_lane"].concat()),
                     };
                     push_block(&mut arena, leaf, lane_res);
                 }
@@ -347,18 +308,12 @@ impl WorkGraph {
                 w.hash = hash_composite("data", [lane_hash], lanes as u64);
                 w.block = push_block(&mut arena, kind, res).0 as u32;
             } else {
-                let flat = FlatNode {
-                    path: path.to_owned(),
-                    module: node.module.to_owned(),
-                    behavior: node.behavior.map(str::to_owned),
-                };
-                let res = leaf_resources(&flat);
                 stats.data_leaves += 1;
                 w.hash = hash_leaf(node.module, node.behavior);
                 let kind = SoftBlockKind::Leaf {
-                    path: flat.path,
-                    module: flat.module,
-                    behavior: flat.behavior,
+                    path: node.path.to_owned(),
+                    module: node.module.to_owned(),
+                    behavior: node.behavior.map(str::to_owned),
                 };
                 w.block = push_block(&mut arena, kind, res).0 as u32;
             }
@@ -896,21 +851,12 @@ fn distinct_neighbors<'r>(a: &'r [Link], b: &'r [Link]) -> impl Iterator<Item = 
     })
 }
 
-/// Replaces `s`'s contents with `with`, keeping its buffer.
-fn refill(s: &mut String, with: &str) {
-    s.clear();
-    s.push_str(with);
-}
-
-/// `s` in a buffer with `extra` spare bytes.
-fn with_room(s: &str, extra: usize) -> String {
-    let mut out = String::with_capacity(s.len() + extra);
-    out.push_str(s);
+/// `{path}/lane{l}`, allocated at its exact length.
+fn lane_path(path: &str, l: usize) -> String {
+    let digits = l.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let mut out = String::with_capacity(path.len() + "/lane".len() + digits);
+    write!(out, "{path}/lane{l}").expect("writing to a String cannot fail");
     out
-}
-
-fn decimal_digits(n: usize) -> usize {
-    n.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
 /// Continues an FNV-1a hash `h` over `bytes`: hashing a string in pieces
@@ -1085,6 +1031,30 @@ mod tests {
         let opts = DecomposeOptions::new("nonexistent");
         let err = decompose(&design, "top", &opts, &unit_resources).unwrap_err();
         assert!(matches!(err, CoreError::MissingControlModule(_)));
+    }
+
+    #[test]
+    fn exponential_hierarchy_is_an_rtl_error() {
+        // Each level instantiates the one below twice: 2^64 leaves under
+        // `top`, from a few kilobytes of source.
+        let mut src = String::from(
+            "module ctrl #(behavior=\"seq\") (input [7:0] x); endmodule\n\
+             module l0 #(behavior=\"mac\") (input [7:0] x); endmodule\n",
+        );
+        for level in 1..=64 {
+            let below = level - 1;
+            src.push_str(&format!(
+                "module l{level} (input [7:0] x); l{below} a (.x(x)); l{below} b (.x(x)); endmodule\n"
+            ));
+        }
+        src.push_str("module top (input [7:0] x); ctrl c (.x(x)); l64 d (.x(x)); endmodule\n");
+        let design = parse(&src).unwrap();
+        let opts = DecomposeOptions::new("ctrl");
+        let err = decompose(&design, "top", &opts, &unit_resources).unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::Rtl(vfpga_rtl::RtlError::HierarchyTooLarge("top".into()))
+        );
     }
 
     #[test]

@@ -64,16 +64,15 @@ fn lower(
         .ok_or_else(|| CoreError::Rtl(vfpga_rtl::RtlError::UnknownModule(module_name.into())))?;
 
     if module.is_basic() {
-        let node = FlatNode {
+        let resources = leaf_resources(&FlatNode {
+            path,
+            module: &module.name,
+            behavior: module.behavior.as_deref(),
+        });
+        let kind = SoftBlockKind::Leaf {
             path: path.to_string(),
             module: module.name.clone(),
             behavior: module.behavior.clone(),
-        };
-        let resources = leaf_resources(&node);
-        let kind = SoftBlockKind::Leaf {
-            path: node.path,
-            module: node.module,
-            behavior: node.behavior,
         };
         return Ok(push_block(arena, kind, resources));
     }

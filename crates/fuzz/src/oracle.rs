@@ -424,8 +424,7 @@ fn check_depgraph_reference(input: &FuzzInput) -> Result<(), String> {
 fn kernel_resources(node: &FlatNode) -> ResourceVec {
     let k: u64 = node
         .behavior
-        .as_deref()
-        .unwrap_or(&node.module)
+        .unwrap_or(node.module)
         .bytes()
         .map(u64::from)
         .sum();

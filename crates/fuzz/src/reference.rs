@@ -518,8 +518,8 @@ fn reference_escape(s: &str, out: &mut String) {
 }
 
 /// The bottom-up decomposer as it stood before its working graph moved to
-/// dense ids: [`vfpga_rtl::Design::flatten`] with owned strings per node,
-/// one `BTreeMap` of neighbor to bits per node and direction, a
+/// dense ids: one `BTreeMap` of neighbor to bits per node and direction
+/// over [`vfpga_rtl::Design::block_graph`]'s nodes and edges, a
 /// `live_by_hash` map rebuilt per grouping pass, and the pipeline step's
 /// per-node neighbor `Vec`s. `vfpga_core::decompose` must produce the same
 /// tree, arena ids, resources, leaves, link widths and statistics.
@@ -540,25 +540,25 @@ pub fn reference_decompose(
         .name
         .as_str();
 
-    let graph = design.flatten(top)?;
+    let graph = design.block_graph(top)?;
     let mut control_resources = ResourceVec::ZERO;
     let mut stats = DecomposeStats::default();
     let mut g = RefGraph::default();
     let mut index_of: Vec<Option<usize>> = vec![None; graph.node_count()];
-    for (node_id, node) in graph.nodes() {
-        let res = leaf_resources(node);
+    for (node_id, index) in index_of.iter_mut().enumerate() {
+        let node = graph.node(node_id as u32);
+        let res = leaf_resources(&node);
         let in_ctrl = node
             .path
             .strip_prefix(ctrl_instance)
             .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'));
-        if in_ctrl || options.move_to_control.iter().any(|m| m == &node.module) {
+        if in_ctrl || options.move_to_control.iter().any(|m| m == node.module) {
             control_resources += res;
             stats.control_leaves += 1;
             continue;
         }
         let lanes = node
             .behavior
-            .as_deref()
             .and_then(|b| options.intra_parallelism.get(b).copied())
             .unwrap_or(1);
         let (block, hash) = if lanes > 1 {
@@ -569,8 +569,8 @@ pub fn reference_decompose(
                         &mut g.arena,
                         SoftBlockKind::Leaf {
                             path: format!("{}/lane{l}", node.path),
-                            module: node.module.clone(),
-                            behavior: node.behavior.as_ref().map(|b| format!("{b}_lane")),
+                            module: node.module.to_string(),
+                            behavior: node.behavior.map(|b| format!("{b}_lane")),
                         },
                         lane_res,
                     )
@@ -578,7 +578,7 @@ pub fn reference_decompose(
                 .collect();
             stats.data_leaves += lanes;
             stats.data_groups += 1;
-            let behavior = node.behavior.as_deref().unwrap_or_default();
+            let behavior = node.behavior.unwrap_or_default();
             let lane_hash = ref_fnv(ref_hash_str(behavior), b"/lane");
             let kind = SoftBlockKind::Composite {
                 pattern: Pattern::Data,
@@ -590,17 +590,17 @@ pub fn reference_decompose(
         } else {
             stats.data_leaves += 1;
             let kind = SoftBlockKind::Leaf {
-                path: node.path.clone(),
-                module: node.module.clone(),
-                behavior: node.behavior.clone(),
+                path: node.path.to_string(),
+                module: node.module.to_string(),
+                behavior: node.behavior.map(str::to_string),
             };
-            let hash = match &node.behavior {
+            let hash = match node.behavior {
                 Some(b) => ref_fnv(ref_hash_str("leaf:"), b.as_bytes()),
                 None => ref_fnv(ref_hash_str("leaf-module:"), node.module.as_bytes()),
             };
             (ref_push(&mut g.arena, kind, res), hash)
         };
-        index_of[node_id.0] = Some(g.nodes.len());
+        *index = Some(g.nodes.len());
         g.nodes.push(RefNode {
             block,
             hash,
@@ -613,7 +613,7 @@ pub fn reference_decompose(
         return Err(CoreError::EmptyDataPath);
     }
     for e in graph.edges() {
-        if let (Some(a), Some(b)) = (index_of[e.from.0], index_of[e.to.0]) {
+        if let (Some(a), Some(b)) = (index_of[e.from as usize], index_of[e.to as usize]) {
             *g.nodes[a].out.entry(b).or_insert(0) += e.width;
             *g.nodes[b].inc.entry(a).or_insert(0) += e.width;
         }

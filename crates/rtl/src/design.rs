@@ -3,8 +3,8 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Range;
 
-use crate::graph::{BlockGraph, BlockNode, FlatGraph, Pin};
-use crate::module::{ModuleDecl, PortDir};
+use crate::graph::{BlockGraph, BlockNode, Pin};
+use crate::module::ModuleDecl;
 use crate::{eqhash, RtlError};
 
 /// A complete RTL design: a collection of module declarations.
@@ -179,50 +179,20 @@ impl Design {
         Ok(self.canonical_hash(a)? == self.canonical_hash(b)?)
     }
 
-    /// Flattens the hierarchy under `top` into the paper's *block graph*: a
-    /// graph whose nodes are basic-module instances and whose weighted edges
-    /// are the bit widths of the nets connecting them. Nodes also record
-    /// their connections to `top`'s external ports.
+    /// Flattens the hierarchy under `top` into the paper's *block graph*:
+    /// a graph whose nodes are basic-module instances and whose weighted
+    /// edges are the bit widths of the nets connecting them, on dense
+    /// `u32` ids, with module and behavior names borrowed from this design
+    /// and all paths in one string. Every buffer is sized from a first
+    /// pass over the module hierarchy, so flattening makes a fixed number
+    /// of allocations however many instances it elaborates.
     ///
     /// # Errors
     ///
-    /// Returns an error if `top` or any referenced module is unknown, or if
-    /// the hierarchy is recursive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the hierarchy elaborates to more than `u32::MAX` nets,
-    /// basic-module instances, pins or path bytes.
-    pub fn flatten(&self, top: &str) -> Result<FlatGraph, RtlError> {
-        let (graph, pins, mut nets) = self.flatten_pins(top)?;
-        let top_module = self.modules.get(top).expect("flattened top exists");
-        // Top-level ports are the first nets of the top context.
-        let externals: Vec<(u32, PortDir, u32)> = top_module
-            .ports
-            .iter()
-            .enumerate()
-            .map(|(j, p)| (nets.find(j as u32), p.dir, p.width))
-            .collect();
-        Ok(FlatGraph::new(&graph, &pins, &externals))
-    }
-
-    /// The block graph of [`flatten`](Design::flatten) on dense `u32` ids,
-    /// with module and behavior names borrowed from this design and all
-    /// paths in one string: the same nodes in the same order and the same
-    /// edges, without the top module's port widths. Every buffer is sized
-    /// from a first pass over the module hierarchy, so flattening makes a
-    /// fixed number of allocations however many instances it elaborates.
-    ///
-    /// # Errors and panics
-    ///
-    /// As for [`flatten`](Design::flatten).
+    /// Returns an error if `top` or any referenced module is unknown, if
+    /// the hierarchy is recursive, or if it elaborates to more than
+    /// `u32::MAX` nets, basic-module instances, pins or path bytes.
     pub fn block_graph(&self, top: &str) -> Result<BlockGraph<'_>, RtlError> {
-        self.flatten_pins(top).map(|(graph, _, _)| graph)
-    }
-
-    /// Flattens `top`; returns the block graph, its pins grouped by net,
-    /// and the net union-find (whose first nets are `top`'s ports).
-    fn flatten_pins(&self, top: &str) -> Result<(BlockGraph<'_>, Vec<Pin>, UnionFind), RtlError> {
         let top_module = self
             .modules
             .get(top)
@@ -231,12 +201,12 @@ impl Design {
         let mut plans = Plans::new(self);
         let top_plan = plans.plan(self, top_module)?;
         let size = plans.plans[top_plan].size;
-        assert!(
-            [size.nets, size.leaves, size.pins, size.path_bytes]
-                .iter()
-                .all(|&n| u32::try_from(n).is_ok()),
-            "`{top}` elaborates to more nets, instances, pins or path bytes than u32 ids cover"
-        );
+        if [size.nets, size.leaves, size.pins, size.path_bytes]
+            .iter()
+            .any(|&n| u32::try_from(n).is_err())
+        {
+            return Err(RtlError::HierarchyTooLarge(top.to_string()));
+        }
         let mut fl = Flattener {
             plans: &plans,
             nodes: Vec::with_capacity(size.leaves),
@@ -257,8 +227,7 @@ impl Design {
         for pin in &mut pins {
             pin.net = nets.find(pin.net);
         }
-        let (graph, by_net) = BlockGraph::build(nodes, paths, &pins, size.nets);
-        Ok((graph, by_net, nets))
+        Ok(BlockGraph::build(nodes, paths, &pins, size.nets))
     }
 }
 
@@ -615,22 +584,19 @@ mod tests {
     }
 
     #[test]
-    fn flatten_builds_block_graph() {
+    fn block_graph_of_a_chain() {
         let d = chain_design();
-        let g = d.flatten("top").unwrap();
+        let g = d.block_graph("top").unwrap();
         assert_eq!(g.node_count(), 2);
         // u0.y -> u1.{a,b} share one 16-bit net.
-        let e = g.edges_between(crate::NodeId(0), crate::NodeId(1));
-        assert_eq!(e, 16);
-        // u0 connects to external input x; u1 to external output y.
-        assert!(g.node(crate::NodeId(0)).unwrap_or_else(|| panic!()).path == "u0");
-        assert!(g.external_inputs_of(crate::NodeId(0)) > 0);
-        assert_eq!(g.external_inputs_of(crate::NodeId(1)), 0);
-        assert!(g.external_outputs_of(crate::NodeId(1)) > 0);
+        let e = g.edges();
+        assert_eq!(e.len(), 1);
+        assert_eq!((e[0].from, e[0].to, e[0].width), (0, 1, 16));
+        assert_eq!(g.node(0).path, "u0");
+        assert_eq!((g.node(1).module, g.node(1).behavior), ("pe", Some("mac")));
     }
 
     #[test]
-    #[should_panic(expected = "than u32 ids cover")]
     fn exponential_hierarchy_is_rejected_before_allocating() {
         // Each level instantiates the one below twice: 2^64 leaves.
         let mut d = Design::new();
@@ -646,7 +612,10 @@ mod tests {
             m.add_instance(Instance::new("b", below.as_str(), [] as [(&str, &str); 0]));
             d.add_module(m).unwrap();
         }
-        let _ = d.block_graph("l64");
+        assert_eq!(
+            d.block_graph("l64").unwrap_err(),
+            RtlError::HierarchyTooLarge("l64".into())
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * a hierarchical, structural IR ([`Design`], [`ModuleDecl`], [`Instance`]);
 //! * a parser for a small Verilog-like structural subset ([`parse`]);
 //! * hierarchy flattening into a graph of basic-module instances
-//!   ([`Design::flatten`], [`FlatGraph`]) — the paper's "block graph";
+//!   ([`Design::block_graph`], [`BlockGraph`]) — the paper's "block graph";
 //! * structural equivalence checking ([`Design::canonical_hash`]), the
 //!   stand-in for the SAT-based combinational equivalence checking the paper
 //!   cites for detecting data parallelism. Leaf modules carry an opaque
@@ -29,8 +29,10 @@
 //!       pe u1 (.a(t), .b(t), .y(y));
 //!     endmodule
 //! "#)?;
-//! let graph = design.flatten("top")?;
+//! let graph = design.block_graph("top")?;
 //! assert_eq!(graph.node_count(), 2);
+//! assert_eq!(graph.node(1).path, "u1");
+//! assert_eq!(graph.edges()[0].width, 16);
 //! # Ok::<(), vfpga_rtl::RtlError>(())
 //! ```
 
@@ -42,7 +44,7 @@ mod parser;
 mod writer;
 
 pub use design::Design;
-pub use graph::{BlockEdge, BlockGraph, BlockNode, EdgeRef, FlatGraph, FlatNode, NodeId};
+pub use graph::{BlockEdge, BlockGraph, FlatNode};
 pub use module::{Instance, ModuleDecl, Port, PortDir};
 pub use parser::parse;
 
@@ -85,6 +87,9 @@ pub enum RtlError {
     },
     /// The module hierarchy instantiates a module inside itself.
     RecursiveHierarchy(String),
+    /// The named top module elaborates to more nets, basic-module
+    /// instances, pins or path bytes than `u32` ids cover.
+    HierarchyTooLarge(String),
     /// Connected objects have different bit widths.
     WidthMismatch {
         /// The containing module.
@@ -112,6 +117,10 @@ impl fmt::Display for RtlError {
             RtlError::RecursiveHierarchy(m) => {
                 write!(f, "recursive instantiation of module `{m}`")
             }
+            RtlError::HierarchyTooLarge(m) => write!(
+                f,
+                "`{m}` elaborates to more nets, instances, pins or path bytes than u32 ids cover"
+            ),
             RtlError::WidthMismatch { module, detail } => {
                 write!(f, "width mismatch in module `{module}`: {detail}")
             }

@@ -151,8 +151,7 @@ fn accelerator_digest() -> (u64, usize) {
 fn kernel_resources(node: &FlatNode) -> ResourceVec {
     let k: u64 = node
         .behavior
-        .as_deref()
-        .unwrap_or(&node.module)
+        .unwrap_or(node.module)
         .bytes()
         .map(u64::from)
         .sum();

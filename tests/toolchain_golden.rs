@@ -6,15 +6,14 @@
 //!   latency. Every `ScaleOutTiming` report is folded into one FNV-1a
 //!   digest per task, so a change to the cycle model, the reorder or the
 //!   ring that moves any number fails here.
-//! * The flattened block graph of generated accelerators (tiles 1, 8 and
-//!   21), built directly and after a `to_source` → `parse` round trip:
-//!   every node's path, module and behavior, every edge and every node's
-//!   external input and output widths.
+//! * The block graph of generated accelerators (tiles 1, 8 and 21), built
+//!   directly and after a `to_source` → `parse` round trip: every node's
+//!   path, module and behavior, then every edge.
 
 use vfpga::accel::{generate_rtl, AcceleratorConfig, CycleSim, TimingModel, TOP_MODULE};
 use vfpga::core::scaleout::{insert_communication, remote_window, reorder_for_overlap};
 use vfpga::fabric::MemoryKind;
-use vfpga::rtl::{parse, FlatGraph};
+use vfpga::rtl::{parse, BlockGraph};
 use vfpga::runtime::co_simulate_timing;
 use vfpga::sim::SimTime;
 use vfpga::workload::{generate_program, RnnKind, RnnTask, SizeClass, SliceSpec};
@@ -111,28 +110,27 @@ fn fig11_cosim_reports_are_pinned() {
     );
 }
 
-fn fingerprint(h: &mut Fnv, g: &FlatGraph) {
+fn fingerprint(h: &mut Fnv, g: &BlockGraph<'_>) {
     h.u64(g.node_count() as u64);
-    for (id, node) in g.nodes() {
-        h.str(&node.path);
-        h.str(&node.module);
-        h.str(node.behavior.as_deref().unwrap_or("-"));
-        h.u64(g.external_inputs_of(id));
-        h.u64(g.external_outputs_of(id));
+    for id in 0..g.node_count() as u32 {
+        let node = g.node(id);
+        h.str(node.path);
+        h.str(node.module);
+        h.str(node.behavior.unwrap_or("-"));
     }
     for e in g.edges() {
-        h.u64(e.from.0 as u64);
-        h.u64(e.to.0 as u64);
+        h.u64(u64::from(e.from));
+        h.u64(u64::from(e.to));
         h.u64(e.width);
     }
 }
 
 #[test]
-fn flattened_accelerators_are_pinned() {
+fn block_graphs_are_pinned() {
     let cases = [
-        (1, 0xf042_2191_4d57_415cu64),
-        (8, 0x37fa_15b1_c1f2_5b97),
-        (21, 0xe0ec_780d_1471_4da2),
+        (1, 0xdd69_4ad1_3029_38fcu64),
+        (8, 0xe4b9_c613_24bb_ad47),
+        (21, 0x5d4f_4b64_d5bf_8f62),
     ];
     let mut got = Vec::new();
     for (tiles, _) in cases {
@@ -140,11 +138,9 @@ fn flattened_accelerators_are_pinned() {
             .with_memory_kind(MemoryKind::Uram)
             .with_bfp(storage_bfp());
         let design = generate_rtl(&config);
-        let direct = design.flatten(TOP_MODULE).expect("flatten");
-        let reparsed = parse(&design.to_source())
-            .expect("parse")
-            .flatten(TOP_MODULE)
-            .expect("flatten");
+        let reparsed = parse(&design.to_source()).expect("parse");
+        let direct = design.block_graph(TOP_MODULE).expect("block graph");
+        let reparsed = reparsed.block_graph(TOP_MODULE).expect("block graph");
         let (mut a, mut b) = (Fnv::new(), Fnv::new());
         fingerprint(&mut a, &direct);
         fingerprint(&mut b, &reparsed);
