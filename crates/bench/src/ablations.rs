@@ -28,12 +28,12 @@ pub struct PartitionerAblation {
 pub fn partitioner(catalog: &Catalog) -> PartitionerAblation {
     let task = RnnTask::new(RnnKind::Gru, 1024, 64);
     let name = catalog.instance_for(&task);
-    let base = catalog.task_latency(&task, &name, 400.0, 0).as_secs();
+    let base = catalog.task_latency(&task, name, 400.0, 0).as_secs();
     let aware = catalog
-        .task_latency(&task, &name, 400.0, PATTERN_AWARE_CROSSINGS)
+        .task_latency(&task, name, 400.0, PATTERN_AWARE_CROSSINGS)
         .as_secs();
     let oblivious = catalog
-        .task_latency(&task, &name, 400.0, PATTERN_OBLIVIOUS_CROSSINGS)
+        .task_latency(&task, name, 400.0, PATTERN_OBLIVIOUS_CROSSINGS)
         .as_secs();
     PartitionerAblation {
         aware_overhead: aware / base - 1.0,

@@ -200,9 +200,13 @@ impl Catalog {
             .collect()
     }
 
-    /// The Table 2 baseline instance for a device type name.
-    pub fn baseline_instance_name(&self, device_type: &str) -> String {
-        baseline_instance(device_type).to_string()
+    /// The Table 2 baseline instance statically compiled onto a device
+    /// type.
+    pub fn baseline_instance_name(&self, device_type: &str) -> &'static str {
+        match device_type {
+            "XCVU37P" => "bw-v37",
+            _ => "bw-k115",
+        }
     }
 
     /// Runs the offline mapping flow for one configuration: RTL
@@ -276,8 +280,12 @@ impl Catalog {
     }
 
     /// The instance class serving a task (by the Table 1 size classes).
-    pub fn instance_for(&self, task: &RnnTask) -> String {
-        class_instance(task).to_string()
+    pub fn instance_for(&self, task: &RnnTask) -> &'static str {
+        match task.size_class() {
+            SizeClass::Small => "bw-s",
+            SizeClass::Medium => "bw-m",
+            SizeClass::Large => "bw-l",
+        }
     }
 
     /// Single-FPGA inference latency of `task` on `instance`, clocked at
@@ -356,7 +364,7 @@ impl Catalog {
         let instance: &str = if policy == Policy::Baseline {
             match &deployment.installed_instance {
                 Some(name) => name,
-                None => baseline_instance(
+                None => self.baseline_instance_name(
                     self.cluster
                         .device(deployment.placements[0].device)
                         .device_type()
@@ -364,7 +372,7 @@ impl Catalog {
                 ),
             }
         } else {
-            class_instance(task)
+            self.instance_for(task)
         };
         let (slot, spec) = self.resolve(instance);
         // Effective clock: units on slower devices only slow their own
@@ -421,23 +429,6 @@ impl Catalog {
 /// [`Catalog::task_weight_kb`] on a resolved instance.
 fn weight_kb(task: &RnnTask, spec: &InstanceSpec) -> u64 {
     2 * task.kind.gates() as u64 * spec.config.matrix_storage_kb(task.hidden, task.hidden)
-}
-
-/// The instance class serving a task (by the Table 1 size classes).
-fn class_instance(task: &RnnTask) -> &'static str {
-    match task.size_class() {
-        SizeClass::Small => "bw-s",
-        SizeClass::Medium => "bw-m",
-        SizeClass::Large => "bw-l",
-    }
-}
-
-/// The Table 2 baseline instance statically compiled onto a device type.
-fn baseline_instance(device_type: &str) -> &'static str {
-    match device_type {
-        "XCVU37P" => "bw-v37",
-        _ => "bw-k115",
-    }
 }
 
 #[cfg(test)]
@@ -549,7 +540,6 @@ mod tests {
         let dev = DeviceId(0);
         let make = |placements: Vec<Placement>, hops: usize| Deployment {
             id: DeploymentId(0),
-            instance: "bw-s".to_string(),
             installed_instance: None,
             placements,
             crossings_per_op: 2,
@@ -617,8 +607,8 @@ mod tests {
             RnnTask::new(RnnKind::Lstm, 512, 25),
         ] {
             let name = c.instance_for(&task);
-            let base = c.task_latency(&task, &name, 400.0, 0);
-            let virt = c.task_latency(&task, &name, 400.0, vfpga_core::PATTERN_AWARE_CROSSINGS);
+            let base = c.task_latency(&task, name, 400.0, 0);
+            let virt = c.task_latency(&task, name, 400.0, vfpga_core::PATTERN_AWARE_CROSSINGS);
             let overhead = (virt.as_secs() - base.as_secs()) / base.as_secs();
             assert!(
                 (0.005..0.12).contains(&overhead),

@@ -146,10 +146,10 @@ pub fn table4(catalog: &Catalog) -> Vec<Table4Row> {
                 continue;
             }
             let name = catalog.baseline_instance_name(device.name());
-            let base = catalog.task_latency(&task, &name, device.freq_mhz(), 0);
+            let base = catalog.task_latency(&task, name, device.freq_mhz(), 0);
             let virt = catalog.task_latency(
                 &task,
-                &name,
+                name,
                 device.freq_mhz(),
                 vfpga_core::PATTERN_AWARE_CROSSINGS,
             );

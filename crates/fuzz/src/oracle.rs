@@ -943,13 +943,12 @@ fn cloud_setup(
 }
 
 /// The instance class serving a fuzz task.
-fn fuzz_instance_for(t: &RnnTask) -> String {
+fn fuzz_instance_for(t: &RnnTask) -> &'static str {
     match t.size_class() {
         vfpga_workload::SizeClass::Small => "fz-s",
         vfpga_workload::SizeClass::Medium => "fz-m",
         vfpga_workload::SizeClass::Large => "fz-l",
     }
-    .to_string()
 }
 
 /// A fuzz task's service time: a microsecond of setup plus its work
@@ -962,7 +961,7 @@ fn run_cloud_once(
     cluster: &Cluster,
     policy: Policy,
     arrivals: &[TaskArrival],
-    instance_for: &dyn Fn(&RnnTask) -> String,
+    instance_for: &dyn Fn(&RnnTask) -> &'static str,
     faults: &FaultPlan,
     recovery: RecoveryPolicy,
     elasticity: ElasticityPolicy,

@@ -65,7 +65,7 @@ pub struct PlacementRecord {
     /// Index of the task in the arrival list.
     pub task: usize,
     /// The instance deployed.
-    pub instance: String,
+    pub instance: &'static str,
     /// Device index of each unit, in unit order.
     pub devices: Vec<usize>,
 }
@@ -178,19 +178,18 @@ impl ReferenceReport {
         let mut count = 0;
         for (i, s) in placed.enumerate() {
             let instance = match s.attr("instance") {
-                Some(SpanValue::Text(t)) => t.clone(),
+                Some(SpanValue::Text(t)) => t.as_str(),
                 other => return Err(format!("deploy span without instance: {other:?}")),
             };
-            let fast_record = PlacementRecord {
-                at: s.begin,
-                task: s.trace.0 as usize,
-                instance,
-                devices: units.remove(&s.id.0).unwrap_or_default(),
-            };
-            if self.placements.get(i) != Some(&fast_record) {
+            let (at, task) = (s.begin, s.trace.0 as usize);
+            let devices = units.remove(&s.id.0).unwrap_or_default();
+            let reference = self.placements.get(i);
+            if reference.is_none_or(|r| {
+                (r.at, r.task, r.instance, &r.devices) != (at, task, instance, &devices)
+            }) {
                 return Err(format!(
-                    "placement #{i}: fast {fast_record:?}, reference {:?}",
-                    self.placements.get(i)
+                    "placement #{i}: fast at {at:?} task {task} instance {instance} \
+                     devices {devices:?}, reference {reference:?}"
                 ));
             }
             count += 1;
@@ -300,7 +299,7 @@ impl<'a> ReferenceCluster<'a> {
                     return Ok(Err(RejectReason::TransientFault));
                 }
             }
-            return Ok(Ok(self.commit(instance, option, &devices)));
+            return Ok(Ok(self.commit(option, &devices)));
         }
         Ok(Err(if any_eligible {
             RejectReason::InsufficientCapacity
@@ -355,12 +354,7 @@ impl<'a> ReferenceCluster<'a> {
         Some(chosen)
     }
 
-    fn commit(
-        &mut self,
-        instance: &str,
-        option: &DeploymentOption,
-        devices: &[usize],
-    ) -> Deployment {
+    fn commit(&mut self, option: &DeploymentOption, devices: &[usize]) -> Deployment {
         let mut units = Vec::new();
         for (unit, &d) in option.units.iter().zip(devices) {
             let blocks = unit.images[self.type_of(d)].blocks();
@@ -388,7 +382,6 @@ impl<'a> ReferenceCluster<'a> {
         // shape; the allocation handles are placeholders.
         Deployment {
             id: DeploymentId(id),
-            instance: instance.to_string(),
             installed_instance: None,
             placements: option
                 .units
@@ -461,7 +454,7 @@ enum Event {
 pub struct ReferenceScheduler<'a> {
     cluster: ReferenceCluster<'a>,
     arrivals: &'a [TaskArrival],
-    instance_for: &'a dyn Fn(&RnnTask) -> String,
+    instance_for: &'a dyn Fn(&RnnTask) -> &'static str,
     service_time: &'a dyn Fn(&RnnTask, &Deployment) -> SimTime,
     recovery: RecoveryPolicy,
     events: EventQueue<Event>,
@@ -491,7 +484,7 @@ impl<'a> ReferenceScheduler<'a> {
         db: &'a MappingDatabase,
         policy: Policy,
         arrivals: &'a [TaskArrival],
-        instance_for: &'a dyn Fn(&RnnTask) -> String,
+        instance_for: &'a dyn Fn(&RnnTask) -> &'static str,
         service_time: &'a dyn Fn(&RnnTask, &Deployment) -> SimTime,
         faults: &FaultPlan,
         recovery: RecoveryPolicy,
@@ -610,7 +603,7 @@ impl<'a> ReferenceScheduler<'a> {
         task: usize,
     ) -> Result<Result<Deployment, RejectReason>, String> {
         let instance = (self.instance_for)(&self.arrivals[task].task);
-        let outcome = self.cluster.try_deploy(&instance)?;
+        let outcome = self.cluster.try_deploy(instance)?;
         match &outcome {
             Ok(d) => self.report.placements.push(PlacementRecord {
                 at: now,

@@ -488,9 +488,11 @@ enum Event {
 /// and no injected faults.
 ///
 /// * `instance_for` names the accelerator instance (a mapping-database key)
-///   serving a task — the deployment catalog is sized per model class. It
-///   is called once per arrival, where the name is interned; an unknown
-///   name fails the run at that arrival.
+///   serving a task — the deployment catalog is sized per model class —
+///   as a `&'static str`, so naming a task allocates nothing. It is called
+///   once per arrival, where the name is interned; from then on the run
+///   works with the [`InstanceId`] alone, and an unknown name fails the
+///   run at that arrival.
 /// * `service_time` gives the task's execution latency on a given
 ///   deployment (built from the cycle-level timing simulations).
 ///
@@ -505,7 +507,7 @@ enum Event {
 pub fn run_cloud_sim(
     controller: &mut SystemController,
     arrivals: &[TaskArrival],
-    instance_for: &dyn Fn(&RnnTask) -> String,
+    instance_for: &dyn Fn(&RnnTask) -> &'static str,
     service_time: &dyn Fn(&RnnTask, &Deployment) -> SimTime,
 ) -> Result<CloudReport, RuntimeError> {
     run_cloud_sim_tuned(
@@ -525,7 +527,9 @@ pub fn run_cloud_sim(
 /// link waves — recovering interrupted deployments per `recovery`, with
 /// an explicit trace-ring capacity and [`AdmissionTuning`] (span
 /// recording, elasticity and streaming telemetry). A zero trace capacity
-/// keeps no events and counts every one as dropped.
+/// keeps no events and counts every one as dropped. `instance_for` and
+/// `service_time` are as in [`run_cloud_sim`]: the instance name is
+/// asked for once per arrival and interned there.
 ///
 /// Link degradations corrupt in-flight transfers of the multi-device
 /// deployments routed over the segment (retransmitted under the plan's
@@ -548,7 +552,7 @@ pub fn run_cloud_sim(
 pub fn run_cloud_sim_tuned(
     controller: &mut SystemController,
     arrivals: &[TaskArrival],
-    instance_for: &dyn Fn(&RnnTask) -> String,
+    instance_for: &dyn Fn(&RnnTask) -> &'static str,
     service_time: &dyn Fn(&RnnTask, &Deployment) -> SimTime,
     faults: &FaultPlan,
     recovery: RecoveryPolicy,
@@ -599,7 +603,7 @@ pub fn run_cloud_sim_tuned(
 struct CloudSim<'a> {
     controller: &'a mut SystemController,
     arrivals: &'a [TaskArrival],
-    instance_for: &'a dyn Fn(&RnnTask) -> String,
+    instance_for: &'a dyn Fn(&RnnTask) -> &'static str,
     service_time: &'a dyn Fn(&RnnTask, &Deployment) -> SimTime,
     recovery: RecoveryPolicy,
     faults: &'a FaultPlan,
@@ -725,7 +729,7 @@ impl<'a> CloudSim<'a> {
                 Event::Arrival(i) => {
                     self.queue.push_back(i);
                     let tenant = (self.instance_for)(&self.arrivals[i].task);
-                    let instance = self.controller.instance_id(&tenant)?;
+                    let instance = self.controller.instance_id(tenant)?;
                     self.instance[i] = instance.index();
                     self.rec.emit(now, SimEvent::Arrival(i, instance));
                 }
@@ -1456,7 +1460,7 @@ mod tests {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Full);
         let a = arrivals(50, 10.0);
-        let report = run_cloud_sim(&mut c, &a, &|_| "tiny".to_string(), &fixed_service).unwrap();
+        let report = run_cloud_sim(&mut c, &a, &|_| "tiny", &fixed_service).unwrap();
         assert_eq!(report.completed, 50);
         assert_eq!(report.never_deployed, 0);
         assert_eq!(report.lost, 0);
@@ -1476,7 +1480,7 @@ mod tests {
         // the (light-load) service time.
         let mut c = SystemController::new(cluster, db, Policy::Baseline);
         let a = arrivals(80, 1.0);
-        let report = run_cloud_sim(&mut c, &a, &|_| "tiny".to_string(), &fixed_service).unwrap();
+        let report = run_cloud_sim(&mut c, &a, &|_| "tiny", &fixed_service).unwrap();
         assert_eq!(report.completed, 80);
         assert!(report.accounts_for_all_arrivals());
         assert!(report.queue_wait.mean() > 100e-6);
@@ -1495,9 +1499,9 @@ mod tests {
         let (cluster, db) = small_db();
         let a = arrivals(80, 1.0);
         let mut base = SystemController::new(cluster.clone(), db.clone(), Policy::Baseline);
-        let b = run_cloud_sim(&mut base, &a, &|_| "tiny".to_string(), &fixed_service).unwrap();
+        let b = run_cloud_sim(&mut base, &a, &|_| "tiny", &fixed_service).unwrap();
         let mut full = SystemController::new(cluster, db, Policy::Full);
-        let f = run_cloud_sim(&mut full, &a, &|_| "tiny".to_string(), &fixed_service).unwrap();
+        let f = run_cloud_sim(&mut full, &a, &|_| "tiny", &fixed_service).unwrap();
         assert!(
             f.throughput_per_s > b.throughput_per_s * 1.5,
             "full {} vs baseline {}",
@@ -1516,7 +1520,7 @@ mod tests {
         let a = arrivals(80, 1.0);
         let run = |policy: Policy| {
             let mut c = SystemController::new(cluster.clone(), db.clone(), policy);
-            run_cloud_sim(&mut c, &a, &|_| "tiny".to_string(), &fixed_service).unwrap()
+            run_cloud_sim(&mut c, &a, &|_| "tiny", &fixed_service).unwrap()
         };
         let base = run(Policy::Baseline);
         let restricted = run(Policy::Restricted);
@@ -1543,7 +1547,7 @@ mod tests {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Baseline);
         let a = arrivals(20, 1.0);
-        let report = run_cloud_sim(&mut c, &a, &|_| "tiny".to_string(), &fixed_service).unwrap();
+        let report = run_cloud_sim(&mut c, &a, &|_| "tiny", &fixed_service).unwrap();
         // End-to-end latency >= service time for every task.
         assert!(report.latency.min().unwrap() >= 100e-6 - 1e-9);
         assert!(report.latency.mean() > report.queue_wait.mean());
@@ -1576,7 +1580,7 @@ mod tests {
         });
         let mut c = SystemController::new(cluster, db2, Policy::Baseline);
         let a = arrivals(10, 1.0);
-        let report = run_cloud_sim(&mut c, &a, &|_| "huge".to_string(), &fixed_service).unwrap();
+        let report = run_cloud_sim(&mut c, &a, &|_| "huge", &fixed_service).unwrap();
         assert_eq!(report.completed, 0);
         assert_eq!(report.never_deployed, 10);
         assert!(report.accounts_for_all_arrivals());
@@ -1593,7 +1597,7 @@ mod tests {
     fn empty_workload_yields_empty_report() {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Full);
-        let report = run_cloud_sim(&mut c, &[], &|_| "tiny".to_string(), &fixed_service).unwrap();
+        let report = run_cloud_sim(&mut c, &[], &|_| "tiny", &fixed_service).unwrap();
         assert_eq!(report.arrivals, 0);
         assert_eq!(report.completed, 0);
         assert!(report.accounts_for_all_arrivals());
@@ -1606,7 +1610,7 @@ mod tests {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Full);
         let a = arrivals(30, 5.0);
-        let report = run_cloud_sim(&mut c, &a, &|_| "tiny".to_string(), &fixed_service).unwrap();
+        let report = run_cloud_sim(&mut c, &a, &|_| "tiny", &fixed_service).unwrap();
         // Occupancy rose and returned to zero.
         assert!(report.peak_occupancy > 0.0);
         assert_eq!(report.occupancy_series.last(), Some(0.0));
@@ -1636,7 +1640,7 @@ mod tests {
         let report = run_cloud_sim_tuned(
             &mut c,
             &a,
-            &|_| "tiny".to_string(),
+            &|_| "tiny",
             &fixed_service,
             &plan,
             RecoveryPolicy::default(),
@@ -1670,7 +1674,7 @@ mod tests {
             run_cloud_sim_tuned(
                 &mut c,
                 &a,
-                &|_| "tiny".to_string(),
+                &|_| "tiny",
                 &fixed_service,
                 &plan,
                 RecoveryPolicy::default(),
@@ -1694,7 +1698,7 @@ mod tests {
             run_cloud_sim_tuned(
                 &mut c,
                 &a,
-                &|_| "tiny".to_string(),
+                &|_| "tiny",
                 &fixed_service,
                 &plan,
                 RecoveryPolicy::default(),
@@ -1741,7 +1745,7 @@ mod tests {
         let report = run_cloud_sim_tuned(
             &mut c,
             &a,
-            &|_| "tiny".to_string(),
+            &|_| "tiny",
             &fixed_service,
             &plan,
             RecoveryPolicy {
@@ -1776,7 +1780,7 @@ mod tests {
         let report = run_cloud_sim_tuned(
             &mut c,
             &a,
-            &|_| "tiny".to_string(),
+            &|_| "tiny",
             &fixed_service,
             &plan,
             RecoveryPolicy::default(),
@@ -1842,7 +1846,7 @@ mod tests {
         });
         let mut c = SystemController::new(cluster, db2, Policy::Baseline);
         let a = arrivals(10, 1.0);
-        let report = run_cloud_sim(&mut c, &a, &|_| "huge".to_string(), &fixed_service).unwrap();
+        let report = run_cloud_sim(&mut c, &a, &|_| "huge", &fixed_service).unwrap();
         assert_eq!(report.never_deployed, 10);
         assert_eq!(report.spans.open_count(), 0);
         let outcomes = report
@@ -1884,7 +1888,7 @@ mod tests {
         let report = run_cloud_sim_tuned(
             &mut c,
             &a,
-            &|_| "tiny".to_string(),
+            &|_| "tiny",
             &fixed_service,
             &plan,
             RecoveryPolicy {
@@ -1927,7 +1931,7 @@ mod tests {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Baseline);
         let a = arrivals(80, 1.0);
-        let report = run_cloud_sim(&mut c, &a, &|_| "tiny".to_string(), &fixed_service).unwrap();
+        let report = run_cloud_sim(&mut c, &a, &|_| "tiny", &fixed_service).unwrap();
         let reason = RejectReason::InsufficientCapacity;
         // The per-task view is bounded by the workload no matter how many
         // waves found the same queued tasks blocked; before the fix only
@@ -1957,7 +1961,7 @@ mod tests {
             run_cloud_sim_tuned(
                 &mut c,
                 &a,
-                &|_| "tiny".to_string(),
+                &|_| "tiny",
                 &fixed_service,
                 &plan,
                 RecoveryPolicy::default(),
@@ -2001,7 +2005,7 @@ mod tests {
         let report = run_cloud_sim_tuned(
             &mut c,
             &a,
-            &|_| "tiny".to_string(),
+            &|_| "tiny",
             &fixed_service,
             &plan,
             RecoveryPolicy::default(),
@@ -2036,7 +2040,7 @@ mod tests {
         let report = run_cloud_sim_tuned(
             &mut c,
             &a,
-            &|_| "tiny".to_string(),
+            &|_| "tiny",
             &fixed_service,
             &plan,
             RecoveryPolicy::default(),
@@ -2083,7 +2087,7 @@ mod tests {
         let report = run_cloud_sim_tuned(
             &mut c,
             &arrivals(3, 1.0),
-            &|_| "tiny".to_string(),
+            &|_| "tiny",
             &fixed_service,
             &plan,
             recovery,
@@ -2110,7 +2114,11 @@ mod tests {
         let calls = Cell::new(0usize);
         let instance_for = |t: &RnnTask| {
             calls.set(calls.get() + 1);
-            if t.hidden == 512 { "tiny" } else { "big" }.to_string()
+            if t.hidden == 512 {
+                "tiny"
+            } else {
+                "big"
+            }
         };
         let report = run_cloud_sim_tuned(
             &mut c,
@@ -2149,7 +2157,7 @@ mod tests {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Full);
         let a = arrivals(3, 10.0);
-        let err = run_cloud_sim(&mut c, &a, &|_| "ghost".to_string(), &fixed_service);
+        let err = run_cloud_sim(&mut c, &a, &|_| "ghost", &fixed_service);
         assert!(matches!(err, Err(RuntimeError::UnknownInstance(name)) if name == "ghost"));
         assert_eq!(
             c.stats().probes + c.stats().cache_hits,
@@ -2174,7 +2182,7 @@ mod tests {
         run_cloud_sim_tuned(
             &mut c,
             a,
-            &|_| "tiny".to_string(),
+            &|_| "tiny",
             &scaling_service,
             &FaultPlan::none(),
             RecoveryPolicy::default(),
@@ -2251,7 +2259,7 @@ mod tests {
         let default = run_cloud_sim_tuned(
             &mut c,
             &a,
-            &|_| "tiny".to_string(),
+            &|_| "tiny",
             &scaling_service,
             &FaultPlan::none(),
             RecoveryPolicy::default(),
@@ -2293,15 +2301,14 @@ mod tests {
         cluster: &vfpga_fabric::Cluster,
         db: &MappingDatabase,
         a: &[TaskArrival],
-        instance: &str,
+        instance: &'static str,
         plan: &FaultPlan,
     ) -> CloudReport {
         let mut c = SystemController::new(cluster.clone(), db.clone(), Policy::Full);
-        let name = instance.to_string();
         let report = run_cloud_sim_tuned(
             &mut c,
             a,
-            &move |_| name.clone(),
+            &|_| instance,
             &fixed_service,
             plan,
             RecoveryPolicy::default(),
@@ -2488,7 +2495,7 @@ mod tests {
         run_cloud_sim_tuned(
             &mut c,
             &a,
-            &|_| "tiny".to_string(),
+            &|_| "tiny",
             &fixed_service,
             plan,
             RecoveryPolicy::default(),
@@ -2569,7 +2576,7 @@ mod tests {
         let report = run_cloud_sim_tuned(
             &mut c,
             &a,
-            &|_| "tiny".to_string(),
+            &|_| "tiny",
             &fixed_service,
             &FaultPlan::none(),
             RecoveryPolicy::default(),

@@ -80,7 +80,7 @@ impl RejectReason {
 
 /// Lifetime counters of one [`SystemController`]: every deployment
 /// decision it has made, cheap enough to update unconditionally.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ControllerStats {
     /// Successful deployments.
     pub deploys: u64,
@@ -157,16 +157,16 @@ pub struct Placement {
     pub compute_share: f64,
 }
 
-/// A live deployment of one accelerator instance.
+/// A live deployment of one accelerator instance. The controller that
+/// made it records which instance it serves, keyed by its id.
 #[derive(Debug, Clone)]
 pub struct Deployment {
     /// This deployment's id.
     pub id: DeploymentId,
-    /// The instance name requested.
-    pub instance: String,
-    /// Under a statically provisioned baseline: the instance actually
-    /// installed on the device serving this task (which may differ from
-    /// the requested one — the inelasticity the paper describes).
+    /// Under a statically provisioned baseline: the name of the instance
+    /// actually installed on the device serving this task (which may
+    /// differ from the requested one — the inelasticity the paper
+    /// describes). `None` otherwise.
     pub installed_instance: Option<String>,
     /// The deployed units.
     pub placements: Vec<Placement>,
@@ -215,13 +215,12 @@ pub enum ScaleDown {
     Displaced,
 }
 
-/// One statically provisioned device (baseline): the instance compiled
-/// onto it offline, resolved against the database, and the index of that
+/// One statically provisioned device (baseline): the interned index of
+/// the instance compiled onto it offline, and the index of that
 /// instance's first single-unit option, which the device runs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Provision {
-    instance: String,
-    entry: Arc<MappingEntry>,
+    index: usize,
     option: usize,
 }
 
@@ -241,9 +240,9 @@ pub struct SystemController {
     /// allocation "at the offline compilation time, resulting in a low
     /// elasticity" — tasks run on whatever accelerator their device hosts.
     provisioned: Option<Vec<Provision>>,
-    /// Live deployments' allocations by deployment id, in ascending id
-    /// order.
-    live: BTreeMap<u64, Vec<(DeviceId, AllocationId)>>,
+    /// Live deployments by deployment id, in ascending id order: the
+    /// interned index of the instance each serves, and its allocations.
+    live: BTreeMap<u64, (usize, Vec<(DeviceId, AllocationId)>)>,
     next_id: u64,
     stats: ControllerStats,
     /// Device-type names in `cluster.device_types()` order; the indexed
@@ -373,7 +372,6 @@ impl Default for PromotionScratch {
             pool: Vec::new(),
             phantom: Deployment {
                 id: DeploymentId(0),
-                instance: String::new(),
                 installed_instance: None,
                 placements: Vec::new(),
                 crossings_per_op: 0,
@@ -441,19 +439,10 @@ impl SystemController {
     /// does not hold.
     pub fn instance_id(&self, name: &str) -> Result<InstanceId, RuntimeError> {
         let index = self
-            .index_by_name(name)
-            .ok_or_else(|| RuntimeError::UnknownInstance(name.to_string()))?;
-        Ok(InstanceId {
-            controller: self.tag,
-            index: index as u32,
-        })
-    }
-
-    /// The interned index of instance `name`, if the database holds it.
-    fn index_by_name(&self, name: &str) -> Option<usize> {
-        self.instances
+            .instances
             .binary_search_by(|e| e.name.as_str().cmp(name))
-            .ok()
+            .map_err(|_| RuntimeError::UnknownInstance(name.to_string()))?;
+        Ok(self.instance_at(index as u32))
     }
 
     /// This controller's id for database position `index` (the inverse
@@ -529,10 +518,8 @@ impl SystemController {
         }
         let mut provisioned = Vec::with_capacity(instances.len());
         for (i, instance) in instances.into_iter().enumerate() {
-            let entry = self
-                .db
-                .entry_shared(&instance)
-                .ok_or_else(|| RuntimeError::UnknownInstance(instance.clone()))?;
+            let index = self.instance_id(&instance)?.index as usize;
+            let entry = &self.instances[index];
             let dt = self.cluster.device(DeviceId(i)).device_type().name();
             let option = entry.options.iter().position(|o| o.num_units() == 1);
             let placeable = entry
@@ -546,11 +533,7 @@ impl SystemController {
                     device_type: dt.to_string(),
                 });
             };
-            provisioned.push(Provision {
-                instance,
-                entry,
-                option,
-            });
+            provisioned.push(Provision { index, option });
         }
         self.provisioned = Some(provisioned);
         Ok(self)
@@ -632,7 +615,7 @@ impl SystemController {
         // `live` is ordered, so `hit` needs no sort.
         let was_evicted = |a: &AllocationId| evicted.binary_search_by_key(&a.0, |e| e.0).is_ok();
         let mut hit: Vec<(u64, Vec<(DeviceId, AllocationId)>)> = Vec::new();
-        self.live.retain(|&id, placements| {
+        self.live.retain(|&id, (_, placements)| {
             let keep = !placements.iter().any(|(_, a)| was_evicted(a));
             if !keep {
                 hit.push((id, std::mem::take(placements)));
@@ -774,9 +757,6 @@ impl SystemController {
         index: usize,
         ctx: Option<SpanCtx<'_>>,
     ) -> Result<Result<Deployment, RejectReason>, RuntimeError> {
-        let entry = Arc::clone(&self.instances[index]);
-        let instance = entry.name.as_str();
-
         // Statically provisioned baseline: the task runs on whatever free
         // device's preinstalled accelerator, preferring a matching install.
         if let (Policy::Baseline, Some(provisioned)) = (self.policy, &self.provisioned) {
@@ -784,13 +764,14 @@ impl SystemController {
                 .cluster
                 .device_ids()
                 .filter(|d| !self.device_taken[d.0] && self.llc.is_healthy(*d))
-                .min_by_key(|d| (provisioned[d.0].instance != instance, d.0));
+                .min_by_key(|d| (provisioned[d.0].index != index, d.0));
             let Some(device) = device else {
                 return Ok(Err(RejectReason::NoFreeDevice));
             };
-            let provision = provisioned[device.0].clone();
-            return self.deploy_provisioned(instance, device, provision, ctx);
+            let provision = provisioned[device.0];
+            return self.deploy_provisioned(index, device, provision, ctx);
         }
+        let entry = Arc::clone(&self.instances[index]);
 
         // Per-type free-slot summary, computed once per probe: the most
         // free slots any single device of each type offers. A unit that
@@ -811,7 +792,7 @@ impl SystemController {
             let Some(allocations) = self.configure_chosen(option, ctx)? else {
                 return Ok(Err(RejectReason::TransientFault));
             };
-            return Ok(Ok(self.install(instance, option, allocations)));
+            return Ok(Ok(self.install(index, option, allocations)));
         }
         Ok(Err(if any_policy_eligible {
             RejectReason::InsufficientCapacity
@@ -825,18 +806,19 @@ impl SystemController {
     /// it offline.
     fn deploy_provisioned(
         &mut self,
-        instance: &str,
+        index: usize,
         device: DeviceId,
         provision: Provision,
         ctx: Option<SpanCtx<'_>>,
     ) -> Result<Result<Deployment, RejectReason>, RuntimeError> {
-        let option = &provision.entry.options[provision.option];
+        let installed = Arc::clone(&self.instances[provision.index]);
+        let option = &installed.options[provision.option];
         let Some(allocations) = self.configure_units(option, &[device], ctx)? else {
             return Ok(Err(RejectReason::TransientFault));
         };
         // The preinstalled accelerator runs whole on its one device.
-        let mut deployment = self.install(instance, option, allocations);
-        deployment.installed_instance = Some(provision.instance);
+        let mut deployment = self.install(index, option, allocations);
+        deployment.installed_instance = Some(installed.name.clone());
         deployment.placements[0].compute_share = 1.0;
         deployment.crossings_per_op = 0;
         deployment.cut_bandwidth = 0;
@@ -918,13 +900,13 @@ impl SystemController {
         configured
     }
 
-    /// Books committed allocations as a live deployment of `option`:
-    /// assigns the next id, records the allocations in `live`, marks the
-    /// baseline's whole devices taken, and measures the ring diameter the
-    /// units span.
+    /// Books committed allocations as a live deployment of `option` of
+    /// instance `index`: assigns the next id, records the instance and the
+    /// allocations in `live`, marks the baseline's whole devices taken,
+    /// and measures the ring diameter the units span.
     fn install(
         &mut self,
-        instance: &str,
+        index: usize,
         option: &DeploymentOption,
         allocations: Vec<(DeviceId, AllocationId)>,
     ) -> Deployment {
@@ -946,10 +928,9 @@ impl SystemController {
             .collect();
         let id = DeploymentId(self.next_id);
         self.next_id += 1;
-        self.live.insert(id.0, allocations);
+        self.live.insert(id.0, (index, allocations));
         Deployment {
             id,
-            instance: instance.to_string(),
             installed_instance: None,
             placements,
             crossings_per_op: option.crossings_per_op,
@@ -962,7 +943,7 @@ impl SystemController {
     /// each allocation (and, under the baseline policy, its whole
     /// devices).
     fn retire(&mut self, id: DeploymentId) -> Result<(), RuntimeError> {
-        let allocations = self
+        let (_, allocations) = self
             .live
             .remove(&id.0)
             .ok_or(RuntimeError::Hs(HsError::UnknownAllocation(id.0)))?;
@@ -974,6 +955,17 @@ impl SystemController {
         }
         self.stats.releases += 1;
         Ok(())
+    }
+
+    /// The interned index of the instance a live deployment serves; an
+    /// HS error for a handle that is no longer live.
+    fn live_instance(&self, deployment: &Deployment) -> Result<usize, RuntimeError> {
+        self.live
+            .get(&deployment.id.0)
+            .map(|&(index, _)| index)
+            .ok_or(RuntimeError::Hs(HsError::UnknownAllocation(
+                deployment.id.0,
+            )))
     }
 
     /// Largest ring distance between any two of `devices`.
@@ -1105,14 +1097,14 @@ impl SystemController {
 
     /// Unit count of the largest mapping option strictly smaller than
     /// `deployment` — the variant a preemptive scale-down would land on —
-    /// or `None` when the deployment is already minimal (or the policy
-    /// forbids resizing). Lets schedulers rank demotion victims by how
-    /// few units each would lose without committing anything.
+    /// or `None` when the deployment is already minimal, is not live, or
+    /// the policy forbids resizing. Lets schedulers rank demotion victims
+    /// by how few units each would lose without committing anything.
     pub fn scale_down_target(&self, deployment: &Deployment) -> Option<usize> {
         if self.policy == Policy::Baseline {
             return None;
         }
-        let index = self.index_by_name(&deployment.instance)?;
+        let index = self.live_instance(deployment).ok()?;
         self.instances[index]
             .options
             .iter()
@@ -1138,10 +1130,9 @@ impl SystemController {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::UnknownInstance`] for unregistered
-    /// instances, an HS error when the deployment is not live (before
-    /// configuring anything), and propagates hard HS errors (after
-    /// rolling back any units configured for the candidate).
+    /// Returns [`HsError::UnknownAllocation`] when the deployment is not
+    /// live (before configuring anything), and propagates hard HS errors
+    /// (after rolling back any units configured for the candidate).
     pub fn promote_deployment(
         &mut self,
         deployment: &Deployment,
@@ -1152,14 +1143,7 @@ impl SystemController {
             return Ok(None);
         }
         // A stale handle must fail before anything is configured for it.
-        if !self.live.contains_key(&deployment.id.0) {
-            return Err(RuntimeError::Hs(HsError::UnknownAllocation(
-                deployment.id.0,
-            )));
-        }
-        let index = self
-            .index_by_name(&deployment.instance)
-            .ok_or_else(|| RuntimeError::UnknownInstance(deployment.instance.clone()))?;
+        let index = self.live_instance(deployment)?;
         let mut promotion = std::mem::take(&mut self.promotion);
         let promoted = self.promote_with(&mut promotion, deployment, index, accept, ctx);
         self.promotion = promotion;
@@ -1215,8 +1199,6 @@ impl SystemController {
         // link shape, never the HS handles, and nothing is configured
         // until the caller accepts.
         phantom.id = deployment.id;
-        phantom.instance.clear();
-        phantom.instance.push_str(&deployment.instance);
         for c in candidates.iter() {
             let option = &entry.options[c.option];
             let devices = &pool[c.first..c.first + c.units];
@@ -1244,11 +1226,7 @@ impl SystemController {
             // The new footprint is in place: swap the old one out.
             self.retire(deployment.id)?;
             self.stats.deploys += 1;
-            return Ok(Some(self.install(
-                &deployment.instance,
-                option,
-                allocations,
-            )));
+            return Ok(Some(self.install(index, option, allocations)));
         }
         Ok(None)
     }
@@ -1265,9 +1243,9 @@ impl SystemController {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::UnknownInstance`] for unregistered
-    /// instances, an HS error when the deployment is not live, and
-    /// propagates hard HS errors.
+    /// Returns [`HsError::UnknownAllocation`] when the deployment is not
+    /// live, whether or not a smaller variant exists, and propagates hard
+    /// HS errors.
     pub fn demote_deployment(
         &mut self,
         deployment: &Deployment,
@@ -1276,9 +1254,7 @@ impl SystemController {
         if self.policy == Policy::Baseline || deployment.installed_instance.is_some() {
             return Ok(ScaleDown::AlreadyMinimal);
         }
-        let index = self
-            .index_by_name(&deployment.instance)
-            .ok_or_else(|| RuntimeError::UnknownInstance(deployment.instance.clone()))?;
+        let index = self.live_instance(deployment)?;
         let entry = Arc::clone(&self.instances[index]);
         let mut smaller: Vec<usize> = (0..entry.options.len())
             .filter(|&o| entry.options[o].num_units() < deployment.num_units())
@@ -1301,11 +1277,7 @@ impl SystemController {
                 continue;
             };
             self.stats.deploys += 1;
-            return Ok(ScaleDown::Demoted(self.install(
-                &deployment.instance,
-                option,
-                allocations,
-            )));
+            return Ok(ScaleDown::Demoted(self.install(index, option, allocations)));
         }
         Ok(ScaleDown::Displaced)
     }
@@ -1775,27 +1747,40 @@ mod tests {
     }
 
     #[test]
-    fn resizing_a_released_deployment_configures_nothing() {
+    fn a_released_handle_is_refused_on_every_resize_path() {
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Full);
         let big = c.instance_id("big").unwrap();
-        // Promoting a released handle fails before configuring anything.
-        let d = c.try_deploy(big, None).unwrap().unwrap();
-        c.release(&d).unwrap();
-        assert!(c.promote_deployment(&d, &mut |_| true, None).is_err());
-        assert_eq!(c.occupancy(), 0.0);
-        assert_eq!(c.live_deployments(), 0);
-        // So does demoting one (a grown, multi-unit deployment here, so a
-        // smaller variant exists).
+        // A minimal (one-unit) deployment, and a grown one that has a
+        // smaller variant to fall back to.
+        let minimal = c.try_deploy(big, None).unwrap().unwrap();
+        assert_eq!(minimal.num_units(), 1);
+        assert_eq!(c.scale_down_target(&minimal), None);
         let d = c.try_deploy(big, None).unwrap().unwrap();
         let grown = c
             .promote_deployment(&d, &mut |_| true, None)
             .unwrap()
             .expect("an idle cluster fits a larger variant");
-        assert!(grown.num_units() > d.num_units());
-        c.release(&grown).unwrap();
-        assert!(c.demote_deployment(&grown, None).is_err());
-        assert_eq!(c.occupancy(), 0.0);
+        assert!(c.scale_down_target(&grown).is_some());
+        for stale in [minimal, grown] {
+            c.release(&stale).unwrap();
+            let (stats, occupancy, live) = (*c.stats(), c.occupancy(), c.live_deployments());
+            let unknown = |e: &RuntimeError| {
+                let id = stale.id.0;
+                matches!(e, RuntimeError::Hs(HsError::UnknownAllocation(i)) if *i == id)
+            };
+            assert_eq!(c.scale_down_target(&stale), None);
+            let promoted = c
+                .promote_deployment(&stale, &mut |_| true, None)
+                .unwrap_err();
+            assert!(unknown(&promoted), "{promoted:?}");
+            let demoted = c.demote_deployment(&stale, None).unwrap_err();
+            assert!(unknown(&demoted), "{demoted:?}");
+            // Refused before anything was configured or counted.
+            assert_eq!(*c.stats(), stats);
+            assert_eq!(c.occupancy(), occupancy);
+            assert_eq!(c.live_deployments(), live);
+        }
         assert_eq!(c.live_deployments(), 0);
     }
 

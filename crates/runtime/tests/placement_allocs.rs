@@ -1,8 +1,8 @@
 //! The controller's placement search and promotion ranking run in buffers
 //! the controller keeps: once warmed up, a capacity rejection and a
 //! promotion whose every candidate is refused allocate nothing, and a
-//! committed deploy allocates only what the returned deployment and its
-//! bookkeeping hold.
+//! committed deploy allocates only its HS allocation list, the unit's slot
+//! list and the returned deployment's placements.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -201,12 +201,11 @@ fn a_committed_deploy_allocates_a_bounded_amount() {
     c.release(&warm).unwrap();
     for round in 0..4 {
         let (allocs, d) = allocations(|| c.try_deploy(tiny, None).unwrap().unwrap());
-        // The HS allocation list and the one unit's slot list, the
-        // deployment's placements and instance name, and now and then a
-        // node of the live-deployment map.
+        // The HS allocation list, the one unit's slot list and the
+        // deployment's placements; the live-deployment map reuses its node.
         assert_eq!(d.num_units(), 1);
         assert!(
-            allocs <= 6,
+            allocs <= 3,
             "round {round}: a deploy made {allocs} allocations"
         );
         c.release(&d).unwrap();

@@ -182,7 +182,7 @@ fn tiny_runs(
     faults: &FaultPlan,
 ) -> (CloudReport, ReferenceReport) {
     let (cluster, db) = small_db();
-    let tiny = |_: &RnnTask| "tiny".to_string();
+    let tiny = |_: &RnnTask| "tiny";
     let mut c = SystemController::new(cluster.clone(), db.clone(), policy);
     let fast = run_cloud_sim_tuned(
         &mut c,

@@ -337,7 +337,7 @@ fn kitchen_sink_run(seed: u64) -> CloudReport {
     run_cloud_sim_tuned(
         &mut controller,
         &arrivals,
-        &|t: &RnnTask| if t.hidden > 512 { "big" } else { "tiny" }.to_string(),
+        &|t: &RnnTask| if t.hidden > 512 { "big" } else { "tiny" },
         &|_: &RnnTask, d: &Deployment| SimTime::from_us(100.0 / d.num_units() as f64),
         &plan,
         RecoveryPolicy::default(),

@@ -177,9 +177,7 @@ fn service_times_are_sane_across_policies() {
     for policy in [Policy::Baseline, Policy::Full] {
         let mut controller =
             SystemController::new(catalog.cluster.clone(), catalog.db.clone(), policy);
-        let instance = controller
-            .instance_id(&catalog.instance_for(&task))
-            .unwrap();
+        let instance = controller.instance_id(catalog.instance_for(&task)).unwrap();
         let d = controller.try_deploy(instance, None).unwrap().unwrap();
         let t = catalog.service_time(&task, &d, policy);
         // Table 4 scale: tens of microseconds to a few ms.
