@@ -298,38 +298,34 @@ impl Catalog {
         freq_mhz: f64,
         crossings: usize,
     ) -> SimTime {
-        let (slot, spec) = self.resolve(instance);
-        self.latency_of(task, slot, spec, freq_mhz, crossings)
+        self.latency_of(task, self.resolve(instance), freq_mhz, crossings)
     }
 
-    /// The position of `instance` in `instances` and its spec.
+    /// The position of `instance` in `instances`, which orders the names
+    /// [`build`](Catalog::build) registers as `bw-k115`, `bw-l`, `bw-m`,
+    /// `bw-s`, `bw-v37`.
     ///
     /// # Panics
     ///
     /// Panics for an instance the catalog does not hold.
-    fn resolve(&self, instance: &str) -> (usize, &InstanceSpec) {
-        self.instances
-            .iter()
-            .enumerate()
-            .find_map(|(slot, (name, spec))| (name == instance).then_some((slot, spec)))
-            .unwrap_or_else(|| panic!("unknown catalog instance {instance:?}"))
+    fn resolve(&self, instance: &str) -> usize {
+        let slot = self.instances.keys().position(|name| name == instance);
+        slot.unwrap_or_else(|| panic!("unknown catalog instance {instance:?}"))
+    }
+
+    /// The spec at `slot` (see [`resolve`](Catalog::resolve)).
+    fn spec(&self, slot: usize) -> &InstanceSpec {
+        self.instances.values().nth(slot).expect("a catalog slot")
     }
 
     /// [`task_latency`](Catalog::task_latency) of the instance at `slot`.
-    fn latency_of(
-        &self,
-        task: &RnnTask,
-        slot: usize,
-        spec: &InstanceSpec,
-        freq_mhz: f64,
-        crossings: usize,
-    ) -> SimTime {
+    fn latency_of(&self, task: &RnnTask, slot: usize, freq_mhz: f64, crossings: usize) -> SimTime {
         let key = (*task, freq_mhz.to_bits(), crossings);
         if let Some(&t) = self.latency_cache.borrow()[slot].get(&key) {
             return t;
         }
         let rnn = generate_program(*task, SliceSpec::FULL);
-        let mut model = TimingModel::for_config(&spec.config, freq_mhz);
+        let mut model = TimingModel::for_config(&self.spec(slot).config, freq_mhz);
         model.mvm_pipeline_depth += InterfaceModel::default().overhead_cycles(crossings);
         let mut sim = CycleSim::new(model, &rnn.program, rnn.mat_shapes, rnn.dram_lens);
         sim.set_scratch_slots(scratch_slots());
@@ -342,7 +338,7 @@ impl Catalog {
     /// its `2 × gates` matrices ([`RnnTask::matrix_shapes`]) are all
     /// `hidden × hidden`.
     pub fn task_weight_kb(&self, task: &RnnTask, instance: &str) -> u64 {
-        weight_kb(task, self.resolve(instance).1)
+        weight_kb(task, self.spec(self.resolve(instance)))
     }
 
     /// The service-time model used by the cloud simulation (Fig. 12): the
@@ -360,21 +356,20 @@ impl Catalog {
     pub fn service_time(&self, task: &RnnTask, deployment: &Deployment, policy: Policy) -> SimTime {
         // The baseline system runs every task on the accelerator that was
         // statically compiled onto its device offline (the paper's "low
-        // elasticity"); the framework runs the demand-sized instance.
-        let instance: &str = if policy == Policy::Baseline {
-            match &deployment.installed_instance {
-                Some(name) => name,
-                None => self.baseline_instance_name(
-                    self.cluster
-                        .device(deployment.placements[0].device)
-                        .device_type()
-                        .name(),
-                ),
-            }
-        } else {
-            self.instance_for(task)
+        // elasticity"); the framework runs the demand-sized instance. The
+        // slots are `resolve`'s.
+        let first = self.cluster.device(deployment.placements[0].device);
+        let slot = match (policy, &deployment.installed_instance) {
+            (Policy::Baseline, Some(name)) => self.resolve(name),
+            (Policy::Baseline, None) if first.device_type().name() == "XCVU37P" => 4,
+            (Policy::Baseline, None) => 0,
+            _ => match task.size_class() {
+                SizeClass::Large => 1,
+                SizeClass::Medium => 2,
+                SizeClass::Small => 3,
+            },
         };
-        let (slot, spec) = self.resolve(instance);
+        let spec = self.spec(slot);
         // Effective clock: units on slower devices only slow their own
         // share of the computation.
         let share_total: f64 = deployment.placements.iter().map(|p| p.compute_share).sum();
@@ -386,10 +381,7 @@ impl Catalog {
                 .sum::<f64>()
                 / share_total
         } else {
-            self.cluster
-                .device(deployment.placements[0].device)
-                .device_type()
-                .freq_mhz()
+            first.device_type().freq_mhz()
         };
         let crossings = if policy == Policy::Baseline {
             0
@@ -397,7 +389,7 @@ impl Catalog {
             deployment.crossings_per_op
         };
         let freq = (freq * 10.0).round() / 10.0;
-        let base = self.latency_of(task, slot, spec, freq, crossings);
+        let base = self.latency_of(task, slot, freq, crossings);
 
         // Weight-streaming penalty on capacity deficit.
         let needed = weight_kb(task, spec) as f64;
@@ -456,6 +448,21 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn service_time_slots_are_the_resolved_names() {
+        use vfpga_workload::RnnKind;
+        let c = Catalog::build();
+        let names: Vec<&str> = c.instances.keys().map(String::as_str).collect();
+        assert_eq!(names, ["bw-k115", "bw-l", "bw-m", "bw-s", "bw-v37"]);
+        // The class and device-type slots `service_time` matches on.
+        for (hidden, slot) in [(512, 3), (1536, 2), (2560, 1)] {
+            let task = RnnTask::new(RnnKind::Gru, hidden, 1);
+            assert_eq!(c.resolve(c.instance_for(&task)), slot, "{task}");
+        }
+        assert_eq!(c.resolve(c.baseline_instance_name("XCVU37P")), 4);
+        assert_eq!(c.resolve(c.baseline_instance_name("XCKU115")), 0);
     }
 
     #[test]

@@ -178,7 +178,7 @@ impl ReferenceReport {
         let mut count = 0;
         for (i, s) in placed.enumerate() {
             let instance = match s.attr("instance") {
-                Some(SpanValue::Text(t)) => t.as_str(),
+                Some(SpanValue::Shared(t)) => t,
                 other => return Err(format!("deploy span without instance: {other:?}")),
             };
             let (at, task) = (s.begin, s.trace.0 as usize);

@@ -23,8 +23,77 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 8192;
 
 /// How many queued tasks one admission wave scans. Bounded so a deep
 /// backlog keeps arrival order roughly fair without making every wave
-/// O(queue).
+/// O(queue). A wave skips the window positions whose outcome cannot
+/// change: a task whose instance is known rejected at the current capacity
+/// epoch, and which is already booked for that reason, would only be
+/// booked again. One bit per position in a `u64` tracks them
+/// ([`WindowMasks`]), so the window is exactly 64 wide.
 const SCAN_WINDOW: usize = 64;
+
+#[cfg(test)]
+thread_local! {
+    /// Window positions admission waves examined on this thread.
+    static EXAMINED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Which of the first [`SCAN_WINDOW`] queue positions (bit `p` for
+/// position `p`) hold each instance's tasks, and which hold a task already
+/// booked for each rejection reason: its reason bit counted and its first
+/// queued rejection traced, so booking that reason again changes nothing.
+#[derive(Debug)]
+struct WindowMasks {
+    /// Indexed by [`InstanceId::index`].
+    instance: Vec<u64>,
+    /// Indexed by [`RejectReason::index`].
+    booked: [u64; 4],
+}
+
+impl WindowMasks {
+    /// Enters the task of `instance` at `pos`, booked for the reasons in
+    /// `booked` ([`RejectReason::index`] bits).
+    fn enter(&mut self, pos: usize, instance: u32, booked: u8) {
+        self.instance[instance as usize] |= 1 << pos;
+        self.book(pos, booked);
+    }
+
+    /// Marks the task at `pos` booked for the reasons in `booked`; a
+    /// task's bookings only ever grow.
+    fn book(&mut self, pos: usize, booked: u8) {
+        for (r, mask) in self.booked.iter_mut().enumerate() {
+            *mask |= u64::from((booked >> r) & 1) << pos;
+        }
+    }
+
+    /// The positions whose outcome can change: every task of an instance
+    /// with no rejection known at the current capacity epoch (it is
+    /// probed), and every task of a known-rejected instance not yet booked
+    /// for that reason.
+    fn pending(&self, controller: &SystemController) -> u64 {
+        let mut pending = 0;
+        for (index, &mask) in self.instance.iter().enumerate() {
+            if mask != 0 {
+                pending |= match controller.known_rejection(controller.instance_at(index as u32)) {
+                    Some(reason) => mask & !self.booked[reason.index()],
+                    None => mask,
+                };
+            }
+        }
+        pending
+    }
+
+    /// Drops the positions in `taken`; each position above a dropped one
+    /// moves down by one.
+    fn remove(&mut self, taken: u64) {
+        for mask in self.instance.iter_mut().chain(&mut self.booked) {
+            let mut rest = taken;
+            while *mask != 0 && rest != 0 {
+                let below = (1u64 << (63 - rest.leading_zeros())) - 1;
+                *mask = (*mask & below) | ((*mask >> 1) & !below);
+                rest &= below;
+            }
+        }
+    }
+}
 
 /// Consecutive retry-nudge waves that deploy nothing before the nudge
 /// stops re-arming. Each such wave saw only transient faults on the
@@ -560,6 +629,7 @@ pub fn run_cloud_sim_tuned(
     tuning: AdmissionTuning,
 ) -> Result<CloudReport, RuntimeError> {
     let segments = controller.cluster().ring().segments();
+    let instances = controller.database().len();
     let n = arrivals.len();
     let rec = Recorder::new(controller, n, faults.links() > 0, trace_capacity, &tuning);
     let mut sim = CloudSim {
@@ -571,9 +641,11 @@ pub fn run_cloud_sim_tuned(
         faults,
         instance: vec![u32::MAX; n],
         queue: VecDeque::new(),
-        wave_admitted_at: Vec::with_capacity(SCAN_WINDOW),
+        window: WindowMasks {
+            instance: vec![0; instances],
+            booked: [0; 4],
+        },
         wave_admitted: Vec::new(),
-        wave_head: Vec::with_capacity(SCAN_WINDOW),
         idle_nudges: 0,
         events: EventQueue::new(),
         running: vec![None; n],
@@ -587,7 +659,6 @@ pub fn run_cloud_sim_tuned(
         base_units: vec![0; n],
         last_promo_epoch: None,
         last_preempt_epoch: None,
-        visited: (0, 0),
         link_failed: vec![false; segments],
         link_degraded: vec![false; segments],
         link_rng: Rng::seed_from_u64(faults.seed() ^ 0x4c49_4e4b_434f_5252),
@@ -612,12 +683,15 @@ struct CloudSim<'a> {
     /// database index ([`InstanceId::index`]); `u32::MAX` until then.
     instance: Vec<u32>,
     queue: VecDeque<usize>,
-    /// Per-wave scratch reused across admission waves: which window
-    /// positions admitted, the admitted tasks' deployments, and the
-    /// drained window head.
-    wave_admitted_at: Vec<bool>,
+    /// The scan window's instances and bookings, kept by [`enqueue`] and
+    /// [`leave_window`].
+    ///
+    /// [`enqueue`]: CloudSim::enqueue
+    /// [`leave_window`]: CloudSim::leave_window
+    window: WindowMasks,
+    /// Per-wave scratch reused across admission waves: the admitted
+    /// tasks' deployments.
     wave_admitted: Vec<(usize, Deployment)>,
-    wave_head: Vec<usize>,
     /// Consecutive `RetryNudge` waves that deployed nothing; the nudge
     /// stops re-arming at [`MAX_IDLE_NUDGES`].
     idle_nudges: u32,
@@ -658,12 +732,6 @@ struct CloudSim<'a> {
     /// matches, preemption is skipped so a saturated queue cannot demote
     /// more than one victim per capacity change.
     last_preempt_epoch: Option<u64>,
-
-    /// `(epoch, n)`: the scan window's first `n` tasks were visited at
-    /// capacity epoch `epoch`, and each is known infeasible at it. While
-    /// the epoch holds they stay infeasible and booked, so a wave visits
-    /// only the window entrants queued behind them since.
-    visited: (u64, usize),
 
     /// Per-ring-segment hard-failure state (`true` while the segment is
     /// down), sized to the cluster's ring.
@@ -727,11 +795,11 @@ impl<'a> CloudSim<'a> {
             let deploys = self.controller.stats().deploys;
             match event {
                 Event::Arrival(i) => {
-                    self.queue.push_back(i);
                     let tenant = (self.instance_for)(&self.arrivals[i].task);
                     let instance = self.controller.instance_id(tenant)?;
                     self.instance[i] = instance.index();
                     self.rec.emit(now, SimEvent::Arrival(i, instance));
+                    self.enqueue(i);
                 }
                 Event::Completion { task_index, epoch } => {
                     if self.epoch[task_index] != epoch {
@@ -1127,7 +1195,7 @@ impl<'a> CloudSim<'a> {
                 let dropped = self.recovery.drop_on_exhaustion;
                 self.rec.emit(now, SimEvent::RetryExhausted(task, dropped));
                 if !dropped {
-                    self.queue.push_back(task);
+                    self.enqueue(task);
                 }
             }
         }
@@ -1327,24 +1395,56 @@ impl<'a> CloudSim<'a> {
         Ok(())
     }
 
+    /// Appends a task to the admission queue, entering it into the
+    /// window masks when it lands inside the scan window.
+    fn enqueue(&mut self, task: usize) {
+        self.queue.push_back(task);
+        let pos = self.queue.len() - 1;
+        if pos < SCAN_WINDOW {
+            self.window
+                .enter(pos, self.instance[task], self.rec.booked(task));
+        }
+    }
+
+    /// Removes the admitted window positions in `taken` from the queue in
+    /// place, keeping the others in order, and enters the tasks that move
+    /// up into the window.
+    fn leave_window(&mut self, taken: u64) {
+        let window = self.queue.len().min(SCAN_WINDOW);
+        let mut rest = taken;
+        while rest != 0 {
+            let pos = 63 - rest.leading_zeros() as usize;
+            self.queue.remove(pos);
+            rest ^= 1 << pos;
+        }
+        self.window.remove(taken);
+        let kept = window - taken.count_ones() as usize;
+        for pos in kept..self.queue.len().min(SCAN_WINDOW) {
+            let task = self.queue[pos];
+            self.window
+                .enter(pos, self.instance[task], self.rec.booked(task));
+        }
+    }
+
     /// Admits as many queued tasks as capacity allows. Tasks request
     /// deployment independently, so a blocked task does not block later
     /// tasks that fit elsewhere; the scan window stays bounded to keep
-    /// arrival order roughly fair. Each wave visits the window once, then
-    /// drains the window head and pushes its survivors back in order, so
-    /// a wave costs O(window) however deep the backlog behind it is; waves
-    /// repeat until one admits nothing.
+    /// arrival order roughly fair. A wave examines the window positions in
+    /// order, starts the admitted tasks' service, removes them from the
+    /// window in place, and repeats until a pass admits nothing.
     ///
-    /// A visit attempts a task only when its instance has no rejection
+    /// A position is attempted only when its instance has no rejection
     /// known at the current capacity epoch; otherwise the known rejection
     /// is booked and nothing is attempted. That is exact: admissions never
     /// bump the epoch, so free capacity only shrinks until the next
     /// release, eviction or recovery, and transient faults are never
-    /// known, so they are re-attempted. A wave that admits nothing and
-    /// sees no transient fault leaves its whole window known infeasible at
-    /// the epoch; until the epoch moves, later waves visit only the
-    /// entrants queued behind it, and a wave with nothing to visit does
-    /// not run.
+    /// known, so they are re-attempted. A position whose instance is known
+    /// rejected and whose task is already booked for that reason is
+    /// skipped, since booking it again would change nothing. The window
+    /// masks name the remaining positions, which are re-read after every
+    /// attempt (a probe may cache a rejection, and a rolled-back transient
+    /// fault moves the epoch), so a wave costs O(instances) per attempt
+    /// plus O(1) per admitted task and window entrant, not O(window).
     ///
     /// Returns whether any attempt was turned down by a transient
     /// configure fault (retryable; the caller may need to self-schedule a
@@ -1352,52 +1452,44 @@ impl<'a> CloudSim<'a> {
     fn admission_wave(&mut self, now: SimTime) -> Result<bool, RuntimeError> {
         let mut saw_transient = false;
         loop {
-            let window = self.queue.len().min(SCAN_WINDOW);
-            let epoch = self.controller.capacity_epoch();
-            let from = match self.visited {
-                (e, n) if e == epoch => n.min(window),
-                _ => 0,
-            };
-            if from == window {
+            let mut pending = self.window.pending(self.controller);
+            if pending == 0 {
                 return Ok(saw_transient);
             }
             let mut admitted = std::mem::take(&mut self.wave_admitted);
-            self.wave_admitted_at.clear();
-            self.wave_admitted_at.resize(from, false);
-            let mut transient = false;
-            for pos in from..window {
+            let mut taken = 0u64;
+            while pending != 0 {
+                let pos = pending.trailing_zeros() as usize;
+                #[cfg(test)]
+                EXAMINED.with(|n| n.set(n.get() + 1));
                 let idx = self.queue[pos];
-                let outcome = match self.controller.known_rejection(self.instance_of(idx)) {
+                let known = self.controller.known_rejection(self.instance_of(idx));
+                let outcome = match known {
+                    // Pending, so not yet booked for `reason`.
                     Some(reason) => {
                         self.rec.emit(now, SimEvent::Blocked(idx, reason));
                         Err(reason)
                     }
                     None => self.place(now, idx, true)?,
                 };
-                self.wave_admitted_at.push(outcome.is_ok());
+                self.window.book(pos, self.rec.booked(idx));
+                pending = match known {
+                    Some(_) => pending & (pending - 1),
+                    None => self.window.pending(self.controller) & (u64::MAX << pos << 1),
+                };
                 match outcome {
-                    Ok(deployment) => admitted.push((idx, deployment)),
-                    Err(reason) => transient |= reason == RejectReason::TransientFault,
+                    Ok(deployment) => {
+                        taken |= 1 << pos;
+                        admitted.push((idx, deployment));
+                    }
+                    Err(reason) => saw_transient |= reason == RejectReason::TransientFault,
                 }
             }
-            saw_transient |= transient;
-            // Without a fault the wave changed no capacity epoch (an
-            // admission does not bump it), so every task it leaves queued
-            // is known infeasible at `epoch`. They stay at the window's
-            // head, in order.
-            let survivors = window - admitted.len();
-            self.visited = (epoch, if transient { 0 } else { survivors });
             if admitted.is_empty() {
                 self.wave_admitted = admitted;
                 return Ok(saw_transient);
             }
-            self.wave_head.clear();
-            self.wave_head.extend(self.queue.drain(..window));
-            for (&idx, &taken) in self.wave_head.iter().zip(&self.wave_admitted_at).rev() {
-                if !taken {
-                    self.queue.push_front(idx);
-                }
-            }
+            self.leave_window(taken);
             for (idx, deployment) in admitted.drain(..) {
                 self.start_service(now, idx, deployment)?;
             }
@@ -1436,6 +1528,25 @@ mod tests {
                 task: RnnTask::new(RnnKind::Lstm, 512, 5),
             })
             .collect()
+    }
+
+    /// `n` tasks 0.5 us apart, alternating between [`tiny_or_big`]'s two
+    /// instances.
+    fn tiny_and_big(n: usize) -> Vec<TaskArrival> {
+        (0..n)
+            .map(|i| TaskArrival {
+                at: SimTime::from_us(i as f64 * 0.5),
+                task: RnnTask::new(RnnKind::Lstm, 512 + 256 * (i % 2), 5),
+            })
+            .collect()
+    }
+
+    fn tiny_or_big(t: &RnnTask) -> &'static str {
+        if t.hidden == 512 {
+            "tiny"
+        } else {
+            "big"
+        }
     }
 
     fn fixed_service(_t: &RnnTask, _d: &Deployment) -> SimTime {
@@ -1952,6 +2063,63 @@ mod tests {
     }
 
     #[test]
+    fn a_second_reason_is_booked_once_and_traced_never() {
+        let (cluster, db) = small_db();
+        let mut c = SystemController::new(cluster, db, Policy::Full);
+        // Every configure flakes, so while `big` fits each attempt is a
+        // transient fault; device failures make it infeasible in between.
+        let plan = FaultPlan::generate(
+            FaultPlanParams {
+                mttf: SimTime::from_us(50.0),
+                mttr: SimTime::from_us(400.0),
+                configure_failure_prob: 1.0,
+                horizon: SimTime::from_us(2000.0),
+            },
+            4,
+            3,
+        );
+        let report = run_cloud_sim_tuned(
+            &mut c,
+            &arrivals(2, 0.0),
+            &|_| "big",
+            &fixed_service,
+            &plan,
+            RecoveryPolicy::default(),
+            DEFAULT_TRACE_CAPACITY,
+            AdmissionTuning::default(),
+        )
+        .unwrap();
+        // Both tasks flaked at arrival. While devices were down, task 0's
+        // probe found `big` infeasible and task 1 was blocked on that
+        // known rejection: a new reason for each, so both are booked.
+        let (transient, capacity) = (
+            RejectReason::TransientFault,
+            RejectReason::InsufficientCapacity,
+        );
+        assert!(report.rejections_for(capacity) > 0);
+        assert!(report.rejections_for(transient) > 2);
+        assert_eq!(report.rejected_tasks_for(transient), 2);
+        assert_eq!(report.rejected_tasks_for(capacity), 2);
+        assert_eq!(report.never_deployed, 2);
+        // Only each task's first queued rejection reached the ring.
+        for task in 0..2 {
+            let rejected: Vec<_> = report
+                .trace
+                .iter()
+                .filter(|e| match e.event {
+                    SimEvent::Rejected(t, ..) | SimEvent::Blocked(t, _) => t == task,
+                    _ => false,
+                })
+                .map(|e| (e.at, e.event))
+                .collect();
+            assert_eq!(
+                rejected,
+                [(SimTime::ZERO, SimEvent::Rejected(task, transient, true))]
+            );
+        }
+    }
+
+    #[test]
     fn span_tracing_off_changes_no_outcomes() {
         let (cluster, db) = small_db();
         let a = arrivals(60, 10.0);
@@ -2100,17 +2268,73 @@ mod tests {
     }
 
     #[test]
+    fn waves_examine_only_the_positions_whose_outcome_can_change() {
+        let (cluster, db) = small_db();
+        let mut c = SystemController::new(cluster, db, Policy::Full);
+        // A two-instance backlog far past the scan window.
+        let a = tiny_and_big(600);
+        EXAMINED.with(|n| n.set(0));
+        let report = run_cloud_sim(&mut c, &a, &tiny_or_big, &fixed_service).unwrap();
+        let examined = EXAMINED.with(|n| n.get());
+        assert_eq!(report.completed, a.len() as u64);
+        assert!(report.peak_queue_depth > 8 * SCAN_WINDOW as u64);
+        // Every examined position is a probe or a task's first booking for
+        // a reason: 1,380 probes and 415 blocked bookings. Walking the
+        // whole window on every capacity change examined 36,725 positions
+        // here, about 61 per completion, with the same probes.
+        let stats = c.stats();
+        assert_eq!((stats.probes, stats.deploys), (1380, 600));
+        assert!(examined <= stats.probes + a.len() as u64);
+        assert_eq!(examined, 1795);
+    }
+
+    #[test]
+    fn a_rolled_back_fault_moves_the_epoch_mid_wave() {
+        // A multi-unit placement whose later unit flakes releases the
+        // units already configured, which opens a new capacity epoch in
+        // the middle of a wave: the window positions behind it whose
+        // instance was known rejected must be probed again. Skipping them
+        // would lose one probe and one rejected attempt at each seed.
+        for (seed, probes, rejections) in [(3, 1263, 863), (7, 1279, 879)] {
+            let (cluster, db) = small_db();
+            let mut c = SystemController::new(cluster, db, Policy::Full);
+            let a = tiny_and_big(400);
+            let plan = FaultPlan::generate(
+                FaultPlanParams {
+                    mttf: SimTime::from_secs(1.0),
+                    mttr: SimTime::from_us(50.0),
+                    configure_failure_prob: 0.3,
+                    horizon: SimTime::ZERO,
+                },
+                4,
+                seed,
+            );
+            let report = run_cloud_sim_tuned(
+                &mut c,
+                &a,
+                &tiny_or_big,
+                &fixed_service,
+                &plan,
+                RecoveryPolicy::default(),
+                DEFAULT_TRACE_CAPACITY,
+                AdmissionTuning::default(),
+            )
+            .unwrap();
+            assert_eq!(report.completed, a.len() as u64);
+            assert_eq!(
+                (c.stats().probes, report.total_rejections()),
+                (probes, rejections)
+            );
+        }
+    }
+
+    #[test]
     fn instance_for_runs_once_per_arrival() {
         use std::cell::Cell;
 
         let (cluster, db) = small_db();
         let mut c = SystemController::new(cluster, db, Policy::Full);
-        let a: Vec<TaskArrival> = (0..300)
-            .map(|i| TaskArrival {
-                at: SimTime::from_us(i as f64 * 0.5),
-                task: RnnTask::new(RnnKind::Lstm, 512 + 256 * (i % 2), 5),
-            })
-            .collect();
+        let a = tiny_and_big(300);
         let calls = Cell::new(0usize);
         let instance_for = |t: &RnnTask| {
             calls.set(calls.get() + 1);

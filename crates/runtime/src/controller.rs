@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use vfpga_core::{DeploymentOption, MappingDatabase, MappingEntry};
 use vfpga_fabric::{Cluster, DeviceId};
@@ -256,6 +256,11 @@ pub struct SystemController {
     /// The database's entries in name order; an [`InstanceId`]'s index
     /// points here.
     instances: Vec<Arc<MappingEntry>>,
+    /// The instances' names, indexed like `instances`: one shared
+    /// allocation each, which every `deploy` span and the cloud
+    /// simulator's `task` spans carry. Made on first use, so a run
+    /// without spans allocates none.
+    names: OnceLock<Vec<Arc<str>>>,
     /// Capacity-epoch feasibility cache, indexed like `instances`: the
     /// (epoch, reason) of the instance's last capacity rejection. While
     /// the LLC's capacity epoch is unchanged, free capacity can only have
@@ -422,6 +427,7 @@ impl SystemController {
             device_type_idx,
             tag: NEXT_CONTROLLER_TAG.fetch_add(1, Ordering::Relaxed),
             instances,
+            names: OnceLock::new(),
             feas_cache,
             blocks,
             search: SearchScratch::default(),
@@ -463,6 +469,13 @@ impl SystemController {
     /// controller did not issue.
     pub fn instance_name(&self, id: InstanceId) -> Result<&str, RuntimeError> {
         Ok(&self.instances[self.index_of(id)?].name)
+    }
+
+    /// Every instance's name, indexed by [`InstanceId`] index, each a
+    /// shared allocation.
+    pub(crate) fn names(&self) -> &[Arc<str>] {
+        self.names
+            .get_or_init(|| self.instances.iter().map(|e| Arc::from(&*e.name)).collect())
     }
 
     /// Checks that `id` was issued by this controller and returns its
@@ -687,7 +700,7 @@ impl SystemController {
         let span = ctx.as_mut().map(|c| {
             let span = c.spans.begin("deploy", c.trace, c.parent, c.at);
             c.spans
-                .attr(span, "instance", self.instances[index].name.clone());
+                .attr(span, "instance", Arc::clone(&self.names()[index]));
             span
         });
         let outcome = self.deploy_inner(

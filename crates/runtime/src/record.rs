@@ -317,9 +317,9 @@ pub(crate) struct Recorder {
     reprovision: Option<(usize, SpanId)>,
     /// The open `link_failure` span.
     link_failure: Option<SpanId>,
-    /// Instance names by [`InstanceId`] index, one shared allocation per
-    /// instance for every `task` span that carries it; empty when spans
-    /// are off.
+    /// Instance names by [`InstanceId`] index, the controller's shared
+    /// allocations, for every `task` span that carries one; empty when
+    /// spans are off.
     names: Vec<Arc<str>>,
     /// Report-only tallies the registry does not carry.
     t: Tally,
@@ -400,7 +400,7 @@ impl Recorder {
             reprovision: None,
             link_failure: None,
             names: if tuning.trace_spans {
-                instances().map(Arc::from).collect()
+                controller.names().to_vec()
             } else {
                 Vec::new()
             },
@@ -651,6 +651,18 @@ impl Recorder {
         let first = queued && !marks.traced_reject;
         marks.traced_reject |= queued;
         first
+    }
+
+    /// The reasons ([`RejectReason::index`] bits) a queued rejection of
+    /// `task` would book nothing new for: the ones already counted, once
+    /// its first queued rejection is traced; none before.
+    pub(crate) fn booked(&self, task: usize) -> u8 {
+        let marks = &self.tasks[task];
+        if marks.traced_reject {
+            marks.rejected
+        } else {
+            0
+        }
     }
 
     /// Records one duration sample into a timer, in seconds.
