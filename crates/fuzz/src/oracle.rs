@@ -32,8 +32,8 @@ use vfpga_runtime::{
     Deployment, ElasticityPolicy, Policy, RecoveryPolicy, SystemController, DEFAULT_TRACE_CAPACITY,
 };
 use vfpga_sim::{
-    FaultPlan, FaultPlanParams, Json, LinkFaultKind, LinkFaultParams, Rng, RollupKey, RollupSet,
-    SimTime, WindowStats,
+    FaultPlan, FaultPlanParams, Json, JsonDoc, LinkFaultKind, LinkFaultParams, Rng, RollupKey,
+    RollupSet, SimTime, WindowStats,
 };
 use vfpga_workload::{
     generate_program, reference_run, RnnKind, RnnTask, RnnWeights, SliceSpec, TaskArrival,
@@ -1412,8 +1412,9 @@ fn check_fault_plan(input: &FuzzInput) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------
-// json-roundtrip: serialize → parse → serialize is byte-identical, and
-// the writer's bytes equal the original writer's.
+// json-roundtrip: serialize → parse → serialize is byte-identical, the
+// writer's bytes equal the original writer's, and the document written
+// through `JsonDoc` and converted back to a tree renders the same bytes.
 // ---------------------------------------------------------------------
 
 fn check_json_roundtrip(input: &FuzzInput) -> Result<(), String> {
@@ -1426,6 +1427,14 @@ fn check_json_roundtrip(input: &FuzzInput) -> Result<(), String> {
     }
     if doc.compact() != reference_compact(doc) {
         return Err("compact output differs from the reference writer".into());
+    }
+    let streamed = JsonDoc(doc);
+    if streamed.pretty() != pretty || streamed.compact() != doc.compact() {
+        return Err("the document written through JsonDoc differs from the tree".into());
+    }
+    let converted = Json::from(streamed);
+    if converted.pretty() != pretty || converted.compact() != doc.compact() {
+        return Err("the JsonDoc-to-tree conversion renders different bytes".into());
     }
     let parsed = Json::parse(&pretty).map_err(|e| format!("pretty output does not parse: {e}"))?;
     if &parsed != doc {

@@ -6,8 +6,8 @@ use std::collections::{BTreeSet, VecDeque};
 
 use vfpga_fabric::DeviceId;
 use vfpga_sim::{
-    CriticalPath, EventQueue, FaultPlan, Json, LinkFaultKind, MetricsRegistry, RetransmitPolicy,
-    Rng, SimTime, SpanTracer, Summary, TimeSeries, TraceRing,
+    CriticalPath, EventQueue, FaultPlan, JsonDoc, JsonWriter, LinkFaultKind, MetricsRegistry,
+    RetransmitPolicy, Rng, SimTime, SpanTracer, Summary, TimeSeries, TraceRing, WriteJson,
 };
 use vfpga_workload::{RnnTask, TaskArrival};
 
@@ -415,120 +415,118 @@ impl CloudReport {
         }
     }
 
-    /// Serializes the report (without raw trace events; those stay
-    /// available programmatically via [`CloudReport::trace`]).
-    pub fn to_json(&self) -> Json {
-        fn summary(s: &Summary) -> Json {
-            Json::obj()
-                .with("count", s.count())
-                .with("mean", s.mean())
-                .with("min", s.min())
-                .with("max", s.max())
-        }
-        let mut attempts = Json::obj();
-        let mut tasks = Json::obj();
-        for reason in RejectReason::ALL {
-            attempts = attempts.with(reason.as_str(), self.rejections_for(reason));
-            tasks = tasks.with(reason.as_str(), self.rejected_tasks_for(reason));
-        }
-        let rejections = Json::obj().with("attempts", attempts).with("tasks", tasks);
-        let mut json = Json::obj()
-            .with("arrivals", self.arrivals)
-            .with("completed", self.completed)
-            .with("never_deployed", self.never_deployed)
-            .with("lost", self.lost)
-            .with("elapsed_s", self.elapsed.as_secs())
-            .with("throughput_per_s", self.throughput_per_s)
-            .with(
-                "latency_s",
-                Json::obj()
-                    .with("count", self.latency.count())
-                    .with("mean", self.latency.mean())
-                    .with("p50", self.latency_p50)
-                    .with("p95", self.latency_p95)
-                    .with("p99", self.latency_p99)
-                    .with("min", self.latency.min())
-                    .with("max", self.latency.max()),
-            )
-            .with("queue_wait_s", summary(&self.queue_wait))
-            .with("requeue_wait_s", summary(&self.requeue_wait))
-            .with("occupancy", {
-                let mut occ = Json::obj()
-                    .with("mean", self.mean_occupancy)
-                    .with("peak", self.peak_occupancy)
-                    .with("series", self.occupancy_series.to_json());
-                // Downsampling accounting appears only when the point cap
-                // actually folded samples, so short runs serialize exactly
-                // as they did before the cap existed.
-                if self.occupancy_series.points_folded() > 0 {
-                    occ = occ
-                        .with("points_kept", self.occupancy_series.points_kept() as u64)
-                        .with("points_folded", self.occupancy_series.points_folded());
+    /// The report as a JSON document (without raw trace events; those
+    /// stay available programmatically via [`CloudReport::trace`]).
+    pub fn to_json(&self) -> JsonDoc<&Self> {
+        JsonDoc(self)
+    }
+}
+
+/// `{count, mean, min, max}` of a summary.
+fn write_summary(w: &mut JsonWriter<'_>, key: &str, s: &Summary) {
+    w.key(key).obj(|w| {
+        w.field("count", s.count())
+            .field("mean", s.mean())
+            .field("min", s.min())
+            .field("max", s.max());
+    });
+}
+
+/// A step-function series and its downsampling accounting, which appears
+/// only when the point cap actually folded samples, so short runs
+/// serialize exactly as they did before the cap existed.
+fn write_series(w: &mut JsonWriter<'_>, series: &TimeSeries) {
+    w.field("series", series);
+    if series.points_folded() > 0 {
+        w.field("points_kept", series.points_kept())
+            .field("points_folded", series.points_folded());
+    }
+}
+
+impl WriteJson for CloudReport {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.obj(|w| {
+            w.field("arrivals", self.arrivals)
+                .field("completed", self.completed)
+                .field("never_deployed", self.never_deployed)
+                .field("lost", self.lost)
+                .field("elapsed_s", self.elapsed.as_secs())
+                .field("throughput_per_s", self.throughput_per_s);
+            w.key("latency_s").obj(|w| {
+                w.field("count", self.latency.count())
+                    .field("mean", self.latency.mean())
+                    .field("p50", self.latency_p50)
+                    .field("p95", self.latency_p95)
+                    .field("p99", self.latency_p99)
+                    .field("min", self.latency.min())
+                    .field("max", self.latency.max());
+            });
+            write_summary(w, "queue_wait_s", &self.queue_wait);
+            write_summary(w, "requeue_wait_s", &self.requeue_wait);
+            w.key("occupancy").obj(|w| {
+                w.field("mean", self.mean_occupancy)
+                    .field("peak", self.peak_occupancy);
+                write_series(w, &self.occupancy_series);
+            });
+            w.key("queue_depth").obj(|w| {
+                w.field("peak", self.peak_queue_depth);
+                write_series(w, &self.queue_depth_series);
+            });
+            w.key("rejections").obj(|w| {
+                for (key, counts) in [
+                    ("attempts", &self.rejections),
+                    ("tasks", &self.rejected_tasks),
+                ] {
+                    w.key(key).obj(|w| {
+                        for reason in RejectReason::ALL {
+                            w.field(reason.as_str(), counts[reason.index()]);
+                        }
+                    });
                 }
-                occ
-            })
-            .with("queue_depth", {
-                let mut qd = Json::obj()
-                    .with("peak", self.peak_queue_depth)
-                    .with("series", self.queue_depth_series.to_json());
-                if self.queue_depth_series.points_folded() > 0 {
-                    qd = qd
-                        .with("points_kept", self.queue_depth_series.points_kept() as u64)
-                        .with("points_folded", self.queue_depth_series.points_folded());
-                }
-                qd
-            })
-            .with("rejections", rejections)
-            .with(
-                "recovery",
-                Json::obj()
-                    .with("device_failures", self.device_failures)
-                    .with("device_recoveries", self.device_recoveries)
-                    .with("interrupted", self.interrupted)
-                    .with("migrated", self.migrated)
-                    .with("redeployments", self.redeployments)
-                    .with("requeued", self.requeued)
-                    .with("lost", self.lost)
-                    .with("scale_down_redeployments", self.scale_down_redeployments)
-                    .with("mean_time_to_recovery_s", self.mean_time_to_recovery_s())
-                    .with("degraded_time_s", self.degraded_time.as_secs())
-                    .with("degraded_mean_occupancy", self.degraded_mean_occupancy),
-            );
-        if self.link_faults_planned {
-            json = json.with(
-                "links",
-                Json::obj()
-                    .with("failures", self.link_failures)
-                    .with("degradations", self.link_degradations)
-                    .with("recoveries", self.link_recoveries)
-                    .with("retransmits", self.link_retransmits)
-                    .with("bytes_retransmitted", self.link_retransmit_bytes)
-                    .with("reroutes", self.link_reroutes)
-                    .with("severed", self.link_severed)
-                    .with("degraded_time_s", self.link_degraded_time.as_secs()),
-            );
-        }
-        json = json.with(
-            "elasticity",
-            Json::obj()
-                .with("promotions", self.promotions)
-                .with("preemptions", self.preemptions)
-                .with("units_gained", self.units_gained)
-                .with("units_lost", self.units_lost)
-                .with("promotion_saved_s", summary(&self.promotion_saved))
-                .with("preemption_added_s", summary(&self.preemption_added)),
-        );
-        if let Some(monitor) = &self.monitor {
-            json = json.with("monitor", monitor.to_json());
-        }
-        json.with(
-            "trace",
-            Json::obj()
-                .with("retained", self.trace.len())
-                .with("dropped", self.trace.dropped()),
-        )
-        .with("spans", self.spans.len())
-        .with("critical_path", self.critical_path.to_json())
+            });
+            w.key("recovery").obj(|w| {
+                w.field("device_failures", self.device_failures)
+                    .field("device_recoveries", self.device_recoveries)
+                    .field("interrupted", self.interrupted)
+                    .field("migrated", self.migrated)
+                    .field("redeployments", self.redeployments)
+                    .field("requeued", self.requeued)
+                    .field("lost", self.lost)
+                    .field("scale_down_redeployments", self.scale_down_redeployments)
+                    .field("mean_time_to_recovery_s", self.mean_time_to_recovery_s())
+                    .field("degraded_time_s", self.degraded_time.as_secs())
+                    .field("degraded_mean_occupancy", self.degraded_mean_occupancy);
+            });
+            if self.link_faults_planned {
+                w.key("links").obj(|w| {
+                    w.field("failures", self.link_failures)
+                        .field("degradations", self.link_degradations)
+                        .field("recoveries", self.link_recoveries)
+                        .field("retransmits", self.link_retransmits)
+                        .field("bytes_retransmitted", self.link_retransmit_bytes)
+                        .field("reroutes", self.link_reroutes)
+                        .field("severed", self.link_severed)
+                        .field("degraded_time_s", self.link_degraded_time.as_secs());
+                });
+            }
+            w.key("elasticity").obj(|w| {
+                w.field("promotions", self.promotions)
+                    .field("preemptions", self.preemptions)
+                    .field("units_gained", self.units_gained)
+                    .field("units_lost", self.units_lost);
+                write_summary(w, "promotion_saved_s", &self.promotion_saved);
+                write_summary(w, "preemption_added_s", &self.preemption_added);
+            });
+            if let Some(monitor) = &self.monitor {
+                w.field("monitor", monitor);
+            }
+            w.key("trace").obj(|w| {
+                w.field("retained", self.trace.len())
+                    .field("dropped", self.trace.dropped());
+            });
+            w.field("spans", self.spans.len())
+                .field("critical_path", &self.critical_path);
+        });
     }
 }
 
@@ -1518,7 +1516,7 @@ mod tests {
     use crate::controller::Policy;
     use crate::testutil::small_db;
     use vfpga_core::{MappingDatabase, MappingEntry};
-    use vfpga_sim::{FaultPlanParams, LinkFaultEvent, LinkFaultParams};
+    use vfpga_sim::{FaultPlanParams, Json, LinkFaultEvent, LinkFaultParams};
     use vfpga_workload::{RnnKind, RnnTask};
 
     fn arrivals(n: usize, gap_us: f64) -> Vec<TaskArrival> {
@@ -1826,7 +1824,7 @@ mod tests {
             none.trace.dropped(),
             full.trace.len() as u64 + full.trace.dropped()
         );
-        let without_trace = |r: &CloudReport| match r.to_json() {
+        let without_trace = |r: &CloudReport| match Json::from(r.to_json()) {
             Json::Obj(fields) => {
                 Json::Obj(fields.into_iter().filter(|(k, _)| k != "trace").collect()).compact()
             }

@@ -166,8 +166,9 @@ pub struct Deployment {
     /// Under a statically provisioned baseline: the name of the instance
     /// actually installed on the device serving this task (which may
     /// differ from the requested one — the inelasticity the paper
-    /// describes). `None` otherwise.
-    pub installed_instance: Option<String>,
+    /// describes), shared with the controller's name table. `None`
+    /// otherwise.
+    pub installed_instance: Option<Arc<str>>,
     /// The deployed units.
     pub placements: Vec<Placement>,
     /// Latency-insensitive boundary crossings on the critical path (from
@@ -831,7 +832,7 @@ impl SystemController {
         };
         // The preinstalled accelerator runs whole on its one device.
         let mut deployment = self.install(index, option, allocations);
-        deployment.installed_instance = Some(installed.name.clone());
+        deployment.installed_instance = Some(Arc::clone(&self.names()[provision.index]));
         deployment.placements[0].compute_share = 1.0;
         deployment.crossings_per_op = 0;
         deployment.cut_bandwidth = 0;

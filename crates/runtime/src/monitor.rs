@@ -21,8 +21,8 @@
 use std::collections::BTreeMap;
 
 use vfpga_sim::{
-    evaluate_slo, prometheus_rollup_text, Json, RollupKey, RollupSet, SimTime, SloOutcome, SloSpec,
-    TraceRing,
+    evaluate_slo, prometheus_rollup_text, JsonDoc, JsonWriter, RollupKey, RollupSet, SimTime,
+    SloOutcome, SloSpec, TraceRing, WriteJson,
 };
 
 use crate::record::SimEvent;
@@ -234,29 +234,31 @@ impl MonitorReport {
         self.outcomes.iter().fold(1.0f64, |m, o| m.min(o.health))
     }
 
-    /// Serializes the section: summary counters first, then specs,
-    /// outcomes, and the full rollup table.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("alerts_fired", self.alerts_fired() as u64)
-            .with("alerts_resolved", self.alerts_resolved() as u64)
-            .with("max_burn", self.max_burn())
-            .with("min_health", self.min_health())
-            .with("truncated_windows", self.truncated_windows as u64)
-            .with(
-                "slos",
-                Json::Arr(self.specs.iter().map(SloSpec::to_json).collect()),
-            )
-            .with(
-                "outcomes",
-                Json::Arr(self.outcomes.iter().map(SloOutcome::to_json).collect()),
-            )
-            .with("rollups", self.rollups.to_json())
+    /// The section as a JSON document.
+    pub fn to_json(&self) -> JsonDoc<&Self> {
+        JsonDoc(self)
     }
 
     /// The rollup/SLO families in Prometheus exposition format.
     pub fn prometheus_text(&self) -> String {
         prometheus_rollup_text(&self.rollups, &self.outcomes)
+    }
+}
+
+/// Serializes the section: summary counters first, then specs, outcomes,
+/// and the full rollup table.
+impl WriteJson for MonitorReport {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.obj(|w| {
+            w.field("alerts_fired", self.alerts_fired())
+                .field("alerts_resolved", self.alerts_resolved())
+                .field("max_burn", self.max_burn())
+                .field("min_health", self.min_health())
+                .field("truncated_windows", self.truncated_windows);
+            w.field("slos", &self.specs)
+                .field("outcomes", &self.outcomes)
+                .field("rollups", &self.rollups);
+        });
     }
 }
 

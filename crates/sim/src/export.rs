@@ -9,7 +9,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::json::Json;
+use crate::json::{JsonDoc, JsonWriter, WriteJson};
 use crate::metrics::MetricsRegistry;
 use crate::span::{SpanTracer, TraceId};
 
@@ -20,24 +20,6 @@ pub const SCHEDULER_PID: u64 = 0;
 /// Thread id of control-plane rows (device-failure handling, offline
 /// compilation) on any process.
 pub const CONTROL_TID: u64 = u64::MAX;
-
-fn process_name(pid: u64) -> String {
-    if pid == SCHEDULER_PID {
-        "scheduler".to_string()
-    } else {
-        format!("fpga{}", pid - 1)
-    }
-}
-
-fn thread_name(pid: u64, tid: u64) -> String {
-    if tid == CONTROL_TID {
-        "control".to_string()
-    } else if pid == SCHEDULER_PID {
-        format!("task{tid}")
-    } else {
-        format!("vblock{tid}")
-    }
-}
 
 /// Converts span forests to a Chrome trace-event array (the `traceEvents`
 /// value), loadable in Perfetto or `chrome://tracing`.
@@ -52,64 +34,101 @@ fn thread_name(pid: u64, tid: u64) -> String {
 ///   first, derived from a sorted set for determinism.
 ///
 /// Several tracers concatenate into one timeline (e.g. the offline
-/// compilation flow plus the cloud run).
-pub fn chrome_trace_events(tracers: &[&SpanTracer]) -> Json {
-    let mut lanes: BTreeSet<(u64, u64)> = BTreeSet::new();
-    for tracer in tracers {
-        for span in tracer.spans() {
-            lanes.insert(lane_of(span));
-        }
-    }
-    let mut events: Vec<Json> = Vec::new();
-    let mut named_pids: BTreeSet<u64> = BTreeSet::new();
-    for &(pid, tid) in &lanes {
-        if named_pids.insert(pid) {
-            events.push(
-                Json::obj()
-                    .with("ph", "M")
-                    .with("name", "process_name")
-                    .with("pid", pid)
-                    .with("tid", 0u64)
-                    .with("args", Json::obj().with("name", process_name(pid))),
-            );
-        }
-        events.push(
-            Json::obj()
-                .with("ph", "M")
-                .with("name", "thread_name")
-                .with("pid", pid)
-                .with("tid", tid)
-                .with("args", Json::obj().with("name", thread_name(pid, tid))),
-        );
-    }
-    for tracer in tracers {
-        for span in tracer.spans() {
-            let Some(end) = span.end else {
-                // Open spans have no duration; the simulators close
-                // everything before export, so skipping loses nothing.
-                continue;
-            };
-            let (pid, tid) = lane_of(span);
-            let mut args = Json::obj();
-            if span.trace != TraceId::NONE {
-                args = args.with("trace", span.trace.0);
+/// compilation flow plus the cloud run). The array is written on demand,
+/// straight into the output of `pretty()`/`compact()`.
+pub fn chrome_trace_events<'a>(tracers: &[&'a SpanTracer]) -> JsonDoc<ChromeTrace<'a>> {
+    JsonDoc(ChromeTrace {
+        tracers: tracers.to_vec(),
+    })
+}
+
+/// The Chrome trace-event array of some span forests; see
+/// [`chrome_trace_events`].
+#[derive(Debug, Clone)]
+pub struct ChromeTrace<'a> {
+    tracers: Vec<&'a SpanTracer>,
+}
+
+impl WriteJson for ChromeTrace<'_> {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        let mut lanes: BTreeSet<(u64, u64)> = BTreeSet::new();
+        for tracer in &self.tracers {
+            for span in tracer.spans() {
+                lanes.insert(lane_of(span));
             }
-            for (key, value) in &span.attrs {
-                args = args.with(key, value.to_json());
-            }
-            events.push(
-                Json::obj()
-                    .with("ph", "X")
-                    .with("name", span.name)
-                    .with("pid", pid)
-                    .with("tid", tid)
-                    .with("ts", span.begin.as_us())
-                    .with("dur", end.saturating_sub(span.begin).as_us())
-                    .with("args", args),
-            );
         }
+        w.arr(|w| {
+            let mut named_pid = None;
+            for &(pid, tid) in &lanes {
+                if named_pid != Some(pid) {
+                    named_pid = Some(pid);
+                    metadata(w, "process_name", pid, 0, |w| {
+                        if pid == SCHEDULER_PID {
+                            w.str("scheduler")
+                        } else {
+                            w.str_fmt(format_args!("fpga{}", pid - 1))
+                        };
+                    });
+                }
+                metadata(w, "thread_name", pid, tid, |w| {
+                    if tid == CONTROL_TID {
+                        w.str("control")
+                    } else if pid == SCHEDULER_PID {
+                        w.str_fmt(format_args!("task{tid}"))
+                    } else {
+                        w.str_fmt(format_args!("vblock{tid}"))
+                    };
+                });
+            }
+            for tracer in &self.tracers {
+                for span in tracer.spans() {
+                    let Some(end) = span.end else {
+                        // Open spans have no duration; the simulators
+                        // close everything before export, so skipping
+                        // loses nothing.
+                        continue;
+                    };
+                    let (pid, tid) = lane_of(span);
+                    w.obj(|w| {
+                        w.field("ph", "X")
+                            .field("name", span.name)
+                            .field("pid", pid)
+                            .field("tid", tid)
+                            .field("ts", span.begin.as_us())
+                            .field("dur", end.saturating_sub(span.begin).as_us());
+                        w.key("args").obj(|w| {
+                            if span.trace != TraceId::NONE {
+                                w.field("trace", span.trace.0);
+                            }
+                            for (key, value) in &span.attrs {
+                                w.field(key, value);
+                            }
+                        });
+                    });
+                }
+            }
+        });
     }
-    Json::Arr(events)
+}
+
+/// One metadata event naming process `pid` or its thread `tid`.
+fn metadata(
+    w: &mut JsonWriter<'_>,
+    name: &str,
+    pid: u64,
+    tid: u64,
+    write_name: impl FnOnce(&mut JsonWriter<'_>),
+) {
+    w.obj(|w| {
+        w.field("ph", "M")
+            .field("name", name)
+            .field("pid", pid)
+            .field("tid", tid);
+        w.key("args").obj(|w| {
+            w.key("name");
+            write_name(w);
+        });
+    });
 }
 
 fn lane_of(span: &crate::span::Span) -> (u64, u64) {
@@ -297,6 +316,7 @@ pub fn prometheus_rollup_text(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
     use crate::span::SpanId;
     use crate::time::SimTime;
 
@@ -359,6 +379,23 @@ mod tests {
         assert!(text.contains(r#""name":"decompose""#), "{text}");
         // Control-plane spans (TraceId::NONE) land on the control thread.
         assert!(text.contains(r#""name":"control""#), "{text}");
+    }
+
+    #[test]
+    fn span_without_trace_or_attributes_has_empty_args() {
+        let mut s = SpanTracer::new();
+        let id = s.begin("compile", TraceId::NONE, None, SimTime::ZERO);
+        s.end(id, SimTime::from_us(1.5));
+        let doc = chrome_trace_events(&[&s]);
+        let text = doc.compact();
+        assert!(
+            text.ends_with(r#"{"ph":"X","name":"compile","pid":0,"tid":18446744073709552000,"ts":0,"dur":1.5,"args":{}}]"#),
+            "{text}"
+        );
+        assert!(doc.pretty().contains("\"args\": {}\n"));
+        let tree = Json::from(doc.clone());
+        assert_eq!(tree.compact(), text);
+        assert_eq!(tree.pretty(), doc.pretty());
     }
 
     #[test]

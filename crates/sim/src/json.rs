@@ -1,11 +1,20 @@
-//! A minimal JSON document builder.
+//! JSON without serde: one streaming writer, self-writing documents and a
+//! value tree.
 //!
-//! The benchmark harness exports machine-readable metrics artifacts; the
-//! container environment has no serde, so this module provides the small
-//! subset needed: a value tree with insertion-ordered objects and a
-//! serializer with correct string escaping and finite-number handling.
+//! The container environment has no serde, so this module provides the
+//! small subset the artifacts need. [`JsonWriter`] is the only
+//! serializer: it streams values into a `String`, pretty or compact, and
+//! owns every output rule (separators, indentation, empty containers,
+//! the number rule, string escaping). Exported documents implement
+//! [`WriteJson`] and write themselves field by field, so a large report
+//! is serialized without building and freeing a tree; [`JsonDoc`] wraps
+//! one with `pretty()`/`compact()` and converts into a [`Json`] value
+//! where a caller embeds it in a larger tree. [`Json`] is the value tree
+//! for documents that are assembled, probed or parsed
+//! ([`Json::parse`]); it renders through the same writer, so both forms
+//! of one document produce the same bytes.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// One JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,8 +110,36 @@ impl Json {
 
     /// Serializes with two-space indentation and a trailing newline.
     pub fn pretty(&self) -> String {
+        JsonDoc(self).pretty()
+    }
+
+    /// Serializes compactly.
+    pub fn compact(&self) -> String {
+        JsonDoc(self).compact()
+    }
+}
+
+/// A document that serializes itself into a [`JsonWriter`]: one value
+/// (usually one object), written in order with no tree in between.
+pub trait WriteJson {
+    /// Writes `self` as one JSON value.
+    fn write_json(&self, w: &mut JsonWriter<'_>);
+}
+
+/// A self-writing document, rendered on demand.
+///
+/// Exporters return one of these instead of a [`Json`] tree: `pretty()`
+/// and `compact()` stream the document straight into its output `String`,
+/// and `Json::from` (so `Json::with(key, doc)`) parses the compact text
+/// back into a tree that renders to the same bytes.
+#[derive(Debug, Clone, Copy)]
+pub struct JsonDoc<T>(pub T);
+
+impl<T: WriteJson> JsonDoc<T> {
+    /// Serializes with two-space indentation and a trailing newline.
+    pub fn pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.0.write_json(&mut JsonWriter::pretty(&mut out));
         out.push('\n');
         out
     }
@@ -110,73 +147,302 @@ impl Json {
     /// Serializes compactly.
     pub fn compact(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, usize::MAX);
+        self.0.write_json(&mut JsonWriter::compact(&mut out));
         out
     }
+}
 
-    fn write(&self, out: &mut String, indent: usize) {
-        let compact = indent == usize::MAX;
+impl<T: WriteJson> WriteJson for JsonDoc<T> {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        self.0.write_json(w);
+    }
+}
+
+impl<T: WriteJson> From<JsonDoc<T>> for Json {
+    fn from(doc: JsonDoc<T>) -> Json {
+        Json::parse(&doc.compact()).expect("a written document parses")
+    }
+}
+
+/// The one JSON serializer: streams values into a `String`, in pretty
+/// (newline plus two spaces per nesting level) or compact form.
+///
+/// It owns every output rule — separators, indentation, `{}`/`[]` for a
+/// container that closed with no entry, the number rule (integers below
+/// 1e15 print without a fraction, non-finite numbers print `null`) and
+/// string escaping — so a [`Json`] tree and a [`WriteJson`] document that
+/// describe the same value render to the same bytes.
+///
+/// ```
+/// use vfpga_sim::{JsonWriter, WriteJson};
+/// let mut out = String::new();
+/// let mut w = JsonWriter::compact(&mut out);
+/// w.obj(|w| {
+///     w.field("a", 1u64).field("b", "x");
+///     w.key("c").arr(|w| {
+///         w.value(1.5).value(f64::NAN);
+///     });
+/// });
+/// assert_eq!(out, r#"{"a":1,"b":"x","c":[1.5,null]}"#);
+/// ```
+#[derive(Debug)]
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+    pretty: bool,
+    /// Open containers.
+    depth: usize,
+    /// The innermost open container has no entry yet.
+    empty: bool,
+    /// A key was just written: the next value completes its entry.
+    after_key: bool,
+}
+
+impl<'a> JsonWriter<'a> {
+    /// A writer appending pretty-printed JSON to `out`.
+    pub fn pretty(out: &'a mut String) -> Self {
+        JsonWriter::new(out, true)
+    }
+
+    /// A writer appending compact JSON to `out`.
+    pub fn compact(out: &'a mut String) -> Self {
+        JsonWriter::new(out, false)
+    }
+
+    fn new(out: &'a mut String, pretty: bool) -> Self {
+        JsonWriter {
+            out,
+            pretty,
+            depth: 0,
+            empty: true,
+            after_key: false,
+        }
+    }
+
+    /// Starts the next entry of the innermost container: the comma, then
+    /// in pretty mode the entry's own line. A value after its key and a
+    /// top-level value start nothing.
+    fn sep(&mut self) {
+        if self.after_key {
+            self.after_key = false;
+            return;
+        }
+        if self.depth == 0 {
+            return;
+        }
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        if self.pretty {
+            push_line(self.out, self.depth);
+        }
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.sep();
+        self.out.push(bracket);
+        self.depth += 1;
+        self.empty = true;
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if !self.empty && self.pretty {
+            push_line(self.out, self.depth);
+        }
+        self.out.push(bracket);
+        // The closed container is an entry of its parent.
+        self.empty = false;
+    }
+
+    /// Writes an object whose entries `body` writes (with [`field`] or
+    /// [`key`] plus a value).
+    ///
+    /// [`field`]: JsonWriter::field
+    /// [`key`]: JsonWriter::key
+    pub fn obj(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.open('{');
+        body(self);
+        self.close('}');
+        self
+    }
+
+    /// Writes an array whose elements `body` writes.
+    pub fn arr(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
+        self.open('[');
+        body(self);
+        self.close(']');
+        self
+    }
+
+    /// Writes an object key; the next value written is its value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.sep();
+        escape_into(key, self.out);
+        self.out.push(':');
+        if self.pretty {
+            self.out.push(' ');
+        }
+        self.after_key = true;
+        self
+    }
+
+    /// Writes one object entry.
+    pub fn field(&mut self, key: &str, value: impl WriteJson) -> &mut Self {
+        self.key(key).value(value)
+    }
+
+    /// Writes one value: an array element, a key's value or the document.
+    pub fn value(&mut self, value: impl WriteJson) -> &mut Self {
+        value.write_json(self);
+        self
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.sep();
+        self.out.push_str("null");
+        self
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.sep();
+        self.out.push_str(if b { "true" } else { "false" });
+        self
+    }
+
+    /// Writes a number: without a fraction when it is an integer below
+    /// 1e15 in magnitude, shortest round-trip decimal otherwise, `null`
+    /// when it is not finite.
+    pub fn num(&mut self, x: f64) -> &mut Self {
+        self.sep();
+        if !x.is_finite() {
+            self.out.push_str("null");
+        } else if x == x.trunc() && x.abs() < 1e15 {
+            let n = x as i64;
+            if n < 0 {
+                self.out.push('-');
+            }
+            push_digits(self.out, n.unsigned_abs());
+        } else {
+            let _ = write!(self.out, "{x}");
+        }
+        self
+    }
+
+    /// Writes an unsigned integer with the same bytes as
+    /// `num(x as f64)`, without the float round trip below 1e15.
+    pub fn u64(&mut self, x: u64) -> &mut Self {
+        if x >= 1_000_000_000_000_000 {
+            return self.num(x as f64);
+        }
+        self.sep();
+        push_digits(self.out, x);
+        self
+    }
+
+    /// Writes a string.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.sep();
+        escape_into(s, self.out);
+        self
+    }
+
+    /// Writes a string formatted from `args` (`format_args!("task{id}")`),
+    /// escaped as it is formatted, with no intermediate `String`.
+    pub fn str_fmt(&mut self, args: fmt::Arguments<'_>) -> &mut Self {
+        self.sep();
+        self.out.push('"');
+        let _ = Escaper(self.out).write_fmt(args);
+        self.out.push('"');
+        self
+    }
+}
+
+impl WriteJson for Json {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(x) => {
-                if x.is_finite() {
-                    if *x == x.trunc() && x.abs() < 1e15 {
-                        let _ = write!(out, "{}", *x as i64);
-                    } else {
-                        let _ = write!(out, "{x}");
-                    }
-                } else {
-                    out.push_str("null");
+            Json::Null => w.null(),
+            Json::Bool(b) => w.bool(*b),
+            Json::Num(x) => w.num(*x),
+            Json::Str(s) => w.str(s),
+            Json::Arr(items) => w.value(items),
+            Json::Obj(pairs) => w.obj(|w| {
+                for (k, v) in pairs {
+                    w.field(k, v);
                 }
-            }
-            Json::Str(s) => escape_into(s, out),
-            Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    if !compact {
-                        push_line(out, indent + 1);
-                    }
-                    item.write(out, if compact { indent } else { indent + 1 });
-                }
-                if !compact {
-                    push_line(out, indent);
-                }
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    if !compact {
-                        push_line(out, indent + 1);
-                    }
-                    escape_into(k, out);
-                    out.push(':');
-                    if !compact {
-                        out.push(' ');
-                    }
-                    v.write(out, if compact { indent } else { indent + 1 });
-                }
-                if !compact {
-                    push_line(out, indent);
-                }
-                out.push('}');
+            }),
+        };
+    }
+}
+
+impl<T: WriteJson + ?Sized> WriteJson for &T {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        (**self).write_json(w);
+    }
+}
+
+impl<T: WriteJson> WriteJson for Option<T> {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        match self {
+            Some(v) => v.write_json(w),
+            None => {
+                w.null();
             }
         }
+    }
+}
+
+impl<T: WriteJson> WriteJson for [T] {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.arr(|w| {
+            for item in self {
+                w.value(item);
+            }
+        });
+    }
+}
+
+impl<T: WriteJson> WriteJson for Vec<T> {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        self.as_slice().write_json(w);
+    }
+}
+
+impl WriteJson for str {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.str(self);
+    }
+}
+
+impl WriteJson for String {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.str(self);
+    }
+}
+
+impl WriteJson for f64 {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.num(*self);
+    }
+}
+
+impl WriteJson for u64 {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.u64(*self);
+    }
+}
+
+impl WriteJson for usize {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.u64(*self as u64);
+    }
+}
+
+impl WriteJson for bool {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.bool(*self);
     }
 }
 
@@ -348,10 +614,16 @@ fn push_line(out: &mut String, depth: usize) {
     }
 }
 
-/// Writes `s` as a quoted JSON string. The runs between escapes are
-/// copied whole, so a string that needs no escaping is one `push_str`.
+/// Writes `s` as a quoted JSON string.
 fn escape_into(s: &str, out: &mut String) {
     out.push('"');
+    escape_body(s, out);
+    out.push('"');
+}
+
+/// Writes `s` escaped, without quotes. The runs between escapes are
+/// copied whole, so a string that needs no escaping is one `push_str`.
+fn escape_body(s: &str, out: &mut String) {
     let mut rest = s;
     // Every byte that needs escaping is ASCII, so `i + 1` stays on a char
     // boundary.
@@ -373,7 +645,31 @@ fn escape_into(s: &str, out: &mut String) {
         rest = &rest[i + 1..];
     }
     out.push_str(rest);
-    out.push('"');
+}
+
+/// Escapes formatted text on its way into the output.
+struct Escaper<'a>(&'a mut String);
+
+impl fmt::Write for Escaper<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        escape_body(s, self.0);
+        Ok(())
+    }
+}
+
+/// Appends the decimal digits of `x`.
+fn push_digits(out: &mut String, mut x: u64) {
+    let mut buf = [0u8; 20];
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[start..]).expect("ASCII digits"));
 }
 
 impl From<f64> for Json {
@@ -555,5 +851,93 @@ mod tests {
     fn empty_containers() {
         assert_eq!(Json::obj().pretty(), "{}\n");
         assert_eq!(Json::Arr(vec![]).compact(), "[]");
+    }
+
+    /// A document written field by field, mirroring `tree()`.
+    struct Nested;
+
+    impl WriteJson for Nested {
+        fn write_json(&self, w: &mut JsonWriter<'_>) {
+            w.obj(|w| {
+                w.key("empty_obj").obj(|_| {});
+                w.key("empty_arr").arr(|_| {});
+                w.key("list").arr(|w| {
+                    w.obj(|_| {}).arr(|_| {}).u64(3);
+                });
+                w.field("last", "x");
+            });
+        }
+    }
+
+    fn tree() -> Json {
+        Json::obj()
+            .with("empty_obj", Json::obj())
+            .with("empty_arr", Json::Arr(vec![]))
+            .with(
+                "list",
+                Json::Arr(vec![Json::obj(), Json::Arr(vec![]), Json::from(3u64)]),
+            )
+            .with("last", "x")
+    }
+
+    #[test]
+    fn nested_empty_containers_stay_inline() {
+        let doc = JsonDoc(Nested);
+        assert_eq!(
+            doc.pretty(),
+            "{\n  \"empty_obj\": {},\n  \"empty_arr\": [],\n  \"list\": [\n    {},\n    [],\n    3\n  ],\n  \"last\": \"x\"\n}\n"
+        );
+        assert_eq!(
+            doc.compact(),
+            r#"{"empty_obj":{},"empty_arr":[],"list":[{},[],3],"last":"x"}"#
+        );
+        assert_eq!(doc.pretty(), tree().pretty());
+        assert_eq!(doc.compact(), tree().compact());
+        assert_eq!(Json::from(doc), tree());
+    }
+
+    #[test]
+    fn writer_numbers_follow_the_tree_rule() {
+        let values = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            -7.0,
+            0.25,
+            999_999_999_999_999.0,
+            1e15,
+            -1e15,
+            1e300,
+            5e-324,
+        ];
+        let mut out = String::new();
+        let mut w = JsonWriter::compact(&mut out);
+        w.arr(|w| {
+            for x in values {
+                w.num(x);
+            }
+        });
+        let tree = Json::Arr(values.iter().map(|&x| Json::Num(x)).collect());
+        assert_eq!(out, tree.compact());
+        assert!(
+            out.starts_with("[null,null,null,0,-7,0.25,999999999999999,"),
+            "{out}"
+        );
+        // Non-finite numbers become `null`, so the conversion yields nulls
+        // that render the same bytes.
+        assert_eq!(Json::from(JsonDoc(&tree)).compact(), out);
+        for x in [0, 7, 999_999_999_999_999, 1_000_000_000_000_000, u64::MAX] {
+            let mut a = String::new();
+            JsonWriter::compact(&mut a).u64(x);
+            assert_eq!(a, Json::from(x).compact(), "{x}");
+        }
+    }
+
+    #[test]
+    fn formatted_strings_are_escaped() {
+        let mut out = String::new();
+        JsonWriter::compact(&mut out).str_fmt(format_args!("tenant:{}", "a\"b\n"));
+        assert_eq!(out, Json::from("tenant:a\"b\n").compact());
     }
 }

@@ -42,17 +42,18 @@ mod trace;
 
 pub use engine::EventQueue;
 pub use export::{
-    chrome_trace_events, prometheus_rollup_text, prometheus_text, CONTROL_TID, SCHEDULER_PID,
+    chrome_trace_events, prometheus_rollup_text, prometheus_text, ChromeTrace, CONTROL_TID,
+    SCHEDULER_PID,
 };
 pub use fault::{
     FaultEvent, FaultPlan, FaultPlanParams, LinkFaultEvent, LinkFaultKind, LinkFaultParams,
 };
-pub use json::Json;
+pub use json::{Json, JsonDoc, JsonWriter, WriteJson};
 pub use link::{DegradedMode, LinkParamError, LinkParams, RetransmitPolicy};
 pub use metrics::{CounterId, GaugeId, MetricsRegistry, TimeSeries, TimerId, TIMESERIES_POINT_CAP};
 pub use rng::Rng;
 pub use rollup::{RollupKey, RollupSet, WindowStats};
-pub use sketch::QuantileSketch;
+pub use sketch::{QuantileSketch, SketchDigest};
 pub use slo::{evaluate_slo, Alert, AlertState, SloOutcome, SloSpec};
 pub use span::{CriticalPath, PhaseBuckets, Span, SpanCtx, SpanId, SpanTracer, SpanValue, TraceId};
 pub use stats::Summary;

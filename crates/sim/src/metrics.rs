@@ -18,7 +18,7 @@
 //! assert_eq!(m.timer_summary(latency).count(), 1);
 //! ```
 
-use crate::json::Json;
+use crate::json::{Json, JsonDoc, JsonWriter, WriteJson};
 use crate::stats::Summary;
 use crate::time::SimTime;
 
@@ -191,14 +191,22 @@ impl TimeSeries {
         Some(acc / total)
     }
 
-    /// Serializes as `[[seconds, value], ...]`.
-    pub fn to_json(&self) -> Json {
-        Json::Arr(
-            self.samples
-                .iter()
-                .map(|&(t, v)| Json::Arr(vec![Json::Num(t.as_secs()), Json::Num(v)]))
-                .collect(),
-        )
+    /// The series as a JSON document.
+    pub fn to_json(&self) -> JsonDoc<&Self> {
+        JsonDoc(self)
+    }
+}
+
+/// Serializes as `[[seconds, value], ...]`.
+impl WriteJson for TimeSeries {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.arr(|w| {
+            for &(t, v) in &self.samples {
+                w.arr(|w| {
+                    w.num(t.as_secs()).num(v);
+                });
+            }
+        });
     }
 }
 

@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::Json;
+use crate::json::{JsonDoc, JsonWriter, WriteJson};
 use crate::sketch::QuantileSketch;
 use crate::time::SimTime;
 
@@ -315,41 +315,63 @@ impl RollupSet {
         out
     }
 
-    /// Serializes the rollups as a flat window array, each window with its
-    /// key label, bounds in seconds, counters, and sketch digests.
-    /// `truncated` appears only on truncated windows, so untruncated runs
-    /// serialize identically with or without the ring-overflow pass.
-    pub fn to_json(&self) -> Json {
+    /// The rollups as a JSON document.
+    pub fn to_json(&self) -> JsonDoc<&Self> {
+        JsonDoc(self)
+    }
+}
+
+impl RollupKey {
+    /// Writes [`label`](RollupKey::label) as a string value, without
+    /// building it.
+    fn write_label(&self, w: &mut JsonWriter<'_>) {
+        match self {
+            RollupKey::Cluster => w.str("cluster"),
+            RollupKey::Tenant(name) => w.str_fmt(format_args!("tenant:{name}")),
+            RollupKey::Device(d) => w.str_fmt(format_args!("device:{d}")),
+            RollupKey::Segment(s) => w.str_fmt(format_args!("segment:{s}")),
+        };
+    }
+}
+
+/// Serializes the rollups as a flat window array, each window with its
+/// key label, bounds in seconds, counters, and sketch digests.
+/// `truncated` appears only on truncated windows, so untruncated runs
+/// serialize identically with or without the ring-overflow pass.
+impl WriteJson for RollupSet {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
         let window_s = self.window.as_secs();
-        let mut rows = Vec::with_capacity(self.len());
-        for (key, idx, stats) in self.cells() {
-            let mut row = Json::obj()
-                .with("key", key.label())
-                .with("window", idx)
-                .with("start_s", idx as f64 * window_s)
-                .with("arrivals", stats.arrivals)
-                .with("completions", stats.completions)
-                .with("migrations", stats.migrations)
-                .with("retransmits", stats.retransmits)
-                .with("retransmit_bytes", stats.retransmit_bytes)
-                .with("latency", stats.latency.digest_json())
-                .with("queue_wait", stats.queue_wait.digest_json())
-                .with("occupancy_mean", stats.occupancy_mean());
-            if stats.truncated {
-                row = row.with("truncated", true);
-            }
-            rows.push(row);
-        }
-        Json::obj()
-            .with("window_s", window_s)
-            .with("alpha", self.alpha)
-            .with("windows", Json::Arr(rows))
+        w.obj(|w| {
+            w.field("window_s", window_s).field("alpha", self.alpha);
+            w.key("windows").arr(|w| {
+                for (key, idx, stats) in self.cells() {
+                    w.obj(|w| {
+                        w.key("key");
+                        key.write_label(w);
+                        w.field("window", idx)
+                            .field("start_s", idx as f64 * window_s)
+                            .field("arrivals", stats.arrivals)
+                            .field("completions", stats.completions)
+                            .field("migrations", stats.migrations)
+                            .field("retransmits", stats.retransmits)
+                            .field("retransmit_bytes", stats.retransmit_bytes)
+                            .field("latency", stats.latency.digest_json())
+                            .field("queue_wait", stats.queue_wait.digest_json())
+                            .field("occupancy_mean", stats.occupancy_mean());
+                        if stats.truncated {
+                            w.field("truncated", true);
+                        }
+                    });
+                }
+            });
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     fn t(us: f64) -> SimTime {
         SimTime::from_us(us)
@@ -414,6 +436,25 @@ mod tests {
         assert!(!series[2].1.truncated);
         let text = r.to_json().compact();
         assert_eq!(text.matches("\"truncated\":true").count(), 2);
+    }
+
+    #[test]
+    fn truncated_row_streams_like_its_tree() {
+        let mut r = RollupSet::new(t(100.0), 0.01);
+        r.record_completion(&RollupKey::Tenant("bw\"m".into()), t(10.0), t(40.0));
+        r.record_arrival(&RollupKey::Segment(2), t(120.0));
+        assert_eq!(r.mark_truncated_before(t(150.0)), 2);
+        let doc = r.to_json();
+        let text = doc.compact();
+        assert!(
+            text.contains(r#""key":"tenant:bw\"m","window":0,"start_s":0,"#),
+            "{text}"
+        );
+        assert!(text.contains(r#""p99_s":null},"occupancy_mean":null,"truncated":true}"#));
+        let tree = Json::from(doc);
+        assert_eq!(tree.compact(), text);
+        assert_eq!(tree.pretty(), doc.pretty());
+        assert_eq!(tree.pretty().matches("\"truncated\": true").count(), 2);
     }
 
     #[test]

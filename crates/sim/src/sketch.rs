@@ -28,7 +28,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::Json;
+use crate::json::{Json, JsonDoc, JsonWriter, WriteJson};
 use crate::time::SimTime;
 
 /// A deterministic, mergeable quantile sketch (see the module docs).
@@ -238,12 +238,24 @@ impl QuantileSketch {
 
     /// The `{count, p50, p95, p99}` quantile digest most artifact sections
     /// want; `None` quantiles (empty sketch) serialize as `null`.
-    pub fn digest_json(&self) -> Json {
-        Json::obj()
-            .with("count", self.count)
-            .with("p50_s", self.quantile_secs(0.50))
-            .with("p95_s", self.quantile_secs(0.95))
-            .with("p99_s", self.quantile_secs(0.99))
+    pub fn digest_json(&self) -> JsonDoc<SketchDigest<'_>> {
+        JsonDoc(SketchDigest(self))
+    }
+}
+
+/// A sketch's quantile digest; see [`QuantileSketch::digest_json`].
+#[derive(Debug, Clone, Copy)]
+pub struct SketchDigest<'a>(&'a QuantileSketch);
+
+impl WriteJson for SketchDigest<'_> {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        let s = self.0;
+        w.obj(|w| {
+            w.field("count", s.count)
+                .field("p50_s", s.quantile_secs(0.50))
+                .field("p95_s", s.quantile_secs(0.95))
+                .field("p99_s", s.quantile_secs(0.99));
+        });
     }
 }
 

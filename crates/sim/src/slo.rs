@@ -30,7 +30,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::Json;
+use crate::json::{JsonWriter, WriteJson};
 use crate::time::SimTime;
 
 /// A declarative latency-quantile SLO (see the module docs).
@@ -70,17 +70,20 @@ impl SloSpec {
             burn_threshold: 2.0,
         }
     }
+}
 
-    /// Serializes the spec.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("name", self.name.as_str())
-            .with("quantile", self.quantile)
-            .with("target_s", self.target.as_secs())
-            .with("error_budget", self.error_budget)
-            .with("fast_windows", self.fast_windows as u64)
-            .with("slow_windows", self.slow_windows as u64)
-            .with("burn_threshold", self.burn_threshold)
+/// Serializes the spec.
+impl WriteJson for SloSpec {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.obj(|w| {
+            w.field("name", &self.name)
+                .field("quantile", self.quantile)
+                .field("target_s", self.target.as_secs())
+                .field("error_budget", self.error_budget)
+                .field("fast_windows", self.fast_windows)
+                .field("slow_windows", self.slow_windows)
+                .field("burn_threshold", self.burn_threshold);
+        });
     }
 }
 
@@ -122,15 +125,16 @@ pub struct Alert {
     pub peak_burn: f64,
 }
 
-impl Alert {
-    /// Serializes the alert with second-denominated timestamps.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("slo", self.slo.as_str())
-            .with("key", self.key.as_str())
-            .with("fired_at_s", self.fired_at.as_secs())
-            .with("resolved_at_s", self.resolved_at.map(|t| t.as_secs()))
-            .with("peak_burn", self.peak_burn)
+/// Serializes the alert with second-denominated timestamps.
+impl WriteJson for Alert {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.obj(|w| {
+            w.field("slo", &self.slo)
+                .field("key", &self.key)
+                .field("fired_at_s", self.fired_at.as_secs())
+                .field("resolved_at_s", self.resolved_at.map(|t| t.as_secs()))
+                .field("peak_burn", self.peak_burn);
+        });
     }
 }
 
@@ -157,22 +161,20 @@ pub struct SloOutcome {
     pub health: f64,
 }
 
-impl SloOutcome {
-    /// Serializes the outcome.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("slo", self.slo.as_str())
-            .with("key", self.key.as_str())
-            .with("windows", self.windows)
-            .with("bad_windows", self.bad_windows)
-            .with("pending_entries", self.pending_entries)
-            .with("final_state", self.final_state.label())
-            .with("max_fast_burn", self.max_fast_burn)
-            .with("health", self.health)
-            .with(
-                "alerts",
-                Json::Arr(self.alerts.iter().map(Alert::to_json).collect()),
-            )
+/// Serializes the outcome.
+impl WriteJson for SloOutcome {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.obj(|w| {
+            w.field("slo", &self.slo)
+                .field("key", &self.key)
+                .field("windows", self.windows)
+                .field("bad_windows", self.bad_windows)
+                .field("pending_entries", self.pending_entries)
+                .field("final_state", self.final_state.label())
+                .field("max_fast_burn", self.max_fast_burn)
+                .field("health", self.health)
+                .field("alerts", &self.alerts);
+        });
     }
 }
 
@@ -285,6 +287,7 @@ pub fn evaluate_slo(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::JsonDoc;
 
     fn spec(fast: usize, slow: usize) -> SloSpec {
         SloSpec {
@@ -364,6 +367,6 @@ mod tests {
         let bad = bad_set(&[3, 4, 5, 9, 22, 23, 24, 25]);
         let a = evaluate_slo(&spec(4, 12), "k", &bad, 30, SimTime::from_us(5.0));
         let b = evaluate_slo(&spec(4, 12), "k", &bad, 30, SimTime::from_us(5.0));
-        assert_eq!(a.to_json().pretty(), b.to_json().pretty());
+        assert_eq!(JsonDoc(&a).pretty(), JsonDoc(&b).pretty());
     }
 }

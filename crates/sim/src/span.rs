@@ -35,7 +35,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::json::Json;
+use crate::json::{JsonDoc, JsonWriter, WriteJson};
 use crate::time::SimTime;
 
 /// Identifies one span within its [`SpanTracer`]: a dense index assigned in
@@ -121,16 +121,15 @@ impl From<Arc<str>> for SpanValue {
     }
 }
 
-impl SpanValue {
-    /// Serializes the value.
-    pub fn to_json(&self) -> Json {
+impl WriteJson for SpanValue {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
         match self {
-            SpanValue::U64(v) => Json::from(*v),
-            SpanValue::F64(v) => Json::from(*v),
-            SpanValue::Str(v) => Json::from(*v),
-            SpanValue::Text(v) => Json::from(v.as_str()),
-            SpanValue::Shared(v) => Json::from(&**v),
-        }
+            SpanValue::U64(v) => w.u64(*v),
+            SpanValue::F64(v) => w.num(*v),
+            SpanValue::Str(v) => w.str(v),
+            SpanValue::Text(v) => w.str(v),
+            SpanValue::Shared(v) => w.str(v),
+        };
     }
 }
 
@@ -413,18 +412,21 @@ impl PhaseBuckets {
         }
         best.unwrap_or(("idle", self.total))
     }
+}
 
-    /// Serializes as `{total_s, dominant_phase, phases_s: {...}}`.
-    pub fn to_json(&self) -> Json {
-        let mut phases = Json::obj();
-        for &(name, d) in &self.phases {
-            phases = phases.with(name, d.as_secs());
-        }
-        Json::obj()
-            .with("trace", self.trace.0)
-            .with("total_s", self.total.as_secs())
-            .with("dominant_phase", self.dominant().0)
-            .with("phases_s", phases)
+/// Serializes as `{trace, total_s, dominant_phase, phases_s: {...}}`.
+impl WriteJson for PhaseBuckets {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.obj(|w| {
+            w.field("trace", self.trace.0)
+                .field("total_s", self.total.as_secs())
+                .field("dominant_phase", self.dominant().0);
+            w.key("phases_s").obj(|w| {
+                for &(name, d) in &self.phases {
+                    w.field(name, d.as_secs());
+                }
+            });
+        });
     }
 }
 
@@ -526,23 +528,27 @@ impl CriticalPath {
         totals.into_iter().collect()
     }
 
-    /// Serializes the profile: task count, cross-task phase totals, and
-    /// the p50/p95/p99 task breakdowns.
-    pub fn to_json(&self) -> Json {
-        let mut totals = Json::obj();
-        for (name, d) in self.phase_totals() {
-            totals = totals.with(name, d.as_secs());
-        }
-        let quantile = |q: f64| match self.quantile_task(q) {
-            Some(t) => t.to_json(),
-            None => Json::Null,
-        };
-        Json::obj()
-            .with("completed_tasks", self.tasks.len())
-            .with("phase_totals_s", totals)
-            .with("p50", quantile(0.50))
-            .with("p95", quantile(0.95))
-            .with("p99", quantile(0.99))
+    /// The profile as a JSON document.
+    pub fn to_json(&self) -> JsonDoc<&Self> {
+        JsonDoc(self)
+    }
+}
+
+/// Serializes the profile: task count, cross-task phase totals, and the
+/// p50/p95/p99 task breakdowns.
+impl WriteJson for CriticalPath {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.obj(|w| {
+            w.field("completed_tasks", self.tasks.len());
+            w.key("phase_totals_s").obj(|w| {
+                for (name, d) in self.phase_totals() {
+                    w.field(name, d.as_secs());
+                }
+            });
+            w.field("p50", self.quantile_task(0.50))
+                .field("p95", self.quantile_task(0.95))
+                .field("p99", self.quantile_task(0.99));
+        });
     }
 }
 

@@ -19,8 +19,8 @@ use vfpga::runtime::{
     MonitorConfig, Policy, RecoveryPolicy, SimEvent, SystemController, DEFAULT_TRACE_CAPACITY,
 };
 use vfpga::sim::{
-    chrome_trace_events, prometheus_text, FaultPlan, FaultPlanParams, Json, LinkFaultParams,
-    SimTime, SloSpec,
+    chrome_trace_events, prometheus_text, FaultPlan, FaultPlanParams, Json, JsonDoc,
+    LinkFaultParams, SimTime, SloSpec, SpanTracer, WriteJson,
 };
 use vfpga::workload::{RnnKind, RnnTask, TaskArrival};
 use vfpga_bench::chaos::{self, ChaosConfig};
@@ -285,10 +285,16 @@ fn small_db() -> (Cluster, MappingDatabase) {
 /// streaming monitor. Bursts behind lone early tasks make the reprovisioner
 /// promote into idle capacity and then claw it back.
 fn kitchen_sink_run(seed: u64) -> CloudReport {
+    kitchen_sink_run_with(seed, 4, DEFAULT_TRACE_CAPACITY)
+}
+
+/// [`kitchen_sink_run`] with `bursts` bursts of 21 tasks and a trace ring
+/// of `trace_capacity` events.
+fn kitchen_sink_run_with(seed: u64, bursts: usize, trace_capacity: usize) -> CloudReport {
     let (cluster, db) = small_db();
     let mut controller = SystemController::new(cluster, db, Policy::Full);
     let mut arrivals = Vec::new();
-    for burst in 0..4 {
+    for burst in 0..bursts {
         let start = burst as f64 * 200.0;
         arrivals.push(TaskArrival {
             at: SimTime::from_us(start),
@@ -341,7 +347,7 @@ fn kitchen_sink_run(seed: u64) -> CloudReport {
         &|_: &RnnTask, d: &Deployment| SimTime::from_us(100.0 / d.num_units() as f64),
         &plan,
         RecoveryPolicy::default(),
-        DEFAULT_TRACE_CAPACITY,
+        trace_capacity,
         tuning,
     )
     .expect("known instances")
@@ -390,4 +396,41 @@ fn kitchen_sink_artifacts_match_pinned_digest() {
     assert_eq!((report.trace.len(), report.trace.dropped()), (956, 0));
     let ring = fnv1a(&[&report.trace.to_json(SimEvent::render).compact()]);
     assert_eq!(ring, 0x1cec_dee3_eb3d_6bcc, "ring digest {ring:#018x}");
+}
+
+/// Checks that a streamed document and its tree conversion render the same
+/// bytes, pretty and compact, and that its pretty text parses back to a
+/// tree that renders the same bytes again.
+fn assert_streamed_matches_tree<T: WriteJson>(doc: JsonDoc<T>) {
+    let (pretty, compact) = (doc.pretty(), doc.compact());
+    let tree = Json::from(doc);
+    assert_eq!(tree.pretty(), pretty);
+    assert_eq!(tree.compact(), compact);
+    let parsed = Json::parse(&pretty).expect("streamed output parses");
+    assert_eq!(parsed.pretty(), pretty);
+    assert_eq!(parsed.compact(), compact);
+}
+
+#[test]
+fn streamed_exports_match_their_trees() {
+    // 200 kitchen-sink bursts overflow the time series' point cap, and a
+    // 64-event trace ring drops events, so the report carries every
+    // optional section: `links`, `points_folded` and `truncated` windows.
+    let report = kitchen_sink_run_with(GOLDEN_SEED, 200, 64);
+    let text = report.to_json().pretty();
+    for section in [
+        "\"links\": {",
+        "\"points_folded\": ",
+        "\"truncated\": true",
+        "\"monitor\": {",
+    ] {
+        assert!(text.contains(section), "report lacks {section}");
+    }
+    assert_streamed_matches_tree(report.to_json());
+    assert_streamed_matches_tree(kitchen_sink_run(GOLDEN_SEED).to_json());
+    // Two tracers on one timeline, as `repro trace` exports them.
+    let mut compile_spans = SpanTracer::new();
+    let _ = Catalog::build_traced(&mut compile_spans);
+    assert!(!compile_spans.is_empty());
+    assert_streamed_matches_tree(chrome_trace_events(&[&compile_spans, &report.spans]));
 }
