@@ -553,13 +553,12 @@ mod tests {
             cut_bandwidth: 4096,
             max_ring_hops: hops,
         };
-        let unit = |device: DeviceId, alloc: u64, share: f64| Placement {
+        let unit = |device: DeviceId, share: f64| Placement {
             device,
-            allocation: vfpga_hsabs::AllocationId(alloc),
             compute_share: share,
         };
-        let single = make(vec![unit(dev, 1, 1.0)], 0);
-        let colocated = make(vec![unit(dev, 1, 0.5), unit(dev, 2, 0.5)], 0);
+        let single = make(vec![unit(dev, 1.0)], 0);
+        let colocated = make(vec![unit(dev, 0.5), unit(dev, 0.5)], 0);
         // Regression: the ring penalty used to be gated on num_units() > 1,
         // so two units packed onto ONE device were charged phantom ring
         // serialization even with max_ring_hops == 0.
@@ -584,7 +583,7 @@ mod tests {
         }
         let (a, b) = same_type.expect("paper cluster has a same-type pair");
         let hops = c.cluster.ring_hops(a, b);
-        let spread = make(vec![unit(a, 1, 0.5), unit(b, 2, 0.5)], hops);
+        let spread = make(vec![unit(a, 0.5), unit(b, 0.5)], hops);
         let t_spread = c.service_time(&task, &spread, Policy::Full);
         assert!(
             t_spread > t_colocated,

@@ -40,7 +40,6 @@ use std::collections::{BTreeMap, VecDeque};
 
 use vfpga_core::{DeploymentOption, MappingDatabase};
 use vfpga_fabric::{Cluster, DeviceId};
-use vfpga_hsabs::AllocationId;
 use vfpga_runtime::{
     CloudReport, Deployment, DeploymentId, Placement, Policy, RecoveryPolicy, RejectReason,
 };
@@ -379,7 +378,7 @@ impl<'a> ReferenceCluster<'a> {
             .max()
             .unwrap_or(0);
         // The caller's service-time model reads devices, shares and link
-        // shape; the allocation handles are placeholders.
+        // shape.
         Deployment {
             id: DeploymentId(id),
             installed_instance: None,
@@ -389,7 +388,6 @@ impl<'a> ReferenceCluster<'a> {
                 .zip(devices)
                 .map(|(unit, &d)| Placement {
                     device: DeviceId(d),
-                    allocation: AllocationId(u64::MAX),
                     compute_share: unit.compute_share,
                 })
                 .collect(),

@@ -16,7 +16,6 @@ pub struct AllocationId(pub u64);
 #[derive(Debug, Clone)]
 struct Allocation {
     device: DeviceId,
-    blocks: usize,
     /// The concrete virtual-block slot indexes the image occupies
     /// (first-fit, not necessarily contiguous).
     slots: Vec<usize>,
@@ -68,33 +67,6 @@ impl TransientFaultInjector {
     }
 }
 
-/// Lifetime counters of one [`LowLevelController`]: every configuration
-/// request it has served or rejected, plus the occupancy high-water mark.
-/// Updated unconditionally — cheap enough for the cloud simulator's inner
-/// loop.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LlcStats {
-    /// Successful configurations.
-    pub configures: u64,
-    /// Releases performed.
-    pub releases: u64,
-    /// Configuration requests rejected (type mismatch, too few slots, or a
-    /// failed target device).
-    pub rejected: u64,
-    /// Configuration requests that failed transiently (injected flaky
-    /// partial reconfiguration).
-    pub transient_faults: u64,
-    /// Device failures processed via [`LowLevelController::evict_device`].
-    pub device_failures: u64,
-    /// Device recoveries processed via
-    /// [`LowLevelController::recover_device`].
-    pub device_recoveries: u64,
-    /// Allocations evicted by device failures.
-    pub evicted: u64,
-    /// Highest cluster-wide occupancy ever reached (0..=1).
-    pub peak_occupancy: f64,
-}
-
 /// The HS abstraction's runtime controller (Fig. 7's "low-level
 /// controller"): receives configuration requests from the system controller
 /// and tracks which virtual blocks of which device are occupied.
@@ -115,7 +87,6 @@ pub struct LowLevelController {
     allocations: BTreeMap<u64, Allocation>,
     device_type_names: Vec<String>,
     next_id: u64,
-    stats: LlcStats,
     injector: Option<TransientFaultInjector>,
     /// Bumped on every operation that can *increase* free capacity
     /// somewhere (release, eviction, recovery). Successful configures do
@@ -145,7 +116,6 @@ impl LowLevelController {
             allocations: BTreeMap::new(),
             device_type_names,
             next_id: 0,
-            stats: LlcStats::default(),
             injector: None,
             capacity_epoch: 0,
         }
@@ -169,11 +139,6 @@ impl LowLevelController {
     /// Runtime health of a device.
     pub fn device_health(&self, device: DeviceId) -> DeviceHealth {
         self.health[device.0]
-    }
-
-    /// Whether a device currently accepts configuration requests.
-    pub fn is_healthy(&self, device: DeviceId) -> bool {
-        self.health[device.0] == DeviceHealth::Healthy
     }
 
     /// Number of devices currently failed.
@@ -206,7 +171,6 @@ impl LowLevelController {
             return Vec::new();
         }
         self.health[device.0] = DeviceHealth::Failed;
-        self.stats.device_failures += 1;
         // Eviction invalidates allocation ids upper layers may still hold
         // (and therefore their capacity bookkeeping), so it opens a new
         // epoch even though the failed device itself reports zero slots.
@@ -226,7 +190,6 @@ impl LowLevelController {
         self.occupied[device.0].fill(false);
         // `retain` walks the ordered map, so `evicted` is already in
         // ascending id order and chaos runs reproduce event-for-event.
-        self.stats.evicted += evicted.len() as u64;
         evicted
     }
 
@@ -235,7 +198,6 @@ impl LowLevelController {
     pub fn recover_device(&mut self, device: DeviceId) {
         if self.health[device.0] == DeviceHealth::Failed {
             self.health[device.0] = DeviceHealth::Healthy;
-            self.stats.device_recoveries += 1;
             self.capacity_epoch += 1;
             debug_assert_eq!(
                 self.allocations_on(device),
@@ -243,12 +205,6 @@ impl LowLevelController {
                 "failed device retained allocations"
             );
         }
-    }
-
-    /// Lifetime configuration/release counters and the occupancy
-    /// high-water mark.
-    pub fn stats(&self) -> &LlcStats {
-        &self.stats
     }
 
     /// Free virtual blocks on a device; zero while the device is failed,
@@ -265,13 +221,6 @@ impl LowLevelController {
         self.total_slots[device.0]
     }
 
-    /// Whether `image` could be configured on `device` right now.
-    pub fn can_configure(&self, device: DeviceId, image: &VirtualBlockImage) -> bool {
-        self.is_healthy(device)
-            && self.device_type_names[device.0] == image.device_type_name()
-            && self.free_slots[device.0] >= image.blocks()
-    }
-
     /// Configures `image` onto free slots of `device`.
     ///
     /// # Errors
@@ -286,19 +235,16 @@ impl LowLevelController {
         device: DeviceId,
         image: &VirtualBlockImage,
     ) -> Result<AllocationId, HsError> {
-        if !self.is_healthy(device) {
-            self.stats.rejected += 1;
+        if self.health[device.0] == DeviceHealth::Failed {
             return Err(HsError::DeviceFailed(device));
         }
         if self.device_type_names[device.0] != image.device_type_name() {
-            self.stats.rejected += 1;
             return Err(HsError::DeviceTypeMismatch {
                 image: image.device_type_name().to_string(),
                 device: self.device_type_names[device.0].clone(),
             });
         }
         if self.free_slots[device.0] < image.blocks() {
-            self.stats.rejected += 1;
             return Err(HsError::InsufficientSlots {
                 device,
                 requested: image.blocks(),
@@ -307,7 +253,6 @@ impl LowLevelController {
         }
         if let Some(injector) = &mut self.injector {
             if injector.should_fail() {
-                self.stats.transient_faults += 1;
                 return Err(HsError::TransientConfigureFailure(device));
             }
         }
@@ -332,16 +277,7 @@ impl LowLevelController {
         );
         let id = self.next_id;
         self.next_id += 1;
-        self.allocations.insert(
-            id,
-            Allocation {
-                device,
-                blocks: image.blocks(),
-                slots,
-            },
-        );
-        self.stats.configures += 1;
-        self.stats.peak_occupancy = self.stats.peak_occupancy.max(self.occupancy());
+        self.allocations.insert(id, Allocation { device, slots });
         Ok(AllocationId(id))
     }
 
@@ -362,7 +298,7 @@ impl LowLevelController {
             .allocations
             .remove(&id.0)
             .ok_or(HsError::UnknownAllocation(id.0))?;
-        self.free_slots[alloc.device.0] += alloc.blocks;
+        self.free_slots[alloc.device.0] += alloc.slots.len();
         for slot in alloc.slots {
             // Eviction may have wiped the bitmap already (the allocation
             // then no longer exists, so we cannot get here for it); a live
@@ -370,7 +306,6 @@ impl LowLevelController {
             debug_assert!(self.occupied[alloc.device.0][slot], "slot freed twice");
             self.occupied[alloc.device.0][slot] = false;
         }
-        self.stats.releases += 1;
         self.capacity_epoch += 1;
         Ok(())
     }
@@ -466,29 +401,6 @@ mod tests {
         // Device 3 is the XCKU115.
         let err = ctl.configure(DeviceId(3), &img).unwrap_err();
         assert!(matches!(err, HsError::DeviceTypeMismatch { .. }));
-        assert!(!ctl.can_configure(DeviceId(3), &img));
-        assert!(ctl.can_configure(DeviceId(0), &img));
-    }
-
-    #[test]
-    fn stats_track_configures_releases_and_peak() {
-        let cluster = Cluster::paper_cluster();
-        let mut ctl = LowLevelController::new(&cluster);
-        let img = image_for(&DeviceType::xcvu37p(), 100);
-        let a = ctl.configure(DeviceId(0), &img).unwrap();
-        let b = ctl.configure(DeviceId(0), &img).unwrap();
-        let peak = ctl.occupancy();
-        ctl.release(a).unwrap();
-        ctl.release(b).unwrap();
-        // A rejected request (wrong device type) counts too.
-        assert!(ctl.configure(DeviceId(3), &img).is_err());
-        let stats = ctl.stats();
-        assert_eq!(stats.configures, 2);
-        assert_eq!(stats.releases, 2);
-        assert_eq!(stats.rejected, 1);
-        // Peak persists after everything is freed.
-        assert_eq!(ctl.occupancy(), 0.0);
-        assert_eq!(ctl.stats().peak_occupancy, peak);
     }
 
     #[test]
@@ -525,7 +437,6 @@ mod tests {
         assert_eq!(ctl.failed_devices(), 1);
         // The failed device is unplaceable and reports zero free slots.
         assert_eq!(ctl.slots_free(DeviceId(0)), 0);
-        assert!(!ctl.can_configure(DeviceId(0), &img));
         assert!(matches!(
             ctl.configure(DeviceId(0), &img),
             Err(HsError::DeviceFailed(_))
@@ -541,14 +452,11 @@ mod tests {
         ctl.release(other).unwrap();
         // Second eviction is a no-op.
         assert!(ctl.evict_device(DeviceId(0)).is_empty());
-        assert_eq!(ctl.stats().device_failures, 1);
-        assert_eq!(ctl.stats().evicted, 2);
         // Recovery restores a fully free, configurable device.
         ctl.recover_device(DeviceId(0));
         assert_eq!(ctl.device_health(DeviceId(0)), DeviceHealth::Healthy);
         assert_eq!(ctl.slots_free(DeviceId(0)), ctl.slots_total(DeviceId(0)));
         assert!(ctl.configure(DeviceId(0), &img).is_ok());
-        assert_eq!(ctl.stats().device_recoveries, 1);
     }
 
     #[test]

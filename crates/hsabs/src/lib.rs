@@ -41,9 +41,7 @@ mod interface;
 mod vblock;
 
 pub use compiler::HsCompiler;
-pub use controller::{
-    AllocationId, DeviceHealth, LlcStats, LowLevelController, TransientFaultInjector,
-};
+pub use controller::{AllocationId, DeviceHealth, LowLevelController, TransientFaultInjector};
 pub use interface::InterfaceModel;
 pub use vblock::{VirtualBlockImage, VirtualBlockSpec};
 

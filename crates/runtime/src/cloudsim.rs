@@ -102,46 +102,41 @@ impl WindowMasks {
 /// queued work ends as `never_deployed` instead of livelocking the run.
 const MAX_IDLE_NUDGES: u32 = 256;
 
-/// Dynamic-elasticity knobs for the reprovisioner: whether the scheduler
-/// may resize *running* deployments in response to capacity-epoch
-/// movement. Both off by default — unlike the [`AdmissionTuning`]
-/// fast-path knobs, elasticity changes *what* the scheduler does, so it
-/// is an explicit opt-in, and every run with it off stays byte-identical
-/// to the pre-elasticity scheduler.
+/// Dynamic elasticity for the reprovisioner: whether the scheduler may
+/// resize *running* deployments in response to capacity-epoch movement.
+/// Off by default — unlike the [`AdmissionTuning`] fast-path knobs,
+/// elasticity changes *what* the scheduler does, so it is an explicit
+/// opt-in, and every run with it off stays byte-identical to the
+/// pre-elasticity scheduler.
+///
+/// With it on, the scheduler does two things:
+/// - It promotes running deployments to higher-unit mapping variants when
+///   idle capacity appears (and no task is queued for it), preferring
+///   co-located / low-ring-hop placements. A promotion only happens when
+///   the candidate's service time beats the current one, so it strictly
+///   shortens the task's remaining work.
+/// - It preemptively scales down the cheapest running victim (fewest lost
+///   units, least remaining work) when queued tasks cannot be admitted,
+///   so they stop starving behind grown tenants. Only *borrowed* units are
+///   ever reclaimed: a deployment can be demoted back toward the shape
+///   admission gave it, never below — promotion is a revocable loan of
+///   idle capacity, not a transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ElasticityPolicy {
-    /// Promote running deployments to higher-unit mapping variants when
-    /// idle capacity appears (and no task is queued for it), preferring
-    /// co-located / low-ring-hop placements. A promotion only happens
-    /// when the candidate's service time beats the current one, so it
-    /// strictly shortens the task's remaining work.
-    pub promote: bool,
-    /// Preemptively scale down the cheapest running victim (fewest lost
-    /// units, least remaining work) when queued tasks cannot be admitted,
-    /// so they stop starving behind grown tenants. Only *borrowed* units
-    /// are ever reclaimed: a deployment can be demoted back toward the
-    /// shape admission gave it, never below — promotion is a revocable
-    /// loan of idle capacity, not a transfer.
-    pub preempt: bool,
+    enabled: bool,
 }
 
 impl ElasticityPolicy {
     /// No resizing — the default, byte-identical to the pre-elasticity
     /// scheduler.
-    pub const DISABLED: ElasticityPolicy = ElasticityPolicy {
-        promote: false,
-        preempt: false,
-    };
+    pub const DISABLED: ElasticityPolicy = ElasticityPolicy { enabled: false };
 
-    /// Both promotion and preemptive scale-down.
-    pub const FULL: ElasticityPolicy = ElasticityPolicy {
-        promote: true,
-        preempt: true,
-    };
+    /// Promotion and preemptive scale-down.
+    pub const FULL: ElasticityPolicy = ElasticityPolicy { enabled: true };
 
-    /// Whether any reprovisioning is enabled.
+    /// Whether reprovisioning is enabled.
     pub fn any(self) -> bool {
-        self.promote || self.preempt
+        self.enabled
     }
 }
 
@@ -304,10 +299,10 @@ pub struct CloudReport {
     /// Time from interruption to successful redeployment, in seconds.
     pub time_to_recovery: Summary,
     /// Running deployments the reprovisioner grew to a higher-unit
-    /// variant (zero unless [`ElasticityPolicy::promote`] is on).
+    /// variant (zero unless [`ElasticityPolicy::FULL`] is on).
     pub promotions: u64,
     /// Running deployments the reprovisioner preemptively shrank to admit
-    /// queued work (zero unless [`ElasticityPolicy::preempt`] is on).
+    /// queued work (zero unless [`ElasticityPolicy::FULL`] is on).
     pub preemptions: u64,
     /// Units gained across all promotions.
     pub units_gained: u64,
@@ -1142,11 +1137,7 @@ impl<'a> CloudSim<'a> {
     /// device and virtual-block slot.
     fn lane(&self, d: &Deployment) -> Lane {
         let p = d.placements.first()?;
-        let slot = self
-            .controller
-            .allocation_slots(p.allocation)
-            .and_then(|s| s.first().copied())
-            .unwrap_or(0);
+        let slot = self.controller.first_slot(d).unwrap_or(0);
         Some((p.device.0 as u64 + 1, slot as u64))
     }
 
@@ -1231,7 +1222,7 @@ impl<'a> CloudSim<'a> {
     }
 
     /// One elastic-reprovisioning pass, run after the admission wave
-    /// whenever any [`ElasticityPolicy`] knob is on.
+    /// whenever elasticity is on.
     ///
     /// Preemption first: while tasks starve in the queue, the cheapest
     /// victim is scaled down and the admission wave re-run; the loop stops
@@ -1242,8 +1233,7 @@ impl<'a> CloudSim<'a> {
     /// waiting would invert the policy's priorities — and at most once per
     /// capacity epoch.
     fn reprovision(&mut self, now: SimTime) -> Result<(), RuntimeError> {
-        if self.elasticity.preempt
-            && !self.queue.is_empty()
+        if !self.queue.is_empty()
             && self.last_preempt_epoch != Some(self.controller.capacity_epoch())
         {
             let mut productive = false;
@@ -1265,7 +1255,7 @@ impl<'a> CloudSim<'a> {
                 self.last_preempt_epoch = Some(self.controller.capacity_epoch());
             }
         }
-        if self.elasticity.promote && self.queue.is_empty() {
+        if self.queue.is_empty() {
             let epoch = self.controller.capacity_epoch();
             if self.last_promo_epoch != Some(epoch) {
                 self.last_promo_epoch = Some(epoch);
@@ -2423,21 +2413,13 @@ mod tests {
         // Sparse arrivals: the cluster is idle around every task, so each
         // deployment should be promoted off its greedy 1-unit placement.
         let a = arrivals(4, 300.0);
-        let on = elastic_run(
-            &cluster,
-            &db,
-            &a,
-            ElasticityPolicy {
-                promote: true,
-                preempt: false,
-            },
-        );
+        let on = elastic_run(&cluster, &db, &a, ElasticityPolicy::FULL);
         let off = elastic_run(&cluster, &db, &a, ElasticityPolicy::DISABLED);
         assert!(on.accounts_for_all_arrivals());
         assert_eq!(on.completed, 4);
         assert!(on.promotions >= 1, "idle capacity must trigger promotion");
         assert!(on.units_gained >= 1);
-        assert_eq!(on.preemptions, 0, "promote-only policy never preempts");
+        assert_eq!(on.preemptions, 0, "no task queues, so none is preempted");
         assert!(
             on.latency.mean() < off.latency.mean(),
             "promotion must shorten service: {} vs {}",

@@ -90,11 +90,6 @@ pub struct ControllerStats {
     /// every attempt, whether it was answered by a full placement probe
     /// or by the feasibility cache.
     pub rejects: [u64; 4],
-    /// Device failures handled via
-    /// [`SystemController::handle_device_failure`].
-    pub device_failures: u64,
-    /// Live deployments interrupted by device failures.
-    pub interrupted: u64,
     /// Deployment attempts that ran a full placement probe (database
     /// lookup + option scan) rather than being answered from the
     /// feasibility cache. `probes + cache_hits` is the total attempt
@@ -146,19 +141,19 @@ impl InstanceId {
 /// Source of the per-controller tags carried by [`InstanceId`].
 static NEXT_CONTROLLER_TAG: AtomicU32 = AtomicU32::new(0);
 
-/// One deployed unit.
+/// One deployed unit. The HS allocation backing it stays with the
+/// controller that made it.
 #[derive(Debug, Clone)]
 pub struct Placement {
     /// The device holding the unit.
     pub device: DeviceId,
-    /// The HS allocation backing it.
-    pub allocation: AllocationId,
     /// Fraction of the accelerator's compute capability in this unit.
     pub compute_share: f64,
 }
 
 /// A live deployment of one accelerator instance. The controller that
-/// made it records which instance it serves, keyed by its id.
+/// made it records which instance it serves and the HS allocations
+/// backing its units, keyed by its id.
 #[derive(Debug, Clone)]
 pub struct Deployment {
     /// This deployment's id.
@@ -234,16 +229,15 @@ pub struct SystemController {
     db: MappingDatabase,
     llc: LowLevelController,
     policy: Policy,
-    /// Whole-device occupancy for the baseline policy.
-    device_taken: Vec<bool>,
     /// Static provisioning (baseline policy): the instance compiled onto
     /// each device at offline time. The paper's baseline fixes resource
     /// allocation "at the offline compilation time, resulting in a low
     /// elasticity" — tasks run on whatever accelerator their device hosts.
     provisioned: Option<Vec<Provision>>,
     /// Live deployments by deployment id, in ascending id order: the
-    /// interned index of the instance each serves, and its allocations.
-    live: BTreeMap<u64, (usize, Vec<(DeviceId, AllocationId)>)>,
+    /// interned index of the instance each serves, and its allocations in
+    /// unit order.
+    live: BTreeMap<u64, (usize, Vec<AllocationId>)>,
     next_id: u64,
     stats: ControllerStats,
     /// Device-type names in `cluster.device_types()` order; the indexed
@@ -393,7 +387,6 @@ impl SystemController {
     /// database.
     pub fn new(cluster: Cluster, db: MappingDatabase, policy: Policy) -> Self {
         let llc = LowLevelController::new(&cluster);
-        let device_taken = vec![false; cluster.len()];
         // Type names in first-appearance order, as `device_types()` lists
         // them, and each device's index into them, in one pass.
         let mut type_names: Vec<String> = Vec::new();
@@ -419,7 +412,6 @@ impl SystemController {
             db,
             llc,
             policy,
-            device_taken,
             provisioned: None,
             live: BTreeMap::new(),
             next_id: 0,
@@ -620,38 +612,28 @@ impl SystemController {
         device: DeviceId,
         ctx: Option<SpanCtx<'_>>,
     ) -> Vec<DeploymentId> {
-        let was_healthy = self.llc.device_health(device) == DeviceHealth::Healthy;
         let evicted = self.llc.evict_device(device);
-        if was_healthy {
-            self.stats.device_failures += 1;
-        }
         // Both walks run in ascending id order: `evicted` comes sorted and
         // `live` is ordered, so `hit` needs no sort.
         let was_evicted = |a: &AllocationId| evicted.binary_search_by_key(&a.0, |e| e.0).is_ok();
-        let mut hit: Vec<(u64, Vec<(DeviceId, AllocationId)>)> = Vec::new();
-        self.live.retain(|&id, (_, placements)| {
-            let keep = !placements.iter().any(|(_, a)| was_evicted(a));
+        let mut hit: Vec<(u64, Vec<AllocationId>)> = Vec::new();
+        self.live.retain(|&id, (_, allocations)| {
+            let keep = !allocations.iter().any(was_evicted);
             if !keep {
-                hit.push((id, std::mem::take(placements)));
+                hit.push((id, std::mem::take(allocations)));
             }
             keep
         });
-        for (_, placements) in &hit {
-            for &(d, a) in placements {
-                if !was_evicted(&a) {
-                    // Surviving units release normally; their slots free up
-                    // for the migration the caller will attempt.
-                    let _ = self.llc.release(a);
-                }
-                if self.policy == Policy::Baseline {
-                    self.device_taken[d.0] = false;
-                }
+        for (_, allocations) in &hit {
+            // Surviving units release normally; their slots free up for
+            // the migration the caller will attempt.
+            for a in allocations.iter().filter(|a| !was_evicted(a)) {
+                let _ = self.llc.release(*a);
             }
         }
         // Collected in place: the ids reuse `hit`'s buffer.
         let interrupted: Vec<DeploymentId> =
             hit.into_iter().map(|(id, _)| DeploymentId(id)).collect();
-        self.stats.interrupted += interrupted.len() as u64;
         if let Some(c) = ctx {
             let span = c.spans.begin("device_failure", c.trace, c.parent, c.at);
             c.spans.set_lane(span, device.0 as u64 + 1, CONTROL_TID);
@@ -773,11 +755,13 @@ impl SystemController {
     ) -> Result<Result<Deployment, RejectReason>, RuntimeError> {
         // Statically provisioned baseline: the task runs on whatever free
         // device's preinstalled accelerator, preferring a matching install.
+        // A device is free when every slot is: it hosts at most one
+        // deployment, and a failed device reports no free slot.
         if let (Policy::Baseline, Some(provisioned)) = (self.policy, &self.provisioned) {
             let device = self
                 .cluster
                 .device_ids()
-                .filter(|d| !self.device_taken[d.0] && self.llc.is_healthy(*d))
+                .filter(|&d| self.llc.slots_free(d) == self.llc.slots_total(d))
                 .min_by_key(|d| (provisioned[d.0].index != index, d.0));
             let Some(device) = device else {
                 return Ok(Err(RejectReason::NoFreeDevice));
@@ -803,10 +787,10 @@ impl SystemController {
             if !self.find_placement(index, o) {
                 continue;
             }
-            let Some(allocations) = self.configure_chosen(option, ctx)? else {
+            let Some(deployment) = self.commit_chosen(index, option, ctx)? else {
                 return Ok(Err(RejectReason::TransientFault));
             };
-            return Ok(Ok(self.install(index, option, allocations)));
+            return Ok(Ok(deployment));
         }
         Ok(Err(if any_policy_eligible {
             RejectReason::InsufficientCapacity
@@ -831,7 +815,7 @@ impl SystemController {
             return Ok(Err(RejectReason::TransientFault));
         };
         // The preinstalled accelerator runs whole on its one device.
-        let mut deployment = self.install(index, option, allocations);
+        let mut deployment = self.install(index, option, &[device], allocations);
         deployment.installed_instance = Some(Arc::clone(&self.names()[provision.index]));
         deployment.placements[0].compute_share = 1.0;
         deployment.crossings_per_op = 0;
@@ -857,7 +841,7 @@ impl SystemController {
         option: &DeploymentOption,
         devices: &[DeviceId],
         mut ctx: Option<SpanCtx<'_>>,
-    ) -> Result<Option<Vec<(DeviceId, AllocationId)>>, RuntimeError> {
+    ) -> Result<Option<Vec<AllocationId>>, RuntimeError> {
         let mut allocations = Vec::with_capacity(devices.len());
         for (unit, &device) in option.units.iter().zip(devices) {
             let image = &unit.images[self.cluster.device(device).device_type().name()];
@@ -886,9 +870,9 @@ impl SystemController {
                 c.spans.end(span, c.at);
             }
             match result {
-                Ok(a) => allocations.push((device, a)),
+                Ok(a) => allocations.push(a),
                 Err(e) => {
-                    for (_, a) in allocations {
+                    for a in allocations {
                         let _ = self.llc.release(a);
                     }
                     return match e {
@@ -902,41 +886,39 @@ impl SystemController {
     }
 
     /// [`configure_units`](Self::configure_units) on the devices the last
-    /// [`find_placement`](Self::find_placement) chose.
-    fn configure_chosen(
+    /// [`find_placement`](Self::find_placement) chose, then
+    /// [`install`](Self::install) of what they configured.
+    fn commit_chosen(
         &mut self,
+        index: usize,
         option: &DeploymentOption,
         ctx: Option<SpanCtx<'_>>,
-    ) -> Result<Option<Vec<(DeviceId, AllocationId)>>, RuntimeError> {
+    ) -> Result<Option<Deployment>, RuntimeError> {
         let devices = std::mem::take(&mut self.search.chosen);
-        let configured = self.configure_units(option, &devices, ctx);
+        let committed = self
+            .configure_units(option, &devices, ctx)
+            .map(|c| c.map(|allocations| self.install(index, option, &devices, allocations)));
         self.search.chosen = devices;
-        configured
+        committed
     }
 
-    /// Books committed allocations as a live deployment of `option` of
-    /// instance `index`: assigns the next id, records the instance and the
-    /// allocations in `live`, marks the baseline's whole devices taken,
-    /// and measures the ring diameter the units span.
+    /// Books the allocations configured on `devices` as a live deployment
+    /// of `option` of instance `index`: assigns the next id, records the
+    /// instance and the allocations in `live`, and measures the ring
+    /// diameter the units span.
     fn install(
         &mut self,
         index: usize,
         option: &DeploymentOption,
-        allocations: Vec<(DeviceId, AllocationId)>,
+        devices: &[DeviceId],
+        allocations: Vec<AllocationId>,
     ) -> Deployment {
-        let devices = allocations.iter().map(|&(d, _)| d);
-        if self.policy == Policy::Baseline {
-            for d in devices.clone() {
-                self.device_taken[d.0] = true;
-            }
-        }
-        let max_ring_hops = self.ring_diameter(devices);
-        let placements = allocations
+        let max_ring_hops = self.ring_diameter(devices.iter().copied());
+        let placements = devices
             .iter()
             .zip(&option.units)
-            .map(|(&(device, allocation), unit)| Placement {
+            .map(|(&device, unit)| Placement {
                 device,
-                allocation,
                 compute_share: unit.compute_share,
             })
             .collect();
@@ -954,18 +936,14 @@ impl SystemController {
     }
 
     /// Tears down a live deployment: drops it from `live` and releases
-    /// each allocation (and, under the baseline policy, its whole
-    /// devices).
+    /// each allocation.
     fn retire(&mut self, id: DeploymentId) -> Result<(), RuntimeError> {
         let (_, allocations) = self
             .live
             .remove(&id.0)
             .ok_or(RuntimeError::Hs(HsError::UnknownAllocation(id.0)))?;
-        for (device, a) in allocations {
+        for a in allocations {
             self.llc.release(a)?;
-            if self.policy == Policy::Baseline {
-                self.device_taken[device.0] = false;
-            }
         }
         self.stats.releases += 1;
         Ok(())
@@ -1001,13 +979,14 @@ impl SystemController {
         max_free.clear();
         max_free.resize(self.type_names.len(), 0);
         for device in self.cluster.device_ids() {
-            // Whole-device granularity: a taken baseline device offers
-            // nothing, matching the scan's filter below.
-            if self.policy == Policy::Baseline && self.device_taken[device.0] {
+            let free = self.llc.slots_free(device);
+            // Whole-device granularity: a baseline device hosting anything
+            // offers nothing, matching the scan's filter below.
+            if self.policy == Policy::Baseline && free < self.llc.slots_total(device) {
                 continue;
             }
             let t = self.device_type_idx[device.0];
-            max_free[t] = max_free[t].max(self.llc.slots_free(device));
+            max_free[t] = max_free[t].max(free);
         }
     }
 
@@ -1067,12 +1046,11 @@ impl SystemController {
                 if restrict.is_some_and(|r| r != t) {
                     continue;
                 }
-                if self.policy == Policy::Baseline {
-                    // Whole-device granularity: device must be untouched.
-                    if self.device_taken[device.0] || free[device.0] != self.llc.slots_total(device)
-                    {
-                        continue;
-                    }
+                // Whole-device granularity: a baseline device must be
+                // untouched.
+                if self.policy == Policy::Baseline && free[device.0] != self.llc.slots_total(device)
+                {
+                    continue;
                 }
                 let Some(blocks) = blocks_of[t] else {
                     continue;
@@ -1099,8 +1077,7 @@ impl SystemController {
         true
     }
 
-    /// Releases a deployment, freeing its virtual blocks (and, under the
-    /// baseline policy, its whole devices).
+    /// Releases a deployment, freeing its virtual blocks.
     ///
     /// # Errors
     ///
@@ -1208,10 +1185,10 @@ impl SystemController {
             pool.extend_from_slice(devices);
         }
         candidates.sort_by_key(|c| (c.hops, c.distinct, c.units));
-        // Candidates are offered as one reused phantom with placeholder
-        // allocation ids: service-time models read devices, shares, and
-        // link shape, never the HS handles, and nothing is configured
-        // until the caller accepts.
+        // Candidates are offered as one reused phantom carrying the
+        // running deployment's id: service-time models read devices,
+        // shares, and link shape, and nothing is configured until the
+        // caller accepts.
         phantom.id = deployment.id;
         for c in candidates.iter() {
             let option = &entry.options[c.option];
@@ -1221,7 +1198,6 @@ impl SystemController {
                 .zip(&option.units)
                 .map(|(&device, unit)| Placement {
                     device,
-                    allocation: AllocationId(u64::MAX),
                     compute_share: unit.compute_share,
                 });
             phantom.placements.clear();
@@ -1240,7 +1216,7 @@ impl SystemController {
             // The new footprint is in place: swap the old one out.
             self.retire(deployment.id)?;
             self.stats.deploys += 1;
-            return Ok(Some(self.install(index, option, allocations)));
+            return Ok(Some(self.install(index, option, devices, allocations)));
         }
         Ok(None)
     }
@@ -1285,22 +1261,22 @@ impl SystemController {
             if !self.find_placement(index, o) {
                 continue;
             }
-            let option = &entry.options[o];
             let ctx = ctx.as_mut().map(|c| c.reborrow());
-            let Some(allocations) = self.configure_chosen(option, ctx)? else {
+            let Some(demoted) = self.commit_chosen(index, &entry.options[o], ctx)? else {
                 continue;
             };
             self.stats.deploys += 1;
-            return Ok(ScaleDown::Demoted(self.install(index, option, allocations)));
+            return Ok(ScaleDown::Demoted(demoted));
         }
         Ok(ScaleDown::Displaced)
     }
 
-    /// The concrete virtual-block slot indexes backing one allocation
-    /// (ascending); `None` once released or evicted. The trace exporter
-    /// uses the first slot as the deployment's `vblock` lane.
-    pub fn allocation_slots(&self, allocation: AllocationId) -> Option<&[usize]> {
-        self.llc.slots_of(allocation)
+    /// The lowest virtual-block slot of a live deployment's first unit;
+    /// `None` once it is released or interrupted. The trace exporter
+    /// renders the deployment's compute phases on this `vblock` lane.
+    pub fn first_slot(&self, deployment: &Deployment) -> Option<usize> {
+        let (_, allocations) = self.live.get(&deployment.id.0)?;
+        self.llc.slots_of(*allocations.first()?)?.first().copied()
     }
 
     /// Cluster-wide virtual-block occupancy (0..=1).
@@ -1602,7 +1578,6 @@ mod tests {
         // The eviction invariant: nothing lives on the failed device.
         assert_eq!(c.allocations_on(DeviceId(0)), 0);
         assert_eq!(c.failed_devices(), 1);
-        assert_eq!(c.stats().interrupted, interrupted.len() as u64);
         // Interrupted deployments are gone: releasing one is an error.
         let gone = held
             .iter()
@@ -1686,7 +1661,7 @@ mod tests {
         }
         assert_eq!(spans.open_count(), 1, "only the root stays open");
         // The lane's thread id matches the allocation's first slot.
-        let first_slot = c.allocation_slots(d.placements[0].allocation).unwrap()[0];
+        let first_slot = c.first_slot(&d).unwrap();
         assert_eq!(
             reconfigures[0].lane,
             Some((d.placements[0].device.0 as u64 + 1, first_slot as u64))
@@ -1717,7 +1692,7 @@ mod tests {
             .unwrap()
             .unwrap();
         let unit = &d.placements[0];
-        let first = c.allocation_slots(unit.allocation).unwrap()[0];
+        let first = c.first_slot(&d).unwrap();
         let span = spans.span(vfpga_sim::SpanId(1));
         assert_eq!(span.name, "reconfigure");
         assert_eq!(span.trace, TraceId(5));

@@ -46,17 +46,11 @@ impl LinkChaos {
             seed: 0,
         }
     }
-
-    /// Whether this config perturbs delivery at all (a bare deadline does
-    /// not change arrival times, only classifies starvation).
-    pub fn is_quiescent(&self) -> bool {
-        self.events.is_empty() && self.corruption_prob == 0.0 && self.deadline.is_none()
-    }
 }
 
 /// Result of a timing co-simulation, including the communication counters
 /// the observability layer exports (message volume, scheduling rounds,
-/// transmitter queue-wait pressure, and retransmission work — the knobs
+/// link-down waits, and retransmission work — the knobs
 /// Fig. 11's latency sweep stresses).
 #[derive(Debug, Clone)]
 pub struct ScaleOutTiming {
@@ -71,13 +65,9 @@ pub struct ScaleOutTiming {
     /// Scheduler rounds the co-simulation needed to drain all machines
     /// (each round polls every unfinished machine once).
     pub poll_rounds: u64,
-    /// Messages that waited (behind the transmitter or a down link)
-    /// before their first byte went out.
-    ///
-    /// On every co-simulation tried (a 2,304-run sweep over GRU/LSTM,
-    /// 2–4 machines, uneven rows and 0.05–25 Gb/s links) this is nonzero
-    /// only under link-down stalls: each machine's next send waits for its
-    /// peers' messages, so the transmitter never queues on a healthy ring.
+    /// Messages (and retransmissions) that waited for a down link to
+    /// recover before their first byte went out. Only link-down stalls
+    /// count: the wire is pipelined, so a healthy ring delays no send.
     pub queue_waits: u64,
     /// Total pre-serialization wait across those messages.
     pub queue_wait_total: SimTime,
@@ -125,16 +115,11 @@ impl ScaleOutTiming {
 /// (at the moment the send is first observed), applying link health waves,
 /// corruption with bounded exponential-backoff retransmission, and the
 /// delivery deadline. Accumulates the fault accounting for the report.
-///
-/// Each sender also has a transmitter that serializes its messages one at
-/// a time at the nominal rate. The wait behind it is reported as a queue
-/// wait but not fed back into arrival times: the wire is pipelined.
 struct Wire {
     link: LinkParams,
     added: SimTime,
     chaos: LinkChaos,
     rng: Rng,
-    busy_until: Vec<SimTime>,
     retransmits: u64,
     bytes_retransmitted: u64,
     waits: u64,
@@ -143,14 +128,13 @@ struct Wire {
 }
 
 impl Wire {
-    fn new(senders: usize, link: LinkParams, added: SimTime, chaos: LinkChaos) -> Self {
+    fn new(link: LinkParams, added: SimTime, chaos: LinkChaos) -> Self {
         let rng = Rng::seed_from_u64(chaos.seed ^ 0x5749_5245_5749_5245);
         Wire {
             link,
             added,
             chaos,
             rng,
-            busy_until: vec![SimTime::ZERO; senders],
             retransmits: 0,
             bytes_retransmitted: 0,
             waits: 0,
@@ -180,7 +164,7 @@ impl Wire {
             .map(|&(at, _)| at)
     }
 
-    /// Counts a wait behind the transmitter or a down link.
+    /// Counts a wait for a down link.
     fn record_wait(&mut self, wait: SimTime) {
         if wait > SimTime::ZERO {
             self.waits += 1;
@@ -189,19 +173,11 @@ impl Wire {
         }
     }
 
-    /// Arrival of a message of `bytes` that `sender` sent at `at`; `None`
-    /// when the link never recovers, the retransmit budget runs out, or the
-    /// deadline passes.
-    fn deliver(&mut self, sender: usize, at: SimTime, bytes: u64) -> Option<SimTime> {
-        let nominal = self.link.serialization_time(bytes);
-        let busy = &mut self.busy_until[sender];
-        let start = at.max(*busy);
-        *busy = start + nominal;
-        self.record_wait(start.saturating_sub(at));
-        if self.chaos.is_quiescent() {
-            // The ideal pipelined wire of Fig. 11 — kept bit-identical.
-            return Some(at + nominal + self.link.latency + self.added);
-        }
+    /// Arrival of a message of `bytes` sent at `at`; `None` when the link
+    /// never recovers, the retransmit budget runs out, or the deadline
+    /// passes. On a healthy link with no corruption this is the ideal
+    /// pipelined wire of Fig. 11, and no RNG is drawn.
+    fn deliver(&mut self, at: SimTime, bytes: u64) -> Option<SimTime> {
         let mut start = at;
         let mut retransmits = 0u32;
         let mut delivered = None;
@@ -250,13 +226,13 @@ impl Wire {
 /// arrival marks a message that can never be delivered.
 type MsgArrival = (u32, u64, Option<SimTime>);
 
-/// Folds machine `m`'s new sends (past `entry.len()`) into its arrival
+/// Folds a machine's new sends (past `entry.len()`) into its arrival
 /// snapshot, pushing each through the faulted wire once.
-fn sync_sends(machine: &CycleSim, m: usize, entry: &mut Vec<MsgArrival>, wire: &mut Wire) {
+fn sync_sends(machine: &CycleSim, entry: &mut Vec<MsgArrival>, wire: &mut Wire) {
     let sends = machine.sends();
     for s in &sends[entry.len()..] {
         let bytes = s.len as u64 * 2; // f16 payload
-        entry.push((s.chan, s.seq, wire.deliver(m, s.at, bytes)));
+        entry.push((s.chan, s.seq, wire.deliver(s.at, bytes)));
     }
 }
 
@@ -308,13 +284,13 @@ pub fn co_simulate_timing_faulted(
     let n = machines.len();
     let mut finish: Vec<Option<SimTime>> = vec![None; n];
     let mut poll_rounds = 0u64;
-    let mut wire = Wire::new(n, link, added_latency, chaos.clone());
+    let mut wire = Wire::new(link, added_latency, chaos.clone());
     // Arrival snapshot, maintained incrementally: entry [p][i] is the
     // delivery of machine p's i-th send. Rebuilt only when a machine
     // actually produced new sends (not per machine per round).
     let mut arrivals: Vec<Vec<MsgArrival>> = vec![Vec::new(); n];
     for m in 0..n {
-        sync_sends(&machines[m], m, &mut arrivals[m], &mut wire);
+        sync_sends(&machines[m], &mut arrivals[m], &mut wire);
     }
 
     loop {
@@ -365,7 +341,7 @@ pub fn co_simulate_timing_faulted(
                 }
             }
             if machines[m].sends().len() > sends_before {
-                sync_sends(&machines[m], m, &mut arrivals[m], &mut wire);
+                sync_sends(&machines[m], &mut arrivals[m], &mut wire);
             }
         }
         if finish.iter().all(Option::is_some) {
@@ -669,25 +645,6 @@ mod tests {
                 r#""retransmits":2,"bytes_retransmitted":1024}"#
             )
         );
-    }
-
-    #[test]
-    fn sender_transmitter_backpressure_is_a_queue_wait() {
-        // 125 bytes = 1000 bits = 10ns at 100 Gb/s, then 50ns latency.
-        let link = LinkParams::new(SimTime::from_ns(50.0), 100.0);
-        let mut wire = Wire::new(2, link, SimTime::ZERO, LinkChaos::quiescent());
-        let ns = SimTime::from_ns;
-        assert_eq!(wire.deliver(0, SimTime::ZERO, 125), Some(ns(60.0)));
-        // Waits 10ns and then 20ns behind sender 0's transmitter, but the
-        // pipelined wire does not delay the arrivals.
-        assert_eq!(wire.deliver(0, SimTime::ZERO, 125), Some(ns(60.0)));
-        assert_eq!(wire.deliver(0, SimTime::ZERO, 125), Some(ns(60.0)));
-        // Sender 1 has its own transmitter, and an idle one waits for nothing.
-        assert_eq!(wire.deliver(1, SimTime::ZERO, 125), Some(ns(60.0)));
-        assert_eq!(wire.deliver(0, ns(1000.0), 125), Some(ns(1060.0)));
-        assert_eq!(wire.waits, 2);
-        assert_eq!(wire.wait_total, ns(30.0));
-        assert_eq!(wire.wait_max, ns(20.0));
     }
 
     #[test]

@@ -8,6 +8,12 @@
 //! capacity epoch must also invalidate on every operation that can
 //! increase capacity (release, evict, recover — including the sibling
 //! releases behind a scale-down redeploy).
+//!
+//! The reference comparison checks decisions, not work, so every run also
+//! pins its attempt counts: the controller's probes, cache hits, deploys,
+//! releases and rejects per reason, and the report's rejected attempts.
+//! An admission change that skips or repeats a probe moves them even when
+//! every placement stays the same.
 
 use vfpga::accel::{
     generate_rtl, leaf_resource_estimator, AcceleratorConfig, CONTROL_PATH_MODULE,
@@ -18,17 +24,42 @@ use vfpga::fabric::{Cluster, DeviceId, MemoryKind};
 use vfpga::fuzz::{ReferenceCluster, ReferenceReport, ReferenceScheduler};
 use vfpga::hsabs::HsCompiler;
 use vfpga::runtime::{
-    run_cloud_sim_tuned, AdmissionTuning, CloudReport, Deployment, InstanceId, Policy,
-    RecoveryPolicy, RejectReason, SystemController, DEFAULT_TRACE_CAPACITY,
+    run_cloud_sim_tuned, AdmissionTuning, CloudReport, ControllerStats, Deployment, InstanceId,
+    Policy, RecoveryPolicy, RejectReason, SystemController, DEFAULT_TRACE_CAPACITY,
 };
 use vfpga::sim::{FaultPlan, FaultPlanParams, SimTime};
 use vfpga::workload::{generate_workload, Composition, RnnKind, RnnTask, TaskArrival};
 use vfpga_bench::chaos::{self, ChaosConfig};
 use vfpga_bench::Catalog;
 
-/// The seeds the catalog-scale comparisons fan over (a subset of the
-/// chaos sweep's seed matrix).
-const SEEDS: [u64; 2] = [7, 2024];
+/// Attempt counts pinned per run, as [`attempt_counts`] orders them.
+const STEADY_7: [u64; 12] = [776, 0, 300, 300, 0, 0, 476, 0, 0, 0, 476, 0];
+const STEADY_2024: [u64; 12] = [822, 0, 300, 300, 0, 0, 522, 0, 0, 0, 522, 0];
+const CHAOS_7: [u64; 12] = [457, 258, 174, 120, 0, 0, 534, 7, 0, 0, 534, 7];
+const CHAOS_2024: [u64; 12] = [424, 161, 162, 120, 0, 0, 416, 7, 0, 0, 416, 7];
+const GATED_BASELINE: [u64; 12] = [396, 0, 200, 200, 0, 0, 196, 0, 0, 0, 196, 0];
+const GATED_CHAOS: [u64; 12] = [203, 117, 145, 80, 0, 0, 175, 0, 0, 0, 175, 0];
+const FLAKY_3: [u64; 12] = [1263, 0, 400, 400, 0, 0, 603, 260, 0, 0, 603, 260];
+const FLAKY_7: [u64; 12] = [1279, 0, 400, 400, 0, 0, 596, 283, 0, 0, 596, 283];
+const CERTAIN_FAULTS: [u64; 12] = [20256, 0, 0, 0, 0, 0, 0, 20256, 0, 0, 0, 20256];
+/// A direct fill's probes, cache hits, deploys and rejects per reason.
+const CACHED: (u64, u64, u64, [u64; 4]) = (5, 35, 4, [0, 0, 36, 0]);
+
+/// A run's attempt counts: the controller's probes, cache hits, deploys
+/// and releases, its rejects per [`RejectReason::index`], then the
+/// report's rejected attempts per reason.
+fn attempt_counts(stats: &ControllerStats, report: &CloudReport) -> [u64; 12] {
+    let mut counts = [0; 12];
+    counts[..4].copy_from_slice(&[
+        stats.probes,
+        stats.cache_hits,
+        stats.deploys,
+        stats.releases,
+    ]);
+    counts[4..8].copy_from_slice(&stats.rejects);
+    counts[8..].copy_from_slice(&report.rejections);
+    counts
+}
 
 /// Runs `arrivals` through the catalog's models on the reference
 /// scheduler under the full policy.
@@ -53,7 +84,7 @@ fn catalog_reference(
 #[test]
 fn steady_runs_match_the_reference() {
     let catalog = Catalog::build();
-    for seed in SEEDS {
+    for (seed, counts) in [(7, STEADY_7), (2024, STEADY_2024)] {
         let arrivals = generate_workload(Composition::TABLE1[4], 300, SimTime::from_us(20.0), seed);
         let mut controller = catalog.controller(Policy::Full);
         let fast = catalog
@@ -84,13 +115,14 @@ fn steady_runs_match_the_reference() {
             stats.probes,
             reference.attempts
         );
+        assert_eq!(attempt_counts(stats, &fast), counts, "seed {seed}");
     }
 }
 
 #[test]
 fn chaos_runs_match_the_reference() {
     let catalog = Catalog::build();
-    for seed in SEEDS {
+    for (seed, counts) in [(7, CHAOS_7), (2024, CHAOS_2024)] {
         let config = ChaosConfig {
             seed,
             ..ChaosConfig::default()
@@ -100,6 +132,24 @@ fn chaos_runs_match_the_reference() {
         if let Err(e) = reference.check_lockstep(&fast.report) {
             panic!("seed {seed}: chaos run diverged from the reference: {e}");
         }
+        // `chaos::run` keeps its controller, so the plan is replayed on
+        // one whose counts the test can read.
+        let mut controller = catalog.controller(Policy::Full);
+        let replay = catalog
+            .simulate(
+                &mut controller,
+                &config.arrivals(),
+                &fast.plan,
+                DEFAULT_TRACE_CAPACITY,
+                AdmissionTuning::default(),
+            )
+            .expect("chaos replay completes");
+        assert_eq!(replay.rejections, fast.report.rejections);
+        assert_eq!(
+            attempt_counts(controller.stats(), &replay),
+            counts,
+            "seed {seed}"
+        );
         // The comparison is meaningful only if chaos interrupted work and
         // flaked reconfigurations.
         assert!(
@@ -158,6 +208,10 @@ fn cached_rejections_place_like_the_reference() {
         reference.attempts
     );
     assert_eq!(stats.probes + stats.cache_hits, 40);
+    assert_eq!(
+        (stats.probes, stats.cache_hits, stats.deploys, stats.rejects),
+        CACHED
+    );
 }
 
 /// `n` identical tasks arriving `gap_us` apart.
@@ -174,20 +228,48 @@ fn fixed_service(_t: &RnnTask, _d: &Deployment) -> SimTime {
     SimTime::from_us(100.0)
 }
 
+/// `n` tasks 0.5 us apart, alternating between [`tiny_or_big`]'s two
+/// instances.
+fn tiny_and_big(n: usize) -> Vec<TaskArrival> {
+    (0..n)
+        .map(|i| TaskArrival {
+            at: SimTime::from_us(i as f64 * 0.5),
+            task: RnnTask::new(RnnKind::Lstm, 512 + 256 * (i % 2), 5),
+        })
+        .collect()
+}
+
+fn tiny_or_big(t: &RnnTask) -> &'static str {
+    if t.hidden == 512 {
+        "tiny"
+    } else {
+        "big"
+    }
+}
+
 /// Runs every task as `"tiny"` on both schedulers; returns the engine's
-/// report and the reference's.
+/// report, the reference's, and the engine's attempt counts.
 fn tiny_runs(
     policy: Policy,
     arrivals: &[TaskArrival],
     faults: &FaultPlan,
-) -> (CloudReport, ReferenceReport) {
+) -> (CloudReport, ReferenceReport, [u64; 12]) {
+    small_db_runs(policy, arrivals, &|_| "tiny", faults)
+}
+
+/// [`tiny_runs`] with each task's instance named by `instance_for`.
+fn small_db_runs(
+    policy: Policy,
+    arrivals: &[TaskArrival],
+    instance_for: &dyn Fn(&RnnTask) -> &'static str,
+    faults: &FaultPlan,
+) -> (CloudReport, ReferenceReport, [u64; 12]) {
     let (cluster, db) = small_db();
-    let tiny = |_: &RnnTask| "tiny";
     let mut c = SystemController::new(cluster.clone(), db.clone(), policy);
     let fast = run_cloud_sim_tuned(
         &mut c,
         arrivals,
-        &tiny,
+        instance_for,
         &fixed_service,
         faults,
         RecoveryPolicy::default(),
@@ -200,13 +282,14 @@ fn tiny_runs(
         &db,
         policy,
         arrivals,
-        &tiny,
+        instance_for,
         &fixed_service,
         faults,
         RecoveryPolicy::default(),
     )
     .unwrap();
-    (fast, reference)
+    let counts = attempt_counts(c.stats(), &fast);
+    (fast, reference, counts)
 }
 
 #[test]
@@ -215,7 +298,8 @@ fn gated_waves_admit_like_the_reference() {
     // skip tasks known infeasible (fewer attempt-level rejections), yet
     // every decision matches the reference, which re-scans after every
     // event.
-    let (fast, reference) = tiny_runs(Policy::Baseline, &arrivals(200, 0.5), &FaultPlan::none());
+    let (fast, reference, counts) =
+        tiny_runs(Policy::Baseline, &arrivals(200, 0.5), &FaultPlan::none());
     if let Err(e) = reference.check_lockstep(&fast) {
         panic!("gated run diverged from the reference: {e}");
     }
@@ -226,6 +310,7 @@ fn gated_waves_admit_like_the_reference() {
         "known-infeasible tasks must not be re-attempted: {} vs {naive}",
         fast.total_rejections()
     );
+    assert_eq!(counts, GATED_BASELINE);
 }
 
 #[test]
@@ -240,11 +325,41 @@ fn gated_waves_admit_like_the_reference_under_chaos() {
         4,
         7,
     );
-    let (fast, reference) = tiny_runs(Policy::Full, &arrivals(80, 1.0), &plan);
+    let (fast, reference, counts) = tiny_runs(Policy::Full, &arrivals(80, 1.0), &plan);
     assert!(fast.accounts_for_all_arrivals());
     assert!(fast.interrupted > 0, "chaos was a no-op");
     if let Err(e) = reference.check_lockstep(&fast) {
         panic!("gated chaos run diverged from the reference: {e}");
+    }
+    assert_eq!(counts, GATED_CHAOS);
+}
+
+#[test]
+fn rolled_back_multi_unit_faults_admit_like_the_reference() {
+    // A multi-unit placement whose later unit flakes releases the units
+    // already configured, which moves the capacity epoch in the middle of
+    // an admission wave: queued tasks behind it whose instance was known
+    // rejected must be attempted again. Skipping them changes no decision
+    // here, only the attempt counts.
+    for (seed, pinned) in [(3, FLAKY_3), (7, FLAKY_7)] {
+        let plan = FaultPlan::generate(
+            FaultPlanParams {
+                mttf: SimTime::from_secs(1.0),
+                mttr: SimTime::from_us(50.0),
+                configure_failure_prob: 0.3,
+                horizon: SimTime::ZERO,
+            },
+            4,
+            seed,
+        );
+        let a = tiny_and_big(400);
+        let (fast, reference, counts) = small_db_runs(Policy::Full, &a, &tiny_or_big, &plan);
+        if let Err(e) = reference.check_lockstep(&fast) {
+            panic!("seed {seed}: flaky run diverged from the reference: {e}");
+        }
+        assert_eq!(fast.completed, a.len() as u64);
+        assert!(fast.rejected_tasks_for(RejectReason::TransientFault) > 0);
+        assert_eq!(counts, pinned, "seed {seed}");
     }
 }
 
@@ -365,11 +480,12 @@ fn certain_transient_faults_strand_tasks_like_the_reference() {
         4,
         7,
     );
-    let (fast, reference) = tiny_runs(Policy::Full, &arrivals(80, 1.0), &plan);
+    let (fast, reference, counts) = tiny_runs(Policy::Full, &arrivals(80, 1.0), &plan);
     if let Err(e) = reference.check_lockstep(&fast) {
         panic!("certain-fault run diverged from the reference: {e}");
     }
     assert_eq!(fast.completed, 0);
     assert_eq!(fast.never_deployed, 80);
     assert!(fast.accounts_for_all_arrivals());
+    assert_eq!(counts, CERTAIN_FAULTS);
 }
